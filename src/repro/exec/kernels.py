@@ -10,6 +10,8 @@ against :class:`~repro.exec.ring.RingBuffer` channels:
 * splitter/joiner steps become reshape + strided scatter/gather;
 * trivial primitives (identity, decimator, sources, collector) become
   block transfers;
+* :class:`PeriodicSourceStep` fires an IR source scalar until its state
+  recurs, then replays the cycle of outputs from a table;
 * :class:`FallbackStep` fires the node's existing scalar runner (compiled
   work function or primitive runner) ``n`` times — the escape hatch for
   non-linear or stateful filters, with exact FLOP-count parity;
@@ -31,6 +33,7 @@ from .. import faults as _faults
 from ..errors import InterpError
 from ..numeric import DEFAULT_POLICY, NumericPolicy
 from ..profiling import Counts, Profiler
+from ..runtime.channels import Channel
 
 
 class Step:
@@ -411,6 +414,140 @@ class FallbackStep(Step):
             fire(ch_in, ch_out)
 
 
+#: Scalar firings a source takes without its state recurring before
+#: :class:`PeriodicSourceStep` stops looking — hence also the longest
+#: transient + cycle it can find.
+SOURCE_RECURRENCE_LIMIT = 1024
+
+
+class PeriodicSourceStep(Step):
+    """Table replay for a source whose state recurs.
+
+    A ``pop 0`` filter is a closed system: what a firing pushes, counts
+    and leaves behind is a function of its mutable fields alone.  The
+    step starts as a :class:`FallbackStep` that also keys every firing
+    on those fields; once a key repeats, the source is a transient
+    followed by a cycle forever, and ``execute(n)`` becomes one
+    phase-offset ``np.tile`` slice of the cycle's outputs plus the exact
+    counts of the firings it stands for.  A source whose state has not
+    recurred after :data:`SOURCE_RECURRENCE_LIMIT` firings (a counter)
+    drops the bookkeeping and stays a plain scalar loop.
+    """
+
+    def __init__(self, node, ring_in, ring_out, profiler: Profiler,
+                 policy: NumericPolicy = DEFAULT_POLICY):
+        self.node = node
+        self.ring_in = ring_in  # the void tape, as FallbackStep holds it
+        self.ring_out = ring_out
+        self.profiler = profiler
+        self.dtype = policy.dtype
+        self.fired = 0  # firings so far: the replay phase
+        #: firings before the cycle / firings per cycle (0 = none found)
+        self.transient = self.period = 0
+        self._cycle: np.ndarray | None = None  # one cycle of outputs
+        self._cum: list[Counts] = []  # counts of the cycle's first k firings
+        #: state key -> firing it preceded; None once the search is over
+        self._seen: dict | None = {}
+
+    @classmethod
+    def constant(cls, values, ring_out, profiler: Profiler,
+                 policy: NumericPolicy = DEFAULT_POLICY):
+        """The period-1 case known up front: a source pushing the same
+        vector every firing, at no FLOP cost."""
+        step = cls(None, None, ring_out, profiler, policy)
+        step._set_cycle(0, 1, values, [Counts(), Counts()])
+        return step
+
+    @property
+    def kind(self) -> str:
+        return "periodic-source" if self.period else "fallback"
+
+    @property
+    def detail(self) -> str | None:
+        """What the search concluded (None while it is still running)."""
+        if self.period:
+            return f"transient {self.transient}, period {self.period}"
+        if self._seen is None:
+            return ("state did not recur within "
+                    f"{SOURCE_RECURRENCE_LIMIT} firings")
+        return None
+
+    def _set_cycle(self, transient: int, period: int, outputs,
+                   cum: list[Counts]) -> None:
+        self.transient, self.period = transient, period
+        self._cycle = np.asarray(outputs, dtype=self.dtype)
+        self._cum = cum
+        self._seen = None
+
+    def _search(self, n: int) -> int:
+        """Fire scalar, up to ``n`` times, until the state about to fire
+        has been seen before or the firing limit is reached; returns how
+        many of the ``n`` firings are left for the caller."""
+        runner = self.node.runner
+        fire, fields = runner.fire, runner.fields
+        names = sorted(self.node.stream.mutable_fields)
+        seen, void, out = self._seen, self.ring_in, self.ring_out
+        start = self.fired
+        stop = min(start + n, SOURCE_RECURRENCE_LIMIT)
+        for i in range(start, stop):
+            # repr is exact for ints and floats and tells 0.0 from -0.0
+            # and 1 from 1.0, which == on the values would not
+            key = ",".join([v.tobytes().hex() if isinstance(v, np.ndarray)
+                            else repr(v)
+                            for v in map(fields.__getitem__, names)])
+            first = seen.setdefault(key, i)
+            if first != i:
+                self.fired = i
+                self._learn(first)
+                return start + n - i
+            fire(void, out)
+        self.fired = stop
+        if stop == SOURCE_RECURRENCE_LIMIT:
+            self._seen = None
+        return start + n - stop
+
+    def _learn(self, first: int) -> None:
+        """The state now equals the one firing ``first`` started from.
+        Tabulate the cycle with one more lap fired off the record —
+        outputs to a list, counts to a private profiler, so neither the
+        stream nor the session profile sees it.  The lap leaves the
+        runner in this same state, and it never fires again."""
+        runner = self.node.runner
+        meter = runner.profiler = Profiler()
+        tape = Channel("lap")
+        cum = [Counts()]
+        period = self.fired - first
+        for _ in range(period):
+            runner.fire(self.ring_in, tape)
+            cum.append(meter.counts.copy())
+        self._set_cycle(first, period, tape.snapshot(), cum)
+
+    def execute(self, n: int) -> None:
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.fire("kernel.step")
+        if self._seen is not None:
+            n = self._search(n)
+        if not self.period:
+            fire = self.node.runner.fire
+            void, out = self.ring_in, self.ring_out
+            for _ in range(n):
+                fire(void, out)
+            return
+        if not n:
+            return
+        period, cum = self.period, self._cum
+        phase = (self.fired - self.transient) % period
+        laps, rest = divmod(phase + n, period)
+        u = len(self._cycle) // period
+        self.ring_out.push_array(
+            np.tile(self._cycle, laps + bool(rest))[phase * u:(phase + n) * u])
+        self.fired += n
+        if cum[period].flops:
+            counts = cum[period].scaled(laps)
+            counts.add(cum[rest])
+            self.profiler.add_counts(counts - cum[phase])
+
+
 def feasible_firings(haves, needs, pops) -> int:
     """Max consecutive steady firings the per-input occupancies admit.
 
@@ -600,9 +737,10 @@ class CollectorStep(Step):
 class ListSourceStep(Step):
     kind = "list-source"
 
-    def __init__(self, ring_out, values):
+    def __init__(self, ring_out, values,
+                 policy: NumericPolicy = DEFAULT_POLICY):
         self.ring_out = ring_out
-        self.values = np.asarray(values, dtype=float)
+        self.values = np.asarray(values, dtype=policy.dtype)
         self.pos = 0
 
     def execute(self, n: int) -> None:
@@ -632,29 +770,20 @@ class ChunkSourceStep(Step):
 class FunctionSourceStep(Step):
     kind = "function-source"
 
-    def __init__(self, ring_out, fn):
+    def __init__(self, ring_out, fn,
+                 policy: NumericPolicy = DEFAULT_POLICY):
         self.ring_out = ring_out
         self.fn = fn
+        self.dtype = policy.dtype
         self.pos = 0
 
     def execute(self, n: int) -> None:
         fn = self.fn
         start = self.pos
         self.ring_out.push_array(
-            np.fromiter((float(fn(i)) for i in range(start, start + n)),
-                        dtype=float, count=n))
+            np.fromiter((fn(i) for i in range(start, start + n)),
+                        dtype=self.dtype, count=n))
         self.pos += n
-
-
-class ConstantSourceStep(Step):
-    kind = "const-source"
-
-    def __init__(self, ring_out, values):
-        self.ring_out = ring_out
-        self.values = np.asarray(values, dtype=float)
-
-    def execute(self, n: int) -> None:
-        self.ring_out.push_array(np.tile(self.values, n))
 
 
 class IdentityStep(Step):

@@ -12,7 +12,11 @@ static I/O rates, so it splits execution into two phases:
    firing counts* per node.  Because it replicates the scalar executor's
    loop structure exactly — including the final pass's early-break
    behavior — every node's total firing count matches the scalar backends,
-   which is what makes FLOP accounting bit-identical.
+   which is what makes FLOP accounting bit-identical.  Two shortcuts
+   keep the count and drop the iteration: a run of passes in which only
+   the sources fire is taken in closed form (:meth:`PlanExecutor.
+   _idle_run`), and a steady window of passes is replayed K times
+   (:meth:`PlanExecutor._extrapolate`).
 
 2. **Batched execution** — pending counts are flushed in flattening
    (topological) order: each node executes all of its pending firings as
@@ -43,8 +47,11 @@ rates the probe cannot certify (sources or collectors inside the cycle,
 no external input/output, or a schedule that never reaches a periodic
 regime).  Stateful filters whose fields update *affinely* (IIR sections,
 DC blockers) extract to state-space nodes and run through the lifted
-:class:`~repro.exec.kernels.StatefulLinearStep`; individual *filters*
-that are genuinely non-linear, branching, or carry prework run through
+:class:`~repro.exec.kernels.StatefulLinearStep`; source filters (``pop
+0``, no prework) run through :class:`~repro.exec.kernels.
+PeriodicSourceStep`, scalar until their state recurs and from a table
+afterwards; individual *filters* that are genuinely non-linear,
+branching, or carry prework run through
 :class:`~repro.exec.kernels.FallbackStep` inside the plan —
 :func:`plan_report` lists which nodes fell back and why, and names each
 feedback island with its member kernels.
@@ -66,10 +73,11 @@ this is what backs ``repro.compile(...)`` sessions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .. import faults
 from ..errors import InterpError, SchedulingError, StreamGraphError
 from ..graph.scheduler import steady_state
 from ..graph.streams import Duplicate, Filter, Stream
@@ -85,7 +93,7 @@ from ..profiling import Counts, NullProfiler, Profiler
 from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
                                 Identity, ListSource)
 from ..runtime.channels import Channel
-from ..runtime.executor import _NULL_CHANNEL, FlatGraph
+from ..runtime.executor import _NULL_CHANNEL, FlatGraph, _IRRunner
 from . import kernels as K
 from .cache import _UNSET, PLAN_CACHE
 from .optimize import optimize_stream
@@ -590,12 +598,31 @@ class PlanExecutor:
                 if self._out_chan in sn.out_ids:
                     self._sink_index = sn.index
         self._sink_fires = 0  # cumulative collector firings (sim)
+        #: what :meth:`_idle_run` needs — per consumer with a source-fed
+        #: input, the source push rate feeding each of its inputs (0 =
+        #: not fed by a source).  Left empty unless idle runs are
+        #: arithmetic: every source unbounded and in steady phase from
+        #: its first firing, and none of them the sink (whose firings
+        #: are the target count).
+        self._source_fed: list[tuple] = []
+        if all(sn.remaining is None and not sn.has_init
+               and sn.index != self._sink_index for sn in self.sources):
+            rate = {cid: u for sn in self.sources
+                    for cid, u in zip(sn.out_ids, sn.pushes)}
+            self._source_fed = [
+                (sn, [rate.get(cid, 0) for cid in sn.in_ids])
+                for sn in self.consumers
+                if any(cid in rate for cid in sn.in_ids)]
 
         # persistent simulator state (pre-filled rings start occupied)
         self._occ = [len(r) for r in self.rings]
         self._pending = [0] * len(self.sim_nodes)
         self._pending_outputs = 0
-        self._passes = 0
+        self._passes = 0  # lifetime passes, however they were advanced
+        #: of those: simulated one by one / skipped as idle runs (the
+        #: rest were extrapolated or came with a replayed trace)
+        self.passes_literal = 0
+        self.passes_idle = 0
         self._saw_init_fire = False
         # resumable-session cursors (see advance/drain_available)
         self._returned = 0  # outputs handed out to the caller
@@ -634,6 +661,9 @@ class PlanExecutor:
                                         list(node.joiner.weights))
         s = node.stream
         if node.kind == "filter":
+            if not in_ids and s.prework is None:
+                return K.PeriodicSourceStep(node, _NULL_CHANNEL, rout(),
+                                            self.profiler, self.policy)
             if self._decisions_given:
                 params, reason = self.decisions.get(
                     index, (None, "no cached decision"))
@@ -683,11 +713,12 @@ class PlanExecutor:
         if isinstance(s, ChunkSource):
             return K.ChunkSourceStep(rout(), s)
         if isinstance(s, ListSource):
-            return K.ListSourceStep(rout(), s.values)
+            return K.ListSourceStep(rout(), s.values, self.policy)
         if isinstance(s, FunctionSource):
-            return K.FunctionSourceStep(rout(), s.fn)
+            return K.FunctionSourceStep(rout(), s.fn, self.policy)
         if isinstance(s, ConstantSourceFilter):
-            return K.ConstantSourceStep(rout(), s.values)
+            return K.PeriodicSourceStep.constant(s.values, rout(),
+                                                 self.profiler, self.policy)
         if isinstance(s, Identity):
             return K.IdentityStep(rin(), rout())
         if isinstance(s, Decimator):
@@ -789,6 +820,32 @@ class PlanExecutor:
             progress = True
         return progress
 
+    def _idle_run(self) -> int:
+        """How many upcoming passes would fire nothing but the sources.
+
+        Asked between passes, when the last sweep has drained every
+        consumer: until some source-fed window fills, a pass only adds
+        each source's push to its channel, so a consumer short of
+        ``need - occ`` items becomes fireable on pass ``ceil(short /
+        push)`` and the earliest such pass ends the run.  The sink
+        cannot move during it, so skipping it is exact.
+        """
+        occ = self._occ
+        first_busy = None
+        for sn, rates in self._source_fed:
+            needs = sn.init_needs if self._in_init_phase(sn) else sn.needs
+            wait = 0
+            for cid, need, rate in zip(sn.in_ids, needs, rates):
+                short = need - occ[cid]
+                if short > 0:
+                    if not rate:
+                        break  # waits on a filter: not during an idle run
+                    wait = max(wait, -(-short // rate))
+            else:
+                if first_busy is None or wait < first_busy:
+                    first_busy = wait
+        return max(first_busy - 1, 0) if first_busy else 0
+
     # -- batched flush -----------------------------------------------------
     def _flush(self) -> None:
         pending = self._pending
@@ -815,13 +872,14 @@ class PlanExecutor:
         """Replay the last simulated window of passes K more times in
         O(nodes).
 
-        ``history`` holds (occupancy, pending) snapshots at recent pass
-        starts.  When the current occupancy vector matches the one ``p``
-        passes ago — and no init firing invalidated the window (the
+        ``history`` holds (occupancy, pending, passes) snapshots at the
+        start of recent drive iterations (an idle run plus one literal
+        pass).  When the current occupancy vector matches the one ``p``
+        iterations ago — and no init firing invalidated the window (the
         caller clears history on those) — the intervening firings form
-        one steady unit: the sweep is a deterministic function of
-        occupancies and phases, so the next ``p`` passes must repeat it
-        exactly.  K is capped so the sink stays strictly below
+        one steady unit: idle run and sweep are deterministic functions
+        of occupancies and phases, so the next ``p`` iterations must
+        repeat it exactly.  K is capped so the sink stays strictly below
         ``n_outputs`` (the final passes run through the literal
         simulator, preserving the scalar executor's early-stop firing
         counts) and so no finite source runs dry mid-replay.  Returns
@@ -839,17 +897,17 @@ class PlanExecutor:
             occ_now = occ_now[:]
             occ_now[out] = 0
         fires = None
-        period = 0
+        window = 0  # passes the matched window spans
         gain = 0
         for p in range(1, len(history) + 1):
-            occ_p, pending_p = history[-p]
+            occ_p, pending_p, passes_p = history[-p]
             if out is not None:
                 gain = self._occ[out] - occ_p[out]
                 occ_p = occ_p[:]
                 occ_p[out] = 0
             if occ_p == occ_now:
                 fires = [a - b for a, b in zip(self._pending, pending_p)]
-                period = p
+                window = self._passes - passes_p
                 break
         if fires is None:
             return False
@@ -881,7 +939,7 @@ class PlanExecutor:
         if self._collected is not None:
             self._sink_fires += gain * k
         self._pending_outputs += gain * k
-        self._passes += k * period
+        self._passes += k * window
         return True
 
     # -- cached-trace replay ------------------------------------------------
@@ -954,10 +1012,18 @@ class PlanExecutor:
             self._passes += 1
             if passes > max_passes:
                 raise InterpError("executor pass limit exceeded")
-            history.append((self._occ[:], self._pending[:]))
+            history.append((self._occ[:], self._pending[:],
+                            self._passes - 1))
             if len(history) > self.EXTRAPOLATION_PERIOD_LIMIT:
                 history.pop(0)
             self._saw_init_fire = False
+            idle = self._idle_run()
+            if idle:
+                for sn in self.sources:
+                    self._sim_fire(sn, idle, init=False)
+                self._passes += idle
+                self.passes_idle += idle
+            self.passes_literal += 1
             progress = self._sim_sources()
             self._sweep(target)
             if self._saw_init_fire:
@@ -1244,7 +1310,9 @@ class StepReport:
     name: str
     node_kind: str  # 'filter' | 'primitive' | 'splitter' | 'joiner'
     step_kind: str  # Step.kind of the chosen kernel
-    reason: str | None  # set iff the node runs through FallbackStep
+    #: why the node runs through FallbackStep; for a periodic source,
+    #: its transient length and period
+    reason: str | None
 
 
 @dataclass
@@ -1287,6 +1355,12 @@ class PlanReport:
     bailout: str | None
     steps: list[StepReport] = field(default_factory=list)
     islands: list[IslandReport] = field(default_factory=list)
+    #: schedule simulation so far (all 0 for a plan that has not run):
+    #: passes advanced in total, simulated one by one, and skipped in
+    #: closed form as idle runs — the rest were extrapolated or replayed
+    passes: int = 0
+    passes_literal: int = 0
+    passes_idle: int = 0
 
     @property
     def fallbacks(self) -> list[StepReport]:
@@ -1299,9 +1373,9 @@ class PlanReport:
             lines.append(f"whole-graph bailout to compiled: {self.bailout}")
             return "\n".join(lines)
         name_w = max([len(s.name) for s in self.steps] + [4]) + 2
-        kind_w = 12
+        kind_w = max([len(s.step_kind) for s in self.steps] + [10]) + 2
         lines.append("node".ljust(name_w) + "step".ljust(kind_w)
-                     + "fallback reason")
+                     + "detail")
         lines.append("-" * (name_w + kind_w + 15))
         for s in self.steps:
             lines.append(s.name.ljust(name_w) + s.step_kind.ljust(kind_w)
@@ -1309,6 +1383,9 @@ class PlanReport:
         n_fb = len(self.fallbacks)
         lines.append(f"{n_fb}/{len(self.steps)} nodes fall back to scalar "
                      "firing")
+        lines.append(f"schedule: {self.passes} passes, "
+                     f"{self.passes_literal} simulated literally, "
+                     f"{self.passes_idle} skipped as idle runs")
         for isl in self.islands:
             lines.append(str(isl))
         return "\n".join(lines)
@@ -1325,7 +1402,10 @@ def report_for_executor(executor: PlanExecutor, program: str,
     from ..runtime.executor import FeedbackRegion
 
     flat = executor.flat
-    rep = PlanReport(program=program, optimize=optimize, bailout=None)
+    rep = PlanReport(program=program, optimize=optimize, bailout=None,
+                     passes=executor._passes,
+                     passes_literal=executor.passes_literal,
+                     passes_idle=executor.passes_idle)
     flat_index = {id(n): i for i, n in enumerate(flat.nodes)}
     for pos, (entry, step) in enumerate(zip(executor.outer_entries,
                                             executor.steps)):
@@ -1347,10 +1427,32 @@ def report_for_executor(executor: PlanExecutor, program: str,
                     executor.fallback_reasons.get(j)))
             rep.islands.append(isl)
         else:
-            rep.steps.append(StepReport(
-                pos, entry.name, entry.kind, step.kind,
-                executor.fallback_reasons.get(flat_index[id(entry)])))
+            reason = executor.fallback_reasons.get(flat_index[id(entry)])
+            if isinstance(step, K.PeriodicSourceStep):
+                step = _settled_source(step, executor.policy)
+                reason = step.detail
+            rep.steps.append(StepReport(pos, entry.name, entry.kind,
+                                        step.kind, reason))
     return rep
+
+
+def _settled_source(step: K.PeriodicSourceStep, policy: NumericPolicy):
+    """``step`` once its recurrence search is over.  A search still
+    running (the source has fired fewer times than the limit) is a pure
+    function of the filter's initial state, so a scratch twin fired
+    into a throwaway ring reaches the same verdict without touching
+    the live stream."""
+    if step.detail is not None:
+        return step
+    node = step.node
+    twin = K.PeriodicSourceStep(
+        replace(node, runner=_IRRunner(node.stream, NullProfiler(),
+                                       "compiled")),
+        _NULL_CHANNEL, RingBuffer("scratch", dtype=policy.dtype),
+        NullProfiler(), policy)
+    with faults.suppress():  # not a step of the stream
+        twin.execute(K.SOURCE_RECURRENCE_LIMIT)
+    return twin
 
 
 def plan_report(stream: Stream, optimize: str = "none",

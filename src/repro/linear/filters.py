@@ -55,7 +55,9 @@ class ConstantSourceFilter(PrimitiveFilter):
     peek = 0
 
     def __init__(self, values, name: str = "ConstSource"):
-        self.values = np.asarray(values, dtype=float)
+        # complex only when given complex (a constant under c64/c128)
+        self.values = np.asarray(
+            values, dtype=complex if np.iscomplexobj(values) else float)
         self.push = len(self.values)
         self.name = name
 

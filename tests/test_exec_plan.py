@@ -17,7 +17,8 @@ from repro.bench import main as bench_main
 from repro.errors import InterpError
 from repro.exec import PlanExecutor, RingBuffer, plan_bailout_reason, \
     plan_executor_for
-from repro.exec.kernels import FallbackStep, FeedbackStep, MatmulStep
+from repro.exec.kernels import (FallbackStep, FeedbackStep, MatmulStep,
+                                PeriodicSourceStep)
 from repro.graph import FeedbackLoop, Pipeline, RoundRobin
 from repro.ir import FilterBuilder
 from repro.profiling import CATEGORIES, Profiler
@@ -263,7 +264,8 @@ def test_linear_filters_get_matmul_steps():
     ex = plan_executor_for(small("FIR"))
     kinds = {type(s).__name__ for s in ex.steps}
     assert "MatmulStep" in kinds  # the 32-tap low-pass
-    assert any(isinstance(s, FallbackStep) for s in ex.steps)  # ramp source
+    assert any(isinstance(s, PeriodicSourceStep) for s in ex.steps)  # ramp
+    assert not any(isinstance(s, FallbackStep) for s in ex.steps)
 
 
 def test_frequency_filters_get_batched_fft_steps():
@@ -338,10 +340,13 @@ def test_plan_report_names_fallbacks_with_reasons():
     assert rep.bailout is None
     assert rep.fallbacks
     reasons = {s.name: s.reason for s in rep.fallbacks}
-    assert any("mutable state" in r for r in reasons.values())
+    # the counter sources say what was tried, not "not state-space linear"
+    assert "state did not recur within" in reasons["InputGenerate0"]
+    assert not any("no linear node" in r for r in reasons.values())
     assert any("data-dependent control flow" in r for r in reasons.values())
     text = str(rep)
     assert "fallback" in text and "InputGenerate0" in text
+    assert "schedule: 0 passes" in text  # a static report has not run
 
 
 def test_plan_report_names_feedback_island():
@@ -483,7 +488,7 @@ def test_bench_cli_plan_report(capsys):
     text = capsys.readouterr().out
     assert "plan report: Radar" in text
     assert "fallback" in text
-    assert "mutable state fields" in text  # the stateful InputGenerate
+    assert "state did not recur within" in text  # InputGenerate's counter
 
 
 def test_build_app_case_insensitive():
