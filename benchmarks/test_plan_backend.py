@@ -22,8 +22,8 @@ Vocoder, Echo and VocoderEcho under four execution strategies:
 
 asserting FLOP parity (plain plan vs compiled), that the auto run's FLOP
 profile equals the selection DP's predicted implementation executed on
-the scalar backend, and the ISSUE speedup bars (IIR's bar is its
-kernel census and FLOPs; its ratio is only printed).
+the scalar backend, and the ISSUE speedup bars (IIR's and Radar's
+kernel census and FLOPs are gates; their ratios are only printed).
 """
 
 from __future__ import annotations
@@ -199,6 +199,20 @@ def test_stateful_app_runs_batched_kernels(benchmark, sweep):
     assert kinds["periodic-source"] == 1
     assert kinds["fallback"] == 0
     assert metrics["IIR"]["plan_flops"] == metrics["IIR"]["compiled_flops"]
+
+
+def test_radar_runs_no_scalar_firing(benchmark, sweep):
+    """Acceptance: Radar's 12 counter sources, 4 Magnitude and 4
+    Detector stages run as lane kernels — no node is left to scalar
+    firing — at the compiled backend's exact FLOPs.  Its wall-clock
+    ratio is the ``x (plan)`` column of results/plan_backend.txt."""
+    once(benchmark)
+    _, metrics = sweep
+    kinds = Counter(s.step_kind for s in plan_report(radar.build()).steps)
+    assert kinds["lanes"] == 20
+    assert kinds["fallback"] == 0
+    assert metrics["Radar"]["plan_flops"] == \
+        metrics["Radar"]["compiled_flops"]
 
 
 def test_feedback_apps_meet_plan_bar(benchmark, sweep):

@@ -32,8 +32,9 @@ counts, outputs equal to 1e-9):
   default; :mod:`repro.exec`): batches firings, runs linear filters as
   NumPy matrix products.  Graphs the planner cannot batch (unknown
   primitive sources, unprobeable cycles) transparently fall back to
-  ``compiled``; within a plan, non-linear/branching filters run through
-  the compiled scalar fallback.
+  ``compiled``; within a plan, stateless non-linear filters run as NumPy
+  lane evaluations and what has no batched form through the compiled
+  scalar fallback.
 
 ``runtime.run_graph`` / ``run_stream`` / ``count_ops`` remain as thin
 one-shot wrappers over a session (``backend="compiled"`` default,

@@ -216,13 +216,17 @@ float->float filter {name} {{
         self._count("filter")
         return name, n, 1
 
-    def _nonlinear(self) -> tuple[str, int, int]:
+    #: body shapes :meth:`_nonlinear` draws from
+    NONLINEAR_VARIANTS = 5
+
+    def _nonlinear(self, variant: int | None = None) -> tuple[str, int, int]:
         rng = self.rng
         name = self._fresh("Shape")
         t = self._lit(rng.uniform(0.5, 4.0))
         g = self._lit(rng.uniform(0.2, 0.9))
         # Continuous at every branch point — see module docstring.
-        variant = rng.randrange(4)
+        if variant is None:
+            variant = rng.randrange(self.NONLINEAR_VARIANTS)
         if variant == 0:
             body = f"""\
         float x = pop();
@@ -239,10 +243,22 @@ float->float filter {name} {{
             body = f"""\
         float x = pop();
         push(abs(x) - {t});"""
-        else:
+        elif variant == 3:
             body = f"""\
         float x = pop();
         push(min(max(x, 0.0 - {t}), {t}));"""
+        else:
+            # a loop with a carried local under a branch: soft limiter
+            # pulling y toward the threshold (y == x where x == t)
+            body = f"""\
+        float x = pop();
+        float y = x;
+        if (x > {t}) {{
+            for (int i = 0; i < {rng.randint(1, 4)}; i++) {{
+                y = y - {g} * (y - {t});
+            }}
+        }}
+        push(y);"""
         self.decls.append(f"""\
 float->float filter {name} {{
     work peek 1 pop 1 push 1 {{
@@ -410,7 +426,8 @@ float->float filter {name} {{
     def _source(self) -> str:
         rng = self.rng
         name = self._fresh("Src")
-        if rng.random() < 0.5:
+        kind = rng.randrange(4)
+        if kind < 2:
             period = rng.randint(3, 12)
             amp = self._lit(rng.uniform(0.5, 2.0))
             self.decls.append(f"""\
@@ -428,7 +445,7 @@ void->float filter {name} {{
     }}
 }}
 """)
-        else:
+        elif kind == 2:  # additive int counter
             w = self._lit(rng.uniform(0.05, 0.9))
             self.decls.append(f"""\
 void->float filter {name} {{
@@ -436,6 +453,17 @@ void->float filter {name} {{
     work push 1 {{
         push(cos({w} * n));
         n = n + 1;
+    }}
+}}
+""")
+        else:  # additive float counter, read after its update
+            w = self._lit(rng.uniform(0.05, 0.9))
+            self.decls.append(f"""\
+void->float filter {name} {{
+    float phase;
+    work push 1 {{
+        phase = phase + {w};
+        push(sin(phase));
     }}
 }}
 """)

@@ -3,7 +3,8 @@
 Compiles a flattened stream graph plus its static I/O rates into a batched
 execution plan: linear filters run as one NumPy matrix product per chunk,
 frequency filters as stacked overlap-save FFT convolutions, splitters and
-joiners as reshapes, everything else through the compiled scalar fallback
+joiners as reshapes, stateless non-linear filters as NumPy lane
+evaluations, everything else through the compiled scalar fallback
 — with FLOP accounting identical to the ``interp`` and ``compiled``
 backends.  The full pipeline ``optimize -> plan -> execute`` first
 rewrites the graph with the paper's optimization passes

@@ -50,8 +50,10 @@ DC blockers) extract to state-space nodes and run through the lifted
 :class:`~repro.exec.kernels.StatefulLinearStep`; source filters (``pop
 0``, no prework) run through :class:`~repro.exec.kernels.
 PeriodicSourceStep`, scalar until their state recurs and from a table
-afterwards; individual *filters* that are genuinely non-linear,
-branching, or carry prework run through
+afterwards; stateless non-linear filters and sources driven by an
+additive counter run through :class:`~repro.exec.kernels.LaneStep`, one
+NumPy evaluation per batch; what is left — prework, array state,
+non-additive scalar state — runs through
 :class:`~repro.exec.kernels.FallbackStep` inside the plan —
 :func:`plan_report` lists which nodes fell back and why, and names each
 feedback island with its member kernels.
@@ -83,6 +85,7 @@ from ..graph.scheduler import steady_state
 from ..graph.streams import Duplicate, Filter, Stream
 from ..ir import nodes as N
 from ..ir.interp import Interpreter
+from ..ir.pycodegen import LaneCode, LaneReject, emit_lanes, lane_key
 from ..linear.extraction import extract_filter, extract_stateful_filter
 from ..linear.filters import ConstantSourceFilter, LinearFilter
 from ..linear.matmul import blas_cost_counts, direct_cost_counts
@@ -163,6 +166,24 @@ def _vectorize_decision(filt: Filter):
     if counts is None:
         return None, "FLOP-count probe firing failed"
     return (node, counts), None
+
+
+def _lane_decision(filt: Filter, memo: dict):
+    """(:class:`~repro.ir.pycodegen.LaneCode`, None) when ``filt`` has a
+    lane form, else (None, reason).  ``memo`` shares one emission — and
+    later one compiled function — among filters with the same work
+    function and field types (Radar's 12 sources)."""
+    key = lane_key(filt.work, filt.fields)
+    verdict = memo.get(key)
+    if verdict is None:
+        try:
+            verdict = emit_lanes(filt.work, filt.fields, filt.name)
+        except LaneReject as exc:
+            verdict = str(exc)
+        memo[key] = verdict
+    if isinstance(verdict, LaneCode):
+        return verdict, None
+    return None, verdict
 
 
 # ---------------------------------------------------------------------------
@@ -449,11 +470,13 @@ class PlanExecutor:
         #: dtype (float64 default — the seed behavior, bit for bit)
         self.policy = policy
 
-        # per-filter vectorization decisions: node index -> (params, reason).
-        # Passed in from the plan cache on a hit (skips extraction/probing);
-        # populated here on a miss so the caller can cache them.
+        # per-filter kernel decisions: node index -> (params, reason),
+        # params a (linear node, counts) pair or a LaneCode.  Passed in
+        # from the plan cache on a hit (skips extraction/probing/
+        # emission); populated here on a miss so the caller can cache them.
         self._decisions_given = decisions is not None
         self.decisions: dict = decisions if decisions is not None else {}
+        self._lane_memo: dict = {}
         #: feedback-region start index -> IslandRates; passed in from the
         #: plan cache (or plan_bailout_reason) to skip re-probing
         self.island_rates: dict = (island_rates if island_rates is not None
@@ -661,15 +684,21 @@ class PlanExecutor:
                                         list(node.joiner.weights))
         s = node.stream
         if node.kind == "filter":
-            if not in_ids and s.prework is None:
-                return K.PeriodicSourceStep(node, _NULL_CHANNEL, rout(),
-                                            self.profiler, self.policy)
+            source = not in_ids and s.prework is None
             if self._decisions_given:
                 params, reason = self.decisions.get(
                     index, (None, "no cached decision"))
             else:
-                params, reason = _vectorize_decision(s)
+                params, reason = self._decide(s, source)
                 self.decisions[index] = (params, reason)
+            if isinstance(params, LaneCode):
+                return K.LaneStep(node, rin(), rout(), params, self.policy)
+            if source:
+                # why its scalar firings, should the state never recur,
+                # are not lanes either
+                self.fallback_reasons[index] = reason
+                return K.PeriodicSourceStep(node, _NULL_CHANNEL, rout(),
+                                            self.profiler, self.policy)
             if params is not None:
                 ln, counts = params
                 if isinstance(ln, StatefulLinearNode):
@@ -726,6 +755,24 @@ class PlanExecutor:
         self.fallback_reasons[index] = (
             f"no batched kernel for primitive type {type(s).__name__}")
         return K.FallbackStep(node, rin(), rout())
+
+    def _decide(self, filt: Filter, source: bool):
+        """Kernel decision for an IR filter: linear first, then lanes;
+        the reason names both when neither applies.  A source is only
+        ever a lane candidate, and only when a counter drives it — one
+        without state has period 1, which the table replay serves."""
+        if source:
+            code, why = _lane_decision(filt, self._lane_memo)
+            if code is not None and code.counters:
+                return code, None
+            return None, ("not lane-convertible: "
+                          + (why or "no counter to vectorise over"))
+        params, reason = _vectorize_decision(filt)
+        if params is None and filt.prework is None:
+            params, why = _lane_decision(filt, self._lane_memo)
+            if params is None:
+                reason = f"{reason}; not lane-convertible: {why}"
+        return params, reason if params is None else None
 
     def islands_member_step(self, region, flat_index: int) -> K.Step:
         """The kernel executing flat node ``flat_index`` inside ``region``."""
@@ -1311,7 +1358,7 @@ class StepReport:
     node_kind: str  # 'filter' | 'primitive' | 'splitter' | 'joiner'
     step_kind: str  # Step.kind of the chosen kernel
     #: why the node runs through FallbackStep; for a periodic source,
-    #: its transient length and period
+    #: its transient length and period; for lanes, what was converted
     reason: str | None
 
 
@@ -1424,13 +1471,18 @@ def report_for_executor(executor: PlanExecutor, program: str,
                 mstep = executor.islands_member_step(entry, j)
                 isl.steps.append(StepReport(
                     j, node.name, node.kind, mstep.kind,
-                    executor.fallback_reasons.get(j)))
+                    mstep.detail or executor.fallback_reasons.get(j)))
             rep.islands.append(isl)
         else:
             reason = executor.fallback_reasons.get(flat_index[id(entry)])
             if isinstance(step, K.PeriodicSourceStep):
                 step = _settled_source(step, executor.policy)
-                reason = step.detail
+                if step.period or reason is None:
+                    reason = step.detail
+                else:
+                    reason = f"{step.detail}; {reason}"
+            else:
+                reason = step.detail or reason
             rep.steps.append(StepReport(pos, entry.name, entry.kind,
                                         step.kind, reason))
     return rep

@@ -14,6 +14,12 @@ counts identical to the tree interpreter at a fraction of the cost.
 Type inference: locals declared ``int`` (including loop variables) are ints;
 everything else (peeks, pops, float fields/locals) is a float.  An operation
 is a float-op when any operand is float, mirroring the interpreter.
+
+:func:`emit_lanes` generates a second form of the same work function
+that evaluates a block of consecutive firings per call, with NumPy
+arrays where the scalar form has floats (the plan backend's
+:class:`~repro.exec.kernels.LaneStep`); its counts are each block's
+static counts times the firings that ran the block.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import math
 
 import numpy as np
 
-from ..errors import IRError
-from ..profiling import Counts
+from ..errors import InterpError, IRError
+from ..profiling import CATEGORIES, Counts
 from . import nodes as N
 from .interp import _COUNTED_INTRINSICS
 
@@ -76,7 +82,16 @@ class _TypeEnv:
         return False
 
 
+#: float-op category of each binary operator with a float operand
+_BIN_CATEGORY = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv",
+                 "%": "fdiv", "==": "fcmp", "!=": "fcmp", "<": "fcmp",
+                 "<=": "fcmp", ">": "fcmp", ">=": "fcmp"}
+
+
 class _Emitter:
+    #: suffix of every emitted count: how many firings run the block
+    times = ""
+
     def __init__(self, tenv: _TypeEnv):
         self.tenv = tenv
         self.lines: list[str] = []
@@ -91,10 +106,8 @@ class _Emitter:
         if c.flops == 0:
             self.pending = Counts()
             return
-        args = ", ".join(f"{k}={getattr(c, k)}"
-                         for k in ("fadd", "fsub", "fmul", "fdiv", "fcmp",
-                                   "fneg", "fabs", "fcall")
-                         if getattr(c, k))
+        args = ", ".join(f"{k}={getattr(c, k)}{self.times}"
+                         for k in CATEGORIES if getattr(c, k))
         self.emit(f"_bulk({args})", indent)
         self.pending = Counts()
 
@@ -125,12 +138,24 @@ class _Emitter:
     def _name(self, name: str) -> str:
         return f"_v_{name}"
 
-    def _call(self, e: N.Call) -> str:
-        args = ", ".join(self.expr(a) for a in e.args)
+    def _count_call(self, e: N.Call) -> None:
         if e.fn in _COUNTED_INTRINSICS:
             self.pending.fcall += 1
         elif e.fn == "abs" and not all(self.tenv.is_int(a) for a in e.args):
             self.pending.fabs += 1
+
+    def _count_bin(self, e: N.Bin) -> bool:
+        """Count ``e`` if it is a float op; returns whether both
+        operands are ints."""
+        both_int = self.tenv.is_int(e.left) and self.tenv.is_int(e.right)
+        if not both_int and e.op in _BIN_CATEGORY:
+            cat = _BIN_CATEGORY[e.op]
+            setattr(self.pending, cat, getattr(self.pending, cat) + 1)
+        return both_int
+
+    def _call(self, e: N.Call) -> str:
+        args = ", ".join(self.expr(a) for a in e.args)
+        self._count_call(e)
         fn = {"abs": "abs", "pow": "pow", "min": "min", "max": "max",
               "round": "round"}.get(e.fn, f"_math.{e.fn}")
         return f"{fn}({args})"
@@ -141,29 +166,15 @@ class _Emitter:
             return f"(1 if ({self.expr(e.left)} and {self.expr(e.right)}) else 0)"
         if op == "||":
             return f"(1 if ({self.expr(e.left)} or {self.expr(e.right)}) else 0)"
-        both_int = self.tenv.is_int(e.left) and self.tenv.is_int(e.right)
         l, r = self.expr(e.left), self.expr(e.right)
-        if op in ("+", "-", "*"):
-            if not both_int:
-                self.pending.fadd += op == "+"
-                self.pending.fsub += op == "-"
-                self.pending.fmul += op == "*"
-            return f"({l} {op} {r})"
-        if op == "/":
-            if both_int:
-                return f"_idiv({l}, {r})"
-            self.pending.fdiv += 1
-            return f"({l} / {r})"
+        both_int = self._count_bin(e)
+        if op == "/" and both_int:
+            return f"_idiv({l}, {r})"
         if op == "%":
-            if both_int:
-                return f"_imod({l}, {r})"
-            self.pending.fdiv += 1
-            return f"_math.fmod({l}, {r})"
+            return f"_imod({l}, {r})" if both_int else f"_math.fmod({l}, {r})"
         if op in ("==", "!=", "<", "<=", ">", ">="):
-            if not both_int:
-                self.pending.fcmp += 1
             return f"(1 if {l} {op} {r} else 0)"
-        return f"({l} {op} {r})"  # & | ^ << >>
+        return f"({l} {op} {r})"  # + - * / & | ^ << >>
 
     # -- statements ---------------------------------------------------
     def block(self, stmts: tuple[N.Stmt, ...], indent: int):
@@ -269,3 +280,401 @@ def compile_work(wf: N.WorkFunction, fields: dict, name: str = "work"):
     fn = namespace[f"_{name}"]
     fn.__repro_source__ = src
     return fn
+
+
+# ---------------------------------------------------------------------------
+# Lane form: one call evaluates a block of consecutive firings
+# ---------------------------------------------------------------------------
+
+
+class LaneReject(Exception):
+    """The work function has no lane form; ``str(exc)`` says why."""
+
+
+class LaneBailout(Exception):
+    """Raised by lane code when this block must be fired scalar."""
+
+
+def _ramp(start, step, n: int, subtract: bool) -> np.ndarray:
+    """``start, start ± step, ...`` (``n + 1`` values) by sequential
+    accumulation, so entry ``i`` is bit for bit what ``i`` scalar updates
+    leave in the field — for ints and for floats."""
+    if isinstance(start, (int, np.integer)):
+        last = start - step * n if subtract else start + step * n
+        if not -2 ** 63 <= min(start, last) <= max(start, last) < 2 ** 63:
+            raise LaneBailout  # Python ints grow, int64 would wrap
+        seq = np.empty(n + 1, dtype=np.int64)
+    else:
+        seq = np.empty(n + 1, dtype=np.float64)
+    seq[0] = start
+    seq[1:] = step
+    return (np.subtract if subtract else np.add).accumulate(seq)
+
+
+# Python's two-argument min/max: ``b if b < a else a`` (keeps ``a`` on
+# ties and NaNs, where np.minimum/np.maximum do not)
+def _min2(a, b):
+    return np.where(b < a, b, a)
+
+
+def _max2(a, b):
+    return np.where(b > a, b, a)
+
+
+_LANE_NAMESPACE = {"_np": np, "_math": math, "_idiv": _idiv, "_imod": _imod,
+                   "_ramp": _ramp, "_min2": _min2, "_max2": _max2,
+                   "_InterpError": InterpError}
+
+_LANE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
+               "atan": "_np.arctan", "atan2": "_np.arctan2",
+               "exp": "_np.exp", "log": "_np.log", "sqrt": "_np.sqrt",
+               "abs": "_np.abs", "pow": "_np.power",
+               "min": "_min2", "max": "_max2"}
+
+_COMPARISONS = ("==", "!=", "<", "<=", ">", ">=")
+
+
+class _Arm:
+    """One arm of an if-converted branch while it is being emitted."""
+
+    def __init__(self):
+        self.pushes: list[str] = []  # temporaries holding pushed values
+        self.pops = 0
+        #: False inside a loop or lane-invariant ``if`` of the arm,
+        #: where tape operations cannot be counted at generation time
+        self.static = True
+        self.declared: set[str] = set()
+
+
+class _LaneEmitter(_Emitter):
+    """Emits the lane form of a work function.
+
+    Every float local, peek and pop is a length-``_n`` array (one entry
+    per firing), ints and immutable fields stay Python scalars shared by
+    all lanes, and an expression over scalars only is emitted exactly as
+    the scalar emitter would.  A branch on lane values is if-converted:
+    both arms run on every lane and ``np.where`` keeps, per lane, the
+    locals and pushes of the arm that lane took.
+    """
+
+    def __init__(self, tenv: _TypeEnv, counters: dict):
+        super().__init__(tenv)
+        self.counters = counters
+        self.lanes = set(counters)  # names bound to lane arrays
+        self.times = " * _n"
+        self.mask: str | None = None  # lanes running the current arm
+        self.arm: _Arm | None = None
+        #: names declared inside an arm that has since been merged
+        self.out_of_scope: set[str] = set()
+        self.uid = 0
+        self.branches = 0
+        self.loops = False
+
+    def varying(self, e: N.Expr) -> bool:
+        return any(isinstance(x, (N.Peek, N.Pop))
+                   or isinstance(x, N.Var) and x.name in self.lanes
+                   for x in N.walk_exprs(e))
+
+    def _tape_op(self, pops: int = 0) -> None:
+        """A push, or ``pops`` pops, at the current position."""
+        if self.arm is not None:
+            if not self.arm.static:
+                raise LaneReject("push/pop in a loop or nested branch "
+                                 "under a data-dependent branch")
+            self.arm.pops += pops
+
+    # -- expressions --------------------------------------------------
+    def expr(self, e: N.Expr) -> str:
+        if isinstance(e, N.Var) and e.name in self.out_of_scope:
+            raise LaneReject(f"local {e.name} is declared under a "
+                             "data-dependent branch and used outside it")
+        if isinstance(e, (N.Peek, N.Index)) and self.varying(e.index):
+            what = "peek" if isinstance(e, N.Peek) else "array"
+            raise LaneReject(f"lane-varying {what} index")
+        if isinstance(e, N.Peek):
+            return f"_win[:, _p + {self.expr(e.index)}]"
+        if isinstance(e, N.Pop):
+            self._tape_op(pops=1)
+            return "_pop()"
+        if isinstance(e, N.Un) and e.op == "!" and self.varying(e):
+            return f"_np.where({self.cond(e)}, 1, 0)"
+        return super().expr(e)
+
+    def cond(self, e: N.Expr) -> str:
+        """``e`` as a per-lane truth value."""
+        if self.varying(e):
+            if isinstance(e, N.Bin) and e.op in ("&&", "||"):
+                if any(isinstance(x, N.Pop) for x in N.walk_exprs(e.right)):
+                    raise LaneReject("pop() under a short-circuit operator")
+                fn = "and" if e.op == "&&" else "or"
+                return (f"_np.logical_{fn}({self.cond(e.left)}, "
+                        f"{self.cond(e.right)})")
+            if isinstance(e, N.Bin) and e.op in _COMPARISONS:
+                l, r = self.expr(e.left), self.expr(e.right)
+                self._count_bin(e)
+                return f"({l} {e.op} {r})"
+            if isinstance(e, N.Un) and e.op == "!":
+                return f"_np.logical_not({self.cond(e.operand)})"
+        return f"({self.expr(e)} != 0)"
+
+    def _call(self, e: N.Call) -> str:
+        if not self.varying(e):
+            return super()._call(e)
+        fn = _LANE_CALLS.get(e.fn)
+        if fn is None or (fn in ("_min2", "_max2") and len(e.args) != 2):
+            raise LaneReject(f"{e.fn}() of a lane-varying value")
+        args = ", ".join(self.expr(a) for a in e.args)
+        self._count_call(e)
+        return f"{fn}({args})"
+
+    def _bin(self, e: N.Bin) -> str:
+        if not self.varying(e):
+            return super()._bin(e)
+        if e.op in ("&&", "||") or e.op in _COMPARISONS:
+            return f"_np.where({self.cond(e)}, 1, 0)"
+        l, r = self.expr(e.left), self.expr(e.right)
+        if self._count_bin(e) or e.op not in _BIN_CATEGORY:
+            # int64 lanes would wrap where Python ints grow
+            raise LaneReject(f"integer {e.op!r} on a lane-varying value")
+        if e.op == "%":
+            return f"_np.fmod({l}, {r})"
+        return f"({l} {e.op} {r})"
+
+    # -- statements ---------------------------------------------------
+    def _declare(self, name: str) -> None:
+        self.out_of_scope.discard(name)
+        if self.arm is not None:
+            self.arm.declared.add(name)
+
+    def _spread(self, value: N.Expr | None) -> str:
+        """``value`` as a float lane array."""
+        if value is None:
+            return "_np.full(_n, 0.0)"
+        code = self.expr(value)
+        if not self.varying(value):
+            return f"_np.full(_n, {code} * 1.0)"
+        # arrays are only ever rebound, never written: no copy needed
+        return f"{code} * 1.0" if self.tenv.is_int(value) else code
+
+    def _push(self, value: str, indent: int) -> None:
+        self._tape_op()
+        if self.arm is None:
+            self.emit(f"_out[:, _k] = {value}", indent)
+            self.emit("_k += 1", indent)
+        else:
+            self.uid += 1
+            self.emit(f"_u{self.uid} = {value}", indent)
+            self.arm.pushes.append(f"_u{self.uid}")
+
+    def stmt(self, s: N.Stmt, indent: int):
+        if isinstance(s, N.Decl):
+            if s.size is not None:
+                raise LaneReject(f"declares a local array ({s.name})")
+            self._declare(s.name)
+            if s.ty == "float":
+                self.tenv.declare(s.name, "float")
+                code = self._spread(s.init)
+                self.lanes.add(s.name)
+                self.emit(f"{self._name(s.name)} = {code}", indent)
+            elif s.init is not None and self.varying(s.init):
+                raise LaneReject(f"lane-varying int local {s.name}")
+            else:
+                super().stmt(s, indent)
+        elif isinstance(s, N.Assign):
+            self._assign(s, indent)
+        elif isinstance(s, N.PushS):
+            self._push(self.expr(s.value), indent)
+        elif isinstance(s, N.PopS):
+            self._tape_op(pops=1)
+            self.emit("_p += 1", indent)
+        elif isinstance(s, N.If) and self.varying(s.cond):
+            self._if_convert(s, indent)
+        elif isinstance(s, (N.If, N.For)):
+            if isinstance(s, N.For):
+                if any(map(self.varying, (s.start, s.stop, s.step))):
+                    raise LaneReject("lane-varying loop bound")
+                self._declare(s.var)
+                self.loops = True
+            arm = self.arm
+            was_static = arm is not None and arm.static
+            if arm is not None:
+                arm.static = False
+            super().stmt(s, indent)
+            if arm is not None:
+                arm.static = was_static
+        else:  # pragma: no cover
+            raise IRError(f"cannot generate code for {s!r}")
+
+    def _assign(self, s: N.Assign, indent: int) -> None:
+        name = s.target.name  # never an Index: see _find_counters
+        if name in self.counters:
+            # the one top-level ``f = f ± c`` (see _find_counters)
+            self._count_bin(s.value)
+            self.emit(f"_v_{name} = _a_{name}[1:]", indent)
+        elif name in self.tenv.int_names:
+            if self.varying(s.value):
+                raise LaneReject(f"lane-varying int local {name}")
+            if self.mask is not None and name not in self.arm.declared:
+                raise LaneReject(f"int local {name} assigned under a "
+                                 "data-dependent branch")
+            super().stmt(s, indent)
+        else:
+            if name in self.out_of_scope:
+                raise LaneReject(f"local {name} is declared under a "
+                                 "data-dependent branch and used outside it")
+            code = self._spread(s.value)
+            if name not in self.lanes:  # first seen here: an implicit decl
+                self._declare(name)
+                self.lanes.add(name)
+            self.emit(f"{self._name(name)} = {code}", indent)
+
+    def _if_convert(self, s: N.If, indent: int) -> None:
+        self.uid += 1
+        k = self.uid
+        self.branches += 1
+        cond = self.cond(s.cond)
+        self.flush_counts(indent)
+        self.emit(f"_c{k} = {cond}", indent)
+        outer = (self.mask, self.times, self.arm)
+        merged = sorted((N.assigned_names(s.then) | N.assigned_names(s.orelse))
+                        & (self.lanes - set(self.counters)
+                           - self.out_of_scope))
+        for name in merged:
+            self.emit(f"_s{k}_{name} = _v_{name}", indent)
+        self.emit(f"_p{k} = _p", indent)
+        if self.mask is None:
+            masks = (f"_c{k}", f"~_c{k}")
+        else:
+            masks = (f"({self.mask} & _c{k})", f"({self.mask} & ~_c{k})")
+        live = outer[1].removeprefix(" * ")
+        # int(): the profile's counts stay Python ints
+        self.emit(f"_nt{k} = int(_np.count_nonzero({masks[0]}))", indent)
+        self.emit(f"_ne{k} = {live} - _nt{k}", indent)
+        arms = []
+        for body, mask, count in ((s.then, masks[0], f"_nt{k}"),
+                                  (s.orelse, masks[1], f"_ne{k}")):
+            self.arm = arm = _Arm()
+            self.mask, self.times = mask, f" * {count}"
+            self.block(body, indent)
+            arms.append(arm)
+            self.out_of_scope |= arm.declared
+            if body is s.then:
+                # park the then-values, rewind for the else arm
+                for name in merged:
+                    self.emit(f"_t{k}_{name} = _v_{name}", indent)
+                    self.emit(f"_v_{name} = _s{k}_{name}", indent)
+                self.emit(f"_p = _p{k}", indent)
+        self.mask, self.times, self.arm = outer
+        then, orelse = arms
+        if then.pops != orelse.pops or \
+                len(then.pushes) != len(orelse.pushes):
+            raise LaneReject("branch arms pop or push different counts")
+        for name in merged:
+            self.emit(f"_v_{name} = _np.where(_c{k}, _t{k}_{name}, "
+                      f"_v_{name})", indent)
+        if then.pops:
+            self._tape_op(pops=then.pops)
+        for a, b in zip(then.pushes, orelse.pushes):
+            self._push(f"_np.where(_c{k}, {a}, {b})", indent)
+
+
+def _find_counters(wf: N.WorkFunction, fields: dict) -> dict:
+    """The fields ``wf`` writes, each required to be an additive
+    counter: a scalar whose only write is one unconditional top-level
+    ``f = f ± c`` with ``c`` a constant or an immutable scalar field.
+    Returns ``{field: (op, c)}``.  Array writes of any kind are
+    rejected here."""
+    writes = [s for s in N.walk_stmts(wf.body) if isinstance(s, N.Assign)]
+    for s in writes:
+        if isinstance(s.target, N.Index):
+            raise LaneReject(f"writes array {s.target.base}")
+    counters = {}
+    for name in sorted({s.target.name for s in writes} & set(fields)):
+        sites = [s for s in writes if s.target.name == name]
+        if len(sites) != 1 or not any(s is sites[0] for s in wf.body):
+            raise LaneReject(f"field {name} is written more than once or "
+                             "under control flow")
+        v = sites[0].value
+        step = getattr(v, "right", None)
+        if not (isinstance(v, N.Bin) and v.op in ("+", "-")
+                and v.left == N.Var(name)
+                and (isinstance(step, N.Const)
+                     or isinstance(step, N.Var) and step.name in fields
+                     and not any(w.target.name == step.name
+                                 for w in writes)
+                     and not isinstance(fields[step.name], np.ndarray))):
+            raise LaneReject(f"field {name} is not an additive counter "
+                             f"({name} = {name} +/- c)")
+        counters[name] = (v.op, step)
+    return counters
+
+
+class LaneCode:
+    """The lane form of one work function: generated source, compiled on
+    first use.  ``function()(win, out, fields, n, bulk)`` evaluates ``n``
+    firings over the ``(n, peek)`` window ``win`` into the ``(n, push)``
+    block ``out``, reports each block's counts times the lanes that ran
+    it, and leaves the counters' final values in ``fields``; it touches
+    ``fields`` last, so a call that raises has changed nothing."""
+
+    def __init__(self, source: str, entry: str, detail: str,
+                 counters: tuple):
+        self.source = source
+        self.entry = entry
+        self.detail = detail  # what the plan report prints
+        self.counters = counters
+        self._fn = None
+
+    def function(self):
+        if self._fn is None:
+            namespace = dict(_LANE_NAMESPACE)
+            exec(compile(self.source, f"<lanes:{self.entry}>", "exec"),
+                 namespace)
+            self._fn = namespace[self.entry]
+        return self._fn
+
+
+def lane_key(wf: N.WorkFunction, fields: dict) -> tuple:
+    """What :func:`emit_lanes` depends on: the IR text (``repr`` tells
+    ``1`` from ``1.0``, ``==`` on the nodes would not) and each field's
+    type — never a field's value, so equal filters share one
+    :class:`LaneCode`."""
+    return (repr(wf), tuple(sorted(
+        (k, v.dtype.kind if isinstance(v, np.ndarray) else type(v).__name__)
+        for k, v in fields.items())))
+
+
+def emit_lanes(wf: N.WorkFunction, fields: dict,
+               name: str = "work") -> LaneCode:
+    """Generate the lane form of ``wf``; raises :class:`LaneReject`
+    with the reason when the body has none."""
+    counters = _find_counters(wf, fields)
+    tenv = _TypeEnv(fields)
+    for fname, (_, step) in counters.items():
+        if fname in tenv.int_names and not tenv.is_int(step):
+            raise LaneReject(f"int counter {fname} with a float step")
+    em = _LaneEmitter(tenv, counters)
+    entry = "_lanes_" + "".join(c if c.isalnum() else "_" for c in name)
+    em.emit(f"def {entry}(_win, _out, _F, _n, _bulk):", 0)
+    for fname in sorted(fields):
+        em.emit(f"_v_{fname} = _F[{fname!r}]", 1)
+    for fname, (op, step) in counters.items():
+        em.emit(f"_a_{fname} = _ramp(_v_{fname}, {em.expr(step)}, _n, "
+                f"{op == '-'})", 1)
+        em.emit(f"_v_{fname} = _a_{fname}[:-1]", 1)
+    em.emit("_p = _k = 0", 1)
+    em.emit("def _pop():", 1)
+    em.emit("nonlocal _p", 2)
+    em.emit("_p += 1", 2)
+    em.emit("return _win[:, _p - 1]", 2)
+    em.block(wf.body, 1)
+    em.emit(f"if _p != {wf.pop} or _k != {wf.push}:", 1)
+    em.emit("raise _InterpError('work popped %d and pushed %d items, "
+            f"declared pop {wf.pop} push {wf.push}' % (_p, _k))", 2)
+    for fname in counters:
+        em.emit(f"_F[{fname!r}] = _a_{fname}[_n].item()", 1)
+    detail = ([f"if-converted {em.branches} branches"] * bool(em.branches)
+              + [f"counter {c}" for c in counters]
+              + ["loops"] * em.loops)
+    return LaneCode("\n".join(em.lines) + "\n", entry,
+                    ", ".join(detail) or "straight-line", tuple(counters))

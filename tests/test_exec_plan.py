@@ -338,15 +338,26 @@ def test_plan_report_names_fallbacks_with_reasons():
     from repro.exec import plan_report
     rep = plan_report(small("Radar"))
     assert rep.bailout is None
-    assert rep.fallbacks
-    reasons = {s.name: s.reason for s in rep.fallbacks}
-    # the counter sources say what was tried, not "not state-space linear"
-    assert "state did not recur within" in reasons["InputGenerate0"]
-    assert not any("no linear node" in r for r in reasons.values())
-    assert any("data-dependent control flow" in r for r in reasons.values())
+    # counter sources and the stateless non-linear stages run as lanes
+    assert not rep.fallbacks
+    lanes = {s.name: s.reason for s in rep.steps if s.step_kind == "lanes"}
+    assert lanes["InputGenerate0"] == "counter n"
+    assert lanes["Magnitude"] == "straight-line"
+    assert lanes["Detector"] == "if-converted 1 branches"
     text = str(rep)
-    assert "fallback" in text and "InputGenerate0" in text
+    assert "0/25 nodes fall back to scalar firing" in text
     assert "schedule: 0 passes" in text  # a static report has not run
+    # a true fallback says why it is neither linear nor lane-convertible
+    rep = plan_report(BENCHMARKS["DToA"](), optimize="none")
+    (isl,) = rep.islands
+    (delay,) = [s for s in isl.steps if s.step_kind == "fallback"]
+    assert delay.reason.startswith("has prework")
+    rep = plan_report(BENCHMARKS["TargetDetect"]())
+    (source,) = rep.fallbacks
+    assert "state did not recur within" in source.reason
+    assert ("not lane-convertible: field currentPosition is not an "
+            "additive counter") in source.reason
+    assert "1/12 nodes fall back to scalar firing" in str(rep)
 
 
 def test_plan_report_names_feedback_island():
@@ -487,8 +498,8 @@ def test_bench_cli_plan_report(capsys):
     assert bench_main(["--app", "radar", "--plan-report"]) == 0
     text = capsys.readouterr().out
     assert "plan report: Radar" in text
-    assert "fallback" in text
-    assert "state did not recur within" in text  # InputGenerate's counter
+    assert "lanes" in text and "counter n" in text  # InputGenerate
+    assert "0/57 nodes fall back to scalar firing" in text
 
 
 def test_build_app_case_insensitive():

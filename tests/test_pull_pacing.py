@@ -52,11 +52,12 @@ void->float filter Pair(int period) {
     }
 }
 
+/* never recurs within the search limit, and no additive counter */
 void->float filter Counter {
     int n;
     work push 1 {
         push(cos(0.01 * n));
-        n = n + 1;
+        n = (n + 1) % 100000;
     }
 }
 
@@ -345,8 +346,9 @@ def test_periodic_source_replays_bitwise_with_exact_flops(name, dtype):
 
 
 def test_counter_source_gives_up_and_stays_the_scalar_loop():
-    """``n = n + 1`` never recurs: after the firing limit the step drops
-    its bookkeeping; the stream is bitwise FallbackStep's throughout."""
+    """A period beyond the firing limit: the step drops its bookkeeping
+    and the stream is bitwise FallbackStep's throughout (an additive
+    ``n = n + 1`` never gets here: tests/test_lane_kernel.py)."""
     n = K.SOURCE_RECURRENCE_LIMIT + 500
     plan = session("Just", (3, 0, 0))
     (step,) = source_steps(plan)
@@ -357,7 +359,8 @@ def test_counter_source_gives_up_and_stays_the_scalar_loop():
     assert step.detail == (f"state did not recur within "
                            f"{K.SOURCE_RECURRENCE_LIMIT} firings")
     (row,) = plan.report().fallbacks
-    assert "did not recur" in row.reason and "linear node" not in row.reason
+    assert row.reason.startswith("state did not recur within 1024 firings; "
+                                 "not lane-convertible: field n is not")
 
 
 def test_report_settles_a_source_that_has_not_fired_yet():
