@@ -405,34 +405,10 @@ class OptimizedFreqStep(Step):
 
 
 def fire_scalar(node, ring_in, ring_out, n: int) -> None:
-    """Fire ``node``'s scalar runner ``n`` times.
-
-    Two or more firings of an IR filter run against a list snapshot of
-    the ``(n - 1) * pop + peek`` items they can see and push into a
-    list, so the rings are touched once per call instead of once per
-    item; a single firing (a feedback-island member's usual batch) and
-    primitive runners, which may use any channel method, take the rings
-    directly.
-    """
+    """Fire ``node``'s scalar runner ``n`` times against the rings."""
     fire = node.runner.fire
-    if n >= 2 and node.kind == "filter" and not node.runner.fired_init:
-        fire(ring_in, ring_out)  # the prework firing has its own rates
-        n -= 1
-    if n < 2 or node.kind != "filter":
-        for _ in range(n):
-            fire(ring_in, ring_out)
-        return
-    wf = node.stream.work
-    tape_in, tape_out = ring_in, Channel("pushed")
-    if wf.peek:
-        tape_in = Channel("window")
-        tape_in.push_array(ring_in.peek_block((n - 1) * wf.pop + wf.peek))
     for _ in range(n):
-        fire(tape_in, tape_out)
-    if wf.push:
-        ring_out.push_block(tape_out.snapshot())
-    if wf.pop:
-        ring_in.pop_block(n * wf.pop)
+        fire(ring_in, ring_out)
 
 
 class FallbackStep(Step):
@@ -478,12 +454,13 @@ class LaneStep(FallbackStep):
     the scalar path would never have evaluated, both arms of an
     if-converted branch run everywhere — or an int counter would leave
     int64, nothing has been committed and the same runner fires the
-    batch scalar, with Python's own semantics for the case.  Batches
+    batch scalar, with Python's own semantics for the case.  Such a
+    batch pays for both paths, so the step counts them: the report
+    shows ``refired k/N lane batches``, and a step that refires most of
+    its batches reports itself as the ``fallback`` it is.  Batches
     under :data:`LANE_MIN_FIRINGS` fire scalar too; the counters live
     in ``runner.fields`` either way.
     """
-
-    kind = "lanes"
 
     def __init__(self, node, ring_in, ring_out, code,
                  policy: NumericPolicy = DEFAULT_POLICY):
@@ -491,16 +468,28 @@ class LaneStep(FallbackStep):
         self.code = code
         self.dtype = np.dtype(np.complex128 if policy.is_complex
                               else np.float64)
+        self.batches = self.refired = 0  # lane calls made / abandoned
+
+    @property
+    def kind(self) -> str:
+        return "fallback" if 2 * self.refired > self.batches else "lanes"
 
     @property
     def detail(self) -> str:
-        return self.code.detail
+        if not self.refired:
+            return self.code.detail
+        return (f"{self.code.detail}; refired {self.refired}/{self.batches} "
+                "lane batches scalar")
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        if n < LANE_MIN_FIRINGS or not self._lanes(n):
-            fire_scalar(self.node, self.ring_in, self.ring_out, n)
+        if n >= LANE_MIN_FIRINGS:
+            self.batches += 1
+            if self._lanes(n):
+                return
+            self.refired += 1
+        fire_scalar(self.node, self.ring_in, self.ring_out, n)
 
     def _lanes(self, n: int) -> bool:
         wf = self.node.stream.work

@@ -648,6 +648,10 @@ def emit_lanes(wf: N.WorkFunction, fields: dict,
                name: str = "work") -> LaneCode:
     """Generate the lane form of ``wf``; raises :class:`LaneReject`
     with the reason when the body has none."""
+    # counters and field types are resolved by name over the whole body
+    shadowed = N.declared_names(wf.body) & set(fields)
+    if shadowed:
+        raise LaneReject(f"local {min(shadowed)} shadows a field")
     counters = _find_counters(wf, fields)
     tenv = _TypeEnv(fields)
     for fname, (_, step) in counters.items():

@@ -291,8 +291,17 @@ def test_flagged_lanes_fall_back_to_the_scalar_batch():
             assert ls.profile.counts.flops == 0
             lanes.execute(64)
             scalar.execute(64)
+            # ... and says so: it paid for both paths
+            (row,) = ls.report().fallbacks
+            assert row.reason.endswith("refired 1/1 lane batches scalar")
         np.testing.assert_array_equal(drain(lanes), drain(scalar))
         assert_same_counts(ls.profile, ss.profile)
+    for _ in range(2):
+        lanes.ring_in.push_block(clean)
+        lanes.execute(64)
+    assert not ls.report().fallbacks
+    (row,) = [r for r in ls.report().steps if r.step_kind == "lanes"]
+    assert row.reason.endswith("refired 1/3 lane batches scalar")
 
 
 def test_int_counter_leaving_int64_fires_scalar():
@@ -304,38 +313,6 @@ def test_int_counter_leaving_int64_fires_scalar():
     scalar.execute(64)
     np.testing.assert_array_equal(drain(lanes), drain(scalar))
     assert lanes.node.runner.fields["n"] == 2 ** 63 + 44
-
-
-# ---------------------------------------------------------------------------
-# the scalar path: one ring access per call
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("top", ["Primed", "Uneven"])
-def test_scalar_batches_fire_against_a_snapshot(top):
-    """``fire_scalar(n >= 2)`` — list window in, list of pushes out — is
-    the per-item loop: prework first firing, peek > pop, rings and
-    counts."""
-    args = () if top == "Primed" else (0.2,)
-    runs = []
-    for sizes in ([7, 1, 30], [1] * 38):
-        prof = Profiler()
-        s = repro.compile(Pipeline([repro.dsl.load_source(EXTRA, top,
-                                                          *args)]),
-                          profiler=prof)
-        (step,) = [st for st in s._executor.steps
-                   if isinstance(st, K.FallbackStep)]
-        wf = step.node.stream.work
-        step.ring_in.push_block(
-            np.random.default_rng(3).standard_normal(38 * wf.pop + wf.peek))
-        for n in sizes:
-            K.fire_scalar(step.node, step.ring_in, step.ring_out, n)
-        runs.append((drain(step), len(step.ring_in), prof))
-    (a, left_a, pa), (b, left_b, pb) = runs
-    np.testing.assert_array_equal(a, b)
-    assert left_a == left_b
-    assert_same_counts(pa, pb)
-    assert (a[0] == -1.0) == (top == "Primed")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +504,12 @@ REJECTED = {
     "int counter count with a float step": """
         push(pop() * count * count);
         count = count + 0.5;""",
+    # the local's ``count = count + 1`` must not be taken for the field's
+    "local count shadows a field": """
+        float x = pop();
+        float count = 0.5;
+        count = count + 1.0;
+        push(abs(x) * count);""",
 }
 
 
