@@ -99,11 +99,11 @@ def test_calibration_decision_table(benchmark, calibration):
         calibrated = stateful_block_length(1, 1, policy)
         # pop=push=1 makes the block equal the cap itself, so the
         # calibrated call must return exactly the measured block
-        assert fixed == 128
+        assert fixed == 64
         assert calibrated == cal.stateful_block[name]
         blocks.append([name, fixed, calibrated])
     block_table = format_table(
-        "Lifted stateful-scan block length (pop=1, push=1)",
+        "Lifted stateful block length (pop=1, push=1)",
         ["dtype", "fixed cap", "calibrated"], blocks, width=14)
 
     report("calibration", decisions + "\n\n" + block_table)

@@ -4,7 +4,7 @@ The selection DP prices implementations with analytic FLOP formulas, but
 the paper's own measurements (and ATLAS before it) show that constant
 factors are machine facts, not model facts: the relative throughput of a
 dense matmul vs. an FFT convolution — and the block length at which the
-lifted state-space scan runs fastest — vary with cache sizes, SIMD
+lifted state-space kernel runs fastest — vary with cache sizes, SIMD
 width, and the BLAS/pocketfft builds actually installed.  This module
 measures exactly those constants once per machine and dtype:
 
@@ -16,8 +16,8 @@ measures exactly those constants once per machine and dtype:
   DP uses, so their ratio slots directly into
   :func:`~repro.selection.costs.batched_frequency_cost` in place of the
   modeled :data:`~repro.selection.costs.FFT_THROUGHPUT_PENALTY`;
-* the fastest **stateful scan block length** among
-  :data:`STATEFUL_BLOCKS`, replacing the fixed 128-element cap in
+* the fastest **stateful block length** among :data:`STATEFUL_BLOCKS`,
+  replacing the budget-derived 64 in
   :func:`~repro.exec.kernels.stateful_block_length`.
 
 Results persist as JSON under ``$REPRO_CALIBRATION_DIR`` (default
@@ -43,7 +43,7 @@ import numpy as np
 from ..frequency.fftlib import elementwise_complex_mult_counts, fftw_counts
 
 #: Bump when the measurement protocol changes; old files are ignored.
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 
 #: Filter-depth buckets (columns of the dense matmul) measured.
 MATMUL_BUCKETS = (16, 64, 256)
@@ -52,7 +52,7 @@ MATMUL_BUCKETS = (16, 64, 256)
 #: frequency filters actually pick).
 FFT_BUCKETS = (256, 1024, 4096)
 
-#: Candidate block lengths for the lifted stateful scan.
+#: Candidate block lengths for the lifted stateful kernel.
 STATEFUL_BLOCKS = (16, 32, 64, 128, 256, 512)
 
 
@@ -147,53 +147,54 @@ def _measure_fft(dtype, n: int, rng) -> float:
     return t * 1e9 / flops
 
 
-def _measure_stateful_block(dtype, rng) -> int:
-    """The fastest lifted-scan block length for this dtype.
+def _measure_stateful_block(policy, rng) -> int:
+    """The fastest lifted block length for this policy's dtype.
 
-    Emulates :class:`~repro.exec.kernels.StatefulLinearStep`'s block
-    structure: per block, a lifted output-map product against a dense
-    ``(B·p, B·u)`` matrix (work grows with B — the dense lower-triangle
-    waste) plus a sequential state carry (Python-loop overhead shrinks
-    with B).  The best B balances the two; that balance point is a
-    machine fact, which is why it is measured rather than fixed at 128.
+    Runs the kernel itself — :class:`~repro.exec.kernels.
+    StatefulLinearStep` over a biquad, 4096 firings a call — at each
+    candidate ``B``.  Nothing in it loops per block any more, so what
+    ``B`` trades is dense recomputation inside a block (grows with
+    ``B``) against the rows of the boundary lift and the shapes the
+    installed BLAS is fast at; on the box this was written on f32 ran
+    2.7x slower at 128 than at 64.  That is a machine fact, which is why
+    it is measured.
     """
-    p = u = 1
-    state_dim = 4
-    rows = 4096
+    from ..linear.state import from_difference_equation
+    from ..profiling import Counts, NullProfiler
+    from .kernels import StatefulLinearStep
+    from .ring import RingBuffer
+
+    firings = 4096
+    node = from_difference_equation([0.2, 0.4, 0.2], [0.4, -0.2])
+    x = _randn(rng, firings, policy.dtype)
     best_b, best_t = STATEFUL_BLOCKS[0], float("inf")
     for b in STATEFUL_BLOCKS:
-        nblocks = rows // b
-        X = _randn(rng, (nblocks, b * p), dtype)
-        Cxr = _randn(rng, (b * p, b * u), dtype)
-        As = _randn(rng, (state_dim, state_dim), dtype)
-        # contract the state map (spectral radius < 1) so the recurrence
-        # stays bounded — a divergent iterate would overflow to inf/nan
-        # and time denormal/NaN arithmetic instead of the real kernel
-        As = As / (np.linalg.norm(As) * 1.25)
-        Axr = _randn(rng, (b * p, state_dim), dtype)
-        zero = np.zeros(state_dim, dtype=dtype)
+        ring_in = RingBuffer("in", 2 * firings, dtype=policy.dtype)
+        ring_out = RingBuffer("out", 2 * firings, dtype=policy.dtype)
+        step = StatefulLinearStep(ring_in, ring_out, node, Counts(),
+                                  NullProfiler(), policy=policy)
+        step.block = b
 
         def run():
-            S = X @ Axr
-            s = zero
-            for i in range(nblocks):
-                s = s @ As + S[i]
-                X[i] @ Cxr
+            ring_in.push_array(x)
+            step.execute(firings)
+            ring_out.pop_block(firings)
 
-        t = _best_time(run) / rows
+        t = _best_time(run, repeats=9)
         if t < best_t:
             best_b, best_t = b, t
     return best_b
 
 
-def _measure_dtype(dtype) -> dict:
+def _measure_dtype(policy) -> dict:
+    dtype = policy.dtype
     rng = np.random.default_rng(1234)
     return {
         "matmul_ns_per_flop": {str(e): _measure_matmul(dtype, e, rng)
                                for e in MATMUL_BUCKETS},
         "fft_ns_per_flop": {str(n): _measure_fft(dtype, n, rng)
                             for n in FFT_BUCKETS},
-        "stateful_block": _measure_stateful_block(dtype, rng),
+        "stateful_block": _measure_stateful_block(policy, rng),
     }
 
 
@@ -246,7 +247,7 @@ class Calibration:
 
     @property
     def stateful_block(self) -> dict:
-        """dtype name -> measured best scan block length."""
+        """dtype name -> measured best stateful block length."""
         return {name: int(d["stateful_block"])
                 for name, d in self.dtypes.items()
                 if d.get("stateful_block")}
@@ -364,7 +365,7 @@ def ensure_calibration(dtypes=("f64",), force: bool = False):
     for spec in dtypes:
         pol = resolve_policy(spec)
         if force or pol.name not in cal.dtypes:
-            cal.dtypes[pol.name] = _measure_dtype(pol.dtype)
+            cal.dtypes[pol.name] = _measure_dtype(pol)
             measured.append(pol.name)
     if measured:
         save_calibration(cal)
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.calibrate",
         description="Measure and persist per-machine cost-model "
-                    "constants (matmul/FFT throughput, scan block size).")
+                    "constants (matmul/FFT throughput, stateful block size).")
     parser.add_argument("--dtype", action="append", choices=DTYPE_CHOICES,
                         help="dtype to calibrate (repeatable; default f64)")
     parser.add_argument("--force", action="store_true",

@@ -7,6 +7,9 @@ against :class:`~repro.exec.ring.RingBuffer` channels:
   ``(n, peek) @ (peek, push)`` NumPy matrix product over a strided window
   view of the input ring (the paper's "linear filters are matrix
   multiplications", applied across firings instead of within one);
+* :class:`StatefulLinearStep` — a stateful-linear filter's firings lift
+  twice, into blocks and then over the block boundaries: four matmuls
+  per 4096 firings or so, no Python per block;
 * splitter/joiner steps become reshape + strided scatter/gather;
 * trivial primitives (identity, decimator, sources, collector) become
   block transfers;
@@ -31,8 +34,9 @@ bit-identical across ``interp``/``compiled``/``plan``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .. import faults as _faults
 from ..errors import InterpError
@@ -138,29 +142,45 @@ class MatmulStep(Step):
                                  filter_name=self.filter_name)
 
 
-#: Target element count of a lifted stateful block operator
-#: (``E x B*u`` ~ ``B^2*o*u``): balances the dense recomputation the
-#: lift pays per firing (~``B*o*u`` extra mul-adds, amortized by BLAS)
-#: against the Python-level per-block loop overhead (~``1/B``).
+#: Element budget of the lifted operators of :class:`StatefulLinearStep`.
+#: The boundary lift over ``G`` blocks is ``G·k x (G+1)·k`` and gets all
+#: of it (``G·k = 128``); the block lift is ``B·o x B·u`` and is paid by
+#: every firing, not once per block, so it gets a quarter (``B = 64`` at
+#: ``o = u = 1``).  Measured here on ``IIRBody`` (4 steps, ``k`` = 1, 2,
+#: 2, 2), one ``push(4096)``, min of 1500 in us — f64 by ``G·k``, then
+#: f32 and c128 at ``G·k = 128``; the parent's per-block Python scan ran
+#: 497:
+#:
+#: ====  ====  ====  ====  ====  ====  ====
+#: B     64    128   256   512   f32   c128
+#: ====  ====  ====  ====  ====  ====  ====
+#: 16    357   259   327   510   266   396
+#: 32    235   200   215   244   155   319
+#: 64    186   151   158   161   121   299
+#: 128   178   184   180   192   334   339
+#: 256   309   302   270   279   890   671
+#: ====  ====  ====  ====  ====  ====  ====
+#:
+#: ``B = 64`` with ``G·k = 128`` is the best cell under every dtype (at
+#: ``G·k = 64`` the push is two groups, beyond 128 one group of the same
+#: 64 blocks against a larger operator); building the operators on the
+#: first push took 4.3 / 5.0 / 8.9 / 21.6 ms by ``G·k``.
 _STATEFUL_LIFT_ELEMS = 1 << 14
-
-#: Hard cap on the lifted block length.
-_STATEFUL_MAX_BLOCK = 128
 
 
 def stateful_block_length(pop: int, push: int,
                           policy: NumericPolicy | None = None) -> int:
-    """Lifted block length of :class:`StatefulLinearStep` for a node
-    with the given rates — the single source of truth, also used by the
-    selection cost model to price the per-block state carry.
+    """Lifted block length ``B`` of :class:`StatefulLinearStep` for a
+    node with the given rates — the single source of truth, also read
+    by the selection cost model to price the kernel.
 
     With a calibration cache present (:mod:`repro.exec.calibrate`), the
-    analytic ~128 cap is replaced by the block length the scan
-    microbenchmark actually measured fastest for the policy dtype; the
+    budget's ``B = 64`` at ``pop = push = 1`` is replaced by the block
+    length the kernel actually ran fastest at for the policy dtype; the
     ``1/sqrt(pop*push)`` scaling is kept either way.  FLOP accounting is
     block-size independent, so calibration never perturbs profiles.
     """
-    cap = _STATEFUL_MAX_BLOCK
+    cap = math.isqrt(_STATEFUL_LIFT_ELEMS // 4)
     from .calibrate import active_calibration
     cal = active_calibration()
     if cal is not None:
@@ -170,29 +190,49 @@ def stateful_block_length(pop: int, push: int,
     return max(1, min(cap, int((cap * cap / ou) ** 0.5)))
 
 
+def stateful_group_length(state_dim: int) -> int:
+    """Block boundaries ``G`` one boundary lift of
+    :class:`StatefulLinearStep` spans, for a node of ``state_dim``
+    state variables.  A state wider than the budget's side gives 1: the
+    boundary recurrence taken one block at a time."""
+    return max(1, math.isqrt(_STATEFUL_LIFT_ELEMS) // max(1, state_dim))
+
+
 class StatefulLinearStep(Step):
     """Batched stateful-linear kernel: ``n`` firings of ``y = x·Ax +
-    s·As + bx``, ``s' = x·Cx + s·Cs + bs`` as a few block matmuls.
+    s·As + bx``, ``s' = x·Cx + s·Cs + bs`` as four matmuls per ``B·G``
+    of them.
 
     The state update is a monoid action, so ``B`` firings compose into
     one *lifted* affine operator (:func:`~repro.linear.state.
     expand_stateful` — stacked powers of ``Cs`` threaded against the
-    input window).  Execution splits into:
+    input window), and the recurrence that is left between blocks,
+    ``s_{b+1} = drive_b + s_b·Cs^B``, is a stateful linear node again
+    and lifts the same way over ``G`` boundaries
+    (:func:`~repro.linear.state.boundary_lift`).  A *group* of ``G``
+    blocks is then:
 
-    1. one ``(n/B, E) @ (E, B·u)`` product applying the lifted input map
-       to every block at once (no cross-block dependency),
-    2. one ``(n/B, E) @ (E, k)`` product yielding each block's state
-       *drive*, then a Python-level scan over the ``n/B`` block
-       boundaries (the only true sequential dependency: ``s_{b+1} =
-       drive_b + s_b·Cs_lift``),
-    3. one ``(n/B, k) @ (k, B·u)`` product adding each block's entry
-       state into its outputs.
+    1. ``(G, E) @ (E, B·u)`` — the lifted input map of every block,
+    2. ``(G, E) @ (E, k)`` — each block's state *drive*,
+    3. ``(G·k,) @ (G·k, (G+1)·k)`` — the entry state of every block and
+       the group's exit state,
+    4. ``(G, k) @ (k, B·u)`` — each block's entry state added into its
+       outputs.
 
-    So an IIR cascade advances ``B`` iterations per BLAS row instead of
-    one Python-level fire — the same class of win MatmulStep delivers
-    for stateless filters.  FLOP accounting reports the scalar runner's
-    exact per-firing counts times ``n`` (the parity contract), not the
-    lift's recomputation.
+    No Python runs per block; there is one pass per group — 4096
+    firings at ``k = 2``, while a state of ``k >= 128`` variables has
+    ``G = 1``, the boundary recurrence taken one block at a time.  The
+    products are deliberately not batched across groups: a group's
+    operands fit in L2, and a product four groups tall is where the
+    BLAS starts waking its thread pool, which on a 2-core container
+    cost milliseconds a call — a batch of 16384 firings ran 7.6 ms as
+    one product per operator, 0.12 ms group by group.
+
+    The ``n mod B`` firings left over run through the same four
+    products at block length 1 (the node itself), so a step holds at
+    most two lifts whatever sizes it is called with.  FLOP accounting
+    reports the scalar runner's exact per-firing counts times ``n`` (the
+    parity contract), not the lift's recomputation.
     """
 
     kind = "stateful"
@@ -209,6 +249,7 @@ class StatefulLinearStep(Step):
         self.profiler = profiler
         self.filter_name = filter_name
         self.block = stateful_block_length(node.pop, node.push, policy)
+        self.group = stateful_group_length(node.state_dim)
         self._lifted: dict[int, tuple] = {}
 
     carries_state = True
@@ -222,54 +263,63 @@ class StatefulLinearStep(Step):
     def _lift(self, b: int) -> tuple:
         pack = self._lifted.get(b)
         if pack is None:
-            from ..linear.state import expand_stateful
+            from ..linear.state import boundary_lift, expand_stateful
 
-            ex = expand_stateful(self.node, b)
+            ex = self.node if b == 1 else expand_stateful(self.node, b)
             dt = self.policy.dtype
-            # pre-reverse rows like MatmulStep: window rows are
-            # [peek(0)..peek(E-1)], the lifted matrices use x-convention
-            pack = (ex.peek, ex.pop, ex.push,
-                    np.ascontiguousarray(ex.Ax[::-1], dtype=dt),
-                    np.ascontiguousarray(ex.As, dtype=dt),
-                    np.asarray(ex.bx, dtype=dt),
-                    np.ascontiguousarray(ex.Cx[::-1], dtype=dt),
-                    np.ascontiguousarray(ex.Cs, dtype=dt),
-                    np.asarray(ex.bs, dtype=dt))
+
+            def operator(m):
+                return np.ascontiguousarray(m, dtype=dt)
+
+            def offset(v):
+                return np.asarray(v, dtype=dt) if v.any() else None
+
+            G, T, P = self.group, None, None
+            if ex.state_dim:
+                T, P = boundary_lift(ex.Cs, G, dt)
+                G = len(T) // ex.state_dim  # fewer if Cs^b overflows
+            # rows reversed like MatmulStep's (window rows are
+            # [peek(0)..peek(E-1)], the node uses the x-convention);
+            # output columns reversed too, into push order (y[U-1] first)
+            pack = (G, ex.peek, ex.pop, ex.push,
+                    operator(ex.Ax[::-1, ::-1]), operator(ex.As[:, ::-1]),
+                    offset(ex.bx[::-1]),
+                    operator(ex.Cx[::-1]), offset(ex.bs), T, P)
             self._lifted[b] = pack
         return pack
 
     def _run_blocks(self, blocks: int, b: int) -> None:
         """Execute ``blocks`` consecutive lifted firings of block size
-        ``b`` (one window view, three matmuls, one short scan)."""
-        E, pop, U, Axr, As, bx, Cxr, Cs, bs = self._lift(b)
-        X = self.ring_in.window_view(blocks, pop, E)
-        Y = X @ Axr
-        Y += bx
+        ``b``, a group at a time: one window view, four matmuls."""
+        G, E, pop, U, Axr, As, bx, Cxr, bs, T, P = self._lift(b)
         k = len(self.s)
-        if k:
-            drive = X @ Cxr
-            drive += bs
-            S = np.empty((blocks, k), dtype=self.policy.dtype)
-            s = self.s
-            for i in range(blocks):
-                S[i] = s
-                s = drive[i] + s @ Cs
-            self.s = s
-            Y += S @ As
-        # push order within a lifted firing is y[U-1] first
-        self.ring_out.push_array(Y[:, ::-1].reshape(-1))
-        self.ring_in.pop_block(blocks * pop)
+        for done in range(0, blocks, G):
+            g = min(G, blocks - done)
+            X = self.ring_in.window_view(g, pop, E)
+            Y = self.ring_out.alloc_push(g * U).reshape(g, U)
+            np.matmul(X, Axr, out=Y)
+            if bx is not None:
+                Y += bx
+            if k:
+                drive = X @ Cxr
+                if bs is not None:
+                    drive += bs
+                # the lift over g <= G boundaries is the leading corner
+                cols = (g + 1) * k
+                states = drive.reshape(-1) @ T[:g * k, :cols]
+                states += self.s @ P[:, :cols]
+                Y += states[:g * k].reshape(g, k) @ As
+                self.s = states[g * k:]
+            self.ring_in.pop_block(g * pop)
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        b = min(self.block, n)
-        full = n // b
+        full, rest = divmod(n, self.block)
         if full:
-            self._run_blocks(full, b)
-        rest = n - full * b
+            self._run_blocks(full, self.block)
         if rest:
-            self._run_blocks(1, rest)
+            self._run_blocks(rest, 1)
         self.profiler.add_counts(self.counts, times=n,
                                  filter_name=self.filter_name)
 
@@ -502,12 +552,9 @@ class LaneStep(FallbackStep):
         runner = self.node.runner
         win = None
         if wf.peek:
-            seg = self.ring_in.peek_block((n - 1) * wf.pop + wf.peek)
-            if seg.dtype != self.dtype:
-                seg = seg.astype(self.dtype)
-            # (n, peek) rows at stride pop; the general view costs ~10 us
-            win = (seg.reshape(n, wf.peek) if wf.peek == wf.pop
-                   else sliding_window_view(seg, wf.peek)[::wf.pop])
+            win = self.ring_in.window_view(n, wf.pop, wf.peek)
+            if win.dtype != self.dtype:
+                win = win.astype(self.dtype)
         out = np.empty((n, wf.push), dtype=self.dtype)
         meter = Profiler()
         try:

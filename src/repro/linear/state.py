@@ -19,6 +19,9 @@ Provided here:
   firings compose into one block operator (the state update is a monoid
   action, so the lifted matrices stack powers of ``Cs`` against the
   input window — Hou et al.'s state-monoid composition);
+* :func:`boundary_lift` — the same lift applied a second time, to the
+  recurrence between block boundaries (``s' = drive + s·Cs``), in closed
+  form: a block-Toeplitz stack of powers of ``Cs``;
 * :func:`combine_stateful_pipeline` — composition of two stateful nodes
   in sequence; rate-changing pairs reduce to the matched case via
   expansion (with recomputation columns when the downstream node peeks
@@ -205,6 +208,61 @@ def expand_stateful(node: StatefulLinearNode, firings: int,
     return StatefulLinearNode(
         Ax=Ax2, As=As2, bx=bx2, Cx=Cx2, Cs=Cs2, bs=bs2, s0=node.s0,
         peek=E, pop=advance * o, push=U)
+
+
+def _power_stack(C: np.ndarray, count: int) -> np.ndarray:
+    """``C^0 .. C^(count-1)`` as a ``(count, k, k)`` array, by doubling
+    (``log2(count)`` stacked products, no per-power loop)."""
+    k = len(C)
+    out = np.empty((count, k, k), dtype=C.dtype)
+    out[0] = np.eye(k)
+    m, step = 1, C  # step == C^m
+    while m < count:
+        w = min(m, count - m)
+        out[m:m + w] = out[:w] @ step
+        step = step @ step
+        m += w
+    return out
+
+
+def boundary_lift(Cs: np.ndarray, blocks: int,
+                  dtype=float) -> tuple[np.ndarray, np.ndarray]:
+    """Lift the state recurrence ``s_{g+1} = d_g + s_g·Cs`` over up to
+    ``blocks`` steps: returns ``(T, P)`` such that, for ``G`` steps with
+    drives ``d_0 .. d_{G-1}`` flattened into one row vector ``d``,
+
+        [s_0, s_1, ..., s_G] = d · T + s_0 · P
+
+    — every entry state and the exit state from two products.  The
+    recurrence is itself a stateful linear node (input ``d_g``, state
+    ``s``, output the entry state), so this is :func:`expand_stateful`
+    of that node in closed form: ``P`` stacks ``Cs^g`` side by side,
+    ``T`` is block upper-triangular Toeplitz with ``Cs^(g-1-j)`` in
+    block ``(j, g)``.  Both are causal, so their leading ``g·k`` rows
+    and ``(g+1)·k`` columns are the lift over ``g < G`` steps.
+
+    ``Cs`` here is usually already a block power ``Cs^B``.  When
+    ``|λ(Cs)| > 1`` the powers overflow ``dtype`` long before the states
+    they would multiply do; the zeros of ``T`` would turn those ``inf``
+    into ``nan``, so ``G`` is halved until every power is finite
+    (``G = 1`` is the plain recurrence and needs ``Cs`` alone).
+    """
+    k = len(Cs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = _power_stack(np.asarray(Cs, dtype=float),
+                              blocks + 1).astype(dtype)
+    G = blocks
+    while G > 1 and not np.isfinite(powers[:G + 1]).all():
+        G //= 2
+    powers = powers[:G + 1]
+    # a contracting Cs passes through the subnormals on its way to 0,
+    # and a product against them runs at a third of the speed
+    powers[np.abs(powers) < np.finfo(powers.dtype).tiny] = 0
+    P = powers.transpose(1, 0, 2).reshape(k, (G + 1) * k)
+    # block (j, g) = Cs^(g-1-j) above the diagonal, zero on and below it
+    lag = np.arange(G + 1)[None, :] - 1 - np.arange(G)[:, None]
+    T = np.where((lag >= 0)[:, :, None, None], powers[np.maximum(lag, 0)], 0)
+    return T.transpose(0, 2, 1, 3).reshape(G * k, (G + 1) * k), P
 
 
 def _combine_matched(n1: StatefulLinearNode, n2: StatefulLinearNode,

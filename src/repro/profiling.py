@@ -44,9 +44,17 @@ class Counts:
         """Multiplication instructions (fmul + fdiv families, per §5.1)."""
         return self.fmul + self.fdiv
 
-    def add(self, other: "Counts") -> None:
-        for c in CATEGORIES:
-            setattr(self, c, getattr(self, c) + getattr(other, c))
+    def add(self, other: "Counts", times: int = 1) -> None:
+        """Add ``times`` copies of ``other`` — spelled out per category:
+        every batched kernel call ends here."""
+        self.fadd += other.fadd * times
+        self.fsub += other.fsub * times
+        self.fmul += other.fmul * times
+        self.fdiv += other.fdiv * times
+        self.fcmp += other.fcmp * times
+        self.fneg += other.fneg * times
+        self.fabs += other.fabs * times
+        self.fcall += other.fcall * times
 
     def scaled(self, k: int) -> "Counts":
         return Counts(**{c: getattr(self, c) * k for c in CATEGORIES})
@@ -84,10 +92,12 @@ class Profiler:
 
     def add_counts(self, counts: Counts, times: int = 1,
                    filter_name: str | None = None) -> None:
-        self.counts.add(counts if times == 1 else counts.scaled(times))
+        self.counts.add(counts, times)
         if filter_name is not None:
-            bucket = self.per_filter.setdefault(filter_name, Counts())
-            bucket.add(counts if times == 1 else counts.scaled(times))
+            bucket = self.per_filter.get(filter_name)
+            if bucket is None:
+                bucket = self.per_filter[filter_name] = Counts()
+            bucket.add(counts, times)
 
     @property
     def flops(self) -> int:

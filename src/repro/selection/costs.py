@@ -158,15 +158,20 @@ def stateful_direct_cost(node) -> float:
 def batched_stateful_cost(node, batch: int = DEFAULT_COST_BATCH,
                           policy=None) -> float:
     """Per-firing cost of the lifted stateful kernel: the dense case
-    plus the state advance, with the block scan's carry overhead
-    (charged at the block length the kernel will actually use — the
-    calibrated one when a calibration cache is present)."""
-    from ..exec.kernels import stateful_block_length  # deferred: no cycle
+    plus the state advance, plus what the block structure adds — one
+    Python pass per ``B·G`` firings and, per block, a row of the
+    boundary lift (``G·k x k`` of it) — at the lengths the kernel will
+    actually use (``B`` the calibrated one when a calibration cache is
+    present)."""
+    from ..exec.kernels import (stateful_block_length,  # deferred: no cycle
+                                stateful_group_length)
 
     k = node.state_dim
-    scan_block = stateful_block_length(node.pop, node.push, policy)
+    block = stateful_block_length(node.pop, node.push, policy)
+    group = stateful_group_length(k)
     return (FIRING_OVERHEAD / batch
-            + FIRING_OVERHEAD / scan_block  # per-block state carry
+            + FIRING_OVERHEAD / (block * group)  # per-group state carry
+            + 2.0 * group * k * k / block  # boundary lift
             + 2.0 * (node.peek + k) * node.push  # dense output map
             + 2.0 * (node.peek + k) * k)  # dense state advance
 

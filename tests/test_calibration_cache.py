@@ -213,12 +213,12 @@ def test_distorted_calibration_moves_the_cost_itself():
 
 def test_calibrated_stateful_block_cap():
     """pop=push=1 makes the block length equal the cap, so the kernel
-    must return the measured block verbatim — and the fixed 128 without
-    a calibration."""
-    assert stateful_block_length(1, 1) == 128
-    _write(_record(block=64))
+    must return the measured block verbatim — and the budget's 64
+    without a calibration."""
     assert stateful_block_length(1, 1) == 64
+    _write(_record(block=32))
+    assert stateful_block_length(1, 1) == 32
     with C.analytic_only():
-        assert stateful_block_length(1, 1) == 128
+        assert stateful_block_length(1, 1) == 64
     _write(_record(block=512))
     assert stateful_block_length(1, 1) == 512

@@ -228,21 +228,25 @@ class TestStatefulCounts:
 # ---------------------------------------------------------------------------
 
 
-def random_stateful_primitive(rng, k, e, u):
-    """A random (stable-ish) StatefulLinearNode as a runtime leaf."""
+def random_node(rng, k, e, o, u):
+    """A random contracting node with the given state size and rates."""
     from repro.linear.state import StatefulLinearNode
 
-    Cs = rng.uniform(-0.4, 0.4, size=(k, k)) / max(k, 1)
-    node = StatefulLinearNode(
+    return StatefulLinearNode(
         Ax=rng.uniform(-1, 1, size=(e, u)),
         As=rng.uniform(-1, 1, size=(k, u)),
         bx=rng.uniform(-1, 1, size=u),
         Cx=rng.uniform(-0.5, 0.5, size=(e, k)),
-        Cs=Cs,
+        Cs=rng.uniform(-0.4, 0.4, size=(k, k)) / max(k, 1),
         bs=rng.uniform(-0.2, 0.2, size=k),
         s0=rng.uniform(-1, 1, size=k),
-        peek=e, pop=e, push=u)
-    return StatefulLinearFilter(node, name=f"Rand[{k},{e},{u}]")
+        peek=e, pop=o, push=u)
+
+
+def random_stateful_primitive(rng, k, e, u):
+    """A random (stable-ish) StatefulLinearNode as a runtime leaf."""
+    return StatefulLinearFilter(random_node(rng, k, e, e, u),
+                                name=f"Rand[{k},{e},{u}]")
 
 
 class TestDifferentialRandomized:
@@ -439,6 +443,181 @@ class TestStatefulPlanMechanics:
             f.push(a + 0.5 * b + s)
             f.assign(s, 0.25 * a)
         return f.build()
+
+
+# ---------------------------------------------------------------------------
+# The scan-free kernel against the reference simulator
+# ---------------------------------------------------------------------------
+
+
+def kernel_step(node, policy=None, profiler=None):
+    """A :class:`StatefulLinearStep` over private rings."""
+    from repro.exec.kernels import StatefulLinearStep
+    from repro.numeric import DEFAULT_POLICY
+
+    policy = policy or DEFAULT_POLICY
+    return StatefulLinearStep(
+        RingBuffer("in", dtype=policy.dtype),
+        RingBuffer("out", dtype=policy.dtype), node,
+        stateful_cost_counts(node), profiler or Profiler(), policy=policy)
+
+
+def fire(step, x, n) -> np.ndarray:
+    """Feed ``x``, execute ``n`` firings, drain what they pushed."""
+    step.ring_in.push_array(x)
+    step.execute(n)
+    out = step.ring_out.pop_block_array(len(step.ring_out))
+    step.ring_in.pop_block(len(step.ring_in))  # the peek-ahead residue
+    return out
+
+
+def reference(node, x, n) -> np.ndarray:
+    """``node.simulate`` — which is real-valued — on inputs of any dtype:
+    the node is affine, so a complex stream is its real part's output
+    plus ``i`` times the imaginary part's with the offsets taken out."""
+    if not np.iscomplexobj(x):
+        return node.simulate(x, n)
+    zero = node.simulate(np.zeros(len(x)), n)
+    return node.simulate(x.real, n) + 1j * (node.simulate(x.imag, n) - zero)
+
+
+class TestScanFreeKernel:
+    RATES = [(1, 1, 1), (3, 2, 3), (4, 1, 2)]  # (peek, pop, push)
+
+    @pytest.mark.parametrize("dtype", ["f64", "f32", "c128"])
+    @pytest.mark.parametrize("rates", RATES)
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    def test_matches_simulate_around_block_and_group_edges(self, k, rates,
+                                                           dtype):
+        from repro.numeric import POLICIES
+
+        policy = POLICIES[dtype]
+        e, o, u = rates
+        rng = np.random.default_rng(1000 * k + 10 * e + u)
+        node = random_node(rng, k, e, o, u)
+        profiler = Profiler()
+        step = kernel_step(node, policy, profiler)
+        B, G = step.block, step.group
+        per_firing = policy.adjust_counts(stateful_cost_counts(node))
+        for n in (1, B - 1, B, B + 1, B * G - 1, B * G + 3, 3 * B * G + 5):
+            x = rng.normal(size=(n - 1) * o + e)
+            if policy.is_complex:
+                x = x + 1j * rng.normal(size=len(x))
+            x = x.astype(policy.dtype)
+            step.set_carry_state(node.s0)
+            before = profiler.counts.copy()
+            got = fire(step, x, n)
+            np.testing.assert_allclose(
+                got, reference(node, x, n), rtol=policy.rtol,
+                atol=policy.atol, err_msg=f"n={n}")
+            assert profiler.counts - before == per_firing.scaled(n)
+        assert len(step._lifted) <= 2
+
+    def test_lift_cache_is_bounded_whatever_sizes_are_called(self):
+        """Every remainder used to get a lift of its own, kept forever
+        (120 of them per step after 300 pushes of 1-700 samples)."""
+        rng = np.random.default_rng(3)
+        node = from_difference_equation([0.2, 0.3, 0.1], [0.4, -0.25])
+        step = kernel_step(node)
+        sizes = rng.integers(1, 701, size=300).tolist()
+        x = rng.normal(size=sum(sizes))
+        got = np.concatenate([fire(step, x[a - n:a], n)
+                              for n, a in zip(sizes, np.cumsum(sizes))])
+        assert sorted(step._lifted) == [1, step.block]
+        np.testing.assert_allclose(got, node.simulate(x, len(x)),
+                                   rtol=1e-9, atol=1e-12)
+
+    def test_no_python_pass_per_block(self):
+        """Up to ``B·G`` firings are one pass: 64 blocks cost the calls
+        one block costs (give or take the rings' housekeeping), where a
+        pass per block would add several for each of the other 63."""
+        import cProfile
+        import pstats
+
+        node = from_difference_equation([0.2, 0.3, 0.1], [0.4, -0.25])
+        step = kernel_step(node)
+        assert step.block * step.group >= 4096
+        x = np.random.default_rng(4).normal(size=4096)
+        fire(step, x, 4096)  # builds the lift
+
+        def calls(n):
+            prof = cProfile.Profile()
+            step.ring_in.push_array(x[:n])
+            prof.runcall(step.execute, n)
+            return pstats.Stats(prof).total_calls
+
+        assert abs(calls(4096) - calls(step.block)) <= 4
+
+    def test_carry_state_continues_bit_identically(self):
+        """What the parallel engine does between dispatches: the state
+        leaves one step object and enters a fresh one mid-stream."""
+        rng = np.random.default_rng(5)
+        node = random_node(rng, 2, 3, 2, 1)
+        x = rng.normal(size=2 * 1000 + 1)
+        whole = kernel_step(node)
+        first = fire(whole, x[:2 * 333 + 1], 333)
+        fresh = kernel_step(node)
+        fresh.set_carry_state(whole.carry_state())
+        tail = x[2 * 333:]
+        assert np.array_equal(fire(fresh, tail, 667), fire(whole, tail, 667))
+        np.testing.assert_allclose(
+            np.concatenate([first, fire(kernel_step(node), x, 1000)[333:]]),
+            node.simulate(x, 1000), rtol=1e-9, atol=1e-12)
+
+    def test_unstable_node_stays_finite(self):
+        """``Cs = 2``: the states are finite for 64 firings, and stay 0
+        for ever on a silent input — but ``Cs^(B·g)`` overflows within
+        one group, and ``inf·0`` must not reach the outputs."""
+        from repro.linear.state import StatefulLinearNode, boundary_lift
+
+        node = StatefulLinearNode(
+            Ax=[[0.5]], As=[[1.0]], bx=[0.25], Cx=[[1.0]], Cs=[[2.0]],
+            bs=[0.0], s0=[0.0], peek=1, pop=1, push=1)
+        x = np.random.default_rng(6).normal(size=64)
+        got = fire(kernel_step(node), x, 64)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, node.simulate(x, 64), rtol=1e-9)
+        silent = fire(kernel_step(node), np.zeros(5000), 5000)
+        assert np.array_equal(silent, np.full(5000, 0.25))
+        T, P = boundary_lift(np.array([[2.0 ** 64]]), 128)
+        assert np.isfinite(T).all() and np.isfinite(P).all()
+        assert T.shape == (8, 9) and P[0, -1] == 2.0 ** 512
+
+    def test_pure_accumulator_over_many_groups(self):
+        from repro.linear.state import StatefulLinearNode
+
+        node = StatefulLinearNode(
+            Ax=[[0.0]], As=[[1.0]], bx=[0.0], Cx=[[1.0]], Cs=[[1.0]],
+            bs=[0.0], s0=[0.0], peek=1, pop=1, push=1)
+        x = np.random.default_rng(7).normal(size=100_000)
+        got = fire(kernel_step(node), x, len(x))
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, node.simulate(x, len(x)),
+                                   rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_boundary_lift_is_expand_stateful_of_the_boundary_node(self, k):
+        """``s' = d + s·C`` with the entry state as output, written as a
+        StatefulLinearNode (the reversal matrices are the x- and
+        y-conventions) and lifted by the general routine."""
+        from repro.linear.state import StatefulLinearNode, boundary_lift
+
+        rng = np.random.default_rng(k)
+        C = rng.uniform(-0.6, 0.6, size=(k, k))
+        s0 = rng.normal(size=k)
+        flip = np.eye(k)[::-1]
+        node = StatefulLinearNode(
+            Ax=np.zeros((k, k)), As=flip, bx=np.zeros(k), Cx=flip, Cs=C,
+            bs=np.zeros(k), s0=s0, peek=k, pop=k, push=k)
+        G = 5
+        lifted = expand_stateful(node, G)
+        d = rng.normal(size=G * k)
+        T, P = boundary_lift(C, G)
+        states = d @ T + s0 @ P
+        np.testing.assert_allclose(states[:G * k], lifted.simulate(d, 1),
+                                   atol=1e-12)
+        np.testing.assert_allclose(
+            states[G * k:], d[::-1] @ lifted.Cx + s0 @ lifted.Cs, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
