@@ -5,8 +5,8 @@ plan backend executes the same schedule in batches.  Since PR 2 the plan
 pipeline also (a) rewrites the graph first (``optimize=`` — maximal
 linear/frequency replacement or the batched-cost selection DP), (b) runs
 collapsed tall-peek filters as batched overlap-save FFT convolutions,
-and (c) caches plans + schedule traces by graph content, so repeated
-runs skip rewriting, extraction probing, and rate simulation.
+and (c) caches plans by graph content, so repeated runs skip rewriting
+and extraction probing (the schedule is driven live, O(nodes) a call).
 
 Since PR 3 feedback loops execute as plan *islands* (hybrid islanding),
 so the sweep includes two feedback-bearing rows (Echo, VocoderEcho).

@@ -8,8 +8,8 @@ evaluations, everything else through the compiled scalar fallback
 — with FLOP accounting identical to the ``interp`` and ``compiled``
 backends.  The full pipeline ``optimize -> plan -> execute`` first
 rewrites the graph with the paper's optimization passes
-(:mod:`repro.exec.optimize`), and caches plans + schedule traces across
-runs (:mod:`repro.exec.cache`).  Entry point:
+(:mod:`repro.exec.optimize`), and caches plans across runs
+(:mod:`repro.exec.cache`).  Entry point:
 ``run_graph(..., backend="plan", optimize=...)`` or
 :func:`plan_executor_for`; :func:`plan_report` explains kernel choices
 and scalar fallbacks.

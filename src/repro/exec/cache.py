@@ -3,7 +3,7 @@
 Planning a graph is not free: the ``optimize=`` rewrite runs whole-graph
 linear analysis (and possibly the selection DP), the planner probes every
 IR filter for vectorizability (extraction + one interpreted firing), and
-every ``run`` re-simulates the integer rate schedule.  For Radar this
+every feedback island is probed for its external rates.  For Radar this
 planning work dominates the actual batched execution several times over.
 
 The cache keys all of it on a **content fingerprint** of the stream
@@ -24,8 +24,8 @@ explicit ways:
   unknown primitives are snapshotted by content where possible (code
   bytes, closure cells, ``__dict__`` state); when no stable snapshot
   exists the whole fingerprint is flagged unstable and the entry is
-  **not stored**: mutating such an object in place must never replay a
-  stale plan or schedule trace, so every run re-plans.
+  **not stored**: mutating such an object in place must never reuse a
+  stale plan, so every run re-plans.
 
 A :class:`PlanEntry` carries everything reusable across runs:
 
@@ -33,13 +33,13 @@ A :class:`PlanEntry` carries everything reusable across runs:
 * the whole-graph bailout verdict,
 * per-node vectorization *decisions* (linear node + probed FLOP counts,
   or the fallback reason) so a cache hit skips extraction entirely,
-* recorded **schedule traces** — the exact ``(step, firings)`` sequence a
-  prior run flushed, keyed by ``(chunk_outputs, n_outputs)`` — so a
-  repeated run replays batched steps without re-simulating rates.
+* each feedback island's probed external rates.
 
-Mutable execution state (ring buffers, fallback runners, profilers) is
-*never* cached; every run builds a fresh executor around the shared
-immutable plan.
+Mutable execution state (ring buffers, fallback runners, profilers) and
+the firing schedule are *never* cached; every run builds a fresh
+executor around the shared immutable plan and drives it live
+(:meth:`~repro.exec.planner.PlanExecutor._drive` costs O(nodes) per
+call, whatever the schedule's period).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import hashlib
 import threading
 import types
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -373,20 +373,6 @@ def stream_fingerprint(stream: Stream) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-#: Schedule traces kept per entry; a sweep over many distinct n_outputs
-#: values keeps only the most recent few instead of growing forever.
-MAX_TRACES_PER_ENTRY = 8
-
-
-class _TraceStore(dict):
-    """Insertion-ordered trace map with a size cap (oldest evicted)."""
-
-    def setdefault(self, key, value):
-        if key not in self and len(self) >= MAX_TRACES_PER_ENTRY:
-            del self[next(iter(self))]
-        return super().setdefault(key, value)
-
-
 @dataclass
 class PlanEntry:
     """Immutable plan artifacts shared by every run of one (graph, mode).
@@ -405,10 +391,6 @@ class PlanEntry:
     decisions: dict | None = None
     #: feedback-region start index -> IslandRates (probe results)
     islands: dict | None = None
-    #: (chunk_outputs, n_outputs) ->
-    #:   ([(step_index, firings), ...], simulator end-state snapshot);
-    #: the snapshot lets a replayed executor resume live simulation
-    traces: _TraceStore = field(default_factory=_TraceStore)
     #: live holders (sessions) of this entry; pinned entries survive the
     #: cache's LRU trim so a long-lived session's plan is never dropped
     #: out from under it while recompiles churn the cache

@@ -12,11 +12,13 @@ static I/O rates, so it splits execution into two phases:
    firing counts* per node.  Because it replicates the scalar executor's
    loop structure exactly — including the final pass's early-break
    behavior — every node's total firing count matches the scalar backends,
-   which is what makes FLOP accounting bit-identical.  Two shortcuts
-   keep the count and drop the iteration: a run of passes in which only
-   the sources fire is taken in closed form (:meth:`PlanExecutor.
-   _idle_run`), and a steady window of passes is replayed K times
-   (:meth:`PlanExecutor._extrapolate`).
+   which is what makes FLOP accounting bit-identical.  Only that final
+   pass is simulated on its own: a pass is an action on the channel
+   occupancies that composes, so the ``k`` passes before it are the
+   sources firing ``k`` times and one sweep
+   (:meth:`PlanExecutor._jump`), and ``k`` follows from walking the
+   sink's demand back to the sources (:meth:`PlanExecutor._demand`) —
+   O(nodes) per call, whatever the schedule's period.
 
 2. **Batched execution** — pending counts are flushed in flattening
    (topological) order: each node executes all of its pending firings as
@@ -61,15 +63,14 @@ feedback island with its member kernels.
 :func:`plan_executor_for` / :func:`compiled_plan_for` wrap the whole
 pipeline: the ``optimize=`` graph rewrite (:mod:`repro.exec.optimize`)
 runs first, and every planning artifact — rewrite, bailout verdict,
-per-filter vectorization decisions, recorded schedule traces — is
-cached across runs by graph content (:mod:`repro.exec.cache`).
+island rates, per-filter vectorization decisions — is cached across
+runs by graph content (:mod:`repro.exec.cache`).
 
 The executor is **resumable**: simulator state (occupancies, pending
 counts, source budgets) persists across :meth:`PlanExecutor.advance`
-calls, recorded traces carry a simulator end-state snapshot so even a
-replayed run can continue live, and :meth:`PlanExecutor.
-drain_available` drives a push session's fed input to quiescence —
-this is what backs ``repro.compile(...)`` sessions.
+calls, and :meth:`PlanExecutor.drain_available` drives a push session's
+fed input to quiescence in one jump — this is what backs
+``repro.compile(...)`` sessions.
 """
 
 from __future__ import annotations
@@ -484,12 +485,6 @@ class PlanExecutor:
         #: node index -> why that node runs through FallbackStep
         self.fallback_reasons: dict[int, str] = {}
 
-        # schedule-trace hooks installed by plan_executor_for (cache path)
-        self._trace_lookup = None  # target -> (trace, snapshot) | None
-        self._trace_sink = None  # (target, (trace, snapshot)) -> None
-        self._trace: list | None = None  # events recorded this run
-        self._ran = False
-
         # channel registry: every distinct Channel gets a ring and an
         # index; rings inherit the channel's current contents (a feedback
         # back edge starts holding the loop's enqueued values)
@@ -621,32 +616,14 @@ class PlanExecutor:
                 if self._out_chan in sn.out_ids:
                     self._sink_index = sn.index
         self._sink_fires = 0  # cumulative collector firings (sim)
-        #: what :meth:`_idle_run` needs — per consumer with a source-fed
-        #: input, the source push rate feeding each of its inputs (0 =
-        #: not fed by a source).  Left empty unless idle runs are
-        #: arithmetic: every source unbounded and in steady phase from
-        #: its first firing, and none of them the sink (whose firings
-        #: are the target count).
-        self._source_fed: list[tuple] = []
-        if all(sn.remaining is None and not sn.has_init
-               and sn.index != self._sink_index for sn in self.sources):
-            rate = {cid: u for sn in self.sources
-                    for cid, u in zip(sn.out_ids, sn.pushes)}
-            self._source_fed = [
-                (sn, [rate.get(cid, 0) for cid in sn.in_ids])
-                for sn in self.consumers
-                if any(cid in rate for cid in sn.in_ids)]
-
         # persistent simulator state (pre-filled rings start occupied)
         self._occ = [len(r) for r in self.rings]
         self._pending = [0] * len(self.sim_nodes)
         self._pending_outputs = 0
         self._passes = 0  # lifetime passes, however they were advanced
-        #: of those: simulated one by one / skipped as idle runs (the
-        #: rest were extrapolated or came with a replayed trace)
+        #: how many jumps advanced them / how many ran one by one
+        self.jumps = 0
         self.passes_literal = 0
-        self.passes_idle = 0
-        self._saw_init_fire = False
         # resumable-session cursors (see advance/drain_available)
         self._returned = 0  # outputs handed out to the caller
         self._out_popped = 0  # items popped off the graph output ring
@@ -797,8 +774,6 @@ class PlanExecutor:
         for cid, u in zip(sn.out_ids, pushes):
             occ[cid] += u * n
         self._pending[sn.index] += n
-        if init:
-            self._saw_init_fire = True
         sn.fired = True
         if sn.index == self._sink_index:
             if self._collected is not None:
@@ -856,170 +831,105 @@ class PlanExecutor:
                         hit = True
             self._sim_fire(sn, n, init=False)
 
-    def _sim_sources(self) -> bool:
+    def _fire_sources(self, k: int) -> bool:
+        """The source half of ``k`` passes: every source fires ``k``
+        times, a finite one until it runs dry."""
         progress = False
         for sn in self.sources:
+            n = k if sn.remaining is None else min(k, sn.remaining)
+            if n <= 0:
+                continue
             if sn.remaining is not None:
-                if sn.remaining <= 0:
-                    continue
-                sn.remaining -= 1
-            self._sim_fire(sn, 1, init=self._in_init_phase(sn))
+                sn.remaining -= n
+            if self._in_init_phase(sn):
+                self._sim_fire(sn, 1, init=True)
+                n -= 1
+            if n:
+                self._sim_fire(sn, n, init=False)
             progress = True
         return progress
 
-    def _idle_run(self) -> int:
-        """How many upcoming passes would fire nothing but the sources.
+    def _jump(self, k: int) -> None:
+        """Advance ``k`` full passes at once.
 
-        Asked between passes, when the last sweep has drained every
-        consumer: until some source-fed window fills, a pass only adds
-        each source's push to its channel, so a consumer short of
-        ``need - occ`` items becomes fireable on pass ``ceil(short /
-        push)`` and the earliest such pass ends the run.  The sink
-        cannot move during it, so skipping it is exact.
+        A pass in which the sink stays short of its target drains every
+        consumer, and an acyclic static-rate graph is determinate: the
+        quiescent occupancies depend on how often each source has fired,
+        not on how the firings were grouped into passes.  So ``k`` such
+        passes are the sources firing ``k`` times and one uncapped sweep.
+        """
+        self._fire_sources(k)
+        self._sweep(math.inf)
+        self._passes += k
+        self.jumps += 1
+
+    def _checkpoint(self) -> tuple:
+        """Everything a jump changes, for :meth:`_rollback`."""
+        return (self._occ[:], self._pending[:], self._pending_outputs,
+                self._sink_fires, self._passes, self.jumps,
+                [(sn.fired, sn.remaining) for sn in self.sim_nodes])
+
+    def _rollback(self, saved: tuple) -> None:
+        (self._occ, self._pending, self._pending_outputs, self._sink_fires,
+         self._passes, self.jumps, phases) = saved
+        for sn, (fired, remaining) in zip(self.sim_nodes, phases):
+            sn.fired, sn.remaining = fired, remaining
+
+    def _passes_left(self):
+        """Passes until every source has run dry (inf: one never does)."""
+        return max((math.inf if sn.remaining is None else sn.remaining
+                    for sn in self.sources), default=0)
+
+    def _demand(self, goal: int) -> int:
+        """The first pass at which the sink reaches ``goal`` total
+        outputs, by walking its demand backwards: a node's ``f`` next
+        firings need ``need + (f - 1) * pop`` items on each input, the
+        channel's producer fires ``ceil(owed / push)`` times to supply
+        what the channel does not hold, and a source fires once a pass.
+        A pending init firing is the first of the ``f``, at its own
+        rates.  :meth:`_drive` takes this as a hint and checks it
+        against the sweep.
         """
         occ = self._occ
-        first_busy = None
-        for sn, rates in self._source_fed:
-            needs = sn.init_needs if self._in_init_phase(sn) else sn.needs
-            wait = 0
-            for cid, need, rate in zip(sn.in_ids, needs, rates):
-                short = need - occ[cid]
-                if short > 0:
-                    if not rate:
-                        break  # waits on a filter: not during an idle run
-                    wait = max(wait, -(-short // rate))
-            else:
-                if first_busy is None or wait < first_busy:
-                    first_busy = wait
-        return max(first_busy - 1, 0) if first_busy else 0
+        owed = [0] * len(occ)  # items each channel's producer must add
+        deficit = goal - self._produced()
+        collector = None  # a Collector sink fires once per output
+        if self._collected is None:
+            owed[self._out_chan] = deficit
+        else:
+            collector = self._sink_index
+        passes = 0
+        for sn in reversed(self.sim_nodes):
+            init = self._in_init_phase(sn)
+            f = deficit if sn.index == collector else 0
+            for j, cid in enumerate(sn.out_ids):
+                if owed[cid] > 0:
+                    rest = owed[cid] - (sn.init_pushes[j] if init else 0)
+                    u = sn.pushes[j]
+                    f = max(f, init + (-(-rest // u)  # ceil
+                                       if rest > 0 and u else 0))
+            if not f:
+                continue
+            if not sn.in_ids:
+                passes = max(passes, f)
+            steady = f - init
+            for j, cid in enumerate(sn.in_ids):
+                items = sn.needs[j] + (steady - 1) * sn.pops[j] \
+                    if steady else 0
+                if init:
+                    items = max(sn.init_needs[j], sn.init_pops[j] + items)
+                owed[cid] = items - occ[cid]
+        return passes
 
     # -- batched flush -----------------------------------------------------
     def _flush(self) -> None:
         pending = self._pending
-        trace = self._trace
         for i, step in enumerate(self.steps):
             n = pending[i]
             if n:
                 step.execute(n)
-                if trace is not None:
-                    trace.append((i, n))
                 pending[i] = 0
         self._pending_outputs = 0
-
-    # -- steady-regime extrapolation ---------------------------------------
-
-    #: Longest pass-boundary occupancy cycle the extrapolator looks for.
-    #: Multirate graphs reach a steady regime whose boundary occupancies
-    #: repeat with period p >= 1 (FIR: 1, FilterBank: 3, decimating
-    #: cascades: up to their interleave factor); transients never match,
-    #: so the scan cost is only paid during warmup.
-    EXTRAPOLATION_PERIOD_LIMIT = 64
-
-    def _extrapolate(self, history, n_outputs) -> bool:
-        """Replay the last simulated window of passes K more times in
-        O(nodes).
-
-        ``history`` holds (occupancy, pending, passes) snapshots at the
-        start of recent drive iterations (an idle run plus one literal
-        pass).  When the current occupancy vector matches the one ``p``
-        iterations ago — and no init firing invalidated the window (the
-        caller clears history on those) — the intervening firings form
-        one steady unit: idle run and sweep are deterministic functions
-        of occupancies and phases, so the next ``p`` iterations must
-        repeat it exactly.  K is capped so the sink stays strictly below
-        ``n_outputs`` (the final passes run through the literal
-        simulator, preserving the scalar executor's early-stop firing
-        counts) and so no finite source runs dry mid-replay.  Returns
-        True when a replay was applied (the caller resets its history:
-        the window boundary moved).
-        """
-        if self._sink_index is None:
-            return False
-        occ_now = self._occ
-        out = None if self._collected is not None else self._out_chan
-        if out is not None:
-            # the graph output ring is terminal (no node consumes it):
-            # it grows monotonically, so exclude it from the match and
-            # read the window's sink gain off its growth instead
-            occ_now = occ_now[:]
-            occ_now[out] = 0
-        fires = None
-        window = 0  # passes the matched window spans
-        gain = 0
-        for p in range(1, len(history) + 1):
-            occ_p, pending_p, passes_p = history[-p]
-            if out is not None:
-                gain = self._occ[out] - occ_p[out]
-                occ_p = occ_p[:]
-                occ_p[out] = 0
-            if occ_p == occ_now:
-                fires = [a - b for a, b in zip(self._pending, pending_p)]
-                window = self._passes - passes_p
-                break
-        if fires is None:
-            return False
-        if out is None:
-            gain = fires[self._sink_index]
-        if gain <= 0:
-            return False
-        if math.isinf(n_outputs):  # greedy drain: no sink target
-            k = -(-self.chunk_outputs // gain)
-        else:
-            k = (n_outputs - self._produced() - 1) // gain
-            k = min(k, -(-self.chunk_outputs // gain))  # bound chunk memory
-        for sn in self.sources:
-            if sn.remaining is not None and fires[sn.index] > 0:
-                k = min(k, sn.remaining // fires[sn.index])
-        if k <= 0:
-            return False
-        for sn in self.sim_nodes:
-            f = fires[sn.index]
-            if not f:
-                continue
-            self._pending[sn.index] += f * k
-            for cid, o in zip(sn.in_ids, sn.pops):
-                self._occ[cid] -= o * f * k
-            for cid, u in zip(sn.out_ids, sn.pushes):
-                self._occ[cid] += u * f * k
-            if sn.remaining is not None:
-                sn.remaining -= f * k
-        if self._collected is not None:
-            self._sink_fires += gain * k
-        self._pending_outputs += gain * k
-        self._passes += k * window
-        return True
-
-    # -- cached-trace replay ------------------------------------------------
-    def _sim_snapshot(self) -> tuple:
-        """Simulator-only state alongside a recorded trace, so a replayed
-        executor can resume live simulation afterwards.  Step-internal
-        state (ring contents, stateful carries, FFT partials, island
-        phases) needs no snapshot: the replay executes the real steps."""
-        return (self._occ[:],
-                [sn.remaining for sn in self.sim_nodes],
-                [sn.fired for sn in self.sim_nodes],
-                self._sink_fires, self._passes)
-
-    def _install_snapshot(self, snap: tuple) -> None:
-        occ, remaining, fired, sink_fires, passes = snap
-        self._occ = occ[:]
-        for sn, r, f in zip(self.sim_nodes, remaining, fired):
-            sn.remaining = r
-            sn.fired = f
-        self._sink_fires = sink_fires
-        self._passes = passes
-
-    def _replay(self, rec) -> None:
-        """Execute a previously recorded flush sequence, skipping the rate
-        simulation, then install the recorded simulator end-state so the
-        executor stays resumable.  Valid only from the initial state (the
-        trace was recorded from a cold executor)."""
-        trace, snapshot = rec
-        self._ran = True
-        steps = self.steps
-        for i, n in trace:
-            steps[i].execute(n)
-        self._install_snapshot(snapshot)
 
     # -- reentrant drive loop -----------------------------------------------
     def _refresh_chunk_sources(self) -> None:
@@ -1032,64 +942,45 @@ class PlanExecutor:
         Drain-first transcription of :meth:`FlatGraph._drive`: leftover
         occupancy from a previous advance is swept before any source
         fires, which is what keeps incremental firing counts identical
-        to a single cold run of the same total.
+        to a single cold run of the same total.  Only the pass in which
+        the sink reaches ``target`` stops early, so only that one runs
+        literally: the passes before it are one :meth:`_jump`, sized by
+        :meth:`_demand` and tried on saved state — a jump that would
+        reach the goal is undone and halved.  ``max_passes`` bounds the
+        passes of this call, jumped or literal.
         """
         self._refresh_chunk_sources()
         if self._produced() >= target:
             return
-        if not self._ran:
-            if self._trace_lookup is not None:
-                rec = self._trace_lookup(target)
-                if rec is not None:
-                    self._replay(rec)
-                    return
-            if self._trace_sink is not None:
-                self._trace = []
-        recording = self._trace is not None
-        self._ran = True
         self._sweep(target)
-        passes = 0  # per-call runaway guard; self._passes is lifetime
-        #: (occ, pending) snapshots at recent pass starts — the
-        #: extrapolator's search window for a periodic steady regime.
-        #: Cleared whenever the deltas stop being a replayable unit
-        #: (init firings, flushes, an applied replay).
-        history: list[tuple] = []
+        passes = 0
         while self._produced() < target:
+            goal = min(target, self._produced() + self.chunk_outputs)
+            k = min(self._demand(goal) - 1, self._passes_left(),
+                    max_passes - passes)
+            while k > 0:
+                saved = self._checkpoint()
+                self._jump(k)
+                if self._produced() < goal:
+                    passes += k
+                    break
+                self._rollback(saved)
+                k //= 2
             passes += 1
-            self._passes += 1
             if passes > max_passes:
                 raise InterpError("executor pass limit exceeded")
-            history.append((self._occ[:], self._pending[:],
-                            self._passes - 1))
-            if len(history) > self.EXTRAPOLATION_PERIOD_LIMIT:
-                history.pop(0)
-            self._saw_init_fire = False
-            idle = self._idle_run()
-            if idle:
-                for sn in self.sources:
-                    self._sim_fire(sn, idle, init=False)
-                self._passes += idle
-                self.passes_idle += idle
+            self._passes += 1
             self.passes_literal += 1
-            progress = self._sim_sources()
+            progress = self._fire_sources(1)
             self._sweep(target)
-            if self._saw_init_fire:
-                history.clear()
-            elif progress and self._produced() < target:
-                if self._extrapolate(history, target):
-                    history.clear()
             if self._pending_outputs >= self.chunk_outputs:
                 self._flush()
-                history.clear()
             if not progress and self._produced() < target:
                 self._flush()
                 raise InterpError(
                     f"deadlock: no source progress, "
                     f"{self._produced()}/{target} outputs")
         self._flush()
-        if recording:
-            self._trace_sink(target, (self._trace, self._sim_snapshot()))
-            self._trace = None
 
     def _take(self, n: int):
         """The next ``n`` already-produced outputs past the cursor."""
@@ -1115,55 +1006,16 @@ class PlanExecutor:
         self._drive(self._returned + n, max_passes)
         return self._take(n)
 
-    def _sim_sources_block(self) -> bool:
-        """Greedy-mode source pass: finite sources fire *all* remaining
-        items at once.  Only valid when draining to quiescence — SDF
-        confluence makes the quiescent totals independent of feed
-        granularity, so block feeding changes no firing count — and it
-        makes the greedy drain O(nodes) per push instead of one
-        simulated pass per fed item."""
-        progress = False
-        for sn in self.sources:
-            if self._in_init_phase(sn):
-                if sn.remaining is not None:
-                    if sn.remaining <= 0:
-                        continue
-                    sn.remaining -= 1
-                self._sim_fire(sn, 1, init=True)
-                progress = True
-                continue
-            if sn.remaining is None:
-                k = 1  # unbounded source: keep the pass-paced behavior
-            else:
-                k = sn.remaining
-                if k <= 0:
-                    continue
-                sn.remaining = 0
-            self._sim_fire(sn, k, init=False)
-            progress = True
-        return progress
-
     def drain_available(self, max_passes: int = 10_000_000):
         """Greedily fire everything the fed input admits; return the new
-        outputs.  Used by ``StreamSession.push``: no output target, no
-        deadlock — the drive stops when the finite sources run dry and
-        the graph is quiescent."""
+        outputs.  Used by ``StreamSession.push``: no output target, so
+        no pass stops early and the whole drain is one jump — as many
+        passes as the finite sources have items left."""
         self._refresh_chunk_sources()
-        self._ran = True
-        target = math.inf
-        self._sweep(target)
-        passes = 0
-        while True:
-            passes += 1
-            self._passes += 1
-            if passes > max_passes:
-                raise InterpError("executor pass limit exceeded")
-            self._saw_init_fire = False
-            if not self._sim_sources_block():
-                break
-            self._sweep(target)
-            if self._pending_outputs >= self.chunk_outputs:
-                self._flush()
+        k = self._passes_left()
+        if k > max_passes:
+            raise InterpError("executor pass limit exceeded")
+        self._jump(k)
         self._flush()
         return self._take(self._produced() - self._returned)
 
@@ -1210,15 +1062,15 @@ def _fission_rewrite(stream: Stream, workers: int, policy) -> Stream:
 
 def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
                       chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
-                      optimize: str = "none", cache=None, traces=True,
-                      seed=None, dtype=None, workers: int = 1):
+                      optimize: str = "none", cache=None, seed=None,
+                      dtype=None, workers: int = 1):
     """Compile ``stream``; return ``(executor, entry)``.
 
     The full pipeline: rewrite the graph per ``optimize``
     (:func:`~repro.exec.optimize.optimize_stream`), then plan the
     rewritten graph.  Planning artifacts — the rewrite itself, the bailout
-    verdict, per-filter vectorization decisions, and recorded schedule
-    traces — are cached in ``cache`` (default: the process-wide
+    verdict, island probe results and per-filter vectorization decisions
+    — are cached in ``cache`` (default: the process-wide
     :data:`~repro.exec.cache.PLAN_CACHE`), keyed by the graph's content
     fingerprint; pass ``cache=False`` to plan from scratch (``entry`` is
     then None).  Probing happens at most once per entry — repeated
@@ -1238,20 +1090,15 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     ``executor`` is the scalar compiled :class:`FlatGraph` (same
     ``run``/``advance`` interface) when the graph cannot be batched —
     see :func:`plan_bailout_reason`; the verdict is on ``entry.bailout``.
-    ``traces=False`` skips installing schedule-trace record/replay hooks
-    (push sessions, whose input arrives incrementally, use this).
 
     ``workers > 1`` compiles for the parallel engine: the optimized
     graph additionally passes the fission rewrite
     (:func:`~repro.exec.optimize.fission_stream`), the executor is a
     :class:`~repro.parallel.executor.ParallelPlanExecutor` scheduling
-    step chains onto a worker pool, trace record/replay is disabled
-    (schedules are driven live), and the plan cache keys on the worker
-    count.
+    step chains onto a worker pool, and the plan cache keys on the
+    worker count.
     """
     policy = resolve_policy(dtype)
-    if workers > 1:
-        traces = False
     if cache is None:
         cache = PLAN_CACHE
     if cache is False:
@@ -1296,11 +1143,6 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
         entry.decisions = executor.decisions
     if entry.islands is None:
         entry.islands = executor.island_rates
-    if traces:
-        store = entry.traces
-        executor._trace_lookup = lambda n: store.get((chunk_outputs, n))
-        executor._trace_sink = (
-            lambda n, t: store.setdefault((chunk_outputs, n), t))
     return executor, entry
 
 
@@ -1316,8 +1158,7 @@ def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
 
 
 def executor_from_entry(entry, profiler: Profiler | None = None,
-                        chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
-                        traces: bool = True):
+                        chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS):
     """Fresh executor over an already-compiled :class:`~repro.exec.cache.
     PlanEntry` — no fingerprinting, no probing, no cache lookup.
 
@@ -1329,19 +1170,10 @@ def executor_from_entry(entry, profiler: Profiler | None = None,
     flat = FlatGraph(entry.optimized, profiler, backend="compiled")
     if entry.bailout is not None:
         return flat
-    workers = getattr(entry, "workers", 1)
-    if workers > 1:
-        traces = False
-    executor = _make_executor(flat, chunk_outputs, entry.decisions,
-                              entry.islands,
-                              getattr(entry, "policy", DEFAULT_POLICY),
-                              workers)
-    if traces:
-        store = entry.traces
-        executor._trace_lookup = lambda n: store.get((chunk_outputs, n))
-        executor._trace_sink = (
-            lambda n, t: store.setdefault((chunk_outputs, n), t))
-    return executor
+    return _make_executor(flat, chunk_outputs, entry.decisions,
+                          entry.islands,
+                          getattr(entry, "policy", DEFAULT_POLICY),
+                          getattr(entry, "workers", 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1403,11 +1235,11 @@ class PlanReport:
     steps: list[StepReport] = field(default_factory=list)
     islands: list[IslandReport] = field(default_factory=list)
     #: schedule simulation so far (all 0 for a plan that has not run):
-    #: passes advanced in total, simulated one by one, and skipped in
-    #: closed form as idle runs — the rest were extrapolated or replayed
+    #: passes advanced in total, the jumps that advanced them, and the
+    #: passes simulated one by one (the last of each drive)
     passes: int = 0
+    jumps: int = 0
     passes_literal: int = 0
-    passes_idle: int = 0
 
     @property
     def fallbacks(self) -> list[StepReport]:
@@ -1431,8 +1263,8 @@ class PlanReport:
         lines.append(f"{n_fb}/{len(self.steps)} nodes fall back to scalar "
                      "firing")
         lines.append(f"schedule: {self.passes} passes, "
-                     f"{self.passes_literal} simulated literally, "
-                     f"{self.passes_idle} skipped as idle runs")
+                     f"{self.jumps} jumps, "
+                     f"{self.passes_literal} literal passes")
         for isl in self.islands:
             lines.append(str(isl))
         return "\n".join(lines)
@@ -1450,9 +1282,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
 
     flat = executor.flat
     rep = PlanReport(program=program, optimize=optimize, bailout=None,
-                     passes=executor._passes,
-                     passes_literal=executor.passes_literal,
-                     passes_idle=executor.passes_idle)
+                     passes=executor._passes, jumps=executor.jumps,
+                     passes_literal=executor.passes_literal)
     flat_index = {id(n): i for i, n in enumerate(flat.nodes)}
     for pos, (entry, step) in enumerate(zip(executor.outer_entries,
                                             executor.steps)):

@@ -105,9 +105,6 @@ class ParallelPlanExecutor(PlanExecutor):
 
     # -- scheduling -------------------------------------------------------
     def _flush(self) -> None:
-        if self._trace is not None:
-            raise InterpError(
-                "schedule traces are not supported with workers > 1")
         pending = self._pending
         if not any(pending):
             self._pending_outputs = 0

@@ -30,7 +30,6 @@ are one-shot wrappers over a session.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -431,24 +430,8 @@ class FlatGraph:
 # ---------------------------------------------------------------------------
 
 
-def _shift_deprecated_positionals(fname, legacy, backend, optimize):
-    """Map deprecated positional ``backend``/``optimize`` arguments."""
-    if not legacy:
-        return backend, optimize
-    warnings.warn(
-        f"passing backend/optimize to {fname} positionally is deprecated; "
-        "use keyword arguments, or repro.compile(...) for a resumable "
-        "StreamSession", DeprecationWarning, stacklevel=3)
-    if len(legacy) > 2:
-        raise TypeError(f"{fname}: too many positional arguments")
-    backend = legacy[0]
-    if len(legacy) == 2:
-        optimize = legacy[1]
-    return backend, optimize
-
-
 def run_graph(stream: Stream, n_outputs: int,
-              profiler: Profiler | None = None, *legacy,
+              profiler: Profiler | None = None, *,
               backend: str = "compiled",
               optimize: str = "none",
               as_array: bool = False):
@@ -457,18 +440,15 @@ def run_graph(stream: Stream, n_outputs: int,
     ``optimize`` rewrites the graph with the paper's optimization passes
     first (``none`` | ``linear`` | ``freq`` | ``auto`` — see
     :func:`repro.exec.optimize.optimize_stream`); under the ``plan``
-    backend the rewrite, the compiled plan, and the rate-simulation
-    schedule are all cached across calls by graph content.
+    backend the rewrite and the compiled plan are cached across calls
+    by graph content.
 
     One-shot wrapper over :class:`repro.session.StreamSession` — the
     session API (``repro.compile``) is the way in when the plan should
     be compiled once and amortized across many calls.  ``as_array=True``
     returns ``np.ndarray`` instead of ``list[float]`` (ndarray-native
-    where the sink allows, converted otherwise).  Passing ``backend`` or
-    ``optimize`` positionally is deprecated.
+    where the sink allows, converted otherwise).
     """
-    backend, optimize = _shift_deprecated_positionals(
-        "run_graph", legacy, backend, optimize)
     from ..session import StreamSession  # deferred: session imports us
     session = StreamSession(stream, backend=backend, optimize=optimize,
                             profiler=profiler, _program_mode=True)
@@ -481,7 +461,7 @@ def run_graph(stream: Stream, n_outputs: int,
 
 
 def run_stream(stream: Stream, inputs, n_outputs: int,
-               profiler: Profiler | None = None, *legacy,
+               profiler: Profiler | None = None, *,
                backend: str = "compiled",
                optimize: str = "none",
                as_array: bool = False):
@@ -493,8 +473,6 @@ def run_stream(stream: Stream, inputs, n_outputs: int,
     result is an ``np.ndarray`` — no per-sample boxing.  The default
     (list) harness is unchanged: ``ListSource`` + ``Collector``.
     """
-    backend, optimize = _shift_deprecated_positionals(
-        "run_stream", legacy, backend, optimize)
     if as_array:
         from ..session import StreamSession
         session = StreamSession(stream, backend=backend, optimize=optimize,

@@ -228,8 +228,8 @@ class StreamSession:
             executor, entry = compiled_plan_for(
                 self._program, self._profiler,
                 chunk_outputs=self._chunk_outputs, optimize=self.optimize,
-                traces=self._source is None, seed=self._plan_seed,
-                dtype=self.policy, workers=self.workers)
+                seed=self._plan_seed, dtype=self.policy,
+                workers=self.workers)
             self._entry = entry
             return executor
         if self._optimized is None:
@@ -447,8 +447,7 @@ class StreamSession:
             from .exec.planner import executor_from_entry
             self._executor = executor_from_entry(
                 self._entry, self._profiler,
-                chunk_outputs=self._chunk_outputs,
-                traces=self._source is None)
+                chunk_outputs=self._chunk_outputs)
         else:
             self._executor = self._build_executor()
         self._produced_total = 0

@@ -175,6 +175,29 @@ def test_plan_repeated_run_extends():
     np.testing.assert_allclose(more, expected, atol=1e-9)
 
 
+def test_pass_limit_means_the_same_on_both_executors():
+    """``max_passes`` bounds the passes of one call, jumped or literal:
+    a run stops on the plan executor exactly where it stops on the
+    scalar one (the plan used to count loop iterations and ran on)."""
+    import repro
+
+    def executor(backend):
+        return repro.compile(small("FIR"), backend=backend)._executor
+
+    needed = {}
+    for backend in ("compiled", "plan"):
+        with pytest.raises(InterpError, match="executor pass limit exceeded"):
+            executor(backend).advance(5000, max_passes=100)
+        ex = executor(backend)
+        ex.advance(500)
+        needed[backend] = ex._passes
+    assert needed["plan"] == needed["compiled"] > 500
+    for backend, passes in needed.items():
+        assert len(executor(backend).advance(500, max_passes=passes)) == 500
+        with pytest.raises(InterpError, match="executor pass limit exceeded"):
+            executor(backend).advance(500, max_passes=passes - 1)
+
+
 # ---------------------------------------------------------------------------
 # Feedback islands and bailouts
 # ---------------------------------------------------------------------------

@@ -403,7 +403,7 @@ def test_lanes_under_workers():
         assert_same_counts(par.profile, serial.profile)
 
 
-def test_trace_replay_of_a_cold_cached_run_graph():
+def test_second_cold_run_graph_equals_the_first():
     clear_plan_cache()
     build = lambda: BENCHMARKS["Radar"](channels=4, beams=2, fir1_taps=4,
                                         fir2_taps=2, mf_taps=4)

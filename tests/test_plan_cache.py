@@ -1,8 +1,8 @@
-"""Plan caching: fingerprints, reuse, invalidation, trace replay.
+"""Plan caching: fingerprints, reuse, invalidation.
 
 The contract: repeated ``run_graph`` calls on the same (or
 content-identical) graph reuse the cached plan — no re-extraction, no
-re-simulation — while any in-place mutation of the graph changes the
+re-probing — while any in-place mutation of the graph changes the
 fingerprint and cleanly invalidates the entry, so results always reflect
 the current coefficients.
 """
@@ -71,14 +71,14 @@ def test_cache_entries_keyed_by_optimize_mode():
     assert plan_cache_stats()["entries"] == 2
 
 
-def test_trace_replay_matches_simulated_run():
-    """Same n_outputs replays the recorded schedule; a new n_outputs
-    re-simulates — outputs and FLOP counts identical either way."""
+def test_second_cold_run_graph_equals_the_first():
+    """A cached plan is driven live every time: the same n_outputs
+    gives the same outputs and FLOP counts, a new one extends them."""
     program = fir.build(taps=32)
     p1, p2, p3 = Profiler(), Profiler(), Profiler()
     first = run_graph(program, 120, p1, backend="plan")
-    replayed = run_graph(program, 120, p2, backend="plan")
-    assert replayed == first
+    again = run_graph(program, 120, p2, backend="plan")
+    assert again == first
     assert p2.counts.flops == p1.counts.flops
     longer = run_graph(program, 300, p3, backend="plan")
     assert longer[:120] == first
@@ -86,15 +86,16 @@ def test_trace_replay_matches_simulated_run():
     np.testing.assert_allclose(longer, expected, atol=1e-9)
 
 
-def test_replayed_executor_resumes_live_simulation():
-    """A cached-trace replay installs the recorded simulator end-state,
-    so the same executor can keep producing outputs afterwards (the
-    session contract) — values and FLOPs identical to a longer run."""
+def test_executor_on_a_cached_plan_resumes():
+    """An executor built from a cache hit keeps producing outputs after
+    its first run (the session contract) — values identical to a
+    longer run."""
     program = fir.build(taps=32)
-    run_graph(program, 50, backend="plan")  # records the trace
+    run_graph(program, 50, backend="plan")  # caches the plan
     executor = plan_executor_for(program)
     assert isinstance(executor, PlanExecutor)
-    first = executor.run(50)  # replays the recorded schedule
+    assert plan_cache_stats()["hits"] == 1
+    first = executor.run(50)
     resumed = first + list(executor.advance(10))
     expected = run_graph(fir.build(taps=32), 60, backend="compiled")
     np.testing.assert_allclose(resumed, expected, atol=1e-9)

@@ -1,5 +1,5 @@
-"""Block-paced pull runs: idle-run skipping in the schedule simulator and
-the periodic-source kernel.
+"""Block-paced pull runs: schedule jumps in the rate simulator and the
+periodic-source kernel.
 
 Both replace iteration by arithmetic over a closed deterministic system,
 so every test is differential and exact: firing counts and FLOPs against
@@ -8,6 +8,7 @@ tail differ, against the same plan driven pass by pass), values bitwise
 against the scalar source loop.
 """
 
+import math
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 import repro
 from repro.apps import BENCHMARKS
+from repro.errors import InterpError
 from repro.exec import clear_plan_cache, kernels as K
 from repro.exec.planner import PlanExecutor
 from repro.graph import Pipeline
@@ -151,6 +153,14 @@ void->float pipeline PrimedPaced {
     add Block(96, 80, 4);
 }
 
+/* 1771 source items, 77 busy passes and 15 outputs to a period */
+void->float pipeline Coprime {
+    add Ramp(7);
+    add Block(75, 23, 3);
+    add Block(13, 11, 5);
+    add Keep1of(7);
+}
+
 void->float pipeline Just(int which, int a, int b) {
     if (which == 0) { add Ramp(a); }
     if (which == 1) { add LateRamp(a, b); }
@@ -162,7 +172,7 @@ void->float pipeline Just(int which, int a, int b) {
 
 
 def session(top, args=(), **kw):
-    """A cold session: no cached plan, so no recorded trace to replay."""
+    """A cold session on a freshly compiled plan."""
     clear_plan_cache()
     kw.setdefault("profiler", Profiler())
     return repro.compile(DSL, top=top, args=args, **kw)
@@ -192,9 +202,9 @@ def count_firings(s) -> dict:
 
 
 def literal(s):
-    """Switch a fresh plan session's idle-run skipping off: the
-    pass-by-pass simulator it must be indistinguishable from."""
-    s._executor._source_fed = []
+    """Force every jump of a plan session to ``k = 0``: the pass-by-pass
+    simulator it must be indistinguishable from."""
+    s._executor._demand = lambda goal: 0
     return s
 
 
@@ -219,7 +229,7 @@ def scalar_sources(s):
 
 
 # ---------------------------------------------------------------------------
-# (a) idle-run skipping
+# (a) schedule jumps
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +244,7 @@ def paced_cases():
 
 
 @pytest.mark.parametrize("args", list(paced_cases()))
-def test_idle_runs_keep_firing_counts_and_flops(args):
+def test_jumps_keep_firing_counts_and_flops(args):
     """source -> block consumer [-> decimator]: a cold run and every
     split of it — ending inside the first block, mid-block and exactly
     on a block edge — fire each node exactly as often as the scalar
@@ -258,27 +268,100 @@ def test_idle_runs_keep_firing_counts_and_flops(args):
             assert_same_counts(prof_p, prof_c)
 
 
-@pytest.mark.parametrize("top", ["Paced", "TwoLanes", "PacedLoop"])
-def test_idle_runs_equal_the_literal_simulator(top):
-    """Skipping is invisible: same batches per step, same lifetime pass
-    count, bitwise the same outputs as simulating every pass — also on
-    two sources with unequal needs and in front of a feedback island."""
+def assert_jumps_equal_literal(make, splits):
+    """Same batches per step, same lifetime pass count, bitwise the same
+    outputs and exact FLOPs as simulating every pass."""
+    fast, slow = make(), literal(make())
+    fired_fast, fired_slow = count_firings(fast), count_firings(slow)
+    for k in splits:
+        np.testing.assert_array_equal(fast.run(k), slow.run(k))
+    assert fired_fast == fired_slow
+    assert fast._executor._passes == slow._executor._passes
+    assert_same_counts(fast.profile, slow.profile)
+    assert fast._executor.jumps > 0
+    assert slow._executor.jumps == 0
+    assert slow._executor.passes_literal == slow._executor._passes
+    assert fast._executor.passes_literal < slow._executor.passes_literal
+    return fast, slow
+
+
+@pytest.mark.parametrize("top", ["Paced", "TwoLanes", "PacedLoop",
+                                 "Coprime", "PrimedPaced"])
+def test_jumps_equal_the_literal_simulator(top):
+    """Jumping is invisible — also on two sources with unequal needs, in
+    front of a feedback island, behind a source with prework, and on a
+    cascade whose schedule only repeats after 77 busy passes."""
     args = (11, 150, 101, 3, 2) if top == "Paced" else ()
     for splits in ([57], [1, 56], [23, 34], [30, 27]):
-        fast, slow = session(top, args), literal(session(top, args))
-        fired_fast, fired_slow = count_firings(fast), count_firings(slow)
-        for k in splits:
-            np.testing.assert_array_equal(fast.run(k), slow.run(k))
-        assert fired_fast == fired_slow
-        assert fast._executor._passes == slow._executor._passes
-        assert_same_counts(fast.profile, slow.profile)
-        assert fast._executor.passes_idle > 0
-        assert slow._executor.passes_idle == 0
-        assert fast._executor.passes_literal < slow._executor.passes_literal
+        fast, _ = assert_jumps_equal_literal(lambda: session(top, args),
+                                             splits)
+        # one literal pass per run: the one that reaches the target
+        assert fast._executor.passes_literal == len(splits)
+
+
+def test_jumps_flush_mid_run_like_the_literal_simulator():
+    """``chunk_outputs`` below the run length: a jump stops at each
+    chunk boundary, the flush happens there, the counts do not move."""
+    for splits in ([57], [23, 34]):
+        fast, _ = assert_jumps_equal_literal(
+            lambda: session("Coprime", chunk_outputs=8), splits)
+        # one jump and one literal pass per chunk, not per run
+        assert fast._executor.jumps >= 57 // 8
+        assert fast._executor.passes_literal >= 57 // 8
+
+
+@pytest.mark.parametrize("hint", [1, 7, 10 ** 6, "double", "random"])
+def test_any_demand_hint_gives_the_same_schedule(hint):
+    """The sweep decides; ``_demand`` only sizes the jump.  Too small a
+    hint costs literal passes, too large a one is rolled back."""
+    rng = random.Random(5)
+    for top in ("TwoLanes", "PrimedPaced", "Coprime"):
+        exact, wrong = session(top), session(top)
+        ex = wrong._executor
+        real = ex._demand
+        ex._demand = {
+            "double": lambda goal: 2 * real(goal),
+            "random": lambda goal: rng.randint(0, 3 * real(goal)),
+        }.get(hint, lambda goal: hint)
+        fired_exact, fired_wrong = count_firings(exact), count_firings(wrong)
+        for k in (23, 1, 34):
+            np.testing.assert_array_equal(wrong.run(k), exact.run(k))
+        assert fired_wrong == fired_exact
+        assert ex._passes == exact._executor._passes
+        assert_same_counts(wrong.profile, exact.profile)
+
+
+@pytest.mark.parametrize("top", ["Paced", "TwoLanes", "PacedLoop"])
+def test_demand_is_the_literal_first_hit_pass(top):
+    """Over 200 random (occupancy, target) states: the backward walk
+    names the very pass at which the pass-by-pass simulator reaches the
+    target — one walk, one jump, one literal pass per run."""
+    args = (11, 150, 101, 3, 2) if top == "Paced" else ()
+    rng = random.Random(top)
+    fast, slow = session(top, args), literal(session(top, args))
+    ex = fast._executor
+    asked = []
+    real = ex._demand
+
+    def recording(goal):
+        asked.append((ex._passes, real(goal)))
+        return asked[-1][1]
+
+    ex._demand = recording
+    for _ in range(120):
+        k = rng.choice([1, 2, 3, 5, rng.randint(1, 40), rng.randint(1, 400)])
+        before = len(asked)
+        fast.run(k)
+        slow.run(k)
+        if len(asked) > before:  # leftovers did not cover the run
+            (passes_then, first_hit), = asked[before:]
+            assert passes_then + first_hit == slow._executor._passes
+        assert ex._passes == slow._executor._passes
+    assert len(asked) >= 67  # x 3 graphs
 
 
 @pytest.mark.parametrize("top", ["TwoLanes", "PacedLoop"])
-def test_idle_runs_match_compiled_values(top):
+def test_jumps_match_compiled_values(top):
     compiled = session(top, backend="compiled")
     plan = session(top)
     for k in (5, 40, 1, 32):
@@ -287,24 +370,42 @@ def test_idle_runs_match_compiled_values(top):
         assert_same_counts(plan.profile, compiled.profile)
 
 
-def test_finite_push_and_prework_sources_take_the_literal_path():
-    """Idle runs are only arithmetic for unbounded steady sources: a
-    ListSource, a push session's ChunkSource and a source with prework
-    leave the table empty, so no pass is ever skipped."""
-    block = repro.dsl.load_source(DSL, "Block", 96, 80, 4)
-    listed = repro.compile(
-        Pipeline([ListSource([0.5 * i for i in range(2000)]), block]))
-    pushed = repro.compile(repro.dsl.load_source(DSL, "Block", 96, 80, 4))
-    primed = session("PrimedPaced")
-    listed.run(40)
-    pushed.push(np.arange(2000.0))
+def test_list_source_runs_dry_inside_a_jump():
+    """136 items through a 3:1 decimator are 45 outputs: the jump stops
+    where the source does and the next pass reports the deadlock, in
+    the scalar executor's words and after as many passes."""
+    keep = lambda: repro.dsl.load_source(DSL, "Keep1of", 3)
+    listed = lambda **kw: repro.compile(
+        Pipeline([ListSource([0.5 * i for i in range(136)]), keep()]), **kw)
+    message = "deadlock: no source progress, 45/100 outputs"
+    sessions = [listed(backend="compiled"), listed(), literal(listed())]
+    for s in sessions:
+        with pytest.raises(InterpError, match=message):
+            s.run(100)
+    assert [s._executor._passes for s in sessions] == [137] * 3
+    assert sessions[1]._executor.passes_literal == 1
+    np.testing.assert_allclose(listed().run(45),
+                               listed(backend="compiled").run(45))
+
+
+def test_push_sessions_drain_in_one_jump():
+    """A push has no target, so no pass stops early: whatever the chunk
+    size, a drain is one jump and no literal pass."""
+    block = lambda: repro.dsl.load_source(DSL, "Block", 96, 80, 4)
+    data = np.arange(2000.0)
+    whole = repro.compile(block())
+    parts = repro.compile(block())
+    scalar = repro.compile(block(), backend="compiled")
+    out = whole.push(data)
+    chunks = np.split(data, [1, 95, 96, 1111])
     np.testing.assert_allclose(
-        primed.run(40), session("PrimedPaced", backend="compiled").run(40),
-        atol=1e-9)
-    for s in (listed, pushed, primed):
-        assert s._executor._source_fed == []
-        assert s._executor.passes_idle == 0
-    assert session("Paced", (4, 96, 80, 4, 0))._executor._source_fed
+        out, np.concatenate([parts.push(c) for c in chunks]), atol=1e-9)
+    np.testing.assert_allclose(out, scalar.push(data), atol=1e-9)
+    assert_same_counts(whole.profile, parts.profile)
+    assert_same_counts(whole.profile, scalar.profile)
+    assert (whole._executor.jumps, parts._executor.jumps) == (1, 5)
+    assert whole._executor.passes_literal == 0
+    assert whole._executor._passes == parts._executor._passes == 2000
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +499,9 @@ def test_periodic_source_under_workers():
         assert par.profile.counts.flops == serial.profile.counts.flops
 
 
-def test_trace_replay_of_a_cold_cached_run_graph():
-    """A second cold ``run_graph`` replays the recorded flush sequence:
-    the source step sees the same batches and must detect again."""
+def test_second_cold_run_graph_detects_the_source_again():
+    """A second cold ``run_graph`` reuses the cached plan on a fresh
+    executor: its source step must detect the period again."""
     clear_plan_cache()
     build = lambda: repro.dsl.load_source(DSL, "Paced", 6, 96, 80, 4, 0)
     p1, p2 = Profiler(), Profiler()
@@ -447,7 +548,7 @@ def test_source_step_passes_the_kernel_fault_site():
 
 def test_resumed_fir_run_is_block_paced():
     """The ``fir_pull`` call: a resumed ``run(8192)`` on FIR(256) under
-    ``auto`` simulates a handful of literal passes (it was one per
+    ``auto`` is one jump and one literal pass (it was one pass per
     source item, 8 448) and never fires the scalar source."""
     s = repro.compile(BENCHMARKS["FIR"](), optimize="auto")
     s.run(64)
@@ -457,15 +558,38 @@ def test_resumed_fir_run_is_block_paced():
     assert step.kind == "periodic-source"
     scalar = []
     step.node.runner.fire = lambda *a: scalar.append(a)
-    literal_before, passes_before = ex.passes_literal, ex._passes
+    before = (ex._passes, ex.jumps, ex.passes_literal)
     s.run(8192)
-    assert ex.passes_literal - literal_before <= 64
-    assert ex._passes - passes_before > 7000  # still one per source item
+    after = (ex._passes, ex.jumps, ex.passes_literal)
+    assert after[0] - before[0] > 7000  # still one per source item
+    assert after[1:] == (before[1] + 1, before[2] + 1)
     assert scalar == []
     text = str(s.report())
-    assert "periodic-source" in text and "skipped as idle runs" in text
-    slow = literal(repro.compile(BENCHMARKS["FIR"](), optimize="auto"))
-    for k in (64, 8192, 8192):
-        slow.run(k)
-    assert slow._executor._passes == ex._passes
-    assert_same_counts(slow.profile, s.profile)
+    assert "periodic-source" in text
+    assert f"schedule: {after[0]} passes, 3 jumps, 3 literal passes" in text
+
+
+#: resumed run length per app: what ``perfbench`` and the bench tables use
+CENSUS = {name: 8192 for name in BENCHMARKS}
+CENSUS.update(Vocoder=128, VocoderEcho=128, DToA=1024, Radar=1024)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_schedule_census(name):
+    """The cost of a resumed ``run(n)`` does not depend on the schedule's
+    period: on every app it advances with at most two literal passes
+    (FMRadio took 8 192, TargetDetect 2 027) and exactly as many passes,
+    firings and FLOPs as the pass-by-pass reference."""
+    n = CENSUS[name]
+    fast = repro.compile(BENCHMARKS[name](), optimize="auto")
+    slow = literal(repro.compile(BENCHMARKS[name](), optimize="auto"))
+    assert isinstance(fast._executor, PlanExecutor), fast.bailout
+    fired_fast, fired_slow = count_firings(fast), count_firings(slow)
+    for s in (fast, slow):
+        s.run(64)
+    literal_before = fast._executor.passes_literal
+    np.testing.assert_array_equal(fast.run(n), slow.run(n))
+    assert fast._executor.passes_literal - literal_before <= 2
+    assert fast._executor._passes == slow._executor._passes
+    assert fired_fast == fired_slow
+    assert_same_counts(fast.profile, slow.profile)

@@ -235,12 +235,12 @@ def test_reset_rewinds_without_recompiling():
     assert flops > 0
 
 
-def test_trace_replay_session_resumes():
-    """A session whose first advance replays a cached schedule trace
-    continues the stream correctly afterwards."""
+def test_session_on_a_cached_plan_resumes():
+    """A session compiled from a plan that ``run_graph`` cached
+    continues the stream correctly past the cached run's length."""
     clear_plan_cache()
     program = small("FIR")
-    run_graph(program, 50, backend="plan")  # records the (65536, 50) trace
+    run_graph(program, 50, backend="plan")  # caches the plan
     session = repro.compile(program, backend="plan")
     resumed = np.concatenate([session.run(50), session.run(30)])
     expected = run_graph(BENCHMARKS["FIR"](**SMALL_PARAMS["FIR"]), 80,
@@ -311,17 +311,9 @@ def test_run_stream_as_array(backend):
     assert_counts_equal(p_list, p_arr, backend)
 
 
-def test_positional_backend_emits_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="repro.compile"):
+def test_positional_backend_is_a_type_error():
+    with pytest.raises(TypeError, match="positional"):
         run_graph(small("FIR"), 8, None, "compiled")
-    with pytest.warns(DeprecationWarning, match="positionally"):
-        run_graph(small("FIR"), 8, None, "plan", "linear")
-    with pytest.warns(DeprecationWarning):
-        run_stream(low_pass_filter(1.0, 1.0, 4), [1.0] * 16, 4, None,
-                   "compiled")
-    with pytest.raises(TypeError, match="too many positional"), \
-            pytest.warns(DeprecationWarning):
-        run_graph(small("FIR"), 8, None, "compiled", "none", "extra")
 
 
 def test_keyword_form_emits_no_warning():
@@ -456,18 +448,18 @@ def test_overshooting_advances_keep_firing_parity(backend):
     assert_counts_equal(p_one, p_inc, backend)
 
 
-def test_output_channel_streams_extrapolate():
+def test_output_channel_streams_jump():
     """Long plan-backend runs paced by the graph output channel (no
-    Collector) must reach the steady-regime replay, not simulate one
-    pass per output."""
+    Collector) jump from flush to flush, not one pass per output."""
     clear_plan_cache()
     session = repro.compile(make_output_channel_program(), backend="plan")
     n = 160_000
     out = session.run(n)
     assert len(out) == n
-    # O(outputs) literal passes would dwarf this bound; the replay keeps
-    # the lifetime counter near the number of windows, not outputs
-    assert session._executor._passes < n // 4
+    executor = session._executor
+    assert executor._passes == n // 16  # each source item becomes 16
+    # one literal pass per 65 536-output chunk and one to finish
+    assert executor.passes_literal == executor.jumps == 3
 
 
 def test_push_sessions_are_cache_single_use():
