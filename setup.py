@@ -13,5 +13,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    install_requires=["numpy>=2.0"],  # the FFT kernels transform with out=
 )

@@ -35,9 +35,10 @@ A :class:`PlanEntry` carries everything reusable across runs:
   or the fallback reason) so a cache hit skips extraction entirely,
 * each feedback island's probed external rates.
 
-Mutable execution state (ring buffers, fallback runners, profilers) and
-the firing schedule are *never* cached; every run builds a fresh
-executor around the shared immutable plan and drives it live
+Mutable execution state (ring buffers — a push session's feed and
+output rings among them — fallback runners, profilers) and the firing
+schedule are *never* cached; every run builds a fresh executor around
+the shared immutable plan and drives it live
 (:meth:`~repro.exec.planner.PlanExecutor._drive` costs O(nodes) per
 call, whatever the schedule's period).
 """
@@ -276,17 +277,15 @@ class _Fingerprinter:
         from ..frequency.filters import Decimator, _FreqBase
         from ..linear.filters import ConstantSourceFilter, LinearFilter
         from ..linear.state import StatefulLinearFilter
-        from ..runtime.builtins import (ChunkSource, Collector,
-                                        FunctionSource, Identity, ListSource)
+        from ..runtime.builtins import (ArrayCollector, ChunkSource,
+                                        Collector, FunctionSource, Identity,
+                                        ListSource)
 
         self._u(s.peek, s.pop, s.push, s.init_peek, s.init_pop, s.init_push)
-        if isinstance(s, ChunkSource):
-            # a push session's feed ring is consumed in place: two
-            # content-identical graphs diverge as soon as either runs,
-            # so the plan must never be shared (the session that built
-            # it still amortizes it across its own pushes)
-            self._u("chunk-src", id(s))
-            self.single_use = True
+        if isinstance(s, (ChunkSource, ArrayCollector)):
+            # a push harness: the feed and output rings are runner
+            # state, so the node is its type, rates and dtype
+            self._u(s.dtype.str)
         elif isinstance(s, ListSource):
             self._array(np.asarray(s.values, dtype=float))
         elif isinstance(s, ConstantSourceFilter):
@@ -322,6 +321,13 @@ class _Fingerprinter:
                 self.single_use = True
 
     def stream(self, s: Stream) -> None:
+        cached = getattr(s, "_source_fingerprint", None)
+        if cached is not None:
+            # DSL-loaded (a whole program, or a push session's body
+            # inside its harness): the source digest stands in for the walk
+            self.h.update(cached[0])
+            self.single_use |= cached[1]
+            return
         self._u(type(s).__name__, getattr(s, "name", ""))
         if isinstance(s, Filter):
             self._u(work_to_str(s.work),
@@ -351,13 +357,11 @@ def fingerprint_stream(stream: Stream) -> tuple[bytes, bool]:
 
     Graphs elaborated from DSL source via the fingerprinting loader
     carry a precomputed ``_source_fingerprint`` — the digest of the
-    (source text, top, args) triple — which short-circuits the walk:
-    the source fingerprint *is* the cache key, so recompiling the same
-    program hits the plan cache without re-hashing the graph.
+    (source text, top, args) triple — which short-circuits the walk
+    wherever it appears: the source text *is* the cache key, so
+    recompiling the same program hits the plan cache without re-hashing
+    the graph.
     """
-    cached = getattr(stream, "_source_fingerprint", None)
-    if cached is not None:
-        return cached
     fp = _Fingerprinter()
     fp.stream(stream)
     return fp.h.digest(), fp.single_use

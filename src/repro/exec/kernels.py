@@ -347,7 +347,9 @@ class NaiveFreqStep(Step):
         self.ring_out = ring_out
         self.kernel = filt.kernel.for_policy(policy)
         self.e, self.m, self.u = filt.e, filt.m, filt.u
-        self.b_push = np.asarray(filt.b_push, dtype=policy.dtype)
+        # one firing's offsets, flat like the (k, m*u) rows they go to
+        self.b_row = np.tile(np.asarray(filt.b_push, dtype=policy.dtype),
+                             filt.m)
         counts = filt.kernel.counts_per_block.copy()
         counts.fadd += int(np.count_nonzero(filt.b_push)) * filt.m
         self.counts = policy.adjust_counts(counts)
@@ -355,17 +357,19 @@ class NaiveFreqStep(Step):
         self.name = filt.name
         self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
                         // (filt.kernel.n * (filt.u + 1)))
+        self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        e, m = self.e, self.m
+        e, m, u = self.e, self.m, self.u
         while n:
             k = min(n, self.rows)
             X = self.ring_in.window_view(k, m, m + e - 1)
-            y = self.kernel.convolve_batch(X)  # (k, n_fft, u)
-            kept = y[:, e - 1:e - 1 + m, :] + self.b_push
-            self.ring_out.push_array(kept.reshape(-1))
+            y = self.kernel.convolve_batch(X, self._work)  # (k, n_fft, u)
+            np.add(y.reshape(k, -1)[:, (e - 1) * u:(e - 1 + m) * u],
+                   self.b_row,
+                   out=self.ring_out.alloc_push(k * m * u).reshape(k, -1))
             self.ring_in.pop_block(k * m)
             self.profiler.add_counts(self.counts, times=k,
                                      filter_name=self.name)
@@ -393,6 +397,9 @@ class OptimizedFreqStep(Step):
         self.policy = policy
         self.e, self.m, self.u, self.r = filt.e, filt.m, filt.u, filt.r
         self.b_push = np.asarray(filt.b_push, dtype=policy.dtype)
+        # one firing's offsets: rows of outputs are added flat, (k, r*u),
+        # because a length-u inner loop is what makes an ufunc slow
+        self.b_row = np.tile(self.b_push, filt.r)
         b_adds = int(np.count_nonzero(filt.b_push))
         init_counts = filt.kernel.counts_per_block.copy()
         init_counts.fadd += b_adds * filt.m
@@ -406,6 +413,7 @@ class OptimizedFreqStep(Step):
         self.partials: np.ndarray | None = None
         self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
                         // (filt.kernel.n * (filt.u + 1)))
+        self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
     # None is meaningful state here (first firing not yet taken), so the
     # parallel executor wraps the carry in a 1-tuple on the wire
@@ -426,11 +434,11 @@ class OptimizedFreqStep(Step):
         while n:
             k = min(n, self.rows)
             X = self.ring_in.window_view(k, r, r)
-            y = self.kernel.convolve_batch(X)  # (k, n_fft, u)
-            mids = y[:, e - 1:e - 1 + m, :] + self.b_push  # (k, m, u)
+            y = self.kernel.convolve_batch(X, self._work)  # (k, n_fft, u)
             tails = y[:, m + e - 1:m + 2 * e - 2, :]  # (k, e-1, u)
             if self.partials is None:
                 # very first firing: interior outputs only (init push u*m)
+                mids = y[:, e - 1:e - 1 + m, :] + self.b_push  # (k, m, u)
                 self.ring_out.push_array(mids[0].reshape(-1))
                 self.profiler.add_counts(self.init_counts,
                                          filter_name=self.name)
@@ -442,11 +450,16 @@ class OptimizedFreqStep(Step):
                     self.profiler.add_counts(self.steady_counts, times=k - 1,
                                              filter_name=self.name)
             else:
-                prev = np.concatenate([self.partials[None], tails[:-1]])
-                out = np.empty((k, r, u), dtype=self.policy.dtype)
-                out[:, :e - 1] = y[:, :e - 1] + prev + self.b_push
-                out[:, e - 1:] = mids
-                self.ring_out.push_array(out.reshape(-1))
+                # straight into the ring, rows flat ((k, r*u): see
+                # b_row), each row's boundary outputs completed by the
+                # tail of the row before it
+                y2, h = y.reshape(k, -1), (e - 1) * u
+                out = self.ring_out.alloc_push(k * r * u).reshape(k, -1)
+                np.add(y2[0, :h], self.partials.reshape(-1), out=out[0, :h])
+                np.add(y2[1:, :h], tails[:-1].reshape(k - 1, h),
+                       out=out[1:, :h])
+                out[:, :h] += self.b_row[:h]
+                np.add(y2[:, h:r * u], self.b_row[h:], out=out[:, h:])
                 self.profiler.add_counts(self.steady_counts, times=k,
                                          filter_name=self.name)
             self.partials = tails[-1].copy()
@@ -873,19 +886,13 @@ class RoundRobinJoinStep(Step):
 class CollectorStep(Step):
     kind = "collector"
 
-    def __init__(self, ring_in, collected):
+    def __init__(self, ring_in, sink):
         self.ring_in = ring_in
-        self.collected = collected
-        # ArrayCollector sinks collect into a FloatVec: append the block
-        # as an ndarray instead of boxing every sample through tolist()
-        self._extend = getattr(collected, "extend_array", None)
+        self.sink = sink  # the Collector's runner: a list or a ring
 
     def execute(self, n: int) -> None:
-        block = self.ring_in.pop_block_array(n)
-        if self._extend is not None:
-            self._extend(block)
-        else:
-            self.collected.extend(block.tolist())
+        self.sink.extend(self.ring_in.peek_block(n))
+        self.ring_in.pop_block(n)
 
 
 class ListSourceStep(Step):
@@ -905,20 +912,22 @@ class ListSourceStep(Step):
 
 
 class ChunkSourceStep(Step):
-    """Block transfer out of a :class:`~repro.runtime.builtins.
-    ChunkSource`'s ring — the ndarray-native feed of a push session."""
+    """Block transfer out of the executor's feed ring (:class:`~repro.
+    runtime.builtins.ChunkFeed`) — the ndarray-native feed of a push
+    session."""
 
     kind = "chunk-source"
 
-    def __init__(self, ring_out, source):
+    def __init__(self, ring_out, buffer):
         self.ring_out = ring_out
-        self.source = source
+        self.buffer = buffer
 
     def execute(self, n: int) -> None:
-        buffer = self.source.buffer
+        buffer = self.buffer
         if n > len(buffer):
             raise InterpError("plan fired exhausted ChunkSource")
-        self.ring_out.push_array(buffer.pop_block_array(n))
+        self.ring_out.push_array(buffer.peek_block(n))
+        buffer.pop_block(n)
 
 
 class FunctionSourceStep(Step):
@@ -963,6 +972,7 @@ class DecimatorStep(Step):
         self.u = u
 
     def execute(self, n: int) -> None:
-        uo = self.u * self.o
-        block = self.ring_in.pop_block_array(n * uo).reshape(n, uo)
-        self.ring_out.push_array(block[:, :self.u].reshape(-1))
+        u, uo = self.u, self.u * self.o
+        self.ring_out.alloc_push(n * u).reshape(n, u)[...] = \
+            self.ring_in.peek_block(n * uo).reshape(n, uo)[:, :u]
+        self.ring_in.pop_block(n * uo)

@@ -504,10 +504,11 @@ class PlanExecutor:
         self._out_chan = ring_of(flat.output_channel)
         ring_of(flat.input_channel)
 
-        #: (ChunkSource, _SimNode) pairs whose ``remaining`` is refreshed
-        #: from the source ring before every drive (push sessions feed
-        #: the ring between calls)
-        self._chunk_sources: list[tuple] = []
+        #: the push harness's feed (see :attr:`FlatGraph.feed`) and the
+        #: sim node whose ``remaining`` is refreshed from its ring
+        #: before every drive (sessions feed the ring between calls)
+        self.feed = flat.feed
+        self._feed_node: _SimNode | None = None
 
         # pass 1: per flat node — ring wiring, rates, and the batched step
         raw_in_ids: list[list[int]] = []
@@ -552,8 +553,8 @@ class PlanExecutor:
                 if isinstance(node.stream, ListSource):
                     sn.remaining = len(node.stream.values)
                 elif isinstance(node.stream, ChunkSource):
-                    sn.remaining = node.stream.available
-                    self._chunk_sources.append((node.stream, sn))
+                    sn.remaining = 0
+                    self._feed_node = sn
                 outer_of_flat[i] = len(self.sim_nodes)
                 self.sim_nodes.append(sn)
                 self.steps.append(raw_steps[i])
@@ -603,13 +604,13 @@ class PlanExecutor:
         self.consumers = [sn for sn in self.sim_nodes if sn.in_ids]
 
         # the sink the executor watches: first Collector, else graph out
-        self._collected: list | None = None
+        self._sink = None  # the Collector's runner
         self._sink_index: int | None = None
         if flat.collectors:
             coll = flat.collectors[0]
             flat_idx = next(i for i, n in enumerate(flat.nodes)
                             if n is coll)
-            self._collected = coll.runner.collected
+            self._sink = coll.runner
             self._sink_index = outer_of_flat[flat_idx]
         else:
             for sn in self.sim_nodes:
@@ -715,9 +716,9 @@ class PlanExecutor:
             return K.OptimizedFreqStep(rin(), rout(), s, self.profiler,
                                        policy=self.policy)
         if isinstance(s, Collector):
-            return K.CollectorStep(rin(), node.runner.collected)
+            return K.CollectorStep(rin(), node.runner)
         if isinstance(s, ChunkSource):
-            return K.ChunkSourceStep(rout(), s)
+            return K.ChunkSourceStep(rout(), node.runner.buffer)
         if isinstance(s, ListSource):
             return K.ListSourceStep(rout(), s.values, self.policy)
         if isinstance(s, FunctionSource):
@@ -761,9 +762,15 @@ class PlanExecutor:
         """Total sink outputs since construction (including ones already
         taken by the caller — the out ring's pops are tracked so the
         count stays cumulative across session advances)."""
-        if self._collected is not None:
+        if self._sink is not None:
             return self._sink_fires
         return self._out_popped + self._occ[self._out_chan]
+
+    def buffers(self) -> tuple[int, int]:
+        """Items of storage behind the feed ring and behind the sink."""
+        sink = self._sink or self.rings[self._out_chan]
+        return (self.feed.buffer.capacity if self.feed else 0,
+                sink.capacity)
 
     def _sim_fire(self, sn: _SimNode, n: int, init: bool) -> None:
         occ = self._occ
@@ -776,7 +783,7 @@ class PlanExecutor:
         self._pending[sn.index] += n
         sn.fired = True
         if sn.index == self._sink_index:
-            if self._collected is not None:
+            if self._sink is not None:
                 self._sink_fires += n
             self._pending_outputs += n
 
@@ -820,7 +827,7 @@ class PlanExecutor:
             if n <= 0:
                 continue
             if sn.index == self._sink_index:
-                gain = (1 if self._collected is not None
+                gain = (1 if self._sink is not None
                         else (sn.pushes[sn.out_ids.index(self._out_chan)]
                               if self._out_chan in sn.out_ids else 0))
                 if gain > 0 and not math.isinf(n_outputs):
@@ -894,7 +901,7 @@ class PlanExecutor:
         owed = [0] * len(occ)  # items each channel's producer must add
         deficit = goal - self._produced()
         collector = None  # a Collector sink fires once per output
-        if self._collected is None:
+        if self._sink is None:
             owed[self._out_chan] = deficit
         else:
             collector = self._sink_index
@@ -932,9 +939,9 @@ class PlanExecutor:
         self._pending_outputs = 0
 
     # -- reentrant drive loop -----------------------------------------------
-    def _refresh_chunk_sources(self) -> None:
-        for src, sn in self._chunk_sources:
-            sn.remaining = src.available
+    def _refresh_feed(self) -> None:
+        if self._feed_node is not None:
+            self._feed_node.remaining = len(self.feed.buffer)
 
     def _drive(self, target: int, max_passes: int) -> None:
         """Simulate + flush until the sink holds ``target`` total outputs.
@@ -949,7 +956,7 @@ class PlanExecutor:
         reach the goal is undone and halved.  ``max_passes`` bounds the
         passes of this call, jumped or literal.
         """
-        self._refresh_chunk_sources()
+        self._refresh_feed()
         if self._produced() >= target:
             return
         self._sweep(target)
@@ -984,8 +991,8 @@ class PlanExecutor:
 
     def _take(self, n: int):
         """The next ``n`` already-produced outputs past the cursor."""
-        if self._collected is not None:
-            out = self._collected[self._returned:self._returned + n]
+        if self._sink is not None:
+            out = self._sink.take(self._returned, n)
         else:
             out_ring = self.rings[self._out_chan]
             out = out_ring.pop_block_array(n)
@@ -1011,7 +1018,7 @@ class PlanExecutor:
         outputs.  Used by ``StreamSession.push``: no output target, so
         no pass stops early and the whole drain is one jump — as many
         passes as the finite sources have items left."""
-        self._refresh_chunk_sources()
+        self._refresh_feed()
         k = self._passes_left()
         if k > max_passes:
             raise InterpError("executor pass limit exceeded")
@@ -1022,14 +1029,14 @@ class PlanExecutor:
     def run(self, n_outputs: int, max_passes: int = 10_000_000) -> list[float]:
         """Batched equivalent of :meth:`FlatGraph.run` (same legacy
         semantics: absolute target with a Collector sink — repeated runs
-        extend and re-return the prefix — consumed output channel
-        otherwise; the session cursor follows either way)."""
-        if self._collected is not None:
+        extend and re-return the prefix — consumed outputs otherwise;
+        the session cursor follows either way)."""
+        kept = self._sink.collected if self._sink is not None else None
+        if isinstance(kept, list):
             self._drive(n_outputs, max_passes)
             if n_outputs > self._returned:
                 self._returned = n_outputs
-            out = self._collected[:n_outputs]
-            return out if isinstance(out, list) else list(out)
+            return kept[:n_outputs]
         out = self.advance(n_outputs, max_passes)
         if isinstance(out, np.ndarray):
             return out.tolist()
@@ -1062,8 +1069,8 @@ def _fission_rewrite(stream: Stream, workers: int, policy) -> Stream:
 
 def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
                       chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
-                      optimize: str = "none", cache=None, seed=None,
-                      dtype=None, workers: int = 1):
+                      optimize: str = "none", cache=None, dtype=None,
+                      workers: int = 1):
     """Compile ``stream``; return ``(executor, entry)``.
 
     The full pipeline: rewrite the graph per ``optimize``
@@ -1075,17 +1082,6 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     fingerprint; pass ``cache=False`` to plan from scratch (``entry`` is
     then None).  Probing happens at most once per entry — repeated
     compiles of a cached graph never re-extract or re-probe.
-
-    ``seed`` is an optional :class:`~repro.exec.cache.PlanEntry` of a
-    **content-identical** graph (same fingerprint modulo single-use
-    sources): its bailout verdict, island probe results, and extraction
-    decisions transfer to this compile, skipping the expensive probing
-    that single-use fingerprints (push-session ``ChunkSource`` rings)
-    cannot amortize through the cache.  Sound because those artifacts
-    are pure functions of graph *content* and are consumed read-only —
-    :class:`~repro.serve.pool.SessionPool` feeds the first session's
-    entry to every sibling compile of the same key.  The caller owns
-    the identity claim; a mismatched seed corrupts planning.
 
     ``executor`` is the scalar compiled :class:`FlatGraph` (same
     ``run``/``advance`` interface) when the graph cannot be batched —
@@ -1114,15 +1110,6 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
 
     entry = cache.entry_for(stream, optimize, policy=policy,
                             workers=workers)
-    if seed is not None and seed is not entry:
-        # decision/island maps key on flattened node indices — identical
-        # content means identical structure means identical indices
-        if entry.bailout is _UNSET and seed.bailout is not _UNSET:
-            entry.bailout = seed.bailout
-            if entry.islands is None:
-                entry.islands = seed.islands
-        if entry.decisions is None and seed.decisions is not None:
-            entry.decisions = seed.decisions
     if entry.optimized is None:
         opt = optimize_stream(stream, optimize, policy=policy)
         if workers > 1:
@@ -1240,6 +1227,8 @@ class PlanReport:
     passes: int = 0
     jumps: int = 0
     passes_literal: int = 0
+    #: a live session's :attr:`~repro.session.StreamSession.buffers`
+    buffers: tuple | None = None
 
     @property
     def fallbacks(self) -> list[StepReport]:
@@ -1248,9 +1237,11 @@ class PlanReport:
     def __str__(self) -> str:
         title = f"plan report: {self.program} (optimize={self.optimize})"
         lines = [title, "=" * len(title)]
+        held = ([] if self.buffers is None else
+                ["buffers: in {} / out {} / journal {}".format(*self.buffers)])
         if self.bailout is not None:
             lines.append(f"whole-graph bailout to compiled: {self.bailout}")
-            return "\n".join(lines)
+            return "\n".join(lines + held)
         name_w = max([len(s.name) for s in self.steps] + [4]) + 2
         kind_w = max([len(s.step_kind) for s in self.steps] + [10]) + 2
         lines.append("node".ljust(name_w) + "step".ljust(kind_w)
@@ -1265,6 +1256,7 @@ class PlanReport:
         lines.append(f"schedule: {self.passes} passes, "
                      f"{self.jumps} jumps, "
                      f"{self.passes_literal} literal passes")
+        lines += held
         for isl in self.islands:
             lines.append(str(isl))
         return "\n".join(lines)

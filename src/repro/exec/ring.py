@@ -51,6 +51,11 @@ class RingBuffer:
     def __len__(self) -> int:
         return self._tail - self._head
 
+    @property
+    def capacity(self) -> int:
+        """Items of storage allocated (live, popped and free)."""
+        return len(self._buf)
+
     # -- storage management ---------------------------------------------
     def _reserve(self, n: int) -> None:
         """Make room to append ``n`` items past ``_tail``."""

@@ -148,6 +148,30 @@ def elementwise_complex_mult_counts(n_points: int) -> Counts:
     return c
 
 
+def _convolve_batch(blocks, H, n, forward, inverse, work: list):
+    """``inverse(forward(blocks) * H)`` along axis 1 of a ``(k, len)`` stack.
+
+    ``work`` is the calling step's workspace: it keeps the spectrum,
+    product and result arrays of the longest batch so far, and a batch
+    that fits transforms into their first ``k`` rows (``out=``).  A
+    steady stream of batches then allocates nothing here — fresh arrays
+    of this size (3 x ~150 KB for FilterBank) are what glibc trims off
+    the heap and faults back in on every call.  The result is only
+    valid until the next call with the same ``work``.
+    """
+    k = len(blocks)
+    if not work or len(work[0]) < k:
+        X = forward(blocks, n=n, axis=1)  # (k, n//2+1)
+        Y = X[:, :, None] * H[None, :, :]  # (k, n//2+1, u)
+        y = inverse(Y, n=n, axis=1)  # (k, n, u)
+        work[:] = X, Y, y
+        return y
+    X, Y, y = (a[:k] for a in work)
+    forward(blocks, n=n, axis=1, out=X)
+    np.multiply(X[:, :, None], H[None, :, :], out=Y)
+    return inverse(Y, n=n, axis=1, out=y)
+
+
 class FrequencyKernel:
     """Precomputed frequency-domain machinery for one linear node column set.
 
@@ -210,17 +234,16 @@ class FrequencyKernel:
         Y = X[:, None] * self.H
         return np.fft.irfft(Y, n=self.n, axis=0)
 
-    def convolve_batch(self, blocks: np.ndarray) -> np.ndarray:
+    def convolve_batch(self, blocks: np.ndarray, work: list) -> np.ndarray:
         """Row-wise :meth:`convolve_block` over a ``(k, block_len)`` stack.
 
         Returns a ``(k, n, u)`` array; row ``i`` equals
         ``convolve_block(blocks[i])``.  Used by the plan backend's batched
         frequency steps: one rfft/irfft call covers every firing in the
-        batch.
+        batch (``work``: see :func:`_convolve_batch`).
         """
-        X = np.fft.rfft(blocks, n=self.n, axis=1)  # (k, n//2+1)
-        Y = X[:, :, None] * self.H[None, :, :]  # (k, n//2+1, u)
-        return np.fft.irfft(Y, n=self.n, axis=1)  # (k, n, u)
+        return _convolve_batch(blocks, self.H, self.n, np.fft.rfft,
+                               np.fft.irfft, work)
 
 
 class _TypedFrequencyKernel:
@@ -251,11 +274,7 @@ class _TypedFrequencyKernel:
         X = np.fft.rfft(x, n=self.n)
         return np.fft.irfft(X[:, None] * self.H, n=self.n, axis=0)
 
-    def convolve_batch(self, blocks: np.ndarray) -> np.ndarray:
-        if self._complex:
-            X = np.fft.fft(blocks, n=self.n, axis=1)
-            Y = X[:, :, None] * self.H[None, :, :]
-            return np.fft.ifft(Y, n=self.n, axis=1)
-        X = np.fft.rfft(blocks, n=self.n, axis=1)
-        Y = X[:, :, None] * self.H[None, :, :]
-        return np.fft.irfft(Y, n=self.n, axis=1)
+    def convolve_batch(self, blocks: np.ndarray, work: list) -> np.ndarray:
+        pair = ((np.fft.fft, np.fft.ifft) if self._complex
+                else (np.fft.rfft, np.fft.irfft))
+        return _convolve_batch(blocks, self.H, self.n, *pair, work)

@@ -244,6 +244,8 @@ class ParallelPlanExecutor(PlanExecutor):
         c.profiler = None  # the worker installs a per-task profiler
         if isinstance(c, K.StatefulLinearStep):
             c._lifted = {}  # block-lift cache: rebuilt worker-side
+        elif isinstance(c, (K.NaiveFreqStep, K.OptimizedFreqStep)):
+            c._work = []  # FFT workspace: likewise
         return c
 
     def _apply_reply(self, worker, unit: Unit, t0: float, pool) -> None:

@@ -2,14 +2,14 @@
 
 from .builtins import (ArrayCollector, ChunkSource, Collector,
                        FunctionSource, Identity, ListSource)
-from .channels import Channel, FloatVec
+from .channels import Channel
 from .executor import (FlatGraph, count_ops, run_graph, run_stream,
                        sanity_check_schedulable)
 from ..profiling import Counts, NullProfiler, Profiler
 
 __all__ = [
-    "Channel", "FloatVec", "FlatGraph", "run_graph", "run_stream",
-    "count_ops", "sanity_check_schedulable", "Profiler", "NullProfiler",
+    "Channel", "FlatGraph", "run_graph", "run_stream", "count_ops",
+    "sanity_check_schedulable", "Profiler", "NullProfiler",
     "Counts", "ListSource", "FunctionSource", "Collector", "Identity",
     "ChunkSource", "ArrayCollector",
 ]

@@ -11,6 +11,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from ..errors import ChunkDtypeError
 from ..graph.streams import PrimitiveFilter
 
 
@@ -51,18 +52,16 @@ class ChunkSource(PrimitiveFilter):
     """Pushes values fed incrementally as ndarray chunks.
 
     The input side of a :class:`~repro.session.StreamSession` push
-    harness: ``feed`` appends a chunk to the internal ring, firings
-    consume it one item at a time (scalar backends) or in blocks
+    harness.  The node is stateless — type, rates and dtype describe it,
+    so content-identical push graphs share one cached plan; the feed
+    ring is *runner state* (:class:`ChunkFeed`), created per executor
+    like every channel.  Firings consume the ring one item at a time
+    (scalar backends) or in blocks
     (:class:`~repro.exec.kernels.ChunkSourceStep`).  Like
     :class:`ListSource`, running dry raises ``IndexError`` from the
     scalar runner, which the executor treats as "finite source
     exhausted"; the plan backend models the same bound through the rate
     simulator's ``remaining`` counter.
-
-    Because the ring is consumed in place, a graph containing a
-    ChunkSource is fingerprinted *single-use* by the plan cache: the
-    compiled session amortizes its own plan, but content-identical
-    rebuilds never share it.
     """
 
     pop = 0
@@ -70,11 +69,20 @@ class ChunkSource(PrimitiveFilter):
     push = 1
 
     def __init__(self, name: str = "ChunkSource", dtype=np.float64):
-        from ..exec.ring import RingBuffer  # deferred: exec imports us
         self.dtype = np.dtype(dtype)
-        self.buffer = RingBuffer(f"{name}.buffer", dtype=self.dtype)
-        self.fed = 0  #: total items ever fed
         self.name = name
+
+    def make_runner(self, profiler):
+        return ChunkFeed(self.name, self.dtype)
+
+
+class ChunkFeed:
+    """One executor's feed ring: what was fed and not yet consumed."""
+
+    def __init__(self, name: str, dtype):
+        from ..exec.ring import RingBuffer  # deferred: exec imports us
+        self.dtype = dtype
+        self.buffer = RingBuffer(f"{name}.buffer", dtype=dtype)
 
     def feed(self, values) -> int:
         """Append a chunk; returns the number of items added.
@@ -86,42 +94,18 @@ class ChunkSource(PrimitiveFilter):
         :class:`~repro.errors.ChunkDtypeError` instead of whatever
         ``np.asarray`` would.
         """
-        from ..errors import ChunkDtypeError
-
         arr = np.asarray(values)
         kinds = "fiubc" if self.dtype.kind == "c" else "fiub"
         if arr.dtype.kind not in kinds:
             raise ChunkDtypeError(arr.dtype, complex_ok=self.dtype.kind == "c")
         arr = arr.astype(self.dtype, copy=False).ravel()
         self.buffer.push_array(arr)
-        self.fed += len(arr)
         return len(arr)
 
-    @property
-    def available(self) -> int:
-        """Items fed but not yet consumed by firings."""
-        return len(self.buffer)
-
-    @property
-    def consumed(self) -> int:
-        """Items the graph has actually consumed so far."""
-        return self.fed - len(self.buffer)
-
-    def clear(self) -> None:
-        """Drop unconsumed items and reset the fed counter."""
-        self.buffer.pop_block(len(self.buffer))
-        self.fed = 0
-
-    def make_runner(self, profiler):
-        buffer = self.buffer
-
-        class _Runner:
-            def fire(self, ch_in, ch_out):
-                if not len(buffer):
-                    raise IndexError("ChunkSource exhausted")
-                ch_out.push(buffer.pop())
-
-        return _Runner()
+    def fire(self, ch_in, ch_out):
+        if not len(self.buffer):
+            raise IndexError("ChunkSource exhausted")
+        ch_out.push(self.buffer.pop())
 
 
 class FunctionSource(PrimitiveFilter):
@@ -150,7 +134,8 @@ class Collector(PrimitiveFilter):
     """Terminal sink: pops one item per firing into ``collected``.
 
     The executor looks for a Collector to decide when ``n_outputs`` have
-    been produced.
+    been produced; its runner hands collected outputs back through
+    ``take`` and counts them through ``produced``.
     """
 
     pop = 1
@@ -161,24 +146,40 @@ class Collector(PrimitiveFilter):
         self.name = name
 
     def make_runner(self, profiler):
-        class _Runner:
-            def __init__(self):
-                self.collected: list[float] = []
+        return _ListSink()
 
-            def fire(self, ch_in, ch_out):
-                self.collected.append(ch_in.pop())
 
-        return _Runner()
+class _ListSink:
+    """Keeps every output: a one-shot run returns any prefix of them."""
+
+    def __init__(self):
+        self.collected: list[float] = []
+
+    def fire(self, ch_in, ch_out):
+        self.collected.append(ch_in.pop())
+
+    def extend(self, block: np.ndarray) -> None:
+        self.collected.extend(block.tolist())
+
+    def produced(self) -> int:
+        return len(self.collected)
+
+    capacity = property(produced)  # it holds all it ever produced
+
+    def take(self, start: int, n: int):
+        return self.collected[start:start + n]
 
 
 class ArrayCollector(Collector):
-    """Terminal sink collecting into a growable float64 ndarray.
+    """Terminal sink of a push harness: collects into an output ring
+    that ``take`` *pops*, so a session retains one call of output (plus
+    the overshoot a ``feed; run(n)`` has not taken yet), not the stream.
 
     Drop-in :class:`Collector` replacement (the executors detect it via
-    the subclass) whose runner accumulates a
-    :class:`~repro.runtime.channels.FloatVec` instead of a Python list,
-    so batched kernels append whole blocks without boxing and session
-    readers slice outputs out as ``np.ndarray``.
+    the subclass).  Stateless like :class:`ChunkSource`: the ring is
+    runner state, in the node's dtype; batched kernels append whole
+    blocks without boxing and readers get ``np.ndarray`` copies they
+    own.
     """
 
     def __init__(self, name: str = "ArrayCollector", dtype=np.float64):
@@ -186,17 +187,31 @@ class ArrayCollector(Collector):
         self.dtype = np.dtype(dtype)
 
     def make_runner(self, profiler):
-        from .channels import FloatVec
-        dtype = self.dtype
+        return _RingSink(self.name, self.dtype)
 
-        class _Runner:
-            def __init__(self):
-                self.collected = FloatVec(dtype=dtype)
 
-            def fire(self, ch_in, ch_out):
-                self.collected.append(ch_in.pop())
+class _RingSink:
+    def __init__(self, name: str, dtype):
+        from ..exec.ring import RingBuffer  # deferred: exec imports us
+        self.collected = RingBuffer(f"{name}.out", dtype=dtype)
+        self.taken = 0  #: outputs already handed out
 
-        return _Runner()
+    def fire(self, ch_in, ch_out):
+        self.collected.push(ch_in.pop())
+
+    def extend(self, block: np.ndarray) -> None:
+        self.collected.push_array(block)
+
+    def produced(self) -> int:
+        return self.taken + len(self.collected)
+
+    @property
+    def capacity(self) -> int:
+        return self.collected.capacity
+
+    def take(self, start: int, n: int) -> np.ndarray:
+        self.taken += n
+        return self.collected.pop_block_array(n)
 
 
 class Identity(PrimitiveFilter):

@@ -36,6 +36,11 @@ class Channel:
     def __len__(self) -> int:
         return len(self._buf) - self._head
 
+    @property
+    def capacity(self) -> int:
+        """Items of storage held (live plus the popped prefix)."""
+        return len(self._buf)
+
     def _maybe_compact(self) -> None:
         """Reclaim the popped prefix once it dominates the backing list."""
         head = self._head
@@ -102,72 +107,3 @@ class Channel:
     def snapshot(self) -> list[float]:
         """Current contents (for debugging/tests)."""
         return list(self._buf[self._head:])
-
-
-class FloatVec:
-    """A growable numeric vector (float64 by default) with list-like
-    collection methods.
-
-    The ndarray-native sink used by
-    :class:`~repro.runtime.builtins.ArrayCollector` and the session
-    wrappers: scalar runners ``append`` one value per firing, batched
-    kernels ``extend_array`` whole blocks without boxing through Python
-    floats, and readers slice out ``np.ndarray`` views by position.  It
-    supports exactly the surface the executors use on a collector's
-    ``collected`` list (``len``, ``append``, ``extend``, slicing), so it
-    drops into either sink unchanged.
-    """
-
-    __slots__ = ("_buf", "_len", "dtype")
-
-    def __init__(self, capacity: int = 64, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
-        self._buf = np.empty(max(capacity, 1), dtype=self.dtype)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def _reserve(self, n: int) -> None:
-        need = self._len + n
-        cap = len(self._buf)
-        if need > cap:
-            while cap < need:
-                cap *= 2
-            new = np.empty(cap, dtype=self.dtype)
-            new[:self._len] = self._buf[:self._len]
-            self._buf = new
-
-    def append(self, value: float) -> None:
-        self._reserve(1)
-        self._buf[self._len] = value
-        self._len += 1
-
-    def extend(self, values) -> None:
-        if isinstance(values, np.ndarray):
-            self.extend_array(values)
-            return
-        cast = complex if self.dtype.kind == "c" else float
-        for v in values:
-            self.append(cast(v))
-
-    def extend_array(self, values: np.ndarray) -> None:
-        """Block append — the fast path batched kernels use."""
-        n = len(values)
-        self._reserve(n)
-        self._buf[self._len:self._len + n] = values
-        self._len += n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(self._len)
-            return self._buf[start:stop:step].copy()
-        if index < 0:
-            index += self._len
-        if not 0 <= index < self._len:
-            raise IndexError(index)
-        return self._buf[index].item()
-
-    def array(self) -> np.ndarray:
-        """The collected values as one ndarray (copy)."""
-        return self._buf[:self._len].copy()

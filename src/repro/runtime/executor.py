@@ -40,7 +40,7 @@ from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                              PrimitiveFilter, RoundRobin, SplitJoin, Stream)
 from ..ir.interp import Interpreter
 from ..ir.pycodegen import compile_work
-from .builtins import Collector, ListSource
+from .builtins import ChunkSource, Collector, ListSource
 from .channels import Channel
 from ..profiling import NullProfiler, Profiler
 
@@ -199,6 +199,10 @@ class FlatGraph:
         self.collectors = [n for n in self.nodes
                            if isinstance(n.stream, Collector)]
         self._sources = [n for n in self.nodes if not n.inputs]
+        #: the push harness's :class:`~.builtins.ChunkFeed` (None for a
+        #: complete program): ``StreamSession.feed`` writes into it
+        self.feed = next((n.runner for n in self._sources
+                          if isinstance(n.stream, ChunkSource)), None)
         # resumable-drive state (see advance/drain_available)
         self._returned = 0  # outputs handed out past runs
         self._out_popped = 0  # items popped off the graph output channel
@@ -297,8 +301,15 @@ class FlatGraph:
     def produced(self) -> int:
         """Total sink outputs since construction (including consumed)."""
         if self.collectors:
-            return len(self.collectors[0].runner.collected)
+            return self.collectors[0].runner.produced()
         return self._out_popped + len(self.output_channel)
+
+    def buffers(self) -> tuple[int, int]:
+        """Items of storage behind the feed ring and behind the sink."""
+        sink = (self.collectors[0].runner if self.collectors
+                else self.output_channel)
+        return (self.feed.buffer.capacity if self.feed else 0,
+                sink.capacity)
 
     def _drain(self, target: float) -> None:
         """Fire consumers until quiescent, transcribed from the original
@@ -357,8 +368,7 @@ class FlatGraph:
     def _take(self, n: int):
         """The next ``n`` already-produced outputs past the cursor."""
         if self.collectors:
-            collected = self.collectors[0].runner.collected
-            out = collected[self._returned:self._returned + n]
+            out = self.collectors[0].runner.take(self._returned, n)
         else:
             out = [self.output_channel.pop() for _ in range(n)]
             self._out_popped += n
@@ -412,15 +422,17 @@ class FlatGraph:
         Legacy one-shot entry point.  With a Collector sink the target
         is absolute — ``run(10)`` then ``run(30)`` extends the first run
         and returns all 30 — and the session cursor follows, so
-        :meth:`advance` afterwards continues past them.  Without a
-        Collector the output channel is consumed: each call returns the
-        *next* ``n_outputs`` items.
+        :meth:`advance` afterwards continues past them.  Without one
+        (or with a push harness's draining ArrayCollector) the outputs
+        are consumed: each call returns the *next* ``n_outputs`` items.
         """
-        if self.collectors:
+        kept = (self.collectors[0].runner.collected if self.collectors
+                else None)
+        if isinstance(kept, list):
             self._drive(n_outputs, max_passes)
             if n_outputs > self._returned:
                 self._returned = n_outputs
-            return self.collectors[0].runner.collected[:n_outputs]
+            return kept[:n_outputs]
         out = self.advance(n_outputs, max_passes)
         return out if isinstance(out, list) else list(out)
 

@@ -9,14 +9,12 @@ snapshot makes ``reset()`` rewind a session to its initial state
 
 * ``acquire(key, factory)`` hands back a parked idle session for
   ``key`` (zero compile work — the reset already happened at release
-  time) or builds a fresh one through ``factory(seed)``, timing the
-  compile.  The first compile per key is **single-flighted** and its
-  :class:`~repro.exec.cache.PlanEntry` becomes the key's *plan seed*:
-  concurrent siblings block until it exists, then compile with the
-  seed's extraction decisions and probe results instead of redoing
-  them — push-session graphs fingerprint single-use (the feed ring),
-  so without the seed a cold stampede of N clients would pay N full
-  planning passes the plan cache can never share;
+  time) or builds a fresh one through ``factory()``, timing the
+  compile.  The first compile per key is **single-flighted**:
+  concurrent siblings block until it is done, then compile against the
+  plan it left in the plan cache (push and pull plans alike are keyed
+  by graph content), so a cold stampede of N clients pays for one
+  planning pass, not N;
 * ``release`` resets the session and parks it for the next client,
   bounded by ``max_idle_per_key`` (overflow sessions are closed);
 * ``evict_idle`` closes sessions parked longer than ``idle_ttl`` —
@@ -62,8 +60,6 @@ from .metrics import MetricsRegistry
 
 __all__ = ["PooledSession", "SessionPool"]
 
-_NO_SEED = object()  # key compiled, but yields no plan entry to donate
-
 
 class PooledSession:
     """A pool-managed :class:`~repro.session.StreamSession`."""
@@ -101,10 +97,12 @@ class PooledSession:
 
 class _GraphStats:
     __slots__ = ("label", "compiles", "compile_seconds", "serve_seconds",
-                 "requests")
+                 "requests", "first_compile")
 
     def __init__(self, label: str):
         self.label = label
+        #: serializes the graph's *first* compile (``compiles == 0``)
+        self.first_compile = threading.Lock()
         self.compiles = 0
         self.compile_seconds = 0.0
         self.serve_seconds = 0.0
@@ -127,10 +125,6 @@ class SessionPool:
         self._lock = threading.Lock()
         self._idle: dict[object, deque[PooledSession]] = {}
         self._graphs: dict[object, _GraphStats] = {}
-        #: key -> donated PlanEntry (or _NO_SEED for scalar backends)
-        self._seeds: dict[object, object] = {}
-        #: key -> lock serializing that key's *first* compile
-        self._seed_locks: dict[object, threading.Lock] = {}
         #: key -> (poison count, last poison timestamp) — the breaker
         self._poisons: dict[object, tuple[int, float]] = {}
         self.compiled_total = 0
@@ -154,13 +148,13 @@ class SessionPool:
         except Exception:  # closing must never propagate into serving
             pass
 
-    def _compile(self, key, factory, label: str, seed) -> PooledSession:
-        """Build a fresh session through ``factory(seed)``, timed."""
+    def _compile(self, key, factory, label: str) -> PooledSession:
+        """Build a fresh session through ``factory()``, timed."""
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("pool.compile")
         g = self._graph(key, label)
         t0 = self._clock()
-        session = factory(seed)
+        session = factory()
         dt = self._clock() - t0
         with self._lock:
             g.compiles += 1
@@ -175,11 +169,10 @@ class SessionPool:
     # -- public API --------------------------------------------------------
     def acquire(self, key, factory, label: str = "?") -> PooledSession:
         """A ready-to-use session for ``key``: a recycled idle one, or a
-        fresh compile through ``factory(seed)`` (timed as compile cost).
+        fresh compile through ``factory()`` (timed as compile cost).
 
-        ``seed`` is the key's donated plan entry (None on the very first
-        compile, which is serialized per key so later siblings always
-        find the seed — see the module docstring).
+        The key's very first compile is serialized, so later siblings
+        find its plan in the plan cache — see the module docstring.
         """
         with self._lock:
             if self._closed:
@@ -196,22 +189,12 @@ class SessionPool:
                 self.metrics.gauge("serve.sessions.idle").dec()
                 self.metrics.gauge("serve.sessions.live").inc()
                 return ps
-            self._graph(key, label)
-            seed = self._seeds.get(key)
-            seed_lock = self._seed_locks.setdefault(key, threading.Lock())
-        if seed is None:
-            with seed_lock:
-                with self._lock:
-                    seed = self._seeds.get(key)
-                if seed is None:  # won the race: the seeding compile
-                    ps = self._compile(key, factory, label, None)
-                    entry = getattr(ps.session, "cache_entry", None)
-                    with self._lock:
-                        self._seeds[key] = \
-                            entry if entry is not None else _NO_SEED
-                    return ps
-        return self._compile(key, factory, label,
-                             None if seed is _NO_SEED else seed)
+            g = self._graph(key, label)
+        if not g.compiles:
+            with g.first_compile:
+                if not g.compiles:  # won the race: the planning compile
+                    return self._compile(key, factory, label)
+        return self._compile(key, factory, label)
 
     def release(self, ps: PooledSession) -> None:
         """Return a session: reset + park it for reuse, or close it
@@ -327,8 +310,6 @@ class SessionPool:
             self._closed = True
             victims = [ps for b in self._idle.values() for ps in b]
             self._idle.clear()
-            self._seeds.clear()
-            self._seed_locks.clear()
             if victims:
                 self.metrics.gauge("serve.sessions.idle").dec(len(victims))
         for ps in victims:

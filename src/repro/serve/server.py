@@ -390,8 +390,8 @@ class StreamServer:
         program — app registry or DSL text — shares one pool bucket.
         Graphs whose fingerprint is single-use (opaque callables) get a
         nonce key: correct, just never shared.
-        ``factory(seed, backend_override)`` builds the session; the
-        override is the degradation/quarantine hook.
+        ``factory(backend_override)`` builds the session; the override
+        is the degradation/quarantine hook.
         """
         from ..exec.cache import fingerprint_stream
         from ..numeric import resolve_policy
@@ -438,11 +438,11 @@ class StreamServer:
             label += f"/{policy.name}"
         journal_limit = self.config.journal_limit
 
-        def factory(seed=None, backend_override=None):
+        def factory(backend_override=None):
             return StreamSession(
                 graph, backend=backend_override or backend,
                 optimize=optimize, journal_limit=journal_limit,
-                dtype=policy, _plan_seed=seed)
+                dtype=policy)
 
         return key, label, factory
 
@@ -455,9 +455,8 @@ class StreamServer:
             key = key[:2] + ("compiled",) + key[3:]
             label += "/quarantined"
 
-            def factory(seed=None, backend_override=None,
-                        _inner=factory):
-                return _inner(seed, backend_override or "compiled")
+            def factory(backend_override=None, _inner=factory):
+                return _inner(backend_override or "compiled")
 
         ps = self.pool.acquire(key, factory, label)
         ps.factory = factory
@@ -779,6 +778,10 @@ class StreamServer:
         snap = ps.session.snapshot()
         if snap is not None:
             ps.snap = snap
+        # what the session holds after the call; STATS shows the
+        # high-water mark as ``serve.session_buffer_items.max``
+        self.metrics.gauge("serve.session_buffer_items").set(
+            sum(ps.session.buffers))
         return result
 
     async def _try_degrade(self, ps, op: str, args):
@@ -793,7 +796,7 @@ class StreamServer:
 
         def recover():
             with _faults.suppress():
-                repl = ps.factory(None, "compiled")
+                repl = ps.factory("compiled")
                 repl.restore(ps.snap)
                 return repl, getattr(repl, op)(*args)
 

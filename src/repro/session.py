@@ -21,7 +21,11 @@ Float->float graphs (no source of their own) compile into a *push*
 session: an ndarray-native harness (:class:`~repro.runtime.builtins.
 ChunkSource` feeding the graph, :class:`~repro.runtime.builtins.
 ArrayCollector` at the sink) is injected internally, and input arrives
-incrementally::
+incrementally.  Both harness nodes are stateless; the feed ring and
+the output ring belong to the live executor, ``feed`` writes into the
+one and every ``push``/``run`` *pops* the other, so a session retains
+one chunk of input, one call of output and its carried filter state —
+never the stream::
 
     fir = repro.compile(low_pass_filter(1.0, math.pi / 3, 256))
     for chunk in chunks:                # any chunk sizes
@@ -157,7 +161,7 @@ class StreamSession:
                  chunk_outputs: int | None = None,
                  journal_limit: int = DEFAULT_JOURNAL_LIMIT,
                  dtype=None, workers: int = 1,
-                 _program_mode: bool | None = None, _plan_seed=None):
+                 _program_mode: bool | None = None):
         from .exec.optimize import OPTIMIZE_MODES
         if backend not in ("interp", "compiled", "plan"):
             raise CompileOptionError("backend", backend,
@@ -182,7 +186,6 @@ class StreamSession:
         self.backend = backend
         self.optimize = optimize
         self._profiler = profiler
-        self._source: ChunkSource | None = None
         self._produced_total = 0
         #: replay journal for snapshot/restore: append-only op list of
         #: ("feed", f64 chunk copy) / ("drain", None) / ("run", n);
@@ -195,11 +198,14 @@ class StreamSession:
             program_mode = not _consumes_external_input(stream)
         else:
             program_mode = _program_mode
+        #: whether input arrives through feed/push (a float->float
+        #: graph) and how many items have been fed since the last reset
+        self._push_mode = not program_mode
+        self._fed = 0
         if program_mode:
             self._program = stream
         else:
             parts = [ChunkSource(dtype=self.policy.dtype), stream]
-            self._source = parts[0]
             if _produces_output(stream):
                 parts.append(ArrayCollector(dtype=self.policy.dtype))
             self._program = Pipeline(
@@ -210,15 +216,10 @@ class StreamSession:
                                else DEFAULT_CHUNK_OUTPUTS)
         self._entry = None
         self._optimized = None  # scalar backends: the rewritten program
-        #: a content-identical sibling's PlanEntry donating its probing
-        #: artifacts (SessionPool warm compiles); dropped after build so
-        #: the donor graph is not kept alive by this session
-        self._plan_seed = _plan_seed
         self._executor = self._build_executor()
-        self._plan_seed = None
         if self._entry is not None:
             self._entry.acquire()
-        if self._source is not None:
+        if self._push_mode:
             self._check_push_sources()
 
     # -- compilation -------------------------------------------------------
@@ -228,8 +229,7 @@ class StreamSession:
             executor, entry = compiled_plan_for(
                 self._program, self._profiler,
                 chunk_outputs=self._chunk_outputs, optimize=self.optimize,
-                seed=self._plan_seed, dtype=self.policy,
-                workers=self.workers)
+                dtype=self.policy, workers=self.workers)
             self._entry = entry
             return executor
         if self._optimized is None:
@@ -257,8 +257,7 @@ class StreamSession:
         for node in flat.nodes:
             if node.inputs:
                 continue
-            if node.stream is self._source or \
-                    isinstance(node.stream, ListSource):
+            if isinstance(node.stream, (ChunkSource, ListSource)):
                 continue  # the harness feed / a finite source
             raise StreamGraphError(
                 f"stream {getattr(self.stream, 'name', '?')} contains "
@@ -277,7 +276,8 @@ class StreamSession:
 
         Unpins the held :class:`~repro.exec.cache.PlanEntry` (so the plan
         cache's LRU may evict it once no live session holds it), drops
-        the executor and fed-input ring, and marks the session closed —
+        the executor with its feed and output rings, and marks the
+        session closed —
         every subsequent ``run``/``push``/``feed``/``reset`` raises
         :class:`~repro.errors.SessionClosedError`.  Long-lived processes
         (servers, pools) that compile many graphs must close sessions
@@ -289,8 +289,6 @@ class StreamSession:
         if self._entry is not None:
             self._entry.release()
             self._entry = None
-        if self._source is not None:
-            self._source.clear()
         if self._executor is not None:
             # the parallel executor retires worker caches and unlinks
             # shared memory here; other executors have no-op/absent close
@@ -333,10 +331,7 @@ class StreamSession:
     @property
     def consumed(self) -> int:
         """Items of fed input the graph has consumed (push sessions)."""
-        if self._source is None:
-            raise StreamGraphError(
-                "consumed is only defined for push sessions")
-        return self._source.consumed
+        return self._fed - self.pending_input
 
     @property
     def outputs_produced(self) -> int:
@@ -347,23 +342,37 @@ class StreamSession:
     def pending_input(self) -> int:
         """Items fed but not yet consumed (push sessions) — the
         quantity a server bounds for backpressure."""
-        if self._source is None:
+        if not self._push_mode:
             raise StreamGraphError(
-                "pending_input is only defined for push sessions")
-        return self._source.available
+                "consumed and pending_input are only defined for push "
+                "sessions")
+        return 0 if self._closed else len(self._executor.feed.buffer)
+
+    @property
+    def buffers(self) -> tuple[int, int, int]:
+        """``(in, out, journal)``: the items of storage this session
+        holds for stream data — the live executor's feed ring and its
+        sink (allocated capacity), and the replay journal's cost.  On a
+        push session all three stay bounded however long it streams."""
+        held = self._executor.buffers() if self._executor else (0, 0)
+        return (*held, self._journal_cost if self._ops is not None else 0)
 
     def report(self):
         """The plan's kernel choices for this program (no re-planning
-        for live plan sessions; advisory for scalar sessions)."""
+        for live plan sessions; advisory for scalar sessions), with the
+        session's :attr:`buffers` as its footer."""
         from .exec.planner import (PlanExecutor, PlanReport, plan_report,
                                    report_for_executor)
         name = getattr(self.stream, "name", "?")
         if isinstance(self._executor, PlanExecutor):
-            return report_for_executor(self._executor, name, self.optimize)
-        if self.bailout is not None:
-            return PlanReport(program=name, optimize=self.optimize,
-                              bailout=self.bailout)
-        return plan_report(self._program, self.optimize)
+            rep = report_for_executor(self._executor, name, self.optimize)
+        elif self.bailout is not None:
+            rep = PlanReport(program=name, optimize=self.optimize,
+                             bailout=self.bailout)
+        else:
+            rep = plan_report(self._program, self.optimize)
+        rep.buffers = self.buffers
+        return rep
 
     # -- execution ---------------------------------------------------------
     def _journal_op(self, op: str, arg, cost: int) -> None:
@@ -412,11 +421,12 @@ class StreamSession:
         :class:`~repro.errors.ChunkDtypeError`.
         """
         self._check_open()
-        if self._source is None:
+        if not self._push_mode:
             raise StreamGraphError(
                 f"stream {getattr(self.stream, 'name', '?')} has its own "
                 "sources; feed/push apply to float->float sessions only")
-        count = self._source.feed(chunk)
+        count = self._executor.feed.feed(chunk)
+        self._fed += count
         if self._ops is not None:
             # journal an owned copy: the caller may mutate its buffer
             self._journal_op(
@@ -439,8 +449,6 @@ class StreamSession:
 
     def _rebuild_executor(self) -> None:
         """Swap in a fresh initial-state executor (reset/restore core)."""
-        if self._source is not None:
-            self._source.clear()
         if self._executor is not None:
             getattr(self._executor, "close", lambda: None)()
         if self._entry is not None:
@@ -451,6 +459,7 @@ class StreamSession:
         else:
             self._executor = self._build_executor()
         self._produced_total = 0
+        self._fed = 0
 
     def _clear_profile(self) -> None:
         if self._profiler is not None:
@@ -508,7 +517,7 @@ class StreamSession:
             self._ops = None  # replay must not re-journal
             for op, arg in ops:
                 if op == "feed":
-                    self._source.feed(arg)
+                    self._fed += self._executor.feed.feed(arg)
                 elif op == "drain":
                     self._produced_total += len(
                         self._executor.drain_available())

@@ -254,8 +254,32 @@ def test_interleaved_sessions_match_sequential(backend):
         np.testing.assert_array_equal(served, direct)
 
 
+def test_stats_report_what_a_session_holds_not_what_it_streamed():
+    """``serve.session_buffer_items`` is the served session's feed ring
+    + output ring + journal after each request; its high-water mark
+    stops moving once the journal is dropped."""
+    chunk = fir_inputs(512)
+    config = ServeConfig(journal_limit=4096)
+
+    async def scenario(server, path):
+        marks = []
+        async with await ServeClient.connect(path=path) as client:
+            await client.open(app="fir", params=FIR_PARAMS)
+            for i in range(60):
+                await client.push(chunk)
+                if i in (9, 59):
+                    marks.append(server.stats_snapshot()[
+                        "serve.session_buffer_items.max"])
+            text = await client.stats()
+        return marks, text
+
+    (early, late), text = serve_test(scenario, config)
+    assert 0 < late == early <= 4096 + 2 * 1024  # journal + two rings
+    assert "serve.session_buffer_items.max" in text
+
+
 # ---------------------------------------------------------------------------
-# Pooling: recycle, plan seeding, eviction
+# Pooling: recycle, single-flighted first compile, eviction
 # ---------------------------------------------------------------------------
 
 
@@ -282,15 +306,19 @@ def test_pool_recycles_released_sessions(backend):
         np.testing.assert_array_equal(out, expected)
 
 
-def test_concurrent_opens_share_one_plan_seed():
+def test_cold_stampede_of_opens_plans_once():
     """A cold stampede pays ONE full planning pass: the pool
-    single-flights the first compile and donates its entry's extraction
-    decisions to every concurrent sibling."""
-    _source, body = split_app(BENCHMARKS["FIR"](**FIR_PARAMS))
+    single-flights the first compile, and every concurrent sibling then
+    hits the plan it left in the plan cache — push plans are keyed by
+    body like any other."""
+    from repro.exec import clear_plan_cache, plan_cache_stats
+
+    clear_plan_cache()
     pool = SessionPool(max_idle_per_key=8)
 
-    def factory(seed=None):
-        return StreamSession(body, backend="plan", _plan_seed=seed)
+    def factory():  # every open builds its own graph, as the server does
+        _source, body = split_app(BENCHMARKS["FIR"](**FIR_PARAMS))
+        return StreamSession(body, backend="plan")
 
     sessions = []
     lock = threading.Lock()
@@ -306,12 +334,11 @@ def test_concurrent_opens_share_one_plan_seed():
     for t in threads:
         t.join()
 
+    assert plan_cache_stats() == {"hits": 3, "misses": 1, "entries": 1}
     entries = [ps.session.cache_entry for ps in sessions]
-    assert all(e is not None for e in entries)
-    # one extraction, shared by reference into every sibling entry
-    first = entries[0].decisions
-    assert all(e.decisions is first for e in entries)
-    # seeded siblings still execute independently and identically
+    assert all(e is entries[0] for e in entries) and entries[0].pins == 4
+    assert pool.graph_stats()[0]["compiles"] == 4
+    # siblings on the one plan still execute independently and identically
     inputs = fir_inputs(300)
     outs = [ps.session.push(inputs) for ps in sessions]
     for out in outs[1:]:
@@ -323,11 +350,11 @@ def test_idle_ttl_eviction_unpins_plan_entries():
     from repro.exec import clear_plan_cache
 
     clear_plan_cache()
-    program = BENCHMARKS["FIR"](**FIR_PARAMS)  # pull mode: shared entry
+    program = BENCHMARKS["FIR"](**FIR_PARAMS)
     pool = SessionPool(max_idle_per_key=4, idle_ttl=30.0)
 
-    def factory(seed=None):
-        return StreamSession(program, backend="plan", _plan_seed=seed)
+    def factory():
+        return StreamSession(program, backend="plan")
 
     ps = pool.acquire("k", factory, "fir")
     entry = ps.session.cache_entry
@@ -344,8 +371,8 @@ def test_pool_discards_overflow_and_poisoned():
     _source, body = split_app(BENCHMARKS["FIR"](**FIR_PARAMS))
     pool = SessionPool(max_idle_per_key=1)
 
-    def factory(seed=None):
-        return StreamSession(body, backend="plan", _plan_seed=seed)
+    def factory():
+        return StreamSession(body, backend="plan")
 
     a = pool.acquire("k", factory, "fir")
     b = pool.acquire("k", factory, "fir")

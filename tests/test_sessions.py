@@ -23,8 +23,8 @@ from repro.exec import PlanExecutor, clear_plan_cache, plan_cache_stats
 from repro.graph.streams import Filter, walk
 from repro.profiling import CATEGORIES, Profiler
 from repro.runtime import count_ops, run_graph, run_stream
+from repro.exec.ring import RingBuffer
 from repro.runtime.builtins import ArrayCollector, ChunkSource
-from repro.runtime.channels import FloatVec
 
 BACKENDS = ("interp", "compiled", "plan")
 
@@ -366,26 +366,21 @@ def test_scalar_session_report_is_advisory():
 def test_push_harness_is_ndarray_native():
     session = repro.compile(low_pass_filter(1.0, math.pi / 3, 16),
                             backend="plan")
-    assert isinstance(session._source, ChunkSource)
     flat = session._executor.flat
-    sink = next(n for n in flat.nodes
-                if isinstance(n.stream, ArrayCollector))
-    assert isinstance(sink.runner.collected, FloatVec)
+    feed, sink = flat.nodes[0], flat.nodes[-1]
+    assert isinstance(feed.stream, ChunkSource)
+    assert isinstance(sink.stream, ArrayCollector)
+    # the harness nodes are stateless: both rings are runner state,
+    # owned by this executor and replaced with it
+    assert not hasattr(feed.stream, "buffer")
+    assert session._executor.feed is feed.runner
+    assert isinstance(feed.runner.buffer, RingBuffer)
+    assert isinstance(sink.runner.collected, RingBuffer)
     out = session.push(np.arange(64.0))
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
-
-
-def test_floatvec_collection_surface():
-    vec = FloatVec(capacity=2)
-    vec.append(1.0)
-    vec.extend([2.0, 3.0])
-    vec.extend_array(np.asarray([4.0, 5.0]))
-    assert len(vec) == 5
-    assert vec[0] == 1.0 and vec[-1] == 5.0
-    np.testing.assert_array_equal(vec[1:4], [2.0, 3.0, 4.0])
-    np.testing.assert_array_equal(vec.array(), [1, 2, 3, 4, 5])
-    with pytest.raises(IndexError):
-        vec[5]
+    assert len(sink.runner.collected) == 0  # push popped what it returned
+    session.reset()
+    assert session._executor.feed is not feed.runner
 
 
 def test_unknown_backend_rejected_eagerly():
@@ -462,14 +457,21 @@ def test_output_channel_streams_jump():
     assert executor.passes_literal == executor.jumps == 3
 
 
-def test_push_sessions_are_cache_single_use():
-    """A push harness contains a consumed-in-place ChunkSource, so its
-    entry is never shared: two identical compiles both miss."""
+def test_push_sessions_share_their_plan_by_body():
+    """The push harness is stateless (its rings are executor state), so
+    a push plan is keyed by body + optimize + dtype like a pull plan:
+    a content-identical rebuild hits, another dtype or mode misses."""
     clear_plan_cache()
-    repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan")
-    repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan")
-    stats = plan_cache_stats()
-    assert stats["misses"] == 2 and stats["entries"] == 0
+    a = repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan")
+    b = repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan")
+    assert a.cache_entry is b.cache_entry and a.cache_entry.pins == 2
+    assert plan_cache_stats() == {"hits": 1, "misses": 1, "entries": 1}
+    repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan",
+                  dtype="f32")
+    repro.compile(low_pass_filter(1.0, math.pi / 3, 16), backend="plan",
+                  optimize="linear")
+    repro.compile(low_pass_filter(1.0, math.pi / 3, 17), backend="plan")
+    assert plan_cache_stats() == {"hits": 1, "misses": 4, "entries": 4}
 
 
 # ---------------------------------------------------------------------------
