@@ -2,9 +2,12 @@
 
 Generates random-but-valid DSL programs straight from the grammar —
 filters with randomized rates and bodies, pipelines, rate-consistent
-splitjoins (duplicate and roundrobin), and echo-template feedback
-loops — then runs every program through all three backends and demands
-the frontend contract:
+splitjoins (duplicate and roundrobin), *sibling* splitjoins (one set of
+filter declarations instantiated per branch with other coefficients:
+the shape the plan backend runs as one step per stage, and its near
+misses, which it must not), and echo-template feedback loops — then
+runs every program through all three backends and demands the frontend
+contract:
 
 * **interp** and **compiled** outputs are bitwise identical (both
   scalar-evaluate the same elaborated IR);
@@ -411,16 +414,178 @@ float->float filter {name} {{
         self._count("filter")
         return name, 1, 1
 
+    # ------------------------------------------------------------------
+    # sibling splitjoins
+    # ------------------------------------------------------------------
+
+    #: how a sibling splitjoin may fall short of being one (None: it
+    #: does not).  Every one of these must plan branch by branch and
+    #: still agree with the interpreter.
+    NEAR_MISSES = (None, None, None, None, None, None, "rates", "weights",
+                   "prework", "int field", "nested", "loop")
+
+    def _siblings(self, void: bool = False,
+                  miss: str | None = "draw") -> tuple[str, int, int]:
+        """``b`` branches instantiating the same declarations — a
+        peek > pop FIR, a stateless non-linear shaper with a float and
+        an int field, under ``void`` a counter source in front — with
+        per-branch coefficients, split by duplicate or equal weights."""
+        rng = self.rng
+        if miss == "draw":
+            miss = rng.choice(self.NEAR_MISSES)
+        if void and miss == "loop":
+            miss = None
+        b = 2 if miss == "loop" else rng.randint(2, 6)
+        taps = 1 if miss == "loop" else rng.randint(2, 5)
+        dec = 0 if miss in ("loop", "rates") else rng.choice((0, 0, 1))
+        reps = 1 if miss in ("loop", "rates") else rng.choice((1, 1, 2))
+        loops = rng.randint(1, 3)
+        t = self._lit(rng.uniform(0.5, 2.0))
+        duplicate = void or (miss != "loop" and rng.random() < 0.6)
+        odd = rng.randrange(b)  # the branch a near miss sets apart
+
+        fir, shape = self._fresh("SibFir"), self._fresh("SibShape")
+        self.decls.append(f"""\
+float->float filter {fir}(float f, float ph, int dec) {{
+    float[{taps}] h;
+    init {{
+        for (int i = 0; i < {taps}; i++) {{
+            h[i] = sin(f * i + ph) / {taps};
+        }}
+    }}
+    work peek (max({taps}, 1 + dec)) pop (1 + dec) push 1 {{
+        float sum = 0.0;
+        for (int i = 0; i < {taps}; i++) {{
+            sum = sum + h[i] * peek(i);
+        }}
+        push(sum);
+        for (int i = 0; i < 1 + dec; i++) {{
+            pop();
+        }}
+    }}
+}}
+""")
+        # soft limiter toward t (continuous where it branches), then a
+        # per-branch gain
+        self.decls.append(f"""\
+float->float filter {shape}(float g, int k, int reps) {{
+    float gain = g;
+    int loops = k;
+    work peek 1 pop 1 push (reps) {{
+        float x = pop();
+        float y = x;
+        if (x > {t}) {{
+            for (int i = 0; i < loops; i++) {{
+                y = y - 0.5 * (y - {t});
+            }}
+        }}
+        for (int i = 0; i < reps; i++) {{
+            push(gain * y);
+        }}
+    }}
+}}
+""")
+        self._count("filter")
+        self._count("filter")
+        stages = [f"add {fir}(f, ph, dec);"]
+        if miss == "prework":
+            stages.append(f"add {self._delay()[0]}();")
+        inner = (1, 1)  # rates of what sits between the two filters
+        if miss == "nested":
+            name, *inner = self._siblings(miss=None)
+            stages.append(f"add {name}();")
+        stages.append(f"add {shape}(g, k, reps);")
+        kind = "float"
+        if void:
+            kind = "void"
+            src = self._fresh("SibSrc")
+            self.decls.append(f"""\
+void->float filter {src}(float w, float ph) {{
+    int n;
+    float phase = ph;
+    work push 1 {{
+        push(sin(w * n + phase));
+        n = n + 1;
+    }}
+}}
+""")
+            self._count("filter")
+            stages.insert(0, f"add {src}({self._lit(rng.uniform(0.05, 0.9))}"
+                             ", ph);")
+        branch = self._fresh("SibBranch")
+        body = "\n".join("    " + line for line in stages)
+        self.decls.append(
+            f"{kind}->float pipeline {branch}(float f, float ph, float g, "
+            f"int dec, int k, int reps) {{\n{body}\n}}\n")
+        self._count("pipeline")
+
+        adds, rates = [], []
+        for j in range(b):
+            d, k, r = dec, loops, reps
+            if j == odd:
+                if miss == "rates":  # 2 -> 2 next to 1 -> 1: equal weights
+                    d, r = 1, 2
+                elif miss == "weights":
+                    r += 1
+                elif miss == "int field":
+                    k += 1
+            adds.append(
+                f"    add {branch}({self._lit(rng.uniform(0.3, 1.2))}, "
+                f"{self._lit(rng.uniform(0.0, 3.0))}, "
+                f"{self._lit(rng.uniform(0.4, 1.5))}, {d}, {k}, {r});")
+            rates.append(_compose(_compose((1 + d, 1), inner), (1, r)))
+        name = self._fresh("Siblings")
+        if duplicate:
+            lcm = math.lcm(*(p for p, _ in rates))
+            weights = [q * (lcm // p) for p, q in rates]
+            pop, split = lcm, "split duplicate;"
+        else:
+            weights = [q for _, q in rates]
+            pop = sum(p for p, _ in rates)
+            split = ("split roundrobin("
+                     + ", ".join(str(p) for p, _ in rates) + ");")
+        join = "join roundrobin(" + ", ".join(map(str, weights)) + ");"
+        self.decls.append(
+            f"{kind}->float splitjoin {name} {{\n    {split}\n"
+            + "\n".join(adds) + f"\n    {join}\n}}\n")
+        self._count("siblings")
+        if miss != "loop":
+            return name, *_reduce(pop, sum(weights))
+        # the echo template with the siblings behind its mixer
+        mix, _, _ = self._map_mixer()
+        damp, _, _ = self._damp()
+        body = self._fresh("Pipe")
+        self.decls.append(f"float->float pipeline {body} {{\n"
+                          f"    add {mix}();\n    add {name}();\n}}\n")
+        self._count("pipeline")
+        loop = self._fresh("Loop")
+        enq = "\n".join(
+            f"    enqueue {self._lit(rng.uniform(-0.5, 0.5))};"
+            for _ in range(rng.randint(1, 6)))
+        self.decls.append(f"""\
+float->float feedbackloop {loop} {{
+    join roundrobin(1, 1);
+    body {body}();
+    loop {damp}();
+    split roundrobin(1, 1);
+{enq}
+}}
+""")
+        self._count("feedbackloop")
+        return loop, 1, 1
+
     def _stream(self, depth: int) -> tuple[str, int, int]:
         if depth <= 0:
             return self._leaf()
         roll = self.rng.random()
-        if roll < 0.40:
+        if roll < 0.35:
             return self._leaf()
-        if roll < 0.70:
+        if roll < 0.65:
             return self._pipeline(depth)
-        if roll < 0.90:
+        if roll < 0.80:
             return self._splitjoin(depth)
+        if roll < 0.90:
+            return self._siblings()
         return self._feedback()
 
     def _source(self) -> str:
@@ -475,7 +640,8 @@ def generate(seed: int, max_depth: int = 3) -> FuzzProgram:
     """Deterministically generate one program from ``seed``."""
     rng = random.Random(seed)
     gen = _Gen(rng, max_depth)
-    src = gen._source()
+    src = (gen._siblings(void=True)[0] if rng.random() < 0.15
+           else gen._source())
     body, pop, push = gen._stream(max_depth)
     gen.decls.append(
         f"void->float pipeline {TOP} {{\n    add {src}();\n"
@@ -496,32 +662,24 @@ def _run(program: FuzzProgram, n_outputs: int, backend: str,
                      optimize=optimize)
 
 
-def _run_typed(program: FuzzProgram, n_outputs: int, optimize: str,
-               policy) -> np.ndarray:
-    """Plan-backend run under a non-default numeric policy."""
+def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
+              policy=None, workers: int = 1) -> np.ndarray:
+    """Plan-backend run, under a numeric policy or on the parallel
+    engine (``workers`` processes) if asked.  Notes in the program's
+    census whether sibling branches ran as one step — whether the plan
+    holds a many-row ring."""
     from ..session import StreamSession
 
+    policy = resolve_policy(policy)
     session = StreamSession(_wrap(program), backend="plan",
                             optimize=optimize, dtype=policy,
-                            _program_mode=True)
+                            workers=workers, _program_mode=True)
     try:
+        rings = getattr(session._executor, "rings", ())
+        if any(ring.rows > 1 for ring in rings):
+            program.census["fused"] = 1
         return np.asarray(session._advance_raw(n_outputs),
                           dtype=policy.dtype)
-    finally:
-        session.close()
-
-
-def _run_workers(program: FuzzProgram, n_outputs: int, optimize: str,
-                 workers: int) -> np.ndarray:
-    """Plan-backend run on the parallel engine (``workers`` processes)."""
-    from ..session import StreamSession
-
-    session = StreamSession(_wrap(program), backend="plan",
-                            optimize=optimize, workers=workers,
-                            _program_mode=True)
-    try:
-        return np.asarray(session._advance_raw(n_outputs),
-                          dtype=np.float64)
     finally:
         session.close()
 
@@ -562,7 +720,7 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
     plan_modes = ["none"] + ([optimize] if optimize != "none" else [])
     for mode in plan_modes:
         try:
-            plan = _run(program, n_outputs, "plan", optimize=mode)
+            plan = _run_plan(program, n_outputs, mode)
         except Exception:
             return Mismatch(program, f"run:plan/{mode}",
                             traceback.format_exc())
@@ -574,7 +732,7 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
                             f"interp vs plan max|delta| = {delta!r}")
         if workers > 1:
             try:
-                par = _run_workers(program, n_outputs, mode, workers)
+                par = _run_plan(program, n_outputs, mode, workers=workers)
             except Exception:
                 return Mismatch(program,
                                 f"run:plan/{mode}/workers{workers}",
@@ -588,7 +746,7 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
                     f"max|delta| = {delta!r}")
         if not policy.is_default:
             try:
-                typed = _run_typed(program, n_outputs, mode, policy)
+                typed = _run_plan(program, n_outputs, mode, policy)
             except Exception:
                 return Mismatch(program, f"run:plan/{mode}/{policy.name}",
                                 traceback.format_exc())
@@ -694,8 +852,10 @@ def main(argv=None) -> int:
         print(f"[fuzz] FAILED: {len(mismatches)} mismatch(es)",
               file=sys.stderr)
         return 1
+    fused = census.pop("fused", 0)
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
-    print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape})")
+    print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
+          f"{fused} programs ran sibling branches as one step)")
     return 0
 
 

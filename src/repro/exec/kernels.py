@@ -1,7 +1,14 @@
 """Batched step kernels executed by the plan backend.
 
 Each step executes ``n`` consecutive firings of one flattened graph node
-against :class:`~repro.exec.ring.RingBuffer` channels:
+against :class:`~repro.exec.ring.RingBuffer` channels — or of ``b``
+*sibling* nodes at once, the look-alike branches of a splitjoin the
+planner found to differ in coefficients only: :class:`MatmulStep` and
+:class:`LaneStep` take the siblings' coefficients stacked along a
+leading axis, read a ``(b, ·)`` ring and write one, and the splitter
+and joiner steps on either side scatter into and gather from such a
+ring with one transposed copy.  A plain step is the ``b = 1`` case of
+the same class, its arrays without the axis.
 
 * :class:`MatmulStep` — a linear filter's ``n`` firings collapse into one
   ``(n, peek) @ (peek, push)`` NumPy matrix product over a strided window
@@ -74,33 +81,41 @@ class Step:
 
 
 class MatmulStep(Step):
-    """Batched affine map ``Y = X[:, ::-1] @ A + b`` for a linear node.
+    """Batched affine map ``Y = X[:, ::-1] @ A + b`` for a linear node —
+    for ``b`` sibling nodes of equal rates, one ``(b, n, peek) @
+    (b, peek, push)`` product into a ``(b, ·)`` ring.
 
-    ``filter_name`` is set for :class:`~repro.linear.filters.LinearFilter`
-    leaves (whose scalar runners attribute counts per filter); it is left
-    ``None`` for IR filters, matching the compiled backend's aggregate-only
-    accounting.
+    ``accounts`` pairs each node's per-firing counts with the name they
+    are attributed to: set for :class:`~repro.linear.filters.
+    LinearFilter` leaves (whose scalar runners attribute counts per
+    filter), ``None`` for IR filters, matching the compiled backend's
+    aggregate-only accounting.
     """
 
     kind = "matmul"
 
-    def __init__(self, ring_in, ring_out, A: np.ndarray, b: np.ndarray,
-                 peek: int, pop: int, push: int, counts: Counts,
-                 profiler: Profiler, filter_name: str | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, ring_in, ring_out, nodes, accounts,
+                 profiler: Profiler, policy: NumericPolicy = DEFAULT_POLICY):
         self.ring_in = ring_in
         self.ring_out = ring_out
-        # row i <=> peek(i); stored in the policy dtype so the product
-        # computes natively in it (f32 GEMM, complex GEMM, ...)
-        self.A = np.ascontiguousarray(A[::-1], dtype=policy.dtype)
-        self.b = np.asarray(b, dtype=policy.dtype)
-        self.has_b = bool(np.any(self.b != 0.0))
-        self.peek = peek
-        self.pop = pop
-        self.push = push
-        self.counts = policy.adjust_counts(counts)
+        first = nodes[0]
+        self.peek, self.pop, self.push = first.peek, first.pop, first.push
+        # row i <=> peek(i), column j <=> the j-th item pushed (y[u-1]
+        # goes first), so the product lands in the ring as it stands;
+        # stored in the policy dtype so it computes natively in it (f32
+        # GEMM, complex GEMM, ...)
+        A = np.stack([node.A[::-1, ::-1] for node in nodes])
+        b = np.stack([node.b[::-1] for node in nodes])[:, None, :]
+        if len(nodes) == 1:
+            A, b = A[0], b[0, 0]
+        self.A = np.ascontiguousarray(A, dtype=policy.dtype)
+        self.b = b.astype(policy.dtype) if b.any() else None
+        # one account per name, the unnamed ones summed
+        merged: dict = {}
+        for counts, name in accounts:
+            merged.setdefault(name, Counts()).add(policy.adjust_counts(counts))
+        self.accounts = [(counts, name) for name, counts in merged.items()]
         self.profiler = profiler
-        self.filter_name = filter_name
         # pop == push == 1 (an n-tap sliding filter, the FIR shape):
         # consecutive windows overlap in all but one element, and BLAS
         # forces a dense (n, peek) copy of the strided view first — a
@@ -108,38 +123,32 @@ class MatmulStep(Step):
         # the window matrix (~5x on a 256-tap FIR).  np.correlate
         # conjugates its second argument, so complex taps are
         # pre-conjugated to keep the plain product semantics.
-        taps = None
-        if pop == 1 and push == 1 and peek >= 1:
-            taps = np.ascontiguousarray(self.A[:, 0])
-            if policy.is_complex:
-                taps = np.conj(taps)
-        self._taps = taps
+        self._taps = None
+        if self.pop == 1 and self.push == 1 and self.peek >= 1:
+            taps = self.A.reshape(len(nodes), -1)
+            self._taps = np.conj(taps) if policy.is_complex else taps
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        if self._taps is not None:
+        out = self.ring_out.alloc_push(n * self.push)
+        Y = out.reshape(out.shape[:-1] + (n, self.push))
+        if self._taps is None:
+            # window rows are [peek(0)..peek(e-1)]; A was pre-reversed so
+            # that X @ A == (X[:, ::-1]) @ A_thesis, avoiding a strided copy
+            np.matmul(self.ring_in.window_view(n, self.pop, self.peek),
+                      self.A, out=Y)
+        else:
+            taps = self._taps
             x = self.ring_in.peek_block(n + self.peek - 1)
-            y = np.correlate(x, self._taps, "valid")
-            if self.has_b:
-                y += self.b[0]
-            self.ring_out.push_array(y)
-            self.ring_in.pop_block(n)
-            self.profiler.add_counts(self.counts, times=n,
-                                     filter_name=self.filter_name)
-            return
-        X = self.ring_in.window_view(n, self.pop, self.peek)
-        # window rows are [peek(0)..peek(e-1)]; A was pre-reversed so that
-        # X @ A == (X[:, ::-1]) @ A_thesis, avoiding a strided copy.
-        Y = X @ self.A
-        if self.has_b:
+            for xr, yr, t in zip(x.reshape(len(taps), -1),
+                                 out.reshape(len(taps), -1), taps):
+                yr[:] = np.correlate(xr, t, "valid")
+        if self.b is not None:
             Y += self.b
-        if self.push:
-            # push order within a firing is y[u-1] first
-            self.ring_out.push_array(Y[:, ::-1].reshape(-1))
         self.ring_in.pop_block(n * self.pop)
-        self.profiler.add_counts(self.counts, times=n,
-                                 filter_name=self.filter_name)
+        for counts, name in self.accounts:
+            self.profiler.add_counts(counts, times=n, filter_name=name)
 
 
 #: Element budget of the lifted operators of :class:`StatefulLinearStep`.
@@ -514,7 +523,11 @@ class LaneStep(FallbackStep):
     """``n`` firings of a stateless non-linear filter, or of a source
     driven by additive counters, as one call of its lane form
     (:func:`~repro.ir.pycodegen.emit_lanes`): NumPy ufuncs over the
-    ``(n, peek)`` window, one ``(n, push)`` block out.
+    ``(n, peek)`` window, one ``(n, push)`` block out.  ``nodes`` of
+    length ``b > 1`` are sibling filters sharing that form — the same
+    work function, the same state, float fields of differing value
+    (``code.varying``) — and one call evaluates all of them: a
+    ``(b, n, peek)`` window, those fields as ``(b, 1)`` columns.
 
     Values are computed in float64 (complex128 under a complex policy)
     whatever the ring dtype, as the scalar runner computes them from
@@ -522,22 +535,29 @@ class LaneStep(FallbackStep):
     flags a division, overflow or domain error in any lane — also one
     the scalar path would never have evaluated, both arms of an
     if-converted branch run everywhere — or an int counter would leave
-    int64, nothing has been committed and the same runner fires the
-    batch scalar, with Python's own semantics for the case.  Such a
-    batch pays for both paths, so the step counts them: the report
-    shows ``refired k/N lane batches``, and a step that refires most of
-    its batches reports itself as the ``fallback`` it is.  Batches
-    under :data:`LANE_MIN_FIRINGS` fire scalar too; the counters live
-    in ``runner.fields`` either way.
+    int64, nothing has been committed and the scalar runners fire the
+    batch, each sibling's against its own row, with Python's own
+    semantics for the case.  Such a batch pays for both paths, so the
+    step counts them: the report shows ``refired k/N lane batches``, and
+    a step that refires most of its batches reports itself as the
+    ``fallback`` it is.  Batches under :data:`LANE_MIN_FIRINGS` lanes
+    (``b * n``) fire scalar too; the counters live in every sibling's
+    ``runner.fields`` either way.
     """
 
-    def __init__(self, node, ring_in, ring_out, code,
+    def __init__(self, nodes, ring_in, ring_out, code,
                  policy: NumericPolicy = DEFAULT_POLICY):
-        super().__init__(node, ring_in, ring_out)
+        super().__init__(nodes[0], ring_in, ring_out)
+        self.nodes = nodes
         self.code = code
         self.dtype = np.dtype(np.complex128 if policy.is_complex
                               else np.float64)
         self.batches = self.refired = 0  # lane calls made / abandoned
+        #: the fields that differ between siblings, one value a row
+        self._columns = {
+            name: np.array([[node.runner.fields[name]] for node in nodes])
+            for name in code.varying}
+        self._meter = Profiler()
 
     @property
     def kind(self) -> str:
@@ -553,35 +573,65 @@ class LaneStep(FallbackStep):
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        if n >= LANE_MIN_FIRINGS:
+        if n * len(self.nodes) >= LANE_MIN_FIRINGS:
             self.batches += 1
             if self._lanes(n):
                 return
             self.refired += 1
-        fire_scalar(self.node, self.ring_in, self.ring_out, n)
+        if len(self.nodes) == 1:
+            fire_scalar(self.node, self.ring_in, self.ring_out, n)
+        else:
+            self._fire_rows(n)
 
     def _lanes(self, n: int) -> bool:
         wf = self.node.stream.work
-        runner = self.node.runner
-        win = None
+        nodes = self.nodes
+        win = out = None
         if wf.peek:
             win = self.ring_in.window_view(n, wf.pop, wf.peek)
             if win.dtype != self.dtype:
                 win = win.astype(self.dtype)
-        out = np.empty((n, wf.push), dtype=self.dtype)
-        meter = Profiler()
-        try:
-            with np.errstate(divide="raise", over="raise", invalid="raise",
-                             under="ignore"):
-                self.code.function()(win, out, runner.fields, n, meter.bulk)
-        except (ArithmeticError, ValueError, LaneBailout):
-            return False
         if wf.push:
-            self.ring_out.push_array(out.reshape(-1))
+            out = self.ring_out.alloc_push(n * wf.push)
+            out = out.reshape(out.shape[:-1] + (n, wf.push))
+        fields = self.node.runner.fields
+        if self._columns:
+            fields = {**fields, **self._columns}
+        meter = self._meter
+        meter.counts = Counts()
+        try:
+            self.code.function()(win, out, fields, n, n * len(nodes),
+                                 meter.bulk)
+        except (ArithmeticError, ValueError, LaneBailout):
+            if wf.push:
+                self.ring_out.retract(n * wf.push)
+            return False
         if wf.pop:
             self.ring_in.pop_block(n * wf.pop)
-        runner.profiler.add_counts(meter.counts)
+        for name in self.code.counters:
+            for node in nodes:  # (the first one's anew, if it was a copy)
+                node.runner.fields[name] = fields[name]
+        self.node.runner.profiler.add_counts(meter.counts)
         return True
+
+    def _fire_rows(self, n: int) -> None:
+        """``n`` scalar firings of every sibling, each over its own row
+        of the rings."""
+        wf = self.node.stream.work
+        rows_in = rows_out = [None] * len(self.nodes)
+        if wf.peek:
+            rows_in = self.ring_in.peek_block((n - 1) * wf.pop + wf.peek)
+        if wf.push:
+            rows_out = self.ring_out.alloc_push(n * wf.push)
+        for node, row_in, row_out in zip(self.nodes, rows_in, rows_out):
+            tape_in, tape_out = Channel("row-in"), Channel("row-out")
+            if row_in is not None:
+                tape_in.push_array(row_in)
+            fire_scalar(node, tape_in, tape_out, n)
+            if row_out is not None:
+                row_out[:] = tape_out.snapshot()
+        if wf.pop:
+            self.ring_in.pop_block(n * wf.pop)
 
 
 #: Scalar firings a source takes without its state recurring before
@@ -841,46 +891,67 @@ class DuplicateSplitStep(Step):
         self.rings_out = rings_out
 
     def execute(self, n: int) -> None:
-        block = self.ring_in.pop_block_array(n)
-        for ring in self.rings_out:
+        block = self.ring_in.peek_block(n)
+        for ring in self.rings_out:  # a (b, .) ring takes it on every row
             ring.push_array(block)
+        self.ring_in.pop_block(n)
+
+
+def _by_row(cols: np.ndarray, n: int, w: int) -> np.ndarray:
+    """A ring's ``(n, rows * w)`` columns of a roundrobin block — ``w``
+    items a firing for each of its rows in turn — viewed as the
+    ``(rows, n, w)`` array they are on its tape."""
+    return cols.reshape(n, -1, w).transpose(1, 0, 2)
 
 
 class RoundRobinSplitStep(Step):
+    """``weights[i]`` items a firing to every row of ``rings_out[i]``:
+    one ring a branch, or the one ``(b, .)`` ring of ``b`` sibling
+    branches of equal weight."""
+
     kind = "rr-split"
 
     def __init__(self, ring_in, rings_out, weights):
         self.ring_in = ring_in
         self.rings_out = rings_out
         self.weights = weights
-        self.total = sum(weights)
+        self.total = sum(w * r.rows for r, w in zip(rings_out, weights))
 
     def execute(self, n: int) -> None:
-        block = self.ring_in.pop_block_array(n * self.total)
+        block = self.ring_in.peek_block(n * self.total)
         block = block.reshape(n, self.total)
         off = 0
         for ring, w in zip(self.rings_out, self.weights):
             if w:
-                ring.push_array(block[:, off:off + w].reshape(-1))
-                off += w
+                cols = w * ring.rows
+                ring.alloc_push(n * w).reshape(-1, n, w)[...] = \
+                    _by_row(block[:, off:off + cols], n, w)
+                off += cols
+        self.ring_in.pop_block(n * self.total)
 
 
 class RoundRobinJoinStep(Step):
+    """The mirror image: ``weights[i]`` items a firing from every row of
+    ``rings_in[i]``."""
+
     kind = "rr-join"
 
     def __init__(self, rings_in, ring_out, weights):
         self.rings_in = rings_in
         self.ring_out = ring_out
         self.weights = weights
-        self.total = sum(weights)
+        self.total = sum(w * r.rows for r, w in zip(rings_in, weights))
 
     def execute(self, n: int) -> None:
         out = self.ring_out.alloc_push(n * self.total).reshape(n, self.total)
         off = 0
         for ring, w in zip(self.rings_in, self.weights):
             if w:
-                out[:, off:off + w] = ring.pop_block_array(n * w).reshape(n, w)
-                off += w
+                cols = w * ring.rows
+                _by_row(out[:, off:off + cols], n, w)[...] = \
+                    ring.peek_block(n * w).reshape(-1, n, w)
+                ring.pop_block(n * w)
+                off += cols
 
 
 class CollectorStep(Step):

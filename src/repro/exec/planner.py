@@ -41,6 +41,20 @@ the island, members fire data-driven through their ordinary batched
 kernels, with lookahead bounded by the loop's delay ring, so a linear
 loop body still advances ``delay`` iterations per matmul.
 
+**Sibling branches** execute as one step per stage: the plan is built
+over the *quotient* of the flat graph by branch symmetry.  The ``b``
+branches of a splitjoin that are the same program with other
+coefficients (:meth:`PlanExecutor._sibling_stages` has the exact
+conditions) see the same occupancies in every sweep, so they fire in
+lockstep — a product of stream homomorphisms is a homomorphism into the
+product of their state monoids — and the planner gives each stage one
+rate record, one step and one ``(b, capacity)`` ring instead of ``b`` of
+each (Radar: 45 nodes, 11 steps).  Every flat node fires exactly as
+often as it would on its own, so outputs, FLOPs and the schedule are
+those of the unquotiented plan; a splitjoin that does not match plans
+node by node (orbits of size 1), and :func:`plan_report` says on its
+splitter's row what kept a near miss apart.
+
 The planner *bails out* to the scalar compiled executor only for graphs
 it cannot batch safely: nodes that consume nothing yet have inputs
 (unbounded drain), unknown primitive sources whose exhaustion behavior
@@ -169,16 +183,18 @@ def _vectorize_decision(filt: Filter):
     return (node, counts), None
 
 
-def _lane_decision(filt: Filter, memo: dict):
+def _lane_decision(filt: Filter, memo: dict,
+                   varying: frozenset = frozenset()):
     """(:class:`~repro.ir.pycodegen.LaneCode`, None) when ``filt`` has a
     lane form, else (None, reason).  ``memo`` shares one emission — and
     later one compiled function — among filters with the same work
-    function and field types (Radar's 12 sources)."""
-    key = lane_key(filt.work, filt.fields)
+    function and field types (Radar's 12 sources); ``varying`` names the
+    float fields the form is to take one value per sibling of."""
+    key = lane_key(filt.work, filt.fields, varying)
     verdict = memo.get(key)
     if verdict is None:
         try:
-            verdict = emit_lanes(filt.work, filt.fields, filt.name)
+            verdict = emit_lanes(filt.work, filt.fields, filt.name, varying)
         except LaneReject as exc:
             verdict = str(exc)
         memo[key] = verdict
@@ -459,6 +475,11 @@ class PlanExecutor:
     differs.
     """
 
+    #: Plan over the quotient of the flat graph by sibling symmetry
+    #: (:meth:`_sibling_stages`).  The parallel executor, whose
+    #: shared-memory rings have one row, plans every node on its own.
+    fuse_siblings = True
+
     def __init__(self, flat: FlatGraph,
                  chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
                  decisions: dict | None = None,
@@ -510,15 +531,62 @@ class PlanExecutor:
         self.feed = flat.feed
         self._feed_node: _SimNode | None = None
 
-        # pass 1: per flat node — ring wiring, rates, and the batched step
-        raw_in_ids: list[list[int]] = []
-        raw_steps: list[K.Step] = []
-        raw_rates: list[tuple] = []
+        nodes = flat.nodes
+        # kernel decisions first: which branches are siblings hangs on them
+        if not self._decisions_given:
+            for i, node in enumerate(nodes):
+                if node.kind == "filter":
+                    self.decisions[i] = self._decide(
+                        node.stream,
+                        not node.inputs and node.stream.prework is None)
+
+        # the quotient by sibling symmetry: a fused splitjoin keeps one
+        # ring per level (b channels, b rows) and one step per stage,
+        # planned at its first branch; the other branches ride along
+        stage_of: dict[int, list[int]] = {}  # first-branch node -> siblings
+        riders: set[int] = set()
+        fused_ends: set[int] = set()  # their splitters and joiners
+        #: splitter index of a look-alike splitjoin left unfused -> why
+        self.unfused_reasons: dict[int, str] = {}
+        for region in flat.splitjoins if self.fuse_siblings else ():
+            stages = self._sibling_stages(region)
+            if isinstance(stages, str):
+                if stages:
+                    self.unfused_reasons[region.split] = stages
+                continue
+            levels = [nodes[region.split].outputs] + [
+                [nodes[m].outputs[0] for m in members] for members in stages]
+            for level in levels:
+                for ch in level:
+                    self._chan_ids[id(ch)] = len(self.rings)
+                self.rings.append(self._new_ring(level[0].name,
+                                                 rows=len(level)))
+            for members in stages:
+                stage_of[members[0]] = members
+                riders.update(members[1:])
+            fused_ends.update((region.split, region.join))
+
+        # pass 1: per planned node — ring wiring, rates, the batched step
+        raw_in_ids: list = []
+        raw_steps: list = []
+        raw_rates: list = []
         island_start = {r.start: r for r in flat.feedback_regions}
         island_gates: dict[int, int] = {}  # region start -> gate ring id
-        for i, node in enumerate(flat.nodes):
+        for i, node in enumerate(nodes):
+            if i in riders:
+                raw_in_ids.append(None)
+                raw_rates.append(None)
+                raw_steps.append(None)
+                continue
             in_ids = [ring_of(ch) for ch in node.inputs]
             out_ids = [ring_of(ch) for ch in node.outputs]
+            needs, pops, pushes = _steady_rates(node)
+            if i in fused_ends:
+                # b equal-weight channels are one ring at one rate
+                if node.kind == "splitter":
+                    out_ids, pushes = out_ids[:1], pushes[:1]
+                else:
+                    in_ids, needs, pops = in_ids[:1], needs[:1], pops[:1]
             if i in island_start:
                 # the loop joiner reads externals through a private gate
                 # ring so the island cannot outrun its simulated schedule
@@ -527,23 +595,30 @@ class PlanExecutor:
                 island_gates[i] = gate
                 in_ids = [gate] + in_ids[1:]
             raw_in_ids.append(in_ids)
-            raw_rates.append((_steady_rates(node), _init_rates(node),
+            raw_rates.append(((needs, pops, pushes), _init_rates(node),
                               out_ids))
-            raw_steps.append(self._make_step(i, node, in_ids, out_ids))
+            raw_steps.append(self._make_step(stage_of.get(i, [i]),
+                                             in_ids, out_ids))
 
         # pass 2: assemble the acyclic outer schedule, collapsing each
         # feedback region into a single FeedbackStep facade
         self.sim_nodes: list[_SimNode] = []
         self.steps: list[K.Step] = []
-        #: per outer position: the flat node, or the FeedbackRegion
+        #: per outer position: the flat node (of a sibling stage, the
+        #: first branch's), or the FeedbackRegion
         self.outer_entries: list = []
+        #: per outer position: the flat indices the step fires
+        self.orbits: list = []
         self.islands: list[tuple] = []  # (region, IslandRates, FeedbackStep)
         outer_of_flat: dict[int, int] = {}
         i = 0
-        while i < len(flat.nodes):
+        while i < len(nodes):
+            if i in riders:
+                i += 1
+                continue
             region = island_start.get(i)
             if region is None:
-                node = flat.nodes[i]
+                node = nodes[i]
                 (needs, pops, pushes), \
                     (has_init, init_needs, init_pops, init_pushes), \
                     out_ids = raw_rates[i]
@@ -559,6 +634,7 @@ class PlanExecutor:
                 self.sim_nodes.append(sn)
                 self.steps.append(raw_steps[i])
                 self.outer_entries.append(node)
+                self.orbits.append(stage_of.get(i, [i]))
                 i += 1
                 continue
             rates = self.island_rates.get(region.start)
@@ -577,9 +653,9 @@ class PlanExecutor:
                     raw_steps[j],
                     [self.rings[r] for r in raw_in_ids[j]],
                     needs, pops, has_init, init_needs))
-            join_node = flat.nodes[region.start]
+            join_node = nodes[region.start]
             split_node = next(
-                n for n in flat.nodes[region.start:region.stop]
+                n for n in nodes[region.start:region.stop]
                 if n.kind == "splitter"
                 and n.splitter is region.stream.splitter)
             ext_in = ring_of(join_node.inputs[0])
@@ -597,6 +673,7 @@ class PlanExecutor:
             self.sim_nodes.append(sn)
             self.steps.append(step)
             self.outer_entries.append(region)
+            self.orbits.append(range(region.start, region.stop))
             self.islands.append((region, rates, step))
             i = region.stop
 
@@ -630,19 +707,149 @@ class PlanExecutor:
         self._out_popped = 0  # items popped off the graph output ring
 
     # -- ring construction ------------------------------------------------
-    def _new_ring(self, name: str, prefill=None) -> RingBuffer:
+    def _new_ring(self, name: str, prefill=None, rows: int = 1) -> RingBuffer:
         """Channel-storage hook: the parallel executor overrides this to
         allocate shared-memory rings workers can attach to."""
-        return RingBuffer(name, prefill=prefill, dtype=self.policy.dtype)
+        return RingBuffer(name, prefill=prefill, dtype=self.policy.dtype,
+                          rows=rows)
+
+    # -- sibling symmetry -------------------------------------------------
+    def _stacked_kernel(self, index: int):
+        """How flat node ``index`` would run, if as one of the two
+        kernels that stack along a sibling axis: ``("matmul", linear
+        node, per-firing counts, filter name)`` or ``("lanes", code)``;
+        None for any other."""
+        node = self.flat.nodes[index]
+        s = node.stream
+        if node.kind == "filter":
+            params, _ = self.decisions.get(index, (None, None))
+            if isinstance(params, LaneCode):
+                return "lanes", params
+            if params is not None and \
+                    not isinstance(params[0], StatefulLinearNode):
+                return "matmul", *params, None
+        elif isinstance(s, LinearFilter):
+            counts = getattr(s, "account_counts", None)
+            if counts is None:
+                counts = (blas_cost_counts(s.linear_node)
+                          if s.backend == "blas"
+                          else direct_cost_counts(s.linear_node))
+            return "matmul", s.linear_node, counts, s.name
+        return None
+
+    def _sibling_stages(self, region):
+        """``stages[k][j]``, the flat index of the ``k``-th node of
+        ``region``'s ``j``-th branch, when the branches are *siblings*:
+        outside any feedback loop, split by ``duplicate`` or equal
+        weights and joined by equal weights, each a run of as many leaf
+        filters that agree stage by stage — the same stacking kernel
+        (:meth:`_stacked_kernel`) at the same rates; for ``lanes`` the
+        same code and state too, and nothing but the values of float
+        fields apart.  Such branches see the same occupancies in every
+        sweep and fire in lockstep, so a stage is one step over a
+        ``(b, .)`` ring at no change in any node's firing count.
+
+        Otherwise: why not, as the plan report prints it on the
+        splitter's row — the empty string for a splitjoin that does not
+        look the part to begin with.
+        """
+        nodes = self.flat.nodes
+        bounds = region.starts + [region.join]
+        length = bounds[1] - bounds[0]
+        if region.in_feedback or len(region.starts) < 2 or length < 1 or \
+                any(hi - lo != length for lo, hi in zip(bounds, bounds[1:])) \
+                or any(nodes[i].kind not in ("filter", "primitive")
+                       for i in range(bounds[0], region.join)):
+            return ""
+        split, join = nodes[region.split], nodes[region.join]
+        for what, router in (("split", split.splitter),
+                             ("join", join.joiner)):
+            weights = set(getattr(router, "weights", (1,)))
+            if len(weights) > 1:
+                return f"not fused: {what} weights differ"
+            if 0 in weights:
+                return ""
+        stages = [[start + k for start in region.starts]
+                  for k in range(length)]
+        feeds = split.outputs  # what each branch's next node reads
+        recoded = []  # (stage, lane code taking its differing fields)
+        for k, members in enumerate(stages):
+            lead = nodes[members[0]]
+            kernels = [self._stacked_kernel(m) for m in members]
+            kernel = kernels[0]
+            if kernel is None:
+                return f"not fused: stage {k} has no stacking kernel"
+            apart: set[str] = set()  # float fields of differing value
+            for j, m in enumerate(members):
+                what = self._sibling_mismatch(lead, kernel, nodes[m],
+                                              kernels[j], feeds[j], k == 0,
+                                              apart)
+                if what:
+                    return (f"not fused: branch {j} differs at stage {k} "
+                            f"({what})")
+            if kernel[0] == "lanes" and apart - kernel[1].varying:
+                code, why = (None, "plan was decided without them") \
+                    if self._decisions_given else \
+                    _lane_decision(lead.stream, self._lane_memo,
+                                   frozenset(apart))
+                if code is None:
+                    return (f"not fused: stage {k} differs in "
+                            f"{', '.join(sorted(apart))} ({why})")
+                recoded.append((members, code))
+            feeds = [nodes[m].outputs[0] for m in members]
+        for members, code in recoded:
+            for m in members:
+                self.decisions[m] = (code, None)
+        return stages
+
+    @staticmethod
+    def _sibling_mismatch(lead, lead_kernel, node, kernel, feed,
+                          first: bool, apart: set) -> str | None:
+        """What keeps ``node`` from riding in ``lead``'s step, if
+        anything; float fields that merely differ in value are added to
+        ``apart``."""
+        if len(node.outputs) != 1 or len(node.inputs) != len(lead.inputs) \
+                or (node.inputs and node.inputs[0] is not feed) \
+                or not (node.inputs or first):
+            return "wiring"
+        if kernel is None or kernel[0] != lead_kernel[0]:
+            return "kernel"
+        if _steady_rates(node) != _steady_rates(lead):
+            return "rates"
+        if kernel[0] == "matmul":
+            return None
+        code = kernel[1]
+        if code is not lead_kernel[1]:
+            return "work function"
+        state = node.stream.mutable_fields | set(code.counters)
+        for name, a in lead.stream.fields.items():
+            b = node.stream.fields[name]
+            if isinstance(a, np.ndarray):
+                same = a.tobytes() == b.tobytes()
+            else:  # repr is exact and tells 0.0 from -0.0
+                same = repr(a) == repr(b)
+            if same:
+                continue
+            if name in state:
+                return f"state {name}"
+            if type(a) is not float or type(b) is not float:
+                return f"field {name} is not a float"
+            apart.add(name)
+        return None
 
     def close(self) -> None:
         """Release execution resources (no-op for the serial executor;
         the parallel subclass detaches/unlinks shared memory here)."""
 
     # -- step construction ------------------------------------------------
-    def _make_step(self, index, node, in_ids, out_ids) -> K.Step:
+    def _make_step(self, members, in_ids, out_ids) -> K.Step:
+        """The step firing flat nodes ``members``: one node, or the
+        sibling nodes of one stage of a fused splitjoin."""
         from ..frequency.filters import (Decimator, NaiveFreqFilter,
                                          OptimizedFreqFilter)
+
+        index = members[0]
+        node = self.flat.nodes[index]
 
         def rin(j=0):
             return self.rings[in_ids[j]] if in_ids else _NULL_CHANNEL
@@ -650,27 +857,30 @@ class PlanExecutor:
         def rout(j=0):
             return self.rings[out_ids[j]] if out_ids else _NULL_CHANNEL
 
+        # (the b branches of a fused splitjoin are one ring, one weight)
         if node.kind == "splitter":
             outs = [self.rings[i] for i in out_ids]
             if isinstance(node.splitter, Duplicate):
                 return K.DuplicateSplitStep(rin(), outs)
-            return K.RoundRobinSplitStep(rin(), outs,
-                                         list(node.splitter.weights))
+            return K.RoundRobinSplitStep(
+                rin(), outs, list(node.splitter.weights[:len(outs)]))
         if node.kind == "joiner":
             ins = [self.rings[i] for i in in_ids]
-            return K.RoundRobinJoinStep(ins, rout(),
-                                        list(node.joiner.weights))
+            return K.RoundRobinJoinStep(
+                ins, rout(), list(node.joiner.weights[:len(ins)]))
+        stacked = [self._stacked_kernel(m) for m in members]
+        if stacked[0] is not None and stacked[0][0] == "matmul":
+            return K.MatmulStep(rin(), rout(), [k[1] for k in stacked],
+                                [k[2:] for k in stacked], self.profiler,
+                                policy=self.policy)
         s = node.stream
         if node.kind == "filter":
             source = not in_ids and s.prework is None
-            if self._decisions_given:
-                params, reason = self.decisions.get(
-                    index, (None, "no cached decision"))
-            else:
-                params, reason = self._decide(s, source)
-                self.decisions[index] = (params, reason)
+            params, reason = self.decisions.get(
+                index, (None, "no cached decision"))
             if isinstance(params, LaneCode):
-                return K.LaneStep(node, rin(), rout(), params, self.policy)
+                return K.LaneStep([self.flat.nodes[m] for m in members],
+                                  rin(), rout(), params, self.policy)
             if source:
                 # why its scalar firings, should the state never recur,
                 # are not lanes either
@@ -679,13 +889,9 @@ class PlanExecutor:
                                             self.profiler, self.policy)
             if params is not None:
                 ln, counts = params
-                if isinstance(ln, StatefulLinearNode):
-                    return K.StatefulLinearStep(rin(), rout(), ln, counts,
-                                                self.profiler,
-                                                policy=self.policy)
-                return K.MatmulStep(rin(), rout(), ln.A, ln.b, ln.peek,
-                                    ln.pop, ln.push, counts, self.profiler,
-                                    policy=self.policy)
+                return K.StatefulLinearStep(rin(), rout(), ln, counts,
+                                            self.profiler,
+                                            policy=self.policy)
             self.fallback_reasons[index] = reason
             return K.FallbackStep(node, rin(), rout())
         # primitives
@@ -700,15 +906,6 @@ class PlanExecutor:
             return K.StatefulLinearStep(rin(), rout(), snode, counts,
                                         self.profiler, filter_name=s.name,
                                         policy=self.policy)
-        if isinstance(s, LinearFilter):
-            ln = s.linear_node
-            counts = getattr(s, "account_counts", None)
-            if counts is None:
-                counts = (blas_cost_counts(ln) if s.backend == "blas"
-                          else direct_cost_counts(ln))
-            return K.MatmulStep(rin(), rout(), ln.A, ln.b, ln.peek, ln.pop,
-                                ln.push, counts, self.profiler,
-                                filter_name=s.name, policy=self.policy)
         if isinstance(s, NaiveFreqFilter):
             return K.NaiveFreqStep(rin(), rout(), s, self.profiler,
                                    policy=self.policy)
@@ -1177,8 +1374,15 @@ class StepReport:
     node_kind: str  # 'filter' | 'primitive' | 'splitter' | 'joiner'
     step_kind: str  # Step.kind of the chosen kernel
     #: why the node runs through FallbackStep; for a periodic source,
-    #: its transient length and period; for lanes, what was converted
+    #: its transient length and period; for lanes, what was converted;
+    #: for the splitter of look-alike branches, why they run apart
     reason: str | None
+    #: sibling nodes the step fires at once (``name`` is the first's)
+    width: int = 1
+
+    @property
+    def label(self) -> str:
+        return self.name if self.width == 1 else f"{self.name} ×{self.width}"
 
 
 @dataclass
@@ -1221,6 +1425,7 @@ class PlanReport:
     bailout: str | None
     steps: list[StepReport] = field(default_factory=list)
     islands: list[IslandReport] = field(default_factory=list)
+    nodes: int = 0  # flattened nodes behind ``steps``
     #: schedule simulation so far (all 0 for a plan that has not run):
     #: passes advanced in total, the jumps that advanced them, and the
     #: passes simulated one by one (the last of each drive)
@@ -1242,17 +1447,17 @@ class PlanReport:
         if self.bailout is not None:
             lines.append(f"whole-graph bailout to compiled: {self.bailout}")
             return "\n".join(lines + held)
-        name_w = max([len(s.name) for s in self.steps] + [4]) + 2
+        name_w = max([len(s.label) for s in self.steps] + [4]) + 2
         kind_w = max([len(s.step_kind) for s in self.steps] + [10]) + 2
         lines.append("node".ljust(name_w) + "step".ljust(kind_w)
                      + "detail")
         lines.append("-" * (name_w + kind_w + 15))
         for s in self.steps:
-            lines.append(s.name.ljust(name_w) + s.step_kind.ljust(kind_w)
+            lines.append(s.label.ljust(name_w) + s.step_kind.ljust(kind_w)
                          + (s.reason or ""))
-        n_fb = len(self.fallbacks)
-        lines.append(f"{n_fb}/{len(self.steps)} nodes fall back to scalar "
-                     "firing")
+        n_fb = sum(s.width for s in self.fallbacks)
+        lines.append(f"{self.nodes} nodes in {len(self.steps)} steps, "
+                     f"{n_fb} fall back")
         lines.append(f"schedule: {self.passes} passes, "
                      f"{self.jumps} jumps, "
                      f"{self.passes_literal} literal passes")
@@ -1274,11 +1479,11 @@ def report_for_executor(executor: PlanExecutor, program: str,
 
     flat = executor.flat
     rep = PlanReport(program=program, optimize=optimize, bailout=None,
+                     nodes=len(flat.nodes),
                      passes=executor._passes, jumps=executor.jumps,
                      passes_literal=executor.passes_literal)
-    flat_index = {id(n): i for i, n in enumerate(flat.nodes)}
-    for pos, (entry, step) in enumerate(zip(executor.outer_entries,
-                                            executor.steps)):
+    for pos, (entry, step, orbit) in enumerate(zip(
+            executor.outer_entries, executor.steps, executor.orbits)):
         if isinstance(entry, FeedbackRegion):
             _, rates, _ = next(t for t in executor.islands
                                if t[0] is entry)
@@ -1297,7 +1502,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
                     mstep.detail or executor.fallback_reasons.get(j)))
             rep.islands.append(isl)
         else:
-            reason = executor.fallback_reasons.get(flat_index[id(entry)])
+            reason = executor.fallback_reasons.get(orbit[0]) \
+                or executor.unfused_reasons.get(orbit[0])
             if isinstance(step, K.PeriodicSourceStep):
                 step = _settled_source(step, executor.policy)
                 if step.period or reason is None:
@@ -1307,7 +1513,7 @@ def report_for_executor(executor: PlanExecutor, program: str,
             else:
                 reason = step.detail or reason
             rep.steps.append(StepReport(pos, entry.name, entry.kind,
-                                        step.kind, reason))
+                                        step.kind, reason, len(orbit)))
     return rep
 
 

@@ -19,7 +19,10 @@ is a float-op when any operand is float, mirroring the interpreter.
 that evaluates a block of consecutive firings per call, with NumPy
 arrays where the scalar form has floats (the plan backend's
 :class:`~repro.exec.kernels.LaneStep`); its counts are each block's
-static counts times the firings that ran the block.
+static counts times the lanes that ran the block.  A lane is one firing
+of one filter: the arrays may carry a leading axis of sibling filters
+that differ in the value of some float field only, and the form is
+written over the last axis so it does not care.
 """
 
 from __future__ import annotations
@@ -321,9 +324,17 @@ def _max2(a, b):
     return np.where(b > a, b, a)
 
 
+def _taken(mask: np.ndarray, lanes: int) -> int:
+    """How many of ``lanes`` lanes ``mask`` selects.  A mask computed
+    from values some axis does not vary along is short of that axis,
+    and stands for every lane it broadcasts to.  int(): the profile's
+    counts stay Python ints."""
+    return int(np.count_nonzero(mask)) * (lanes // mask.size)
+
+
 _LANE_NAMESPACE = {"_np": np, "_math": math, "_idiv": _idiv, "_imod": _imod,
                    "_ramp": _ramp, "_min2": _min2, "_max2": _max2,
-                   "_InterpError": InterpError}
+                   "_taken": _taken, "_InterpError": InterpError}
 
 _LANE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
                "atan": "_np.arctan", "atan2": "_np.arctan2",
@@ -349,19 +360,25 @@ class _Arm:
 class _LaneEmitter(_Emitter):
     """Emits the lane form of a work function.
 
-    Every float local, peek and pop is a length-``_n`` array (one entry
-    per firing), ints and immutable fields stay Python scalars shared by
-    all lanes, and an expression over scalars only is emitted exactly as
-    the scalar emitter would.  A branch on lane values is if-converted:
-    both arms run on every lane and ``np.where`` keeps, per lane, the
-    locals and pushes of the arm that lane took.
+    Every float local, peek and pop is an array whose last axis is the
+    ``_n`` firings, ints and immutable fields stay Python scalars shared
+    by all lanes, and an expression over scalars only is emitted exactly
+    as the scalar emitter would.  A branch on lane values is
+    if-converted: both arms run on every lane and ``np.where`` keeps,
+    per lane, the locals and pushes of the arm that lane took.
+
+    ``varying`` names the float fields whose value differs between the
+    sibling filters one call evaluates (bound to ``(siblings, 1)``
+    columns): lane values like any other, so whatever has no lane form
+    — a ``math`` call, a loop bound — rejects them by name.
     """
 
-    def __init__(self, tenv: _TypeEnv, counters: dict):
+    def __init__(self, tenv: _TypeEnv, counters: dict,
+                 varying: frozenset = frozenset()):
         super().__init__(tenv)
         self.counters = counters
-        self.lanes = set(counters)  # names bound to lane arrays
-        self.times = " * _n"
+        self.lanes = set(counters) | varying  # names bound to lane arrays
+        self.times = " * _N"
         self.mask: str | None = None  # lanes running the current arm
         self.arm: _Arm | None = None
         #: names declared inside an arm that has since been merged
@@ -392,7 +409,7 @@ class _LaneEmitter(_Emitter):
             what = "peek" if isinstance(e, N.Peek) else "array"
             raise LaneReject(f"lane-varying {what} index")
         if isinstance(e, N.Peek):
-            return f"_win[:, _p + {self.expr(e.index)}]"
+            return f"_win[..., _p + {self.expr(e.index)}]"
         if isinstance(e, N.Pop):
             self._tape_op(pops=1)
             return "_pop()"
@@ -459,7 +476,7 @@ class _LaneEmitter(_Emitter):
     def _push(self, value: str, indent: int) -> None:
         self._tape_op()
         if self.arm is None:
-            self.emit(f"_out[:, _k] = {value}", indent)
+            self.emit(f"_out[..., _k] = {value}", indent)
             self.emit("_k += 1", indent)
         else:
             self.uid += 1
@@ -547,8 +564,7 @@ class _LaneEmitter(_Emitter):
         else:
             masks = (f"({self.mask} & _c{k})", f"({self.mask} & ~_c{k})")
         live = outer[1].removeprefix(" * ")
-        # int(): the profile's counts stay Python ints
-        self.emit(f"_nt{k} = int(_np.count_nonzero({masks[0]}))", indent)
+        self.emit(f"_nt{k} = _taken({masks[0]}, _N)", indent)
         self.emit(f"_ne{k} = {live} - _nt{k}", indent)
         arms = []
         for body, mask, count in ((s.then, masks[0], f"_nt{k}"),
@@ -611,18 +627,24 @@ def _find_counters(wf: N.WorkFunction, fields: dict) -> dict:
 
 class LaneCode:
     """The lane form of one work function: generated source, compiled on
-    first use.  ``function()(win, out, fields, n, bulk)`` evaluates ``n``
-    firings over the ``(n, peek)`` window ``win`` into the ``(n, push)``
-    block ``out``, reports each block's counts times the lanes that ran
-    it, and leaves the counters' final values in ``fields``; it touches
-    ``fields`` last, so a call that raises has changed nothing."""
+    first use.  ``function()(win, out, fields, n, lanes, bulk)``
+    evaluates ``n`` firings over the ``(n, peek)`` window ``win`` into
+    the ``(n, push)`` block ``out`` — or ``n`` firings of each of ``b``
+    sibling filters, ``win`` and ``out`` with a leading axis of length
+    ``b``, the fields named in ``varying`` as ``(b, 1)`` columns and
+    ``lanes = b * n`` — reports each block's counts times the lanes
+    that ran it, and leaves the counters' final values in ``fields``;
+    it touches ``fields`` last, so a call that raises has changed
+    nothing.  The function runs with NumPy's division, overflow and
+    domain errors raised rather than warned about."""
 
     def __init__(self, source: str, entry: str, detail: str,
-                 counters: tuple):
+                 counters: tuple, varying: frozenset = frozenset()):
         self.source = source
         self.entry = entry
         self.detail = detail  # what the plan report prints
         self.counters = counters
+        self.varying = varying  # fields it takes one value per sibling of
         self._fn = None
 
     def function(self):
@@ -630,24 +652,30 @@ class LaneCode:
             namespace = dict(_LANE_NAMESPACE)
             exec(compile(self.source, f"<lanes:{self.entry}>", "exec"),
                  namespace)
-            self._fn = namespace[self.entry]
+            # as a decorator: an errstate object is entered once only
+            self._fn = np.errstate(divide="raise", over="raise",
+                                   invalid="raise", under="ignore")(
+                namespace[self.entry])
         return self._fn
 
 
-def lane_key(wf: N.WorkFunction, fields: dict) -> tuple:
+def lane_key(wf: N.WorkFunction, fields: dict,
+             varying: frozenset = frozenset()) -> tuple:
     """What :func:`emit_lanes` depends on: the IR text (``repr`` tells
-    ``1`` from ``1.0``, ``==`` on the nodes would not) and each field's
-    type — never a field's value, so equal filters share one
-    :class:`LaneCode`."""
+    ``1`` from ``1.0``, ``==`` on the nodes would not), each field's
+    type and which fields are lanes — never a field's value, so equal
+    filters share one :class:`LaneCode`."""
     return (repr(wf), tuple(sorted(
         (k, v.dtype.kind if isinstance(v, np.ndarray) else type(v).__name__)
-        for k, v in fields.items())))
+        for k, v in fields.items())), tuple(sorted(varying)))
 
 
-def emit_lanes(wf: N.WorkFunction, fields: dict,
-               name: str = "work") -> LaneCode:
-    """Generate the lane form of ``wf``; raises :class:`LaneReject`
-    with the reason when the body has none."""
+def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
+               varying: frozenset = frozenset()) -> LaneCode:
+    """Generate the lane form of ``wf``, the float scalar fields named
+    in ``varying`` taken as lane values (see :class:`_LaneEmitter`);
+    raises :class:`LaneReject` with the reason when the body has
+    none."""
     # counters and field types are resolved by name over the whole body
     shadowed = N.declared_names(wf.body) & set(fields)
     if shadowed:
@@ -657,9 +685,12 @@ def emit_lanes(wf: N.WorkFunction, fields: dict,
     for fname, (_, step) in counters.items():
         if fname in tenv.int_names and not tenv.is_int(step):
             raise LaneReject(f"int counter {fname} with a float step")
-    em = _LaneEmitter(tenv, counters)
+        if isinstance(step, N.Var) and step.name in varying:
+            raise LaneReject(f"counter {fname} steps by lane-varying "
+                             f"field {step.name}")
+    em = _LaneEmitter(tenv, counters, varying)
     entry = "_lanes_" + "".join(c if c.isalnum() else "_" for c in name)
-    em.emit(f"def {entry}(_win, _out, _F, _n, _bulk):", 0)
+    em.emit(f"def {entry}(_win, _out, _F, _n, _N, _bulk):", 0)
     for fname in sorted(fields):
         em.emit(f"_v_{fname} = _F[{fname!r}]", 1)
     for fname, (op, step) in counters.items():
@@ -670,7 +701,7 @@ def emit_lanes(wf: N.WorkFunction, fields: dict,
     em.emit("def _pop():", 1)
     em.emit("nonlocal _p", 2)
     em.emit("_p += 1", 2)
-    em.emit("return _win[:, _p - 1]", 2)
+    em.emit("return _win[..., _p - 1]", 2)
     em.block(wf.body, 1)
     em.emit(f"if _p != {wf.pop} or _k != {wf.push}:", 1)
     em.emit("raise _InterpError('work popped %d and pushed %d items, "
@@ -681,4 +712,5 @@ def emit_lanes(wf: N.WorkFunction, fields: dict,
               + [f"counter {c}" for c in counters]
               + ["loops"] * em.loops)
     return LaneCode("\n".join(em.lines) + "\n", entry,
-                    ", ".join(detail) or "straight-line", tuple(counters))
+                    ", ".join(detail) or "straight-line", tuple(counters),
+                    varying)

@@ -52,6 +52,9 @@ _PLAN_SEQ = _count()
 class ParallelPlanExecutor(PlanExecutor):
     """A :class:`PlanExecutor` that flushes batches across a worker pool."""
 
+    #: a :class:`ShmRing` has one row: every node is planned on its own
+    fuse_siblings = False
+
     def __init__(self, flat, *, workers: int = 2, **kwargs):
         self.workers = max(2, int(workers))
         super().__init__(flat, **kwargs)

@@ -175,6 +175,20 @@ class FeedbackRegion:
     stop: int
 
 
+@dataclass
+class SplitJoinRegion:
+    """Where one SplitJoin flattened to: its splitter is ``nodes[split]``,
+    branch ``j`` the slice ``nodes[starts[j]:starts[j + 1]]`` (the last
+    one runs up to ``join``), its joiner ``nodes[join]``.  The plan
+    backend looks here for branches it can run as one step."""
+
+    stream: SplitJoin
+    split: int
+    starts: list[int]
+    join: int
+    in_feedback: bool
+
+
 class FlatGraph:
     """A flattened stream graph ready for execution."""
 
@@ -186,6 +200,8 @@ class FlatGraph:
         self.nodes: list[_Node] = []
         #: outermost FeedbackLoop slices, in flattening order
         self.feedback_regions: list[FeedbackRegion] = []
+        #: every SplitJoin, outermost first
+        self.splitjoins: list[SplitJoinRegion] = []
         self._feedback_depth = 0
         self._channel_counter = 0
         self.input_channel = Channel("graph-in")
@@ -245,17 +261,22 @@ class FlatGraph:
         if isinstance(stream, SplitJoin):
             split_node = _Node(name=f"{stream.name}.split", kind="splitter",
                                splitter=stream.splitter, inputs=[ch_in])
+            region = SplitJoinRegion(stream, len(self.nodes), [], 0,
+                                     self._feedback_depth > 0)
+            self.splitjoins.append(region)
             self.nodes.append(split_node)
             branch_outs = []
             for child in stream.children:
                 branch_in = self._new_channel()
                 split_node.outputs.append(branch_in)
+                region.starts.append(len(self.nodes))
                 branch_outs.append(self._flatten(child, branch_in))
             join_node = _Node(name=f"{stream.name}.join", kind="joiner",
                               joiner=stream.joiner)
             join_node.inputs = branch_outs
             out = self._new_channel()
             join_node.outputs = [out]
+            region.join = len(self.nodes)
             self.nodes.append(join_node)
             return out
         if isinstance(stream, FeedbackLoop):

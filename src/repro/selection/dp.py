@@ -370,7 +370,7 @@ class OptimizationSelector:
         split_w: list[int] = []
         for cfg, (a, b) in ((left, (lo, pivot)), (right, (pivot, hi))):
             part = cfg.stream
-            if cfg.choice == "cut" and isinstance(part, SplitJoin):
+            if cfg.choice == "cut" and b - a > 1:
                 children.extend(part.children)
                 join_w.extend(part.joiner.weights)
                 if not dup:

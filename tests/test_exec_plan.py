@@ -76,13 +76,19 @@ def test_plan_matches_interp_on_all_apps(name):
         assert_counts_equal(p_interp, p_plan, name)
 
 
+@pytest.mark.parametrize("optimize", ["none", "linear", "auto"])
 @pytest.mark.parametrize("name", PARITY_APPS)
-def test_plan_matches_compiled_per_filter_profile(name):
+def test_plan_matches_compiled_per_filter_profile(name, optimize):
     p_c, p_p = Profiler(), Profiler()
-    run_graph(small(name), N_OUT[name], p_c, backend="compiled")
-    run_graph(small(name), N_OUT[name], p_p, backend="plan")
-    assert_counts_equal(p_c, p_p, name)
+    want = run_graph(small(name), N_OUT[name], p_c, backend="compiled",
+                     optimize=optimize)
+    got = run_graph(small(name), N_OUT[name], p_p, backend="plan",
+                    optimize=optimize)
+    np.testing.assert_allclose(got, want, atol=1e-9)
+    assert_counts_equal(p_c, p_p, f"{name}/{optimize}")
     assert p_c.per_filter.keys() == p_p.per_filter.keys()
+    for leaf, bucket in p_c.per_filter.items():
+        assert bucket == p_p.per_filter[leaf], leaf
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -368,7 +374,7 @@ def test_plan_report_names_fallbacks_with_reasons():
     assert lanes["Magnitude"] == "straight-line"
     assert lanes["Detector"] == "if-converted 1 branches"
     text = str(rep)
-    assert "0/25 nodes fall back to scalar firing" in text
+    assert "25 nodes in 12 steps, 0 fall back" in text
     assert "schedule: 0 passes" in text  # a static report has not run
     # a true fallback says why it is neither linear nor lane-convertible
     rep = plan_report(BENCHMARKS["DToA"](), optimize="none")
@@ -380,7 +386,45 @@ def test_plan_report_names_fallbacks_with_reasons():
     assert "state did not recur within" in source.reason
     assert ("not lane-convertible: field currentPosition is not an "
             "additive counter") in source.reason
-    assert "1/12 nodes fall back to scalar firing" in str(rep)
+    assert "12 nodes in 12 steps, 1 fall back" in str(rep)
+
+
+#: steps by kind of every full-size app under ``optimize="auto"`` (the
+#: analytic cost constants; an island's members as ``island:<kind>``).
+#: Radar's 12 channels and 4 beams are sibling branches, a step a stage
+#: (it was 20 lanes + 20 matmul); no other app has any under ``auto``
+#: and their plans are PR 16's.
+AUTO_CENSUS = {
+    "DToA": {'collector': 1, 'feedback': 1, 'freq-opt': 2, 'island:fallback': 1, 'island:lanes': 1, 'island:matmul': 1, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
+    "Echo": {'collector': 1, 'feedback': 1, 'freq-opt': 1, 'island:matmul': 2, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
+    "FIR": {'collector': 1, 'freq-opt': 1, 'periodic-source': 1},
+    "FMRadio": {'collector': 1, 'freq-opt': 1, 'lanes': 2, 'matmul': 1},
+    "FilterBank": {'collector': 1, 'decimator': 1, 'freq-opt': 1, 'lanes': 1},
+    "IIR": {'collector': 1, 'periodic-source': 1, 'stateful': 4},
+    "Oversampler": {'collector': 1, 'freq-opt': 1, 'periodic-source': 1},
+    "Radar": {'collector': 1, 'dup-split': 2, 'lanes': 3, 'matmul': 3, 'rr-join': 2},
+    "RateConvert": {'collector': 1, 'decimator': 1, 'freq-opt': 1, 'lanes': 1},
+    "TargetDetect": {'collector': 1, 'dup-split': 1, 'fallback': 1, 'freq-opt': 4, 'lanes': 4, 'rr-join': 1},
+    "Vocoder": {'collector': 1, 'dup-split': 1, 'freq-opt': 1, 'lanes': 2, 'matmul': 1, 'periodic-source': 1, 'rr-join': 1},
+    "VocoderEcho": {'collector': 1, 'dup-split': 1, 'feedback': 1, 'freq-opt': 1, 'island:matmul': 2, 'island:rr-join': 1, 'island:rr-split': 1, 'lanes': 2, 'matmul': 1, 'periodic-source': 1, 'rr-join': 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_auto_step_census(name):
+    from collections import Counter
+
+    from repro.exec import calibrate, plan_report
+    with calibrate.analytic_only():
+        rep = plan_report(BENCHMARKS[name](), optimize="auto")
+    kinds = Counter(s.step_kind for s in rep.steps)
+    for isl in rep.islands:
+        kinds.update("island:" + s.step_kind for s in isl.steps)
+    assert dict(kinds) == AUTO_CENSUS[name]
+    assert all(s.width == 1 for s in rep.steps) or name == "Radar"
+    if name == "Radar":
+        assert len(rep.steps) <= 12 and not rep.fallbacks
+        assert sum(s.width for s in rep.steps) == rep.nodes == 45
 
 
 def test_plan_report_names_feedback_island():
@@ -522,7 +566,8 @@ def test_bench_cli_plan_report(capsys):
     text = capsys.readouterr().out
     assert "plan report: Radar" in text
     assert "lanes" in text and "counter n" in text  # InputGenerate
-    assert "0/57 nodes fall back to scalar firing" in text
+    assert "InputGenerate0 ×12" in text  # the 12 channels are one step
+    assert "57 nodes in 12 steps, 0 fall back" in text
 
 
 def test_build_app_case_insensitive():

@@ -30,13 +30,15 @@ def body_of(app):
 
 def held(session) -> int:
     """Items of storage behind the feed ring, the output ring and every
-    channel (scalar backends) or ring (plan backend) of the executor."""
+    channel (scalar backends) or ring (plan backend, every row of it) of
+    the executor."""
     ex = session._executor
     channels = getattr(ex, "rings", None)
     if channels is None:
         channels = {id(ch): ch for node in ex.nodes
                     for ch in node.inputs + node.outputs}.values()
-    return sum(session.buffers[:2]) + sum(ch.capacity for ch in channels)
+    return sum(session.buffers[:2]) + sum(
+        getattr(ch, "rows", 1) * ch.capacity for ch in channels)
 
 
 def counts(profiler):

@@ -170,3 +170,74 @@ class TestSelection:
         full_linear = selector._collapse_configs(node, 1.0, "x")[0].cost
         assert best.cost <= full_linear + 1e-9
         equivalent_outputs(pipe, best.stream, n_out=30)
+
+
+# ---------------------------------------------------------------------------
+# a cut of a child splitjoin is not a cut of its parent
+# ---------------------------------------------------------------------------
+
+_NESTED = """
+void->float filter Ramp {
+    int n;
+    work push 1 { push(0.25 * n - 3.0); n = n + 1; }
+}
+float->float filter Clip {
+    work pop 1 push 1 {
+        float x = pop();
+        if (x > 1.0) { push(1.0); } else { push(x); }
+    }
+}
+float->float filter Gain(float g) {
+    work pop 1 push 1 { push(g * pop()); }
+}
+float->float splitjoin Inner {
+    split %(inner_split)s;
+    add Clip();
+    add Gain(2.0);
+    join roundrobin(1, 1);
+}
+float->float splitjoin Outer {
+    split roundrobin(%(share)d, 1);
+    add Inner();
+    add Gain(3.0);
+    join roundrobin(%(joined)d, 1);
+}
+void->float pipeline Program { add Ramp(); add Outer(); }
+"""
+
+
+class TestCutOfNestedSplitJoin:
+    """``Inner`` keeps a non-linear branch, so its best configuration is
+    a cut; as the one-child half of ``Outer``'s cut it must stay a
+    child.  Spliced into ``Outer`` it took the inner weights: a crash
+    when the inner splitter is a duplicate, the wrong routing when a
+    round of the inner one is not the outer share."""
+
+    @staticmethod
+    def check(**shape):
+        from repro.dsl import load_source
+        from repro.exec import optimize_stream
+        from repro.runtime import run_graph
+
+        def program():
+            g = load_source(_NESTED % shape, "Program")
+            return Pipeline(list(g.children) + [Collector()])
+
+        outer = optimize_stream(program(), "auto").children[1]
+        assert isinstance(outer, SplitJoin) and len(outer.children) == 2
+        assert isinstance(outer.children[0], SplitJoin)  # still a child
+        want = run_graph(program(), 60, backend="interp")
+        for backend in ("compiled", "plan"):
+            for mode in ("none", "auto"):
+                got = run_graph(program(), 60, backend=backend,
+                                optimize=mode)
+                np.testing.assert_allclose(got, want, atol=1e-9,
+                                           err_msg=f"{backend}/{mode}")
+
+    def test_nested_duplicate_under_roundrobin_parent(self):
+        # was: AttributeError: 'Duplicate' object has no attribute 'weights'
+        self.check(inner_split="duplicate", share=1, joined=2)
+
+    def test_nested_roundrobin_round_is_not_the_parents_share(self):
+        # was: flat roundrobin(1, 1, 1) for roundrobin(4, 1) of (1, 1)
+        self.check(inner_split="roundrobin(1, 1)", share=4, joined=4)
