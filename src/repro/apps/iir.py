@@ -4,8 +4,8 @@ Every stage carries persistent state fields updated affinely each firing
 (direct-form II transposed sections: ``y = b0*x + s1``, ``s1' = b1*x +
 a1*y + s2``, ``s2' = b2*x + a2*y``), so the stateless framework of the
 thesis cannot touch it — this is exactly the §7.1 future-work workload.
-The state-space extractor lifts each stage to a
-:class:`~repro.linear.state.StatefulLinearNode`; under the plan backend
+Extraction lifts each stage to a :class:`~repro.linear.node.LinearNode`
+with ``state_dim > 0``; under the plan backend
 every stage advances a whole block of iterations per lifted matmul
 (:class:`~repro.exec.kernels.StatefulLinearStep`), and the optimize
 rewrites can collapse the cascade into a single state-space leaf.

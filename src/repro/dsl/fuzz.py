@@ -2,7 +2,10 @@
 
 Generates random-but-valid DSL programs straight from the grammar —
 filters with randomized rates and bodies, pipelines, rate-consistent
-splitjoins (duplicate and roundrobin), *sibling* splitjoins (one set of
+splitjoins (duplicate and roundrobin), *mixed* pipelines (rate-changing
+runs alternating stateless and stateful linear leaves, a peeking stage
+right after a stateful one: what ``linear``/``auto`` collapse into one
+node with state), *sibling* splitjoins (one set of
 filter declarations instantiated per branch with other coefficients:
 the shape the plan backend runs as one step per stage, and its near
 misses, which it must not), and echo-template feedback loops — then
@@ -46,7 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..graph.streams import Pipeline, Stream
+from ..graph.streams import Filter, Pipeline, walk
+from ..linear.extraction import extract_filter
 from ..numeric import DTYPE_CHOICES, resolve_policy
 from ..runtime import run_graph
 from ..runtime.builtins import Collector
@@ -122,11 +126,12 @@ class _Gen:
     # leaf filters (float -> float)
     # ------------------------------------------------------------------
 
-    def _fir(self) -> tuple[str, int, int]:
+    def _fir(self, dec: int | None = None) -> tuple[str, int, int]:
         rng = self.rng
         name = self._fresh("Fir")
         taps = rng.randint(2, 6)
-        dec = rng.choice((0, 0, 1, 2))
+        if dec is None:
+            dec = rng.choice((0, 0, 1, 2))
         pop = 1 + dec
         freq = self._lit(rng.uniform(0.3, 1.2))
         phase = self._lit(rng.uniform(0.0, 3.0))
@@ -288,6 +293,28 @@ float->float filter {name} {{
         self._count("filter")
         return name, 1, 1
 
+    def _dead_state(self) -> tuple[str, int, int]:
+        """A gain that also writes a field no push reads — affinely (a
+        counter) or not (a square): state that is not observable, so the
+        filter is the stateless node whichever way it is asked."""
+        rng = self.rng
+        name = self._fresh("Idle")
+        a = self._lit(rng.uniform(-1.0, 1.0))
+        b = self._lit(rng.uniform(-0.5, 0.5))
+        update = rng.choice(("n + 1.0", "peek(0) * peek(0)"))
+        self.decls.append(f"""\
+float->float filter {name} {{
+    float n;
+    work peek 1 pop 1 push 1 {{
+        push({a} * peek(0) + {b});
+        n = {update};
+        pop();
+    }}
+}}
+""")
+        self._count("filter")
+        return name, 1, 1
+
     def _delay(self) -> tuple[str, int, int]:
         name = self._fresh("Lag")
         self.decls.append(f"""\
@@ -307,7 +334,7 @@ float->float filter {name} {{
         return self.rng.choice((
             self._fir, self._map, self._map, self._expander,
             self._compressor, self._nonlinear, self._stateful,
-            self._delay))()
+            self._dead_state, self._delay))()
 
     # ------------------------------------------------------------------
     # composites
@@ -327,6 +354,27 @@ float->float filter {name} {{
         self.decls.append(
             f"float->float pipeline {name} {{\n{body}\n}}\n")
         self._count("pipeline")
+        return name, *rates
+
+    def _mixed(self) -> tuple[str, int, int]:
+        """A rate-changing run alternating ``k = 0`` and ``k > 0``
+        leaves, a peeking FIR right after a stateful one: every pair the
+        one pipeline combination has to get right (state upstream of
+        lookahead, rate changes on either side of state)."""
+        rng = self.rng
+        stages = [rng.choice((self._expander, self._compressor))(),
+                  self._stateful(), self._fir(dec=0)]
+        for extra in (self._stateful, self._map, self._compressor):
+            if rng.random() < 0.4:
+                stages.append(extra())
+        rates = (1, 1)
+        for _, p, q in stages:
+            rates = _compose(rates, (p, q))
+        name = self._fresh("Mixed")
+        body = "\n".join(f"    add {child}();" for child, _, _ in stages)
+        self.decls.append(
+            f"float->float pipeline {name} {{\n{body}\n}}\n")
+        self._count("mixed")
         return name, *rates
 
     def _splitjoin(self, depth: int) -> tuple[str, int, int]:
@@ -580,8 +628,10 @@ float->float feedbackloop {loop} {{
         roll = self.rng.random()
         if roll < 0.35:
             return self._leaf()
-        if roll < 0.65:
+        if roll < 0.60:
             return self._pipeline(depth)
+        if roll < 0.68:
+            return self._mixed()
         if roll < 0.80:
             return self._splitjoin(depth)
         if roll < 0.90:
@@ -667,7 +717,9 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     """Plan-backend run, under a numeric policy or on the parallel
     engine (``workers`` processes) if asked.  Notes in the program's
     census whether sibling branches ran as one step — whether the plan
-    holds a many-row ring."""
+    holds a many-row ring — and whether the rewrite collapsed a mixed
+    run: a leaf with state *and* lookahead or a rate change, which no
+    generated filter is."""
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
@@ -678,6 +730,12 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         rings = getattr(session._executor, "rings", ())
         if any(ring.rows > 1 for ring in rings):
             program.census["fused"] = 1
+        flat = getattr(session._executor, "flat", session._executor)
+        for node in flat.nodes:
+            ln = getattr(node.stream, "linear_node", None)
+            if ln is not None and ln.state_dim and \
+                    (ln.peek > ln.pop or ln.pop != ln.push):
+                program.census["collapsed"] = 1
         return np.asarray(session._advance_raw(n_outputs),
                           dtype=policy.dtype)
     finally:
@@ -704,6 +762,12 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
     """
     policy = resolve_policy(dtype)
     try:
+        for leaf in walk(_wrap(program)):
+            if isinstance(leaf, Filter) and leaf.pop:
+                node = extract_filter(leaf).node
+                verdict = ("rejected" if node is None else
+                           "k>0" if node.state_dim else "k=0")
+                program.census[verdict] = program.census.get(verdict, 0) + 1
         reference = _run(program, n_outputs, "interp")
     except Exception:
         return Mismatch(program, "run:interp", traceback.format_exc())
@@ -852,10 +916,14 @@ def main(argv=None) -> int:
         print(f"[fuzz] FAILED: {len(mismatches)} mismatch(es)",
               file=sys.stderr)
         return 1
-    fused = census.pop("fused", 0)
+    fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
+    leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
+                        for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
-          f"{fused} programs ran sibling branches as one step)")
+          f"non-source leaves {leaves}; {fused} programs ran sibling "
+          f"branches as one step, {collapsed} collapsed a mixed run into "
+          f"one leaf with state)")
     return 0
 
 

@@ -263,12 +263,7 @@ class _Fingerprinter:
 
     def _linear_node(self, node) -> None:
         self._u("node", node.peek, node.pop, node.push)
-        self._array(node.A)
-        self._array(node.b)
-
-    def _stateful_node(self, node) -> None:
-        self._u("snode", node.peek, node.pop, node.push)
-        for arr in (node.Ax, node.As, node.bx, node.Cx, node.Cs, node.bs,
+        for arr in (node.A, node.b, node.As, node.Cx, node.Cs, node.bs,
                     node.s0):
             self._array(arr)
 
@@ -276,7 +271,6 @@ class _Fingerprinter:
         # imports deferred: these modules import graph machinery themselves
         from ..frequency.filters import Decimator, _FreqBase
         from ..linear.filters import ConstantSourceFilter, LinearFilter
-        from ..linear.state import StatefulLinearFilter
         from ..runtime.builtins import (ArrayCollector, ChunkSource,
                                         Collector, FunctionSource, Identity,
                                         ListSource)
@@ -300,8 +294,6 @@ class _Fingerprinter:
         elif isinstance(s, LinearFilter):
             self._u(s.backend)
             self._linear_node(s.linear_node)
-        elif isinstance(s, StatefulLinearFilter):
-            self._stateful_node(s.stateful_node)
         elif isinstance(s, _FreqBase):
             self._u(s.backend, s.n)
             self._linear_node(s.linear_node_time_domain)

@@ -208,13 +208,13 @@ def stateful_group_length(state_dim: int) -> int:
 
 
 class StatefulLinearStep(Step):
-    """Batched stateful-linear kernel: ``n`` firings of ``y = x·Ax +
-    s·As + bx``, ``s' = x·Cx + s·Cs + bs`` as four matmuls per ``B·G``
-    of them.
+    """Batched kernel of a linear node with state: ``n`` firings of
+    ``y = x·A + s·As + b``, ``s' = x·Cx + s·Cs + bs`` as four matmuls
+    per ``B·G`` of them.
 
     The state update is a monoid action, so ``B`` firings compose into
-    one *lifted* affine operator (:func:`~repro.linear.state.
-    expand_stateful` — stacked powers of ``Cs`` threaded against the
+    one *lifted* affine operator (:func:`~repro.linear.expansion.
+    expand_firings` — stacked powers of ``Cs`` threaded against the
     input window), and the recurrence that is left between blocks,
     ``s_{b+1} = drive_b + s_b·Cs^B``, is a stateful linear node again
     and lifts the same way over ``G`` boundaries
@@ -272,9 +272,10 @@ class StatefulLinearStep(Step):
     def _lift(self, b: int) -> tuple:
         pack = self._lifted.get(b)
         if pack is None:
-            from ..linear.state import boundary_lift, expand_stateful
+            from ..linear.expansion import expand_firings
+            from ..linear.state import boundary_lift
 
-            ex = self.node if b == 1 else expand_stateful(self.node, b)
+            ex = expand_firings(self.node, b)
             dt = self.policy.dtype
 
             def operator(m):
@@ -291,8 +292,8 @@ class StatefulLinearStep(Step):
             # [peek(0)..peek(E-1)], the node uses the x-convention);
             # output columns reversed too, into push order (y[U-1] first)
             pack = (G, ex.peek, ex.pop, ex.push,
-                    operator(ex.Ax[::-1, ::-1]), operator(ex.As[:, ::-1]),
-                    offset(ex.bx[::-1]),
+                    operator(ex.A[::-1, ::-1]), operator(ex.As[:, ::-1]),
+                    offset(ex.b[::-1]),
                     operator(ex.Cx[::-1]), offset(ex.bs), T, P)
             self._lifted[b] = pack
         return pack

@@ -7,9 +7,9 @@ instead of the graph as written:
 
 * ``none``   — the graph as written;
 * ``linear`` — maximal linear replacement (§4.4): every maximal linear
-  region collapses to one matrix-multiply leaf; stateful-linear leaves
-  and runs (§7.1 — IIR sections whose fields update affinely) collapse
-  to state-space ``StatefulLinearFilter`` leaves;
+  region collapses to one matrix-multiply leaf — regions that carry
+  state included (§7.1: IIR sections whose fields update affinely, and
+  the pipeline runs that contain them);
 * ``freq``   — maximal frequency replacement (§5.2): maximal linear
   regions become overlap-save FFT convolutions;
 * ``auto``   — the §4.3 selection DP, run with the *batched* cost model

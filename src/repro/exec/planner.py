@@ -101,11 +101,8 @@ from ..graph.streams import Duplicate, Filter, Stream
 from ..ir import nodes as N
 from ..ir.interp import Interpreter
 from ..ir.pycodegen import LaneCode, LaneReject, emit_lanes, lane_key
-from ..linear.extraction import extract_filter, extract_stateful_filter
+from ..linear.extraction import extract_filter
 from ..linear.filters import ConstantSourceFilter, LinearFilter
-from ..linear.matmul import blas_cost_counts, direct_cost_counts
-from ..linear.state import (StatefulLinearFilter, StatefulLinearNode,
-                            stateful_cost_counts)
 from ..numeric import DEFAULT_POLICY, NumericPolicy, resolve_policy
 from ..profiling import Counts, NullProfiler, Profiler
 from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
@@ -152,28 +149,19 @@ def _probe_firing_counts(filt: Filter) -> Counts | None:
 
 def _vectorize_decision(filt: Filter):
     """((node, counts), None) when an IR filter can run as a batched
-    kernel — a :class:`~repro.linear.node.LinearNode` for the matmul
-    step, a :class:`~repro.linear.state.StatefulLinearNode` for the
-    lifted stateful step — or (None, reason) explaining the fallback."""
+    kernel — its :class:`~repro.linear.node.LinearNode`, for the matmul
+    step when it has no state and the lifted stateful step when it has —
+    or (None, reason) explaining the fallback."""
     if filt.prework is not None:
         return None, "has prework (first firing differs from steady state)"
     if N.has_data_dependent_control(filt.work.body):
         return None, "data-dependent control flow"
-    if filt.mutable_fields:
-        sresult = extract_stateful_filter(filt)
-        if not sresult.is_linear:
-            fields = ", ".join(sorted(filt.mutable_fields))
-            return None, (f"mutable state fields ({fields}) are not "
-                          f"state-space linear: "
-                          f"{sresult.reason or 'unknown'}")
-        node = sresult.node
-    else:
-        if filt.pop <= 0 or filt.push <= 0:
-            return None, "pops or pushes nothing (no batched window/output)"
-        result = extract_filter(filt)
-        if not result.is_linear:
-            return None, f"not linear: {result.reason or 'unknown'}"
-        node = result.node
+    if filt.pop <= 0 or filt.push <= 0:
+        return None, "pops or pushes nothing (no batched window/output)"
+    result = extract_filter(filt)
+    if not result.is_linear:
+        return None, f"not linear: {result.reason or 'unknown'}"
+    node = result.node
     if (node.peek, node.pop, node.push) != (filt.peek, filt.pop, filt.push):
         return None, ("extracted node rates disagree with declared "
                       "peek/pop/push")
@@ -725,16 +713,10 @@ class PlanExecutor:
             params, _ = self.decisions.get(index, (None, None))
             if isinstance(params, LaneCode):
                 return "lanes", params
-            if params is not None and \
-                    not isinstance(params[0], StatefulLinearNode):
+            if params is not None and not params[0].state_dim:
                 return "matmul", *params, None
-        elif isinstance(s, LinearFilter):
-            counts = getattr(s, "account_counts", None)
-            if counts is None:
-                counts = (blas_cost_counts(s.linear_node)
-                          if s.backend == "blas"
-                          else direct_cost_counts(s.linear_node))
-            return "matmul", s.linear_node, counts, s.name
+        elif isinstance(s, LinearFilter) and not s.linear_node.state_dim:
+            return "matmul", s.linear_node, s.counts, s.name
         return None
 
     def _sibling_stages(self, region):
@@ -895,16 +877,10 @@ class PlanExecutor:
             self.fallback_reasons[index] = reason
             return K.FallbackStep(node, rin(), rout())
         # primitives
-        if isinstance(s, StatefulLinearFilter):
-            snode = s.stateful_node
-            # fission replicas pin ``account_counts`` — the original
-            # filter's per-firing counts — so k replicas firing F/k
-            # times report exactly the fused filter's F-firing profile
-            counts = getattr(s, "account_counts", None)
-            if counts is None:
-                counts = stateful_cost_counts(snode)
-            return K.StatefulLinearStep(rin(), rout(), snode, counts,
-                                        self.profiler, filter_name=s.name,
+        if isinstance(s, LinearFilter):  # with state: the others stack
+            return K.StatefulLinearStep(rin(), rout(), s.linear_node,
+                                        s.counts, self.profiler,
+                                        filter_name=s.name,
                                         policy=self.policy)
         if isinstance(s, NaiveFreqFilter):
             return K.NaiveFreqStep(rin(), rout(), s, self.profiler,

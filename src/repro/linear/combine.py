@@ -15,60 +15,60 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import CombinationError
-from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
-                             PrimitiveFilter, RoundRobin, SplitJoin, Stream)
-from .extraction import extract_filter, extract_stateful_filter
+from ..graph.streams import (FeedbackLoop, Filter, Pipeline, PrimitiveFilter,
+                             SplitJoin, Stream)
+from .extraction import extract_filter
 from .filters import LinearFilter
 from .node import LinearNode
-from .pipeline_comb import combine_pipeline_pair
+from .pipeline_comb import combine_pipeline
 from .splitjoin_comb import combine_splitjoin
-from .state import (StatefulLinearFilter, StatefulLinearNode,
-                    combine_stateful_pipeline, from_stateless)
 
 
 @dataclass
 class LinearityMap:
     """Maps stream objects (by id) to their linear nodes, with reasons.
 
-    ``stateful`` holds the §7.1 state-space nodes of leaves that are not
-    (stateless) linear but whose fields update affinely — IIR sections,
-    DC blockers — so the rewrites can collapse them too.
+    A node with ``state_dim > 0`` is the §7.1 state-space form of a
+    stream whose fields update affinely — IIR sections, DC blockers, the
+    pipelines that contain them; the thesis' linear streams are the
+    ``state_dim == 0`` ones.
     """
 
     nodes: dict[int, LinearNode] = field(default_factory=dict)
     reasons: dict[int, str] = field(default_factory=dict)
-    stateful: dict[int, StatefulLinearNode] = field(default_factory=dict)
 
     def node_for(self, stream: Stream) -> LinearNode | None:
         return self.nodes.get(id(stream))
 
     def is_linear(self, stream: Stream) -> bool:
-        return id(stream) in self.nodes
-
-    def stateful_node_for(self, stream: Stream) -> StatefulLinearNode | None:
-        return self.stateful.get(id(stream))
+        """Linear in the thesis' sense: a node without state."""
+        node = self.node_for(stream)
+        return node is not None and not node.state_dim
 
     def is_stateful_linear(self, stream: Stream) -> bool:
-        return id(stream) in self.stateful
+        node = self.node_for(stream)
+        return node is not None and node.state_dim > 0
 
-    def any_node_for(self, stream: Stream) -> StatefulLinearNode | None:
-        """The stream's state-space node: its stateful node, or its
-        stateless node embedded with ``k = 0``."""
-        node = self.nodes.get(id(stream))
-        if node is not None:
-            return from_stateless(node)
-        return self.stateful.get(id(stream))
+    def view(self, stateful: bool) -> "LinearityMap":
+        """This map as a rewrite sees it — the one place ``stateful=``
+        is read: ``False`` is the thesis' view, nodes that carry state
+        left out."""
+        if stateful:
+            return self
+        return LinearityMap({i: node for i, node in self.nodes.items()
+                             if not node.state_dim}, self.reasons)
 
     def reason_for(self, stream: Stream) -> str | None:
         return self.reasons.get(id(stream))
 
 
-def analyze(stream: Stream, max_matrix_elems: int = 4_000_000) -> LinearityMap:
+def analyze(stream: Stream) -> LinearityMap:
     """Compute linear nodes for every stream in the hierarchy.
 
-    ``max_matrix_elems`` bounds the size of combined matrices — beyond it
-    a container is treated as non-linear (prevents pathological blowup,
-    mirroring the paper's practical limits on the Radar benchmark).
+    A container whose combination the rules refuse — a child with state
+    under a splitjoin, matrices beyond
+    :data:`~repro.linear.expansion.MAX_MATRIX_ELEMS` — is treated as
+    non-linear, with the refusal as its reason.
     """
     lmap = LinearityMap()
 
@@ -79,48 +79,23 @@ def analyze(stream: Stream, max_matrix_elems: int = 4_000_000) -> LinearityMap:
                 lmap.nodes[id(s)] = result.node
             else:
                 lmap.reasons[id(s)] = result.reason or "not linear"
-                # second (state-space) extraction only where it can
-                # succeed: IR filters with persistent fields, primitives
-                # advertising a stateful node — without mutable fields
-                # the stateful extractor fails identically
-                candidate = (s.mutable_fields if isinstance(s, Filter)
-                             else getattr(s, "stateful_node", None)
-                             is not None)
-                if candidate:
-                    sresult = extract_stateful_filter(s)
-                    if sresult.is_linear:
-                        lmap.stateful[id(s)] = sresult.node
-            return lmap.nodes.get(id(s))
-        if isinstance(s, Pipeline):
+            return result.node
+        if isinstance(s, (Pipeline, SplitJoin)):
             child_nodes = [visit(c) for c in s.children]
-            if all(n is not None for n in child_nodes):
-                try:
-                    acc = child_nodes[0]
-                    for n in child_nodes[1:]:
-                        acc = combine_pipeline_pair(acc, n)
-                        if acc.peek * acc.push > max_matrix_elems:
-                            raise CombinationError("combined matrix too large")
-                    lmap.nodes[id(s)] = acc
-                    return acc
-                except CombinationError as exc:
-                    lmap.reasons[id(s)] = str(exc)
-                    return None
-            lmap.reasons[id(s)] = "non-linear child"
-            return None
-        if isinstance(s, SplitJoin):
-            child_nodes = [visit(c) for c in s.children]
-            if all(n is not None for n in child_nodes):
-                try:
-                    node = combine_splitjoin(s.splitter, child_nodes, s.joiner)
-                    if node.peek * node.push > max_matrix_elems:
-                        raise CombinationError("combined matrix too large")
-                    lmap.nodes[id(s)] = node
-                    return node
-                except CombinationError as exc:
-                    lmap.reasons[id(s)] = str(exc)
-                    return None
-            lmap.reasons[id(s)] = "non-linear child"
-            return None
+            if any(n is None for n in child_nodes):
+                lmap.reasons[id(s)] = "non-linear child"
+                return None
+            try:
+                if isinstance(s, Pipeline):
+                    node = combine_pipeline(child_nodes)
+                else:
+                    node = combine_splitjoin(s.splitter, child_nodes,
+                                             s.joiner)
+            except CombinationError as exc:
+                lmap.reasons[id(s)] = str(exc)
+                return None
+            lmap.nodes[id(s)] = node
+            return node
         if isinstance(s, FeedbackLoop):
             visit(s.body)
             visit(s.loop)
@@ -132,38 +107,19 @@ def analyze(stream: Stream, max_matrix_elems: int = 4_000_000) -> LinearityMap:
     return lmap
 
 
-def _rate_preserving_run(nodes: list) -> bool:
+def rate_preserving_run(nodes: list) -> bool:
     """True when collapsing this pipeline run cannot deadlock a cycle:
     lookahead-free children (peek == pop) firing once each per combined
-    firing (adjacent push == pop) leave the input demand unchanged."""
+    firing (adjacent push == pop) leave the input demand unchanged, so
+    the collapsed leaf needs exactly the items the first child needed —
+    the cycle's delay budget is untouched."""
     if any(n.peek != n.pop for n in nodes):
         return False
     return all(a.push == b.pop for a, b in zip(nodes, nodes[1:]))
 
 
-def combine_stateful_run(lmap: LinearityMap, children: list[Stream],
-                         max_matrix_elems: int = 4_000_000) \
-        -> StatefulLinearNode | None:
-    """State-space node of a pipeline run of stateful/stateless-linear
-    children, or None when combination fails or blows up."""
-    nodes = [lmap.any_node_for(c) for c in children]
-    if any(n is None for n in nodes):
-        return None
-    try:
-        acc = nodes[0]
-        for n in nodes[1:]:
-            acc = combine_stateful_pipeline(acc, n)
-            size = (acc.peek + acc.state_dim) * (acc.push + acc.state_dim)
-            if size > max_matrix_elems:
-                raise CombinationError("combined stateful matrix too large")
-    except (CombinationError, ValueError):
-        return None
-    return acc
-
-
-def _replace(s: Stream, lmap: LinearityMap, backend: str,
-             make_leaf, in_feedback: bool = False,
-             combine: bool = True, make_stateful_leaf=None) -> Stream:
+def _replace(s: Stream, lmap: LinearityMap, make_leaf,
+             in_feedback: bool = False, combine: bool = True) -> Stream:
     node = lmap.node_for(s)
     is_leaf = isinstance(s, (Filter, PrimitiveFilter))
     if node is not None and (combine or is_leaf) and not (
@@ -174,51 +130,29 @@ def _replace(s: Stream, lmap: LinearityMap, backend: str,
         leaf = make_leaf(node, s, in_feedback)
         if leaf is not None:
             return leaf
-    if is_leaf and make_stateful_leaf is not None and \
-            lmap.is_stateful_linear(s):
-        leaf = make_stateful_leaf(lmap.stateful_node_for(s), s, in_feedback)
-        if leaf is not None:
-            return leaf
     if is_leaf:
         return s
 
-    def recurse(child, feedback=in_feedback, comb=combine):
-        return _replace(child, lmap, backend, make_leaf, feedback, comb,
-                        make_stateful_leaf)
+    def recurse(child, feedback=in_feedback):
+        return _replace(child, lmap, make_leaf, feedback, combine)
 
     if isinstance(s, Pipeline):
         new_children = []
         run: list[Stream] = []
 
-        def run_member(child) -> bool:
-            if lmap.is_linear(child):
-                return True
-            return (make_stateful_leaf is not None
-                    and lmap.is_stateful_linear(child))
-
         def flush_run():
             if not run:
                 return
-            nodes = [lmap.any_node_for(c) for c in run]
-            has_state = any(lmap.is_stateful_linear(c) for c in run)
-            collapse = combine and len(run) > 1 and (
-                not in_feedback or _rate_preserving_run(nodes))
+            nodes = [lmap.node_for(c) for c in run]
             leaf = None
-            if collapse:
+            if combine and len(run) > 1 and (
+                    not in_feedback or rate_preserving_run(nodes)):
                 sub = Pipeline(run, name=f"{s.name}.linear_run")
-                if has_state:
-                    snode = combine_stateful_run(lmap, run)
-                    if snode is not None:
-                        leaf = make_stateful_leaf(snode, sub, in_feedback)
-                else:
-                    acc = lmap.node_for(run[0])
-                    try:
-                        for child in run[1:]:
-                            acc = combine_pipeline_pair(
-                                acc, lmap.node_for(child))
-                        leaf = make_leaf(acc, sub, in_feedback)
-                    except CombinationError:
-                        leaf = None
+                try:
+                    leaf = make_leaf(combine_pipeline(nodes), sub,
+                                     in_feedback)
+                except CombinationError:
+                    pass
             if leaf is not None:
                 new_children.append(leaf)
             else:
@@ -226,7 +160,7 @@ def _replace(s: Stream, lmap: LinearityMap, backend: str,
             run.clear()
 
         for child in s.children:
-            if run_member(child):
+            if lmap.node_for(child) is not None:
                 run.append(child)
             else:
                 flush_run()
@@ -247,12 +181,6 @@ def _replace(s: Stream, lmap: LinearityMap, backend: str,
     raise TypeError(f"unknown stream {s!r}")
 
 
-def make_stateful_linear_leaf(snode: StatefulLinearNode, s: Stream,
-                              in_feedback: bool) -> StatefulLinearFilter:
-    """Default stateful leaf factory for the replacement passes."""
-    return StatefulLinearFilter(snode, name=f"StatefulLinear[{s.name}]")
-
-
 def maximal_linear_replacement(stream: Stream, backend: str = "direct",
                                lmap: LinearityMap | None = None,
                                combine: bool = True,
@@ -260,11 +188,11 @@ def maximal_linear_replacement(stream: Stream, backend: str = "direct",
     """Replace every maximal linear region with a single LinearFilter.
 
     This is the paper's "linear replacement" configuration (§5.2).  With
-    ``stateful=True`` (the plan pipeline's ``optimize="linear"``), leaves
-    and contiguous pipeline runs that are *state-space* linear collapse
-    to :class:`~repro.linear.state.StatefulLinearFilter` leaves as well —
-    the §7.1 extension; the paper's configurations keep the default so
-    the thesis figures measure exactly the thesis transformations.
+    ``stateful=True`` (the plan pipeline's ``optimize="linear"``), regions
+    whose node carries state — leaves and pipeline runs that are
+    *state-space* linear, the §7.1 extension — collapse as well; the
+    paper's configurations keep the default so the thesis figures
+    measure exactly the thesis transformations.
     """
     if lmap is None:
         lmap = analyze(stream)
@@ -272,25 +200,22 @@ def maximal_linear_replacement(stream: Stream, backend: str = "direct",
     def make_leaf(node: LinearNode, s: Stream, in_feedback: bool):
         return LinearFilter(node, name=f"Linear[{s.name}]", backend=backend)
 
-    return _replace(stream, lmap, backend, make_leaf, combine=combine,
-                    make_stateful_leaf=(make_stateful_linear_leaf
-                                        if stateful else None))
+    return _replace(stream, lmap.view(stateful), make_leaf, combine=combine)
 
 
 def replace_with(stream: Stream, make_leaf,
                  lmap: LinearityMap | None = None,
-                 combine: bool = True, make_stateful_leaf=None) -> Stream:
+                 combine: bool = True) -> Stream:
     """Generic maximal replacement with a caller-supplied leaf factory.
 
     ``make_leaf(node, stream, in_feedback)`` returns the replacement
     stream or ``None`` to leave the region untouched (used by frequency
     replacement, which declines regions where the transform does not
     apply).  ``in_feedback`` is True inside feedbackloops, where only
-    rate-preserving leaf replacements are safe.  ``make_stateful_leaf``
-    (optional) receives state-space nodes for stateful-linear leaves and
-    runs; None leaves stateful filters untouched.
+    rate-preserving leaf replacements are safe.  Only stateless
+    (``state_dim == 0``) nodes are offered.
     """
     if lmap is None:
         lmap = analyze(stream)
-    return _replace(stream, lmap, "direct", make_leaf, combine=combine,
-                    make_stateful_leaf=make_stateful_leaf)
+    return _replace(stream, lmap.view(stateful=False), make_leaf,
+                    combine=combine)

@@ -7,13 +7,21 @@ iterations are executed symbolically (loop bounds in filter work functions
 are small compile-time constants); branches on non-constant conditions are
 executed on both sides and joined with the confluence operator.
 
-Deviations from the thesis pseudocode, both conservative:
+Deviations from the thesis pseudocode:
 
 * Branch conditions that evaluate to constants take the known side only
   (strictly more precise, identical soundness).
 * Filter fields that ``work`` never writes are treated as compile-time
-  constants (the values computed by ``init``); fields written in ``work``
-  are persistent state and evaluate to ⊤, exactly as the thesis requires.
+  constants (the values computed by ``init``).
+* Fields written in ``work`` are persistent state.  The thesis makes them
+  ⊤; here each scalar of one is a symbolic component ``s_j`` appended to
+  ``x`` (the §7.1 extension), so pushes yield rows of ``[A | As] + b``
+  and the fields' final values rows of ``[Cx | Cs] + bs``.  **A state
+  slot is kept iff it is observable** — it reaches a push through
+  ``As``, directly or via the ``Cs`` of a slot that does.  An
+  unobservable slot is dropped whatever its update (a filter all of
+  whose state is dead is the thesis' stateless node, ``k = 0``); an
+  observable slot whose update is not affine rejects the filter.
 
 On success, extraction yields the filter's :class:`LinearNode`; on failure
 it records a human-readable reason (`ExtractionResult.reason`).
@@ -67,9 +75,24 @@ class _Extractor:
         self.peek_rate = wf.peek
         self.pop_rate = wf.pop
         self.push_rate = wf.push
-        #: length of every LinearForm vector; the stateful extractor
-        #: appends one extra component per scalar of persistent state
-        self.vec_dim = wf.peek
+        #: (field name, array length | None for scalars) of the mutable
+        #: fields with a numeric initial value, sorted by name — the
+        #: candidate state slots, in the order of the extracted node's
+        #: state vector (arrays flattened in place)
+        self.state_fields: list[tuple[str, int | None]] = []
+        s0: list[float] = []
+        for name in sorted(filt.mutable_fields):
+            init = filt.fields.get(name)
+            if isinstance(init, np.ndarray) and init.ndim == 1:
+                self.state_fields.append((name, len(init)))
+                s0.extend(init.tolist())
+            elif isinstance(init, (bool, int, float)):
+                self.state_fields.append((name, None))
+                s0.append(float(init))
+        self.s0 = np.asarray(s0, dtype=float)
+        #: length of every LinearForm vector: the input window, then one
+        #: component per candidate state slot
+        self.vec_dim = wf.peek + len(s0)
         self.iters = 0
 
     # -- helpers -----------------------------------------------------------
@@ -79,14 +102,18 @@ class _Extractor:
     def const(self, c) -> LinearForm:
         return LinearForm.constant(c, self.vec_dim)
 
-    def _input_coeff(self, pos: int) -> LinearForm:
-        """Coefficient 1 for input item ``peek(pos)`` (x-convention)."""
+    def _component(self, index: int) -> LinearForm:
         v = np.zeros(self.vec_dim)
-        v[self.peek_rate - 1 - pos] = 1.0
+        v[index] = 1.0
         return LinearForm(v, 0)
 
+    def _input_coeff(self, pos: int) -> LinearForm:
+        """Coefficient 1 for input item ``peek(pos)`` (x-convention)."""
+        return self._component(self.peek_rate - 1 - pos)
+
     def _field_value(self, name: str):
-        """Constant fields fold to their values; mutable fields are ⊤."""
+        """Constant fields fold to their values; a mutable field that is
+        no state slot (nothing numeric to start from) is ⊤."""
         if name in self.filt.mutable_fields:
             return TOP
         return self.filt.fields.get(name, None)
@@ -158,9 +185,7 @@ class _Extractor:
                 return TOP
             if all(a.is_constant for a in args):
                 return self.const(_FOLDABLE[e.fn](*(a.c for a in args)))
-            if e.fn == "abs":
-                return TOP  # |linear| is not linear
-            return TOP
+            return TOP  # e.g. |linear| is not linear
         if isinstance(e, N.Bin):
             return self._eval_bin(e, st)
         self.fail(f"unsupported expression {e!r}")  # pragma: no cover
@@ -270,9 +295,9 @@ class _Extractor:
         if isinstance(target, N.Var):
             name = target.name
             if name in self.filt.fields and name not in st.env:
-                # a write to a field: persistent state => the filter may
-                # still be linear only if nothing TOP is pushed; reads of
-                # mutable fields are already TOP.
+                # a write to a field that is no state slot: reads of it
+                # are ⊤ already, so the filter may still be linear only
+                # if no push depends on it
                 return
             st.env[name] = v
         else:
@@ -282,7 +307,7 @@ class _Extractor:
                 self.fail(f"array store to {target.base!r} with a "
                           f"non-constant index")
             if target.base in self.filt.fields and target.base not in st.env:
-                return  # persistent array state; reads are TOP already
+                return  # an array that is no state slot; reads are ⊤
             arr = st.env.get(target.base)
             if not isinstance(arr, list):
                 self.fail(f"store to unknown array {target.base!r}")
@@ -343,13 +368,11 @@ class _Extractor:
             return v
         return self.const(v)
 
-    def _seed_state(self, st: _State) -> None:
-        """Hook: the stateful extractor injects symbolic state here."""
-
     # -- toplevel (Algorithm 1) ---------------------------------------------
     def _run_symbolic(self) -> tuple[np.ndarray, np.ndarray, _State]:
-        """Execute work symbolically; ``(vec_dim, u)`` matrix, offsets,
-        and the final state (for the stateful extractor's field rows)."""
+        """Execute work symbolically; the ``(vec_dim, u)`` matrix of
+        stacked ``[A ; As]`` rows, the offsets, and the final state (the
+        fields' updates)."""
         if self.push_rate == 0:
             self.fail("sink filters (push 0) have no linear node")
         if self.pop_rate == 0:
@@ -361,7 +384,14 @@ class _Extractor:
             popcount=0,
             pushcount=0,
         )
-        self._seed_state(st)
+        slot = self.peek_rate  # state components follow the window's
+        for name, size in self.state_fields:
+            if size is None:
+                st.env[name] = self._component(slot)
+            else:
+                st.env[name] = [self._component(slot + i)
+                                for i in range(size)]
+            slot += size or 1
         self.exec_block(self.filt.work.body, st)
         if st.pushcount != self.push_rate:
             self.fail(f"work pushed {st.pushcount} of {self.push_rate} items")
@@ -379,86 +409,38 @@ class _Extractor:
         return A, b, st
 
     def run(self) -> LinearNode:
-        A, b, _ = self._run_symbolic()
-        return LinearNode(A, b, self.peek_rate, self.pop_rate, self.push_rate)
-
-
-class _StatefulExtractor(_Extractor):
-    """Extraction over the extended vector (input window, state).
-
-    Persistent fields are not ⊤ here: each scalar of mutable state is a
-    symbolic component ``s_j`` appended to the linear-form vector, seeded
-    into the environment before execution.  Pushes then yield rows of
-    ``[Ax | As] + bx`` and the fields' final values rows of
-    ``[Cx | Cs] + bs`` — the state-space node of §7.1.
-    """
-
-    def __init__(self, filt: Filter):
-        super().__init__(filt)
-        #: (field name, array length | None for scalars), sorted by name —
-        #: the canonical state ordering of the extracted node
-        self.state_fields: list[tuple[str, int | None]] = []
-        s0: list[float] = []
-        for name in sorted(filt.mutable_fields):
-            init = filt.fields.get(name)
-            if isinstance(init, np.ndarray):
-                if init.ndim != 1:
-                    raise NonLinearError(
-                        f"state array {name!r} is not one-dimensional")
-                self.state_fields.append((name, len(init)))
-                s0.extend(float(v) for v in init)
-            elif isinstance(init, (bool, int, float)):
-                self.state_fields.append((name, None))
-                s0.append(float(init))
-            else:
-                raise NonLinearError(
-                    f"state field {name!r} has no numeric initial value")
-        self.s0 = np.asarray(s0)
-        self.state_dim = len(s0)
-        self.vec_dim = self.peek_rate + self.state_dim
-
-    def _state_coeff(self, slot: int) -> LinearForm:
-        v = np.zeros(self.vec_dim)
-        v[self.peek_rate + slot] = 1.0
-        return LinearForm(v, 0)
-
-    def _seed_state(self, st: _State) -> None:
-        slot = 0
-        for name, size in self.state_fields:
-            if size is None:
-                st.env[name] = self._state_coeff(slot)
-                slot += 1
-            else:
-                st.env[name] = [self._state_coeff(slot + i)
-                                for i in range(size)]
-                slot += size
-
-    def run(self):
-        from .state import StatefulLinearNode
-
-        A, bx, st = self._run_symbolic()  # A stacks [Ax | As] rows
-        e, u, k = self.peek_rate, self.push_rate, self.state_dim
-        Cx = np.zeros((e, k))
-        Cs = np.zeros((k, k))
-        bs = np.zeros(k)
-        slot = 0
+        M, b, st = self._run_symbolic()
+        e = self.peek_rate
+        # per candidate slot: its update as a linear form, or the name
+        # of its field when the update is not one
+        updates: list = []
         for name, size in self.state_fields:
             vals = st.env.get(name)
             vals = [vals] if size is None else vals
-            if not isinstance(vals, list) or \
-                    (size is not None and len(vals) != size):
-                self.fail(f"state field {name!r} lost its shape")
-            for v in vals:
-                if not isinstance(v, LinearForm):
-                    self.fail(f"state field {name!r} update is not an "
-                              "affine function of the input and state")
-                Cx[:, slot] = v.v[:e]
-                Cs[:, slot] = v.v[e:]
-                bs[slot] = v.c
-                slot += 1
-        return StatefulLinearNode(
-            Ax=A[:e], As=A[e:], bx=bx, Cx=Cx, Cs=Cs, bs=bs,
-            s0=self.s0, peek=e, pop=self.pop_rate, push=u)
+            if not isinstance(vals, list) or len(vals) != (size or 1):
+                vals = [TOP] * (size or 1)  # joined away or shadowed
+            updates += [v if isinstance(v, LinearForm) else name
+                        for v in vals]
+        keep = {int(j) for j in np.flatnonzero(M[e:].any(axis=1))}
+        frontier = sorted(keep)
+        while frontier:
+            update = updates[frontier.pop()]
+            if isinstance(update, str):
+                self.fail(f"state field {update!r} update is not an affine "
+                          "function of the input and state")
+            for j in np.flatnonzero(update.v[e:]):
+                if int(j) not in keep:
+                    keep.add(int(j))
+                    frontier.append(int(j))
+        slots = sorted(keep)
+        rows = [e + j for j in slots]
+        C = np.zeros((self.vec_dim, len(slots)))
+        for col, j in enumerate(slots):
+            C[:, col] = updates[j].v
+        return LinearNode(
+            M[:e], b, e, self.pop_rate, self.push_rate, As=M[rows],
+            Cx=C[:e], Cs=C[rows], bs=[updates[j].c for j in slots],
+            s0=self.s0[slots])
 
 
 @dataclass
@@ -466,18 +448,6 @@ class ExtractionResult:
     """Outcome of linear extraction for one filter."""
 
     node: LinearNode | None
-    reason: str | None = None
-
-    @property
-    def is_linear(self) -> bool:
-        return self.node is not None
-
-
-@dataclass
-class StatefulExtractionResult:
-    """Outcome of state-space linear extraction for one filter."""
-
-    node: object | None  # StatefulLinearNode
     reason: str | None = None
 
     @property
@@ -507,8 +477,12 @@ def _prework_gate(filt: Filter) -> str | None:
 def extract_filter(filt: Stream) -> ExtractionResult:
     """Run linear extraction on a leaf filter.
 
-    Primitive filters advertise their own linearity via a ``linear_node``
-    attribute (e.g. the matrix filter produced by an earlier combination).
+    Succeeds when every push and every observable field update is an
+    affine function of the input window and the prior field values;
+    ``result.node.state_dim`` says how much state the filter carries
+    (``0``: the thesis' stateless node).  Primitive filters advertise
+    their own linearity via a ``linear_node`` attribute (e.g. the matrix
+    filter produced by an earlier combination).
     """
     if isinstance(filt, PrimitiveFilter):
         node = getattr(filt, "linear_node", None)
@@ -524,36 +498,3 @@ def extract_filter(filt: Stream) -> ExtractionResult:
         return ExtractionResult(_Extractor(filt).run())
     except NonLinearError as exc:
         return ExtractionResult(None, exc.reason)
-
-
-def extract_stateful_filter(filt: Stream) -> StatefulExtractionResult:
-    """Run state-space linear extraction on a leaf filter.
-
-    Succeeds when every push and every mutable-field update is an affine
-    function of the input window and the prior field values, yielding
-    the filter's :class:`~repro.linear.state.StatefulLinearNode`
-    (``y = x·Ax + s·As + bx``, ``s' = x·Cx + s·Cs + bs``).  Stateless
-    filters extract too (``k = 0``); primitives advertise themselves via
-    a ``stateful_node`` or ``linear_node`` attribute.
-    """
-    from .state import from_stateless
-
-    if isinstance(filt, PrimitiveFilter):
-        snode = getattr(filt, "stateful_node", None)
-        if snode is not None:
-            return StatefulExtractionResult(snode)
-        node = getattr(filt, "linear_node", None)
-        if node is not None:
-            return StatefulExtractionResult(from_stateless(node))
-        return StatefulExtractionResult(
-            None, "primitive filter without (stateful) linear form")
-    if not isinstance(filt, Filter):
-        return StatefulExtractionResult(None,
-                                        f"{filt!r} is not a leaf filter")
-    reason = _prework_gate(filt)
-    if reason is not None:
-        return StatefulExtractionResult(None, reason)
-    try:
-        return StatefulExtractionResult(_StatefulExtractor(filt).run())
-    except NonLinearError as exc:
-        return StatefulExtractionResult(None, exc.reason)

@@ -11,12 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.streams import PrimitiveFilter
-from .matmul import make_kernel
+from ..profiling import Counts
+from .matmul import cost_counts, make_kernel
 from .node import LinearNode
 
 
 class LinearFilter(PrimitiveFilter):
-    """A leaf filter executing ``y = x·A + b`` once per firing."""
+    """A leaf filter executing ``y = x·A + s·As + b`` once per firing,
+    its runner carrying the state ``s`` when the node has one."""
+
+    #: fission replicas pin the *original* filter's per-firing counts
+    #: here, so k replicas firing F/k times report exactly the fused
+    #: filter's F-firing profile
+    account_counts: Counts | None = None
 
     def __init__(self, node: LinearNode, name: str = "Linear",
                  backend: str = "direct"):
@@ -27,10 +34,17 @@ class LinearFilter(PrimitiveFilter):
         self.pop = node.pop
         self.push = node.push
 
+    @property
+    def counts(self) -> Counts:
+        """Float ops one firing is accounted as."""
+        if self.account_counts is not None:
+            return self.account_counts
+        return cost_counts(self.linear_node, self.backend)
+
     def make_runner(self, profiler):
         node = self.linear_node
         kernel = make_kernel(node, self.backend)
-        counts = kernel.counts
+        counts = self.counts
         name = self.name
 
         class _Runner:

@@ -1,4 +1,5 @@
-"""The linear node representation (thesis §3.1, Definition 1).
+"""The linear node representation (thesis §3.1, Definition 1, with the
+§7.1 state part as one form).
 
 A linear node ``Λ = {A, b, e, o, u}`` abstracts a stream block computing the
 affine map ``y = x·A + b`` where
@@ -11,6 +12,19 @@ affine map ``y = x·A + b`` where
 
 Hence entry ``A[e-1-i, u-1-j]`` is the coefficient of ``peek(i)`` in the
 *j*-th output and ``b[u-1-j]`` its constant offset.
+
+A node may also carry a ``k``-element state vector ``s`` across firings
+(the thesis' §7.1 extension — IIR filters, the computation inside
+feedbackloops):
+
+    y  = x·A  + s·As + b          (outputs)
+    s' = x·Cx + s·Cs + bs         (next state, from ``s0``)
+
+The stateless node of Definition 1 is the ``k = 0`` case — the state
+arrays default to zero width, and every term they appear in vanishes —
+so extraction, expansion, combination, costing and replacement are each
+written once, over this form (a stream function is a monoid homomorphism
+with state; Hou et al.).
 """
 
 from __future__ import annotations
@@ -22,29 +36,47 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LinearNode:
-    """An affine stream block ``y = x·A + b`` with rates (peek, pop, push)."""
+    """An affine stream block with rates (peek, pop, push) and ``k >= 0``
+    state variables.
+
+    Shapes: ``A (e,u)``, ``b (u,)``, ``As (k,u)``, ``Cx (e,k)``,
+    ``Cs (k,k)``, ``bs (k,)``, initial state ``s0 (k,)``; ``k`` is the
+    length of ``s0`` and a state array left out is all zeros.
+    """
 
     A: np.ndarray
     b: np.ndarray
     peek: int
     pop: int
     push: int
+    As: np.ndarray | None = None
+    Cx: np.ndarray | None = None
+    Cs: np.ndarray | None = None
+    bs: np.ndarray | None = None
+    s0: np.ndarray | None = None
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        if A.shape != (self.peek, self.push):
-            raise ValueError(
-                f"A has shape {A.shape}, expected ({self.peek}, {self.push})")
-        if b.shape != (self.push,):
-            raise ValueError(
-                f"b has shape {b.shape}, expected ({self.push},)")
+        e, u = self.peek, self.push
+        k = 0 if self.s0 is None else len(self.s0)
+        for name, shape in (("A", (e, u)), ("b", (u,)), ("As", (k, u)),
+                            ("Cx", (e, k)), ("Cs", (k, k)), ("bs", (k,)),
+                            ("s0", (k,))):
+            value = getattr(self, name)
+            arr = (np.zeros(shape) if value is None
+                   else np.asarray(value, dtype=float))
+            if arr.shape != shape:
+                raise ValueError(
+                    f"{name} has shape {arr.shape}, expected {shape}")
+            object.__setattr__(self, name, arr)
         if self.pop <= 0:
             raise ValueError("linear node must pop at least one item")
         if self.peek < self.pop:
             raise ValueError("peek must be >= pop")
+
+    @property
+    def state_dim(self) -> int:
+        """``k``, the number of state variables (0: Definition 1)."""
+        return len(self.s0)
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -80,46 +112,56 @@ class LinearNode:
         return float(self.b[self.push - 1 - push_index])
 
     def apply(self, window: np.ndarray) -> np.ndarray:
-        """One firing: ``window`` is ``[peek(0), ..., peek(e-1)]``.
+        """The first firing: ``window`` is ``[peek(0), ..., peek(e-1)]``.
 
         Returns outputs in push order ``[y_0, ..., y_{u-1}]``.
         """
-        window = np.asarray(window, dtype=float)
-        if window.shape != (self.peek,):
+        if np.shape(window) != (self.peek,):
             raise ValueError(f"window must have {self.peek} items")
-        x = window[::-1]  # x[i] = peek(e-1-i)
-        y = x @ self.A + self.b
-        return y[::-1]  # y[u-1] is pushed first
+        return self.reference_run(window, 1)
 
     def reference_run(self, inputs, firings: int) -> np.ndarray:
-        """Run ``firings`` firings over ``inputs``; concatenated outputs.
+        """Run ``firings`` firings over ``inputs`` from ``s0``;
+        concatenated outputs.
 
         A straightforward oracle used by tests and the frequency/redundancy
         modules to validate optimized implementations.
         """
         inputs = np.asarray(inputs, dtype=float)
+        s = self.s0
         out = []
         pos = 0
         for _ in range(firings):
             window = inputs[pos:pos + self.peek]
             if len(window) < self.peek:
                 raise ValueError("not enough input for requested firings")
-            out.append(self.apply(window))
+            x = window[::-1]  # x[i] = peek(e-1-i)
+            y = x @ self.A + s @ self.As + self.b
+            s = x @ self.Cx + s @ self.Cs + self.bs
+            out.append(y[::-1])  # y[u-1] is pushed first
             pos += self.pop
         return np.concatenate(out) if out else np.zeros(0)
+
+    def is_stable(self) -> bool:
+        """Spectral radius of Cs < 1 (BIBO stability of the state part)."""
+        if self.state_dim == 0:
+            return True
+        return bool(np.max(np.abs(np.linalg.eigvals(self.Cs))) < 1.0)
 
     # ------------------------------------------------------------------
     @property
     def nnz(self) -> int:
-        """Non-zero entries of A (drives the direct cost function)."""
-        return int(np.count_nonzero(self.A))
+        """Non-zero matrix entries (drives the direct cost function)."""
+        return sum(int(np.count_nonzero(m))
+                   for m in (self.A, self.As, self.Cx, self.Cs))
 
     @property
     def nnz_b(self) -> int:
-        return int(np.count_nonzero(self.b))
+        return int(np.count_nonzero(self.b)) + int(np.count_nonzero(self.bs))
 
     def column_spans(self) -> list[tuple[int, int]]:
-        """Per column (first_nonzero, last_nonzero+1); (0, 0) if all-zero.
+        """Per column of ``A`` (first_nonzero, last_nonzero+1); (0, 0) if
+        all-zero.
 
         The direct matrix-multiply code generator skips leading/trailing
         zeros in each column (thesis §5.4, Figure 5-7).
@@ -133,11 +175,7 @@ class LinearNode:
                 spans.append((int(nz[0]), int(nz[-1]) + 1))
         return spans
 
-    def is_convolution_compatible(self) -> bool:
-        """True if the frequency transformation applies (always, via the
-        pretend-pop-1 + decimator trick), kept for cost-model gating."""
-        return self.peek >= 1
-
     def __str__(self):
-        return (f"LinearNode(e={self.peek}, o={self.pop}, u={self.push}, "
-                f"nnz={self.nnz})")
+        state = f", k={self.state_dim}" if self.state_dim else ""
+        return (f"LinearNode(e={self.peek}, o={self.pop}, u={self.push}"
+                f"{state}, nnz={self.nnz})")

@@ -8,6 +8,10 @@ children's columns in the order dictated by the roundrobin joiner.
 Roundrobin-splitter splitjoins are first rewritten to duplicate splitters
 by composing each child with a *decimator* linear node that keeps only the
 items its branch would have received.
+
+Both rules are stated for ``k = 0`` children: a child with state is
+refused (collapsing state inside a splitjoin is a capability of its own,
+not a case of these transformations).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from ..errors import CombinationError
 from ..graph.streams import Duplicate, RoundRobin
-from .expansion import expand
+from .expansion import check_size, expand
 from .node import LinearNode
 from .pipeline_comb import combine_pipeline_pair
 
@@ -31,6 +35,8 @@ def combine_duplicate_splitjoin(children: list[LinearNode],
         raise CombinationError("one joiner weight per child required")
     if any(w <= 0 for w in join_weights):
         raise CombinationError("joiner weights must be positive")
+    if any(child.state_dim for child in children):
+        raise CombinationError("a splitjoin child carries state")
 
     # joinRep: joiner cycles per steady state of the splitjoin
     join_rep = 1
@@ -42,30 +48,31 @@ def combine_duplicate_splitjoin(children: list[LinearNode],
         if rep * child.push != w * join_rep:
             raise CombinationError("child push rate does not divide evenly")
 
-    max_peek = max(c.pop * r + c.peek - c.pop
-                   for c, r in zip(children, reps))
-    expanded = [expand(c, max_peek, c.pop * r, c.push * r)
-                for c, r in zip(children, reps)]
-
-    pops = {c.pop for c in expanded}
+    pops = {c.pop * r for c, r in zip(children, reps)}
     if len(pops) != 1:
         raise CombinationError(
             f"children consume at different rates {sorted(pops)}; "
             f"the splitjoin admits no steady-state schedule")
 
+    max_peek = max(c.pop * r + c.peek - c.pop
+                   for c, r in zip(children, reps))
     w_total = sum(join_weights)
     w_prefix = np.concatenate([[0], np.cumsum(join_weights)])
     u_out = join_rep * w_total
+    # the expanded children are column blocks of the result: sizing it
+    # from the rates sizes them all, before any is built
+    check_size(max_peek, u_out)
 
     A = np.zeros((max_peek, u_out))
     b = np.zeros(u_out)
-    for k, (node, w) in enumerate(zip(expanded, join_weights)):
+    for k, (c, r, w) in enumerate(zip(children, reps, join_weights)):
+        node = expand(c, max_peek, c.pop * r, c.push * r)
         for p in range(node.push):
             cycle, offset = divmod(p, w)
             position = cycle * w_total + int(w_prefix[k]) + offset
             A[:, u_out - 1 - position] = node.A[:, node.push - 1 - p]
             b[u_out - 1 - position] = node.b[node.push - 1 - p]
-    return LinearNode(A, b, max_peek, expanded[0].pop, u_out)
+    return LinearNode(A, b, max_peek, pops.pop(), u_out)
 
 
 def decimator_node(split_weights: list[int], k: int) -> LinearNode:

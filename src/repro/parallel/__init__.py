@@ -17,8 +17,8 @@ This package adds the multicore execution layer:
   PlanExecutor` subclass whose flush drives independent units
   concurrently on the pool;
 * :mod:`~repro.parallel.fission` — data-parallel **fission** rewrites:
-  a linear (or stateful-linear, via the state-monoid lift of
-  :func:`~repro.linear.state.expand_stateful`) filter is replicated into
+  a linear filter (one with lookahead or state via the state-monoid lift
+  of :func:`~repro.linear.expansion.expand_firings`) is replicated into
   ``k`` replicas behind split/join, priced against the fused form by the
   calibrated cost model.
 

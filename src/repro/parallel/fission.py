@@ -13,7 +13,7 @@ on different cores.  Two constructions:
   kernel's, so outputs are bitwise identical.
 
 * **State-monoid lift** — lookahead (``peek > pop``) and stateful
-  leaves fission through :func:`~repro.linear.state.expand_stateful`:
+  leaves fission through :func:`~repro.linear.expansion.expand_firings`:
   the ``k``-firing block operator expresses firing ``i``'s outputs (its
   column slice) and the full ``k``-step state advance in terms of the
   *block-start* state, so replica ``i`` keeps the complete (tiny) state
@@ -39,12 +39,9 @@ from __future__ import annotations
 
 from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                              RoundRobin, SplitJoin, Stream)
+from ..linear.expansion import expand_firings
 from ..linear.filters import LinearFilter
-from ..linear.matmul import blas_cost_counts, direct_cost_counts
 from ..linear.node import LinearNode
-from ..linear.state import (StatefulLinearFilter, StatefulLinearNode,
-                            expand_stateful, from_stateless,
-                            stateful_cost_counts)
 from ..selection.costs import fission_speedup
 
 #: Minimum modeled speedup before a leaf is worth replicating.
@@ -89,17 +86,8 @@ def _candidate(s: Stream):
     ``counts`` is the exact per-firing accounting the fused form would
     report — the replicas' ``account_counts`` override.
     """
-    if isinstance(s, StatefulLinearFilter):
-        node = s.stateful_node
-        counts = getattr(s, "account_counts", None)
-        return node, counts or stateful_cost_counts(node), "direct"
     if isinstance(s, LinearFilter):
-        node = s.linear_node
-        counts = getattr(s, "account_counts", None)
-        if counts is None:
-            counts = (blas_cost_counts(node) if s.backend == "blas"
-                      else direct_cost_counts(node))
-        return node, counts, s.backend
+        return s.linear_node, s.counts, s.backend
     if isinstance(s, Filter):
         from ..exec.planner import _vectorize_decision
         params, _reason = _vectorize_decision(s)
@@ -121,32 +109,23 @@ def _fission_leaf(s: Stream, k: int, policy) -> Stream | None:
     if fission_speedup(node, k, policy=policy) < FISSION_THRESHOLD:
         return None
     name = getattr(s, "name", "filter")
-    if isinstance(node, LinearNode) and node.peek == o:
+    if not node.state_dim and node.peek == o:
         # round-robin clone path: firings read disjoint windows
         reps = [LinearFilter(node, name=f"{name}.fis{i}", backend=backend)
                 for i in range(k)]
         split: Duplicate | RoundRobin = RoundRobin((o,) * k)
     else:
-        # state-monoid lift path
-        snode = (node if isinstance(node, StatefulLinearNode)
-                 else from_stateless(node))
-        ex = expand_stateful(snode, k)
-        E, U = ex.peek, ex.push
+        # state-monoid lift path: replica i is firing i's columns of the
+        # k-firing node, over the whole state advance
+        ex = expand_firings(node, k)
         reps = []
         for i in range(k):
-            cols = slice(U - (i + 1) * u, U - i * u)
-            if snode.state_dim == 0:
-                rnode = LinearNode(A=ex.Ax[:, cols], b=ex.bx[cols],
-                                   peek=E, pop=ex.pop, push=u)
-                reps.append(LinearFilter(rnode, name=f"{name}.fis{i}",
-                                         backend=backend))
-            else:
-                rnode = StatefulLinearNode(
-                    Ax=ex.Ax[:, cols], As=ex.As[:, cols], bx=ex.bx[cols],
-                    Cx=ex.Cx, Cs=ex.Cs, bs=ex.bs, s0=ex.s0,
-                    peek=E, pop=ex.pop, push=u)
-                reps.append(StatefulLinearFilter(rnode,
-                                                 name=f"{name}.fis{i}"))
+            cols = slice(ex.push - (i + 1) * u, ex.push - i * u)
+            rnode = LinearNode(ex.A[:, cols], ex.b[cols], ex.peek, ex.pop,
+                               u, As=ex.As[:, cols], Cx=ex.Cx, Cs=ex.Cs,
+                               bs=ex.bs, s0=ex.s0)
+            reps.append(LinearFilter(rnode, name=f"{name}.fis{i}",
+                                     backend=backend))
         split = Duplicate()
     for rep in reps:
         rep.account_counts = counts

@@ -2,7 +2,8 @@
 
 ``direct_cost`` follows the thesis formula: a per-firing constant of 185
 plus 2u, one unit per non-zero offset, and three per non-zero matrix entry
-(multiply + add + load).
+(multiply + add + load) — over the output map and, for a node with state
+(§7.1), the state advance as well.
 
 ``frequency_cost`` is reconstructed (the thesis text of the formula is
 partly garbled in our source); we make it *self-consistent with the
@@ -84,11 +85,28 @@ def frequency_cost(node: LinearNode, fft_size: int | None = None) -> float:
 DEFAULT_COST_BATCH = 1024
 
 
-def batched_direct_cost(node: LinearNode,
-                        batch: int = DEFAULT_COST_BATCH) -> float:
-    """Per-firing cost of the plan backend's batched dense matmul."""
-    return (FIRING_OVERHEAD / batch
-            + 2.0 * node.peek * node.push)  # dense multiply-accumulate
+def batched_direct_cost(node: LinearNode, batch: int = DEFAULT_COST_BATCH,
+                        policy=None) -> float:
+    """Per-firing cost of the plan backend's batched dense matmul — with
+    state (``k > 0``: the lifted stateful kernel) plus the state advance
+    and what the block structure adds: one Python pass per ``B·G``
+    firings and, per block, a row of the boundary lift (``G·k x k`` of
+    it), at the lengths the kernel will actually use (``B`` the
+    calibrated one when a calibration cache is present).  Every state
+    term vanishes at ``k = 0``."""
+    k = node.state_dim
+    carry = lift = 0.0
+    if k:
+        from ..exec.kernels import (stateful_block_length,  # no cycle
+                                    stateful_group_length)
+
+        block = stateful_block_length(node.pop, node.push, policy)
+        group = stateful_group_length(k)
+        carry = FIRING_OVERHEAD / (block * group)  # per-group state carry
+        lift = 2.0 * group * k * k / block  # boundary lift
+    return (FIRING_OVERHEAD / batch + carry + lift
+            + 2.0 * (node.peek + k) * node.push  # dense output map
+            + 2.0 * (node.peek + k) * k)  # dense state advance
 
 
 #: Relative per-FLOP cost of the batched FFT path vs the dense BLAS
@@ -135,48 +153,6 @@ def batched_frequency_cost(node: LinearNode,
 
 
 # ---------------------------------------------------------------------------
-# Stateful (state-space) leaves — §7.1
-# ---------------------------------------------------------------------------
-
-
-def _stateful_nnz(node) -> tuple[int, int]:
-    import numpy as np
-
-    nnz = sum(int(np.count_nonzero(m))
-              for m in (node.Ax, node.As, node.Cx, node.Cs))
-    nnz_b = int(np.count_nonzero(node.bx)) + int(np.count_nonzero(node.bs))
-    return nnz, nnz_b
-
-
-def stateful_direct_cost(node) -> float:
-    """Thesis-style scalar-firing cost of a stateful-linear leaf: the
-    direct formula over the output map *and* the state advance."""
-    nnz, nnz_b = _stateful_nnz(node)
-    return FIRING_OVERHEAD + 2.0 * node.push + nnz_b + 3.0 * nnz
-
-
-def batched_stateful_cost(node, batch: int = DEFAULT_COST_BATCH,
-                          policy=None) -> float:
-    """Per-firing cost of the lifted stateful kernel: the dense case
-    plus the state advance, plus what the block structure adds — one
-    Python pass per ``B·G`` firings and, per block, a row of the
-    boundary lift (``G·k x k`` of it) — at the lengths the kernel will
-    actually use (``B`` the calibrated one when a calibration cache is
-    present)."""
-    from ..exec.kernels import (stateful_block_length,  # deferred: no cycle
-                                stateful_group_length)
-
-    k = node.state_dim
-    block = stateful_block_length(node.pop, node.push, policy)
-    group = stateful_group_length(k)
-    return (FIRING_OVERHEAD / batch
-            + FIRING_OVERHEAD / (block * group)  # per-group state carry
-            + 2.0 * group * k * k / block  # boundary lift
-            + 2.0 * (node.peek + k) * node.push  # dense output map
-            + 2.0 * (node.peek + k) * k)  # dense state advance
-
-
-# ---------------------------------------------------------------------------
 # Data-parallel fission — fissioned vs fused (parallel engine)
 # ---------------------------------------------------------------------------
 
@@ -189,7 +165,7 @@ FISSION_DISPATCH_OVERHEAD = 50_000.0
 def fission_speedup(node, k: int, batch: int = DEFAULT_COST_BATCH,
                     policy=None) -> float:
     """Estimated wall-clock speedup of ``k``-way data-parallel fission
-    of a linear (or stateful-linear) leaf over the fused batched kernel.
+    of a linear leaf over the fused batched kernel.
 
     ``peek == pop`` stateless leaves fission by round-robin cloning, so
     the parallel compute is exactly ``fused / k``.  Lookahead and
@@ -204,17 +180,13 @@ def fission_speedup(node, k: int, batch: int = DEFAULT_COST_BATCH,
     """
     if k <= 1:
         return 1.0
-    ks = getattr(node, "state_dim", 0)
+    ks = node.state_dim
     e, o, u = node.peek, node.pop, node.push
+    fused = batched_direct_cost(node, batch, policy)
     if ks == 0 and e == o:
-        fused = batched_direct_cost(node, batch)
         compute = fused / k
         copies = o + u  # round-robin scatter + gather, serial
     else:
-        if ks:
-            fused = batched_stateful_cost(node, batch, policy)
-        else:
-            fused = batched_direct_cost(node, batch)
         E = e + (k - 1) * o
         # replica firing: dense output slice + full state advance, once
         # per k original firings, spread over k parallel replicas

@@ -32,15 +32,13 @@ from ..frequency.filters import make_frequency_stream
 from ..graph.scheduler import steady_state
 from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                              PrimitiveFilter, RoundRobin, SplitJoin, Stream)
-from ..linear.combine import (LinearityMap, analyze, combine_stateful_run,
-                              make_stateful_linear_leaf)
+from ..linear.combine import LinearityMap, analyze, rate_preserving_run
 from ..linear.filters import LinearFilter
 from ..linear.node import LinearNode
-from ..linear.pipeline_comb import combine_pipeline_pair
+from ..linear.pipeline_comb import combine_pipeline
 from ..linear.splitjoin_comb import combine_splitjoin
 from .costs import (DEFAULT_COST_BATCH, batched_direct_cost,
-                    batched_frequency_cost, batched_stateful_cost,
-                    direct_cost, frequency_cost, stateful_direct_cost)
+                    batched_frequency_cost, direct_cost, frequency_cost)
 
 
 @dataclass
@@ -49,7 +47,7 @@ class Config:
 
     cost: float
     stream: Stream
-    choice: str  # 'linear' | 'freq' | 'none' | 'cut'
+    choice: str  # 'linear' | 'stateful' | 'freq' | 'none' | 'cut'
 
 
 @dataclass
@@ -63,30 +61,28 @@ class OptimizationSelector:
     """Runs the DP over one program graph."""
 
     def __init__(self, program: Stream, lmap: LinearityMap | None = None,
-                 max_matrix_elems: int = 4_000_000,
                  min_freq_peek: int = 2, cost_model: str = "thesis",
                  batch: int = DEFAULT_COST_BATCH, stateful: bool = False,
                  policy=None):
         self.program = program
-        self.lmap = lmap if lmap is not None else analyze(program)
-        self.max_matrix_elems = max_matrix_elems
+        if lmap is None:
+            lmap = analyze(program)
+        #: ``stateful`` keeps the linear nodes that carry state (§7.1;
+        #: the plan pipeline's optimize="auto"); off by default so the
+        #: paper's autosel configuration measures exactly the thesis
+        #: transformations
+        self.lmap = lmap.view(stateful)
         self.min_freq_peek = min_freq_peek
-        #: enable the §7.1 stateful-linear rewrite (the plan pipeline's
-        #: optimize="auto"); off by default so the paper's autosel
-        #: configuration measures exactly the thesis transformations
-        self.stateful = stateful
         #: numeric policy whose calibrated throughputs the batched model
         #: consults (None: the default float64 constants)
         self.policy = policy
         if cost_model == "thesis":
             self._direct_cost = direct_cost
             self._freq_cost = frequency_cost
-            self._stateful_cost = stateful_direct_cost
         elif cost_model == "batched":
-            self._direct_cost = lambda n: batched_direct_cost(n, batch)
+            self._direct_cost = lambda n: batched_direct_cost(
+                n, batch, policy)
             self._freq_cost = lambda n: batched_frequency_cost(
-                n, batch, policy=policy)
-            self._stateful_cost = lambda n: batched_stateful_cost(
                 n, batch, policy=policy)
         else:
             raise ValueError(f"unknown cost model {cost_model!r} "
@@ -131,25 +127,17 @@ class OptimizationSelector:
         if key in self._region_nodes:
             return self._region_nodes[key]
         node = None
-        children = container.children[lo:hi]
-        child_nodes = [self.lmap.node_for(c) for c in children]
+        child_nodes = [self.lmap.node_for(c) for c in container.children[lo:hi]]
         if all(n is not None for n in child_nodes):
             try:
                 if isinstance(container, Pipeline):
-                    acc = child_nodes[0]
-                    for n in child_nodes[1:]:
-                        acc = combine_pipeline_pair(acc, n)
-                        if acc.peek * acc.push > self.max_matrix_elems:
-                            raise CombinationError("matrix too large")
-                    node = acc
+                    node = combine_pipeline(child_nodes)
                 else:  # SplitJoin range
                     splitter = container.splitter
                     if isinstance(splitter, RoundRobin):
                         splitter = RoundRobin(splitter.weights[lo:hi])
                     joiner = RoundRobin(container.joiner.weights[lo:hi])
                     node = combine_splitjoin(splitter, child_nodes, joiner)
-                    if node.peek * node.push > self.max_matrix_elems:
-                        node = None
             except (CombinationError, SchedulingError):
                 node = None
         self._region_nodes[key] = node
@@ -164,9 +152,10 @@ class OptimizationSelector:
         firings = self._firings(items_out, node.push)
         configs.append(Config(firings * self._direct_cost(node),
                               LinearFilter(node, name=f"Linear[{label}]"),
-                              "linear"))
-        if self._feedback_depth > 0:
-            # frequency filters change granularity -> unsafe in a cycle
+                              "stateful" if node.state_dim else "linear"))
+        if self._feedback_depth > 0 or node.state_dim:
+            # frequency filters change granularity -> unsafe in a cycle;
+            # and the transform is of a stateless convolution
             return configs
         if node.peek >= self.min_freq_peek:
             try:
@@ -190,23 +179,13 @@ class OptimizationSelector:
 
         if isinstance(stream, (Filter, PrimitiveFilter)):
             node = self.lmap.node_for(stream)
-            snode = (self.lmap.stateful_node_for(stream)
-                     if self.stateful and node is None else None)
-            if node is None and snode is not None:
-                # stateful-linear leaf (§7.1): replace with the explicit
-                # state-space primitive — leaving it in place would cost
-                # the same (the planner auto-extracts the identical
-                # node), so the collapsed leaf stands in directly.
-                cost = (self._firings(items_out, snode.push)
-                        * self._stateful_cost(snode))
-                result = Config(
-                    cost, make_stateful_linear_leaf(
-                        snode, stream, self._feedback_depth > 0),
-                    "stateful")
-            elif node is None:
+            if node is None:
                 result = Config(0.0, stream, "none")
             else:
-                candidates = [Config(
+                # a leaf with state (§7.1) is always replaced by the
+                # explicit primitive: leaving it in place would cost the
+                # same (the planner extracts the identical node)
+                candidates = [] if node.state_dim else [Config(
                     self._firings(items_out, node.push)
                     * self._direct_cost(node),
                     stream, "none")]
@@ -232,40 +211,13 @@ class OptimizationSelector:
         return result
 
     def _rate_preserving_range(self, container, lo: int, hi: int) -> bool:
-        """True when collapsing children[lo:hi] cannot deadlock a cycle.
-
-        Sufficient condition: a pipeline chain of lookahead-free children
-        (peek == pop) firing exactly once each per combined firing
-        (adjacent push == pop), so the collapsed leaf needs exactly the
-        items the first child needed — the cycle's delay budget is
-        untouched.
-        """
+        """True when collapsing children[lo:hi] cannot deadlock a cycle
+        (:func:`~repro.linear.combine.rate_preserving_run`)."""
         if not isinstance(container, Pipeline):
             return False
-        nodes = [self.lmap.any_node_for(c) for c in container.children[lo:hi]]
-        if any(n is None for n in nodes):
-            return False
-        if any(n.peek != n.pop for n in nodes):
-            return False
-        return all(a.push == b.pop for a, b in zip(nodes, nodes[1:]))
-
-    def _stateful_node_for_range(self, container, lo: int, hi: int):
-        """State-space node of a Pipeline range with >= 1 stateful-linear
-        child (stateless children embed with k = 0), or None."""
-        key = ("stateful", id(container), lo, hi)
-        if key in self._region_nodes:
-            return self._region_nodes[key]
-        node = None
-        if isinstance(container, Pipeline):
-            children = list(container.children[lo:hi])
-            if any(self.lmap.is_stateful_linear(c) for c in children) and \
-                    all(self.lmap.any_node_for(c) is not None
-                        for c in children):
-                node = combine_stateful_run(
-                    self.lmap, children,
-                    max_matrix_elems=self.max_matrix_elems)
-        self._region_nodes[key] = node
-        return node
+        nodes = [self.lmap.node_for(c) for c in container.children[lo:hi]]
+        return all(n is not None for n in nodes) and \
+            rate_preserving_run(nodes)
 
     def _range_items_out(self, container, lo: int, hi: int) -> float:
         if isinstance(container, Pipeline):
@@ -287,36 +239,19 @@ class OptimizationSelector:
 
         candidates: list[Config] = []
 
-        # collapse the whole range (LINEAR / FREQ); multi-child collapse
-        # usually coarsens granularity, so inside feedback cycles it is
-        # allowed only when the combined unit demands no more buffered
-        # input than the original finest-grained firing did
-        if self._feedback_depth > 0:
-            node = (self._node_for_range(container, lo, hi)
-                    if self._rate_preserving_range(container, lo, hi)
-                    else None)
-        else:
+        # collapse the whole range (LINEAR / FREQ; a run containing
+        # IIR-style leaves into one leaf with state, §7.1); multi-child
+        # collapse usually coarsens granularity, so inside feedback
+        # cycles it is allowed only when the combined unit demands no
+        # more buffered input than the original finest-grained firing did
+        node = None
+        if self._feedback_depth == 0 or \
+                self._rate_preserving_range(container, lo, hi):
             node = self._node_for_range(container, lo, hi)
         if node is not None:
             items_out = self._range_items_out(container, lo, hi)
             label = f"{container.name}[{lo}:{hi}]"
             candidates += self._collapse_configs(node, items_out, label)
-
-        # stateful collapse (§7.1): a run containing IIR-style leaves
-        # combines into one state-space leaf, priced dense + state advance
-        if self.stateful and (self._feedback_depth == 0 or
-                              self._rate_preserving_range(container, lo, hi)):
-            snode = self._stateful_node_for_range(container, lo, hi)
-            if snode is not None:
-                items_out = self._range_items_out(container, lo, hi)
-                sub = Pipeline(container.children[lo:hi],
-                               name=f"{container.name}[{lo}:{hi}]")
-                candidates.append(Config(
-                    self._firings(items_out, snode.push)
-                    * self._stateful_cost(snode),
-                    make_stateful_linear_leaf(snode, sub,
-                                              self._feedback_depth > 0),
-                    "stateful"))
 
         # cuts (NONE): every pivot splits the range in two
         for pivot in range(lo + 1, hi):
@@ -388,7 +323,6 @@ class OptimizationSelector:
 
 def select_optimizations(program: Stream,
                          lmap: LinearityMap | None = None,
-                         max_matrix_elems: int = 4_000_000,
                          cost_model: str = "thesis",
                          batch: int = DEFAULT_COST_BATCH,
                          stateful: bool = False,
@@ -400,14 +334,14 @@ def select_optimizations(program: Stream,
     ``cost_model="batched"`` prices the plan backend's batched execution
     (dense BLAS matmuls, batch-amortized FFT setup) and is what
     ``optimize="auto"`` uses.  ``stateful=True`` additionally lets the
-    DP replace stateful-linear leaves and collapse stateful pipeline
-    runs (§7.1) — the plan pipeline enables it, the paper's autosel
-    configuration does not.  Returns the rebuilt program realizing the
-    minimal-cost configuration.
+    DP see linear nodes that carry state — replace such leaves and
+    collapse the pipeline runs that contain them (§7.1); the plan
+    pipeline enables it, the paper's autosel configuration does not.
+    Returns the rebuilt program realizing the minimal-cost configuration.
     """
-    selector = OptimizationSelector(program, lmap, max_matrix_elems,
-                                    cost_model=cost_model, batch=batch,
-                                    stateful=stateful, policy=policy)
+    selector = OptimizationSelector(program, lmap, cost_model=cost_model,
+                                    batch=batch, stateful=stateful,
+                                    policy=policy)
     best = selector.best(program)
     return SelectionResult(stream=best.stream, cost=best.cost,
                            decisions=dict(selector._memo))

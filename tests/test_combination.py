@@ -1,5 +1,8 @@
 """Pipeline and splitjoin combination tests, validated on the thesis'
-worked examples (Figures 3-4 and 3-6) and on random-node equivalence."""
+worked examples (Figures 3-4 and 3-6) and on random-node equivalence,
+the pipeline property stated once over the state sizes of both sides."""
+
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from repro.linear import (LinearNode, combine_duplicate_splitjoin,
                           combine_pipeline, combine_pipeline_pair,
                           combine_splitjoin, decimator_node,
                           roundrobin_to_duplicate)
+from test_expansion import random_node
 
 
 def test_figure_3_4_pipeline_combination():
@@ -177,32 +181,185 @@ def test_duplicate_splitjoin_three_children():
     np.testing.assert_allclose(got, [5, 10, 15, 7, 14, 21])
 
 
-@settings(max_examples=40, deadline=None)
+def run_in_sequence(n1, n2, x):
+    """Every output of ``n2`` fed by ``n1`` over the input ``x``."""
+    mid = n1.reference_run(x, (len(x) - n1.peek) // n1.pop + 1)
+    return n2.reference_run(mid, (len(mid) - n2.peek) // n2.pop + 1)
+
+
+@settings(max_examples=120, deadline=None)
 @given(
-    e1=st.integers(1, 4), u1=st.integers(1, 3),
+    k1=st.sampled_from([0, 1, 3]), k2=st.sampled_from([0, 1, 3]),
+    e1=st.integers(1, 4), o1=st.integers(1, 2), u1=st.integers(1, 3),
     e2=st.integers(1, 4), o2=st.integers(1, 3), u2=st.integers(1, 3),
+    multiple=st.integers(1, 2), seed=st.integers(0, 10_000),
+)
+def test_property_pipeline_combination_equivalence(k1, k2, e1, o1, u1, e2, o2,
+                                                   u2, multiple, seed):
+    """pipeline(Λ1, Λ2) computes exactly the composed stream function —
+    rate-changing, peeking (lookahead downstream of state included: Λ1's
+    recomputed outputs must not advance its state), at the lcm and at a
+    larger common multiple of the channel rates."""
+    rng = np.random.default_rng(seed)
+    n1 = random_node(rng, k1, max(e1, o1), o1, u1)
+    n2 = random_node(rng, k2, max(e2, o2), o2, u2)
+    chan_pop = multiple * math.lcm(u1, o2)
+    combined = combine_pipeline_pair(n1, n2, chan_pop=chan_pop)
+    assert combined.state_dim == k1 + k2
+    assert combined.pop == chan_pop // u1 * o1
+    assert combined.push == chan_pop // o2 * u2
+    firings = 3
+    x = rng.normal(size=combined.peek + (firings - 1) * combined.pop)
+    got = combined.reference_run(x, firings=firings)
+    np.testing.assert_allclose(got, run_in_sequence(n1, n2, x)[:len(got)],
+                               atol=1e-9)
+
+
+def test_splitjoin_combination_refuses_children_with_state():
+    """Transformations 3 and 4 are stated for k = 0 children."""
+    rng = np.random.default_rng(0)
+    plain, state = random_node(rng, 0, 1, 1, 1), random_node(rng, 2, 1, 1, 1)
+    for splitter in (Duplicate(), RoundRobin((1, 1))):
+        with pytest.raises(CombinationError, match="carries state"):
+            combine_splitjoin(splitter, [plain, state], RoundRobin((1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# The size bound: a combination is sized from its rates and refused
+# before anything is allocated (operands are lcm x lcm whatever the
+# result is), under the one constant MAX_MATRIX_ELEMS
+# ---------------------------------------------------------------------------
+
+
+def traced_peak_mb(fn):
+    """``(fn's result or the CombinationError it raised, peak MB)``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        try:
+            result = fn()
+        except CombinationError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def block_pipeline_source(n1, n2):
+    """DSL text of ``pop n1 push n1`` -> ``pop n2 push n2`` copy blocks:
+    both leaves are small, their channel is ``lcm(n1, n2)`` items."""
+    block = """
+    float->float filter Block%(n)d {
+        work peek %(n)d pop %(n)d push %(n)d {
+            for (int i = 0; i < %(n)d; i++) push(peek(i));
+            for (int i = 0; i < %(n)d; i++) pop();
+        }
+    }"""
+    return (block % {"n": n1} + block % {"n": n2} + """
+    float->float pipeline Blocks { add Block%d(); add Block%d(); }
+    """ % (n1, n2))
+
+
+@pytest.mark.parametrize("n1, n2", [(61, 64), (127, 128)])
+def test_oversized_pipeline_is_refused_before_it_is_built(n1, n2):
+    """Regression: the 61/64 pair peaked at 366 MB (three 3 904² float64
+    matrices; ~6 GB at 127/128) before answering "too large", because
+    the check ran on the result.  Every rewrite leaves the two leaves
+    where they are."""
+    from repro.dsl import compile_source
+    from repro.exec.optimize import optimize_stream
+    from repro.graph.streams import Pipeline
+    from repro.linear import analyze, maximal_linear_replacement
+    from repro.selection import select_optimizations
+
+    graph = compile_source(block_pipeline_source(n1, n2), "Blocks")
+    lmap, peak = traced_peak_mb(lambda: analyze(graph))
+    assert peak < 32
+    assert [lmap.is_linear(c) for c in graph.children] == [True, True]
+    assert lmap.node_for(graph) is None
+    assert "too large" in lmap.reason_for(graph)
+
+    rewrites = [
+        lambda: maximal_linear_replacement(graph, lmap=lmap),
+        lambda: select_optimizations(graph, lmap).stream,
+        lambda: select_optimizations(graph, lmap, cost_model="batched",
+                                     stateful=True).stream,
+        lambda: optimize_stream(graph, "linear"),
+        lambda: optimize_stream(graph, "auto"),
+    ]
+    for rewrite in rewrites:
+        rewritten, peak = traced_peak_mb(rewrite)
+        assert peak < 32
+        assert isinstance(rewritten, Pipeline)
+        assert [c.pop for c in rewritten.children] == [n1, n2]
+    # frequency replacement turns each leaf into its own FFT pipeline
+    rewritten, peak = traced_peak_mb(lambda: optimize_stream(graph, "freq"))
+    assert peak < 32 and len(rewritten.children) == 2
+
+
+def test_oversized_channel_is_refused_whatever_the_result_size():
+    """1 -> 1000 into 1001 -> 1: the result is 1001 x 1000, the channel a
+    million items and each operand a billion entries (90 s and 16 GB
+    before the operands were sized)."""
+    n1 = LinearNode(np.ones((1, 1000)), np.zeros(1000), 1, 1, 1000)
+    n2 = LinearNode(np.ones((1001, 1)), np.zeros(1), 1001, 1001, 1)
+    for combine in (lambda: combine_pipeline_pair(n1, n2),
+                    lambda: combine_pipeline([n1, n2])):
+        refusal, peak = traced_peak_mb(combine)
+        assert isinstance(refusal, CombinationError)
+        assert "too large" in str(refusal) and peak < 32
+
+
+@pytest.mark.parametrize("splitter", [Duplicate(), RoundRobin((1, 1))],
+                         ids=["duplicate", "roundrobin"])
+def test_oversized_splitjoin_is_refused_before_it_is_built(splitter):
+    """Identity blocks of 61 and 64 under a (1, 1) joiner: 3 904 joiner
+    cycles per steady state, a 3 904 x 7 808 result (488 MB traced)."""
+    blocks = [LinearNode(np.eye(n), np.zeros(n), n, n, n) for n in (61, 64)]
+    refusal, peak = traced_peak_mb(
+        lambda: combine_splitjoin(splitter, blocks, RoundRobin((1, 1))))
+    assert isinstance(refusal, CombinationError)
+    assert "too large" in str(refusal) and peak < 32
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k1=st.sampled_from([0, 1, 3]), k2=st.sampled_from([0, 1, 3]),
+    e1=st.integers(1, 4), o1=st.integers(1, 3), u1=st.integers(1, 4),
+    e2=st.integers(1, 5), o2=st.integers(1, 4), u2=st.integers(1, 4),
     seed=st.integers(0, 10_000),
 )
-def test_property_pipeline_combination_equivalence(e1, u1, e2, o2, u2, seed):
-    """pipeline(Λ1, Λ2) computes exactly the composed stream function."""
+def test_property_size_bound_covers_operands_and_result(k1, k2, e1, o1, u1,
+                                                        e2, o2, u2, seed):
+    """The bound holds on all three matrices of a pair combination —
+    whichever of the two expanded operands and the result is largest
+    (with its state rows and columns) decides — and a refused pair
+    expands nothing."""
+    from unittest import mock
+
+    from repro.linear import expansion, pipeline_comb
+
     rng = np.random.default_rng(seed)
-    o1 = 1
-    e1 = max(e1, o1)
-    e2 = max(e2, o2)
-    n1 = LinearNode(rng.integers(-2, 3, (e1, u1)).astype(float),
-                    rng.integers(-1, 2, u1).astype(float), e1, o1, u1)
-    n2 = LinearNode(rng.integers(-2, 3, (e2, u2)).astype(float),
-                    rng.integers(-1, 2, u2).astype(float), e2, o2, u2)
-    combined = combine_pipeline_pair(n1, n2)
-    x = rng.normal(size=combined.peek + 3 * combined.pop)
-    firings = 3
-    mid_firings = (len(x) - (n1.peek - n1.pop)) // n1.pop
-    mid = n1.reference_run(x, firings=mid_firings)
-    out_firings = (len(mid) - (n2.peek - n2.pop)) // n2.pop
-    expected = n2.reference_run(mid, firings=out_firings)
-    got = combined.reference_run(x, firings=firings)
-    n = min(len(got), len(expected))
-    np.testing.assert_allclose(got[:n], expected[:n], atol=1e-9)
+    n1 = random_node(rng, k1, max(e1, o1), o1, u1)
+    n2 = random_node(rng, k2, max(e2, o2), o2, u2)
+    built = []
+
+    def spy(node, *rates):
+        built.append(expansion.expand(node, *rates))
+        return built[-1]
+
+    with mock.patch.object(pipeline_comb, "expand", spy):
+        built.append(combine_pipeline_pair(n1, n2))
+        largest = max((n.peek + n.state_dim) * (n.push + n.state_dim)
+                      for n in built)
+        with mock.patch.object(expansion, "MAX_MATRIX_ELEMS", largest):
+            combine_pipeline_pair(n1, n2)
+        del built[:]
+        with mock.patch.object(expansion, "MAX_MATRIX_ELEMS", largest - 1):
+            with pytest.raises(CombinationError, match="too large"):
+                combine_pipeline_pair(n1, n2)
+    assert not built
 
 
 # ---------------------------------------------------------------------------

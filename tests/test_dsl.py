@@ -173,7 +173,7 @@ class TestParserAndElaborator:
         """
         filt = compile_source(src)
         assert "state" in filt.mutable_fields
-        assert not extract_filter(filt).is_linear
+        assert extract_filter(filt).node.state_dim == 1
 
     def test_pi_and_intrinsics(self):
         src = """

@@ -34,7 +34,7 @@ def test_generated_programs_cover_all_constructs():
     for i in range(BATCH_COUNT):
         for kind, n in generate(BATCH_SEED * 1_000_003 + i).census.items():
             census[kind] = census.get(kind, 0) + n
-    for kind in ("filter", "pipeline", "splitjoin", "feedbackloop"):
+    for kind in ("filter", "pipeline", "splitjoin", "feedbackloop", "mixed"):
         assert census.get(kind, 0) > 0, f"no {kind} generated"
 
 
@@ -55,3 +55,4 @@ def test_cli_smoke(capsys):
     assert main(["--count", "3", "--seed", "7", "--outputs", "32"]) == 0
     out = capsys.readouterr().out
     assert "0 mismatches" in out
+    assert "non-source leaves" in out and "k=0 / " in out

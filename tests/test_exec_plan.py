@@ -427,6 +427,117 @@ def test_auto_step_census(name):
         assert sum(s.width for s in rep.steps) == rep.nodes == 45
 
 
+#: Exact float ops of ``run_graph(small(name), N_OUT[name], backend="plan",
+#: optimize=mode)`` for mode in none | linear | freq | auto, and the DP's
+#: ``SelectionResult.cost`` and decision count under (thesis,
+#: stateful=False) and (batched, stateful=True), all under
+#: ``calibrate.analytic_only()`` — captured on the two-node-type code
+#: (commit 8aafa52), before the one-linear-node refactor.  The same
+#: numbers used to exist only in ``results/*.txt``, which pytest
+#: overwrites; a change to extraction, combination, the FLOP convention
+#: (spans on ``A``, non-zeros on the state part) or a price moves one.
+FLOP_PINS = {
+    "DToA": (9381, 7079, 15226, 6936),
+    "Echo": (3264, 3648, 6135, 3264),
+    "FIR": (6144, 6048, 7983, 6144),
+    "FMRadio": (20616, 7352, 34416, 7464),
+    "FilterBank": (32225, 7088, 18248, 7088),
+    "IIR": (2880, 5568, 2880, 3552),
+    "Oversampler": (6368, 2448, 8496, 2448),
+    "Radar": (6728, 7632, 39900, 5840),
+    "RateConvert": (28080, 4848, 12774, 4848),
+    "TargetDetect": (4784, 4640, 16312, 4784),
+    "Vocoder": (41570, 16156, 47158, 16370),
+    "VocoderEcho": (42010, 17666, 49285, 16810),
+}
+DP_PINS = {
+    "DToA": (1967.944055944056, 42, 289.6259765625, 42),
+    "Echo": (615.4375, 17, 42.5419921875, 17),
+    "FIR": (229.73958333333334, 10, 64.1806640625, 10),
+    "FMRadio": (459.4375, 61, 64.361328125, 61),
+    "FilterBank": (1410.0, 126, 666.5419921875, 126),
+    "IIR": (0.0, 24, 90.8807373046875, 24),
+    "Oversampler": (384.67346938775506, 37, 240.1806640625, 37),
+    "Radar": (1758.0, 93, 289.4453125, 93),
+    "RateConvert": (999.0, 19, 324.5419921875, 19),
+    "TargetDetect": (905.8076923076924, 44, 192.72265625, 44),
+    "Vocoder": (4956.461538461539, 64, 1634.890625, 64),
+    "VocoderEcho": (8084.461538461539, 72, 1717.78125, 72),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_flops_and_dp_costs_are_pinned(name):
+    from repro.exec import calibrate
+    from repro.exec.optimize import OPTIMIZE_MODES
+    from repro.selection import select_optimizations
+
+    with calibrate.analytic_only():
+        flops = []
+        for mode in OPTIMIZE_MODES:
+            p = Profiler()
+            run_graph(small(name), N_OUT[name], p, backend="plan",
+                      optimize=mode)
+            flops.append(p.counts.flops)
+        thesis = select_optimizations(small(name))
+        batched = select_optimizations(small(name), cost_model="batched",
+                                       stateful=True)
+    assert tuple(flops) == FLOP_PINS[name]
+    assert (thesis.cost, len(thesis.decisions),
+            batched.cost, len(batched.decisions)) == DP_PINS[name]
+
+
+def dead_state_program(update: str) -> str:
+    """A filter whose field ``n`` no push reads, after a ramp source."""
+    return f"""
+    void->float filter Ramp {{
+        float x;
+        work push 1 {{ push(x); x = x + 0.25; }}
+    }}
+    float->float filter Dead {{
+        float n;
+        work peek 1 pop 1 push 1 {{
+            push(2 * peek(0));
+            n = {update};
+            pop();
+        }}
+    }}
+    void->float pipeline Top {{ add Ramp(); add Dead(); }}
+    """
+
+
+@pytest.mark.parametrize("optimize", ["none", "linear", "auto"])
+@pytest.mark.parametrize("update", ["n + 1", "peek(0) * peek(0)"])
+def test_dead_state_has_one_verdict(update, optimize):
+    """Regression: the affine dead write planned as ``stateful`` under
+    none|auto and ``matmul`` under linear, the non-affine one as
+    ``fallback`` under none|auto — which extractor was asked decided.
+    An unobservable slot is dropped, so both are the stateless node
+    under every mode; the probe firing still counts the write's ops."""
+    from repro.dsl import compile_source
+    from repro.exec import calibrate, plan_report
+
+    def program():
+        graph = compile_source(dead_state_program(update), "Top")
+        return Pipeline(list(graph.children) + [Collector()])
+
+    with calibrate.analytic_only():
+        rep = plan_report(program(), optimize=optimize)
+        assert [s.step_kind for s in rep.steps if "Dead" in s.name] \
+            == ["matmul"]
+        p_c, p_p = Profiler(), Profiler()
+        want = run_graph(program(), 80, p_c, backend="compiled",
+                         optimize=optimize)
+        got = run_graph(program(), 80, p_p, backend="plan",
+                        optimize=optimize)
+    np.testing.assert_allclose(got, run_graph(program(), 80,
+                                              backend="interp"), atol=1e-12)
+    np.testing.assert_allclose(got, want, atol=1e-12)
+    assert_counts_equal(p_c, p_p, f"{update}/{optimize}")
+    if optimize == "none":  # Ramp's add, the push's mul, the dead write
+        assert p_p.counts.flops == 80 * 3
+
+
 def test_plan_report_names_feedback_island():
     from repro.exec import plan_report
     loop = make_feedback_program()

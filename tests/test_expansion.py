@@ -1,4 +1,5 @@
-"""Linear expansion tests (thesis §3.3.1, validated on Figure 3-4)."""
+"""Linear expansion tests (thesis §3.3.1, validated on Figure 3-4), the
+defining property stated once over the state size ``k``."""
 
 import numpy as np
 import pytest
@@ -6,6 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linear import LinearNode, expand, expand_firings
+
+
+def random_node(rng, k, e, o, u):
+    """A random contracting node with the given state size and rates
+    (``k = 0``: the thesis' stateless node)."""
+    return LinearNode(
+        rng.uniform(-1, 1, size=(e, u)), rng.uniform(-1, 1, size=u),
+        e, o, u,
+        As=rng.uniform(-1, 1, size=(k, u)),
+        Cx=rng.uniform(-0.5, 0.5, size=(e, k)),
+        Cs=rng.uniform(-0.4, 0.4, size=(k, k)) / max(k, 1),
+        bs=rng.uniform(-0.2, 0.2, size=k),
+        s0=rng.uniform(-1, 1, size=k))
 
 
 def fir2():
@@ -66,25 +80,67 @@ def test_expand_pads_zero_rows_on_top():
     np.testing.assert_array_equal(expanded.A[:2], np.zeros((2, 3)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
+    k=st.sampled_from([0, 1, 3]),
     e=st.integers(1, 6), o=st.integers(1, 4), u=st.integers(1, 4),
-    k=st.integers(1, 4), seed=st.integers(0, 10_000),
+    n=st.integers(1, 4), blocks=st.integers(1, 3), seed=st.integers(0, 10_000),
 )
-def test_property_expansion_equals_repeated_firings(e, o, u, k, seed):
-    """expand_firings(node, k) ≡ k firings of node, for random nodes."""
+def test_property_expansion_equals_repeated_firings(k, e, o, u, n, blocks,
+                                                    seed):
+    """expand_firings(node, n) ≡ n firings of node, block after block
+    (the state it hands on included), for random nodes of any k."""
     e = max(e, o)
     rng = np.random.default_rng(seed)
-    A = rng.integers(-3, 4, size=(e, u)).astype(float)
-    b = rng.integers(-2, 3, size=u).astype(float)
-    node = LinearNode(A, b, e, o, u)
-    expanded = expand_firings(node, k)
-    inputs = rng.normal(size=expanded.peek)
+    node = random_node(rng, k, e, o, u)
+    expanded = expand_firings(node, n)
+    assert expanded.state_dim == k
+    assert (expanded.pop, expanded.push) == (n * o, n * u)
+    inputs = rng.normal(size=expanded.peek + (blocks - 1) * expanded.pop)
     np.testing.assert_allclose(
-        expanded.apply(inputs),
-        node.reference_run(inputs, firings=k),
+        expanded.reference_run(inputs, firings=blocks),
+        node.reference_run(inputs, firings=n * blocks),
         atol=1e-9,
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([0, 1, 3]),
+    e=st.integers(1, 5), o=st.integers(1, 3), u=st.integers(1, 4),
+    advance=st.integers(1, 3), surplus=st.integers(0, 2),
+    clip=st.integers(0, 3), seed=st.integers(0, 10_000),
+)
+def test_property_clipped_expansion_recomputes(k, e, o, u, advance, surplus,
+                                               clip, seed):
+    """The thesis' (e', o', u') form: the copies past the ``o'/o``
+    firings the node advances are recomputation, and a ``u'`` that is no
+    multiple of ``u`` clips the newest copy — every firing of the
+    expanded node pushes the oldest ``u'`` items of its window's firings
+    and leaves the state where ``advance`` firings put it."""
+    e = max(e, o)
+    rng = np.random.default_rng(seed)
+    node = random_node(rng, k, e, o, u)
+    copies = advance + surplus
+    push = copies * u - min(clip, u - 1)
+    expanded = expand(node, e + (copies - 1) * o, advance * o, push)
+    firings = 3
+    inputs = rng.normal(size=expanded.peek + (firings - 1) * expanded.pop)
+    steps = node.reference_run(
+        inputs, (len(inputs) - e) // o + 1).reshape(-1, u)
+    want = [steps[t * advance:t * advance + copies].reshape(-1)[:push]
+            for t in range(firings)]
+    np.testing.assert_allclose(
+        expanded.reference_run(inputs, firings), np.concatenate(want),
+        atol=1e-9)
+
+
+def test_expand_with_state_rejects_a_partial_advance():
+    """State advances by whole firings, each inside the window."""
+    node = random_node(np.random.default_rng(0), 2, 3, 2, 1)
+    for rates in ((5, 3, 2), (5, 6, 2), (3, 2, 2)):
+        with pytest.raises(ValueError):
+            expand(node, *rates)
 
 
 def test_expand_rejects_bad_k():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ir import FilterBuilder, call
-from repro.linear import extract_filter
+from repro.linear import analyze, extract_filter
 
 
 def build_example_filter():
@@ -156,15 +156,90 @@ def test_branch_on_input_with_divergent_pushes_fails():
     assert not result.is_linear
 
 
-def test_mutable_state_reads_are_top():
-    """Fields written in work are persistent state => pushes of them fail."""
+def test_mutable_state_is_a_state_slot():
+    """Fields written in work are persistent state: the thesis' ⊤ is one
+    symbolic slot per scalar, so an accumulator is linear *with state* —
+    and still not linear in the thesis' sense."""
     f = FilterBuilder("Accumulator", peek=1, pop=1, push=1)
     acc = f.state("acc", 0.0)
     with f.work():
         f.assign(acc, acc + f.pop_expr())
         f.push(acc)
-    result = extract_filter(f.build())
-    assert not result.is_linear
+    filt = f.build()
+    result = extract_filter(filt)
+    assert result.is_linear and result.node.state_dim == 1
+    lmap = analyze(filt)
+    assert lmap.is_stateful_linear(filt) and not lmap.is_linear(filt)
+    assert lmap.view(stateful=False).node_for(filt) is None
+
+
+def dead_state_filter(affine: bool):
+    """``push(2*peek(0)); n = <update>; pop()`` — no push reads ``n``."""
+    f = FilterBuilder("Dead", peek=1, pop=1, push=1)
+    n = f.state("n", 0.0)
+    with f.work():
+        f.push(2.0 * f.peek(0))
+        f.assign(n, n + 1.0 if affine else f.peek(0) * f.peek(0))
+        f.pop()
+    return f.build()
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_unobservable_state_is_dropped_whatever_its_update(affine):
+    """A slot is kept iff it is observable: dead state, affine or not,
+    leaves the thesis' stateless node."""
+    result = extract_filter(dead_state_filter(affine))
+    assert result.is_linear and result.node.state_dim == 0
+    np.testing.assert_array_equal(result.node.A, [[2.0]])
+
+
+def test_slot_observable_only_through_another_slot_is_kept():
+    """``b`` reaches no push directly (its ``As`` row is zero) but feeds
+    ``a``, which does (its ``Cs`` row is not): both are kept; ``c``
+    feeds nothing and goes."""
+    f = FilterBuilder("Chain", peek=1, pop=1, push=1)
+    a, b, c = f.state("a", 0.5), f.state("b", 0.25), f.state("c", 0.0)
+    with f.work():
+        x = f.local("x", f.pop_expr())
+        f.push(x + a)
+        f.assign(a, 0.5 * b)
+        f.assign(b, x)
+        f.assign(c, c + x * x)
+    filt = f.build()
+    node = extract_filter(filt).node
+    assert node.state_dim == 2
+    np.testing.assert_array_equal(node.As, [[1.0], [0.0]])
+    np.testing.assert_array_equal(node.Cs, [[0.0, 0.0], [0.5, 0.0]])
+    np.testing.assert_array_equal(node.s0, [0.5, 0.25])
+    from repro.runtime import run_stream
+
+    x = np.random.default_rng(3).normal(size=24)
+    np.testing.assert_allclose(run_stream(filt, x.tolist(), 24),
+                               node.reference_run(x, 24), atol=1e-12)
+
+
+def test_observable_state_with_a_nonaffine_update_names_the_field():
+    """``push(acc + x); acc = x*x``: the push *is* affine in input and
+    state — what rejects the filter is the update, and the one reason
+    says so wherever it is read."""
+    from repro.exec import plan_report
+    from repro.graph import Pipeline
+    from repro.runtime import Collector, ListSource
+
+    f = FilterBuilder("SquareLag", peek=1, pop=1, push=1)
+    acc = f.state("acc", 0.0)
+    with f.work():
+        x = f.local("x", f.pop_expr())
+        f.push(acc + x)
+        f.assign(acc, x * x)
+    filt = f.build()
+    reason = extract_filter(filt).reason
+    assert reason == ("state field 'acc' update is not an affine function "
+                      "of the input and state")
+    assert analyze(filt).reason_for(filt) == reason
+    rep = plan_report(Pipeline([ListSource([0.0] * 8), filt, Collector()]))
+    row = next(s for s in rep.steps if s.name == "SquareLag")
+    assert row.step_kind != "stateful" and reason in row.reason
 
 
 def test_constant_folding_through_intrinsics():

@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from repro.graph import FeedbackLoop, Pipeline, RoundRobin
 from repro.ir import FilterBuilder
-from repro.linear import LinearNode
-from repro.linear.state import (StatefulLinearFilter, StatefulLinearNode,
-                                combine_stateful_pipeline,
-                                from_difference_equation, from_stateless)
+from repro.linear import LinearFilter, LinearNode, combine_pipeline_pair
+from repro.linear.state import from_difference_equation
 from repro.runtime import run_stream
 
 
@@ -33,13 +31,13 @@ class TestDifferenceEquation:
     def test_pure_fir_case(self):
         node = from_difference_equation([1.0, 0.5, 0.25], [])
         x = np.arange(1.0, 9.0)
-        got = node.simulate(x, firings=8)
+        got = node.reference_run(x, firings=8)
         np.testing.assert_allclose(got, iir_reference([1, 0.5, 0.25], [], x))
 
     def test_first_order_iir(self):
         node = from_difference_equation([1.0], [0.5])
         x = np.ones(10)
-        got = node.simulate(x, firings=10)
+        got = node.reference_run(x, firings=10)
         np.testing.assert_allclose(got, iir_reference([1.0], [0.5], x))
 
     def test_biquad(self):
@@ -47,7 +45,7 @@ class TestDifferenceEquation:
         rng = np.random.default_rng(0)
         x = rng.normal(size=32)
         node = from_difference_equation(b, a)
-        np.testing.assert_allclose(node.simulate(x, 32),
+        np.testing.assert_allclose(node.reference_run(x, 32),
                                    iir_reference(b, a, x), atol=1e-12)
 
     def test_stability_check(self):
@@ -63,63 +61,53 @@ class TestDifferenceEquation:
         a = rng.uniform(-0.4, 0.4, size=na).tolist()  # keep it stable-ish
         x = rng.normal(size=24)
         node = from_difference_equation(b, a)
-        np.testing.assert_allclose(node.simulate(x, 24),
+        np.testing.assert_allclose(node.reference_run(x, 24),
                                    iir_reference(b, a, x), atol=1e-9)
 
 
 class TestStatefulComposition:
-    def test_stateless_embedding(self):
-        lin = LinearNode.from_coefficients([[1.0, 2.0]], [0.5], pop=1)
-        node = from_stateless(lin)
-        assert node.state_dim == 0
-        x = np.arange(6.0)
-        np.testing.assert_allclose(node.simulate(x, 5),
-                                   lin.reference_run(x, 5))
-
     def test_cascade_of_iirs(self):
         """(IIR1 ; IIR2) combined == running them in sequence."""
         n1 = from_difference_equation([1.0, 0.2], [0.3])
         n2 = from_difference_equation([0.5], [0.1, 0.05])
-        combined = combine_stateful_pipeline(n1, n2)
+        combined = combine_pipeline_pair(n1, n2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=40)
-        mid = n1.simulate(x, 39)
-        expected = n2.simulate(mid, 39)
-        got = combined.simulate(x, 39)
+        mid = n1.reference_run(x, 39)
+        expected = n2.reference_run(mid, 39)
+        got = combined.reference_run(x, 39)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_cascade_handles_rate_mismatch_via_expansion(self):
         """Rate-changing pairs now combine by expansion: an expander
         (1 -> 2) feeding an IIR composes into one (pop 1, push 2) node."""
-        n1 = from_stateless(
-            LinearNode.from_coefficients([[1.0], [2.0]], [0.5, 0.0], pop=1))
+        n1 = LinearNode.from_coefficients([[1.0], [2.0]], [0.5, 0.0], pop=1)
         n2 = from_difference_equation([1.0], [0.5])
-        combined = combine_stateful_pipeline(n1, n2)
+        combined = combine_pipeline_pair(n1, n2)
         assert (combined.peek, combined.pop, combined.push) == (1, 1, 2)
         rng = np.random.default_rng(7)
         x = rng.normal(size=32)
-        mid = n1.simulate(x, 32)
-        np.testing.assert_allclose(combined.simulate(x, 32),
-                                   n2.simulate(mid, 64), atol=1e-10)
+        mid = n1.reference_run(x, 32)
+        np.testing.assert_allclose(combined.reference_run(x, 32),
+                                   n2.reference_run(mid, 64), atol=1e-10)
 
     def test_cascade_downstream_lookahead(self):
         """Λ2 peeking ahead (e2 > o2) combines via recomputation firings
         of Λ1, without over-advancing Λ1's state."""
         n1 = from_difference_equation([1.0, 0.3], [0.4])
-        n2 = from_stateless(LinearNode.from_coefficients(
-            [[1.0, -1.0, 0.5]], [0.0], pop=1))
-        combined = combine_stateful_pipeline(n1, n2)
+        n2 = LinearNode.from_coefficients([[1.0, -1.0, 0.5]], [0.0], pop=1)
+        combined = combine_pipeline_pair(n1, n2)
         assert (combined.peek, combined.pop, combined.push) == (3, 1, 1)
         rng = np.random.default_rng(8)
         x = rng.normal(size=48)
-        mid = n1.simulate(x, 46)
-        np.testing.assert_allclose(combined.simulate(x, 30),
-                                   n2.simulate(mid, 30), atol=1e-10)
+        mid = n1.reference_run(x, 46)
+        np.testing.assert_allclose(combined.reference_run(x, 30),
+                                   n2.reference_run(mid, 30), atol=1e-10)
 
     def test_cascade_state_dim_concatenates(self):
         n1 = from_difference_equation([1.0, 0.1], [0.2])  # k=1
         n2 = from_difference_equation([1.0], [0.1, 0.2])  # k=2
-        assert combine_stateful_pipeline(n1, n2).state_dim == 3
+        assert combine_pipeline_pair(n1, n2).state_dim == 3
 
 
 class TestStatefulFilterRuntime:
@@ -127,8 +115,8 @@ class TestStatefulFilterRuntime:
         node = from_difference_equation([0.3, 0.4], [0.25])
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=64)
-        got = run_stream(StatefulLinearFilter(node), inputs.tolist(), 60)
-        np.testing.assert_allclose(got, node.simulate(inputs, 60),
+        got = run_stream(LinearFilter(node), inputs.tolist(), 60)
+        np.testing.assert_allclose(got, node.reference_run(inputs, 60),
                                    atol=1e-12)
 
     def test_replaces_feedbackloop_semantics(self):
@@ -150,25 +138,23 @@ class TestStatefulFilterRuntime:
         rng = np.random.default_rng(3)
         inputs = rng.normal(size=50)
         via_graph = run_stream(loop, inputs.tolist(), 40)
-        via_node = node.simulate(inputs, 40)
+        via_node = node.reference_run(inputs, 40)
         np.testing.assert_allclose(via_graph, via_node, atol=1e-10)
 
     def test_stateful_node_in_pipeline_with_stateless(self):
         iir = from_difference_equation([1.0], [0.3])
         fir = LinearNode.from_coefficients([[1.0, -1.0]], [0.0], pop=1)
-        from repro.linear import LinearFilter
-
-        pipe = Pipeline([StatefulLinearFilter(iir), LinearFilter(fir)])
+        pipe = Pipeline([LinearFilter(iir), LinearFilter(fir)])
         rng = np.random.default_rng(4)
         inputs = rng.normal(size=64)
         got = run_stream(pipe, inputs.tolist(), 50)
-        mid = iir.simulate(inputs, 63)
+        mid = iir.reference_run(inputs, 63)
         expected = fir.reference_run(mid, 50)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            StatefulLinearNode(
-                Ax=np.zeros((2, 1)), As=np.zeros((1, 2)),  # bad As
-                bx=np.zeros(1), Cx=np.zeros((2, 1)), Cs=np.zeros((1, 1)),
-                bs=np.zeros(1), s0=np.zeros(1), peek=2, pop=1, push=1)
+            LinearNode(
+                np.zeros((2, 1)), np.zeros(1), 2, 1, 1,
+                As=np.zeros((1, 2)),  # bad As
+                Cx=np.zeros((2, 1)), Cs=np.zeros((1, 1)), s0=np.zeros(1))

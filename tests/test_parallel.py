@@ -27,7 +27,6 @@ from repro.graph.streams import (Duplicate, FeedbackLoop, Pipeline,
                                  RoundRobin, SplitJoin)
 from repro.linear.filters import LinearFilter
 from repro.linear.node import LinearNode
-from repro.linear.state import StatefulLinearFilter, StatefulLinearNode
 from repro.parallel import fission as fission_mod
 from repro.parallel import pool as pool_mod
 from repro.parallel import shm as shm_mod
@@ -281,18 +280,16 @@ class TestFissionDifferential:
             Cs = rng.standard_normal((ks, ks))
             Cs *= 0.5 / max(1e-9, float(np.max(np.abs(
                 np.linalg.eigvals(Cs)))))
-            node = StatefulLinearNode(
-                Ax=rng.standard_normal((e, u)),
+            node = LinearNode(
+                rng.standard_normal((e, u)), rng.standard_normal(u),
+                e, o, u,
                 As=rng.standard_normal((ks, u)),
-                bx=rng.standard_normal(u),
                 Cx=rng.standard_normal((e, ks)),
                 Cs=Cs, bs=rng.standard_normal(ks),
-                s0=rng.standard_normal(ks),
-                peek=e, pop=o, push=u)
+                s0=rng.standard_normal(ks))
 
             def build():
-                return Pipeline([_src(),
-                                 StatefulLinearFilter(node, name="st")])
+                return Pipeline([_src(), LinearFilter(node, name="st")])
 
             n_out = k * u * 40
             o1, f1, o2, f2 = _run_pair(build, n_out, k)

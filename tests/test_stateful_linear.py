@@ -4,7 +4,7 @@ The acceptance bar mirrors the stateless engine's: a stateful-linear
 filter must produce identical values (to 1e-9) and identical FLOP
 profiles under ``interp``, ``compiled``, and ``plan``, whether it runs
 as the written IR, as an auto-extracted lifted kernel, or as a collapsed
-:class:`~repro.linear.state.StatefulLinearFilter`.
+:class:`~repro.linear.filters.LinearFilter` whose node carries state.
 """
 
 import numpy as np
@@ -18,15 +18,14 @@ from repro.exec.cache import stream_fingerprint
 from repro.graph import (Duplicate, Pipeline, RoundRobin, SplitJoin,
                          steady_state)
 from repro.ir import FilterBuilder
-from repro.linear import (LinearFilter, LinearNode, StatefulLinearFilter,
-                          extract_filter, extract_stateful_filter)
-from repro.linear.combine import analyze
-from repro.linear.state import (combine_stateful_pipeline, expand_stateful,
-                                from_difference_equation,
-                                stateful_cost_counts)
+from repro.linear import (LinearFilter, LinearNode, combine_pipeline_pair,
+                          expand_firings, extract_filter)
+from repro.linear.matmul import direct_cost_counts
+from repro.linear.state import boundary_lift, from_difference_equation
 from repro.profiling import CATEGORIES, Profiler
 from repro.runtime import Channel, run_stream
 from repro.selection import select_optimizations
+from test_expansion import random_node
 
 BACKENDS = ("interp", "compiled", "plan")
 
@@ -79,13 +78,13 @@ def assert_backends_agree(stream_builder, inputs, n_outputs,
 class TestStatefulExtraction:
     def test_biquad_extracts_to_difference_equation_node(self):
         b, a = [0.2, 0.3, 0.1], [0.4, -0.25]
-        res = extract_stateful_filter(biquad(*b, *a))
+        res = extract_filter(biquad(*b, *a))
         assert res.is_linear and res.node.state_dim == 2
         rng = np.random.default_rng(0)
         x = rng.normal(size=48)
         np.testing.assert_allclose(
-            res.node.simulate(x, 48),
-            from_difference_equation(b, a).simulate(x, 48), atol=1e-12)
+            res.node.reference_run(x, 48),
+            from_difference_equation(b, a).reference_run(x, 48), atol=1e-12)
 
     def test_state_array_fields_extract(self):
         g = FilterBuilder("DelayMix", peek=1, pop=1, push=1)
@@ -95,7 +94,7 @@ class TestStatefulExtraction:
             g.push(x + 0.5 * d[1])
             g.assign(d[1], d[0])
             g.assign(d[0], x)
-        res = extract_stateful_filter(g.build())
+        res = extract_filter(g.build())
         assert res.is_linear and res.node.state_dim == 2
         np.testing.assert_allclose(res.node.Cs, [[0, 1], [0, 0]])
 
@@ -106,7 +105,7 @@ class TestStatefulExtraction:
             x = f.local("x", f.pop_expr())
             f.push(x + s)
             f.assign(s, s * x)
-        res = extract_stateful_filter(f.build())
+        res = extract_filter(f.build())
         assert not res.is_linear and "not an affine" in res.reason
 
     def test_nonzero_initial_state_becomes_s0(self):
@@ -115,7 +114,7 @@ class TestStatefulExtraction:
         with f.work():
             f.assign(s, 0.5 * s + f.pop_expr())
             f.push(s)
-        res = extract_stateful_filter(f.build())
+        res = extract_filter(f.build())
         assert res.is_linear
         np.testing.assert_allclose(res.node.s0, [3.5])
 
@@ -123,7 +122,7 @@ class TestStatefulExtraction:
         f = FilterBuilder("Gain", peek=1, pop=1, push=1)
         with f.work():
             f.push(2.0 * f.pop_expr())
-        res = extract_stateful_filter(f.build())
+        res = extract_filter(f.build())
         assert res.is_linear and res.node.state_dim == 0
 
 
@@ -157,10 +156,9 @@ class TestPreworkGate:
             f.assign(g, 2.0)
         with f.work():
             f.push(g * f.pop_expr())
-        for res in (extract_filter(f.build()),
-                    extract_stateful_filter(f.build())):
-            assert not res.is_linear
-            assert "prework mutates state fields: gain" in res.reason
+        res = extract_filter(f.build())
+        assert not res.is_linear
+        assert "prework mutates state fields: gain" in res.reason
 
     def test_rate_shifting_prework_refused_with_reason(self):
         f = FilterBuilder("Delay", peek=1, pop=1, push=1)
@@ -183,7 +181,7 @@ class TestStatefulCounts:
         """Regression vs the old ``fadd = fmul`` shortcut: a 4-term row
         with a bias needs 4 adds for 4 muls; a 1-term row needs none."""
         filt = self._dense_form_filter()
-        c = stateful_cost_counts(extract_stateful_filter(filt).node)
+        c = direct_cost_counts(extract_filter(filt).node)
         # y: 4 terms + bias -> 4 muls, 4 adds; s1': 2 terms -> 2 muls,
         # 1 add; s2': 1 term -> 1 mul, 0 adds
         assert (c.fmul, c.fadd) == (7, 5)
@@ -195,14 +193,14 @@ class TestStatefulCounts:
         stateless leaves (one mul per nonzero term, one add per term
         beyond the first, one add per nonzero bias)."""
         filt = self._dense_form_filter()
-        node = extract_stateful_filter(filt).node
+        node = extract_filter(filt).node
         p_ir, p_leaf = Profiler(), Profiler()
         run_stream(filt, [1.0] * 20, 16, p_ir, backend="interp")
-        run_stream(StatefulLinearFilter(node), [1.0] * 20, 16, p_leaf,
+        run_stream(LinearFilter(node), [1.0] * 20, 16, p_leaf,
                    backend="interp")
         assert p_ir.counts.fmul == p_leaf.counts.fmul
         assert p_ir.counts.fadd == p_leaf.counts.fadd
-        c = stateful_cost_counts(node)
+        c = direct_cost_counts(node)
         assert p_leaf.counts.fmul == 16 * c.fmul
         assert p_leaf.counts.fadd == 16 * c.fadd
 
@@ -228,25 +226,11 @@ class TestStatefulCounts:
 # ---------------------------------------------------------------------------
 
 
-def random_node(rng, k, e, o, u):
-    """A random contracting node with the given state size and rates."""
-    from repro.linear.state import StatefulLinearNode
-
-    return StatefulLinearNode(
-        Ax=rng.uniform(-1, 1, size=(e, u)),
-        As=rng.uniform(-1, 1, size=(k, u)),
-        bx=rng.uniform(-1, 1, size=u),
-        Cx=rng.uniform(-0.5, 0.5, size=(e, k)),
-        Cs=rng.uniform(-0.4, 0.4, size=(k, k)) / max(k, 1),
-        bs=rng.uniform(-0.2, 0.2, size=k),
-        s0=rng.uniform(-1, 1, size=k),
-        peek=e, pop=o, push=u)
-
-
 def random_stateful_primitive(rng, k, e, u):
-    """A random (stable-ish) StatefulLinearNode as a runtime leaf."""
-    return StatefulLinearFilter(random_node(rng, k, e, e, u),
-                                name=f"Rand[{k},{e},{u}]")
+    """A random (stable-ish) node with ``k`` state variables as a
+    runtime leaf."""
+    return LinearFilter(random_node(rng, k, e, e, u),
+                        name=f"Rand[{k},{e},{u}]")
 
 
 class TestDifferentialRandomized:
@@ -343,8 +327,10 @@ class TestDifferentialRandomized:
             np.testing.assert_allclose(got, base, atol=1e-9, rtol=1e-9)
         from repro.linear import maximal_linear_replacement
         collapsed = maximal_linear_replacement(build(), stateful=True)
-        assert isinstance(collapsed, StatefulLinearFilter)
-        assert collapsed.stateful_node.state_dim == 4
+        assert isinstance(collapsed, LinearFilter)
+        assert collapsed.linear_node.state_dim == 4
+        # the paper's configuration (stateful=False) leaves the cascade
+        assert isinstance(maximal_linear_replacement(build()), Pipeline)
 
     def test_selection_dp_prices_stateful_leaves(self):
         pipe = Pipeline([biquad(0.2, 0.3, 0.1, 0.4, -0.25, "B0"),
@@ -364,7 +350,7 @@ class TestDifferentialRandomized:
         leaves stateful filters untouched, like the thesis."""
         pipe = Pipeline([biquad(0.2, 0.3, 0.1, 0.4, -0.25, "B0")])
         result = select_optimizations(pipe)
-        assert not isinstance(result.stream, StatefulLinearFilter)
+        assert not isinstance(result.stream, LinearFilter)
         assert result.cost == 0.0  # non-linear leaves are free under NONE
 
 
@@ -404,34 +390,25 @@ class TestStatefulPlanMechanics:
         assert not rep.fallbacks
 
     def test_stateful_leaf_fingerprints_by_content(self):
-        node = extract_stateful_filter(
+        node = extract_filter(
             biquad(0.2, 0.3, 0.1, 0.4, -0.25)).node
-        f1 = stream_fingerprint(StatefulLinearFilter(node, name="S"))
-        f2 = stream_fingerprint(StatefulLinearFilter(node, name="S"))
+        f1 = stream_fingerprint(LinearFilter(node, name="S"))
+        f2 = stream_fingerprint(LinearFilter(node, name="S"))
         assert f1 == f2
-        other = extract_stateful_filter(
+        other = extract_filter(
             biquad(0.21, 0.3, 0.1, 0.4, -0.25)).node
         assert stream_fingerprint(
-            StatefulLinearFilter(other, name="S")) != f1
-
-    def test_expand_stateful_matches_scalar_firings(self):
-        node = from_difference_equation([0.3, 0.4], [0.25, -0.05])
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=64)
-        ref = node.simulate(x, 60)
-        for b in (1, 3, 10):
-            got = expand_stateful(node, b).simulate(x, 60 // b)
-            np.testing.assert_allclose(got, ref[:(60 // b) * b], atol=1e-10)
+            LinearFilter(other, name="S")) != f1
 
     def test_combination_respects_rate_changes(self):
         up = from_difference_equation([1.0, 0.2], [0.3])
-        down = extract_stateful_filter(self._decimating_mixer()).node
-        combined = combine_stateful_pipeline(up, down)
+        down = extract_filter(self._decimating_mixer()).node
+        combined = combine_pipeline_pair(up, down)
         rng = np.random.default_rng(10)
         x = rng.normal(size=120)
-        mid = up.simulate(x, 100)
-        np.testing.assert_allclose(combined.simulate(x, 50),
-                                   down.simulate(mid, 50), atol=1e-9)
+        mid = up.reference_run(x, 100)
+        np.testing.assert_allclose(combined.reference_run(x, 50),
+                                   down.reference_run(mid, 50), atol=1e-9)
 
     @staticmethod
     def _decimating_mixer():
@@ -459,7 +436,7 @@ def kernel_step(node, policy=None, profiler=None):
     return StatefulLinearStep(
         RingBuffer("in", dtype=policy.dtype),
         RingBuffer("out", dtype=policy.dtype), node,
-        stateful_cost_counts(node), profiler or Profiler(), policy=policy)
+        direct_cost_counts(node), profiler or Profiler(), policy=policy)
 
 
 def fire(step, x, n) -> np.ndarray:
@@ -472,13 +449,14 @@ def fire(step, x, n) -> np.ndarray:
 
 
 def reference(node, x, n) -> np.ndarray:
-    """``node.simulate`` — which is real-valued — on inputs of any dtype:
-    the node is affine, so a complex stream is its real part's output
+    """``node.reference_run`` — which is real-valued — on inputs of any
+    dtype: the node is affine, so a complex stream is its real part's output
     plus ``i`` times the imaginary part's with the offsets taken out."""
     if not np.iscomplexobj(x):
-        return node.simulate(x, n)
-    zero = node.simulate(np.zeros(len(x)), n)
-    return node.simulate(x.real, n) + 1j * (node.simulate(x.imag, n) - zero)
+        return node.reference_run(x, n)
+    zero = node.reference_run(np.zeros(len(x)), n)
+    return node.reference_run(x.real, n) + 1j * (
+        node.reference_run(x.imag, n) - zero)
 
 
 class TestScanFreeKernel:
@@ -498,7 +476,7 @@ class TestScanFreeKernel:
         profiler = Profiler()
         step = kernel_step(node, policy, profiler)
         B, G = step.block, step.group
-        per_firing = policy.adjust_counts(stateful_cost_counts(node))
+        per_firing = policy.adjust_counts(direct_cost_counts(node))
         for n in (1, B - 1, B, B + 1, B * G - 1, B * G + 3, 3 * B * G + 5):
             x = rng.normal(size=(n - 1) * o + e)
             if policy.is_complex:
@@ -524,7 +502,7 @@ class TestScanFreeKernel:
         got = np.concatenate([fire(step, x[a - n:a], n)
                               for n, a in zip(sizes, np.cumsum(sizes))])
         assert sorted(step._lifted) == [1, step.block]
-        np.testing.assert_allclose(got, node.simulate(x, len(x)),
+        np.testing.assert_allclose(got, node.reference_run(x, len(x)),
                                    rtol=1e-9, atol=1e-12)
 
     def test_no_python_pass_per_block(self):
@@ -562,21 +540,18 @@ class TestScanFreeKernel:
         assert np.array_equal(fire(fresh, tail, 667), fire(whole, tail, 667))
         np.testing.assert_allclose(
             np.concatenate([first, fire(kernel_step(node), x, 1000)[333:]]),
-            node.simulate(x, 1000), rtol=1e-9, atol=1e-12)
+            node.reference_run(x, 1000), rtol=1e-9, atol=1e-12)
 
     def test_unstable_node_stays_finite(self):
         """``Cs = 2``: the states are finite for 64 firings, and stay 0
         for ever on a silent input — but ``Cs^(B·g)`` overflows within
         one group, and ``inf·0`` must not reach the outputs."""
-        from repro.linear.state import StatefulLinearNode, boundary_lift
-
-        node = StatefulLinearNode(
-            Ax=[[0.5]], As=[[1.0]], bx=[0.25], Cx=[[1.0]], Cs=[[2.0]],
-            bs=[0.0], s0=[0.0], peek=1, pop=1, push=1)
+        node = LinearNode([[0.5]], [0.25], 1, 1, 1, As=[[1.0]], Cx=[[1.0]],
+                          Cs=[[2.0]], s0=[0.0])
         x = np.random.default_rng(6).normal(size=64)
         got = fire(kernel_step(node), x, 64)
         assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, node.simulate(x, 64), rtol=1e-9)
+        np.testing.assert_allclose(got, node.reference_run(x, 64), rtol=1e-9)
         silent = fire(kernel_step(node), np.zeros(5000), 5000)
         assert np.array_equal(silent, np.full(5000, 0.25))
         T, P = boundary_lift(np.array([[2.0 ** 64]]), 128)
@@ -584,37 +559,31 @@ class TestScanFreeKernel:
         assert T.shape == (8, 9) and P[0, -1] == 2.0 ** 512
 
     def test_pure_accumulator_over_many_groups(self):
-        from repro.linear.state import StatefulLinearNode
-
-        node = StatefulLinearNode(
-            Ax=[[0.0]], As=[[1.0]], bx=[0.0], Cx=[[1.0]], Cs=[[1.0]],
-            bs=[0.0], s0=[0.0], peek=1, pop=1, push=1)
+        node = LinearNode([[0.0]], [0.0], 1, 1, 1, As=[[1.0]], Cx=[[1.0]],
+                          Cs=[[1.0]], s0=[0.0])
         x = np.random.default_rng(7).normal(size=100_000)
         got = fire(kernel_step(node), x, len(x))
         assert np.isfinite(got).all()
-        np.testing.assert_allclose(got, node.simulate(x, len(x)),
+        np.testing.assert_allclose(got, node.reference_run(x, len(x)),
                                    rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_boundary_lift_is_expand_stateful_of_the_boundary_node(self, k):
+    def test_boundary_lift_is_expand_of_the_boundary_node(self, k):
         """``s' = d + s·C`` with the entry state as output, written as a
-        StatefulLinearNode (the reversal matrices are the x- and
-        y-conventions) and lifted by the general routine."""
-        from repro.linear.state import StatefulLinearNode, boundary_lift
-
+        LinearNode (the reversal matrices are the x- and y-conventions)
+        and lifted by the general routine."""
         rng = np.random.default_rng(k)
         C = rng.uniform(-0.6, 0.6, size=(k, k))
         s0 = rng.normal(size=k)
         flip = np.eye(k)[::-1]
-        node = StatefulLinearNode(
-            Ax=np.zeros((k, k)), As=flip, bx=np.zeros(k), Cx=flip, Cs=C,
-            bs=np.zeros(k), s0=s0, peek=k, pop=k, push=k)
+        node = LinearNode(np.zeros((k, k)), np.zeros(k), k, k, k, As=flip,
+                          Cx=flip, Cs=C, s0=s0)
         G = 5
-        lifted = expand_stateful(node, G)
+        lifted = expand_firings(node, G)
         d = rng.normal(size=G * k)
         T, P = boundary_lift(C, G)
         states = d @ T + s0 @ P
-        np.testing.assert_allclose(states[:G * k], lifted.simulate(d, 1),
+        np.testing.assert_allclose(states[:G * k], lifted.reference_run(d, 1),
                                    atol=1e-12)
         np.testing.assert_allclose(
             states[G * k:], d[::-1] @ lifted.Cx + s0 @ lifted.Cs, atol=1e-12)
