@@ -189,12 +189,6 @@ def measure(program: Stream, config: str, n_outputs: int,
 #: overhead, small enough to exercise many session advances per run.
 DEFAULT_CHUNK_SIZE = 4096
 
-#: ``--serve`` defaults: concurrent clients and per-client output budget
-#: — request-sized workloads where per-call planning overhead dominates
-#: a one-shot caller, which is exactly what the pool amortizes away.
-DEFAULT_SERVE_CLIENTS = 64
-DEFAULT_SERVE_OUTPUTS = 4096
-
 
 def measure_chunked(program: Stream, config: str, n_outputs: int,
                     backend: str = "plan", optimize: str = "none",
@@ -462,38 +456,12 @@ def main(argv=None) -> int:
     parser.add_argument("--plan-report", action="store_true",
                         help="print the plan's kernel choices and "
                              "fallback reasons, then exit")
-    parser.add_argument("--serve", action="store_true",
-                        help="load-test the repro.serve session server: "
-                             "--clients concurrent push streams vs "
-                             "sequential one-shot run_graph calls")
-    parser.add_argument("--clients", type=int, default=None,
-                        help="concurrent clients for --serve "
-                             f"(default: {DEFAULT_SERVE_CLIENTS})")
-    parser.add_argument("--serve-out", default="results/serve.txt",
-                        help="report path for --serve (default: "
-                             "results/serve.txt; 'none' to skip)")
-    parser.add_argument("--chaos", action="store_true",
-                        help="with --serve: run the fault-injection "
-                             "chaos harness instead of the load test — "
-                             "seeded faults at every site class, "
-                             "bitwise parity against the fault-free "
-                             "run, session-leak accounting; exits "
-                             "nonzero on any violation")
-    parser.add_argument("--chaos-seed", type=int, default=20260807,
-                        help="FaultPlan seed for --chaos "
-                             "(default: 20260807)")
-    parser.add_argument("--chaos-out", default="results/chaos.txt",
-                        help="report path for --chaos (default: "
-                             "results/chaos.txt; 'none' to skip)")
     args = parser.parse_args(argv)
 
     if (args.app is None) == (not args.dsl):
         parser.error("exactly one of --app or --dsl is required")
     if not args.dsl and (args.top is not None or args.dsl_args is not None):
         parser.error("--top/--dsl-args require --dsl")
-    if args.dsl and args.serve:
-        parser.error("--serve runs named apps from the registry; it "
-                     "conflicts with --dsl")
     if args.outputs is not None and args.outputs < 1:
         parser.error("--outputs must be a positive integer")
     if args.compare and (args.backend is not None
@@ -505,20 +473,8 @@ def main(argv=None) -> int:
     if args.compare and args.chunked:
         parser.error("--chunked measures one backend; it conflicts "
                      "with --compare")
-    if args.serve and (args.compare or args.chunked or args.plan_report):
-        parser.error("--serve is its own measurement mode; it conflicts "
-                     "with --compare/--chunked/--plan-report")
-    if args.clients is not None and not args.serve:
-        parser.error("--clients requires --serve")
-    if args.dtype is not None and args.serve:
-        parser.error("--serve load-tests the float64 wire default; it "
-                     "conflicts with --dtype")
-    if args.chaos and not args.serve:
-        parser.error("--chaos requires --serve")
-    if args.clients is not None and args.clients < 1:
-        parser.error("--clients must be a positive integer")
-    if args.chunk_size is not None and not (args.chunked or args.serve):
-        parser.error("--chunk-size requires --chunked or --serve")
+    if args.chunk_size is not None and not args.chunked:
+        parser.error("--chunk-size requires --chunked")
     if args.chunk_size is not None and args.chunk_size < 1:
         parser.error("--chunk-size must be a positive integer")
     if args.workers is not None:
@@ -530,9 +486,9 @@ def main(argv=None) -> int:
                 f"{args.backend!r} backend executes in-process and "
                 "cannot use worker processes (drop --backend or pass "
                 "--backend plan)")
-        if args.serve or args.chunked or args.plan_report:
+        if args.chunked or args.plan_report:
             parser.error("--workers measures batch plan sessions; it "
-                         "conflicts with --serve/--chunked/--plan-report")
+                         "conflicts with --chunked/--plan-report")
     backend = args.backend if args.backend is not None else "plan"
     optimize = args.optimize if args.optimize is not None else "none"
     workers = args.workers if args.workers is not None else 1
@@ -571,46 +527,6 @@ def main(argv=None) -> int:
         from .exec import plan_report
         program = build_config(make_program(), args.config)
         print(plan_report(program, optimize=optimize))
-        return 0
-
-    if args.serve:
-        if args.config != "original":
-            parser.error("--serve measures the app as written; it "
-                         "conflicts with --config")
-        if args.chaos:
-            import os as _os
-
-            from .serve.chaos import format_chaos_report, run_chaos
-            result = run_chaos(
-                clients=(args.clients if args.clients is not None
-                         else 8),
-                seed=args.chaos_seed)
-            report = format_chaos_report(result)
-            if args.chaos_out != "none":
-                _os.makedirs(_os.path.dirname(args.chaos_out) or ".",
-                             exist_ok=True)
-                with open(args.chaos_out, "w") as fh:
-                    fh.write(report + "\n")
-            print(report)
-            # the CI gate: bitwise parity, balanced session books,
-            # every fault class exercised, and recovery actually ran
-            failed = (result["violations"] or result["leaked"]
-                      or result["missing_classes"]
-                      or result["degraded"] == 0
-                      or result["retries"] == 0)
-            return 1 if failed else 0
-        from .serve.loadgen import run_load
-        out_path = (None if args.serve_out == "none" else args.serve_out)
-        result = run_load(
-            app=app_name,
-            clients=(args.clients if args.clients is not None
-                     else DEFAULT_SERVE_CLIENTS),
-            outputs=(args.outputs if args.outputs is not None
-                     else DEFAULT_SERVE_OUTPUTS),
-            chunk_size=(args.chunk_size if args.chunk_size is not None
-                        else DEFAULT_CHUNK_SIZE // 2),
-            backend=backend, optimize=optimize, out_path=out_path)
-        print(json.dumps(result))
         return 0
 
     if args.chunked:

@@ -32,8 +32,8 @@ site for the current thread::
     with faults.suppress():
         session.restore(snap)
 
-Install/uninstall are process-global (the chaos harness owns the
-process); tests pair them in ``try/finally``.
+Install/uninstall are process-global; tests (and the chaos harness,
+``tests/chaos.py``) pair them in ``try/finally``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class FaultPlan:
     """A seeded, per-site fault schedule.
 
     ``rates`` maps site names to fire probabilities; unlisted sites
-    never fire but still count attempts (the chaos report shows
+    never fire but still count attempts (the chaos harness reports
     coverage).  ``max_per_site`` caps firings per site — tests use
     ``rates={"kernel.step": 1.0}, max_per_site=1`` for a deterministic
     single fault.  ``latency`` is the ``wire.latency`` sleep in seconds.

@@ -46,7 +46,7 @@ class NumericPolicy:
     name: str
     #: NumPy storage/compute dtype for the plan backend
     dtype: np.dtype
-    #: 1-byte tag carried by typed serve frames (PUSHT/FEEDT/ARRT)
+    #: 1-byte tag that leads every chunk on the serve wire
     wire_tag: int
     #: little-endian wire layout of one sample, e.g. ``"<f8"``
     wire_fmt: str

@@ -11,14 +11,11 @@ streams over the shared plan cache.
   graph fingerprint, recycled via ``reset()`` (zero recompiles), TTL
   eviction unpins plan entries;
 * :mod:`~repro.serve.protocol` — length-prefixed binary framing
-  (float64 chunk payloads, JSON error frames);
+  (dtype-tagged chunk payloads, JSON error frames) and the one table
+  of frame kinds;
 * :mod:`~repro.serve.client` — :class:`ServeClient`, the async client;
 * :mod:`~repro.serve.metrics` — :class:`MetricsRegistry` behind the
-  ``STATS`` command;
-* :mod:`~repro.serve.loadgen` — ``bench --serve`` load generator;
-* :mod:`~repro.serve.chaos` — ``bench --serve --chaos`` fault-injection
-  harness: seeded faults at every site class, bitwise parity against
-  the fault-free run, session-leak accounting.
+  ``STATS`` command.
 
 The stack is fault-tolerant end to end (see ``README`` §Fault
 tolerance): CRC-checked frames, idempotent retries with reply caching,
@@ -36,7 +33,6 @@ Quick start::
     out = await client.push(chunk)
 """
 
-from .chaos import format_chaos_report, run_chaos
 from .client import RETRYABLE, ServeClient
 from .metrics import MetricsRegistry
 from .pool import PooledSession, SessionPool
@@ -45,5 +41,4 @@ from .server import (WIRE_CODES, ServeConfig, StreamServer, parse_stats,
 
 __all__ = ["StreamServer", "ServeConfig", "ServeClient", "SessionPool",
            "PooledSession", "MetricsRegistry", "parse_stats",
-           "WIRE_CODES", "wire_code", "RETRYABLE", "run_chaos",
-           "format_chaos_report"]
+           "WIRE_CODES", "wire_code", "RETRYABLE"]

@@ -10,21 +10,20 @@ bare ``ConnectionResetError``.  One client = one connection = at most
 one session, matching the server's sequential-per-connection execution
 model.
 
-Recovery: ``open(resumable=True)`` makes the session resumable — the
-server returns a resume token, and ``push``/``run`` switch to their
-idempotent forms (``RPUSH``/``RRUN``), stamping every request with a
-client-side id.  With ``retries > 0`` a retryable failure (disconnect,
-corrupt frame, timeout, poisoned session, execution error) makes the
-client back off (exponential + seeded jitter), **reconnect**, RESUME
-its session, and re-send the same request id — the server answers
-replayed ids from its reply cache, so a retry after a lost reply never
-double-applies state.  ``retries_used`` and ``resumes`` count what
-recovery cost.
+Recovery: every ``push``/``feed``/``run`` is stamped with a client-side
+request id.  ``open(resumable=True)`` makes the session resumable — the
+server returns a resume token and answers a repeated id from the
+session's reply cache.  With ``retries > 0`` a retryable failure
+(disconnect, corrupt frame, timeout, poisoned session, execution error)
+makes the client back off (exponential + seeded jitter), **reconnect**,
+RESUME its session, and re-send the same request id, so a retry after a
+lost reply never double-applies state.  ``retries_used`` and
+``resumes`` count what recovery cost.  A non-resumable session has no
+reply cache and ignores the id: its requests are never retried.
 
-Used in-process by the test suite, the load generator, and the chaos
-harness (connect to a server running on the same event loop), and
-equally usable against a remote server — the transport is plain TCP or
-a unix-domain socket.
+Used in-process by the test suite (connect to a server running on the
+same event loop), and equally usable against a remote server — the
+transport is plain TCP or a unix-domain socket.
 
 ::
 
@@ -39,7 +38,6 @@ a unix-domain socket.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import random
 import time
@@ -47,7 +45,7 @@ import time
 import numpy as np
 
 from ..errors import ChunkDtypeError, ProtocolError
-from ..numeric import resolve_policy
+from ..numeric import DEFAULT_POLICY, resolve_policy
 from . import protocol as P
 
 __all__ = ["ServeClient", "RETRYABLE"]
@@ -61,6 +59,9 @@ __all__ = ["ServeClient", "RETRYABLE"]
 RETRYABLE = frozenset({"disconnected", "bad-frame", "corrupt",
                        "timeout", "poisoned", "exec"})
 
+#: each backoff sleep is stretched by up to this fraction (seeded)
+_JITTER = 0.5
+
 
 class ServeClient:
     """One connection to a :class:`~repro.serve.server.StreamServer`."""
@@ -70,7 +71,7 @@ class ServeClient:
                  host: str = "127.0.0.1", port: int = 0,
                  path: str | None = None, retries: int = 0,
                  backoff: float = 0.05, backoff_cap: float = 2.0,
-                 jitter: float = 0.5, retry_seed=None):
+                 retry_seed=None):
         self._reader = reader
         self._writer = writer
         self._host = host
@@ -79,11 +80,10 @@ class ServeClient:
         self._retries = retries
         self._backoff = backoff
         self._backoff_cap = backoff_cap
-        self._jitter = jitter
         self._rng = random.Random(retry_seed)
         self._token: int | None = None  # resume token, when resumable
-        self._policy = None  # session numeric policy (None: float64)
-        self._ids = itertools.count(1)  # request ids for RPUSH/RRUN
+        self._policy = DEFAULT_POLICY  # the open session's numeric policy
+        self._next_id = 1  # request id of the next PUSH/FEED/RUN
         self._broken = False  # the transport needs a reconnect
         #: requests re-sent after a retryable failure
         self.retries_used = 0
@@ -94,15 +94,14 @@ class ServeClient:
     async def connect(cls, host: str = "127.0.0.1", port: int = 0,
                       path: str | None = None, *, retries: int = 0,
                       backoff: float = 0.05, backoff_cap: float = 2.0,
-                      jitter: float = 0.5, retry_seed=None
-                      ) -> "ServeClient":
+                      retry_seed=None) -> "ServeClient":
         """Connect over a unix socket (``path``) or TCP (``host:port``).
 
         ``retries`` enables the recovery loop: that many re-sends per
         request, with exponential backoff starting at ``backoff``
-        seconds (capped at ``backoff_cap``) plus up to ``jitter``
-        fraction of seeded random spread — ``retry_seed`` pins the
-        jitter sequence for reproducible runs.
+        seconds (capped at ``backoff_cap``) plus up to half as much
+        again of seeded random spread — ``retry_seed`` pins the jitter
+        sequence for reproducible runs.
         """
         if path is not None:
             reader, writer = await asyncio.open_unix_connection(path)
@@ -110,25 +109,12 @@ class ServeClient:
             reader, writer = await asyncio.open_connection(host, port)
         return cls(reader, writer, host=host, port=port, path=path,
                    retries=retries, backoff=backoff,
-                   backoff_cap=backoff_cap, jitter=jitter,
-                   retry_seed=retry_seed)
+                   backoff_cap=backoff_cap, retry_seed=retry_seed)
 
     # -- request/response core ---------------------------------------------
-    async def _roundtrip(self, kind: int, payload: bytes = b"") -> P.Frame:
-        """One request frame out, one response frame back.
-
-        Transport deaths (reset, broken pipe, EOF mid-frame) become
-        ``ProtocolError(code="disconnected")`` — typed, catchable, and
-        retryable — never a bare OS-level exception.
-        """
-        try:
-            await P.write_frame(self._writer, kind, payload)
-            frame = await P.read_frame(self._reader)
-        except (ConnectionError, OSError) as exc:
-            self._broken = True
-            raise ProtocolError(
-                f"connection lost mid-request: {exc}",
-                code="disconnected") from None
+    async def _reply(self) -> P.Frame:
+        """The next response frame; EOF and ERR frames raise typed."""
+        frame = await P.read_frame(self._reader)
         if frame is None:
             self._broken = True
             raise ProtocolError("server closed the connection",
@@ -138,6 +124,22 @@ class ServeClient:
             raise ProtocolError(info.get("error", "server error"),
                                 code=info.get("code", "internal"))
         return frame
+
+    async def _roundtrip(self, kind: int, payload: bytes = b"") -> P.Frame:
+        """One request frame out, one response frame back.
+
+        Transport deaths (reset, broken pipe, EOF mid-frame) become
+        ``ProtocolError(code="disconnected")`` — typed, catchable, and
+        retryable — never a bare OS-level exception.
+        """
+        try:
+            await P.write_frame(self._writer, kind, payload)
+            return await self._reply()
+        except (ConnectionError, OSError) as exc:
+            self._broken = True
+            raise ProtocolError(
+                f"connection lost mid-request: {exc}",
+                code="disconnected") from None
 
     async def _reconnect(self) -> None:
         """Replace the dead transport; RESUME the session if resumable."""
@@ -184,30 +186,25 @@ class ServeClient:
             delay = min(self._backoff * (2 ** (attempt - 1)),
                         self._backoff_cap)
             await asyncio.sleep(
-                delay * (1.0 + self._jitter * self._rng.random()))
-
-    @property
-    def _tagged(self) -> bool:
-        """Whether this session exchanges dtype-tagged chunk frames."""
-        return self._policy is not None and not self._policy.is_default
+                delay * (1.0 + _JITTER * self._rng.random()))
 
     def _chunk_bytes(self, chunk) -> bytes:
         arr = np.asarray(chunk)
-        if self._tagged:
-            kinds = "fiubc" if self._policy.is_complex else "fiub"
-            if arr.dtype.kind not in kinds:
-                raise ChunkDtypeError(arr.dtype,
-                                      complex_ok=self._policy.is_complex)
-            return P.encode_array_tagged(arr, self._policy)
-        if arr.dtype.kind not in "fiub":
-            raise ChunkDtypeError(arr.dtype)
-        return P.encode_array(arr)
+        complex_ok = self._policy.is_complex
+        if arr.dtype.kind not in ("fiubc" if complex_ok else "fiub"):
+            raise ChunkDtypeError(arr.dtype, complex_ok=complex_ok)
+        return P.encode_array_tagged(arr, self._policy)
 
-    def _decode_reply(self, frame: P.Frame) -> np.ndarray:
-        if frame.kind == P.ARRT:
-            return P.decode_array_tagged(frame.payload,
-                                         expected=self._policy)
-        return frame.array()
+    def _samples(self, frame: P.Frame) -> np.ndarray:
+        return P.decode_array_tagged(frame.payload, expected=self._policy)
+
+    async def _advance(self, kind: int, body: bytes) -> P.Frame:
+        """PUSH/FEED/RUN: stamp the next request id on ``body``; a
+        resumable session retries the request under that same id."""
+        rid = self._next_id
+        self._next_id += 1
+        return await self._request(kind, P.encode_request(rid, body),
+                                   retryable=self._token is not None)
 
     # -- session surface ---------------------------------------------------
     async def open(self, *, app: str | None = None,
@@ -222,18 +219,13 @@ class ServeClient:
 
         ``resumable=True`` requests a resume token: the session
         survives disconnects (parked server-side for RESUME) and
-        ``push``/``run`` become idempotent — see the module docstring.
+        ``push``/``feed``/``run`` become idempotent — see the module
+        docstring.
 
         ``dtype`` selects the session's numeric policy (``"f32"``,
-        ``"c64"``, ...).  Non-float64 sessions exchange dtype-tagged
-        chunk frames (PUSHT/FEEDT/ARRT) and are not resumable — the
-        idempotent retry frames are float64-only.
+        ``"c64"``, ...): the dtype chunks travel and outputs arrive in.
         """
         policy = resolve_policy(dtype)
-        if resumable and not policy.is_default:
-            raise ProtocolError(
-                "resumable sessions are float64-only (RPUSH/RRUN carry "
-                "untagged f64 payloads)", code="dtype-mismatch")
         spec: dict = {"backend": backend, "optimize": optimize,
                       "mode": mode}
         if not policy.is_default:
@@ -251,26 +243,18 @@ class ServeClient:
         frame = await self._request(
             P.OPEN, json.dumps(spec).encode("utf-8"),
             retryable=resumable)
-        self._policy = None if policy.is_default else policy
+        self._policy = policy
         if resumable:
             self._token = frame.u64()
 
     async def push(self, chunk) -> np.ndarray:
         """Feed a chunk; returns every output it completes.
 
-        On a resumable session this is an idempotent ``RPUSH``: safe to
-        retry, and retried automatically when ``retries`` is set.
+        On a resumable session this is safe to retry, and retried
+        automatically when ``retries`` is set.
         """
-        payload = self._chunk_bytes(chunk)
-        if self._token is not None:
-            rid = next(self._ids)
-            frame = await self._request(
-                P.RPUSH, rid.to_bytes(8, "big") + payload,
-                retryable=True)
-        else:
-            frame = await self._request(
-                P.PUSHT if self._tagged else P.PUSH, payload)
-        return self._decode_reply(frame)
+        return self._samples(
+            await self._advance(P.PUSH, self._chunk_bytes(chunk)))
 
     async def push_stream(self, chunks, window: int = 8,
                           latencies: list | None = None):
@@ -287,64 +271,53 @@ class ServeClient:
         an error frame, or the connection dying mid-stream — raises
         :class:`~repro.errors.ProtocolError` and aborts the stream with
         replies possibly still in flight — close the connection rather
-        than reusing it (resumable sessions can reconnect + RESUME and
-        re-push the unacknowledged tail with ``push``).
+        than reusing it.  A resumable session needs no closing: its
+        next request reconnects and RESUMEs, and the request ids rewind
+        to the first unacknowledged chunk, so re-pushing the
+        unacknowledged tail with ``push`` replays what the server had
+        already applied from its reply cache (32 replies: keep
+        ``window`` under it) instead of applying it twice.
         """
         chunks = list(chunks)
-        push_kind = P.PUSHT if self._tagged else P.PUSH
+        first = self._next_id
         sent: list[float] = []
         done = 0
+
+        async def send() -> None:
+            payload = P.encode_request(
+                first + len(sent), self._chunk_bytes(chunks[len(sent)]))
+            sent.append(time.perf_counter())
+            await P.write_frame(self._writer, P.PUSH, payload)
+
         try:
-            for chunk in chunks:  # prime one full window before reading
-                if len(sent) - done >= window:
-                    break
-                payload = self._chunk_bytes(chunk)
-                sent.append(time.perf_counter())
-                await P.write_frame(self._writer, push_kind, payload)
+            while len(sent) < min(window, len(chunks)):
+                await send()  # prime one full window before reading
             while done < len(chunks):
-                frame = await P.read_frame(self._reader)
-                if frame is None:
-                    raise ProtocolError("server closed the connection",
-                                        code="disconnected")
-                if frame.kind == P.ERR:
-                    info = frame.json()
-                    raise ProtocolError(
-                        info.get("error", "server error"),
-                        code=info.get("code", "internal"))
+                frame = await self._reply()
                 if latencies is not None:
                     latencies.append(time.perf_counter() - sent[done])
-                done += 1
                 if len(sent) < len(chunks):
-                    payload = self._chunk_bytes(chunks[len(sent)])
-                    sent.append(time.perf_counter())
-                    await P.write_frame(self._writer, push_kind, payload)
-                yield self._decode_reply(frame)
+                    await send()
+                done += 1  # acknowledged = handed to the caller
+                yield self._samples(frame)
         except (ConnectionError, OSError) as exc:
             self._broken = True
             raise ProtocolError(
                 f"connection lost mid-stream after {done} replies: "
                 f"{exc}", code="disconnected") from None
+        finally:
+            self._next_id = first + done
+            if self._token is not None and done < len(chunks):
+                self._broken = True  # only a RESUME is back in step
 
     async def feed(self, chunk) -> int:
         """Feed without draining; returns the item count added."""
-        frame = await self._request(
-            P.FEEDT if self._tagged else P.FEED, self._chunk_bytes(chunk))
-        return frame.u64()
+        return (await self._advance(P.FEED, self._chunk_bytes(chunk))).u64()
 
     async def run(self, n: int) -> np.ndarray:
-        """The next ``n`` outputs (pull sessions, or fed push sessions).
-
-        Idempotent (``RRUN``) and auto-retried on resumable sessions.
-        """
-        if self._token is not None:
-            rid = next(self._ids)
-            frame = await self._request(
-                P.RRUN,
-                rid.to_bytes(8, "big") + int(n).to_bytes(4, "big"),
-                retryable=True)
-        else:
-            frame = await self._request(P.RUN, int(n).to_bytes(4, "big"))
-        return self._decode_reply(frame)
+        """The next ``n`` outputs (pull sessions, or fed push sessions)."""
+        return self._samples(
+            await self._advance(P.RUN, int(n).to_bytes(4, "big")))
 
     async def reset(self) -> None:
         await self._request(P.RESET)
@@ -361,7 +334,7 @@ class ServeClient:
             if exc.code != "resume-lost":
                 raise
         self._token = None
-        self._policy = None
+        self._policy = DEFAULT_POLICY
 
     async def stats(self) -> str:
         """The server's ``STATS`` text dump."""

@@ -2,52 +2,47 @@
 
 One frame = a 9-byte header (``kind`` u8, payload ``length`` u32
 big-endian, payload ``CRC-32`` u32 big-endian) followed by the payload.
-Chunk data travels as raw little-endian float64 bytes — the same memory
-layout the sessions and ring buffers use, so neither side re-encodes
-samples.  The CRC turns silent payload corruption (a flipped bit would
-otherwise deliver wrong samples as valid float64s) into a typed
-``corrupt`` error, which is what lets the recovery protocol treat a
-corrupted frame exactly like a dropped connection: reconnect, RESUME,
-retry.
+The CRC turns silent payload corruption (a flipped bit would otherwise
+deliver wrong samples as valid floats) into a typed ``corrupt`` error,
+which is what lets the recovery protocol treat a corrupted frame
+exactly like a dropped connection: reconnect, RESUME, retry.
 
-Request kinds (client -> server)::
+The kind table — nine requests, four responses; client and server ship
+together, so there is no version byte and no second spelling of any
+row::
 
     OPEN   JSON spec {"app"|"dsl", "backend", "optimize", "mode",
-           "resumable", ...} -> OK (u64be resume token when resumable)
-    PUSH   f64le chunk -> ARR of every output it completes
-    FEED   f64le chunk -> OK(count) without draining
-    RUN    u32be n     -> ARR of the next n outputs
-    RESET  rewind the session without recompiling
+           "dtype", "resumable", ...} -> OK (u64be resume token when
+           resumable)
+    PUSH   id + chunk  -> ARR of every output the chunk completes
+    FEED   id + chunk  -> OK(u64be count) without draining
+    RUN    id + u32be n -> ARR of the next n outputs
+    RESET  rewind the session without recompiling -> OK
     CLOSE  release the session back to the pool (connection stays open)
     STATS  -> TXT metrics dump
     PING   -> OK liveness probe
-    RPUSH  u64be request id + f64le chunk — idempotent PUSH: a retried
-           id is answered from the session's reply cache, never re-run
-    RRUN   u64be request id + u32be n — idempotent RUN
     RESUME u64be token -> OK(token); re-attaches this connection to the
            parked session of a dropped one (or restores it from its
            last checkpoint)
-    PUSHT  dtype tag byte + samples — PUSH for non-float64 sessions
-    FEEDT  dtype tag byte + samples — FEED for non-float64 sessions
-
-Response kinds (server -> client)::
 
     OK     empty or u64be count/token
-    ARR    f64le output samples
-    ARRT   dtype tag byte + output samples (non-float64 sessions)
+    ARR    chunk of output samples
     TXT    utf-8 text
     ERR    JSON {"code": <machine code>, "error": <message>}
 
-**Numeric policy on the wire.**  The original chunk frames are untagged
-float64 (``f64le``) and stay the default — an old client talking to a
-float64 session sees byte-identical traffic.  Sessions opened with a
-``"dtype"`` spec field exchange *tagged* frames instead: one dtype tag
-byte (1=f64le, 2=f32le, 3=c64le, 4=c128le — the
-:class:`~repro.numeric.NumericPolicy` wire tags) followed by the raw
-little-endian samples.  An untagged PUSH/FEED sent to a non-float64
-session — or a tag that disagrees with the session's policy — is a
-typed ``dtype-mismatch`` error frame, never a silent reinterpretation
-of the byte stream.  ``RPUSH``/``RRUN`` remain float64-only.
+**Chunks.**  A chunk is one dtype tag byte (1=f64le, 2=f32le, 3=c64le,
+4=c128le — the :class:`~repro.numeric.NumericPolicy` wire tags)
+followed by the raw little-endian samples: the memory layout sessions
+and ring buffers use, so neither side re-encodes them.  A tag that
+disagrees with the session's policy is a typed ``dtype-mismatch`` error
+frame, never a silent reinterpretation of the byte stream.
+
+**Request ids.**  Every session-advancing request (PUSH, FEED, RUN)
+leads with a ``u64be`` request id — a request is *(position, chunk)*.
+A resumable session keeps its last replies by id and answers a repeated
+id from that cache without re-running it, so a retry after a lost reply
+never double-applies state; a non-resumable session has no cache,
+ignores the id and runs the request again.
 
 Errors are *frames*, not connection drops: a request that fails
 (unknown app, backpressure cap, timeout) gets an ERR reply and the
@@ -69,27 +64,23 @@ import numpy as np
 
 from .. import faults as _faults
 from ..errors import ProtocolError
+from ..numeric import policy_for_wire_tag
 
 __all__ = ["Frame", "ProtocolError", "read_frame", "write_frame",
-           "encode_array", "decode_array", "error_payload",
-           "encode_array_tagged", "decode_array_tagged",
+           "error_payload", "encode_array_tagged", "decode_array_tagged",
+           "encode_request",
            "OPEN", "PUSH", "FEED", "RUN", "RESET", "CLOSE", "STATS",
-           "PING", "RPUSH", "RRUN", "RESUME", "PUSHT", "FEEDT",
-           "OK", "ARR", "TXT", "ERR", "ARRT", "REQUEST_NAMES",
+           "PING", "RESUME", "OK", "ARR", "TXT", "ERR", "REQUEST_NAMES",
            "DEFAULT_MAX_FRAME_BYTES"]
 
 # request kinds
-OPEN, PUSH, FEED, RUN, RESET, CLOSE, STATS, PING = range(1, 9)
-RPUSH, RRUN, RESUME = range(9, 12)
-PUSHT, FEEDT = 12, 13
+OPEN, PUSH, FEED, RUN, RESET, CLOSE, STATS, PING, RESUME = range(1, 10)
 # response kinds
 OK, ARR, TXT, ERR = range(16, 20)
-ARRT = 20
 
 REQUEST_NAMES = {OPEN: "open", PUSH: "push", FEED: "feed", RUN: "run",
                  RESET: "reset", CLOSE: "close", STATS: "stats",
-                 PING: "ping", RPUSH: "rpush", RRUN: "rrun",
-                 RESUME: "resume", PUSHT: "pusht", FEEDT: "feedt"}
+                 PING: "ping", RESUME: "resume"}
 
 _HEADER_LEN = 9
 
@@ -123,15 +114,15 @@ class Frame:
                                 code="bad-request")
         return obj
 
-    def array(self) -> np.ndarray:
-        return decode_array(self.payload)
-
-    def u32(self) -> int:
-        if len(self.payload) != 4:
+    def request(self) -> tuple[int, memoryview]:
+        """``(request id, body)`` of a PUSH/FEED/RUN payload; the body
+        is a view, so a chunk decodes without a copy."""
+        if len(self.payload) < 8:
             raise ProtocolError(
-                f"expected a u32 payload, got {len(self.payload)} bytes",
-                code="bad-request")
-        return int.from_bytes(self.payload, "big")
+                f"expected a u64 request id, got {len(self.payload)} "
+                "bytes", code="bad-request")
+        return (int.from_bytes(self.payload[:8], "big"),
+                memoryview(self.payload)[8:])
 
     def u64(self) -> int:
         if len(self.payload) != 8:
@@ -144,30 +135,22 @@ class Frame:
         return self.payload.decode("utf-8")
 
 
-def encode_array(arr: np.ndarray) -> bytes:
-    """Sample data as little-endian float64 bytes."""
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
-
-
-def decode_array(payload: bytes) -> np.ndarray:
-    """Inverse of :func:`encode_array`; rejects ragged byte counts."""
-    if len(payload) % 8:
-        raise ProtocolError(
-            f"sample payload of {len(payload)} bytes is not a whole "
-            "number of float64 items", code="bad-request")
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64,
-                                                      copy=False)
+def encode_request(rid: int, body: bytes) -> bytes:
+    """A PUSH/FEED/RUN payload (inverse of :meth:`Frame.request`)."""
+    return rid.to_bytes(8, "big") + body
 
 
 def encode_array_tagged(arr: np.ndarray, policy) -> bytes:
-    """One dtype tag byte + samples in the policy's little-endian
-    format — the payload of PUSHT/FEEDT/ARRT frames."""
-    return (bytes([policy.wire_tag])
-            + np.ascontiguousarray(arr, dtype=policy.wire_fmt).tobytes())
+    """A chunk: one dtype tag byte + samples in the policy's
+    little-endian format."""
+    return b"".join((  # one allocation: the samples are copied once
+        bytes((policy.wire_tag,)),
+        np.ascontiguousarray(arr, dtype=policy.wire_fmt).data))
 
 
-def decode_array_tagged(payload: bytes, expected=None) -> np.ndarray:
-    """Inverse of :func:`encode_array_tagged`.
+def decode_array_tagged(payload, expected=None) -> np.ndarray:
+    """Inverse of :func:`encode_array_tagged`, over ``bytes`` or a
+    ``memoryview``; the result is a read-only view of ``payload``.
 
     Returns the samples in the tagged policy's dtype.  With
     ``expected`` (a :class:`~repro.numeric.NumericPolicy`), a tag that
@@ -175,11 +158,8 @@ def decode_array_tagged(payload: bytes, expected=None) -> np.ndarray:
     the bytes are valid *some* dtype's samples, just not this
     session's, and reinterpreting them would be silent corruption.
     """
-    from ..numeric import policy_for_wire_tag
-
-    if not payload:
-        raise ProtocolError("tagged sample payload is empty",
-                            code="bad-request")
+    if not len(payload):
+        raise ProtocolError("chunk has no dtype tag", code="bad-request")
     policy = policy_for_wire_tag(payload[0])
     if policy is None:
         raise ProtocolError(f"unknown dtype tag {payload[0]}",
@@ -188,12 +168,11 @@ def decode_array_tagged(payload: bytes, expected=None) -> np.ndarray:
         raise ProtocolError(
             f"chunk tagged {policy.name} sent to a {expected.name} "
             "session", code="dtype-mismatch")
-    body = payload[1:]
-    if len(body) % policy.itemsize:
+    if (len(payload) - 1) % policy.itemsize:
         raise ProtocolError(
-            f"tagged sample payload of {len(body)} bytes is not a whole "
+            f"chunk of {len(payload) - 1} sample bytes is not a whole "
             f"number of {policy.name} items", code="bad-request")
-    return np.frombuffer(body, dtype=policy.wire_fmt).astype(
+    return np.frombuffer(payload, dtype=policy.wire_fmt, offset=1).astype(
         policy.dtype, copy=False)
 
 

@@ -45,9 +45,10 @@ tolerance):
   per-fingerprint circuit breaker in the pool quarantines plan keys
   that poison repeatedly; new opens of a quarantined key go straight to
   the compiled backend.
-* **Idempotent retries** — ``RPUSH``/``RRUN`` carry a client request
-  id; executed replies are cached per session, so a retry after a lost
-  reply is answered from the cache and never re-applies state.
+* **Idempotent retries** — ``PUSH``/``FEED``/``RUN`` carry a client
+  request id; a resumable session caches its executed replies, so a
+  retry after a lost reply is answered from the cache and never
+  re-applies state.
 * **RESUME** — a resumable OPEN returns a token; when the connection
   drops, the session is *parked* (not discarded) for
   ``config.resume_ttl`` seconds, then falls back to its checkpoint for
@@ -110,10 +111,9 @@ class ServeConfig:
     #: requests cannot be timed out — safe because they are predicted
     #: orders of magnitude under ``request_timeout``.  0 disables.
     inline_fast_path: float = 0.002
-    #: seconds a parked session survives before TTL eviction
+    #: seconds a parked session survives before TTL eviction (the
+    #: sweep runs every ``idle_ttl / 4``)
     idle_ttl: float = 60.0
-    #: eviction sweep period (default: ``idle_ttl / 4``, floored)
-    evict_interval: float | None = None
     #: parked sessions kept per graph key
     max_idle_per_key: int = 8
     #: session worker threads (None: ThreadPoolExecutor default)
@@ -128,17 +128,9 @@ class ServeConfig:
     #: re-run a failed plan-backend request on the compiled backend
     #: from the last checkpoint (the degradation path)
     degrade: bool = True
-    #: executed replies kept per resumable session for idempotent
-    #: retries — must exceed the client's pipeline window
-    reply_cache: int = 32
     #: journal cap (samples) for server-built sessions; 0 disables
     #: checkpoints (and with them degradation and snapshot-RESUME)
     journal_limit: int = 1 << 20
-    #: execution failures per graph key before the pool's circuit
-    #: breaker quarantines it (plan opens degrade to compiled)
-    breaker_threshold: int = 3
-    #: seconds a tripped breaker stays quarantined
-    breaker_cooldown: float = 30.0
 
 
 #: Declarative exception -> wire-code table; first match wins, so
@@ -184,6 +176,10 @@ _RECOVERABLE = (InterpError, FaultInjected)
 
 _NO_RECOVERY = object()
 
+#: executed replies a resumable session keeps for idempotent retries —
+#: must exceed the client's pipeline window
+_REPLY_CACHE = 32
+
 
 class _Connection:
     """Per-connection state: the held pooled session, if any."""
@@ -220,10 +216,7 @@ class StreamServer:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.pool = SessionPool(
             max_idle_per_key=self.config.max_idle_per_key,
-            idle_ttl=self.config.idle_ttl,
-            breaker_threshold=self.config.breaker_threshold,
-            breaker_cooldown=self.config.breaker_cooldown,
-            metrics=self.metrics)
+            idle_ttl=self.config.idle_ttl, metrics=self.metrics)
         self._server: asyncio.AbstractServer | None = None
         self._workers: ThreadPoolExecutor | None = None
         self._evict_task: asyncio.Task | None = None
@@ -266,11 +259,8 @@ class StreamServer:
             self._server = await asyncio.start_server(
                 self._handle, host, port)
             self.address = self._server.sockets[0].getsockname()[:2]
-        interval = self.config.evict_interval
-        if interval is None:
-            interval = max(self.config.idle_ttl / 4, 0.05)
         self._evict_task = asyncio.get_running_loop().create_task(
-            self._evict_loop(interval))
+            self._evict_loop(max(self.config.idle_ttl / 4, 0.05)))
         return self.address
 
     def install_signal_handlers(self, signals=(signal.SIGTERM,),
@@ -599,41 +589,8 @@ class StreamServer:
                 raise SessionPoisonedError(
                     "session was poisoned by an earlier failure; "
                     "RESUME (resumable sessions) or reopen")
-            if kind in (P.RPUSH, P.RRUN):
-                await self._idempotent(conn, writer, frame)
-                return
-            session = ps.session
-            if kind in (P.PUSH, P.FEED, P.PUSHT, P.FEEDT):
-                if kind in (P.PUSH, P.FEED):
-                    if not session.policy.is_default:
-                        raise ProtocolError(
-                            f"untagged float64 chunk sent to a "
-                            f"{session.policy.name} session; use "
-                            "PUSHT/FEEDT with a dtype tag",
-                            code="dtype-mismatch")
-                    arr = frame.array()
-                else:
-                    arr = P.decode_array_tagged(frame.payload,
-                                                expected=session.policy)
-                self._check_backpressure(session, len(arr))
-                self.metrics.counter("serve.chunks.in").inc()
-                self.metrics.counter("serve.samples.in").inc(len(arr))
-                if kind in (P.PUSH, P.PUSHT):
-                    out = await self._execute(ps, "push", arr)
-                    self.metrics.gauge("serve.pending_samples").set(
-                        session.pending_input)
-                    await self._reply_array(writer, out, session.policy)
-                else:
-                    count = await self._execute(ps, "feed", arr)
-                    self.metrics.gauge("serve.pending_samples").set(
-                        session.pending_input)
-                    await P.write_frame(writer, P.OK,
-                                        int(count).to_bytes(8, "big"))
-                return
-            if kind == P.RUN:
-                n = frame.u32()
-                out = await self._execute(ps, "run", n)
-                await self._reply_array(writer, out, session.policy)
+            if kind in (P.PUSH, P.FEED, P.RUN):
+                await self._advance(ps, writer, frame)
                 return
             if kind == P.RESET:
                 await self._execute(ps, "reset")
@@ -678,51 +635,50 @@ class StreamServer:
         self.metrics.gauge("serve.pending_samples").set(
             pending + incoming)
 
-    async def _idempotent(self, conn: _Connection, writer,
-                          frame: P.Frame) -> None:
-        """RPUSH/RRUN: execute once per request id; retried ids are
-        answered from the session's reply cache."""
-        ps = conn.pooled
-        if ps.replies is None:
-            raise ProtocolError(
-                "RPUSH/RRUN need a resumable session (OPEN with "
-                '"resumable": true)', code="bad-request")
-        if not ps.session.policy.is_default:
-            raise ProtocolError(
-                "RPUSH/RRUN are float64-only; "
-                f"this session is {ps.session.policy.name}",
-                code="dtype-mismatch")
-        if len(frame.payload) < 8:
-            raise ProtocolError("missing request id", code="bad-request")
-        rid = int.from_bytes(frame.payload[:8], "big")
-        cached = ps.replies.get(rid)
-        if cached is not None:
+    async def _advance(self, ps, writer, frame: P.Frame) -> None:
+        """PUSH/FEED/RUN, ``request id + body``: a resumable session
+        executes each id once and answers a repeated one from its reply
+        cache; a non-resumable session has no cache and ignores the id."""
+        rid, body = frame.request()
+        if ps.replies is not None and rid in ps.replies:
             self.metrics.counter("serve.requests.replayed").inc()
-            await P.write_frame(writer, cached[0], cached[1])
+            await P.write_frame(writer, *ps.replies[rid])
             return
-        if frame.kind == P.RPUSH:
-            arr = P.decode_array(frame.payload[8:])
+        policy = ps.session.policy
+        if frame.kind == P.RUN:
+            if len(body) != 4:
+                raise ProtocolError("RUN payload must be id + u32 n",
+                                    code="bad-request")
+            n = int.from_bytes(body, "big")
+            if 1 + n * policy.itemsize > self.config.max_frame_bytes:
+                raise ProtocolError(
+                    f"a reply of {n} {policy.name} outputs exceeds the "
+                    f"{self.config.max_frame_bytes}-byte frame limit; "
+                    "RUN fewer at a time", code="too-large")
+            out = await self._execute(ps, "run", n)
+        else:
+            arr = P.decode_array_tagged(body, expected=policy)
             self._check_backpressure(ps.session, len(arr))
             self.metrics.counter("serve.chunks.in").inc()
             self.metrics.counter("serve.samples.in").inc(len(arr))
-            out = await self._execute(ps, "push", arr)
+            out = await self._execute(
+                ps, "push" if frame.kind == P.PUSH else "feed", arr)
+            # ps.session, not a local: a degraded request swapped it
             self.metrics.gauge("serve.pending_samples").set(
                 ps.session.pending_input)
+        if frame.kind == P.FEED:
+            reply = P.OK, int(out).to_bytes(8, "big")
         else:
-            if len(frame.payload) != 12:
-                raise ProtocolError("RRUN payload must be id + u32 n",
-                                    code="bad-request")
-            n = int.from_bytes(frame.payload[8:12], "big")
-            out = await self._execute(ps, "run", n)
-        payload = P.encode_array(out)
-        self.metrics.counter("serve.chunks.out").inc()
-        self.metrics.counter("serve.samples.out").inc(len(payload) // 8)
-        # cache before writing: if the reply write dies on the wire the
-        # retry must find it
-        ps.replies[rid] = (P.ARR, payload)
-        while len(ps.replies) > self.config.reply_cache:
-            ps.replies.popitem(last=False)
-        await P.write_frame(writer, P.ARR, payload)
+            reply = P.ARR, P.encode_array_tagged(out, policy)
+            self.metrics.counter("serve.chunks.out").inc()
+            self.metrics.counter("serve.samples.out").inc(len(out))
+        if ps.replies is not None:
+            # cache before writing: if the reply write dies on the wire
+            # the retry must find it
+            ps.replies[rid] = reply
+            while len(ps.replies) > _REPLY_CACHE:
+                ps.replies.popitem(last=False)
+        await P.write_frame(writer, *reply)
 
     async def _resume_session(self, conn: _Connection, writer,
                               frame: P.Frame) -> None:
@@ -854,17 +810,6 @@ class StreamServer:
             else:  # timeout/error: bill the full span, skip the EWMA
                 self.pool.record_serve(ps, time.perf_counter() - t0)
 
-    async def _reply_array(self, writer, out, policy=None) -> None:
-        """Reply with samples: untagged ARR for float64 sessions (the
-        back-compatible default), tagged ARRT otherwise."""
-        if policy is None or policy.is_default:
-            kind, payload = P.ARR, P.encode_array(out)
-        else:
-            kind, payload = P.ARRT, P.encode_array_tagged(out, policy)
-        self.metrics.counter("serve.chunks.out").inc()
-        self.metrics.counter("serve.samples.out").inc(len(out))
-        await P.write_frame(writer, kind, payload)
-
     # -- observability -----------------------------------------------------
     def render_stats(self) -> str:
         """The ``STATS`` text dump: metrics registry + plan-cache
@@ -891,7 +836,7 @@ class StreamServer:
         return "\n".join(line for line in lines if line)
 
     def stats_snapshot(self) -> dict:
-        """Metrics as a flat dict (tests and the load generator)."""
+        """Metrics as a flat dict (the tests read it)."""
         snap = self.metrics.snapshot()
         snap["graphs"] = self.pool.graph_stats()
         return snap

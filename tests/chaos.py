@@ -1,11 +1,11 @@
 """Chaos harness: fault-injected serving must stay bitwise-correct.
 
-``bench --serve --chaos`` drives N concurrent resumable clients through
-the full serving stack while a seeded :class:`~repro.faults.FaultPlan`
+:func:`run_chaos` drives N concurrent resumable clients through the
+full serving stack while a seeded :class:`~repro.faults.FaultPlan`
 injects failures at every site class — kernel raises mid-advance, plan
 cache lookups, pool compile/recycle, and the wire (corrupted frames,
 dropped connections, truncated writes, latency).  The harness then
-asserts the one property the whole recovery design exists for:
+checks the one property the whole recovery design exists for:
 
     **every client-visible output is bitwise-equal to the fault-free
     run** — degradation, retries, and RESUME are invisible except in
@@ -19,33 +19,42 @@ parity failure is a real protocol bug.  The fault-free baseline is
 computed with *direct* sessions (no server), so the comparison also
 spans the entire wire encoding.
 
-Checks beyond parity:
+Checks beyond parity, all read from the returned dict:
 
-* **no leaked sessions** — ``SessionPool.accounting()["outstanding"]``
-  must be zero after shutdown: every session ever compiled was closed
-  or sits idle;
-* **coverage** — each of the four site classes (kernel / cache / pool /
-  wire) fired at least one injection, so a green run can't mean "the
-  faults never happened";
-* **recovery actually ran** — degradations and retries are nonzero.
+* **no leaked sessions** — ``leaked``
+  (``SessionPool.accounting()["outstanding"]``) must be zero after
+  shutdown: every session ever compiled was closed or sits idle;
+* **coverage** — ``missing_classes`` lists the site classes (kernel /
+  cache / pool / wire) that never fired, so a green run can't mean
+  "the faults never happened";
+* **recovery actually ran** — ``degraded`` and ``retries`` are nonzero.
 
-The report lands in ``results/chaos.txt``; exit codes for CI come from
-the returned dict (``violations``, ``leaked``, ``missing_classes``).
+**The seed does not fix the run.**  Each site's RNG is shared by every
+client and consumed in task-scheduling order, so which request draws
+which roll varies from run to run: at ``(clients, chunks) = (8, 12)``
+forty runs of one seed read ``degraded`` 3–5 and ``retries`` 59–67.
+A client can therefore draw more consecutive faults than it has
+retries: an ``OPEN`` attempt survives the default rates (wire both
+ways, ``pool.compile``, ``cache.lookup``) about four times in ten, and
+with 8 retries the ungated ``(3, 12)`` gave up in 7 of 22 runs and
+``(8, 12)`` in 1 of 20.  The default budget is therefore 16 (the worst
+request of 80 runs needed 11), and a client that still exhausts it is
+reported as a named entry of ``violations`` — never as a traceback out
+of ``asyncio.gather``.  Gate only configurations whose tally over
+repeated runs is known; ``tests/test_faults.py`` names them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 
 import numpy as np
 
-from .. import faults
-from .client import ServeClient
-from .server import ServeConfig, StreamServer
+from repro import faults
+from repro.errors import ProtocolError
+from repro.serve import ServeClient, ServeConfig, StreamServer
 
-__all__ = ["CHAOS_DSL", "DEFAULT_RATES", "run_chaos",
-           "format_chaos_report"]
+__all__ = ["CHAOS_DSL", "DEFAULT_RATES", "run_chaos"]
 
 #: The workload: bitwise-identical across all three backends (each
 #: output is one fused multiply-add; no sum reassociation), which is
@@ -82,8 +91,8 @@ def _client_inputs(index: int, chunks: int, chunk: int) -> list:
 
 def _baseline(inputs: list) -> list:
     """Fault-free expected outputs, computed on direct sessions."""
-    from ..dsl import compile_source
-    from ..session import StreamSession
+    from repro.dsl import compile_source
+    from repro.session import StreamSession
 
     graph = compile_source(CHAOS_DSL)
     session = StreamSession(graph, backend="compiled")
@@ -94,43 +103,48 @@ def _baseline(inputs: list) -> list:
 
 
 async def _chaos_client(index: int, host: str, port: int,
-                        inputs: list, retries: int,
-                        latencies: list) -> dict:
+                        inputs: list, retries: int) -> dict:
     """One resumable client pushing its chunks under the fault storm."""
     client = await ServeClient.connect(
         host, port, retries=retries, retry_seed=500 + index,
         backoff=0.02, backoff_cap=0.25)
     outputs = []
+    gave_up = None
     try:
         await client.open(dsl=CHAOS_DSL, backend="plan", resumable=True)
         for chunk in inputs:
-            t0 = time.perf_counter()
             outputs.append(await client.push(chunk))
-            latencies.append(time.perf_counter() - t0)
         await client.close_session()
+    except ProtocolError as exc:
+        gave_up = (f"gave up after {len(outputs)}/{len(inputs)} chunks "
+                   f"and {client.retries_used} retries ({exc.code}): {exc}")
     finally:
         await client.close()
-    return {"index": index, "outputs": outputs,
+    return {"index": index, "outputs": outputs, "gave_up": gave_up,
             "retries": client.retries_used, "resumes": client.resumes}
 
 
 async def _recycle_wave(host: str, port: int, opens: int,
-                        retries: int) -> None:
+                        retries: int) -> str | None:
     """Sequential open/close churn on an interp-backend session so the
     ``pool.recycle`` site sees attempts: the first open parks a session
     at close, every later open rolls recycle against it.  Interp
     sessions never reach the kernel fault site, so this wave only
-    exercises pool and wire faults."""
+    exercises pool and wire faults.  Returns why it gave up, if it did."""
     client = await ServeClient.connect(
         host, port, retries=retries, retry_seed=999,
         backoff=0.02, backoff_cap=0.25)
     try:
-        for _ in range(opens):
+        for done in range(opens):
             await client.open(dsl=CHAOS_DSL, backend="interp",
                               resumable=True)
             await client.close_session()
+    except ProtocolError as exc:
+        return (f"gave up after {done}/{opens} opens and "
+                f"{client.retries_used} retries ({exc.code}): {exc}")
     finally:
         await client.close()
+    return None
 
 
 async def _run(clients: int, chunks: int, chunk: int, seed: int,
@@ -144,26 +158,27 @@ async def _run(clients: int, chunks: int, chunk: int, seed: int,
     host, port = await server.start()
 
     plan = faults.FaultPlan(seed=seed, rates=rates)
-    latencies: list = []
-    t0 = time.perf_counter()
     faults.install(plan)
     try:
         results = await asyncio.gather(*(
             _chaos_client(i, host, port,
-                          _client_inputs(i, chunks, chunk),
-                          retries, latencies)
+                          _client_inputs(i, chunks, chunk), retries)
             for i in range(clients)))
-        await _recycle_wave(host, port, opens=12, retries=retries)
+        wave_gave_up = await _recycle_wave(host, port, opens=12,
+                                           retries=retries)
     finally:
         faults.uninstall()
-    wall = time.perf_counter() - t0
 
     snap = server.stats_snapshot()
     await server.aclose()
-    accounting = server.pool.accounting()
 
     violations = []
+    if wave_gave_up:
+        violations.append(f"recycle wave: {wave_gave_up}")
     for r in results:
+        if r["gave_up"]:
+            violations.append(f"client {r['index']}: {r['gave_up']}")
+            continue
         got = np.concatenate([np.asarray(o) for o in r["outputs"]]) \
             if r["outputs"] else np.empty(0)
         want = np.concatenate(expected[r["index"]]) \
@@ -177,95 +192,23 @@ async def _run(clients: int, chunks: int, chunk: int, seed: int,
     missing = [cls for cls in ("kernel", "cache", "pool", "wire")
                if fired_by_class.get(cls, 0) == 0]
 
-    lat = np.sort(np.asarray(latencies)) if latencies else np.zeros(1)
-    counts = plan.counts()
     return {
-        "seed": seed,
-        "clients": clients,
-        "chunks": chunks,
-        "chunk": chunk,
-        "rates": dict(rates),
-        "attempts": counts["attempts"],
-        "fired": counts["fired"],
-        "fired_by_class": fired_by_class,
+        "fired": plan.counts()["fired"],
         "missing_classes": missing,
         "violations": violations,
         "retries": sum(r["retries"] for r in results),
         "resumes": sum(r["resumes"] for r in results),
         "degraded": int(snap.get("serve.requests.degraded", 0)),
         "replayed": int(snap.get("serve.requests.replayed", 0)),
-        "parks": int(snap.get("serve.sessions.parks", 0)),
-        "session_resumes": int(snap.get("serve.sessions.resumed", 0)),
-        "restores": int(snap.get("serve.sessions.restored", 0)),
-        "breaker_trips": int(snap.get("serve.breaker.tripped", 0)),
-        "accounting": accounting,
-        "leaked": accounting["outstanding"],
-        "p50_ms": float(lat[int(0.50 * (len(lat) - 1))]) * 1e3,
-        "p99_ms": float(lat[int(0.99 * (len(lat) - 1))]) * 1e3,
-        "wall_seconds": wall,
+        "leaked": server.pool.accounting()["outstanding"],
     }
 
 
 def run_chaos(clients: int = 8, chunks: int = 12, chunk: int = 64,
               seed: int = 20260807, rates: dict | None = None,
-              retries: int = 8) -> dict:
+              retries: int = 16) -> dict:
     """Run the chaos harness; returns the result dict (see module
     docstring for the checks it encodes)."""
     if rates is None:
         rates = DEFAULT_RATES
     return asyncio.run(_run(clients, chunks, chunk, seed, rates, retries))
-
-
-def format_chaos_report(r: dict) -> str:
-    """``results/chaos.txt``: the parity verdict, fault ledger, and
-    what recovery cost."""
-    lines = []
-    w = lines.append
-    w("repro chaos harness — fault-injected serving parity")
-    w("=" * 60)
-    w(f"{'seed':<26}{r['seed']}")
-    w(f"{'clients':<26}{r['clients']}")
-    w(f"{'workload':<26}{r['chunks']} x {r['chunk']}-sample pushes "
-      "per client (Smooth DSL, plan backend, resumable)")
-    w(f"{'wall time':<26}{r['wall_seconds']:.2f} s")
-    w("")
-    w("fault plan (site: rate / attempts / fired)")
-    for site in faults.SITES:
-        rate = r["rates"].get(site, 0.0)
-        w(f"  {site:<24}{rate:<8.2f}{r['attempts'][site]:<10}"
-          f"{r['fired'][site]}")
-    classes = ", ".join(
-        f"{cls}={n}" for cls, n in sorted(r["fired_by_class"].items()))
-    w(f"{'fired by class':<26}{classes}")
-    if r["missing_classes"]:
-        w(f"{'UNEXERCISED CLASSES':<26}{', '.join(r['missing_classes'])}")
-    w("")
-    w("parity")
-    total = r["clients"]
-    bad = len(r["violations"])
-    w(f"{'  bitwise violations':<26}{bad} / {total} clients")
-    for v in r["violations"]:
-        w(f"    {v}")
-    w("")
-    w("recovery")
-    w(f"{'  degraded re-runs':<26}{r['degraded']}")
-    w(f"{'  replayed replies':<26}{r['replayed']}")
-    w(f"{'  client retries':<26}{r['retries']}")
-    w(f"{'  client resumes':<26}{r['resumes']}")
-    w(f"{'  sessions parked':<26}{r['parks']}")
-    w(f"{'  sessions reattached':<26}{r['session_resumes']}")
-    w(f"{'  sessions restored':<26}{r['restores']}")
-    w(f"{'  breaker trips':<26}{r['breaker_trips']}")
-    acc = r["accounting"]
-    w(f"{'  sessions leaked':<26}{r['leaked']} "
-      f"(compiled {acc['compiled']}, closed {acc['closed']}, "
-      f"idle {acc['idle']})")
-    w("")
-    w("latency under faults")
-    w(f"{'  p50 push':<26}{r['p50_ms']:.3f} ms")
-    w(f"{'  p99 push':<26}{r['p99_ms']:.3f} ms")
-    verdict = "PASS" if not (r["violations"] or r["leaked"]
-                             or r["missing_classes"]) else "FAIL"
-    w("")
-    w(f"{'verdict':<26}{verdict}")
-    return "\n".join(lines)

@@ -120,6 +120,18 @@ def test_chunked_flag_validation():
         assert exc.value.code == 2
 
 
+def test_serve_harness_flags_left_the_cli(capsys):
+    """The load and chaos harnesses are tests now, not bench modes."""
+    from repro.bench import main as bench_main
+
+    with pytest.raises(SystemExit):
+        bench_main(["--help"])
+    usage = capsys.readouterr().out
+    for flag in ("--serve", "--clients", "--serve-out", "--chaos",
+                 "--chaos-seed", "--chaos-out"):
+        assert flag not in usage
+
+
 def test_chunked_mode_emits_batch_and_chunked_records(capsys):
     import json
 
@@ -230,8 +242,7 @@ class TestBenchDSL:
         for argv in ([],                              # neither mode
                      ["--app", "fir", "--dsl", "x"],  # both modes
                      ["--app", "fir", "--top", "X"],
-                     ["--app", "fir", "--dsl-args", "1"],
-                     ["--dsl", "x.str", "--serve"]):
+                     ["--app", "fir", "--dsl-args", "1"]):
             with pytest.raises(SystemExit) as exc:
                 bench_main(argv)
             assert exc.value.code == 2

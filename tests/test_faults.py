@@ -23,8 +23,10 @@ from repro.errors import FaultInjected, ProtocolError
 from repro.serve import (RETRYABLE, WIRE_CODES, ServeClient, ServeConfig,
                          SessionPool, StreamServer, wire_code)
 from repro.serve import protocol as P
-from repro.serve.chaos import CHAOS_DSL, run_chaos
+from repro.numeric import DEFAULT_POLICY
 from repro.session import StreamSession
+
+from chaos import CHAOS_DSL, run_chaos
 
 
 def smooth_graph():
@@ -440,7 +442,7 @@ def test_quarantined_plan_key_opens_on_compiled_backend():
         # trip the breaker by hand for the plan key this OPEN will use
         key, _label, _factory = server._resolve_spec(
             {"dsl": CHAOS_DSL, "backend": "plan"})
-        for _ in range(server.config.breaker_threshold):
+        for _ in range(server.pool.breaker_threshold):
             server.pool.record_poison(key)
         client = await ServeClient.connect(path=path)
         try:
@@ -462,7 +464,7 @@ def test_quarantined_plan_key_opens_on_compiled_backend():
 # ---------------------------------------------------------------------------
 
 
-def test_rpush_replay_never_double_applies():
+def test_repeated_id_push_never_double_applies():
     chunks = smooth_chunks()
     expected = smooth_expected(chunks)
 
@@ -473,15 +475,15 @@ def test_rpush_replay_never_double_applies():
                               resumable=True)
             # an id far above the client's own counter, so the later
             # client.push() calls never collide with it
-            payload = (1 << 40).to_bytes(8, "big") \
-                + P.encode_array(chunks[0])
-            first = await client._roundtrip(P.RPUSH, payload)
-            replay = await client._roundtrip(P.RPUSH, payload)
+            payload = P.encode_request(
+                1 << 40, P.encode_array_tagged(chunks[0], DEFAULT_POLICY))
+            first = await client._roundtrip(P.PUSH, payload)
+            replay = await client._roundtrip(P.PUSH, payload)
             rest = [await client.push(c) for c in chunks[1:]]
             await client.close_session()
         finally:
             await client.close()
-        return first.array(), replay.array(), rest, \
+        return client._samples(first), client._samples(replay), rest, \
             server.stats_snapshot()
 
     first, replay, rest, snap = serve_test(scenario)
@@ -491,6 +493,42 @@ def test_rpush_replay_never_double_applies():
     got = np.concatenate([first] + rest)
     assert got.tobytes() == np.concatenate(expected).tobytes()
     assert snap.get("serve.requests.replayed") == 1
+
+
+def test_aborted_push_stream_repushes_its_tail_without_double_applying():
+    """The recovery ``push_stream`` documents — reconnect, RESUME,
+    re-push the unacknowledged tail with ``push`` — replays what the
+    server had already applied.  Before every PUSH carried an id the
+    pipelined ones went out without, so this scenario applied 12 chunks
+    of 8 and diverged from the direct session at output 127, with no
+    error anywhere."""
+    chunks = smooth_chunks(8)
+    expected = smooth_expected(chunks)
+
+    async def scenario(server, path):
+        client = await ServeClient.connect(path=path)
+        outs = []
+        try:
+            await client.open(dsl=CHAOS_DSL, backend="plan",
+                              resumable=True)
+            with pytest.raises(ProtocolError) as ei:
+                async for out in client.push_stream(chunks, window=4):
+                    outs.append(out)
+                    if len(outs) == 2:
+                        client._writer.transport.abort()
+            assert ei.value.code in RETRYABLE
+            outs += [await client.push(c) for c in chunks[len(outs):]]
+            await client.close_session()
+        finally:
+            await client.close()
+        return outs, client.resumes, server.stats_snapshot()
+
+    outs, resumes, snap = serve_test(scenario)
+    assert (np.concatenate(outs).tobytes()
+            == np.concatenate(expected).tobytes())
+    assert resumes == 1
+    assert snap.get("serve.chunks.in") == 8
+    assert snap.get("serve.requests.replayed") >= 1
 
 
 def test_client_reconnects_and_resumes_transparently():
@@ -635,12 +673,15 @@ def test_aclose_waits_for_inflight_requests():
 # ---------------------------------------------------------------------------
 
 
-def test_mini_chaos_run_holds_parity_and_leaks_nothing():
-    r = run_chaos(clients=3, chunks=6, seed=20260807)
+@pytest.mark.parametrize("clients, chunks", [(3, 6), (8, 12)])
+def test_mini_chaos_run_holds_parity_and_leaks_nothing(clients, chunks):
+    """The two configurations whose tally over repeated runs is known
+    (the seed alone does not fix a run — see ``chaos.py``)."""
+    r = run_chaos(clients=clients, chunks=chunks, seed=20260807)
     assert r["violations"] == []
     assert r["leaked"] == 0
+    assert r["missing_classes"] == []
     assert faults.ACTIVE is None  # harness uninstalled its plan
-    # faults really flew: the wire class is statistically unmissable at
-    # these rates and volumes
-    assert r["fired_by_class"].get("wire", 0) > 0
+    # recovery really ran: a green run cannot mean no fault ever flew
+    assert r["degraded"] > 0
     assert r["retries"] > 0

@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps import BENCHMARKS, source_values, split_app
 from repro.errors import ChunkDtypeError, ProtocolError
+from repro.numeric import DEFAULT_POLICY
 from repro.serve import (MetricsRegistry, ServeClient, ServeConfig,
                          SessionPool, StreamServer, parse_stats)
 from repro.serve import protocol as P
@@ -82,12 +83,15 @@ def serve_test(fn, config=None):
 class TestProtocol:
     def test_array_codec_roundtrip(self):
         arr = np.linspace(-3.0, 7.0, 41)
-        back = P.decode_array(P.encode_array(arr))
+        back = P.decode_array_tagged(
+            P.encode_array_tagged(arr, DEFAULT_POLICY))
         np.testing.assert_array_equal(arr, back)
 
     def test_ragged_payload_rejected(self):
         with pytest.raises(ProtocolError) as ei:
-            P.decode_array(b"\x00" * 12)  # not a multiple of 8
+            # one tag byte, then 12: not a multiple of 8
+            P.decode_array_tagged(bytes([DEFAULT_POLICY.wire_tag])
+                                  + b"\x00" * 12)
         assert ei.value.code == "bad-request"
 
     def _reader(self, data: bytes) -> asyncio.StreamReader:
@@ -439,6 +443,34 @@ def test_request_timeout_returns_error_frame_and_retires_session():
     serve_test(scenario, config)
 
 
+def test_run_whose_reply_cannot_fit_a_frame_is_refused_unexecuted():
+    """``RUN n`` is outside input: one 13-byte frame asking for 12 M
+    outputs held a worker for 35 s and 600 MB before failing on an
+    unrelated limit, for a 96 MB reply no frame could have carried.
+    Same refusal here at a 64 KB frame limit, so a tree without the
+    check fails this test in milliseconds rather than in memory."""
+    from repro.runtime import run_graph
+
+    expected = np.asarray(run_graph(BENCHMARKS["FIR"](**FIR_PARAMS), 64,
+                                    backend="plan", as_array=True))
+
+    async def scenario(server, path):
+        async with await ServeClient.connect(path=path) as client:
+            await client.open(app="fir", params=FIR_PARAMS, mode="pull")
+            with pytest.raises(ProtocolError) as ei:
+                await client.run(10_000)  # an 80 KB reply
+            assert ei.value.code == "too-large"
+            # refused before executing: not poisoned, not advanced
+            out = await client.run(64)
+            snap = server.stats_snapshot()
+            assert snap["serve.errors.too-large"] == 1
+            assert snap.get("serve.sessions.poisoned", 0) == 0
+            return out
+
+    config = ServeConfig(max_frame_bytes=1 << 16)
+    np.testing.assert_array_equal(serve_test(scenario, config), expected)
+
+
 def test_error_frames_not_disconnects():
     """Every rejection is a typed ERR frame on a live connection."""
 
@@ -465,8 +497,11 @@ def test_error_frames_not_disconnects():
                 await client.open(app="fir")  # second OPEN, same conn
             assert ei.value.code == "session-open"
 
-            # raw ragged PUSH payload: length not a multiple of 8
-            await P.write_frame(client._writer, P.PUSH, b"\x00" * 13)
+            # raw ragged PUSH payload: after the request id and the
+            # dtype tag, a length that is not a multiple of 8
+            await P.write_frame(
+                client._writer, P.PUSH, P.encode_request(
+                    0, bytes([DEFAULT_POLICY.wire_tag]) + bytes(13)))
             frame = await P.read_frame(client._reader)
             assert frame.kind == P.ERR
             assert frame.json()["code"] == "bad-request"
