@@ -17,66 +17,13 @@ cost/benefit the paper's selector implicitly encodes by using it.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from conftest import once, report
-from repro.bench import format_table
-from repro.linear import LinearFilter, LinearNode
-from repro.linear.pipeline_comb import combine_pipeline_pair
-from repro.profiling import Profiler
-from repro.runtime import run_stream
-
-MULTIPLIERS = [1, 2, 4, 8, 16]
+from tables import (CHANPOP_MULTIPLIERS as MULTIPLIERS, chanpop_combined,
+                    chanpop_nodes, chanpop_rows)
 
 
-def make_nodes():
-    rng = np.random.default_rng(7)
-    n1 = LinearNode(rng.normal(size=(4, 1)), np.zeros(1), 4, 1, 1)
-    # downstream peeks 12, pops 2: heavy regeneration at small chanPop
-    n2 = LinearNode(rng.normal(size=(12, 1)), np.zeros(1), 12, 2, 1)
-    return n1, n2
-
-
-def mults_per_output(combined: LinearNode) -> float:
-    prof = Profiler()
-    rng = np.random.default_rng(8)
-    n_out = 40 * combined.push
-    inputs = rng.normal(size=combined.peek + combined.pop * 50).tolist()
-    run_stream(LinearFilter(combined), inputs, n_out, profiler=prof)
-    return prof.counts.mults / n_out
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    n1, n2 = make_nodes()
-    base_chan_pop = np.lcm(n1.push, n2.pop)
-    rows = []
-    for k in MULTIPLIERS:
-        combined = combine_pipeline_pair(n1, n2,
-                                         chan_pop=int(base_chan_pop) * k)
-        regen = (combined.pop // n2.pop) * n2.pop  # channel items consumed
-        rows.append([
-            k,
-            combined.peek,
-            combined.push,
-            combined.nnz,
-            mults_per_output(combined),
-        ])
-    return rows
-
-
-def test_chanpop_sweep(benchmark, sweep):
-    once(benchmark)
-    table = format_table(
-        "Ablation: chanPop multiplier in pipeline combination "
-        "(peeking downstream)",
-        ["k", "peek", "push", "nnz", "mults/output"], sweep, width=14)
-    report("ablation_chanpop", table)
-    assert len(sweep) == len(MULTIPLIERS)
-
-
-def test_per_output_work_invariant_but_storage_grows(benchmark, sweep):
-    once(benchmark)
+def test_per_output_work_invariant_but_storage_grows():
+    sweep = chanpop_rows()
     per_out = [row[4] for row in sweep]
     # collapsed per-output multiplications do not depend on chanPop
     assert max(per_out) - min(per_out) < 1e-9
@@ -87,16 +34,14 @@ def test_per_output_work_invariant_but_storage_grows(benchmark, sweep):
     assert peeks == sorted(peeks) and peeks[-1] > peeks[0]
 
 
-def test_all_granularities_equivalent(benchmark, sweep):
-    once(benchmark)
-    n1, n2 = make_nodes()
+def test_all_granularities_equivalent():
+    n1, n2 = chanpop_nodes()
     rng = np.random.default_rng(9)
     inputs = rng.normal(size=200)
     mid = n1.reference_run(inputs, firings=180)
     expected = n2.reference_run(mid, firings=60)
     for k in MULTIPLIERS:
-        combined = combine_pipeline_pair(
-            n1, n2, chan_pop=int(np.lcm(n1.push, n2.pop)) * k)
+        combined = chanpop_combined(k)
         firings = 60 * n2.pop // combined.pop
         got = combined.reference_run(inputs, firings=max(firings, 1))
         m = min(len(got), len(expected))

@@ -11,59 +11,22 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import once, report
-from repro.apps import radar
-from repro.bench import format_table, measure, removal_percent
-
-CHANNELS = [4, 8, 12]
-BEAMS = [1, 2, 4]
-N_OUT = 48
-
-
-def compute_grid():
-    grid = {}
-    for ch in CHANNELS:
-        for b in BEAMS:
-            program = radar.build(channels=ch, beams=b)
-            base = measure(program, "original", N_OUT * b)
-            lin = measure(program, "linear", N_OUT * b)
-            grid[(ch, b)] = removal_percent(base.mults_per_output,
-                                            lin.mults_per_output)
-    return grid
+from tables import RADAR_BEAMS as BEAMS, RADAR_CHANNELS as CHANNELS, radar_grid
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return compute_grid()
+    return radar_grid()
 
 
-def test_radar_scaling_benchmark(benchmark):
-    from repro.profiling import NullProfiler
-    from repro.runtime import run_graph
-
-    program = radar.build(channels=4, beams=2)
-    benchmark.pedantic(lambda: run_graph(program, 32, NullProfiler()),
-                       rounds=2, iterations=1, warmup_rounds=1)
-
-
-def test_fig_5_11(benchmark, grid):
-    once(benchmark)
-    rows = [[f"ch={ch}"] + [grid[(ch, b)] for b in BEAMS]
-            for ch in CHANNELS]
-    table = format_table(
-        "Figure 5-11: Radar multiplication reduction (%) under maximal "
-        "linear replacement",
-        ["channels\\beams"] + [f"beams={b}" for b in BEAMS],
-        rows, width=16)
-    report("fig_5_11_radar_scaling", table)
+def test_fig_5_11(grid):
     # growing beams degrades the reduction for every channel count
     for ch in CHANNELS:
         assert grid[(ch, BEAMS[0])] > grid[(ch, BEAMS[-1])], \
             [(b, grid[(ch, b)]) for b in BEAMS]
 
 
-def test_beams_hurt_more_than_channels(benchmark, grid):
-    once(benchmark)
+def test_beams_hurt_more_than_channels(grid):
     """§5.7: 'degradation due to increasing Beams is much more pronounced
     than increasing Channels.'"""
     beam_drop = grid[(CHANNELS[0], BEAMS[0])] - grid[(CHANNELS[0],

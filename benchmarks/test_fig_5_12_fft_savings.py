@@ -15,103 +15,17 @@ several-fold improvement, and all factors growing with FIR size.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
 
-from conftest import once, report
-from repro.bench import format_table
-from repro.frequency import make_frequency_stream
-from repro.linear import LinearNode
-from repro.profiling import Profiler
-from repro.runtime import run_stream
-
-FIR_SIZES = [8, 16, 32, 64, 128]
-FFT_SIZES = [64, 128, 256, 512]
-N_OUT = 256
-
-
-def _node(n_taps: int) -> LinearNode:
-    coeffs = [math.sin(0.3 * k) + 1.1 for k in range(n_taps)]
-    return LinearNode.from_coefficients([coeffs], [0.0], pop=1)
-
-
-def mults_per_output(node, strategy, backend, fft_size) -> float:
-    stream = make_frequency_stream(node, strategy=strategy,
-                                   backend=backend, fft_size=fft_size)
-    prof = Profiler()
-    rng = np.random.default_rng(0)
-    # enough outputs for many steady firings, so the one-off initWork of
-    # the optimized strategy (which behaves like the naive one) amortizes
-    n_out = max(N_OUT, 12 * fft_size)
-    inputs = rng.normal(size=n_out + 4 * fft_size).tolist()
-    run_stream(stream, inputs, n_out, profiler=prof)
-    return prof.counts.mults / n_out
-
-
-def theoretical_factor(e: int, n: int) -> float:
-    """e mults direct vs (2 FFTs + pointwise product) per m outputs."""
-    m = n - 2 * e + 1
-    if m < 1:
-        return float("nan")
-    freq_mults = (2 * (n / 2) * math.log2(n) * 4 + 4 * n) / m
-    return e / freq_mults
-
-
-def compute_grid():
-    grid = {}
-    for e in FIR_SIZES:
-        node = _node(e)
-        for n in FFT_SIZES:
-            if n - 2 * e + 1 < 1:
-                continue
-            base = float(e)  # direct mults per output
-            grid[(e, n)] = {
-                "theory": theoretical_factor(e, n),
-                "naive": base / mults_per_output(node, "naive", "simple", n),
-                "optimized": base / mults_per_output(node, "optimized",
-                                                     "simple", n),
-                "fftw": base / mults_per_output(node, "optimized", "fftw",
-                                                n),
-            }
-    return grid
+from tables import FFT_FIR_SIZES as FIR_SIZES, FFT_SIZES, fft_grid
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return compute_grid()
+    return fft_grid()
 
 
-def test_fft_savings_benchmark(benchmark):
-    node = _node(64)
-    stream = make_frequency_stream(node, strategy="optimized",
-                                   backend="fftw", fft_size=256)
-    rng = np.random.default_rng(1)
-    inputs = rng.normal(size=2000).tolist()
-    benchmark.pedantic(lambda: run_stream(stream, inputs, 512),
-                       rounds=2, iterations=1, warmup_rounds=1)
-
-
-def test_fig_5_12(benchmark, grid):
-    once(benchmark)
-    for key in ("theory", "naive", "optimized", "fftw"):
-        rows = []
-        for e in FIR_SIZES:
-            row = [f"fir={e}"]
-            for n in FFT_SIZES:
-                cell = grid.get((e, n))
-                row.append(round(cell[key], 2) if cell else float("nan"))
-            rows.append(row)
-        table = format_table(
-            f"Figure 5-12 ({key}): multiplication reduction factor",
-            ["fir\\fft"] + [f"N={n}" for n in FFT_SIZES], rows, width=12)
-        report(f"fig_5_12_{key}", table)
-    assert grid
-
-
-def test_optimized_beats_naive(benchmark, grid):
-    once(benchmark)
+def test_optimized_beats_naive(grid):
     """§5.8: the optimized transformation improves on the naive one (the
     paper reports ~1.5x).  The gain concentrates where the FFT is tight
     for the filter (N ~ 2e, the thesis' default sizing): there the naive
@@ -125,16 +39,14 @@ def test_optimized_beats_naive(benchmark, grid):
     assert tight and max(tight) > 1.4, ratios
 
 
-def test_fftw_beats_simple_fft(benchmark, grid):
-    once(benchmark)
+def test_fftw_beats_simple_fft(grid):
     """§5.8: switching the FFT to FFTW gives a further several-fold
     improvement (the paper reports ~6x with all effects included)."""
     ratios = [cell["fftw"] / cell["optimized"] for cell in grid.values()]
     assert all(r > 1.5 for r in ratios)
 
 
-def test_factors_grow_with_fir_size(benchmark, grid):
-    once(benchmark)
+def test_factors_grow_with_fir_size(grid):
     for n in FFT_SIZES:
         col = [grid[(e, n)]["fftw"] for e in FIR_SIZES
                if (e, n) in grid]

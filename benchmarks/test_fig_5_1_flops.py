@@ -10,41 +10,15 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import BENCH_NAMES, measured, run_config_in_benchmark
-from conftest import once, report
-from repro.bench import format_table, removal_percent
-
-
-def compute_rows():
-    rows = []
-    for name in BENCH_NAMES:
-        base = measured(name, "original").flops_per_output
-        row = [name]
-        for config in ("linear", "freq", "autosel"):
-            after = measured(name, config).flops_per_output
-            row.append(removal_percent(base, after))
-        rows.append(row)
-    avg = ["average"] + [
-        sum(r[i] for r in rows) / len(rows) for i in (1, 2, 3)]
-    return rows + [avg]
+from tables import BENCH_NAMES, removal_rows
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return compute_rows()
+    return removal_rows("flops_per_output")
 
 
-@pytest.mark.parametrize("config", ["original", "linear", "freq", "autosel"])
-def test_fir_configs_benchmark(benchmark, config):
-    run_config_in_benchmark(benchmark, "FIR", config)
-
-
-def test_fig_5_1(benchmark, rows):
-    once(benchmark)
-    table = format_table(
-        "Figure 5-1: % floating point operations removed",
-        ["Benchmark", "linear", "freq", "autosel"], rows)
-    report("fig_5_1_flops", table)
+def test_fig_5_1(rows):
     by_name = {r[0]: r for r in rows}
     # headline claim: autosel removes a large share of FLOPs on average
     assert by_name["average"][3] > 50.0
@@ -53,16 +27,14 @@ def test_fig_5_1(benchmark, rows):
         assert by_name[name][3] >= -1e-6
 
 
-def test_autosel_at_least_as_good_as_pure_strategies(benchmark, rows):
-    once(benchmark)
+def test_autosel_at_least_as_good_as_pure_strategies(rows):
     """§5.2: 'Automatic selection always performs at least as well as the
     other two options' (FLOPs view, small tolerance for measurement)."""
     for row in rows[:-1]:
         assert row[3] >= max(row[1], row[2]) - 2.0, row
 
 
-def test_radar_degrades_without_selection(benchmark, rows):
-    once(benchmark)
+def test_radar_degrades_without_selection(rows):
     """§5.2: linear/freq hurt Radar; autosel still removes FLOPs."""
     radar = next(r for r in rows if r[0] == "Radar")
     assert radar[1] < radar[3]

@@ -6,51 +6,22 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import BENCH_NAMES, measured, run_config_in_benchmark
-from conftest import once, report
-from repro.bench import format_table, removal_percent
-
-
-def compute_rows():
-    rows = []
-    for name in BENCH_NAMES:
-        base = measured(name, "original").mults_per_output
-        row = [name]
-        for config in ("linear", "freq", "autosel"):
-            after = measured(name, config).mults_per_output
-            row.append(removal_percent(base, after))
-        rows.append(row)
-    avg = ["average"] + [
-        sum(r[i] for r in rows) / len(rows) for i in (1, 2, 3)]
-    return rows + [avg]
+from tables import removal_rows
 
 
 @pytest.fixture(scope="module")
 def rows():
-    return compute_rows()
+    return removal_rows("mults_per_output")
 
 
-@pytest.mark.parametrize("name", ["FilterBank", "Oversampler"])
-def test_autosel_benchmark(benchmark, name):
-    run_config_in_benchmark(benchmark, name, "autosel")
-
-
-def test_fig_5_2(benchmark, rows):
-    once(benchmark)
-    table = format_table(
-        "Figure 5-2: % floating point multiplications removed",
-        ["Benchmark", "linear", "freq", "autosel"], rows)
-    report("fig_5_2_mults", table)
+def test_fig_5_2(rows):
     by_name = {r[0]: r for r in rows}
     assert by_name["average"][3] > 50.0
 
 
-def test_mults_removed_in_roughly_same_proportion_as_flops(benchmark, rows):
-    once(benchmark)
+def test_mults_removed_in_roughly_same_proportion_as_flops(rows):
     """§5.2: 'multiplies are removed in roughly the same proportion' as
     FLOPs — check autosel columns track within 35 points."""
-    from test_fig_5_1_flops import compute_rows as flops_rows
-
-    flops = {r[0]: r[3] for r in flops_rows()}
+    flops = {r[0]: r[3] for r in removal_rows("flops_per_output")}
     for row in rows[:-1]:
         assert abs(row[3] - flops[row[0]]) < 35.0, row

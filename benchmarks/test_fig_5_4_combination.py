@@ -1,76 +1,34 @@
-"""Figures 5-4 and 5-5: the effect of combination.
+"""Figure 5-4 (left): the effect of combination on multiplication removal.
 
-Figure 5-4 compares multiplication removal (left) and speedup (right)
-for linear and frequency replacement with combination enabled vs
-disabled ("(nc)").  Figure 5-5 summarizes the speedup delta that
-combination contributes.  Expected shapes (§5.3): combination provides
-most of the multiplication reduction for linear replacement; frequency
-replacement already reduces a lot without combination, and combination
-improves it further; FIR (a single filter) shows no difference.
+Linear and frequency replacement with combination enabled vs disabled
+("(nc)").  Expected shapes (§5.3): combination provides most of the
+multiplication reduction for linear replacement; frequency replacement
+already reduces a lot without combination, and combination improves it
+further; FIR (a single filter) shows no difference.  The speedup half
+(5-4 right, 5-5) is ``render.py``'s.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bench_common import BENCH_NAMES, measured, run_config_in_benchmark
-from conftest import once, report
-from repro.bench import format_table, removal_percent, speedup_percent
-
-
-def compute_rows():
-    rows = []
-    for name in BENCH_NAMES:
-        base = measured(name, "original")
-        row = [name]
-        for config in ("linear_nc", "linear", "freq_nc", "freq"):
-            m = measured(name, config)
-            row.append(removal_percent(base.mults_per_output,
-                                       m.mults_per_output))
-        for config in ("linear_nc", "linear", "freq_nc", "freq"):
-            m = measured(name, config)
-            row.append(speedup_percent(base.seconds_per_output,
-                                       m.seconds_per_output))
-        rows.append(row)
-    return rows
+from tables import combination_rows
 
 
 @pytest.fixture(scope="module")
-def rows():
-    return compute_rows()
+def by_name():
+    return {r[0]: r for r in combination_rows()}
 
 
-def test_combination_benchmark(benchmark):
-    run_config_in_benchmark(benchmark, "FilterBank", "linear_nc")
-
-
-def test_fig_5_4(benchmark, rows):
-    once(benchmark)
-    table = format_table(
-        "Figure 5-4: multiplication removal and speedup, with/without "
-        "combination",
-        ["Benchmark", "lin(nc)%m", "lin%m", "freq(nc)%m", "freq%m",
-         "lin(nc)sp", "lin sp", "freq(nc)sp", "freq sp"],
-        rows, width=12)
-    report("fig_5_4_combination", table)
-    by_name = {r[0]: r for r in rows}
+def test_fig_5_4(by_name):
     # combination drives most of linear replacement's mult removal on the
     # heavily combinable benchmarks
     for name in ("FMRadio", "FilterBank", "Oversampler"):
         assert by_name[name][2] > by_name[name][1] + 10.0, by_name[name]
 
 
-def test_fig_5_5(benchmark, rows):
-    once(benchmark)
-    delta_rows = [[r[0], r[6] - r[5], r[8] - r[7]] for r in rows]
-    table = format_table(
-        "Figure 5-5: speedup increase due to combination (percentage "
-        "points)",
-        ["Benchmark", "linear", "freq"], delta_rows)
-    report("fig_5_5_combination_delta", table)
-    by_name = {r[0]: r for r in delta_rows}
+def test_fig_5_5(by_name):
     # FIR is a single filter: combination cannot change anything (§5.3)
-    fir_mults = next(r for r in rows if r[0] == "FIR")
+    fir_mults = by_name["FIR"]
     assert abs(fir_mults[2] - fir_mults[1]) < 1e-6
     assert abs(fir_mults[4] - fir_mults[3]) < 1e-6
-    assert by_name["FIR"] is not None

@@ -1,95 +1,18 @@
 """Table 5.2: benchmark characteristics before and after autosel.
 
-Reproduces both halves of the table: construct counts (with how many of
-each are linear) and the average combined-vector size before
-optimization, then the construct counts of the automatically optimized
-programs.
+Both halves of the table — construct counts (with how many of each are
+linear) and the average combined-vector size before optimization, then
+the construct counts of the automatically optimized programs — are
+pinned in ``results/table_5_2.txt``.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from bench_common import BENCH_NAMES, build
-from conftest import once, report
-from repro.bench import build_config
-from repro.graph import (FeedbackLoop, Filter, Pipeline, PrimitiveFilter,
-                         SplitJoin, walk)
-from repro.bench import format_table
-from repro.linear import analyze
+from tables import BENCH_NAMES, characteristics
 
 
-def characterize(stream, lmap=None):
-    if lmap is None:
-        lmap = analyze(stream)
-    counts = {"filters": 0, "lin_filters": 0, "pipelines": 0,
-              "lin_pipelines": 0, "splitjoins": 0, "lin_splitjoins": 0}
-    vector_sizes = []
-    for s in walk(stream):
-        linear = lmap.is_linear(s)
-        if isinstance(s, (Filter, PrimitiveFilter)):
-            counts["filters"] += 1
-            counts["lin_filters"] += linear
-        elif isinstance(s, Pipeline):
-            counts["pipelines"] += 1
-            counts["lin_pipelines"] += linear
-        elif isinstance(s, SplitJoin):
-            counts["splitjoins"] += 1
-            counts["lin_splitjoins"] += linear
-        if linear:
-            node = lmap.node_for(s)
-            vector_sizes.append(node.peek * node.push)
-    counts["avg_vector"] = float(np.mean(vector_sizes)) if vector_sizes \
-        else 0.0
-    return counts
-
-
-def compute_table():
-    before_rows, after_rows = [], []
-    for name in BENCH_NAMES:
-        program = build(name)
-        c = characterize(program)
-        before_rows.append([
-            name,
-            f"{c['filters']} ({c['lin_filters']})",
-            f"{c['pipelines']} ({c['lin_pipelines']})",
-            f"{c['splitjoins']} ({c['lin_splitjoins']})",
-            round(c["avg_vector"], 0),
-        ])
-        optimized = build_config(program, "autosel")
-        a = characterize(optimized)
-        after_rows.append([
-            name, a["filters"], a["pipelines"], a["splitjoins"],
-        ])
-    before = format_table(
-        "Table 5.2 (top): benchmark characteristics, original programs",
-        ["Benchmark", "Filters(lin)", "Pipes(lin)", "SJs(lin)",
-         "AvgVector"],
-        before_rows, width=15)
-    after = format_table(
-        "Table 5.2 (bottom): after automatic optimization selection",
-        ["Benchmark", "Filters", "Pipelines", "SplitJoins"],
-        after_rows, width=15)
-    return before + "\n\n" + after
-
-
-@pytest.fixture(scope="module")
-def table():
-    return compute_table()
-
-
-def test_table_5_2(benchmark, table):
-    benchmark.pedantic(lambda: characterize(build("FIR")),
-                       rounds=3, iterations=1)
-    report("table_5_2", table)
-    assert "FIR" in table
-
-
-def test_autosel_reduces_construct_count(benchmark, table):
-    once(benchmark)
+def test_autosel_reduces_construct_count():
     """After optimization every benchmark has at most as many filters."""
     for name in BENCH_NAMES:
-        before = characterize(build(name))
-        after = characterize(build_config(build(name), "autosel"))
+        before, after = characteristics(name)
         assert after["filters"] <= before["filters"]

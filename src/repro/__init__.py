@@ -43,8 +43,7 @@ one-shot wrappers over a session (``backend="compiled"`` default,
 Benchmark CLI::
 
     python -m repro.bench --app fir --backend plan --outputs 10000
-    python -m repro.bench --app filterbank --compare   # compiled vs plan
-    python -m repro.bench --app fir --chunked          # push-session mode
+    python -m repro.bench --app radar --plan-report    # kernel per node
 """
 
 from . import (errors, exec, faults, graph, ir, linear, numeric, runtime,

@@ -60,7 +60,7 @@ def split_app(program):
 
 def source_values(source, n: int) -> list[float]:
     """The first ``n`` values a benchmark source produces (harness input
-    for push-session tests and ``bench --chunked``)."""
+    for push-session tests)."""
     from ..graph.streams import Pipeline
     from ..runtime.builtins import Collector
     from ..runtime.executor import run_graph

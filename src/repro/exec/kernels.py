@@ -846,8 +846,14 @@ class FeedbackStep(Step):
         self.init_pop = init_pop
         self.init_push = init_push
         self._fired_init = False
+        #: island firings so far, and the drain rounds that made
+        #: progress on them: one round a firing is a loop iterating
+        #: per sample (what the plan report says of it)
+        self.firings = 0
+        self.rounds = 0
 
     def execute(self, n: int) -> None:
+        self.firings += n
         take = 0
         if self.init_pop is not None and not self._fired_init:
             take += self.init_pop
@@ -882,6 +888,7 @@ class FeedbackStep(Step):
                     m.step.execute(k)
                     m.fired = True
                     progress = True
+        self.rounds += rounds - 1  # the last one found nothing to fire
 
 
 class DuplicateSplitStep(Step):

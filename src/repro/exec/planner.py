@@ -1369,6 +1369,17 @@ class IslandReport:
     delay: int
     rates: IslandRates
     steps: list[StepReport] = field(default_factory=list)
+    #: island firings so far and the drain rounds they took (both 0 for
+    #: a plan that has not run).  Every round is one Python-level call
+    #: of each member kernel, and the enqueued delay caps how many
+    #: firings a round advances: at ``rounds >= firings`` the loop
+    #: iterates per sample, whatever kernels its members got
+    firings: int = 0
+    rounds: int = 0
+
+    @property
+    def per_sample(self) -> bool:
+        return self.rounds >= self.firings > 0
 
     def __str__(self) -> str:
         head = (f"feedback island {self.name}: delay={self.delay}, "
@@ -1432,8 +1443,14 @@ class PlanReport:
             lines.append(s.label.ljust(name_w) + s.step_kind.ljust(kind_w)
                          + (s.reason or ""))
         n_fb = sum(s.width for s in self.fallbacks)
-        lines.append(f"{self.nodes} nodes in {len(self.steps)} steps, "
-                     f"{n_fb} fall back")
+        summary = (f"{self.nodes} nodes in {len(self.steps)} steps, "
+                   f"{n_fb} fall back")
+        slow = sum(isl.per_sample for isl in self.islands)
+        if slow:
+            summary += (f", {slow} "
+                        + ("island iterates" if slow == 1
+                           else "islands iterate") + " per sample")
+        lines.append(summary)
         lines.append(f"schedule: {self.passes} passes, "
                      f"{self.jumps} jumps, "
                      f"{self.passes_literal} literal passes")
@@ -1467,9 +1484,13 @@ def report_for_executor(executor: PlanExecutor, program: str,
             rep.steps.append(StepReport(
                 pos, f"{entry.stream.name} [feedback island: "
                      f"{n_members} nodes, delay {entry.stream.delay}]",
-                "feedback", "feedback", None))
+                "feedback", "feedback",
+                f"{step.rounds} rounds for {step.firings} firings "
+                f"({step.rounds / step.firings:.3g} a firing)"
+                if step.firings else None))
             isl = IslandReport(entry.stream.name, entry.stream.delay,
-                               rates)
+                               rates, firings=step.firings,
+                               rounds=step.rounds)
             for j in range(entry.start, entry.stop):
                 node = flat.nodes[j]
                 mstep = executor.islands_member_step(entry, j)

@@ -99,7 +99,9 @@ def analyze(stream: Stream) -> LinearityMap:
         if isinstance(s, FeedbackLoop):
             visit(s.body)
             visit(s.loop)
-            lmap.reasons[id(s)] = "feedbackloops require linear state"
+            lmap.reasons[id(s)] = ("feedbackloop collapse is not "
+                                   "implemented (its members run as a "
+                                   "plan island)")
             return None
         raise TypeError(f"unknown stream {s!r}")
 

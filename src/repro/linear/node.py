@@ -62,11 +62,13 @@ class LinearNode:
                             ("Cx", (e, k)), ("Cs", (k, k)), ("bs", (k,)),
                             ("s0", (k,))):
             value = getattr(self, name)
-            arr = (np.zeros(shape) if value is None
-                   else np.asarray(value, dtype=float))
-            if arr.shape != shape:
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected {shape}")
+            if value is None:  # a state array left out is all zeros
+                arr = np.zeros(shape)
+            else:
+                arr = np.asarray(value, dtype=float)
+                if arr.shape != shape:
+                    raise ValueError(
+                        f"{name} has shape {arr.shape}, expected {shape}")
             object.__setattr__(self, name, arr)
         if self.pop <= 0:
             raise ValueError("linear node must pop at least one item")

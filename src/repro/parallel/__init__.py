@@ -22,7 +22,7 @@ This package adds the multicore execution layer:
   ``k`` replicas behind split/join, priced against the fused form by the
   calibrated cost model.
 
-Entry point: ``repro.compile(..., workers=k)`` / ``bench --workers k``.
+Entry point: ``repro.compile(..., workers=k)``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ import pytest
 
 from repro.apps.common import compressor, expander, low_pass_filter
 from repro.bench import (build_config, format_table, leaf_only_lmap,
-                         measure, removal_percent, speedup_percent)
+                         measure, removal_percent, speedup_percent,
+                         time_config)
 from repro.graph import Pipeline, leaf_filters
 from repro.linear import LinearFilter
 from repro.runtime import Collector, FunctionSource, run_graph
@@ -62,7 +63,13 @@ def test_measure_returns_per_output_metrics():
     assert m.outputs == 32
     assert m.flops > 0 and m.mults > 0
     assert m.flops_per_output == m.flops / 32
-    assert m.seconds > 0
+    assert measure(tiny_program(), "original", 32) == m  # counts only
+
+
+def test_time_config_reads_a_clock():
+    """The timed half, apart from the counted one; no test compares
+    two of its readings."""
+    assert time_config(tiny_program(), "original", 32) > 0
 
 
 def test_linear_config_collapses_the_run():
@@ -96,30 +103,6 @@ def test_leaf_only_lmap_drops_containers():
             assert lmap.is_linear(f)
 
 
-def test_compare_conflicts_with_backend_and_optimize_flags():
-    """--compare sweeps its own backend x optimize matrix; explicit
-    flags must error instead of being silently dropped."""
-    from repro.bench import main as bench_main
-
-    for extra in (["--backend", "plan"], ["--optimize", "auto"],
-                  ["--backend", "compiled", "--optimize", "linear"]):
-        with pytest.raises(SystemExit) as exc:
-            bench_main(["--app", "fir", "--compare", "--outputs", "64"]
-                       + extra)
-        assert exc.value.code == 2  # argparse usage error
-
-
-def test_chunked_flag_validation():
-    from repro.bench import main as bench_main
-
-    for argv in (["--app", "fir", "--compare", "--chunked"],
-                 ["--app", "fir", "--chunk-size", "64"],
-                 ["--app", "fir", "--chunked", "--chunk-size", "0"]):
-        with pytest.raises(SystemExit) as exc:
-            bench_main(argv + ["--outputs", "64"])
-        assert exc.value.code == 2
-
-
 def test_serve_harness_flags_left_the_cli(capsys):
     """The load and chaos harnesses are tests now, not bench modes."""
     from repro.bench import main as bench_main
@@ -132,35 +115,25 @@ def test_serve_harness_flags_left_the_cli(capsys):
         assert flag not in usage
 
 
-def test_chunked_mode_emits_batch_and_chunked_records(capsys):
-    import json
+TIMING_FLAGS = {"--compare": [], "--chunked": [], "--chunk-size": ["64"],
+                "--workers": ["2"], "--parallel-out": ["none"]}
 
+
+def test_timing_flags_left_the_cli(capsys):
+    """The CLI emits one cell; comparing cells (backend matrix, chunked
+    vs batch, workers scaling) is perfbench's job."""
     from repro.bench import main as bench_main
 
-    assert bench_main(["--app", "fir", "--chunked", "--outputs", "512",
-                       "--chunk-size", "128"]) == 0
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["chunk_size"] == 128
-    assert rec["batch"]["outputs"] == 512
-    assert rec["chunked"]["outputs"] >= 512
-    assert rec["chunked_vs_batch"] > 0
-    # both rows do the same work per output modulo the harness swap
-    assert rec["chunked"]["flops_per_output"] <= \
-        rec["batch"]["flops_per_output"]
-
-
-def test_measure_chunked_matches_batch_flops_per_output():
-    """For a body with a zero-flop source the per-output FLOP cost of
-    chunked streaming equals the batch session's exactly."""
-    from repro.apps import fir
-    from repro.bench import measure_chunked
-
-    m = measure_chunked(fir.build(taps=32), "original", 256,
-                        backend="plan", chunk_size=64)
-    assert m.outputs >= 256
-    # 32-tap FIR: 32 mults + 31 adds + 1 idx op cost per output from the
-    # filter alone; the harness adds nothing
-    assert m.flops_per_output == pytest.approx(63.0, abs=1.0)
+    for flag, value in TIMING_FLAGS.items():
+        with pytest.raises(SystemExit) as exc:
+            bench_main(["--app", "fir", "--outputs", "64", flag] + value)
+        assert exc.value.code == 2  # argparse usage error
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        bench_main(["--help"])
+    usage = capsys.readouterr().out
+    for flag in TIMING_FLAGS:
+        assert flag not in usage
 
 
 def test_rate_changer_configs_equivalent():

@@ -65,6 +65,23 @@ def test_f32_matches_f64_reference(name, backend):
                                err_msg=f"{name}/{backend} under f32")
 
 
+@pytest.mark.parametrize("name", APPS)
+def test_f32_plan_keeps_the_f64_kernels(name):
+    """The reduced-precision policy forfeits no batched kernel — every
+    node gets the step it gets under f64, over float32 rings — which is
+    why an f32 plan is not slower than the scalar backend (the cause of
+    the retired ``f32 >= 1.0`` wall-clock bars)."""
+    def steps(session):
+        return [(s.name, s.step_kind) for s in session.report().steps]
+
+    with repro.compile(_build(name), backend="plan") as wide, \
+            repro.compile(_build(name), backend="plan",
+                          dtype="f32") as narrow:
+        assert steps(narrow) == steps(wide)
+        assert {r.dtype for r in narrow._executor.rings} \
+            == {np.dtype(np.float32)}
+
+
 @pytest.mark.parametrize("dtype", ("c64", "c128"))
 @pytest.mark.parametrize("name", LINEAR_APPS)
 def test_complex_policies_on_linear_apps(name, dtype):

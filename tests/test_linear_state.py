@@ -152,9 +152,21 @@ class TestStatefulFilterRuntime:
         expected = fir.reference_run(mid, 50)
         np.testing.assert_allclose(got, expected, atol=1e-10)
 
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LinearNode(
-                np.zeros((2, 1)), np.zeros(1), 2, 1, 1,
-                As=np.zeros((1, 2)),  # bad As
-                Cx=np.zeros((2, 1)), Cs=np.zeros((1, 1)), s0=np.zeros(1))
+    @pytest.mark.parametrize("name, bad, want", [
+        ("As", (1, 2), (1, 1)), ("Cx", (1, 1), (2, 1)),
+        ("Cs", (2, 1), (1, 1)), ("bs", (2,), (1,)), ("s0", (1, 1), (1,))])
+    def test_shape_validation(self, name, bad, want):
+        """Only what the caller passed is checked (an array left out is
+        built to shape), and a wrong one still says which and how."""
+        state = dict(As=np.zeros((1, 1)), Cx=np.zeros((2, 1)),
+                     Cs=np.zeros((1, 1)), bs=np.zeros(1), s0=np.zeros(1))
+        state[name] = np.zeros(bad)
+        with pytest.raises(ValueError) as exc:
+            LinearNode(np.zeros((2, 1)), np.zeros(1), 2, 1, 1, **state)
+        assert str(exc.value) == f"{name} has shape {bad}, expected {want}"
+        del state[name]
+        if name != "s0":  # s0 is what gives k
+            node = LinearNode(np.zeros((2, 1)), np.zeros(1), 2, 1, 1,
+                              **state)
+            assert getattr(node, name).shape == want
+            assert not getattr(node, name).any()

@@ -1,5 +1,5 @@
 """The parallel execution engine: shared-memory rings, region
-scheduling, data-parallel fission, session integration, bench CLI.
+scheduling, data-parallel fission, session integration.
 
 The engine's contract (README "Parallel execution"):
 
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.bench import main as bench_main
 from repro.errors import InterpError
 from repro.exec.planner import compiled_plan_for
 from repro.graph.streams import (Duplicate, FeedbackLoop, Pipeline,
@@ -450,47 +449,3 @@ class TestSessionWorkers:
         for seg in segs:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=seg)
-
-
-class TestBenchWorkersCLI:
-    def test_workers_conflicts_with_scalar_backends(self, capsys):
-        for backend in ("interp", "compiled"):
-            with pytest.raises(SystemExit) as exc:
-                bench_main(["--app", "fir", "--workers", "2",
-                            "--backend", backend])
-            assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "parallel plan engine" in err
-
-    def test_workers_conflicts_with_serve_and_chunked(self):
-        for extra in (["--serve"], ["--chunked"], ["--plan-report"]):
-            with pytest.raises(SystemExit) as exc:
-                bench_main(["--app", "fir", "--workers", "2"] + extra)
-            assert exc.value.code == 2
-
-    def test_workers_run_emits_scaling_table(self, tmp_path, capsys):
-        out = tmp_path / "parallel.txt"
-        rc = bench_main(["--app", "fir", "--workers", "2",
-                         "--outputs", "512",
-                         "--parallel-out", str(out)])
-        assert rc == 0
-        import json
-
-        rec = json.loads(capsys.readouterr().out.strip())
-        assert rec["workers"] == 2
-        assert [row["workers"] for row in rec["scaling"]] == [1, 2]
-        assert len({row["flops"] for row in rec["scaling"]}) == 1
-        text = out.read_text()
-        assert "parallel scaling" in text
-        assert "workers" in text
-
-    def test_compare_gains_workers_column(self, capsys):
-        import json
-
-        rc = bench_main(["--app", "fir", "--workers", "2",
-                         "--outputs", "96", "--compare"])
-        assert rc == 0
-        rec = json.loads(capsys.readouterr().out.strip())
-        assert all("workers" in cell for cell in rec["cells"])
-        assert any(cell["workers"] == 2 for cell in rec["cells"])
-        assert rec["flops_equal_workers"] is True
