@@ -1,17 +1,16 @@
 """Elaboration: DSL AST -> stream graphs with IR work functions.
 
-Filters instantiate with concrete parameter values: field initializers and
-``init`` blocks run in the concrete interpreter (exactly how StreamIt
-resolves coefficients at compile time), work-function bodies lower to the
-IR, and I/O rates are constant-folded.  Composite bodies (pipelines,
-splitjoins, feedbackloops) are structural programs over constants: ``add``
-statements, ``for`` loops, and ``if`` over parameters execute at
-elaboration time.
+Filters instantiate with concrete parameter values: field initializers
+fold over constants and ``init`` blocks run once as generated Python
+(:func:`~repro.ir.pycodegen.compile_work`, the ``compiled`` backend's
+emitter — exactly how StreamIt resolves coefficients at compile time),
+work-function bodies lower to the IR, and I/O rates are constant-folded.
+Composite bodies (pipelines, splitjoins, feedbackloops) are structural
+programs over constants: ``add`` statements, ``for`` loops, and ``if``
+over parameters execute at elaboration time.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -19,14 +18,9 @@ from ..errors import Diagnostic, DSLError, SourceSpan
 from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                              RoundRobin, SplitJoin, Stream)
 from ..ir import nodes as N
-from ..ir.interp import Interpreter
-from ..runtime.channels import Channel
-from ..profiling import NullProfiler
+from ..ir.pycodegen import compile_work
 from . import ast
 from .parser import parse
-
-_INTRINSICS = {"sin", "cos", "tan", "atan", "atan2", "exp", "log", "sqrt",
-               "abs", "floor", "ceil", "pow", "min", "max", "round"}
 
 _COMPOUND_OPS = {"+=": "+", "-=": "-", "*=": "*", "/=": "/"}
 
@@ -52,33 +46,18 @@ def _const_eval(expr: ast.Expr, env: dict) -> float | int:
     if isinstance(expr, ast.BinOp):
         a = _const_eval(expr.left, env)
         b = _const_eval(expr.right, env)
-        if expr.op == "/" and isinstance(a, int) and isinstance(b, int):
-            q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
-        table = {
-            "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-            "/": lambda: a / b, "%": lambda: a % b,
-            "==": lambda: int(a == b), "!=": lambda: int(a != b),
-            "<": lambda: int(a < b), "<=": lambda: int(a <= b),
-            ">": lambda: int(a > b), ">=": lambda: int(a >= b),
-            "&&": lambda: int(bool(a) and bool(b)),
-            "||": lambda: int(bool(a) or bool(b)),
-            "&": lambda: int(a) & int(b), "|": lambda: int(a) | int(b),
-            "^": lambda: int(a) ^ int(b), "<<": lambda: int(a) << int(b),
-            ">>": lambda: int(a) >> int(b),
-        }
-        return table[expr.op]()
+        if expr.op == "%":  # structural code: Python's floored remainder
+            return a % b
+        return N.FOLD[expr.op](a, b)
     if isinstance(expr, ast.UnOp):
         v = _const_eval(expr.operand, env)
         return -v if expr.op == "-" else int(not v)
     if isinstance(expr, ast.CallExpr):
-        if expr.fn not in _INTRINSICS:
+        if expr.fn not in N.INTRINSICS:
             _err("elab-unknown-function",
                  f"unknown function {expr.fn!r}", expr.span)
-        args = [_const_eval(a, env) for a in expr.args]
-        return getattr(math, expr.fn, {"abs": abs, "pow": pow, "min": min,
-                                       "max": max, "round": round
-                                       }.get(expr.fn))(*args)
+        return N.INTRINSIC_IMPL[expr.fn](
+            *(_const_eval(a, env) for a in expr.args))
     if isinstance(expr, ast.IndexExpr):
         arr = env.get(expr.base)
         if arr is None:
@@ -87,39 +66,6 @@ def _const_eval(expr: ast.Expr, env: dict) -> float | int:
         return arr[int(_const_eval(expr.index, env))]
     _err("elab-not-constant",
          f"{type(expr).__name__} expression is not constant", expr.span)
-
-
-def _fold_bin(op: str, a, b):
-    """Fold a binary op over constants with the interpreter's semantics
-    (C-truncating int division/remainder, int-valued comparisons)."""
-    if op == "/":
-        if isinstance(a, int) and isinstance(b, int):
-            q = abs(a) // abs(b)
-            return q if (a >= 0) == (b >= 0) else -q
-        return a / b
-    if op == "%":
-        if isinstance(a, int) and isinstance(b, int):
-            q = abs(a) // abs(b)
-            q = q if (a >= 0) == (b >= 0) else -q
-            return a - q * b
-        return math.fmod(a, b)
-    table = {
-        "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-        "==": lambda: int(a == b), "!=": lambda: int(a != b),
-        "<": lambda: int(a < b), "<=": lambda: int(a <= b),
-        ">": lambda: int(a > b), ">=": lambda: int(a >= b),
-        "&&": lambda: int(bool(a) and bool(b)),
-        "||": lambda: int(bool(a) or bool(b)),
-        "&": lambda: int(a) & int(b), "|": lambda: int(a) | int(b),
-        "^": lambda: int(a) ^ int(b), "<<": lambda: int(a) << int(b),
-        ">>": lambda: int(a) >> int(b),
-    }
-    return table[op]()
-
-
-def _call_intrinsic(fn: str, args):
-    return getattr(math, fn, {"abs": abs, "pow": pow, "min": min,
-                              "max": max, "round": round}.get(fn))(*args)
 
 
 def _lower_expr(expr: ast.Expr, consts: dict) -> N.Expr:
@@ -140,7 +86,7 @@ def _lower_expr(expr: ast.Expr, consts: dict) -> N.Expr:
         left = _lower_expr(expr.left, consts)
         right = _lower_expr(expr.right, consts)
         if isinstance(left, N.Const) and isinstance(right, N.Const):
-            return N.Const(_fold_bin(expr.op, left.value, right.value))
+            return N.Const(N.FOLD[expr.op](left.value, right.value))
         return N.Bin(expr.op, left, right)
     if isinstance(expr, ast.UnOp):
         operand = _lower_expr(expr.operand, consts)
@@ -149,13 +95,13 @@ def _lower_expr(expr: ast.Expr, consts: dict) -> N.Expr:
                            else int(not operand.value))
         return N.Un(expr.op, operand)
     if isinstance(expr, ast.CallExpr):
-        if expr.fn not in _INTRINSICS:
+        if expr.fn not in N.INTRINSICS:
             _err("elab-unknown-function",
                  f"unknown function {expr.fn!r} in work body", expr.span)
         args = tuple(_lower_expr(a, consts) for a in expr.args)
         if all(isinstance(a, N.Const) for a in args):
-            return N.Const(_call_intrinsic(expr.fn,
-                                           [a.value for a in args]))
+            return N.Const(N.INTRINSIC_IMPL[expr.fn](
+                *(a.value for a in args)))
         return N.Call(expr.fn, args)
     if isinstance(expr, ast.IndexExpr):
         return N.Index(expr.base, _lower_expr(expr.index, consts))
@@ -210,15 +156,18 @@ def _lower_stmt(stmt: ast.Stmt, consts: dict) -> N.Stmt:
          stmt.span)
 
 
-class _VoidChannel(Channel):
-    def push(self, v):
-        _err("elab-init-io", "init blocks cannot push")
+def _no_tape(verb: str):
+    def refuse(*_):
+        _err("elab-init-io", f"init blocks cannot {verb}")
+    return refuse
 
-    def pop(self):
-        _err("elab-init-io", "init blocks cannot pop")
 
-    def peek(self, i):
-        _err("elab-init-io", "init blocks cannot peek")
+#: the ``peek, pop, push`` an ``init`` block runs against
+_INIT_TAPE = tuple(map(_no_tape, ("peek", "pop", "push")))
+
+
+def _no_flops(**counts):
+    """Nobody counts what ``init`` computes."""
 
 
 class Elaborator:
@@ -226,7 +175,8 @@ class Elaborator:
 
     def __init__(self, program: ast.Program):
         self.program = program
-        self._gensym = 0
+        #: (filter name, its scalar constants) -> (init, work, prework)
+        self._code: dict[tuple, tuple] = {}
 
     def instantiate(self, name: str, *args) -> Stream:
         decl = self.program.decls.get(name)
@@ -255,7 +205,7 @@ class Elaborator:
 
     # -- filters ------------------------------------------------------
     def _elaborate_filter(self, decl: ast.FilterDecl, env: dict) -> Filter:
-        # 1. build the field store and run init in the interpreter
+        # 1. build the field store and run init
         fields: dict = {}
         scalar_consts = {k: v for k, v in env.items()
                          if isinstance(v, (int, float))}
@@ -273,13 +223,46 @@ class Elaborator:
         for k, v in env.items():
             if isinstance(v, np.ndarray):
                 fields[k] = v.copy()
-        if decl.init:
-            init_ir = tuple(_lower_stmt(s, scalar_consts)
-                            for s in decl.init)
-            interp = Interpreter(fields, NullProfiler())
-            wf = N.WorkFunction(0, 0, 0, init_ir)
-            interp.run(wf, _VoidChannel(), _VoidChannel())
-        # 2. lower work functions
+        # 2. the code: lowered (and init compiled) once per distinct set
+        # of constants, then shared — IR is immutable, and the twelve
+        # identical stages of a filter bank are one work function
+        key = (decl.name, tuple(scalar_consts.items()))
+        code = self._code.get(key)
+        init = code[0] if code is not None else self._compile_init(
+            decl, scalar_consts, fields)
+        if init is not None:
+            init(*_INIT_TAPE, fields, _no_flops)
+            # a scalar field keeps its declared type whatever init
+            # assigned it (an int, or a NumPy scalar read from an array)
+            for fd in decl.fields:
+                if fd.size is None:
+                    value = fields[fd.name]
+                    fields[fd.name] = float(value) if fd.ty == "float" \
+                        else int(value)
+        if code is None:
+            code = self._code[key] = (
+                init, *self._lower_works(decl, scalar_consts))
+        _, work, prework = code
+        mutable = N.assigned_names(work.body) & set(fields)
+        if prework is not None:
+            mutable |= N.assigned_names(prework.body) & set(fields)
+        return Filter(decl.name, work, prework, fields,
+                      frozenset(mutable))
+
+    @staticmethod
+    def _compile_init(decl: ast.FilterDecl, scalar_consts: dict,
+                      fields: dict):
+        """``decl.init`` as a callable over a field store of ``fields``'
+        names and types, or None."""
+        if not decl.init:
+            return None
+        body = tuple(_lower_stmt(s, scalar_consts) for s in decl.init)
+        return compile_work(N.WorkFunction(0, 0, 0, body), fields,
+                            f"{decl.name}_init")
+
+    @staticmethod
+    def _lower_works(decl: ast.FilterDecl, scalar_consts: dict):
+        """``(work, prework)`` of ``decl`` lowered over its constants."""
         work = prework = None
         for wd in decl.works:
             rates = {}
@@ -307,11 +290,7 @@ class Elaborator:
         if work is None:
             _err("elab-no-work",
                  f"filter {decl.name} has no steady work", decl.span)
-        mutable = N.assigned_names(work.body) & set(fields)
-        if prework is not None:
-            mutable |= N.assigned_names(prework.body) & set(fields)
-        return Filter(decl.name, work, prework, fields,
-                      frozenset(mutable))
+        return work, prework
 
     # -- composites -----------------------------------------------------
     def _elaborate_composite(self, decl: ast.CompositeDecl,

@@ -14,6 +14,7 @@ surfaces every lexical error alongside the parser's syntax errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import Diagnostic, DSLError, SourceSpan
@@ -34,6 +35,22 @@ OPERATORS = [
     "+", "-", "*", "/", "%", "=", "<", ">", "!", "&", "|", "^", "~",
     "(", ")", "{", "}", "[", "]", ";", ",", ".",
 ]
+
+#: everything the scanner can meet, one alternative per kind of lexeme in
+#: the order they are tried; ``bad`` takes the one character nothing else
+#: wants.  A number is scanned generously (every digit and dot, then an
+#: exponent with or without digits) so a malformed literal is reported
+#: whole; :data:`_WELL_FORMED` then says whether it is one.
+_LEXEME = re.compile(
+    r"(?P<space>[ \t\r\n]+)"
+    r"|(?P<comment>//[^\n]*|/\*(?s:.*?)\*/)"
+    r"|(?P<unterminated>/\*(?s:.*))"
+    r"|(?P<number>(?:\d|\.\d)[\d.]*(?:[eE][+-]?\d*)?)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<op>" + "|".join(map(re.escape, OPERATORS)) + r")"
+    r"|(?P<bad>(?s:.))")
+
+_WELL_FORMED = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 @dataclass(frozen=True)
@@ -71,127 +88,67 @@ class Lexer:
     def __init__(self, source: str):
         self.source = source
         self.diagnostics: list[Diagnostic] = []
-        self._i = 0
-        self._line = 1
-        self._col = 1
-
-    # -- low-level cursor --------------------------------------------------
-    def _advance_over(self, text: str) -> None:
-        """Move the cursor past ``text`` (which starts at the cursor),
-        tracking line/column across embedded newlines."""
-        for ch in text:
-            if ch == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-        self._i += len(text)
 
     def _error(self, code: str, message: str, span: SourceSpan,
                hint: str | None = None) -> None:
         self.diagnostics.append(Diagnostic(code, message, span, hint))
 
-    # -- scanning ----------------------------------------------------------
     def scan(self) -> list[Token]:
         tokens: list[Token] = []
-        src = self.source
-        n = len(src)
-        while self._i < n:
-            c = src[self._i]
-            start_line, start_col = self._line, self._col
-            # whitespace
-            if c in " \t\r":
-                self._advance_over(c)
-                continue
-            if c == "\n":
-                self._advance_over(c)
-                continue
-            # comments
-            if src.startswith("//", self._i):
-                end = src.find("\n", self._i)
-                end = n if end < 0 else end
-                self._advance_over(src[self._i:end])
-                continue
-            if src.startswith("/*", self._i):
-                end = src.find("*/", self._i + 2)
-                if end < 0:
-                    # the offending text is the whole unterminated
-                    # comment, through end of input
-                    self._advance_over(src[self._i:])
-                    self._error(
-                        "dsl-unterminated-comment",
-                        "unterminated block comment",
-                        SourceSpan(start_line, start_col,
-                                   self._line, self._col),
-                        hint="close it with '*/'")
-                    continue
-                self._advance_over(src[self._i:end + 2])
-                continue
-            # numbers
-            if c.isdigit() or (c == "." and self._i + 1 < n
-                               and src[self._i + 1].isdigit()):
-                self._scan_number(tokens)
-                continue
-            # identifiers / keywords
-            if c.isalpha() or c == "_":
-                j = self._i
-                while j < n and (src[j].isalnum() or src[j] == "_"):
-                    j += 1
-                text = src[self._i:j]
-                kind = "keyword" if text in KEYWORDS else "ident"
-                self._advance_over(text)
-                tokens.append(Token(kind, text, start_line, start_col,
-                                    self._line, self._col))
-                continue
-            # operators
-            for op in OPERATORS:
-                if src.startswith(op, self._i):
-                    self._advance_over(op)
-                    tokens.append(Token("op", op, start_line, start_col,
-                                        self._line, self._col))
-                    break
+        source = self.source
+        match = _LEXEME.match
+        pos, n = 0, len(source)
+        line = 1
+        line_start = 0  # offset of the first character of ``line``
+        while pos < n:
+            m = match(source, pos)
+            kind = m.lastgroup
+            text = m.group()
+            col = pos - line_start + 1
+            pos = m.end()
+            if kind == "space" or kind == "comment":
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = pos - len(text) + text.rindex("\n") + 1
+            elif kind == "op":
+                tokens.append(Token("op", text, line, col,
+                                    line, col + len(text)))
+            elif kind == "word" and (text[0].isalpha() or text[0] == "_"):
+                tokens.append(Token(
+                    "keyword" if text in KEYWORDS else "ident", text,
+                    line, col, line, col + len(text)))
+            elif kind == "number":
+                if _WELL_FORMED.fullmatch(text):
+                    tokens.append(Token(
+                        "int" if text.isdigit() else "float", text,
+                        line, col, line, col + len(text)))
+                else:
+                    # the span covers the whole malformed literal
+                    self._error("dsl-bad-number",
+                                f"malformed number {text!r}",
+                                SourceSpan(line, col, line, col + len(text)))
+            elif kind == "unterminated":
+                # the offending text is the whole unterminated comment,
+                # through end of input
+                first = line
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = pos - len(text) + text.rindex("\n") + 1
+                self._error("dsl-unterminated-comment",
+                            "unterminated block comment",
+                            SourceSpan(first, col, line,
+                                       pos - line_start + 1),
+                            hint="close it with '*/'")
             else:
-                self._advance_over(c)
+                # ``bad``, or a word led by a numeral that is no letter
+                # ('²'): skip one character and resume after it
+                pos += 1 - len(text)
                 self._error("dsl-bad-char",
-                            f"unexpected character {c!r}",
-                            SourceSpan(start_line, start_col,
-                                       self._line, self._col))
-        tokens.append(Token("eof", "", self._line, self._col,
-                            self._line, self._col))
+                            f"unexpected character {text[0]!r}",
+                            SourceSpan(line, col, line, col + 1))
+        col = n - line_start + 1
+        tokens.append(Token("eof", "", line, col, line, col))
         return tokens
-
-    def _scan_number(self, tokens: list[Token]) -> None:
-        src = self.source
-        n = len(src)
-        start_line, start_col = self._line, self._col
-        j = self._i
-        is_float = False
-        malformed = False
-        while j < n and (src[j].isdigit() or src[j] == "."):
-            if src[j] == ".":
-                if is_float:
-                    malformed = True
-                is_float = True
-            j += 1
-        if j < n and src[j] in "eE":
-            is_float = True
-            j += 1
-            if j < n and src[j] in "+-":
-                j += 1
-            while j < n and src[j].isdigit():
-                j += 1
-        text = src[self._i:j]
-        self._advance_over(text)
-        if malformed:
-            # the span covers the whole malformed literal, not just
-            # where scanning started
-            self._error("dsl-bad-number",
-                        f"malformed number {text!r}",
-                        SourceSpan(start_line, start_col,
-                                   self._line, self._col))
-            return
-        tokens.append(Token("float" if is_float else "int", text,
-                            start_line, start_col, self._line, self._col))
 
 
 def tokenize(source: str) -> list[Token]:

@@ -58,6 +58,7 @@ from .. import faults as _faults
 from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                              PrimitiveFilter, RoundRobin, SplitJoin, Stream)
 from ..ir.printer import work_to_str
+from ..linear.extraction import clear_extraction_results
 from ..numeric import DEFAULT_POLICY, NumericPolicy
 
 _UNSET = object()  # bailout not yet computed
@@ -500,5 +501,7 @@ def plan_cache_stats() -> dict:
 
 
 def clear_plan_cache() -> None:
-    """Drop every cached plan (test isolation, coefficient sweeps)."""
+    """Drop every cached plan, and the extraction results plans are
+    built from (test isolation, coefficient sweeps)."""
     PLAN_CACHE.clear()
+    clear_extraction_results()

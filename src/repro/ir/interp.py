@@ -18,24 +18,6 @@ from . import nodes as N
 
 _MAX_LOOP_ITERS = 10_000_000
 
-_INTRINSIC_IMPL = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "atan": math.atan,
-    "atan2": math.atan2,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "abs": abs,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "pow": pow,
-    "min": min,
-    "max": max,
-    "round": round,
-}
-
 _COUNTED_INTRINSICS = frozenset(
     {"sin", "cos", "tan", "atan", "atan2", "exp", "log", "sqrt", "pow"})
 
@@ -45,12 +27,6 @@ def _is_float(v) -> bool:
     # a complex numeric policy, scalar evaluation carries complex
     # samples through the same float-typed DSL expressions
     return isinstance(v, (float, complex))
-
-
-def _c_int_div(a: int, b: int) -> int:
-    """C-style truncating integer division."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
 
 
 class Interpreter:
@@ -213,7 +189,7 @@ class Interpreter:
                 self.profiler.op("fcall")
             elif e.fn == "abs" and any(_is_float(a) for a in args):
                 self.profiler.op("fabs")
-            return _INTRINSIC_IMPL[e.fn](*args)
+            return N.INTRINSIC_IMPL[e.fn](*args)
         raise InterpError(f"unknown expression {e!r}")  # pragma: no cover
 
     def _eval_bin(self, e, env):
@@ -243,12 +219,12 @@ class Interpreter:
             if fl:
                 self.profiler.op("fdiv")
                 return a / b
-            return _c_int_div(a, b)
+            return N.c_int_div(a, b)
         if op == "%":
             if fl:
                 self.profiler.op("fdiv")
                 return math.fmod(a, b)
-            return a - _c_int_div(a, b) * b
+            return a - N.c_int_div(a, b) * b
         if op in ("==", "!=", "<", "<=", ">", ">="):
             if fl:
                 self.profiler.op("fcmp")

@@ -14,6 +14,8 @@ language as immutable dataclasses.  The same IR is consumed by
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -74,11 +76,51 @@ MULTIPLICATIVE_OPS = frozenset({"*", "/"})
 
 UNARY_OPS = frozenset({"-", "!"})
 
-#: Intrinsic math functions (map onto libm / x87 transcendental ops).
-INTRINSICS = frozenset(
-    {"sin", "cos", "tan", "atan", "atan2", "exp", "log", "sqrt", "abs",
-     "floor", "ceil", "pow", "min", "max", "round"}
-)
+#: Intrinsic math functions (map onto libm / x87 transcendental ops) and
+#: what each computes on numbers.
+INTRINSIC_IMPL = {
+    "sin": math.sin, "cos": math.cos, "tan": math.tan, "atan": math.atan,
+    "atan2": math.atan2, "exp": math.exp, "log": math.log,
+    "sqrt": math.sqrt, "abs": abs, "floor": math.floor,
+    "ceil": math.ceil, "pow": pow, "min": min, "max": max, "round": round,
+}
+INTRINSICS = frozenset(INTRINSIC_IMPL)
+
+
+def c_int_div(a: int, b: int) -> int:
+    """C-style truncating integer division."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+def _c_div(a, b):
+    both = isinstance(a, int) and isinstance(b, int)
+    return c_int_div(a, b) if both else a / b
+
+
+def _c_mod(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a - c_int_div(a, b) * b
+    return math.fmod(a, b)
+
+
+#: ``FOLD[op](a, b)``: what a binary operator computes on two numbers —
+#: the interpreter's semantics (C-truncating int division and remainder,
+#: int-valued comparisons), for whoever evaluates IR ahead of time: the
+#: elaborator's constant folding, the extractor's constant propagation.
+FOLD = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _c_div, "%": _c_mod,
+    "==": lambda a, b: int(a == b), "!=": lambda a, b: int(a != b),
+    "<": lambda a, b: int(a < b), "<=": lambda a, b: int(a <= b),
+    ">": lambda a, b: int(a > b), ">=": lambda a, b: int(a >= b),
+    "&&": lambda a, b: int(bool(a) and bool(b)),
+    "||": lambda a, b: int(bool(a) or bool(b)),
+    "&": lambda a, b: int(a) & int(b), "|": lambda a, b: int(a) | int(b),
+    "^": lambda a, b: int(a) ^ int(b),
+    "<<": lambda a, b: int(a) << int(b),
+    ">>": lambda a, b: int(a) >> int(b),
+}
 
 
 @dataclass(frozen=True)

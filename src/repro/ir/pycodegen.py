@@ -243,9 +243,7 @@ class _Emitter:
             raise IRError(f"cannot generate code for {s!r}")
 
 
-def _idiv(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+_idiv = N.c_int_div
 
 
 def _imod(a: int, b: int) -> int:

@@ -29,7 +29,6 @@ it records a human-readable reason (`ExtractionResult.reason`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,25 +36,30 @@ import numpy as np
 from ..errors import NonLinearError
 from ..graph.streams import Filter, PrimitiveFilter, Stream
 from ..ir import nodes as N
-from .lattice import BOTTOM, TOP, LinearForm, join, join_env
+from .lattice import BOTTOM, TOP, LinearForm, constant_of, join_env
 from .node import LinearNode
 
+#: statements one extraction may execute symbolically before it gives
+#: up.  The largest app filter (Vocoder's ``CorrPeak``) runs 5 554;
+#: exhausting the budget — ``for i<1100 { for j<1100 { s = s + 1.0 } }``
+#: arriving over serve ``OPEN`` — is the worst case and costs 0.8-0.9 s
+#: on the 2-vCPU box this was measured on (6.3-6.8 s when every constant
+#: carried a vector), and ends in a rejection, not an exception.
 _MAX_SYMBOLIC_ITERS = 1_000_000
 
-_FOLDABLE = {
-    "sin": math.sin, "cos": math.cos, "tan": math.tan, "atan": math.atan,
-    "atan2": math.atan2, "exp": math.exp, "log": math.log,
-    "sqrt": math.sqrt, "abs": abs, "floor": math.floor,
-    "ceil": math.ceil, "pow": pow, "min": min, "max": max, "round": round,
-}
+#: floats an extractor may keep in unit vectors it has already built
+#: (128 KiB): ``CorrPeak`` peeks each of 100 positions 100 times, FIR(256)
+#: each of 256 once — and 256 kept vectors of 256 would be 512 KiB of
+#: peak RSS for nothing
+_UNIT_CACHE_FLOATS = 1 << 14
 
 
 @dataclass
 class _State:
     """Mutable symbolic execution state (Algorithm 2's tuple)."""
 
-    env: dict  # variable -> LinearForm | TOP | array (list of values)
-    A: list  # peek x push entries, LinearForm coefficients or BOTTOM/TOP
+    env: dict  # variable -> number | LinearForm | TOP | list of those
+    A: list  # per push column: its vec_dim coefficients, or BOTTOM
     b: list
     popcount: int
     pushcount: int
@@ -64,8 +68,8 @@ class _State:
         env = {}
         for k, v in self.env.items():
             env[k] = list(v) if isinstance(v, list) else v
-        return _State(env, [col[:] for col in self.A], self.b[:],
-                      self.popcount, self.pushcount)
+        return _State(env, self.A[:], self.b[:], self.popcount,
+                      self.pushcount)
 
 
 class _Extractor:
@@ -94,113 +98,136 @@ class _Extractor:
         #: component per candidate state slot
         self.vec_dim = wf.peek + len(s0)
         self.iters = 0
+        #: the coefficients of a pushed constant (shared, never written)
+        self._no_taps = np.zeros(self.vec_dim)
+        #: component index -> its unit form, for the first
+        #: ``_UNIT_CACHE_FLOATS`` worth of components asked for
+        self._units: dict[int, LinearForm] = {}
+        self._units_kept = _UNIT_CACHE_FLOATS // max(self.vec_dim, 1)
+        #: constant array field -> its elements as Python numbers
+        self._arrays: dict[str, list] = {}
+        self._eval = {
+            N.Const: self._eval_const, N.Var: self._eval_var,
+            N.Index: self._eval_index, N.Peek: self._eval_peek,
+            N.Pop: self._eval_pop, N.Un: self._eval_un,
+            N.Call: self._eval_call, N.Bin: self._eval_bin,
+        }
+        self._exec = {
+            N.Assign: self._exec_assign, N.PushS: self._exec_push,
+            N.PopS: self._exec_pop, N.Decl: self._exec_decl,
+            N.For: self._exec_for, N.If: self._exec_if,
+        }
 
     # -- helpers -----------------------------------------------------------
     def fail(self, reason: str):
         raise NonLinearError(reason)
 
-    def const(self, c) -> LinearForm:
-        return LinearForm.constant(c, self.vec_dim)
-
     def _component(self, index: int) -> LinearForm:
-        v = np.zeros(self.vec_dim)
-        v[index] = 1.0
-        return LinearForm(v, 0)
-
-    def _input_coeff(self, pos: int) -> LinearForm:
-        """Coefficient 1 for input item ``peek(pos)`` (x-convention)."""
-        return self._component(self.peek_rate - 1 - pos)
+        """The form of one component of ``[x | s]``; input item
+        ``peek(pos)`` is component ``peek - 1 - pos`` (x-convention)."""
+        unit = self._units.get(index)
+        if unit is None:
+            v = np.zeros(self.vec_dim)
+            v[index] = 1.0
+            unit = LinearForm(v, 0)
+            if len(self._units) < self._units_kept:
+                self._units[index] = unit
+        return unit
 
     def _field_value(self, name: str):
-        """Constant fields fold to their values; a mutable field that is
-        no state slot (nothing numeric to start from) is ⊤."""
+        """Constant fields fold to their values (an array's elements as
+        Python numbers); a mutable field that is no state slot (nothing
+        numeric to start from) is ⊤."""
         if name in self.filt.mutable_fields:
             return TOP
-        return self.filt.fields.get(name, None)
+        fv = self._arrays.get(name)
+        if fv is None:
+            fv = self.filt.fields.get(name, None)
+            if isinstance(fv, np.ndarray):
+                fv = fv.tolist() if fv.dtype.kind == "f" \
+                    else [int(v) for v in fv]
+                self._arrays[name] = fv
+            elif isinstance(fv, np.generic):
+                fv = fv.item()
+        return fv
 
     # -- expression evaluation (Algorithm 2's cases) -----------------------
     def eval(self, e: N.Expr, st: _State):
-        if isinstance(e, N.Const):
-            return self.const(e.value)
-        if isinstance(e, N.Var):
-            if e.name in st.env:
-                return st.env[e.name]
-            fv = self._field_value(e.name)
-            if fv is TOP:
-                return TOP
-            if fv is None:
-                self.fail(f"undefined variable {e.name!r}")
-            if isinstance(fv, np.ndarray):
-                self.fail(f"array {e.name!r} used as a scalar")
-            return self.const(fv)
-        if isinstance(e, N.Index):
-            idx = self._const_int(self.eval(e.index, st),
-                                  f"index into {e.base!r}")
-            if idx is None:
-                return TOP
-            if e.base in st.env:
-                arr = st.env[e.base]
-                if not isinstance(arr, list):
-                    self.fail(f"{e.base!r} is not an array")
-                if not 0 <= idx < len(arr):
-                    self.fail(f"{e.base}[{idx}] out of bounds")
-                return arr[idx]
-            fv = self._field_value(e.base)
-            if fv is TOP:
-                return TOP
-            if isinstance(fv, np.ndarray):
-                if not 0 <= idx < len(fv):
-                    self.fail(f"{e.base}[{idx}] out of bounds")
-                v = fv[idx]
-                return self.const(float(v) if fv.dtype.kind == "f" else int(v))
-            self.fail(f"unknown array {e.base!r}")
-        if isinstance(e, N.Peek):
-            idx = self._const_int(self.eval(e.index, st), "peek index")
-            if idx is None:
-                return TOP
-            pos = st.popcount + idx
-            if not 0 <= pos < self.peek_rate:
-                self.fail(f"peek({idx}) after {st.popcount} pops is outside "
-                          f"the declared peek window of {self.peek_rate}")
-            return self._input_coeff(pos)
-        if isinstance(e, N.Pop):
-            if st.popcount >= self.pop_rate and \
-                    st.popcount >= self.peek_rate:
-                self.fail("pop beyond declared rates")
-            lf = self._input_coeff(st.popcount)
-            st.popcount += 1
-            return lf
-        if isinstance(e, N.Un):
-            v = self.eval(e.operand, st)
-            if e.op == "-":
-                return TOP if v is TOP else v.scale(-1)
-            if v is TOP:
-                return TOP
-            if v.is_constant:
-                return self.const(int(not v.c))
-            return TOP
-        if isinstance(e, N.Call):
-            args = [self.eval(a, st) for a in e.args]
-            if any(a is TOP for a in args):
-                return TOP
-            if all(a.is_constant for a in args):
-                return self.const(_FOLDABLE[e.fn](*(a.c for a in args)))
-            return TOP  # e.g. |linear| is not linear
-        if isinstance(e, N.Bin):
-            return self._eval_bin(e, st)
-        self.fail(f"unsupported expression {e!r}")  # pragma: no cover
+        return self._eval[type(e)](e, st)
 
-    def _const_int(self, v, what: str):
-        if v is TOP or v is BOTTOM:
-            return None
-        if not v.is_constant:
-            return None
-        return int(v.c)
+    def _eval_const(self, e: N.Const, st: _State):
+        return e.value
+
+    def _eval_var(self, e: N.Var, st: _State):
+        v = st.env.get(e.name)
+        if v is None:
+            v = self._field_value(e.name)
+            if v is None:
+                self.fail(f"undefined variable {e.name!r}")
+        if type(v) is list:
+            self.fail(f"array {e.name!r} used as a scalar")
+        return v
+
+    def _eval_index(self, e: N.Index, st: _State):
+        idx = self._const_int(self.eval(e.index, st))
+        if idx is None:
+            return TOP
+        arr = st.env.get(e.base)
+        if arr is None:
+            arr = self._field_value(e.base)
+            if arr is TOP:
+                return TOP
+            if type(arr) is not list:
+                self.fail(f"unknown array {e.base!r}")
+        elif type(arr) is not list:
+            self.fail(f"{e.base!r} is not an array")
+        if not 0 <= idx < len(arr):
+            self.fail(f"{e.base}[{idx}] out of bounds")
+        return arr[idx]
+
+    def _eval_peek(self, e: N.Peek, st: _State):
+        idx = self._const_int(self.eval(e.index, st))
+        if idx is None:
+            return TOP
+        pos = st.popcount + idx
+        if not 0 <= pos < self.peek_rate:
+            self.fail(f"peek({idx}) after {st.popcount} pops is outside "
+                      f"the declared peek window of {self.peek_rate}")
+        return self._component(self.peek_rate - 1 - pos)
+
+    def _eval_pop(self, e: N.Pop, st: _State):
+        if st.popcount >= self.pop_rate and \
+                st.popcount >= self.peek_rate:
+            self.fail("pop beyond declared rates")
+        st.popcount += 1
+        return self._component(self.peek_rate - st.popcount)
+
+    def _eval_un(self, e: N.Un, st: _State):
+        v = self.eval(e.operand, st)
+        if v is TOP:
+            return TOP
+        if e.op == "-":
+            return v * -1
+        c = constant_of(v)
+        return TOP if c is None else int(not c)
+
+    def _eval_call(self, e: N.Call, st: _State):
+        args = [constant_of(self.eval(a, st)) for a in e.args]
+        if None in args:
+            return TOP  # e.g. |linear| is not linear
+        return N.INTRINSIC_IMPL[e.fn](*args)
+
+    def _const_int(self, v):
+        if type(v) is int:
+            return v
+        c = constant_of(v)
+        return None if c is None else int(c)
 
     def _eval_bin(self, e: N.Bin, st: _State):
         op = e.op
-        a = self.eval(e.left, st)
-        b = self.eval(e.right, st)
+        # (the busiest call site: dispatch here, without eval()'s frame)
+        a = self._eval[type(e.left)](e.left, st)
+        b = self._eval[type(e.right)](e.right, st)
         if a is TOP or b is TOP:
             # addition of TOP to anything taints; comparisons on TOP taint
             return TOP
@@ -209,87 +236,69 @@ class _Extractor:
         if op == "-":
             return a - b
         if op == "*":
-            if a.is_constant:
-                return b.scale(a.c)
-            if b.is_constant:
-                return a.scale(b.c)
-            return TOP
+            # a form times a number is the common case; two forms are a
+            # product only if the taps of one have all cancelled
+            if type(a) is not LinearForm:
+                return b * a
+            if type(b) is not LinearForm:
+                return a * b
+            x, y = constant_of(a), constant_of(b)
+            if x is not None:
+                return b * x
+            return TOP if y is None else a * y
+        y = constant_of(b)
         if op == "/":
-            if b.is_constant and b.c != 0:
-                if a.is_constant and isinstance(a.c, int) \
-                        and isinstance(b.c, int):
-                    q = abs(a.c) // abs(b.c)
-                    return self.const(
-                        q if (a.c >= 0) == (b.c >= 0) else -q)
-                return a.scale(1.0 / b.c)
-            return TOP
+            if y is None or y == 0:
+                return TOP
+            x = constant_of(a) if isinstance(y, int) else None
+            if isinstance(x, int):
+                return N.c_int_div(x, y)
+            return a * (1.0 / y)
         # remaining ops are linear only when both operands are constants
-        if a.is_constant and b.is_constant:
-            x, y = a.c, b.c
-            if op == "%":
-                if y == 0:
-                    self.fail("modulo by zero")
-                if isinstance(x, int) and isinstance(y, int):
-                    q = abs(x) // abs(y)
-                    q = q if (x >= 0) == (y >= 0) else -q
-                    return self.const(x - q * y)
-                return self.const(math.fmod(x, y))
-            table = {
-                "==": lambda: int(x == y), "!=": lambda: int(x != y),
-                "<": lambda: int(x < y), "<=": lambda: int(x <= y),
-                ">": lambda: int(x > y), ">=": lambda: int(x >= y),
-                "&&": lambda: int(bool(x) and bool(y)),
-                "||": lambda: int(bool(x) or bool(y)),
-                "&": lambda: int(x) & int(y), "|": lambda: int(x) | int(y),
-                "^": lambda: int(x) ^ int(y),
-                "<<": lambda: int(x) << int(y),
-                ">>": lambda: int(x) >> int(y),
-            }
-            return self.const(table[op]())
-        return TOP
+        x = constant_of(a)
+        if x is None or y is None:
+            return TOP
+        if op == "%" and y == 0:
+            self.fail("modulo by zero")
+        return N.FOLD[op](x, y)
 
     # -- statements ---------------------------------------------------------
     def exec_block(self, stmts, st: _State):
         for s in stmts:
-            self.exec_stmt(s, st)
+            self.iters += 1
+            if self.iters > _MAX_SYMBOLIC_ITERS:
+                self.fail("symbolic execution budget exceeded")
+            self._exec[type(s)](s, st)
 
-    def exec_stmt(self, s: N.Stmt, st: _State):
-        self.iters += 1
-        if self.iters > _MAX_SYMBOLIC_ITERS:
-            self.fail("symbolic execution budget exceeded")
-        if isinstance(s, N.Assign):
-            v = self.eval(s.value, st)
-            self._store(s.target, v, st)
-        elif isinstance(s, N.PushS):
-            v = self.eval(s.value, st)
-            if st.pushcount >= self.push_rate:
-                self.fail("more pushes than the declared push rate")
-            col = self.push_rate - 1 - st.pushcount
-            if v is TOP:
-                self.fail(f"push #{st.pushcount} is not an affine function "
-                          f"of the input")
-            for i in range(self.vec_dim):
-                st.A[i][col] = v.v[i]
-            st.b[col] = v.c
-            st.pushcount += 1
-        elif isinstance(s, N.PopS):
-            if st.popcount >= self.peek_rate:
-                self.fail("pop beyond the declared peek window")
-            st.popcount += 1
-        elif isinstance(s, N.Decl):
-            if s.size is not None:
-                zero = self.const(0.0 if s.ty == "float" else 0)
-                st.env[s.name] = [zero] * s.size
-            elif s.init is not None:
-                st.env[s.name] = self.eval(s.init, st)
-            else:
-                st.env[s.name] = self.const(0.0 if s.ty == "float" else 0)
-        elif isinstance(s, N.For):
-            self._exec_for(s, st)
-        elif isinstance(s, N.If):
-            self._exec_if(s, st)
-        else:  # pragma: no cover
-            self.fail(f"unsupported statement {s!r}")
+    def _exec_assign(self, s: N.Assign, st: _State):
+        self._store(s.target, self.eval(s.value, st), st)
+
+    def _exec_push(self, s: N.PushS, st: _State):
+        v = self.eval(s.value, st)
+        if st.pushcount >= self.push_rate:
+            self.fail("more pushes than the declared push rate")
+        col = self.push_rate - 1 - st.pushcount
+        if v is TOP:
+            self.fail(f"push #{st.pushcount} is not an affine function "
+                      f"of the input")
+        if type(v) is LinearForm:
+            st.A[col], st.b[col] = v.v, v.c
+        else:
+            st.A[col], st.b[col] = self._no_taps, v
+        st.pushcount += 1
+
+    def _exec_pop(self, s: N.PopS, st: _State):
+        if st.popcount >= self.peek_rate:
+            self.fail("pop beyond the declared peek window")
+        st.popcount += 1
+
+    def _exec_decl(self, s: N.Decl, st: _State):
+        if s.size is not None:
+            st.env[s.name] = [0.0 if s.ty == "float" else 0] * s.size
+        elif s.init is not None:
+            st.env[s.name] = self.eval(s.init, st)
+        else:
+            st.env[s.name] = 0.0 if s.ty == "float" else 0
 
     def _store(self, target, v, st: _State):
         if isinstance(target, N.Var):
@@ -301,8 +310,7 @@ class _Extractor:
                 return
             st.env[name] = v
         else:
-            idx = self._const_int(self.eval(target.index, st),
-                                  f"store index into {target.base!r}")
+            idx = self._const_int(self.eval(target.index, st))
             if idx is None:
                 self.fail(f"array store to {target.base!r} with a "
                           f"non-constant index")
@@ -316,31 +324,30 @@ class _Extractor:
             arr[idx] = v
 
     def _exec_for(self, s: N.For, st: _State):
-        start = self._const_int(self.eval(s.start, st), "loop start")
-        step = self._const_int(self.eval(s.step, st), "loop step")
+        start = self._const_int(self.eval(s.start, st))
+        step = self._const_int(self.eval(s.step, st))
         if start is None or step is None or step == 0:
             self.fail(f"loop over {s.var!r} has unresolvable bounds")
         i = start
         while True:
-            stop = self._const_int(self.eval(s.stop, st), "loop stop")
+            stop = self._const_int(self.eval(s.stop, st))
             if stop is None:
                 self.fail(f"loop over {s.var!r} has a non-constant bound")
             if not ((i < stop) if step > 0 else (i > stop)):
                 break
-            st.env[s.var] = self.const(i)
+            st.env[s.var] = i
             self.exec_block(s.body, st)
-            after = st.env.get(s.var)
-            if isinstance(after, LinearForm) and after.is_constant:
-                i = int(after.c) + step
-            else:
+            after = self._const_int(st.env.get(s.var))
+            if after is None:
                 self.fail(f"loop variable {s.var!r} became non-constant")
-        st.env[s.var] = self.const(i)
+            i = after + step
+        st.env[s.var] = i
 
     def _exec_if(self, s: N.If, st: _State):
-        cond = self.eval(s.cond, st)
-        if cond is not TOP and cond.is_constant:
+        cond = constant_of(self.eval(s.cond, st))
+        if cond is not None:
             # constant condition: take the known side (precision refinement)
-            self.exec_block(s.then if cond.c else s.orelse, st)
+            self.exec_block(s.then if cond else s.orelse, st)
             return
         st2 = st.copy()
         self.exec_block(s.then, st)
@@ -348,25 +355,14 @@ class _Extractor:
         if st.popcount != st2.popcount or st.pushcount != st2.pushcount:
             self.fail("branches push/pop different amounts")
         st.env = join_env(st.env, st2.env)
-        for col in range(self.push_rate):
-            if st.b[col] is not BOTTOM or st2.b[col] is not BOTTOM:
-                joined_b = join(self._as_lf(st.b[col]),
-                                self._as_lf(st2.b[col]))
-                if joined_b is TOP:
-                    self.fail("branches push different constants")
-                st.b[col] = joined_b.c if isinstance(joined_b, LinearForm) \
-                    else joined_b
-            for i in range(self.vec_dim):
-                a1, a2 = st.A[i][col], st2.A[i][col]
-                if a1 is BOTTOM and a2 is BOTTOM:
-                    continue
-                if (a1 is BOTTOM) != (a2 is BOTTOM) or a1 != a2:
-                    self.fail("branches push different coefficients")
-
-    def _as_lf(self, v):
-        if v is BOTTOM or v is TOP:
-            return v
-        return self.const(v)
+        # both sides wrote the same columns: the last ``pushcount``
+        for col in range(self.push_rate - st.pushcount, self.push_rate):
+            b1, b2 = st.b[col], st2.b[col]
+            if b1 != b2:
+                self.fail("branches push different constants")
+            a1, a2 = st.A[col], st2.A[col]
+            if a1 is not a2 and not np.array_equal(a1, a2):
+                self.fail("branches push different coefficients")
 
     # -- toplevel (Algorithm 1) ---------------------------------------------
     def _run_symbolic(self) -> tuple[np.ndarray, np.ndarray, _State]:
@@ -377,13 +373,8 @@ class _Extractor:
             self.fail("sink filters (push 0) have no linear node")
         if self.pop_rate == 0:
             self.fail("source filters (pop 0) have no linear node")
-        st = _State(
-            env={},
-            A=[[BOTTOM] * self.push_rate for _ in range(self.vec_dim)],
-            b=[BOTTOM] * self.push_rate,
-            popcount=0,
-            pushcount=0,
-        )
+        st = _State(env={}, A=[BOTTOM] * self.push_rate,
+                    b=[BOTTOM] * self.push_rate, popcount=0, pushcount=0)
         slot = self.peek_rate  # state components follow the window's
         for name, size in self.state_fields:
             if size is None:
@@ -396,17 +387,9 @@ class _Extractor:
         if st.pushcount != self.push_rate:
             self.fail(f"work pushed {st.pushcount} of {self.push_rate} items")
         A = np.zeros((self.vec_dim, self.push_rate))
-        b = np.zeros(self.push_rate)
-        for col in range(self.push_rate):
-            if st.b[col] is BOTTOM or st.b[col] is TOP:
-                self.fail(f"output column {col} never written")
-            b[col] = st.b[col]
-            for i in range(self.vec_dim):
-                entry = st.A[i][col]
-                if entry is BOTTOM or entry is TOP:
-                    self.fail(f"matrix entry [{i},{col}] unresolved")
-                A[i, col] = entry
-        return A, b, st
+        for col, taps in enumerate(st.A):
+            A[:, col] = taps
+        return A, np.array(st.b, dtype=float), st
 
     def run(self) -> LinearNode:
         M, b, st = self._run_symbolic()
@@ -419,8 +402,10 @@ class _Extractor:
             vals = [vals] if size is None else vals
             if not isinstance(vals, list) or len(vals) != (size or 1):
                 vals = [TOP] * (size or 1)  # joined away or shadowed
-            updates += [v if isinstance(v, LinearForm) else name
-                        for v in vals]
+            for v in vals:
+                if isinstance(v, (int, float)):
+                    v = LinearForm(self._no_taps, v)
+                updates.append(v if type(v) is LinearForm else name)
         keep = {int(j) for j in np.flatnonzero(M[e:].any(axis=1))}
         frontier = sorted(keep)
         while frontier:
@@ -474,6 +459,29 @@ def _prework_gate(filt: Filter) -> str | None:
     return None
 
 
+#: results by content — ``(work, prework, field bytes)`` -> (result,
+#: the IR objects, pinned so their ids stay theirs).  ``analyze`` and the
+#: planner's vectorize decision ask about the same filter, and the
+#: elaborator hands the look-alike stages of a bank one work function.
+#: Extraction reads nothing else, so a hit is the answer.  Emptied with
+#: the plans, by ``exec.clear_plan_cache()``, and when full (one dict
+#: operation each: serve compiles on several threads).
+_results: dict[tuple, tuple] = {}
+_RESULTS_KEPT = 256
+
+
+def clear_extraction_results() -> None:
+    _results.clear()
+
+
+def _content_key(filt: Filter) -> tuple:
+    fields = tuple(
+        (name, value.dtype.str, value.shape, value.tobytes())
+        if isinstance(value, np.ndarray) else (name, type(value), repr(value))
+        for name, value in filt.fields.items())
+    return id(filt.work), id(filt.prework), filt.mutable_fields, fields
+
+
 def extract_filter(filt: Stream) -> ExtractionResult:
     """Run linear extraction on a leaf filter.
 
@@ -491,10 +499,19 @@ def extract_filter(filt: Stream) -> ExtractionResult:
         return ExtractionResult(None, "primitive filter without linear form")
     if not isinstance(filt, Filter):
         return ExtractionResult(None, f"{filt!r} is not a leaf filter")
+    key = _content_key(filt)
+    known = _results.get(key)
+    if known is not None:
+        return known[0]
     reason = _prework_gate(filt)
     if reason is not None:
-        return ExtractionResult(None, reason)
-    try:
-        return ExtractionResult(_Extractor(filt).run())
-    except NonLinearError as exc:
-        return ExtractionResult(None, exc.reason)
+        result = ExtractionResult(None, reason)
+    else:
+        try:
+            result = ExtractionResult(_Extractor(filt).run())
+        except NonLinearError as exc:
+            result = ExtractionResult(None, exc.reason)
+    if len(_results) >= _RESULTS_KEPT:
+        _results.clear()
+    _results[key] = (result, filt.work, filt.prework)
+    return result

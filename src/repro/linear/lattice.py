@@ -5,11 +5,21 @@ the value equals ``x·v + c`` where ``x`` is the input vector and ``v`` a
 ``peek``-length column vector.  Values that cannot be expressed this way
 are TOP (⊤); join of unequal values is TOP.  BOTTOM (⊥) marks matrix/
 vector entries not yet written.
+
+**A constant is a plain Python number** — the ``int`` or ``float`` the
+program computed, with no vector at all: loop indices, array indices,
+coefficients read from fields and everything folded from them never
+allocate.  Int-ness is the number's own type, so loop bounds, array
+indices and peek offsets stay resolvable.  A :class:`LinearForm` exists
+only for a value that was built from ``peek``/``pop``/state; one whose
+taps have all cancelled (``pop() - peek(0)``) still counts as the
+constant ``c`` (:func:`constant_of`), as the thesis' ``v = 0`` does.
+
+A form's vector is never written after construction, so forms share
+vectors freely (``x - 3`` keeps ``x.v``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,48 +56,67 @@ TOP = _Top()
 BOTTOM = _Bottom()
 
 
-@dataclass(frozen=True)
 class LinearForm:
-    """``value = x · v + c``; a pure constant has an all-zero ``v``.
+    """``value = x · v + c`` for a value with taps on the input."""
 
-    ``c`` may be an int or float — int-ness is preserved so that loop
-    bounds, array indices and peek offsets stay resolvable.
-    """
+    __slots__ = ("v", "c", "_tapped")
 
-    v: np.ndarray
-    c: float | int
-
-    @staticmethod
-    def constant(c, peek: int) -> "LinearForm":
-        return LinearForm(np.zeros(peek), c)
+    def __init__(self, v: np.ndarray, c: float | int):
+        self.v = v
+        self.c = c
+        self._tapped = None  # whether v has a non-zero: asked, then kept
 
     @property
-    def is_constant(self) -> bool:
-        return not self.v.any()
+    def tapped(self) -> bool:
+        """False once every tap has cancelled: the form is the constant
+        ``c``.  (An extractor's unit forms are asked thousands of times.)"""
+        if self._tapped is None:
+            self._tapped = bool(self.v.any())
+        return self._tapped
 
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.v + other.v, self.c + other.c)
+    # arithmetic with another form or a number; adding a constant adds
+    # ``+0.0`` to every tap (which clears a ``-0.0`` one), subtracting
+    # one leaves them as they are
+    def __add__(self, other):
+        if type(other) is LinearForm:
+            return LinearForm(self.v + other.v, self.c + other.c)
+        return LinearForm(self.v + 0.0, self.c + other)
 
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return LinearForm(self.v - other.v, self.c - other.c)
+    __radd__ = __add__
 
-    def scale(self, k) -> "LinearForm":
+    def __sub__(self, other):
+        if type(other) is LinearForm:
+            return LinearForm(self.v - other.v, self.c - other.c)
+        return LinearForm(self.v, self.c - other)
+
+    def __rsub__(self, other):
+        return LinearForm(0.0 - self.v, other - self.c)
+
+    def __mul__(self, k) -> "LinearForm":
+        """Scaled by the number ``k``."""
         return LinearForm(self.v * k, self.c * k)
 
     def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return (self.c == other.c and self.v.shape == other.v.shape
-                and bool(np.array_equal(self.v, other.v)))
+        if isinstance(other, LinearForm):
+            return (self.c == other.c and self.v.shape == other.v.shape
+                    and bool(np.array_equal(self.v, other.v)))
+        if isinstance(other, (int, float)):  # a constant: no taps
+            return self.c == other and not self.tapped
+        return NotImplemented
 
-    def __hash__(self):  # pragma: no cover - not used as dict key
-        return hash((self.c, self.v.tobytes()))
+    __hash__ = None
 
     def __repr__(self):
-        if self.is_constant:
-            return f"LF(const {self.c})"
         taps = {i: x for i, x in enumerate(self.v) if x}
         return f"LF(v={taps}, c={self.c})"
+
+
+def constant_of(value):
+    """The number ``value`` always equals, or None when it has none:
+    ⊤, ⊥, an array, or a form with a tap left."""
+    if type(value) is LinearForm:
+        return None if value.tapped else value.c
+    return value if isinstance(value, (int, float)) else None
 
 
 def join(a, b):
@@ -98,8 +127,6 @@ def join(a, b):
         return a
     if a is TOP or b is TOP:
         return TOP
-    if isinstance(a, LinearForm) and isinstance(b, LinearForm):
-        return a if a == b else TOP
     return a if a == b else TOP
 
 

@@ -175,6 +175,40 @@ class TestParserAndElaborator:
         assert "state" in filt.mutable_fields
         assert extract_filter(filt).node.state_dim == 1
 
+    def test_init_leaves_scalar_fields_their_declared_types(self):
+        """``init`` runs as generated Python: an int stored in a float
+        field, or a NumPy scalar read back out of an array, must not be
+        what the field holds afterwards."""
+        src = """
+        float->float filter Gain {
+            float[2] h;
+            float g;
+            float first;
+            int half;
+            init {
+                h[0] = 3; h[1] = 0.25;
+                g = 2;
+                first = h[0];
+                half = 7 / 2.0;
+            }
+            work pop 1 push 1 { push(g * pop()); }
+        }
+        """
+        fields = compile_source(src).fields
+        assert [type(fields[k]) for k in ("g", "first", "half")] \
+            == [float, float, int]
+        assert (fields["g"], fields["first"], fields["half"]) == (2.0, 3.0, 3)
+        assert fields["h"].dtype == np.float64
+        assert fields["h"].tolist() == [3.0, 0.25]
+
+    def test_init_cannot_touch_the_tapes(self):
+        for stmt in ("push(1.0);", "float x = pop();", "float x = peek(0);"):
+            src = ("float->float filter F { float g; init { %s } "
+                   "work pop 1 push 1 { push(pop()); } }" % stmt)
+            with pytest.raises(DSLError) as excinfo:
+                compile_source(src)
+            assert excinfo.value.code == "elab-init-io"
+
     def test_pi_and_intrinsics(self):
         src = """
         void->float filter CosSource {

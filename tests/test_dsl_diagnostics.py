@@ -172,3 +172,22 @@ class TestDiagnosticAPI:
         assert text.startswith("3 errors: ")
         assert text.count("[dsl-expected]") == 2
         assert "[dsl-expected-expr]" in text
+
+
+@pytest.mark.parametrize("literal", ["1e", "1e+", "2.5E-", "1..2", "1.2.3"])
+def test_malformed_number_is_a_diagnostic_not_a_value_error(literal):
+    """An exponent without digits used to lex as a ``float`` token and
+    die in the parser's ``float()`` — from ``repro.compile``, and so from
+    serve ``OPEN``.  Every malformed literal is ``dsl-bad-number`` over
+    its whole text."""
+    import repro
+
+    source = ("float->float filter F { work pop 1 push 1 "
+              f"{{ push(pop() * {literal}); }} }}")
+    with pytest.raises(DSLError) as excinfo:
+        repro.compile(source)
+    first = excinfo.value.diagnostics[0]
+    start = source.index(literal) + 1
+    assert first.code == "dsl-bad-number"
+    assert first.message == f"malformed number {literal!r}"
+    assert first.span == SourceSpan(1, start, 1, start + len(literal))

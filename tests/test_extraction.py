@@ -354,3 +354,46 @@ def test_loop_bound_from_field_constant():
     result = extract_filter(f.build())
     assert result.is_linear
     assert result.node.nnz == 3
+
+
+def test_exhausting_the_statement_budget_is_a_rejection():
+    """1100 x 1100 iterations is 1.21 M statements against a budget of
+    1 M: the filter a serve client could ``OPEN`` with.  It is told no
+    (and falls back to scalar firing); nothing raises."""
+    f = FilterBuilder("Spin", peek=1, pop=1, push=1)
+    with f.work():
+        s = f.local("s", 0.0)
+        with f.loop("i", 0, 1100):
+            with f.loop("j", 0, 1100):
+                f.assign(s, s + 1.0)
+        f.push(f.pop_expr() + s)
+    result = extract_filter(f.build())
+    assert not result.is_linear
+    assert result.reason == "symbolic execution budget exceeded"
+
+
+def test_same_filter_is_extracted_once_until_plans_are_cleared():
+    """``analyze`` and the planner ask about the same filter: the second
+    answer is the first, by content — another coefficient is another
+    filter, and ``clear_plan_cache`` forgets both."""
+    from repro.exec import clear_plan_cache
+
+    filt = build_example_filter()
+    first = extract_filter(filt)
+    assert extract_filter(filt) is first
+    assert extract_filter(build_example_filter()) is not first  # other IR
+    clear_plan_cache()
+    again = extract_filter(filt)
+    assert again is not first
+    np.testing.assert_array_equal(again.node.A, first.node.A)
+
+
+def test_extraction_follows_a_field_edited_in_place():
+    f = FilterBuilder("Gain", peek=1, pop=1, push=1)
+    g = f.const_array("g", [2.0])
+    with f.work():
+        f.push(g[0] * f.pop_expr())
+    filt = f.build()
+    assert extract_filter(filt).node.coefficient(0, 0) == 2.0
+    filt.fields["g"][0] = 3.0
+    assert extract_filter(filt).node.coefficient(0, 0) == 3.0
