@@ -500,24 +500,18 @@ class FallbackStep(Step):
         fire_scalar(self.node, self.ring_in, self.ring_out, n)
 
 
-#: Fewest firings :class:`LaneStep` evaluates as lanes.  A lane call
-#: costs a fixed 8-19 us of NumPy dispatch whatever ``n`` is, a scalar
-#: firing of a small body 1.3-1.5 us.  Measured here (f64, best of 300,
-#: lanes vs scalar in us) at n = 8 / 12 / 16: Radar ``InputGenerate``
-#: 12.2 vs 11.1 / 12.4 vs 15.6 / 12.6 vs 19.9, ``Magnitude`` 8.2 vs 12.2
-#: / 8.3 vs 16.8 / 8.3 vs 21.0, ``Detector`` 8.6 vs 10.3 / 8.5 vs 14.1 /
-#: 8.5 vs 17.7, Vocoder ``CenterClip`` 12.0 vs 12.8 / 12.0 vs 17.4 / 11.9
-#: vs 21.5, ``FMDemodulator`` (peek > pop: strided window) 18.9 vs 12.8
-#: / 18.9 vs 17.6 / 18.7 vs 22.6.  The cheapest bodies break even at
-#: 8-12 and loop-heavy ones near 3 (``CorrPeak``: 4 lanes 7.6 ms vs
-#: 9.7 ms).  The constant is NOT that crossover: it sits above the 23-
-#: and 27-firing ``CorrPeak`` batches of Vocoder's ``run(128)``, so
-#: those still fire scalar.  As lanes they ran 20x faster, and perfbench
-#: cannot resolve a move that large on ``vocoder_pull`` (its run-to-run
-#: spread of ~5 % scales with the rate, the bound it is held to is a
-#: quarter of the *old* rate); CHANGES.md PR 13 has the numbers.  Lower
-#: it to 12 in the PR that claims that gain.
-LANE_MIN_FIRINGS = 32
+#: Fewest firings :class:`LaneStep` evaluates as lanes: the measured
+#: cost crossover.  A lane call costs a fixed 8-19 us of NumPy dispatch
+#: whatever ``n`` is, a scalar firing of a small body 1.3-1.5 us.
+#: Measured here (f64, best of 300, lanes vs scalar in us) at n = 8 /
+#: 12 / 16: Radar ``InputGenerate`` 12.2 vs 11.1 / 12.4 vs 15.6 / 12.6
+#: vs 19.9, ``Magnitude`` 8.2 vs 12.2 / 8.3 vs 16.8 / 8.3 vs 21.0,
+#: ``Detector`` 8.6 vs 10.3 / 8.5 vs 14.1 / 8.5 vs 17.7, Vocoder
+#: ``CenterClip`` 12.0 vs 12.8 / 12.0 vs 17.4 / 11.9 vs 21.5,
+#: ``FMDemodulator`` (peek > pop: strided window) 18.9 vs 12.8 / 18.9 vs
+#: 17.6 / 18.7 vs 22.6.  The cheapest bodies break even at 8-12 and
+#: loop-heavy ones at once (``CorrPeak``: 4 lanes 0.9 ms vs 16.5 ms).
+LANE_MIN_FIRINGS = 12
 
 
 class LaneStep(FallbackStep):

@@ -9,7 +9,9 @@ bound channel methods and ``F`` is the filter's field dict.
 Float-op accounting is *static per basic block*: at generation time we count
 the float operations in each straight-line region and emit a single bulk
 counter update that executes once per region execution, giving dynamic
-counts identical to the tree interpreter at a fraction of the cost.
+counts identical to the tree interpreter at a fraction of the cost.  A
+loop whose body has no ``if`` is one region: its update runs once, after
+the loop, for ``len(range(...))`` executions.
 
 Type inference: locals declared ``int`` (including loop variables) are ints;
 everything else (peeks, pops, float fields/locals) is a float.  An operation
@@ -99,17 +101,19 @@ class _Emitter:
         self.tenv = tenv
         self.lines: list[str] = []
         self.pending = Counts()  # float-ops owed for the current block
+        self.uid = 0  # numbers the temporaries
 
     def emit(self, line: str, indent: int):
         self.lines.append("    " * indent + line)
 
-    def flush_counts(self, indent: int):
-        """Emit a counter bump for the ops accumulated in this region."""
+    def flush_counts(self, indent: int, trips: str = ""):
+        """Emit a counter bump for the ops accumulated in this region
+        (``trips``: how often a loop ran it)."""
         c = self.pending
         if c.flops == 0:
             self.pending = Counts()
             return
-        args = ", ".join(f"{k}={getattr(c, k)}{self.times}"
+        args = ", ".join(f"{k}={getattr(c, k)}{trips}{self.times}"
                          for k in CATEGORIES if getattr(c, k))
         self.emit(f"_bulk({args})", indent)
         self.pending = Counts()
@@ -230,17 +234,38 @@ class _Emitter:
                 self.block(s.orelse, indent + 1)
         elif isinstance(s, N.For):
             self.tenv.declare(s.var, "int")
-            start, stop, step = (self.expr(s.start), self.expr(s.stop),
-                                 self.expr(s.step))
-            self.flush_counts(indent)
-            var = self._name(s.var)
-            self.emit(f"for {var} in range({start}, {stop}, {step}):", indent)
-            if s.body:
-                self.block(s.body, indent + 1)
+            r = "range(%s)" % ", ".join(map(self.expr,
+                                            (s.start, s.stop, s.step)))
+            if _straight_line(s.body):
+                # every iteration owes the same counts: one bump after
+                # the loop for all of them, not one an iteration
+                self.uid += 1
+                self.emit(f"_r{self.uid} = {r}", indent)
+                r = f"_r{self.uid}"
+                owed, self.pending = self.pending, Counts()
+                self._loop(s, r, indent)
+                self.flush_counts(indent, trips=f" * len({r})")
+                self.pending = owed
             else:
-                self.emit("pass", indent + 1)
+                self.flush_counts(indent)
+                self._loop(s, r, indent)
+                self.flush_counts(indent + 1)
         else:  # pragma: no cover
             raise IRError(f"cannot generate code for {s!r}")
+
+    def _loop(self, s: N.For, r: str, indent: int):
+        """The loop itself over the iterable ``r``; its body's counts
+        are left pending."""
+        self.emit(f"for {self._name(s.var)} in {r}:", indent)
+        for inner in s.body:
+            self.stmt(inner, indent + 1)
+        if not s.body:
+            self.emit("pass", indent + 1)
+
+
+def _straight_line(stmts: tuple[N.Stmt, ...]) -> bool:
+    """No ``if`` anywhere: each execution owes the same float-ops."""
+    return not any(isinstance(s, N.If) for s in N.walk_stmts(stmts))
 
 
 _idiv = N.c_int_div
@@ -296,6 +321,10 @@ class LaneBailout(Exception):
     """Raised by lane code when this block must be fired scalar."""
 
 
+class _NoSliceForm(Exception):
+    """The expression cannot be evaluated along a loop axis."""
+
+
 def _ramp(start, step, n: int, subtract: bool) -> np.ndarray:
     """``start, start ± step, ...`` (``n + 1`` values) by sequential
     accumulation, so entry ``i`` is bit for bit what ``i`` scalar updates
@@ -330,9 +359,41 @@ def _taken(mask: np.ndarray, lanes: int) -> int:
     return int(np.count_nonzero(mask)) * (lanes // mask.size)
 
 
+def _gather(a: np.ndarray, r: range, offset: int) -> np.ndarray:
+    """``a[..., offset + j]`` for ``j`` in ``r``, along a new last axis:
+    a slice of ``a`` (a view) where the indices run upwards inside it,
+    else the indices themselves, which wrap and raise as the loop's
+    would."""
+    if not r:
+        return a[..., :0]
+    lo, hi = offset + r[0], offset + r[-1]
+    if r.step > 0 and lo >= 0 and hi < a.shape[-1]:
+        return a[..., lo:hi + 1:r.step]
+    return a[..., offset + np.asarray(r)]
+
+
+def _accumulate(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``((acc + t[0]) + t[1]) + ...`` over the last axis of ``terms``:
+    ``np.add.accumulate`` is the sequential sum (as in :func:`_ramp`),
+    so the result is bit for bit what the loop ``acc = acc + t[j]``
+    leaves.  Adds in place when ``terms`` is a temporary; a view (of
+    the input ring, of a field) or a narrower array is copied first."""
+    if not terms.shape[-1]:
+        return acc
+    if terms.base is not None or terms.shape[:-1] != acc.shape \
+            or terms.dtype != acc.dtype:
+        full = np.empty(np.broadcast_shapes(acc.shape + (1,), terms.shape),
+                        np.result_type(acc, terms))
+        full[...] = terms
+        terms = full
+    np.add(acc, terms[..., 0], out=terms[..., 0])
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 _LANE_NAMESPACE = {"_np": np, "_math": math, "_idiv": _idiv, "_imod": _imod,
                    "_ramp": _ramp, "_min2": _min2, "_max2": _max2,
-                   "_taken": _taken, "_InterpError": InterpError}
+                   "_taken": _taken, "_gather": _gather,
+                   "_accumulate": _accumulate, "_InterpError": InterpError}
 
 _LANE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
                "atan": "_np.arctan", "atan2": "_np.arctan2",
@@ -363,7 +424,10 @@ class _LaneEmitter(_Emitter):
     by all lanes, and an expression over scalars only is emitted exactly
     as the scalar emitter would.  A branch on lane values is
     if-converted: both arms run on every lane and ``np.where`` keeps,
-    per lane, the locals and pushes of the arm that lane took.
+    per lane, the locals and pushes of the arm that lane took.  A loop
+    stays a Python loop over the arrays, except a reduction loop (``acc
+    = acc + E``, see :meth:`_reduce`): one expression with the
+    iterations along one more axis.
 
     ``varying`` names the float fields whose value differs between the
     sibling filters one call evaluates (bound to ``(siblings, 1)``
@@ -381,9 +445,9 @@ class _LaneEmitter(_Emitter):
         self.arm: _Arm | None = None
         #: names declared inside an arm that has since been merged
         self.out_of_scope: set[str] = set()
-        self.uid = 0
         self.branches = 0
         self.loops = False
+        self.reduced = 0  # loops emitted as one accumulate
 
     def varying(self, e: N.Expr) -> bool:
         return any(isinstance(x, (N.Peek, N.Pop))
@@ -519,6 +583,85 @@ class _LaneEmitter(_Emitter):
                 arm.static = was_static
         else:  # pragma: no cover
             raise IRError(f"cannot generate code for {s!r}")
+
+    def _loop(self, s: N.For, r: str, indent: int):
+        terms = self._reduce(s, r)
+        if terms is None:
+            return super()._loop(s, r, indent)
+        self.reduced += 1
+        acc = self._name(s.body[0].target.name)
+        self.emit(f"{acc} = _accumulate({acc}, {terms})", indent)
+        # ... and the variable ends where the loop leaves it
+        self.emit(f"for {self._name(s.var)} in {r}[-1:]: pass", indent)
+
+    def _reduce(self, s: N.For, r: str) -> str | None:
+        """The terms of a reduction loop — a body of the one statement
+        ``acc = acc + E``, ``acc`` a lane local that ``E`` does not
+        read, ``E`` without ``pop()`` — as one expression with the
+        iterations ``r`` along a new last axis, one iteration's counts
+        left pending; None for any other loop."""
+        if len(s.body) != 1 or not isinstance(s.body[0], N.Assign):
+            return None
+        acc, value = s.body[0].target, s.body[0].value
+        if not (isinstance(acc, N.Var) and acc.name in self.lanes
+                and isinstance(value, N.Bin) and value.op == "+"
+                and value.left == acc):
+            return None
+        inside = list(N.walk_exprs(value.right))
+        if N.Var(s.var) not in inside or acc in inside \
+                or any(isinstance(x, N.Pop) for x in inside):
+            return None
+        owed = self.pending.copy()
+        try:
+            terms = self._terms(value.right, N.Var(s.var), r)
+        except _NoSliceForm:
+            self.pending = owed
+            return None
+        self._count_bin(value)
+        return terms
+
+    def _terms(self, e: N.Expr, var: N.Var, r: str) -> str:
+        """``e`` for every ``var`` in ``r`` at once: lane values gain a
+        last axis of length 1, ``peek(var ± c)`` and ``field[var ± c]``
+        become the slice the loop walks, and arithmetic broadcasts the
+        two.  Of the calls only ``sqrt`` and ``abs``: exact whoever
+        computes them, where the loop may hand a libm call to ``math``
+        or to NumPy."""
+        if var not in N.walk_exprs(e):
+            code = self.expr(e)
+            return f"{code}[..., None]" if self.varying(e) else code
+        if isinstance(e, N.Peek):
+            return f"_gather(_win, {r}, _p + {self._offset(e.index, var)})"
+        if isinstance(e, N.Index) and e.base not in self.tenv.int_names:
+            return (f"_gather({self._name(e.base)}, {r}, "
+                    f"{self._offset(e.index, var)})")
+        if isinstance(e, N.Un) and e.op == "-":
+            self.pending.fneg += 1
+            return f"(-{self._terms(e.operand, var, r)})"
+        if isinstance(e, N.Bin) and e.op in ("+", "-", "*", "/"):
+            left = self._terms(e.left, var, r)
+            right = self._terms(e.right, var, r)
+            self._count_bin(e)
+            return f"({left} {e.op} {right})"
+        if isinstance(e, N.Call) and e.fn in ("sqrt", "abs"):
+            (arg,) = e.args
+            arg = self._terms(arg, var, r)
+            self._count_call(e)
+            return f"{_LANE_CALLS[e.fn]}({arg})"
+        raise _NoSliceForm
+
+    def _offset(self, index: N.Expr, var: N.Var) -> str:
+        """``c`` of an index ``var + c``, ``c + var`` or ``var - c``
+        with ``c`` an int all lanes and iterations share."""
+        if index == var:
+            return "0"
+        if isinstance(index, N.Bin) and index.op in ("+", "-"):
+            c = index.right if index.left == var else index.left
+            if (index.left == var or index.op == "+" and index.right == var) \
+                    and var not in N.walk_exprs(c) and not self.varying(c) \
+                    and self.tenv.is_int(c):
+                return ("(-%s)" if index.op == "-" else "%s") % self.expr(c)
+        raise _NoSliceForm
 
     def _assign(self, s: N.Assign, indent: int) -> None:
         name = s.target.name  # never an Index: see _find_counters
@@ -708,7 +851,8 @@ def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
         em.emit(f"_F[{fname!r}] = _a_{fname}[_n].item()", 1)
     detail = ([f"if-converted {em.branches} branches"] * bool(em.branches)
               + [f"counter {c}" for c in counters]
-              + ["loops"] * em.loops)
+              + ["loops" + f" ({em.reduced} reduced)" * bool(em.reduced)]
+              * em.loops)
     return LaneCode("\n".join(em.lines) + "\n", entry,
                     ", ".join(detail) or "straight-line", tuple(counters),
                     varying)

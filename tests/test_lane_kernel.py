@@ -9,6 +9,7 @@ libm, and ``Counts`` equal field by field.
 """
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -184,8 +185,11 @@ def differential(build, bitwise, sizes, dtype="f64"):
         assert len(got) == n * lanes.node.stream.work.push
         assert_values(got, want, bitwise, dtype)
         assert_same_counts(ls.profile, ss.profile)
-        assert lanes.node.runner.fields == scalar.node.runner.fields
-    assert calls == [n for n in sizes if n >= MIN]
+        got, want = lanes.node.runner.fields, scalar.node.runner.fields
+        assert got.keys() == want.keys()
+        for name in got:  # array_equal: a field may be an array
+            np.testing.assert_array_equal(got[name], want[name])
+    assert calls == [n for n in sizes if n >= MIN] and not lanes.refired
     return len(calls)
 
 
@@ -316,6 +320,282 @@ def test_int_counter_leaving_int64_fires_scalar():
 
 
 # ---------------------------------------------------------------------------
+# reduction loops: ``acc = acc + E`` as one sequential accumulate
+# ---------------------------------------------------------------------------
+
+REDUCTIONS = """
+/* E is the ring window itself: a view the in-place add must not touch */
+float->float filter SumWindow {
+    work peek 6 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 6; j++) { s = s + peek(j); }
+        push(s * s);
+        pop();
+    }
+}
+
+/* carried in non-zero; an outer i in the index; step 2; peek(j - c) */
+float->float filter Lagged(float gain) {
+    float g = gain;
+    work peek 8 pop 2 push 2 {
+        float s = peek(0) * g;
+        for (int i = 0; i < 3; i++) {
+            for (int j = 0; j < 5; j += 2) {
+                s = s + peek(i + j) * peek(j);
+            }
+        }
+        push(s);
+        float d = g;
+        for (int j = 2; j < 7; j++) { d = d + peek(j - 2) * (-peek(1 + j)); }
+        push(d);
+        pop();
+        pop();
+    }
+}
+
+/* no trip, one trip, and the variable read after its loop */
+float->float filter Trips(int lo) {
+    work peek 4 pop 1 push 2 {
+        float s = peek(3);
+        for (int j = lo; j < 2; j++) { s = s + peek(j) * peek(j); }
+        push(s);
+        for (int k = 1; k < 2; k++) { s = s + sqrt(abs(peek(k))); }
+        push(s * k);
+        pop();
+    }
+}
+
+/* downwards: the indices themselves, not a slice; the sum in that order */
+float->float filter Backwards {
+    work peek 6 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 5; j > 0; j--) { s = s + peek(j) * peek(j - 1); }
+        push(s);
+        pop();
+    }
+}
+
+/* under a data-dependent branch: counted on the lanes that took it */
+float->float filter Gated(float t) {
+    work peek 4 pop 1 push 1 {
+        float x = peek(0);
+        float s = x;
+        if (x > t) {
+            for (int j = 1; j < 4; j++) { s = s + x * peek(j); }
+        } else {
+            s = -s;
+        }
+        push(s);
+        pop();
+    }
+}
+
+/* a float field array walked by the loop */
+float->float filter Weighted {
+    float[4] w;
+    init { for (int i = 0; i < 4; i++) { w[i] = 0.7 / (i + 1); } }
+    work peek 5 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 4; j++) { s = s + w[j] * peek(j + 1); }
+        push(s * s);
+        pop();
+    }
+}
+
+/* the loops that keep the loop form */
+float->float filter ReadsAcc {
+    work peek 3 pop 1 push 1 {
+        float s = 0.5;
+        for (int j = 0; j < 3; j++) { s = s + s * peek(j); }
+        push(s);
+        pop();
+    }
+}
+float->float filter TwoStatements {
+    work peek 3 pop 1 push 1 {
+        float s = 0.0;
+        float t = 0.0;
+        for (int j = 0; j < 3; j++) { s = s + peek(j); t = t + s; }
+        push(s * t);
+        pop();
+    }
+}
+float->float filter PopsInside {
+    work peek 3 pop 2 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 2; j++) { s = s + pop() * peek(0); }
+        push(s);
+    }
+}
+float->float filter UsesIndex {
+    work peek 3 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 3; j++) { s = s + j * peek(j); }
+        push(s * s);
+        pop();
+    }
+}
+/* a libm call: ``math`` on a field here, NumPy on lanes, and neither
+   promises the other's last bit */
+float->float filter LibmOfField {
+    float[3] w;
+    init { for (int i = 0; i < 3; i++) { w[i] = 0.9 * (i + 1); } }
+    work peek 3 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 3; j++) { s = s + sin(w[j]) * peek(j); }
+        push(s * s);
+        pop();
+    }
+}
+float->float filter LibmOfPeek {
+    work peek 3 pop 1 push 1 {
+        float s = 0.0;
+        for (int j = 0; j < 3; j++) { s = s + exp(peek(j)); }
+        push(s);
+        pop();
+    }
+}
+
+float->float splitjoin CorrBank {
+    split duplicate;
+    add Lagged(0.5);
+    add Lagged(-1.25);
+    add Lagged(2.0);
+    join roundrobin(2, 2, 2);
+}
+"""
+
+#: name -> (arguments, detail, defined on complex samples?)
+REDUCED = {
+    "SumWindow": ((), "loops (1 reduced)", True),
+    "Lagged": ((0.3,), "loops (2 reduced)", True),
+    "Trips": ((0,), "loops (2 reduced)", False),
+    "Backwards": ((), "loops (1 reduced)", True),
+    "Gated": ((0.1,), "if-converted 1 branches, loops (1 reduced)", False),
+    "Weighted": ((), "loops (1 reduced)", True),
+}
+
+
+def reduction(name, *args):
+    return lambda: repro.dsl.load_source(REDUCTIONS, name, *args)
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED))
+def test_reduction_loops_equal_scalar_firings(name):
+    """Bitwise, count for count."""
+    args, detail, on_complex = REDUCED[name]
+    sizes = [1, MIN - 1, MIN, 257]
+    for dtype in ("f64", "f32"):
+        differential(reduction(name, *args), True, sizes, dtype)
+    if on_complex:
+        # a product of two complex doubles is fused in NumPy and not in
+        # Python, in the loop form as well: the last bit may differ
+        differential(reduction(name, *args), False, sizes, "c128")
+    (lanes, _), _ = step_pair(reduction(name, *args))
+    assert lanes.detail == detail
+    (count,) = re.findall(r"\((\d) reduced\)", detail)
+    assert lanes.code.source.count("_accumulate(") == int(count)
+
+
+def test_corrpeak_inner_loop_is_reduced():
+    (lanes, _), _ = step_pair(APP_FILTERS["CorrPeak"][0])
+    assert lanes.detail == "if-converted 2 branches, loops (1 reduced)"
+    rows = [r for r in plan_report(BENCHMARKS["Vocoder"]()).steps
+            if r.name == "CorrPeak"]
+    assert [r.reason for r in rows] == [lanes.detail]
+
+
+def test_zero_and_one_trip_reductions():
+    # lo = 2: the first loop never runs and leaves ``s`` alone
+    differential(reduction("Trips", 2), True, [MIN, 40])
+    differential(reduction("Trips", 1), True, [MIN, 40])
+    (lanes, _), _ = step_pair(reduction("Trips", 2))
+    feed(lanes, MIN, np.random.default_rng(3))
+    window = lanes.ring_in.window_view(MIN, 1, 4).copy()
+    lanes.execute(MIN)
+    np.testing.assert_array_equal(drain(lanes)[::2], window[:, 3])
+
+
+def test_a_reduction_leaves_the_input_ring_alone():
+    (lanes, _), _ = step_pair(reduction("SumWindow"))
+    feed(lanes, 40, np.random.default_rng(2))
+    window = lanes.ring_in.window_view(40, 1, 6)
+    before = window.copy()
+    lanes.execute(40)
+    np.testing.assert_array_equal(window, before)
+    assert (lanes.batches, lanes.refired) == (1, 0)  # nor tried to
+    (lanes, _), _ = step_pair(reduction("Weighted"))
+    w = lanes.node.runner.fields["w"].copy()
+    feed(lanes, 40, np.random.default_rng(2))
+    lanes.execute(40)
+    np.testing.assert_array_equal(lanes.node.runner.fields["w"], w)
+
+
+def test_gated_reduction_counts_the_lanes_that_took_it():
+    (lanes, ls), _ = step_pair(reduction("Gated", 0.1))
+    feed(lanes, 200, np.random.default_rng(8))
+    taken = int((lanes.ring_in.window_view(200, 1, 4)[:, 0] > 0.1).sum())
+    lanes.execute(200)
+    c = ls.profile.counts
+    assert 0 < taken < 200
+    assert (c.fcmp, c.fadd, c.fmul, c.fneg) \
+        == (200, 3 * taken, 3 * taken, 200 - taken)
+
+
+@pytest.mark.parametrize("build, detail", [
+    (lambda: fuzz_shape(4), "if-converted 1 branches, loops"),
+    (reduction("ReadsAcc"), "loops"),
+    (reduction("TwoStatements"), "loops"),
+    (reduction("PopsInside"), "loops"),
+    (reduction("UsesIndex"), "loops"),
+    (reduction("LibmOfField"), "loops"),
+    (reduction("LibmOfPeek"), "loops"),
+], ids=["fuzz-variant-4", "acc-read-in-E", "two-statements", "pop-in-E",
+        "index-outside-peek", "libm-of-field", "libm-of-peek"])
+def test_other_loops_keep_the_loop_form(build, detail, request):
+    (lanes, _), _ = step_pair(build)
+    assert lanes.detail == detail
+    assert "_accumulate(" not in lanes.code.source
+    # NumPy's libm on lanes agrees with math's to the tolerance only
+    bitwise = request.node.callspec.id != "libm-of-peek"
+    differential(build, bitwise, [1, MIN, 257])
+
+
+def test_overflow_inside_the_accumulate_refires_scalar():
+    (lanes, ls), (scalar, ss) = step_pair(reduction("SumWindow"))
+    data = np.full(MIN + 5, 1e308)
+    for step in (lanes, scalar):
+        step.ring_in.push_block(data)
+        step.execute(MIN)
+    assert (lanes.batches, lanes.refired) == (1, 1)
+    (row,) = ls.report().fallbacks
+    assert row.reason.endswith("refired 1/1 lane batches scalar")
+    got = drain(lanes)
+    assert np.isinf(got).all()
+    np.testing.assert_array_equal(got, drain(scalar))
+    assert_same_counts(ls.profile, ss.profile)
+
+
+def test_sibling_reductions_equal_scalar_rows(monkeypatch):
+    """One ``(b, n, peek)`` call with ``g`` a column: the terms and the
+    carried value broadcast against each other."""
+    build = lambda: repro.dsl.load_source(REDUCTIONS, "CorrBank")
+    fused = repro.compile(build(), profiler=Profiler())
+    scalar = repro.compile(build(), profiler=Profiler())
+    (step,) = lane_steps(fused)
+    assert len(step.nodes) == 3 and step.code.varying == {"g"}
+    rng = np.random.default_rng(9)
+    for n in (64, 2 * MIN, 700):
+        chunk = rng.standard_normal(n)
+        got = fused.push(chunk)
+        with monkeypatch.context() as m:
+            m.setattr(K, "LANE_MIN_FIRINGS", 10 ** 9)
+            np.testing.assert_array_equal(got, scalar.push(chunk))
+    assert step.batches == 3 and not step.refired
+    assert_same_counts(fused.profile, scalar.profile)
+
+
+# ---------------------------------------------------------------------------
 # planner, report, sessions
 # ---------------------------------------------------------------------------
 
@@ -376,6 +656,27 @@ def test_resumed_radar_run_fires_no_scalar_runner(monkeypatch):
     np.testing.assert_allclose(got, ref.run(1024), atol=1e-9)
     assert_same_counts(s.profile, ref.profile)
     assert s.report().fallbacks == []
+
+
+def test_warm_vocoder_run_fires_no_scalar_batch(monkeypatch):
+    """The ``vocoder_pull`` call: ``CorrPeak`` gets 23-27 firings a
+    ``run(128)``, and every one of its batches is a lane call (until
+    ``LANE_MIN_FIRINGS`` came down to its crossover none was)."""
+    s = repro.compile(BENCHMARKS["Vocoder"](), optimize="auto",
+                      profiler=Profiler())
+    s.run(128)
+
+    def scalar_batch(*args):
+        raise AssertionError("a scalar batch")
+    monkeypatch.setattr(K, "fire_scalar", scalar_batch)
+    for _ in range(4):
+        assert len(s.run(128)) == 128
+    rows = {r.name: r for r in s.report().steps if r.step_kind == "lanes"}
+    assert sorted(rows) == ["CenterClip", "CorrPeak"]
+    assert not any("refired" in r.reason for r in rows.values())
+    assert rows["CorrPeak"].reason.endswith("loops (1 reduced)")
+    corr = [st for st in lane_steps(s) if st.node.name == "CorrPeak"]
+    assert [st.batches for st in corr] == [5]
 
 
 def test_reset_and_restore_mid_stream():

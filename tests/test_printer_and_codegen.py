@@ -6,6 +6,7 @@ import pytest
 from repro.ir import (FilterBuilder, call, compile_work, expr_to_str,
                       work_to_str)
 from repro.ir import nodes as N
+from repro.ir.interp import Interpreter
 from repro.profiling import Profiler
 from repro.runtime import Channel
 
@@ -82,6 +83,54 @@ class TestCodegen:
         assert out == [pytest.approx(15.0)]
         assert prof.counts.fmul == 4
         assert prof.counts.fadd == 4
+
+    def test_straight_line_loops_owe_their_counts_once(self):
+        """No ``if`` in the body: every iteration owes the same ops, so
+        one bump after the loop pays for all of them — the inner loop's
+        inside the outer, whose variable bounds it."""
+        f = FilterBuilder("Nest", peek=4, pop=1, push=1)
+        with f.work():
+            s = f.local("s", 0.0)
+            with f.loop("i", 0, 3) as i:
+                f.assign(s, s * 0.5)
+                with f.loop("j", i, 4) as j:
+                    f.assign(s, s + f.peek(i) * f.peek(j))
+            f.push(s)
+            f.pop()
+        filt = f.build()
+        out, prof = self._run(filt.work, dict(filt.fields),
+                              [1.0, 2.0, 3.0, 4.0])
+        ref, ch_in, ch_out = Profiler(), Channel(), Channel()
+        ch_in.push_block([1.0, 2.0, 3.0, 4.0])
+        Interpreter(dict(filt.fields), ref).run(filt.work, ch_in, ch_out)
+        assert out == ch_out.snapshot()
+        assert prof.counts == ref.counts
+        assert (prof.counts.fadd, prof.counts.fmul) == (9, 12)
+        src = compile_work(filt.work, dict(filt.fields),
+                           "t").__repro_source__
+        bumps = [line for line in src.splitlines() if "_bulk(" in line]
+        assert [line.strip() for line in bumps] == [
+            "_bulk(fadd=1 * len(_r2), fmul=1 * len(_r2))",
+            "_bulk(fmul=1 * len(_r1))"]
+        indent = lambda line: len(line) - len(line.lstrip())
+        assert indent(bumps[0]) == 8 and indent(bumps[1]) == 4
+
+    def test_a_branch_in_the_body_keeps_per_iteration_counts(self):
+        f = FilterBuilder("Cond", peek=3, pop=1, push=1)
+        with f.work():
+            s = f.local("s", 0.0)
+            with f.loop("i", 0, 3) as i:
+                with f.if_(f.peek(i) > 0.0):
+                    f.assign(s, s + f.peek(i))
+            f.push(s)
+            f.pop()
+        filt = f.build()
+        out, prof = self._run(filt.work, dict(filt.fields), [1.0, -2.0, 3.0])
+        assert out == [4.0]
+        assert (prof.counts.fcmp, prof.counts.fadd) == (3, 2)
+        src = compile_work(filt.work, dict(filt.fields),
+                           "t").__repro_source__
+        assert "len(" not in src
 
     def test_branch_counts_follow_execution(self):
         f = FilterBuilder("B", peek=1, pop=1, push=1)
