@@ -52,6 +52,7 @@ import numpy as np
 from ..graph.streams import Filter, Pipeline, walk
 from ..linear.extraction import extract_filter
 from ..numeric import DTYPE_CHOICES, resolve_policy
+from ..profiling import Profiler
 from ..runtime import run_graph
 from ..runtime.builtins import Collector
 from .elaborator import compile_source
@@ -62,6 +63,10 @@ __all__ = ["FuzzProgram", "Mismatch", "generate", "check_program",
 TOP = "FuzzProgram"
 PLAN_RTOL = 1e-9
 PLAN_ATOL = 1e-9
+#: each plan mode also runs resumed, in this many calls: the calls after
+#: the first start from states the executor may have simulated before,
+#: so they exercise its schedule replay against the one-call run
+RESUMED_CALLS = 8
 
 
 @dataclass
@@ -713,19 +718,25 @@ def _run(program: FuzzProgram, n_outputs: int, backend: str,
 
 
 def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
-              policy=None, workers: int = 1) -> np.ndarray:
+              policy=None, workers: int = 1, profiler=None,
+              calls: int = 1) -> np.ndarray:
     """Plan-backend run, under a numeric policy or on the parallel
-    engine (``workers`` processes) if asked.  Notes in the program's
-    census whether sibling branches ran as one step — whether the plan
-    holds a many-row ring — and whether the rewrite collapsed a mixed
-    run: a leaf with state *and* lookahead or a rate change, which no
-    generated filter is."""
+    engine (``workers`` processes) if asked, counting into ``profiler``
+    if given.  Notes in the program's census whether sibling branches
+    ran as one step — whether the plan holds a many-row ring — and
+    whether the rewrite collapsed a mixed run: a leaf with state *and*
+    lookahead or a rate change, which no generated filter is.
+
+    ``calls > 1`` takes the outputs in that many equal calls (the last
+    also takes the remainder) and adds to the census how many of them
+    replayed a schedule the executor had simulated before."""
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
     session = StreamSession(_wrap(program), backend="plan",
                             optimize=optimize, dtype=policy,
-                            workers=workers, _program_mode=True)
+                            profiler=profiler, workers=workers,
+                            _program_mode=True)
     try:
         rings = getattr(session._executor, "rings", ())
         if any(ring.rows > 1 for ring in rings):
@@ -736,8 +747,15 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
             if ln is not None and ln.state_dim and \
                     (ln.peek > ln.pop or ln.pop != ln.push):
                 program.census["collapsed"] = 1
-        return np.asarray(session._advance_raw(n_outputs),
-                          dtype=policy.dtype)
+        size = n_outputs // calls
+        parts = [session._advance_raw(size) for _ in range(calls - 1)]
+        parts.append(session._advance_raw(n_outputs - size * (calls - 1)))
+        if calls > 1:
+            for key in ("replayed", "calls"):
+                program.census[key] = (program.census.get(key, 0)
+                                       + getattr(session._executor, key, 0))
+        return np.concatenate([np.asarray(p, dtype=policy.dtype)
+                               for p in parts])
     finally:
         session.close()
 
@@ -783,8 +801,9 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
 
     plan_modes = ["none"] + ([optimize] if optimize != "none" else [])
     for mode in plan_modes:
+        one_call = Profiler()
         try:
-            plan = _run_plan(program, n_outputs, mode)
+            plan = _run_plan(program, n_outputs, mode, profiler=one_call)
         except Exception:
             return Mismatch(program, f"run:plan/{mode}",
                             traceback.format_exc())
@@ -794,6 +813,22 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
                                         - np.asarray(reference))))
             return Mismatch(program, f"diverge:plan/{mode}",
                             f"interp vs plan max|delta| = {delta!r}")
+        resumed = Profiler()
+        where = f"plan/{mode}/{RESUMED_CALLS} calls"
+        try:
+            split = _run_plan(program, n_outputs, mode, profiler=resumed,
+                              calls=RESUMED_CALLS)
+        except Exception:
+            return Mismatch(program, f"run:{where}", traceback.format_exc())
+        if not np.allclose(split, plan, rtol=PLAN_RTOL, atol=PLAN_ATOL):
+            delta = float(np.max(np.abs(split - plan)))
+            return Mismatch(program, f"diverge:{where}",
+                            f"one call vs {RESUMED_CALLS} max|delta| = "
+                            f"{delta!r}")
+        if resumed.counts != one_call.counts:
+            return Mismatch(program, f"counts:{where}",
+                            f"one call {one_call.counts} vs "
+                            f"{RESUMED_CALLS} calls {resumed.counts}")
         if workers > 1:
             try:
                 par = _run_plan(program, n_outputs, mode, workers=workers)
@@ -917,13 +952,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
+    replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
           f"non-source leaves {leaves}; {fused} programs ran sibling "
           f"branches as one step, {collapsed} collapsed a mixed run into "
-          f"one leaf with state)")
+          f"one leaf with state; replayed {replayed}/{calls} resumed "
+          f"calls)")
     return 0
 
 

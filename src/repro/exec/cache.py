@@ -37,10 +37,11 @@ A :class:`PlanEntry` carries everything reusable across runs:
 
 Mutable execution state (ring buffers — a push session's feed and
 output rings among them — fallback runners, profilers) and the firing
-schedule are *never* cached; every run builds a fresh executor around
-the shared immutable plan and drives it live
-(:meth:`~repro.exec.planner.PlanExecutor._drive` costs O(nodes) per
-call, whatever the schedule's period).
+schedule are *never* in this cache; every run builds a fresh executor
+around the shared immutable plan and drives it live.  The schedule is
+per executor: :meth:`~repro.exec.planner.PlanExecutor._scheduled`
+simulates a call once per integer state (O(nodes), whatever the
+schedule's period) and replays it when the state recurs.
 """
 
 from __future__ import annotations

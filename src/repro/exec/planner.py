@@ -18,7 +18,13 @@ static I/O rates, so it splits execution into two phases:
    sources firing ``k`` times and one sweep
    (:meth:`PlanExecutor._jump`), and ``k`` follows from walking the
    sink's demand back to the sources (:meth:`PlanExecutor._demand`) —
-   O(nodes) per call, whatever the schedule's period.
+   O(nodes) per call, whatever the schedule's period.  A call's firing
+   counts are a function of the integer state it starts from
+   (occupancies, init phases, source budgets), so each executor keeps
+   the counts of the states it has simulated and a call that finds its
+   state there replays them without simulating
+   (:meth:`PlanExecutor._scheduled`): a lookup when the state recurs,
+   else the walk.
 
 2. **Batched execution** — pending counts are flushed in flattening
    (topological) order: each node executes all of its pending firings as
@@ -117,6 +123,10 @@ from .ring import RingBuffer
 #: Flush batched work once this many sink outputs are pending (bounds ring
 #: memory for very long runs while keeping batches large).
 DEFAULT_CHUNK_OUTPUTS = 1 << 16
+
+#: Simulated calls an executor keeps for replay.  A full table is
+#: emptied, or dropped for good if none of its calls has replayed.
+SCHEDULE_TABLE_SIZE = 256
 
 _PROBE_INPUT = 0.5  # probe value dodging singularities (log 0, 1/0, ...)
 
@@ -690,6 +700,12 @@ class PlanExecutor:
         #: how many jumps advanced them / how many ran one by one
         self.jumps = 0
         self.passes_literal = 0
+        #: schedule replay (:meth:`_scheduled`): simulator input -> what
+        #: the call flushed and left behind (None once given up); calls
+        #: that needed a schedule, and how many of them replayed one
+        self._schedules: dict | None = {}
+        self.calls = 0
+        self.replayed = 0
         # resumable-session cursors (see advance/drain_available)
         self._returned = 0  # outputs handed out to the caller
         self._out_popped = 0  # items popped off the graph output ring
@@ -1043,17 +1059,23 @@ class PlanExecutor:
         self._passes += k
         self.jumps += 1
 
+    def _phases(self) -> tuple:
+        """Every node's init phase and source budget."""
+        return tuple([(sn.fired, sn.remaining) for sn in self.sim_nodes])
+
+    def _set_phases(self, phases: tuple) -> None:
+        for sn, (fired, remaining) in zip(self.sim_nodes, phases):
+            sn.fired, sn.remaining = fired, remaining
+
     def _checkpoint(self) -> tuple:
         """Everything a jump changes, for :meth:`_rollback`."""
         return (self._occ[:], self._pending[:], self._pending_outputs,
-                self._sink_fires, self._passes, self.jumps,
-                [(sn.fired, sn.remaining) for sn in self.sim_nodes])
+                self._sink_fires, self._passes, self.jumps, self._phases())
 
     def _rollback(self, saved: tuple) -> None:
         (self._occ, self._pending, self._pending_outputs, self._sink_fires,
          self._passes, self.jumps, phases) = saved
-        for sn, (fired, remaining) in zip(self.sim_nodes, phases):
-            sn.fired, sn.remaining = fired, remaining
+        self._set_phases(phases)
 
     def _passes_left(self):
         """Passes until every source has run dry (inf: one never does)."""
@@ -1111,12 +1133,80 @@ class PlanExecutor:
                 pending[i] = 0
         self._pending_outputs = 0
 
+    def _flush_taped(self, tape: list) -> None:
+        """:meth:`_flush`, noting on ``tape`` what it fires."""
+        if any(self._pending):
+            tape.append(self._pending[:])
+        self._flush()
+
+    # -- schedule replay -----------------------------------------------------
+    def _scheduled(self, call: tuple, simulate, *args) -> None:
+        """``simulate(*args, tape)`` — a simulated call that flushes
+        through :meth:`_flush_taped` onto ``tape`` — or its replay.
+
+        Everything the simulator reads is ``call`` (the target or pass
+        budget, relative to what the sink holds) and the integer state:
+        occupancies and every node's init phase and source budget.  So
+        the first call from a state runs the simulation and keeps the
+        pending vectors it flushed, the state it left and its counter
+        deltas; a later call from the same state sets that state and
+        fires the vectors through :meth:`_flush` (which the parallel
+        executor overrides), simulating nothing.  A call that raises is
+        not kept, and one that starts with firings still pending (a
+        flush raised) is simulated and not kept.  When the table fills
+        it is emptied — or dropped, if no call has replayed yet: the
+        executor's states do not recur, and from then on every call is
+        simulated with no bookkeeping.
+        """
+        self.calls += 1
+        pending = self._pending
+        if self._schedules is None or any(pending):
+            simulate(*args, [])
+            return
+        key = (call, tuple(self._occ), self._phases())
+        kept = self._schedules.get(key)
+        if kept is not None:
+            tape, occ, phases, sink, passes, jumps, literal = kept
+            self._occ[:] = occ
+            self._set_phases(phases)
+            self._sink_fires += sink
+            self._passes += passes
+            self.jumps += jumps
+            self.passes_literal += literal
+            self.replayed += 1
+            for vector in tape:
+                pending[:] = vector
+                self._flush()
+            return
+        before = (self._sink_fires, self._passes, self.jumps,
+                  self.passes_literal)
+        tape: list = []
+        simulate(*args, tape)
+        if len(self._schedules) >= SCHEDULE_TABLE_SIZE:
+            if not self.replayed:
+                self._schedules = None
+                return
+            self._schedules.clear()
+        self._schedules[key] = (
+            tape, tuple(self._occ), self._phases(),
+            self._sink_fires - before[0], self._passes - before[1],
+            self.jumps - before[2], self.passes_literal - before[3])
+
     # -- reentrant drive loop -----------------------------------------------
     def _refresh_feed(self) -> None:
         if self._feed_node is not None:
             self._feed_node.remaining = len(self.feed.buffer)
 
     def _drive(self, target: int, max_passes: int) -> None:
+        """Bring the sink to ``target`` total outputs: :meth:`_simulate`
+        once per state, replayed when the state recurs."""
+        self._refresh_feed()
+        if self._produced() >= target:
+            return
+        self._scheduled(("drive", target - self._produced(), max_passes),
+                        self._simulate, target, max_passes)
+
+    def _simulate(self, target: int, max_passes: int, tape: list) -> None:
         """Simulate + flush until the sink holds ``target`` total outputs.
 
         Drain-first transcription of :meth:`FlatGraph._drive`: leftover
@@ -1129,9 +1219,6 @@ class PlanExecutor:
         reach the goal is undone and halved.  ``max_passes`` bounds the
         passes of this call, jumped or literal.
         """
-        self._refresh_feed()
-        if self._produced() >= target:
-            return
         self._sweep(target)
         passes = 0
         while self._produced() < target:
@@ -1154,13 +1241,13 @@ class PlanExecutor:
             progress = self._fire_sources(1)
             self._sweep(target)
             if self._pending_outputs >= self.chunk_outputs:
-                self._flush()
+                self._flush_taped(tape)
             if not progress and self._produced() < target:
                 self._flush()
                 raise InterpError(
                     f"deadlock: no source progress, "
                     f"{self._produced()}/{target} outputs")
-        self._flush()
+        self._flush_taped(tape)
 
     def _take(self, n: int):
         """The next ``n`` already-produced outputs past the cursor."""
@@ -1195,9 +1282,12 @@ class PlanExecutor:
         k = self._passes_left()
         if k > max_passes:
             raise InterpError("executor pass limit exceeded")
-        self._jump(k)
-        self._flush()
+        self._scheduled(("drain", k, max_passes), self._drain, k)
         return self._take(self._produced() - self._returned)
+
+    def _drain(self, k: int, tape: list) -> None:
+        self._jump(k)
+        self._flush_taped(tape)
 
     def run(self, n_outputs: int, max_passes: int = 10_000_000) -> list[float]:
         """Batched equivalent of :meth:`FlatGraph.run` (same legacy
@@ -1415,10 +1505,13 @@ class PlanReport:
     nodes: int = 0  # flattened nodes behind ``steps``
     #: schedule simulation so far (all 0 for a plan that has not run):
     #: passes advanced in total, the jumps that advanced them, and the
-    #: passes simulated one by one (the last of each drive)
+    #: passes simulated one by one (the last of each drive); the calls
+    #: that needed a schedule, and those that replayed a kept one
     passes: int = 0
     jumps: int = 0
     passes_literal: int = 0
+    calls: int = 0
+    replayed: int = 0
     #: a live session's :attr:`~repro.session.StreamSession.buffers`
     buffers: tuple | None = None
 
@@ -1453,7 +1546,8 @@ class PlanReport:
         lines.append(summary)
         lines.append(f"schedule: {self.passes} passes, "
                      f"{self.jumps} jumps, "
-                     f"{self.passes_literal} literal passes")
+                     f"{self.passes_literal} literal passes, "
+                     f"{self.replayed} of {self.calls} calls replayed")
         lines += held
         for isl in self.islands:
             lines.append(str(isl))
@@ -1474,7 +1568,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
     rep = PlanReport(program=program, optimize=optimize, bailout=None,
                      nodes=len(flat.nodes),
                      passes=executor._passes, jumps=executor.jumps,
-                     passes_literal=executor.passes_literal)
+                     passes_literal=executor.passes_literal,
+                     calls=executor.calls, replayed=executor.replayed)
     for pos, (entry, step, orbit) in enumerate(zip(
             executor.outer_entries, executor.steps, executor.orbits)):
         if isinstance(entry, FeedbackRegion):

@@ -357,7 +357,11 @@ def test_demand_is_the_literal_first_hit_pass(top):
             (passes_then, first_hit), = asked[before:]
             assert passes_then + first_hit == slow._executor._passes
         assert ex._passes == slow._executor._passes
-    assert len(asked) >= 67  # x 3 graphs
+    # every simulated drive is checked above; a drive whose state was
+    # simulated before replays it and asks nothing.  Simulated: 56 / 81 /
+    # 43 of the 120 runs (Paced / TwoLanes / PacedLoop)
+    assert len(asked) >= 40  # x 3 graphs
+    assert ex.replayed > 0 or top == "TwoLanes"
 
 
 @pytest.mark.parametrize("top", ["TwoLanes", "PacedLoop"])
