@@ -64,11 +64,12 @@ def test_stateful_app_runs_batched_kernels():
 
 
 def test_radar_runs_no_scalar_firing():
-    """Acceptance: Radar's 12 counter sources, 4 Magnitude and 4
-    Detector stages run as lane kernels — no node is left to scalar
-    firing (its FLOP parity is the Radar case above)."""
+    """Acceptance: Radar's 12 counter sources run as one sinusoid step,
+    its 4 Magnitude and 4 Detector stages as lane kernels — no node is
+    left to scalar firing (its FLOP parity is the Radar case above)."""
     kinds = Counter()
     for s in plan_report(radar.build()).steps:
         kinds[s.step_kind] += s.width  # sibling branches share a step
-    assert kinds["lanes"] == 20
+    assert kinds["sinusoid"] == 12
+    assert kinds["lanes"] == 8
     assert kinds["fallback"] == 0

@@ -723,13 +723,14 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     """Plan-backend run, under a numeric policy or on the parallel
     engine (``workers`` processes) if asked, counting into ``profiler``
     if given.  Notes in the program's census whether sibling branches
-    ran as one step — whether the plan holds a many-row ring — and
-    whether the rewrite collapsed a mixed run: a leaf with state *and*
-    lookahead or a rate change, which no generated filter is.
+    ran as one step (a many-row ring), a source as a sinusoid step (its
+    reader folded on), and whether the rewrite collapsed a mixed run: a
+    leaf with state *and* lookahead or a rate change, as none is.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
     also takes the remainder) and adds to the census how many of them
     replayed a schedule the executor had simulated before."""
+    from ..exec.kernels import SinusoidStep
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
@@ -741,6 +742,11 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         rings = getattr(session._executor, "rings", ())
         if any(ring.rows > 1 for ring in rings):
             program.census["fused"] = 1
+        for step in getattr(session._executor, "steps", ()):
+            if isinstance(step, SinusoidStep):
+                program.census["sinusoid"] = 1
+                if step.source is not step:
+                    program.census["folded"] = 1
         flat = getattr(session._executor, "flat", session._executor)
         for node in flat.nodes:
             ln = getattr(node.stream, "linear_node", None)
@@ -953,14 +959,15 @@ def main(argv=None) -> int:
         return 1
     fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
+    sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
           f"non-source leaves {leaves}; {fused} programs ran sibling "
           f"branches as one step, {collapsed} collapsed a mixed run into "
-          f"one leaf with state; replayed {replayed}/{calls} resumed "
-          f"calls)")
+          f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
+          f"folded; replayed {replayed}/{calls} resumed calls)")
     return 0
 
 

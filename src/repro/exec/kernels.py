@@ -25,6 +25,8 @@ the same class, its arrays without the axis.
 * :class:`LaneStep` evaluates ``n`` firings of a stateless non-linear
   filter, or of a counter-driven source, as one call of its generated
   lane form — NumPy ufuncs over the ``(n, peek)`` window;
+* :class:`SinusoidStep` — sources that push sums of sinusoids of a
+  counter as one ``(sin, cos)`` basis, their linear reader folded on;
 * :class:`FallbackStep` fires the node's existing scalar runner (compiled
   work function or primitive runner) ``n`` times — the escape hatch for
   prework, array state and unknown primitives, with exact FLOP-count
@@ -41,6 +43,7 @@ bit-identical across ``interp``/``compiled``/``plan``.
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -80,6 +83,15 @@ class Step:
             f"{type(self).__name__} does not carry state")
 
 
+def _merged(accounts, policy: NumericPolicy) -> list:
+    """``(counts, name)`` accounts in the policy's units, one per name,
+    the unnamed ones summed."""
+    merged: dict = {}
+    for counts, name in accounts:
+        merged.setdefault(name, Counts()).add(policy.adjust_counts(counts))
+    return [(counts, name) for name, counts in merged.items()]
+
+
 class MatmulStep(Step):
     """Batched affine map ``Y = X[:, ::-1] @ A + b`` for a linear node —
     for ``b`` sibling nodes of equal rates, one ``(b, n, peek) @
@@ -110,11 +122,7 @@ class MatmulStep(Step):
             A, b = A[0], b[0, 0]
         self.A = np.ascontiguousarray(A, dtype=policy.dtype)
         self.b = b.astype(policy.dtype) if b.any() else None
-        # one account per name, the unnamed ones summed
-        merged: dict = {}
-        for counts, name in accounts:
-            merged.setdefault(name, Counts()).add(policy.adjust_counts(counts))
-        self.accounts = [(counts, name) for name, counts in merged.items()]
+        self.accounts = _merged(accounts, policy)
         self.profiler = profiler
         # pop == push == 1 (an n-tap sliding filter, the FIR shape):
         # consecutive windows overlap in all but one element, and BLAS
@@ -627,6 +635,95 @@ class LaneStep(FallbackStep):
                 row_out[:] = tape_out.snapshot()
         if wf.pop:
             self.ring_in.pop_block(n * wf.pop)
+
+
+class SinusoidStep(Step):
+    """``n`` firings of ``b`` sibling sources of one sinusoid form
+    (:func:`~repro.ir.pycodegen.sinusoid_form`), or of their linear
+    reader folded on (:meth:`fold`): one basis of the shared frequencies
+    straight from the int counter, ``ω·(c0 + step·i)`` in float64 (so
+    nothing drifts), times a row of coefficients each, cast into the
+    ring.  Values are the graph's to ``k·ulp(ω·c)·‖C‖`` (the graph rounds
+    ``ω·c + θ``; ``θ`` is in ``C`` here); the counter lives in the
+    siblings' ``runner.fields`` as for a :class:`LaneStep`.
+    """
+
+    kind = "sinusoid"
+
+    def __init__(self, nodes, forms, ring_out, profiler: Profiler):
+        lead = forms[0]
+        self.nodes, self.source = nodes, self  # source: whose counter
+        self.counter, self.stride = lead.counter, lead.step
+        self.omegas = lead.omegas
+        #: (b, 2K + 1, push), the constant last, against a basis row of
+        #: ones (a broadcast add over ``push`` items is a short loop)
+        self.coef = np.stack([f.coef for f in forms])
+        self.ring_in, self.ring_out = None, ring_out
+        self.push = self.coef.shape[-1]
+        self.profiler = profiler
+        self.accounts = [(lead.counts.scaled(len(nodes)), None)]
+        self.detail = f"{len(self.omegas)} frequencies, counter {lead.counter}"
+
+    def fold(self, nodes, accounts, ring_out,
+             policy: NumericPolicy = DEFAULT_POLICY) -> "SinusoidStep":
+        """The step of the reader: linear ``nodes`` popping whole firings,
+        :class:`MatmulStep`'s ``accounts``.  Window item ``i`` from
+        counter ``c`` is ``basis(c) @ R(d_i) @ C[:, i % push]``, ``R(d)``
+        turning each ``(sin, cos)`` pair by ``ω·d``, ``d_i = step·(i //
+        push)``: so ``M = Σ_i R(d_i) C[:, i % push] ⊗ A[i]``, and ``c`` is
+        this counter less a ``step`` a firing the ring holds.  This step
+        then writes nothing into that ring, and nothing reads it."""
+        first, K = nodes[0], len(self.omegas)
+        i = np.arange(first.peek)
+        angle = np.multiply.outer(self.omegas, self.stride * (i // self.push))
+        cos, sin = np.cos(angle), np.sin(angle)
+        C = self.coef[..., i % self.push]  # item i's column; const last
+        W = np.concatenate((cos * C[:, :K] - sin * C[:, K:-1],
+                            sin * C[:, :K] + cos * C[:, K:-1], C[:, -1:]),
+                           axis=1)
+        # rows and columns as MatmulStep orders them (window, push order)
+        A = np.stack([node.A[::-1, ::-1] for node in nodes])
+        reader = copy.copy(self)
+        reader.source, reader.ring_in, reader.ring_out = \
+            self, self.ring_out, ring_out
+        reader.stride = self.stride * (first.pop // self.push)
+        reader.pop, reader.push = first.pop, first.push
+        reader.accounts = _merged(accounts, policy)
+        reader.kind = "matmul"
+        reader.detail = f"folded onto {self.nodes[0].name}'s basis"
+        reader.coef = W @ A
+        reader.coef[:, -1] += np.stack([node.b[::-1] for node in nodes])
+        self.coef = None
+        return reader
+
+    def execute(self, n: int) -> None:
+        if _faults.ACTIVE is not None:
+            _faults.ACTIVE.fire("kernel.step")
+        source = self.source
+        start = source.nodes[0].runner.fields[source.counter]
+        if self.ring_in is not None:  # from the oldest item in the ring
+            start -= source.stride * (len(self.ring_in) // source.push)
+            self.ring_in.pop_block(n * self.pop)
+        else:
+            for node in self.nodes:
+                node.runner.fields[self.counter] = start + self.stride * n
+        out = self.ring_out.alloc_push(n * self.push)
+        if self.coef is not None:
+            # a row per basis column: every ufunc runs over n contiguous
+            K = len(self.omegas)
+            basis = np.empty((2 * K + 1, n))
+            angle = np.multiply.outer(
+                self.omegas, start + self.stride * np.arange(n, dtype=float))
+            np.sin(angle, out=basis[:K])
+            np.cos(angle, out=basis[K:-1])
+            basis[-1] = 1.0
+            Y = out.reshape(len(self.coef), n, self.push)
+            if Y.dtype == self.coef.dtype:
+                np.matmul(basis.T, self.coef, out=Y)
+            else:  # computed in double, as LaneStep does, then cast
+                Y[...] = basis.T @ self.coef
+        for counts, name in self.accounts:
+            self.profiler.add_counts(counts, times=n, filter_name=name)
 
 
 #: Scalar firings a source takes without its state recurring before

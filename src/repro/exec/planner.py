@@ -67,18 +67,17 @@ it cannot batch safely: nodes that consume nothing yet have inputs
 the rate simulator cannot model, and feedback islands whose external
 rates the probe cannot certify (sources or collectors inside the cycle,
 no external input/output, or a schedule that never reaches a periodic
-regime).  Stateful filters whose fields update *affinely* (IIR sections,
-DC blockers) extract to state-space nodes and run through the lifted
-:class:`~repro.exec.kernels.StatefulLinearStep`; source filters (``pop
-0``, no prework) run through :class:`~repro.exec.kernels.
-PeriodicSourceStep`, scalar until their state recurs and from a table
-afterwards; stateless non-linear filters and sources driven by an
-additive counter run through :class:`~repro.exec.kernels.LaneStep`, one
-NumPy evaluation per batch; what is left — prework, array state,
-non-additive scalar state — runs through
-:class:`~repro.exec.kernels.FallbackStep` inside the plan —
-:func:`plan_report` lists which nodes fell back and why, and names each
-feedback island with its member kernels.
+regime).  Filters whose fields update *affinely* (IIR) run through the
+lifted :class:`~repro.exec.kernels.StatefulLinearStep`; sources (``pop
+0``, no prework) through :class:`~repro.exec.kernels.PeriodicSourceStep`
+until their state recurs; stateless non-linear filters and sources with
+an additive counter through :class:`~repro.exec.kernels.LaneStep`, and
+sources pushing sums of sinusoids of an int counter through one
+:class:`~repro.exec.kernels.SinusoidStep` where sibling rows share its
+basis or a linear reader folds onto it; the rest — prework, array or
+non-additive state — through :class:`~repro.exec.kernels.FallbackStep`.
+:func:`plan_report` says which kernel each node got and why not a
+faster one, and names each feedback island with its member kernels.
 
 :func:`plan_executor_for` / :func:`compiled_plan_for` wrap the whole
 pipeline: the ``optimize=`` graph rewrite (:mod:`repro.exec.optimize`)
@@ -106,7 +105,8 @@ from ..graph.scheduler import steady_state
 from ..graph.streams import Duplicate, Filter, Stream
 from ..ir import nodes as N
 from ..ir.interp import Interpreter
-from ..ir.pycodegen import LaneCode, LaneReject, emit_lanes, lane_key
+from ..ir.pycodegen import (LaneCode, LaneReject, emit_lanes, lane_key,
+                             sinusoid_form)
 from ..linear.extraction import extract_filter
 from ..linear.filters import ConstantSourceFilter, LinearFilter
 from ..numeric import DEFAULT_POLICY, NumericPolicy, resolve_policy
@@ -501,8 +501,10 @@ class PlanExecutor:
         #: plan cache (or plan_bailout_reason) to skip re-probing
         self.island_rates: dict = (island_rates if island_rates is not None
                                    else {})
-        #: node index -> why that node runs through FallbackStep
+        #: node index -> why it falls back (lanes: why not a sinusoid)
         self.fallback_reasons: dict[int, str] = {}
+        #: ring id -> the SinusoidStep writing it, its reader to fold on
+        self._sinusoids: dict[int, K.SinusoidStep] = {}
 
         # channel registry: every distinct Channel gets a ring and an
         # index; rings inherit the channel's current contents (a feedback
@@ -868,8 +870,11 @@ class PlanExecutor:
                 ins, rout(), list(node.joiner.weights[:len(ins)]))
         stacked = [self._stacked_kernel(m) for m in members]
         if stacked[0] is not None and stacked[0][0] == "matmul":
-            return K.MatmulStep(rin(), rout(), [k[1] for k in stacked],
-                                [k[2:] for k in stacked], self.profiler,
+            lines = [k[1] for k in stacked], [k[2:] for k in stacked]
+            if in_ids[0] in self._sinusoids:
+                return self._sinusoids[in_ids[0]].fold(*lines, rout(),
+                                                       self.policy)
+            return K.MatmulStep(rin(), rout(), *lines, self.profiler,
                                 policy=self.policy)
         s = node.stream
         if node.kind == "filter":
@@ -877,8 +882,11 @@ class PlanExecutor:
             params, reason = self.decisions.get(
                 index, (None, "no cached decision"))
             if isinstance(params, LaneCode):
-                return K.LaneStep([self.flat.nodes[m] for m in members],
-                                  rin(), rout(), params, self.policy)
+                nodes = [self.flat.nodes[m] for m in members]
+                step = self._sinusoid(index, nodes, params, out_ids[0]) \
+                    if source else None
+                return step or K.LaneStep(nodes, rin(), rout(), params,
+                                          self.policy)
             if source:
                 # why its scalar firings, should the state never recur,
                 # are not lanes either
@@ -923,6 +931,31 @@ class PlanExecutor:
             f"no batched kernel for primitive type {type(s).__name__}")
         return K.FallbackStep(node, rin(), rout())
 
+    def _sinusoid(self, index: int, nodes, code: LaneCode, out_id: int):
+        """Counter sources ``nodes`` (siblings, ``index`` the first) as
+        one :class:`~repro.exec.kernels.SinusoidStep` where that removes
+        work — ``b > 1`` rows share its basis, or its reader (linear,
+        popping whole firings) folds onto it — else None, and why."""
+        try:
+            forms = [sinusoid_form(code, n.stream.work, n.runner.fields)
+                     for n in nodes]
+            if len({(f.step, f.omegas.tobytes()) for f in forms}) > 1:
+                raise LaneReject("frequencies differ across siblings")
+        except LaneReject as exc:
+            self.fallback_reasons[index] = f"not a sinusoid: {exc}"
+            return None
+        reader = next((i for i, n in enumerate(self.flat.nodes)
+                       if nodes[0].outputs[0] in n.inputs), None)
+        kernel = self._stacked_kernel(reader) if reader is not None else None
+        folds = kernel is not None and kernel[0] == "matmul" \
+            and kernel[1].pop % forms[0].coef.shape[1] == 0
+        if len(nodes) == 1 and not folds:
+            return None
+        step = K.SinusoidStep(nodes, forms, self.rings[out_id], self.profiler)
+        if folds:
+            self._sinusoids[out_id] = step
+        return step
+
     def _decide(self, filt: Filter, source: bool):
         """Kernel decision for an IR filter: linear first, then lanes;
         the reason names both when neither applies.  A source is only
@@ -940,11 +973,6 @@ class PlanExecutor:
             if params is None:
                 reason = f"{reason}; not lane-convertible: {why}"
         return params, reason if params is None else None
-
-    def islands_member_step(self, region, flat_index: int) -> K.Step:
-        """The kernel executing flat node ``flat_index`` inside ``region``."""
-        _, _, fstep = next(t for t in self.islands if t[0] is region)
-        return fstep.members[flat_index - region.start].step
 
     # -- integer rate simulation ------------------------------------------
     def _produced(self) -> int:
@@ -1488,13 +1516,9 @@ class IslandReport:
 class PlanReport:
     """Which kernels a plan chose, and why nodes fell back to scalar.
 
-    Fallback-heavy graphs (Radar: stateful sources, nonlinear magnitude
-    and detector stages) are slow for reasons invisible in the output;
-    this report makes them diagnosable.  Render with ``str(report)`` or
-    inspect :attr:`steps` / :attr:`fallbacks` / :attr:`islands`
-    programmatically; each feedback island appears as one ``feedback``
-    row in the main table plus an island section listing its member
-    kernels.
+    Render with ``str(report)`` or read :attr:`steps` /
+    :attr:`fallbacks` / :attr:`islands`; a feedback island is one
+    ``feedback`` row plus a section listing its member kernels.
     """
 
     program: str
@@ -1586,9 +1610,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
             isl = IslandReport(entry.stream.name, entry.stream.delay,
                                rates, firings=step.firings,
                                rounds=step.rounds)
-            for j in range(entry.start, entry.stop):
-                node = flat.nodes[j]
-                mstep = executor.islands_member_step(entry, j)
+            for j, member in enumerate(step.members, entry.start):
+                node, mstep = flat.nodes[j], member.step
                 isl.steps.append(StepReport(
                     j, node.name, node.kind, mstep.kind,
                     mstep.detail or executor.fallback_reasons.get(j)))
@@ -1603,7 +1626,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
                 else:
                     reason = f"{step.detail}; {reason}"
             else:
-                reason = step.detail or reason
+                reason = "; ".join(filter(None, (step.detail, reason))) \
+                    or None
             rep.steps.append(StepReport(pos, entry.name, entry.kind,
                                         step.kind, reason, len(orbit)))
     return rep

@@ -25,11 +25,15 @@ static counts times the lanes that ran the block.  A lane is one firing
 of one filter: the arrays may carry a leading axis of sibling filters
 that differ in the value of some float field only, and the form is
 written over the last axis so it does not care.
+
+:func:`sinusoid_form` fires a counter source's scalar form with the
+counter symbolic (for :class:`~repro.exec.kernels.SinusoidStep`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -275,13 +279,15 @@ def _imod(a: int, b: int) -> int:
     return a - _idiv(a, b) * b
 
 
-def compile_work(wf: N.WorkFunction, fields: dict, name: str = "work"):
+def compile_work(wf: N.WorkFunction, fields: dict, name: str = "work",
+                 intrinsics=math):
     """Compile a work function to a Python callable.
 
     Returns ``fn(peek, pop, push, fields, bulk)`` where ``bulk`` is the
     profiler's :meth:`~repro.runtime.profiler.Profiler.bulk` method.  Field
     reads/writes go through the ``fields`` dict so state persists across
-    firings and is shared with the interpreter.
+    firings and is shared with the interpreter.  The code calls ``sin``,
+    ``sqrt``, ... as attributes of ``intrinsics``.
     """
     tenv = _TypeEnv(fields)
     em = _Emitter(tenv)
@@ -301,7 +307,7 @@ def compile_work(wf: N.WorkFunction, fields: dict, name: str = "work"):
         if fname in written and not isinstance(value, np.ndarray):
             em.emit(f"_F[{fname!r}] = _v_{fname}", 1)
     src = "\n".join(em.lines) + "\n"
-    namespace = {"_math": math, "_idiv": _idiv, "_imod": _imod}
+    namespace = {"_math": intrinsics, "_idiv": _idiv, "_imod": _imod}
     exec(compile(src, f"<generated:{name}>", "exec"), namespace)
     fn = namespace[f"_{name}"]
     fn.__repro_source__ = src
@@ -787,6 +793,7 @@ class LaneCode:
         self.counters = counters
         self.varying = varying  # fields it takes one value per sibling of
         self._fn = None
+        self._trace = None  # see sinusoid_form
 
     def function(self):
         if self._fn is None:
@@ -856,3 +863,118 @@ def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
     return LaneCode("\n".join(em.lines) + "\n", entry,
                     ", ".join(detail) or "straight-line", tuple(counters),
                     varying)
+
+
+# ---------------------------------------------------------------------------
+# Sinusoid form: a counter source as a map of one rotation basis
+# ---------------------------------------------------------------------------
+
+
+class SinusoidForm(NamedTuple):
+    """A firing at counter ``c`` pushes ``basis(c) @ coef``, ``basis(c) =
+    [sin ω·c for ω in omegas] + [cos ω·c ...] + [1]``, counts ``counts``
+    and adds ``step`` to ``c``."""
+
+    counter: str
+    step: int
+    omegas: np.ndarray  # sorted
+    coef: np.ndarray  # (2K + 1, push)
+    counts: Counts
+
+
+class _Traced:
+    """``b + a·c + Σ α·f(ω·c + θ)`` of the counter ``c``, ``terms`` the
+    ``(α, ω, θ, f)``: closed under sums and scalar multiples; a branch
+    on one rejects, any other operation raises a TypeError."""
+
+    __slots__ = ("a", "b", "terms")
+
+    def __init__(self, a, b, terms=()):
+        self.a, self.b, self.terms = a, b, terms
+
+    def _reject(self, *_):
+        raise LaneReject("branches on a counter-dependent value")
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _reject
+
+    def __add__(self, other):
+        if isinstance(other, _Traced):
+            return _Traced(self.a + other.a, self.b + other.b,
+                           self.terms + other.terms)
+        return _Traced(self.a, self.b + other, self.terms)
+
+    def __mul__(self, other):
+        if isinstance(other, _Traced):
+            raise LaneReject("multiplies two counter-dependent values")
+        return _Traced(self.a * other, self.b * other,
+                       tuple((x * other, w, t, f) for x, w, t, f in self.terms))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+class _TraceIntrinsics:
+    """``math`` as a traced firing calls it: ``sin``/``cos`` of ``a·c +
+    b`` is a term, any other call of a counter-dependent value rejects."""
+
+    def __getattr__(self, fn):
+        real = getattr(math, fn)
+
+        def call(*args):
+            if not any(isinstance(x, _Traced) for x in args):
+                return real(*args)
+            if fn not in ("sin", "cos") or args[0].terms:
+                raise LaneReject(f"{fn}() of a counter-dependent value")
+            return _Traced(0, 0.0, ((1.0, args[0].a, args[0].b, fn),))
+        return call
+
+
+def sinusoid_form(code: LaneCode, wf: N.WorkFunction,
+                  fields: dict) -> SinusoidForm:
+    """The :class:`SinusoidForm` of counter source ``wf`` (``code`` its
+    lane form) under ``fields``, else :class:`LaneReject` with why not:
+    each push must be ``γ + Σ α·{sin,cos}(ω·c + θ)`` of one additive int
+    counter ``c``.  Found by firing the scalar form (compiled once per
+    ``code``) with ``c`` symbolic, so the constants and counts are the
+    compiled backend's."""
+    if len(code.counters) != 1:
+        raise LaneReject(f"counters {', '.join(code.counters)}; a "
+                         "sinusoid has one")
+    (name,) = code.counters
+    if name not in _TypeEnv(fields).int_names:
+        raise LaneReject(f"float accumulator {name}: a rounded running sum, "
+                         "not a multiple of its step")
+    if code._trace is None:
+        code._trace = compile_work(wf, fields, "sinusoid", _TraceIntrinsics())
+    traced = {**fields, name: _Traced(1, 0)}
+    pushed, counts = [], Counts()
+    try:
+        code._trace(None, None, pushed.append, traced,
+                    lambda **kw: counts.add(Counts(**kw)))
+    except (ArithmeticError, TypeError, ValueError, IndexError) as exc:
+        raise LaneReject(f"not a sum of sinusoids of {name}: {exc}")
+    waves = [p if isinstance(p, _Traced) else _Traced(0, p) for p in pushed]
+    omegas = sorted({w for p in waves for _, w, _, _ in p.terms})
+    if any(p.a for p in waves) or not omegas:
+        raise LaneReject(f"pushes no sinusoid of {name}, or {name} itself")
+    K = len(omegas)
+    coef = np.zeros((2 * K + 1, len(waves)))
+    coef[-1] = [p.b for p in waves]
+    for j, p in enumerate(waves):
+        for a, w, t, f in p.terms:
+            # sin(x + t) = sin x cos t + cos x sin t,
+            # cos(x + t) = cos x cos t - sin x sin t
+            k = omegas.index(w)
+            same, other = (k, K + k) if f == "sin" else (K + k, k)
+            coef[same, j] += a * math.cos(t)
+            coef[other, j] += (a if f == "sin" else -a) * math.sin(t)
+    return SinusoidForm(name, traced[name].b, np.array(omegas, dtype=float),
+                        coef, counts)

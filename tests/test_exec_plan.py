@@ -367,10 +367,14 @@ def test_plan_report_names_fallbacks_with_reasons():
     from repro.exec import plan_report
     rep = plan_report(small("Radar"))
     assert rep.bailout is None
-    # counter sources and the stateless non-linear stages run as lanes
+    # the sinusoid sources share one basis, their first FIR folds onto
+    # it, and the stateless non-linear stages run as lanes
     assert not rep.fallbacks
+    rows = {s.name: (s.step_kind, s.reason) for s in rep.steps}
+    assert rows["InputGenerate0"] == ("sinusoid", "2 frequencies, counter n")
+    assert rows["BeamFir1_0"] == ("matmul",
+                                  "folded onto InputGenerate0's basis")
     lanes = {s.name: s.reason for s in rep.steps if s.step_kind == "lanes"}
-    assert lanes["InputGenerate0"] == "counter n"
     assert lanes["Magnitude"] == "straight-line"
     assert lanes["Detector"] == "if-converted 1 branches"
     text = str(rep)
@@ -392,8 +396,9 @@ def test_plan_report_names_fallbacks_with_reasons():
 #: steps by kind of every full-size app under ``optimize="auto"`` (the
 #: analytic cost constants; an island's members as ``island:<kind>``).
 #: Radar's 12 channels and 4 beams are sibling branches, a step a stage
-#: (it was 20 lanes + 20 matmul); no other app has any under ``auto``
-#: and their plans are PR 16's.
+#: (it was 20 lanes + 20 matmul), and its sources one sinusoid step with
+#: the channel FIR folded onto it (still ``matmul``); no other app has
+#: any under ``auto``.
 AUTO_CENSUS = {
     "DToA": {'collector': 1, 'feedback': 1, 'freq-opt': 2, 'island:fallback': 1, 'island:lanes': 1, 'island:matmul': 1, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
     "Echo": {'collector': 1, 'feedback': 1, 'freq-opt': 1, 'island:matmul': 2, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
@@ -402,7 +407,7 @@ AUTO_CENSUS = {
     "FilterBank": {'collector': 1, 'decimator': 1, 'freq-opt': 1, 'lanes': 1},
     "IIR": {'collector': 1, 'periodic-source': 1, 'stateful': 4},
     "Oversampler": {'collector': 1, 'freq-opt': 1, 'periodic-source': 1},
-    "Radar": {'collector': 1, 'dup-split': 2, 'lanes': 3, 'matmul': 3, 'rr-join': 2},
+    "Radar": {'collector': 1, 'dup-split': 2, 'lanes': 2, 'matmul': 3, 'rr-join': 2, 'sinusoid': 1},
     "RateConvert": {'collector': 1, 'decimator': 1, 'freq-opt': 1, 'lanes': 1},
     "TargetDetect": {'collector': 1, 'dup-split': 1, 'fallback': 1, 'freq-opt': 4, 'lanes': 4, 'rr-join': 1},
     "Vocoder": {'collector': 1, 'dup-split': 1, 'freq-opt': 1, 'lanes': 2, 'matmul': 1, 'periodic-source': 1, 'rr-join': 1},
@@ -685,7 +690,7 @@ def test_bench_cli_plan_report(capsys):
     assert bench_main(["--app", "radar", "--plan-report"]) == 0
     text = capsys.readouterr().out
     assert "plan report: Radar" in text
-    assert "lanes" in text and "counter n" in text  # InputGenerate
+    assert "sinusoid    2 frequencies, counter n" in text  # InputGenerate
     assert "InputGenerate0 ×12" in text  # the 12 channels are one step
     assert "57 nodes in 12 steps, 0 fall back" in text
 

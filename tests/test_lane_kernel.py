@@ -10,6 +10,7 @@ libm, and ``Counts`` equal field by field.
 
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from repro.apps import BENCHMARKS
 from repro.apps._loader import load_unit
 from repro.dsl import fuzz
 from repro.errors import FaultInjected
-from repro.exec import clear_plan_cache, kernels as K, plan_report
+from repro.exec import PlanExecutor, clear_plan_cache, kernels as K
+from repro.exec import plan_report
 from repro.graph import Pipeline
 from repro.ir.pycodegen import LaneReject, emit_lanes
 from repro.numeric import resolve_policy
@@ -612,6 +614,15 @@ def lane_steps(s):
     return [st for st in s._executor.steps if isinstance(st, K.LaneStep)]
 
 
+@pytest.fixture
+def counter_sources_as_lanes():
+    """Plan with no sinusoid kernel: Radar's counter sources run as
+    lanes, as any counter source without a sinusoid form does."""
+    with mock.patch.object(PlanExecutor, "_sinusoid", return_value=None):
+        yield
+
+
+@pytest.mark.usefixtures("counter_sources_as_lanes")
 def test_radar_plans_all_scalar_nodes_as_lanes_sharing_code():
     s = small_radar(optimize="auto")
     steps = lane_steps(s)
@@ -696,6 +707,7 @@ def test_reset_and_restore_mid_stream():
     assert s.profile.counts.flops == flops
 
 
+@pytest.mark.usefixtures("counter_sources_as_lanes")
 def test_lanes_under_workers():
     serial = small_radar()
     with small_radar(workers=2) as par:
@@ -743,7 +755,7 @@ def test_vocoder_and_fmradio_census():
         "VocoderEcho": ["CenterClip", "CorrPeak"],
         "TargetDetect": [f"ThresholdDetector{k}" for k in (1, 2, 3, 4)],
         "FMRadio": ["FMDemodulator", "FloatOneSource"],
-        "RateConvert": ["SampledSource"],
+        "RateConvert": [],  # a sinusoid: its Expander folds onto it
         "FilterBank": ["DataSource"],
     }
 

@@ -159,7 +159,10 @@ def test_radar_plans_one_step_per_stage():
         ("Detector", 4)]
     assert rep.nodes == 45 and len(rep.steps) == 11 and not rep.fallbacks
     text = str(rep)
-    assert re.search(r"^InputGenerate0 ×12 +lanes +counter n$", text, re.M)
+    assert re.search(r"^InputGenerate0 ×12 +sinusoid +2 frequencies, "
+                     r"counter n$", text, re.M)
+    assert re.search(r"^Linear\[channel0\[1:3\]\] ×12 +matmul +folded onto "
+                     r"InputGenerate0's basis$", text, re.M)
     assert "45 nodes in 11 steps, 0 fall back" in text
 
 
@@ -294,11 +297,16 @@ def test_two_live_sessions_share_one_cached_entry():
     b = repro.compile(small_radar(), optimize="auto", profiler=Profiler())
     assert a.cache_entry is b.cache_entry
     assert widths(a) == widths(b) == [4, 4, 2, 2, 2, 2]
-    # the decisions carry the lane form that takes `phase` a row
     lanes_a, lanes_b = ([st for st in s._executor.steps
                          if isinstance(st, K.LaneStep)] for s in (a, b))
     assert [st.code for st in lanes_a] == [st.code for st in lanes_b]
-    assert lanes_a[0].code.varying == {"phase"}
+    # the decisions carry the lane form that takes `phase` a row, which
+    # the sources' sinusoid form is read from
+    codes = [s._executor.decisions[s._executor.orbits[1][0]][0]
+             for s in (a, b)]
+    assert codes[0] is codes[1] and codes[0].varying == {"phase"}
+    assert all(isinstance(s._executor.steps[1], K.SinusoidStep)
+               for s in (a, b))
     want = repro.compile(small_radar(), optimize="auto",
                          backend="compiled").run(500)
     got_a = [a.run(200)]
@@ -376,7 +384,9 @@ def test_the_lane_threshold_counts_lanes_not_firings(monkeypatch):
 
 
 def test_counters_are_written_back_to_every_sibling():
-    fused, plain = pair(small_radar, optimize="auto")
+    # counter sources as lanes, as they run without a sinusoid form
+    with mock.patch.object(PlanExecutor, "_sinusoid", return_value=None):
+        fused, plain = pair(small_radar, optimize="auto")
     for s in (fused, plain):
         s.run(2)  # scalar: 4 channels x a few firings
         s.run(1024)  # lanes
@@ -386,6 +396,19 @@ def test_counters_are_written_back_to_every_sibling():
     counts = [node.runner.fields["n"] for node in sources.nodes]
     assert len(set(counts)) == 1 and counts[0] > 256
     assert counts == [st.node.runner.fields["n"]
+                      for st in plain._executor.steps[1:9:2]]
+
+
+def test_sinusoid_counters_are_written_back_to_every_sibling():
+    fused, plain = pair(small_radar, optimize="auto")
+    for s in (fused, plain):
+        for n in (2, 1024, 1):  # a few firings, many, one
+            s.run(n)
+    sources = fused._executor.steps[1]
+    assert isinstance(sources, K.SinusoidStep)
+    counts = [node.runner.fields["n"] for node in sources.nodes]
+    assert len(set(counts)) == 1 and counts[0] > 256
+    assert counts == [st.nodes[0].runner.fields["n"]
                       for st in plain._executor.steps[1:9:2]]
 
 
