@@ -146,11 +146,16 @@ def _lower_stmt(stmt: ast.Stmt, consts: dict) -> N.Stmt:
                     tuple(_lower_stmt(s, consts) for s in stmt.then),
                     tuple(_lower_stmt(s, consts) for s in stmt.orelse))
     if isinstance(stmt, ast.ForStmt):
-        return N.For(stmt.var,
-                     _lower_expr(stmt.start, consts),
-                     _lower_expr(stmt.stop, consts),
-                     tuple(_lower_stmt(s, consts) for s in stmt.body),
-                     _lower_expr(stmt.step, consts))
+        parts = (_lower_expr(stmt.start, consts),
+                 _lower_expr(stmt.stop, consts),
+                 tuple(_lower_stmt(s, consts) for s in stmt.body),
+                 _lower_expr(stmt.step, consts))
+        try:
+            return N.For(stmt.var, *parts)
+        except ValueError as exc:
+            _err("elab-loop-var-assigned", str(exc), stmt.span,
+                 hint="the loop advances its variable itself; use "
+                      "another local")
     _err("elab-bad-stmt",
          f"statement {type(stmt).__name__} not allowed in a work body",
          stmt.span)

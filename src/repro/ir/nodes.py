@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 # ---------------------------------------------------------------------------
@@ -104,10 +105,10 @@ def _c_mod(a, b):
     return math.fmod(a, b)
 
 
-#: ``FOLD[op](a, b)``: what a binary operator computes on two numbers —
-#: the interpreter's semantics (C-truncating int division and remainder,
-#: int-valued comparisons), for whoever evaluates IR ahead of time: the
-#: elaborator's constant folding, the extractor's constant propagation.
+#: ``FOLD[op](a, b)``: what a binary operator computes on two numbers
+#: (C-truncating int division and remainder, int-valued comparisons): the
+#: interpreter's semantics, and the interpreter's own code for them — in
+#: either of its domains — and the elaborator's constant folding.
 FOLD = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "/": _c_div, "%": _c_mod,
@@ -219,6 +220,9 @@ class For(Stmt):
 
     ``start``/``stop``/``step`` are evaluated once on entry; the loop runs
     while ``var < stop`` (or ``var > stop`` for a negative constant step).
+    The body may not assign, declare or loop over ``var`` (constructing
+    such a loop raises ``ValueError``), so the trip count is known on
+    entry, to the interpreter and to generated code (a ``range``) alike.
     This covers every loop in the benchmark suite and keeps bounds
     resolvable for the symbolic executor.
     """
@@ -228,6 +232,17 @@ class For(Stmt):
     stop: Expr
     body: tuple[Stmt, ...]
     step: Expr = field(default_factory=lambda: Const(1))
+
+    def __post_init__(self):
+        if self.var in assigned_names(self.body):
+            raise ValueError(f"the body of the loop over {self.var!r} "
+                             "assigns it")
+
+    @cached_property
+    def body_size(self) -> int:
+        """Statements in the body, a nested loop's counted once: the most
+        one trip runs, besides the extra trips of its nested loops."""
+        return sum(1 for _ in walk_stmts(self.body))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,9 @@ the loop, for ``len(range(...))`` executions.
 
 Type inference: locals declared ``int`` (including loop variables) are ints;
 everything else (peeks, pops, float fields/locals) is a float.  An operation
-is a float-op when any operand is float, mirroring the interpreter.
+is a float-op when any operand is float, mirroring the interpreter, and
+a value that is not known to be an int is truncated when it is stored
+into an int local, field or array element, as the interpreter does.
 
 :func:`emit_lanes` generates a second form of the same work function
 that evaluates a block of consecutive firings per call, with NumPy
@@ -40,7 +42,7 @@ import numpy as np
 from ..errors import InterpError, IRError
 from ..profiling import CATEGORIES, Counts
 from . import nodes as N
-from .interp import _COUNTED_INTRINSICS
+from .interp import _COUNTED_INTRINSICS, BIN_CATEGORY
 
 
 class _TypeEnv:
@@ -89,12 +91,6 @@ class _TypeEnv:
                 return all(self.is_int(a) for a in e.args)
             return False
         return False
-
-
-#: float-op category of each binary operator with a float operand
-_BIN_CATEGORY = {"+": "fadd", "-": "fsub", "*": "fmul", "/": "fdiv",
-                 "%": "fdiv", "==": "fcmp", "!=": "fcmp", "<": "fcmp",
-                 "<=": "fcmp", ">": "fcmp", ">=": "fcmp"}
 
 
 class _Emitter:
@@ -159,8 +155,8 @@ class _Emitter:
         """Count ``e`` if it is a float op; returns whether both
         operands are ints."""
         both_int = self.tenv.is_int(e.left) and self.tenv.is_int(e.right)
-        if not both_int and e.op in _BIN_CATEGORY:
-            cat = _BIN_CATEGORY[e.op]
+        if not both_int and e.op in BIN_CATEGORY:
+            cat = BIN_CATEGORY[e.op]
             setattr(self.pending, cat, getattr(self.pending, cat) + 1)
         return both_int
 
@@ -213,6 +209,8 @@ class _Emitter:
                     self.emit(f"{self._name(s.name)} = int({init})", indent)
         elif isinstance(s, N.Assign):
             rhs = self.expr(s.value)
+            if self.tenv.is_int(s.target) and not self.tenv.is_int(s.value):
+                rhs = f"int({rhs})"  # a store into an int truncates
             if isinstance(s.target, N.Var):
                 self.emit(f"{self._name(s.target.name)} = {rhs}", indent)
             else:
@@ -518,7 +516,7 @@ class _LaneEmitter(_Emitter):
         if e.op in ("&&", "||") or e.op in _COMPARISONS:
             return f"_np.where({self.cond(e)}, 1, 0)"
         l, r = self.expr(e.left), self.expr(e.right)
-        if self._count_bin(e) or e.op not in _BIN_CATEGORY:
+        if self._count_bin(e) or e.op not in BIN_CATEGORY:
             # int64 lanes would wrap where Python ints grow
             raise LaneReject(f"integer {e.op!r} on a lane-varying value")
         if e.op == "%":

@@ -1,11 +1,14 @@
-"""Linear extraction: dataflow analysis over work-function IR.
+"""Linear extraction: the reference interpreter run over affine forms.
 
-Implements the thesis' Algorithms 1 and 2 (§3.2): a flow-sensitive forward
-symbolic execution that tracks, for every program variable, a linear form
-``(v, c)`` meaning *value = x·v + c* in terms of the input items.  All loop
-iterations are executed symbolically (loop bounds in filter work functions
-are small compile-time constants); branches on non-constant conditions are
-executed on both sides and joined with the confluence operator.
+Implements the thesis' Algorithms 1 and 2 (§3.2): a forward symbolic
+execution tracking every program variable as a linear form ``(v, c)``,
+*value = x·v + c* in the input items.  That execution is
+:class:`~repro.ir.interp.Interpreter` itself over the domain of
+:mod:`.lattice`: :class:`_Extractor` is its own input and output tape
+(``peek``/``pop`` give unit forms, ``push`` records a column) and decides
+only what a number never needs deciding — a branch on a form runs both
+arms and joins them, a non-affine operation is ⊤, a loop bound must be a
+constant.  Every loop iteration runs, within a budget.
 
 Deviations from the thesis pseudocode:
 
@@ -13,15 +16,20 @@ Deviations from the thesis pseudocode:
   (strictly more precise, identical soundness).
 * Filter fields that ``work`` never writes are treated as compile-time
   constants (the values computed by ``init``).
-* Fields written in ``work`` are persistent state.  The thesis makes them
-  ⊤; here each scalar of one is a symbolic component ``s_j`` appended to
-  ``x`` (the §7.1 extension), so pushes yield rows of ``[A | As] + b``
-  and the fields' final values rows of ``[Cx | Cs] + bs``.  **A state
-  slot is kept iff it is observable** — it reaches a push through
-  ``As``, directly or via the ``Cs`` of a slot that does.  An
-  unobservable slot is dropped whatever its update (a filter all of
+* Float fields written in ``work`` are persistent state.  The thesis
+  makes them ⊤; here each scalar of one is a symbolic component ``s_j``
+  appended to ``x`` (the §7.1 extension), so pushes yield rows of
+  ``[A | As] + b`` and the fields' final values rows of ``[Cx | Cs] +
+  bs``.  **A state slot is kept iff it is observable** — it reaches a
+  push through ``As``, directly or via the ``Cs`` of a slot that does.
+  An unobservable slot is dropped whatever its update (a filter all of
   whose state is dead is the thesis' stateless node, ``k = 0``); an
-  observable slot whose update is not affine rejects the filter.
+  observable slot whose update is not affine rejects the filter.  Any
+  other written field (an int one, whose stores truncate, or one with
+  no numeric start) is ⊤.
+* The interpreter's semantics are the reference: ``&&``/``||``
+  short-circuit, loop bounds are read once, an int store truncates (an
+  int's ⊤ is ``INT_TOP``); a constant ``x % 0`` rejects the filter.
 
 On success, extraction yields the filter's :class:`LinearNode`; on failure
 it records a human-readable reason (`ExtractionResult.reason`).
@@ -36,16 +44,11 @@ import numpy as np
 from ..errors import NonLinearError
 from ..graph.streams import Filter, PrimitiveFilter, Stream
 from ..ir import nodes as N
-from .lattice import BOTTOM, TOP, LinearForm, constant_of, join_env
+from ..ir.interp import Interpreter
+from ..profiling import NullProfiler
+from .lattice import (INT_TOP, TOP, LinearForm, Top, constant_of, join,
+                      join_env)
 from .node import LinearNode
-
-#: statements one extraction may execute symbolically before it gives
-#: up.  The largest app filter (Vocoder's ``CorrPeak``) runs 5 554;
-#: exhausting the budget — ``for i<1100 { for j<1100 { s = s + 1.0 } }``
-#: arriving over serve ``OPEN`` — is the worst case and costs 0.8-0.9 s
-#: on the 2-vCPU box this was measured on (6.3-6.8 s when every constant
-#: carried a vector), and ends in a rejection, not an exception.
-_MAX_SYMBOLIC_ITERS = 1_000_000
 
 #: floats an extractor may keep in unit vectors it has already built
 #: (128 KiB): ``CorrPeak`` peeks each of 100 positions 100 times, FIR(256)
@@ -53,74 +56,72 @@ _MAX_SYMBOLIC_ITERS = 1_000_000
 #: peak RSS for nothing
 _UNIT_CACHE_FLOATS = 1 << 14
 
-
-@dataclass
-class _State:
-    """Mutable symbolic execution state (Algorithm 2's tuple)."""
-
-    env: dict  # variable -> number | LinearForm | TOP | list of those
-    A: list  # per push column: its vec_dim coefficients, or BOTTOM
-    b: list
-    popcount: int
-    pushcount: int
-
-    def copy(self) -> "_State":
-        env = {}
-        for k, v in self.env.items():
-            env[k] = list(v) if isinstance(v, list) else v
-        return _State(env, self.A[:], self.b[:], self.popcount,
-                      self.pushcount)
+_NO_PROFILE = NullProfiler()
 
 
-class _Extractor:
+def _copy(value):
+    return value[:] if type(value) is list else value
+
+
+class _Extractor(Interpreter):
+    """The interpreter over affine forms, its own tapes: one ``run`` of
+    ``work`` leaves the pushed forms in ``_pushes`` and the fields' final
+    values in ``fields``; :meth:`linear_node` reads the node off them."""
+
+    error = NonLinearError
+    #: the largest app filter (Vocoder's ``CorrPeak``) charges 10 800 loop
+    #: steps; one from serve ``OPEN`` that exhausts the budget, however
+    #: wide its loop bodies, is rejected in under a second (2 vCPUs)
+    loop_budget = 1_000_000
+    overrun = "symbolic execution budget exceeded"
+
     def __init__(self, filt: Filter):
         self.filt = filt
         wf = filt.work
-        self.peek_rate = wf.peek
-        self.pop_rate = wf.pop
-        self.push_rate = wf.push
-        #: (field name, array length | None for scalars) of the mutable
-        #: fields with a numeric initial value, sorted by name — the
-        #: candidate state slots, in the order of the extracted node's
-        #: state vector (arrays flattened in place)
+        self.peek_rate, self.pop_rate, self.push_rate = \
+            wf.peek, wf.pop, wf.push
+        #: (field name, array length | None for scalars) of the written
+        #: float fields, sorted by name — the candidate state slots, in
+        #: the order of the extracted node's state vector (arrays
+        #: flattened in place)
         self.state_fields: list[tuple[str, int | None]] = []
         s0: list[float] = []
         for name in sorted(filt.mutable_fields):
             init = filt.fields.get(name)
-            if isinstance(init, np.ndarray) and init.ndim == 1:
+            if isinstance(init, np.ndarray) and init.ndim == 1 \
+                    and init.dtype.kind == "f":
                 self.state_fields.append((name, len(init)))
                 s0.extend(init.tolist())
-            elif isinstance(init, (bool, int, float)):
+            elif isinstance(init, float):
                 self.state_fields.append((name, None))
-                s0.append(float(init))
+                s0.append(init)
         self.s0 = np.asarray(s0, dtype=float)
         #: length of every LinearForm vector: the input window, then one
         #: component per candidate state slot
         self.vec_dim = wf.peek + len(s0)
-        self.iters = 0
         #: the coefficients of a pushed constant (shared, never written)
         self._no_taps = np.zeros(self.vec_dim)
         #: component index -> its unit form, for the first
         #: ``_UNIT_CACHE_FLOATS`` worth of components asked for
         self._units: dict[int, LinearForm] = {}
         self._units_kept = _UNIT_CACHE_FLOATS // max(self.vec_dim, 1)
-        #: constant array field -> its elements as Python numbers
-        self._arrays: dict[str, list] = {}
-        self._eval = {
-            N.Const: self._eval_const, N.Var: self._eval_var,
-            N.Index: self._eval_index, N.Peek: self._eval_peek,
-            N.Pop: self._eval_pop, N.Un: self._eval_un,
-            N.Call: self._eval_call, N.Bin: self._eval_bin,
-        }
-        self._exec = {
-            N.Assign: self._exec_assign, N.PushS: self._exec_push,
-            N.PopS: self._exec_pop, N.Decl: self._exec_decl,
-            N.For: self._exec_for, N.If: self._exec_if,
-        }
-
-    # -- helpers -----------------------------------------------------------
-    def fail(self, reason: str):
-        raise NonLinearError(reason)
+        # the symbolic field store: constants as Python numbers (arrays
+        # as lists of them), state slots as unit forms, other written
+        # fields ⊤
+        fields = {}
+        for name, value in filt.fields.items():
+            if name in filt.mutable_fields:
+                value = INT_TOP if type(value) is int else TOP
+            elif isinstance(value, (np.ndarray, np.generic)):
+                value = value.tolist()
+            fields[name] = value
+        slot = self.peek_rate  # state components follow the window's
+        for name, size in self.state_fields:
+            fields[name] = self._component(slot) if size is None else \
+                [self._component(slot + i) for i in range(size)]
+            slot += size or 1
+        super().__init__(fields, _NO_PROFILE)
+        self._pushes: list = []  # what work pushed, in order
 
     def _component(self, index: int) -> LinearForm:
         """The form of one component of ``[x | s]``; input item
@@ -129,107 +130,61 @@ class _Extractor:
         if unit is None:
             v = np.zeros(self.vec_dim)
             v[index] = 1.0
-            unit = LinearForm(v, 0)
+            unit = LinearForm(v, 0.0)
             if len(self._units) < self._units_kept:
                 self._units[index] = unit
         return unit
 
-    def _field_value(self, name: str):
-        """Constant fields fold to their values (an array's elements as
-        Python numbers); a mutable field that is no state slot (nothing
-        numeric to start from) is ⊤."""
-        if name in self.filt.mutable_fields:
+    def _column(self, v) -> tuple:
+        """A pushed value's (taps, offset)."""
+        return (v.v, v.c) if type(v) is LinearForm else (self._no_taps, v)
+
+    # -- the tapes ------------------------------------------------------
+    def peek(self, idx):
+        if idx is INT_TOP:
             return TOP
-        fv = self._arrays.get(name)
-        if fv is None:
-            fv = self.filt.fields.get(name, None)
-            if isinstance(fv, np.ndarray):
-                fv = fv.tolist() if fv.dtype.kind == "f" \
-                    else [int(v) for v in fv]
-                self._arrays[name] = fv
-            elif isinstance(fv, np.generic):
-                fv = fv.item()
-        return fv
-
-    # -- expression evaluation (Algorithm 2's cases) -----------------------
-    def eval(self, e: N.Expr, st: _State):
-        return self._eval[type(e)](e, st)
-
-    def _eval_const(self, e: N.Const, st: _State):
-        return e.value
-
-    def _eval_var(self, e: N.Var, st: _State):
-        v = st.env.get(e.name)
-        if v is None:
-            v = self._field_value(e.name)
-            if v is None:
-                self.fail(f"undefined variable {e.name!r}")
-        if type(v) is list:
-            self.fail(f"array {e.name!r} used as a scalar")
-        return v
-
-    def _eval_index(self, e: N.Index, st: _State):
-        idx = self._const_int(self.eval(e.index, st))
-        if idx is None:
-            return TOP
-        arr = st.env.get(e.base)
-        if arr is None:
-            arr = self._field_value(e.base)
-            if arr is TOP:
-                return TOP
-            if type(arr) is not list:
-                self.fail(f"unknown array {e.base!r}")
-        elif type(arr) is not list:
-            self.fail(f"{e.base!r} is not an array")
-        if not 0 <= idx < len(arr):
-            self.fail(f"{e.base}[{idx}] out of bounds")
-        return arr[idx]
-
-    def _eval_peek(self, e: N.Peek, st: _State):
-        idx = self._const_int(self.eval(e.index, st))
-        if idx is None:
-            return TOP
-        pos = st.popcount + idx
+        pos = self._popped + idx
         if not 0 <= pos < self.peek_rate:
-            self.fail(f"peek({idx}) after {st.popcount} pops is outside "
+            self.fail(f"peek({idx}) after {self._popped} pops is outside "
                       f"the declared peek window of {self.peek_rate}")
         return self._component(self.peek_rate - 1 - pos)
 
-    def _eval_pop(self, e: N.Pop, st: _State):
-        if st.popcount >= self.pop_rate and \
-                st.popcount >= self.peek_rate:
-            self.fail("pop beyond declared rates")
-        st.popcount += 1
-        return self._component(self.peek_rate - st.popcount)
+    def pop(self):
+        return self.peek(0)  # (counted by the interpreter)
 
-    def _eval_un(self, e: N.Un, st: _State):
-        v = self.eval(e.operand, st)
+    def push(self, v):
+        if self._pushed >= self.push_rate:
+            self.fail("more pushes than the declared push rate")
         if v is TOP:
-            return TOP
-        if e.op == "-":
-            return v * -1
-        c = constant_of(v)
-        return TOP if c is None else int(not c)
+            self.fail(f"push #{self._pushed} is not an affine function "
+                      f"of the input")
+        self._pushes.append(v)
 
-    def _eval_call(self, e: N.Call, st: _State):
-        args = [constant_of(self.eval(a, st)) for a in e.args]
-        if None in args:
-            return TOP  # e.g. |linear| is not linear
-        return N.INTRINSIC_IMPL[e.fn](*args)
+    # -- the domain's decisions (see Interpreter) -------------------------
+    @staticmethod
+    def _truth(v):
+        c = v if type(v) is int else constant_of(v)
+        return None if c is None else bool(c)
 
-    def _const_int(self, v):
-        if type(v) is int:
+    @staticmethod
+    def _int(v):
+        if type(v) is int:  # (a loop index: the common case)
             return v
         c = constant_of(v)
-        return None if c is None else int(c)
+        return INT_TOP if c is None else int(c)
 
-    def _eval_bin(self, e: N.Bin, st: _State):
-        op = e.op
-        # (the busiest call site: dispatch here, without eval()'s frame)
-        a = self._eval[type(e.left)](e.left, st)
-        b = self._eval[type(e.right)](e.right, st)
-        if a is TOP or b is TOP:
-            # addition of TOP to anything taints; comparisons on TOP taint
+    def _number(self, v):
+        c = constant_of(v)
+        if type(c) is not int:
+            self.fail("loop bound is not a constant int")
+        return c
+
+    def _abstract(self, op, a, b=None):
+        """Algorithm 2's cases: a form is closed under ``+ -`` and scaling
+        by a number; a call (its arguments are ``a``), or any other
+        operator, of values that are all constants folds; anything else
+        is ⊤."""
+        if isinstance(a, Top) or isinstance(b, Top):
             return TOP
         if op == "+":
             return a + b
@@ -246,162 +201,85 @@ class _Extractor:
             if x is not None:
                 return b * x
             return TOP if y is None else a * y
-        y = constant_of(b)
-        if op == "/":
-            if y is None or y == 0:
-                return TOP
-            x = constant_of(a) if isinstance(y, int) else None
-            if isinstance(x, int):
-                return N.c_int_div(x, y)
-            return a * (1.0 / y)
-        # remaining ops are linear only when both operands are constants
-        x = constant_of(a)
-        if x is None or y is None:
+        if op in N.INTRINSIC_IMPL:
+            consts = [constant_of(x) for x in a]
+            return TOP if None in consts else N.INTRINSIC_IMPL[op](*consts)
+        x, y = constant_of(a), constant_of(b)
+        if op == "/":  # (a form is a float: never C's int division)
+            return TOP if y is None or y == 0 else a * (1.0 / y)
+        return TOP if x is None or y is None else N.FOLD[op](x, y)
+
+    @staticmethod
+    def _new_array(ty, size):
+        return [0.0 if ty == "float" else 0] * size
+
+    def _element(self, arr, idx):
+        if arr is TOP or idx is INT_TOP:
             return TOP
-        if op == "%" and y == 0:
-            self.fail("modulo by zero")
-        return N.FOLD[op](x, y)
+        if type(arr) is not list:
+            self.fail("a scalar is indexed")
+        if not 0 <= idx < len(arr):
+            self.fail(f"index {idx} is outside an array of {len(arr)}")
+        return arr[idx]
 
-    # -- statements ---------------------------------------------------------
-    def exec_block(self, stmts, st: _State):
-        for s in stmts:
-            self.iters += 1
-            if self.iters > _MAX_SYMBOLIC_ITERS:
-                self.fail("symbolic execution budget exceeded")
-            self._exec[type(s)](s, st)
+    def _store_element(self, arr, idx, value):
+        if idx is INT_TOP:
+            self.fail("array store with a non-constant index")
+        if arr is not TOP:  # (one that is no state slot: reads are ⊤)
+            arr[idx] = self._coerce_like(self._element(arr, idx), value)
 
-    def _exec_assign(self, s: N.Assign, st: _State):
-        self._store(s.target, self.eval(s.value, st), st)
+    def _coerce_like(self, old, new):
+        if type(old) is int or old is INT_TOP:
+            return self._int(new)
+        # a form is a float already; ``* 1.0`` makes either ⊤ a float's
+        return new if type(new) is LinearForm else new * 1.0
 
-    def _exec_push(self, s: N.PushS, st: _State):
-        v = self.eval(s.value, st)
-        if st.pushcount >= self.push_rate:
-            self.fail("more pushes than the declared push rate")
-        col = self.push_rate - 1 - st.pushcount
-        if v is TOP:
-            self.fail(f"push #{st.pushcount} is not an affine function "
-                      f"of the input")
-        if type(v) is LinearForm:
-            st.A[col], st.b[col] = v.v, v.c
-        else:
-            st.A[col], st.b[col] = self._no_taps, v
-        st.pushcount += 1
-
-    def _exec_pop(self, s: N.PopS, st: _State):
-        if st.popcount >= self.peek_rate:
-            self.fail("pop beyond the declared peek window")
-        st.popcount += 1
-
-    def _exec_decl(self, s: N.Decl, st: _State):
-        if s.size is not None:
-            st.env[s.name] = [0.0 if s.ty == "float" else 0] * s.size
-        elif s.init is not None:
-            st.env[s.name] = self.eval(s.init, st)
-        else:
-            st.env[s.name] = 0.0 if s.ty == "float" else 0
-
-    def _store(self, target, v, st: _State):
-        if isinstance(target, N.Var):
-            name = target.name
-            if name in self.filt.fields and name not in st.env:
-                # a write to a field that is no state slot: reads of it
-                # are ⊤ already, so the filter may still be linear only
-                # if no push depends on it
-                return
-            st.env[name] = v
-        else:
-            idx = self._const_int(self.eval(target.index, st))
-            if idx is None:
-                self.fail(f"array store to {target.base!r} with a "
-                          f"non-constant index")
-            if target.base in self.filt.fields and target.base not in st.env:
-                return  # an array that is no state slot; reads are ⊤
-            arr = st.env.get(target.base)
-            if not isinstance(arr, list):
-                self.fail(f"store to unknown array {target.base!r}")
-            if not 0 <= idx < len(arr):
-                self.fail(f"{target.base}[{idx}] out of bounds")
-            arr[idx] = v
-
-    def _exec_for(self, s: N.For, st: _State):
-        start = self._const_int(self.eval(s.start, st))
-        step = self._const_int(self.eval(s.step, st))
-        if start is None or step is None or step == 0:
-            self.fail(f"loop over {s.var!r} has unresolvable bounds")
-        i = start
-        while True:
-            stop = self._const_int(self.eval(s.stop, st))
-            if stop is None:
-                self.fail(f"loop over {s.var!r} has a non-constant bound")
-            if not ((i < stop) if step > 0 else (i > stop)):
-                break
-            st.env[s.var] = i
-            self.exec_block(s.body, st)
-            after = self._const_int(st.env.get(s.var))
-            if after is None:
-                self.fail(f"loop variable {s.var!r} became non-constant")
-            i = after + step
-        st.env[s.var] = i
-
-    def _exec_if(self, s: N.If, st: _State):
-        cond = constant_of(self.eval(s.cond, st))
-        if cond is not None:
-            # constant condition: take the known side (precision refinement)
-            self.exec_block(s.then if cond else s.orelse, st)
-            return
-        st2 = st.copy()
-        self.exec_block(s.then, st)
-        self.exec_block(s.orelse, st2)
-        if st.popcount != st2.popcount or st.pushcount != st2.pushcount:
+    def _fork(self, s: N.If, env: dict):
+        """Both arms of an ``if`` on a form, from one state (the then-arm
+        on copies); they must pop and push alike, and the variables join."""
+        fields, names = self.fields, self.filt.mutable_fields
+        then_env = {k: _copy(v) for k, v in env.items()}
+        self.fields = {**fields, **{k: _copy(fields[k]) for k in names}}
+        tape, n = (self._popped, self._pushed), len(self._pushes)
+        self._block(s.then, then_env)
+        then_fields, self.fields = self.fields, fields
+        then_tape, then_pushes = (self._popped, self._pushed), \
+            self._pushes[n:]
+        (self._popped, self._pushed), self._pushes[n:] = tape, []
+        self._block(s.orelse, env)
+        if (self._popped, self._pushed) != then_tape:
             self.fail("branches push/pop different amounts")
-        st.env = join_env(st.env, st2.env)
-        # both sides wrote the same columns: the last ``pushcount``
-        for col in range(self.push_rate - st.pushcount, self.push_rate):
-            b1, b2 = st.b[col], st2.b[col]
+        for v, w in zip(reversed(then_pushes), reversed(self._pushes[n:])):
+            (a1, b1), (a2, b2) = self._column(v), self._column(w)
             if b1 != b2:
                 self.fail("branches push different constants")
-            a1, a2 = st.A[col], st2.A[col]
             if a1 is not a2 and not np.array_equal(a1, a2):
                 self.fail("branches push different coefficients")
+        self._pushes[n:] = then_pushes
+        env.update(join_env(then_env, env))
+        for k in names:
+            fields[k] = join(then_fields[k], fields[k])
 
     # -- toplevel (Algorithm 1) ---------------------------------------------
-    def _run_symbolic(self) -> tuple[np.ndarray, np.ndarray, _State]:
-        """Execute work symbolically; the ``(vec_dim, u)`` matrix of
-        stacked ``[A ; As]`` rows, the offsets, and the final state (the
-        fields' updates)."""
+    def linear_node(self) -> LinearNode:
         if self.push_rate == 0:
             self.fail("sink filters (push 0) have no linear node")
         if self.pop_rate == 0:
             self.fail("source filters (pop 0) have no linear node")
-        st = _State(env={}, A=[BOTTOM] * self.push_rate,
-                    b=[BOTTOM] * self.push_rate, popcount=0, pushcount=0)
-        slot = self.peek_rate  # state components follow the window's
-        for name, size in self.state_fields:
-            if size is None:
-                st.env[name] = self._component(slot)
-            else:
-                st.env[name] = [self._component(slot + i)
-                                for i in range(size)]
-            slot += size or 1
-        self.exec_block(self.filt.work.body, st)
-        if st.pushcount != self.push_rate:
-            self.fail(f"work pushed {st.pushcount} of {self.push_rate} items")
-        A = np.zeros((self.vec_dim, self.push_rate))
-        for col, taps in enumerate(st.A):
-            A[:, col] = taps
-        return A, np.array(st.b, dtype=float), st
-
-    def run(self) -> LinearNode:
-        M, b, st = self._run_symbolic()
+        self.run(self.filt.work, self, self)
+        # the ``(vec_dim, u)`` matrix of stacked ``[A ; As]`` rows
+        M = np.zeros((self.vec_dim, self.push_rate))
+        b = np.zeros(self.push_rate)
+        for col, v in enumerate(reversed(self._pushes)):
+            M[:, col], b[col] = self._column(v)
         e = self.peek_rate
         # per candidate slot: its update as a linear form, or the name
         # of its field when the update is not one
         updates: list = []
         for name, size in self.state_fields:
-            vals = st.env.get(name)
-            vals = [vals] if size is None else vals
-            if not isinstance(vals, list) or len(vals) != (size or 1):
-                vals = [TOP] * (size or 1)  # joined away or shadowed
+            vals = self.fields[name]
+            if size is None or type(vals) is not list:
+                vals = [vals] if size is None else [TOP] * size
             for v in vals:
                 if isinstance(v, (int, float)):
                     v = LinearForm(self._no_taps, v)
@@ -508,9 +386,11 @@ def extract_filter(filt: Stream) -> ExtractionResult:
         result = ExtractionResult(None, reason)
     else:
         try:
-            result = ExtractionResult(_Extractor(filt).run())
+            result = ExtractionResult(_Extractor(filt).linear_node())
         except NonLinearError as exc:
             result = ExtractionResult(None, exc.reason)
+        except (ArithmeticError, ValueError) as exc:  # x % 0, log(-1), ...
+            result = ExtractionResult(None, f"{type(exc).__name__}: {exc}")
     if len(_results) >= _RESULTS_KEPT:
         _results.clear()
     _results[key] = (result, filt.work, filt.prework)

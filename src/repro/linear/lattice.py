@@ -1,18 +1,22 @@
-"""Abstract values for linear extraction (thesis §3.2, Figure 3-2).
+"""Abstract values for linear extraction (thesis §3.2, Figure 3-2): the
+domain the interpreter (:mod:`repro.ir.interp`) runs over when it
+extracts.
 
 Every program value is tracked as a *linear form* ``(v, c)``: at runtime
 the value equals ``x·v + c`` where ``x`` is the input vector and ``v`` a
 ``peek``-length column vector.  Values that cannot be expressed this way
-are TOP (⊤); join of unequal values is TOP.  BOTTOM (⊥) marks matrix/
-vector entries not yet written.
+are ⊤ (an int's: INT_TOP); join of unequal values is ⊤.  BOTTOM (⊥)
+marks a variable one branch arm never defined.  Both :class:`LinearForm`
+and ⊤ are :class:`~repro.ir.interp.Abstract`: the interpreter hands
+every operation on one to the extractor.
 
 **A constant is a plain Python number** — the ``int`` or ``float`` the
 program computed, with no vector at all: loop indices, array indices,
 coefficients read from fields and everything folded from them never
-allocate.  Int-ness is the number's own type, so loop bounds, array
-indices and peek offsets stay resolvable.  A :class:`LinearForm` exists
-only for a value that was built from ``peek``/``pop``/state; one whose
-taps have all cancelled (``pop() - peek(0)``) still counts as the
+allocate, and the interpreter computes them as it computes any number.
+A :class:`LinearForm` exists only for a value that was built from
+``peek``/``pop``/state, and is float-valued (its ``c`` is a float); one
+whose taps have all cancelled (``pop() - peek(0)``) still counts as the
 constant ``c`` (:func:`constant_of`), as the thesis' ``v = 0`` does.
 
 A form's vector is never written after construction, so forms share
@@ -23,45 +27,33 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class _Top:
-    """⊤ — value not expressible as an affine function of the input."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "⊤"
+from ..ir.interp import Abstract
 
 
-class _Bottom:
-    """⊥ — not yet defined."""
+class Top(Abstract):
+    """⊤ — value not expressible as an affine function of the input.  As
+    an array, every element is ⊤.  An int's is :data:`INT_TOP`, so a store
+    into an int that was ⊤ still truncates; ``* 1.0`` (a float store) of
+    either is the float's :data:`TOP`."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __mul__(self, k):
+        return TOP
 
     def __repr__(self):
-        return "⊥"
+        return "⊤" if self is TOP else "⊤int"
 
 
-TOP = _Top()
-BOTTOM = _Bottom()
+TOP, INT_TOP = Top(), Top()
+#: ⊥ — what a variable one branch arm never defined joins from
+BOTTOM = object()
 
 
-class LinearForm:
+class LinearForm(Abstract):
     """``value = x · v + c`` for a value with taps on the input."""
 
     __slots__ = ("v", "c", "_tapped")
 
-    def __init__(self, v: np.ndarray, c: float | int):
+    def __init__(self, v: np.ndarray, c: float):
         self.v = v
         self.c = c
         self._tapped = None  # whether v has a non-zero: asked, then kept
@@ -93,7 +85,10 @@ class LinearForm:
         return LinearForm(0.0 - self.v, other - self.c)
 
     def __mul__(self, k) -> "LinearForm":
-        """Scaled by the number ``k``."""
+        """Scaled by the number ``k`` (by 1: itself, as ``c`` is a
+        float already)."""
+        if k == 1:
+            return self
         return LinearForm(self.v * k, self.c * k)
 
     def __eq__(self, other):
@@ -120,19 +115,20 @@ def constant_of(value):
 
 
 def join(a, b):
-    """The confluence operator ⊔ on abstract values (branch merge)."""
-    if a is BOTTOM:
+    """The confluence operator ⊔ on abstract values (branch merge);
+    arrays join element by element."""
+    if a is BOTTOM or a is b:
         return b
     if b is BOTTOM:
         return a
-    if a is TOP or b is TOP:
-        return TOP
-    return a if a == b else TOP
+    if type(a) is list and type(b) is list and len(a) == len(b):
+        return [join(x, y) for x, y in zip(a, b)]
+    if a == b:
+        return a
+    return INT_TOP if type(a) is int or a is INT_TOP else TOP
 
 
 def join_env(env1: dict, env2: dict) -> dict:
     """Pointwise join of two variable environments."""
-    out = {}
-    for k in env1.keys() | env2.keys():
-        out[k] = join(env1.get(k, BOTTOM), env2.get(k, BOTTOM))
-    return out
+    return {k: join(env1.get(k, BOTTOM), env2.get(k, BOTTOM))
+            for k in env1.keys() | env2.keys()}

@@ -16,6 +16,11 @@ are the literal ``DIAGNOSTICS`` table below.
 ``python tests/test_compile_goldens.py`` rewrites the two files from the
 tree it runs on; a diff in them is an extractor or lexer change to
 review, never noise.
+
+The goldens pin the extractor without checking it.  The soundness oracle
+below does: every extracted leaf of the same population fires through
+generated Python (``pycodegen.compile_work``, not the interpreter the
+extractor is an instance of), and its pushes must be its node's.
 """
 
 from __future__ import annotations
@@ -32,7 +37,9 @@ from repro import apps
 from repro.dsl import Lexer, compile_source
 from repro.dsl.fuzz import generate
 from repro.graph.streams import Filter, leaf_filters
+from repro.ir.pycodegen import compile_work
 from repro.linear import extract_filter
+from repro.runtime.channels import Channel
 
 GOLDEN = Path(__file__).parent / "golden"
 DSL_DIR = Path(apps.__file__).parent / "dsl"
@@ -57,6 +64,12 @@ def leaf_verdicts(graph) -> list[list[str]]:
     return [[leaf.name, verdict(leaf)] for leaf in leaf_filters(graph)]
 
 
+@functools.lru_cache(maxsize=None)
+def app_graph(app: str):
+    return apps.BENCHMARKS[app]()
+
+
+@functools.lru_cache(maxsize=None)
 def fuzz_graph(index: int):
     program = generate(FUZZ_SEED * 1_000_003 + index)
     return compile_source(program.source, program.top)
@@ -104,7 +117,7 @@ def load(name: str) -> dict:
 @pytest.mark.parametrize("app", sorted(apps.BENCHMARKS))
 def test_app_leaves_extract_to_the_recorded_nodes(app):
     recorded = load("extraction.json")["apps"][app]
-    assert leaf_verdicts(apps.BENCHMARKS[app]()) == recorded
+    assert leaf_verdicts(app_graph(app)) == recorded
 
 
 def test_every_app_leaf_is_recorded():
@@ -151,6 +164,45 @@ DIAGNOSTICS = {
 }
 
 
+#: firings of each extracted leaf the soundness oracle compares
+ORACLE_FIRINGS = 8
+
+
+def assert_extraction_sound(graph) -> None:
+    """Each extracted leaf, fired ``ORACLE_FIRINGS`` times as generated
+    Python from its ``init`` fields on seeded input, pushes what its
+    node's recurrence from ``s0`` gives (to 1e-9)."""
+    rng = np.random.default_rng(FUZZ_SEED)
+    for leaf in leaf_filters(graph):
+        node = extract_filter(leaf).node if isinstance(leaf, Filter) \
+            else None
+        if node is None:
+            continue
+        x = rng.normal(size=node.peek + (ORACLE_FIRINGS - 1) * node.pop)
+        fields = {k: v.copy() if isinstance(v, np.ndarray) else v
+                  for k, v in leaf.fields.items()}
+        work = compile_work(leaf.work, fields, leaf.name)
+        tape, pushed = Channel("oracle"), []
+        tape.push_block(x)
+        for _ in range(ORACLE_FIRINGS):
+            work(tape.peek, tape.pop, pushed.append, fields,
+                 lambda **counts: None)
+        np.testing.assert_allclose(
+            pushed, node.reference_run(x, ORACLE_FIRINGS), rtol=1e-9,
+            atol=1e-9, err_msg=leaf.name)
+
+
+@pytest.mark.parametrize("app", sorted(apps.BENCHMARKS))
+def test_app_leaves_extract_soundly(app):
+    assert_extraction_sound(app_graph(app))
+
+
+@pytest.mark.parametrize("block", range(0, FUZZ_COUNT, 25))
+def test_fuzz_leaves_extract_soundly(block):
+    for index in range(block, block + 25):
+        assert_extraction_sound(fuzz_graph(index))
+
+
 @pytest.mark.parametrize("source", DIAGNOSTICS)
 def test_lexer_diagnostics_and_recovery(source):
     lexer = Lexer(source)
@@ -162,8 +214,8 @@ def test_lexer_diagnostics_and_recovery(source):
 
 def write() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    rows = [f'{json.dumps(app)}: {json.dumps(leaf_verdicts(build()))}'
-            for app, build in sorted(apps.BENCHMARKS.items())]
+    rows = [f'{json.dumps(app)}: {json.dumps(leaf_verdicts(app_graph(app)))}'
+            for app in sorted(apps.BENCHMARKS)]
     fuzz = [json.dumps(leaf_verdicts(fuzz_graph(i)))
             for i in range(FUZZ_COUNT)]
     (GOLDEN / "extraction.json").write_text(

@@ -1,5 +1,7 @@
 """Linear extraction analysis tests (thesis §3.2, Algorithms 1-2)."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -357,19 +359,37 @@ def test_loop_bound_from_field_constant():
 
 
 def test_exhausting_the_statement_budget_is_a_rejection():
-    """1100 x 1100 iterations is 1.21 M statements against a budget of
-    1 M: the filter a serve client could ``OPEN`` with.  It is told no
-    (and falls back to scalar firing); nothing raises."""
+    """1100 x 1100 iterations of one statement is 2.42 M loop steps (a
+    trip and a statement each) against a budget of 1 M: the filter a
+    serve client could ``OPEN`` with.  It is told no (and falls back to
+    scalar firing); nothing raises."""
+    result = extract_filter(spin_filter(1100, 1))
+    assert not result.is_linear
+    assert result.reason == "symbolic execution budget exceeded"
+
+
+def spin_filter(trips: int, width: int):
+    """``trips`` x ``trips`` iterations of ``width`` statements."""
     f = FilterBuilder("Spin", peek=1, pop=1, push=1)
     with f.work():
         s = f.local("s", 0.0)
-        with f.loop("i", 0, 1100):
-            with f.loop("j", 0, 1100):
-                f.assign(s, s + 1.0)
+        with f.loop("i", 0, trips):
+            with f.loop("j", 0, trips):
+                for _ in range(width):
+                    f.assign(s, s + 1.0)
         f.push(f.pop_expr() + s)
-    result = extract_filter(f.build())
-    assert not result.is_linear
+    return f.build()
+
+
+def test_the_budget_charges_the_body_not_just_the_trips():
+    """10 000 iterations are few, but of a 200-statement body they are
+    2 M statements: rejected once the 1 M budget is spent (under a
+    second on a 2-vCPU box), not after 2 M or more."""
+    filt = spin_filter(100, 200)
+    start = time.perf_counter()
+    result = extract_filter(filt)
     assert result.reason == "symbolic execution budget exceeded"
+    assert time.perf_counter() - start < 5.0
 
 
 def test_same_filter_is_extracted_once_until_plans_are_cleared():
