@@ -724,13 +724,15 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     engine (``workers`` processes) if asked, counting into ``profiler``
     if given.  Notes in the program's census whether sibling branches
     ran as one step (a many-row ring), a source as a sinusoid step (its
-    reader folded on), and whether the rewrite collapsed a mixed run: a
-    leaf with state *and* lookahead or a rate change, as none is.
+    reader folded on), whether the rewrite collapsed a mixed run: a
+    leaf with state *and* lookahead or a rate change, as none is — and
+    how many leaves run as polyphase frequency filters.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
     also takes the remainder) and adds to the census how many of them
     replayed a schedule the executor had simulated before."""
     from ..exec.kernels import SinusoidStep
+    from ..frequency.filters import OptimizedFreqFilter
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
@@ -753,6 +755,10 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
             if ln is not None and ln.state_dim and \
                     (ln.peek > ln.pop or ln.pop != ln.push):
                 program.census["collapsed"] = 1
+        polyphase = sum(isinstance(node.stream, OptimizedFreqFilter)
+                        and node.stream.phases > 1 for node in flat.nodes)
+        if polyphase:  # leaves of this plan; its other runs plan the same
+            program.census["polyphase"] = polyphase
         size = n_outputs // calls
         parts = [session._advance_raw(size) for _ in range(calls - 1)]
         parts.append(session._advance_raw(n_outputs - size * (calls - 1)))
@@ -960,6 +966,7 @@ def main(argv=None) -> int:
     fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
+    polyphase = census.pop("polyphase", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
@@ -967,7 +974,8 @@ def main(argv=None) -> int:
           f"non-source leaves {leaves}; {fused} programs ran sibling "
           f"branches as one step, {collapsed} collapsed a mixed run into "
           f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
-          f"folded; replayed {replayed}/{calls} resumed calls)")
+          f"folded; {polyphase} polyphase freq leaves; "
+          f"replayed {replayed}/{calls} resumed calls)")
     return 0
 
 

@@ -40,7 +40,7 @@ import time
 
 import numpy as np
 
-from ..frequency.fftlib import elementwise_complex_mult_counts, fftw_counts
+from ..frequency.fftlib import frequency_block_counts
 
 #: Bump when the measurement protocol changes; old files are ignored.
 CALIBRATION_VERSION = 2
@@ -118,7 +118,7 @@ def _measure_fft(dtype, n: int, rng) -> float:
 
     Mirrors the plan backend's frequency kernel: one batched forward
     transform, a pointwise spectrum product against ``u`` kernels, one
-    batched inverse.  Priced with the same :func:`fftw_counts`-based
+    batched inverse.  Priced with the same :func:`frequency_block_counts`
     formula the DP uses, so the fft/matmul ratio is dimensionless.
     """
     k, u = 32, 4
@@ -140,9 +140,7 @@ def _measure_fft(dtype, n: int, rng) -> float:
             Y = X[:, :, None] * H[None, :, :]
             np.fft.irfft(Y, n=n, axis=1)
 
-    per_block = fftw_counts(n).scaled(1 + u)
-    per_block.add(elementwise_complex_mult_counts(n // 2 + 1).scaled(u))
-    flops = float(per_block.flops) * k
+    flops = float(frequency_block_counts(n, u).flops) * k
     t = _best_time(run)
     return t * 1e9 / flops
 

@@ -373,6 +373,7 @@ class NaiveFreqStep(Step):
         self.counts = policy.adjust_counts(counts)
         self.profiler = profiler
         self.name = filt.name
+        self.detail = f"N={filt.n}"
         self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
                         // (filt.kernel.n * (filt.u + 1)))
         self._work: list = []  # FFT workspace (fftlib._convolve_batch)
@@ -403,6 +404,12 @@ class OptimizedFreqStep(Step):
     chunk-flush boundary — exactly like the scalar runner's ``partials``
     state.  The first-ever firing pushes only the ``u*m`` interior outputs
     (the filter's declared init rate).
+
+    A polyphase filter (``o`` phases) reads its window as ``(k, r, o)``
+    and gets its results as a view of ``(k, u, n_fft)`` rows
+    (:func:`~repro.frequency.fftlib._convolve_phases`); its steady
+    firings assemble in that layout, so no add runs a length-``u``
+    inner loop.
     """
 
     kind = "freq-opt"
@@ -414,7 +421,12 @@ class OptimizedFreqStep(Step):
         self.kernel = filt.kernel.for_policy(policy)
         self.policy = policy
         self.e, self.m, self.u, self.r = filt.e, filt.m, filt.u, filt.r
+        self.o = filt.phases
+        self.detail = f"N={filt.n}" + (f", {self.o} phases"
+                                       if self.o > 1 else "")
         self.b_push = np.asarray(filt.b_push, dtype=policy.dtype)
+        # the polyphase assembly adds b per output column, if at all
+        self.b_col = self.b_push[:, None] if filt.b_push.any() else None
         # one firing's offsets: rows of outputs are added flat, (k, r*u),
         # because a length-u inner loop is what makes an ufunc slow
         self.b_row = np.tile(self.b_push, filt.r)
@@ -429,8 +441,9 @@ class OptimizedFreqStep(Step):
         self.profiler = profiler
         self.name = filt.name
         self.partials: np.ndarray | None = None
+        # o phases multiply a row's workspace by about o (o*u products)
         self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
-                        // (filt.kernel.n * (filt.u + 1)))
+                        // (filt.kernel.n * (filt.u + 1) * self.o))
         self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
     # None is meaningful state here (first firing not yet taken), so the
@@ -448,10 +461,12 @@ class OptimizedFreqStep(Step):
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        e, m, u, r = self.e, self.m, self.u, self.r
+        e, m, u, r, o = self.e, self.m, self.u, self.r, self.o
         while n:
             k = min(n, self.rows)
-            X = self.ring_in.window_view(k, r, r)
+            X = self.ring_in.window_view(k, o * r, o * r)
+            if o > 1:
+                X = X.reshape(k, r, o)
             y = self.kernel.convolve_batch(X, self._work)  # (k, n_fft, u)
             tails = y[:, m + e - 1:m + 2 * e - 2, :]  # (k, e-1, u)
             if self.partials is None:
@@ -468,21 +483,41 @@ class OptimizedFreqStep(Step):
                     self.profiler.add_counts(self.steady_counts, times=k - 1,
                                              filter_name=self.name)
             else:
-                # straight into the ring, rows flat ((k, r*u): see
-                # b_row), each row's boundary outputs completed by the
-                # tail of the row before it
-                y2, h = y.reshape(k, -1), (e - 1) * u
-                out = self.ring_out.alloc_push(k * r * u).reshape(k, -1)
-                np.add(y2[0, :h], self.partials.reshape(-1), out=out[0, :h])
-                np.add(y2[1:, :h], tails[:-1].reshape(k - 1, h),
-                       out=out[1:, :h])
-                out[:, :h] += self.b_row[:h]
-                np.add(y2[:, h:r * u], self.b_row[h:], out=out[:, h:])
+                if o > 1:
+                    self._assemble_phases(y, k)
+                else:
+                    # straight into the ring, rows flat ((k, r*u): see
+                    # b_row), each row's boundary outputs completed by
+                    # the tail of the row before it
+                    y2, h = y.reshape(k, -1), (e - 1) * u
+                    out = self.ring_out.alloc_push(k * r * u).reshape(k, -1)
+                    np.add(y2[0, :h], self.partials.reshape(-1),
+                           out=out[0, :h])
+                    np.add(y2[1:, :h], tails[:-1].reshape(k - 1, h),
+                           out=out[1:, :h])
+                    out[:, :h] += self.b_row[:h]
+                    np.add(y2[:, h:r * u], self.b_row[h:], out=out[:, h:])
                 self.profiler.add_counts(self.steady_counts, times=k,
                                          filter_name=self.name)
             self.partials = tails[-1].copy()
-            self.ring_in.pop_block(k * r)
+            self.ring_in.pop_block(k * o * r)
             n -= k
+
+    def _assemble_phases(self, y, k: int) -> None:
+        """The steady firings of a polyphase batch, straight into the
+        ring, in the kernel's ``(k, u, n_fft)`` layout: ``out[i, j]`` is
+        output column ``j`` of block ``i`` — contiguous reads, long
+        strided writes."""
+        e, m, r = self.e, self.m, self.r
+        y = y.transpose(0, 2, 1)  # the kernel's rows, contiguous
+        out = self.ring_out.alloc_push(k * r * self.u).reshape(k, r, -1)
+        out = out.transpose(0, 2, 1)
+        np.add(y[0, :, :e - 1], self.partials.T, out=out[0, :, :e - 1])
+        np.add(y[1:, :, :e - 1], y[:-1, :, m + e - 1:m + 2 * e - 2],
+               out=out[1:, :, :e - 1])
+        out[:, :, e - 1:] = y[:, :, e - 1:r]
+        if self.b_col is not None:
+            out += self.b_col
 
 
 def fire_scalar(node, ring_in, ring_out, n: int) -> None:

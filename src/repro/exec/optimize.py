@@ -11,7 +11,9 @@ instead of the graph as written:
   state included (§7.1: IIR sections whose fields update affinely, and
   the pipeline runs that contain them);
 * ``freq``   — maximal frequency replacement (§5.2): maximal linear
-  regions become overlap-save FFT convolutions;
+  regions become overlap-save FFT convolutions, a decimating one
+  polyphase at its own pop rate (no decimator;
+  :mod:`repro.frequency.filters`);
 * ``auto``   — the §4.3 selection DP, run with the *batched* cost model
   (:func:`repro.selection.costs.batched_direct_cost` /
   :func:`~repro.selection.costs.batched_frequency_cost`), which amortizes
@@ -51,7 +53,7 @@ def optimize_stream(stream: Stream, mode: str, policy=None) -> Stream:
         return maximal_linear_replacement(stream, stateful=True)
     if mode == "freq":
         from ..frequency.replacer import maximal_frequency_replacement
-        return maximal_frequency_replacement(stream)
+        return maximal_frequency_replacement(stream, strategy="polyphase")
     if mode == "auto":
         from ..selection.dp import select_optimizations
         return select_optimizations(stream, cost_model="batched",

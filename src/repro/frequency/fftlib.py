@@ -20,6 +20,7 @@ the counted implementation agrees with the formula.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,12 @@ def fft_size_for(peek: int) -> int:
     while n - 2 * peek + 1 < peek:
         n *= 2
     return n
+
+
+def phase_taps(peek: int, phases: int) -> int:
+    """Taps of each of the ``phases`` polyphase convolutions of a node
+    peeking ``peek`` items: ``ceil(peek / phases)``."""
+    return -(-peek // phases)
 
 
 class CountedRadix2FFT:
@@ -148,6 +155,30 @@ def elementwise_complex_mult_counts(n_points: int) -> Counts:
     return c
 
 
+def frequency_block_counts(n: int, u: int, phases: int = 1,
+                           backend: str = "fftw") -> Counts:
+    """Ops of one frequency block of size ``n``: ``phases`` forward and
+    ``u`` inverse transforms, the ``phases x u`` spectrum products, and
+    the complex adds that sum the phases of each of the ``u`` spectra."""
+    if backend == "fftw":
+        per_transform, points = fftw_counts(n), n // 2 + 1
+    else:
+        per_transform, points = simple_fft_counts(n), n
+    c = per_transform.scaled(phases + u)
+    c.add(elementwise_complex_mult_counts(points).scaled(phases * u))
+    c.fadd += 2 * (phases - 1) * u * points
+    return c
+
+
+def _spectra(kernels: np.ndarray, n: int, transform) -> np.ndarray:
+    """``transform`` of (e, u) impulse responses along axis 0: (bins, u).
+    Polyphase (e, o, u) responses give (o, u, bins), bins innermost."""
+    H = transform(kernels, n=n, axis=0)
+    if H.ndim == 3:
+        H = np.ascontiguousarray(np.moveaxis(H, 0, -1))
+    return H
+
+
 def _convolve_batch(blocks, H, n, forward, inverse, work: list):
     """``inverse(forward(blocks) * H)`` along axis 1 of a ``(k, len)`` stack.
 
@@ -155,10 +186,15 @@ def _convolve_batch(blocks, H, n, forward, inverse, work: list):
     product and result arrays of the longest batch so far, and a batch
     that fits transforms into their first ``k`` rows (``out=``).  A
     steady stream of batches then allocates nothing here — fresh arrays
-    of this size (3 x ~150 KB for FilterBank) are what glibc trims off
+    of this size (~150 KB each for a 300-tap filter) are what glibc trims off
     the heap and faults back in on every call.  The result is only
     valid until the next call with the same ``work``.
+
+    A ``(k, len, o)`` stack is ``o`` interleaved phases (polyphase, ``H``
+    of shape ``(o, u, bins)``): :func:`_convolve_phases`.
     """
+    if blocks.ndim == 3:
+        return _convolve_phases(blocks, H, n, forward, inverse, work)
     k = len(blocks)
     if not work or len(work[0]) < k:
         X = forward(blocks, n=n, axis=1)  # (k, n//2+1)
@@ -172,6 +208,33 @@ def _convolve_batch(blocks, H, n, forward, inverse, work: list):
     return inverse(Y, n=n, axis=1, out=y)
 
 
+def _convolve_phases(blocks, H, n, forward, inverse, work: list):
+    """Polyphase :func:`_convolve_batch`: ``y_j = inverse(Σ_p
+    forward(phase p) * H[p, j])`` for a ``(k, len, o)`` stack, returned
+    as a ``(k, n, u)`` view of a ``(k, u, n)`` array.
+
+    Every array keeps the bins innermost, so each ufunc runs one long
+    inner loop instead of a length-``u`` one; the phase sum reduces the
+    ``(k, o, u, bins)`` products into the workspace's ``(k, u, bins)``
+    spectra (``out=``).  ``work`` as for :func:`_convolve_batch`.
+    """
+    k = len(blocks)
+    phases = blocks.transpose(0, 2, 1)  # (k, o, len)
+    if not work or len(work[0]) < k:
+        X = forward(phases, n=n, axis=2)  # (k, o, bins)
+        P = X[:, :, None, :] * H  # (k, o, u, bins)
+        Y = np.add.reduce(P, axis=1)  # (k, u, bins)
+        y = inverse(Y, n=n, axis=2)  # (k, u, n)
+        work[:] = X, P, Y, y
+    else:
+        X, P, Y, y = (a[:k] for a in work)
+        forward(phases, n=n, axis=2, out=X)
+        np.multiply(X[:, :, None, :], H, out=P)
+        np.add.reduce(P, axis=1, out=Y)
+        inverse(Y, n=n, axis=2, out=y)
+    return y.transpose(0, 2, 1)
+
+
 class FrequencyKernel:
     """Precomputed frequency-domain machinery for one linear node column set.
 
@@ -182,29 +245,32 @@ class FrequencyKernel:
     * ``simple`` — full complex transforms, counted with the radix-2
       closed form (execution still uses numpy for speed; the counted
       implementation is validated against numpy in unit tests).
+
+    The spectra are transformed on first use: the selection DP builds a
+    frequency candidate for every region it prices and runs few of them.
     """
 
     def __init__(self, kernels: np.ndarray, n: int, backend: str = "fftw"):
-        """``kernels``: (e, u) array, column j = impulse response of push j."""
+        """``kernels``: (e, u) array, column j = impulse response of push
+        j; or (e, o, u) for ``o`` phases, ``[:, p, j]`` push j's response
+        to phase p (:func:`_convolve_phases`)."""
         if backend not in ("fftw", "simple"):
             raise ValueError(f"unknown FFT backend {backend!r}")
         self.n = n
         self.backend = backend
-        self.u = kernels.shape[1]
         #: time-domain impulse responses, kept so :meth:`for_policy` can
         #: retransform them into another dtype's FFT path
         self.kernels = np.asarray(kernels)
-        self.H = np.fft.rfft(kernels, n=n, axis=0)  # (n//2+1, u)
-        if backend == "fftw":
-            per_transform = fftw_counts(n)
-            product_points = n // 2 + 1
-        else:
-            per_transform = simple_fft_counts(n)
-            product_points = n
-        self.counts_per_block = per_transform.scaled(1 + self.u)
-        self.counts_per_block.add(
-            elementwise_complex_mult_counts(product_points).scaled(self.u))
+        self.u = self.kernels.shape[-1]
+        self.phases = 1 if self.kernels.ndim == 2 else self.kernels.shape[1]
+        self.counts_per_block = frequency_block_counts(n, self.u, self.phases,
+                                                       backend)
         self._typed: dict[str, "_TypedFrequencyKernel"] = {}
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """(n//2+1, u) spectra; (o, u, n//2+1) for ``o`` phases."""
+        return _spectra(self.kernels, self.n, np.fft.rfft)
 
     def for_policy(self, policy):
         """A convolution kernel computing in ``policy``'s dtype.
@@ -228,14 +294,18 @@ class FrequencyKernel:
     def convolve_block(self, x: np.ndarray) -> np.ndarray:
         """Circular convolution of ``x`` (zero-padded to n) with each kernel.
 
-        Returns an (n, u) array of time-domain results.
+        Returns an (n, u) array of time-domain results.  With ``o``
+        phases ``x`` holds them interleaved, ``o`` items a row.
         """
+        if self.phases > 1:
+            return self.convolve_batch(x.reshape(1, -1, self.phases), [])[0]
         X = np.fft.rfft(x, n=self.n)
         Y = X[:, None] * self.H
         return np.fft.irfft(Y, n=self.n, axis=0)
 
     def convolve_batch(self, blocks: np.ndarray, work: list) -> np.ndarray:
-        """Row-wise :meth:`convolve_block` over a ``(k, block_len)`` stack.
+        """Row-wise :meth:`convolve_block` over a ``(k, block_len)`` stack
+        (``(k, block_len / o, o)`` with ``o`` phases).
 
         Returns a ``(k, n, u)`` array; row ``i`` equals
         ``convolve_block(blocks[i])``.  Used by the plan backend's batched
@@ -261,18 +331,14 @@ class _TypedFrequencyKernel:
         self.backend = parent.backend
         self.counts_per_block = parent.counts_per_block
         self._complex = bool(policy.is_complex)
-        kernels = np.asarray(parent.kernels, dtype=policy.dtype)
-        if self._complex:
-            self.H = np.fft.fft(kernels, n=self.n, axis=0)  # (n, u)
-        else:
-            self.H = np.fft.rfft(kernels, n=self.n, axis=0)
+        self._kernels = np.asarray(parent.kernels, dtype=policy.dtype)
 
-    def convolve_block(self, x: np.ndarray) -> np.ndarray:
-        if self._complex:
-            X = np.fft.fft(x, n=self.n)
-            return np.fft.ifft(X[:, None] * self.H, n=self.n, axis=0)
-        X = np.fft.rfft(x, n=self.n)
-        return np.fft.irfft(X[:, None] * self.H, n=self.n, axis=0)
+    @cached_property
+    def H(self) -> np.ndarray:
+        """Complex policies: (n, u) two-sided spectra, (o, u, n) with
+        ``o`` phases."""
+        return _spectra(self._kernels, self.n,
+                        np.fft.fft if self._complex else np.fft.rfft)
 
     def convolve_batch(self, blocks: np.ndarray, work: list) -> np.ndarray:
         pair = ((np.fft.fft, np.fft.ifft) if self._complex

@@ -16,6 +16,18 @@ every ``u*o`` outputs.
 
 The FFT size follows the thesis: ``N = 2^ceil(lg 2e)``, ``m = N-2e+1``;
 both can be overridden for the Figure 5-12 sweep.
+
+That is the paper's construction, and what the figures count.  For
+``o > 1`` it convolves at every input offset and the decimator then
+drops ``o-1`` of every ``o`` results — why §5 finds that "frequency
+loses badly for large pop".  The plan pipeline instead builds
+:class:`OptimizedFreqFilter` at the node's own pop rate (strategy
+``"polyphase"``): input item ``i`` is item ``i // o`` of phase ``i % o``,
+and output column ``j`` is the sum over the ``o`` phases of pop-1
+convolutions of ``e' = ceil(e/o)`` taps.  A block of ``o*r'`` inputs
+costs ``o`` forward and ``u`` inverse transforms of size
+``N' = fft_size_for(e')`` and pushes ``u*r'`` outputs, none discarded;
+at ``o = 1`` it is Transformation 6 itself.
 """
 
 from __future__ import annotations
@@ -26,16 +38,25 @@ from ..errors import StreamGraphError
 from ..graph.streams import Pipeline, PrimitiveFilter, Stream
 from ..linear.node import LinearNode
 from ..profiling import Counts
-from .fftlib import FrequencyKernel, fft_size_for
+from .fftlib import FrequencyKernel, fft_size_for, phase_taps
 
 
-def _push_kernels(node: LinearNode) -> np.ndarray:
+def _push_kernels(node: LinearNode, phases: int = 1) -> np.ndarray:
     """(e, u) array whose column j is the impulse response of push j.
 
     Push j uses matrix column ``u-1-j``; the convolution kernel is that
     column as-is: ``out_j[i] = sum_k A[k, u-1-j] * in[i+e-1-k]``.
+
+    With ``o = phases > 1``: an (e', o, u) array, ``e' = ceil(e/o)``.
+    The coefficient of ``peek(q*o + p)`` is tap ``e'-1-q`` of push j's
+    response to phase ``p``; taps past ``peek(e-1)`` are zero.
     """
-    return node.A[:, ::-1]
+    if phases == 1:
+        return node.A[:, ::-1]
+    taps = phase_taps(node.peek, phases)
+    by_peek = np.zeros((taps * phases, node.push), dtype=node.A.dtype)
+    by_peek[:node.peek] = node.A[::-1, ::-1]  # row d: peek(d)'s coefficients
+    return by_peek.reshape(taps, phases, node.push)[::-1]
 
 
 def _push_offsets(node: LinearNode) -> np.ndarray:
@@ -69,12 +90,16 @@ class Decimator(PrimitiveFilter):
 
 class _FreqBase(PrimitiveFilter):
     def __init__(self, node: LinearNode, name: str, backend: str,
-                 fft_size: int | None):
-        if node.pop != 1:
+                 fft_size: int | None, phases: int = 1):
+        if node.pop != phases or phases < 1:
             raise StreamGraphError(
                 "frequency filters operate at pop 1; wrap with "
                 "make_frequency_stream for o > 1")
-        e = node.peek
+        e = phase_taps(node.peek, phases)
+        if phases > 1 and e < 2:
+            raise StreamGraphError(
+                f"polyphase: {phases} phases of peek {node.peek} leave "
+                "fewer than 2 taps each")
         n = fft_size if fft_size is not None else fft_size_for(e)
         m = n - 2 * e + 1
         if m < 1:
@@ -86,8 +111,9 @@ class _FreqBase(PrimitiveFilter):
         self.u = node.push
         self.n = n
         self.m = m
+        self.phases = phases
         self.backend = backend
-        self.kernel = FrequencyKernel(_push_kernels(node), n, backend)
+        self.kernel = FrequencyKernel(_push_kernels(node, phases), n, backend)
         self.b_push = _push_offsets(node)
         self._b_adds = int(np.count_nonzero(self.b_push))
 
@@ -122,22 +148,25 @@ class NaiveFreqFilter(_FreqBase):
 
 
 class OptimizedFreqFilter(_FreqBase):
-    """Transformation 6: disjoint blocks, boundary outputs from partials."""
+    """Transformation 6: disjoint blocks, boundary outputs from partials —
+    at the node's own pop rate ``o``, as ``o`` phases of ``e`` taps each
+    (``e``, ``m``, ``r`` are a phase's; a firing pops ``o*r``)."""
 
     def __init__(self, node: LinearNode, name: str = "FreqOpt",
                  backend: str = "fftw", fft_size: int | None = None):
-        super().__init__(node, name, backend, fft_size)
+        super().__init__(node, name, backend, fft_size, phases=node.pop)
         r = self.m + self.e - 1
         self.r = r
-        self.peek = r
-        self.pop = r
+        self.peek = self.phases * r
+        self.pop = self.phases * r
         self.push = self.u * r
-        self.init_peek = r
-        self.init_pop = r
+        self.init_peek = self.phases * r
+        self.init_pop = self.phases * r
         self.init_push = self.u * self.m
 
     def make_runner(self, profiler):
         e, m, u, r = self.e, self.m, self.u, self.r
+        block = self.pop
         kernel, b_push = self.kernel, self.b_push
         init_counts = kernel.counts_per_block.copy()
         init_counts.fadd += self._b_adds * m
@@ -151,7 +180,7 @@ class OptimizedFreqFilter(_FreqBase):
                 self.partials: np.ndarray | None = None
 
             def fire(self, ch_in, ch_out):
-                x = ch_in.peek_block(r)
+                x = ch_in.peek_block(block)
                 y = kernel.convolve_block(x)  # (n, u)
                 if self.partials is None:
                     ch_out.push_array(
@@ -164,7 +193,7 @@ class OptimizedFreqFilter(_FreqBase):
                         (y[e - 1:e - 1 + m, :] + b_push).reshape(-1))
                     profiler.add_counts(steady_counts, filter_name=name)
                 self.partials = y[m + e - 1:m + 2 * e - 2, :].copy()
-                ch_in.pop_block(r)
+                ch_in.pop_block(block)
 
         return _Runner()
 
@@ -177,9 +206,16 @@ def make_frequency_stream(node: LinearNode, name: str = "Freq",
 
     Returns the frequency filter alone for ``o = 1``, or a pipeline of the
     pop-1 frequency filter and a decimator for ``o > 1`` (both
-    transformations' final step).
+    transformations' final step).  ``strategy="polyphase"`` is
+    Transformation 6 at pop ``o``, one filter and no decimator; it raises
+    :class:`StreamGraphError` when the phases have fewer than 2 taps.
     """
     o = node.pop
+    if strategy == "polyphase":
+        if o > 1:
+            return OptimizedFreqFilter(node, name=f"{name}.{strategy}",
+                                       backend=backend, fft_size=fft_size)
+        strategy = "optimized"  # what polyphase is at o = 1
     if o == 1:
         pop1 = node
     else:

@@ -27,7 +27,8 @@ def maximal_frequency_replacement(stream: Stream,
     """Replace every maximal linear region with a frequency implementation.
 
     ``min_peek`` guards the degenerate case: a node that peeks a single
-    item performs no convolution and stays in the time domain.
+    item performs no convolution and stays in the time domain — as does,
+    under ``strategy="polyphase"``, one whose phases have a single tap.
     """
     if lmap is None:
         lmap = analyze(stream)

@@ -17,12 +17,20 @@ The decisive properties of the original are preserved:
 * every extra popped item multiplies the convolution work and adds the
   decimator penalty — frequency loses badly for large pop (the Radar
   case, thesis §5.2).
+
+That is the *thesis* model, kept for the paper's configurations.  The
+*batched* model (``batched_*``, ``optimize="auto"``) prices what the plan
+backend runs instead: a node of pop ``o`` becomes one polyphase block
+(:mod:`repro.frequency.filters`) — ``o`` phases of ``ceil(e/o)`` taps,
+``o`` forward and ``u`` inverse transforms of the phase's FFT size per
+``o*r'`` inputs — so pop multiplies no convolution work and there is no
+decimator to price.
 """
 
 from __future__ import annotations
 
-from ..frequency.fftlib import (elementwise_complex_mult_counts,
-                                fft_size_for, fftw_counts)
+from ..frequency.fftlib import (fft_size_for, frequency_block_counts,
+                                phase_taps)
 from ..linear.node import LinearNode
 
 #: Per-firing constant overhead (function call, buffer management) used by
@@ -44,18 +52,20 @@ def decimator_cost(node: LinearNode) -> float:
 
 
 def frequency_block_flops(peek: int, push: int,
-                          fft_size: int | None = None) -> float:
-    """FLOPs of one optimized-frequency block for an (e, u) node at pop 1."""
+                          fft_size: int | None = None,
+                          phases: int = 1) -> float:
+    """FLOPs of one optimized-frequency block per firing it covers: an
+    (e, u) node at pop 1, or ``phases`` phases of ``peek`` taps each at
+    pop ``phases``."""
     e, u = peek, push
     n = fft_size if fft_size is not None else fft_size_for(e)
     m = n - 2 * e + 1
     if m < 1:
         return float("inf")
     r = m + e - 1
-    block = fftw_counts(n).scaled(1 + u)
-    block.add(elementwise_complex_mult_counts(n // 2 + 1).scaled(u))
+    block = frequency_block_counts(n, u, phases)
     flops = block.flops + u * (e - 1) + u * r  # partials + offset adds
-    return flops / r  # per pretend (pop-1) firing
+    return flops / r  # per firing (pretend pop-1 ones at phases = 1)
 
 
 def frequency_cost(node: LinearNode, fft_size: int | None = None) -> float:
@@ -76,8 +86,8 @@ def frequency_cost(node: LinearNode, fft_size: int | None = None) -> float:
 # firings per kernel dispatch, so those overheads amortize by 1/B and the
 # arithmetic itself changes character: the direct implementation becomes a
 # dense (B, e) @ (e, u) BLAS product (zero-skipping no longer applies),
-# and a frequency block's FFT setup is shared across the whole batch while
-# the decimator degenerates to a strided slice.
+# and a frequency block's FFT setup is shared across the whole batch —
+# a polyphase block at the node's own pop rate, with no decimator.
 
 #: Default batch size the batched cost model amortizes per-firing
 #: overheads over (a conservative stand-in for plan chunk sizes, which
@@ -137,19 +147,21 @@ def batched_frequency_cost(node: LinearNode,
                            batch: int = DEFAULT_COST_BATCH,
                            fft_size: int | None = None,
                            policy=None) -> float:
-    """Per-firing cost of the plan backend's batched FFT convolution.
+    """Per-firing cost of the plan backend's batched FFT convolution:
+    the polyphase block of ``o = pop`` phases of ``ceil(e/o)`` taps
+    (``fft_size`` is the phase's).
 
     The per-flop penalty of the FFT path relative to the dense matmul
     comes from the calibration cache when one is present for this
     machine (the empirically-tuned DP the paper argues for), else from
-    the modeled :data:`FFT_THROUGHPUT_PENALTY`.
+    the modeled :data:`FFT_THROUGHPUT_PENALTY` — looked up at the
+    phase's taps and FFT size.
     """
-    n = fft_size if fft_size is not None else fft_size_for(node.peek)
-    per_input = frequency_block_flops(node.peek, node.push, n)
+    taps = phase_taps(node.peek, node.pop)
+    n = fft_size if fft_size is not None else fft_size_for(taps)
+    per_firing = frequency_block_flops(taps, node.push, n, node.pop)
     return (FIRING_OVERHEAD / batch
-            + node.pop * per_input * _fft_penalty(node.peek, n, policy)
-            # batched decimator: one strided copy over the discarded items
-            + (node.pop - 1) * node.push)
+            + per_firing * _fft_penalty(taps, n, policy))
 
 
 # ---------------------------------------------------------------------------

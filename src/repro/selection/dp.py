@@ -76,14 +76,18 @@ class OptimizationSelector:
         #: numeric policy whose calibrated throughputs the batched model
         #: consults (None: the default float64 constants)
         self.policy = policy
+        # the thesis prices, and builds, Transformation 6 + decimator;
+        # the batched model what the plan backend runs, polyphase
         if cost_model == "thesis":
             self._direct_cost = direct_cost
             self._freq_cost = frequency_cost
+            self._freq_strategy = "optimized"
         elif cost_model == "batched":
             self._direct_cost = lambda n: batched_direct_cost(
                 n, batch, policy)
             self._freq_cost = lambda n: batched_frequency_cost(
                 n, batch, policy=policy)
+            self._freq_strategy = "polyphase"
         else:
             raise ValueError(f"unknown cost model {cost_model!r} "
                              "(expected 'thesis' or 'batched')")
@@ -160,7 +164,8 @@ class OptimizationSelector:
         if node.peek >= self.min_freq_peek:
             try:
                 freq_stream = make_frequency_stream(
-                    node, name=f"Freq[{label}]")
+                    node, name=f"Freq[{label}]",
+                    strategy=self._freq_strategy)
                 configs.append(Config(firings * self._freq_cost(node),
                                       freq_stream, "freq"))
             except StreamGraphError:
