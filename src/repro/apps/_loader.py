@@ -4,10 +4,9 @@ The DSL files under ``apps/dsl/`` are the single source of truth for
 the benchmark suite; every ``repro.apps.<app>.build()`` is a thin
 loader that concatenates the app's source files, elaborates its top
 stream through the cached :func:`repro.dsl.loader.load_source` path,
-and appends the measurement Collector.  The loaders deliberately do
-*not* stamp source fingerprints: app graphs are handed to callers that
-may mutate coefficients, which must change the plan-cache key
-(``repro.compile(dsl_source)`` is the fingerprint-stamping path).
+and appends the measurement Collector.  The plan cache keys an app
+graph by its content, as it does any graph, so a caller that mutates
+coefficients in place gets a new plan.
 
 Elaborated streams carry their declaration names (``Compressor``); the
 loaders rename clones to the suite's historical instance names

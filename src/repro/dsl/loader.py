@@ -2,23 +2,19 @@
 
 ``load_source`` is the memoized path from source text to an
 instantiated graph: parsing is cached per source string and elaboration
-per ``(source digest, top, args)`` triple, with every call returning a
+per ``(source, top, args)`` triple, with every call returning a
 fresh :func:`~repro.graph.streams.clone_stream` copy so callers can run
 or mutate their graph without perturbing the cache.
 
-``fingerprint=True`` stamps the clone with its *source* fingerprint —
-the digest of the (source, top, args) triple — which
-:func:`~repro.exec.cache.fingerprint_stream` uses as the plan-cache key,
-so recompiling the same program text hits the plan cache directly.
-This is what ``repro.compile(dsl_source)`` and the serve OPEN handler
-use; the app loaders deliberately do not (their graphs are handed to
-user code that may mutate coefficients, which must change the
-fingerprint).
+The text keys these caches only.  A loaded graph is identified
+like any other, by its content (:func:`~repro.graph.identity.content_id`):
+a clone whose coefficients are mutated in place is a new program to the
+plan cache, and a graph re-elaborated after :func:`clear_source_cache`
+is the same one.
 """
 
 from __future__ import annotations
 
-import hashlib
 from functools import lru_cache
 
 import numpy as np
@@ -55,25 +51,14 @@ def _freeze(arg):
     raise TypeError(f"cannot use {type(arg).__name__} as a DSL argument")
 
 
-def source_digest(source: str, top: str | None = None, args=()) -> bytes:
-    """Digest identifying a (source text, top stream, args) compilation."""
-    h = hashlib.sha256()
-    h.update(source.encode())
-    h.update(b"\x00")
-    h.update((top or "").encode())
-    for frozen in map(_freeze, args):
-        h.update(repr(frozen).encode())
-    return h.digest()
-
-
 def load_source(source: str, top: str | None = None, *args,
                 fingerprint: bool = False) -> Stream:
     """Parse + elaborate (cached), returning a fresh graph clone.
 
-    With ``fingerprint=True`` the clone carries its source digest as
-    ``_source_fingerprint``, making the source text the plan-cache key.
+    ``fingerprint`` is accepted and ignored: a graph's plan-cache key is
+    its content, however it was loaded.
     """
-    key = (source_digest(source, top, args),)
+    key = source, top, tuple(map(_freeze, args))
     proto = _graphs.get(key)
     if proto is None:
         program = _parsed(source)
@@ -91,10 +76,7 @@ def load_source(source: str, top: str | None = None, *args,
         while len(_graphs) >= _MAX_GRAPHS:
             del _graphs[next(iter(_graphs))]
         _graphs[key] = proto
-    clone = clone_stream(proto)
-    if fingerprint:
-        clone._source_fingerprint = (key[0], False)
-    return clone
+    return clone_stream(proto)
 
 
 def clear_source_cache() -> None:

@@ -15,8 +15,7 @@ rewrites the graph with the paper's optimization passes
 and scalar fallbacks.
 """
 
-from .cache import (PLAN_CACHE, PlanCache, clear_plan_cache,
-                    plan_cache_stats, stream_fingerprint)
+from .cache import PLAN_CACHE, PlanCache, clear_plan_cache, plan_cache_stats
 from .optimize import OPTIMIZE_MODES, optimize_stream
 from .planner import (DEFAULT_CHUNK_OUTPUTS, IslandRates, IslandReport,
                       PlanExecutor, PlanReport, StepReport,
@@ -31,7 +30,6 @@ __all__ = [
     "plan_bailout_reason", "DEFAULT_CHUNK_OUTPUTS",
     "OPTIMIZE_MODES", "optimize_stream",
     "PLAN_CACHE", "PlanCache", "plan_cache_stats", "clear_plan_cache",
-    "stream_fingerprint",
     "PlanReport", "StepReport", "plan_report", "report_for_executor",
     "IslandRates", "IslandReport", "probe_island",
 ]

@@ -101,12 +101,12 @@ import numpy as np
 
 from .. import faults
 from ..errors import InterpError, SchedulingError, StreamGraphError
+from ..graph.identity import shape_digest
 from ..graph.scheduler import steady_state
 from ..graph.streams import Duplicate, Filter, Stream
 from ..ir import nodes as N
 from ..ir.interp import Interpreter
-from ..ir.pycodegen import (LaneCode, LaneReject, emit_lanes, lane_key,
-                             sinusoid_form)
+from ..ir.pycodegen import LaneCode, LaneReject, emit_lanes, sinusoid_form
 from ..linear.extraction import extract_filter
 from ..linear.filters import ConstantSourceFilter, LinearFilter
 from ..numeric import DEFAULT_POLICY, NumericPolicy, resolve_policy
@@ -185,10 +185,12 @@ def _lane_decision(filt: Filter, memo: dict,
                    varying: frozenset = frozenset()):
     """(:class:`~repro.ir.pycodegen.LaneCode`, None) when ``filt`` has a
     lane form, else (None, reason).  ``memo`` shares one emission — and
-    later one compiled function — among filters with the same work
-    function and field types (Radar's 12 sources); ``varying`` names the
-    float fields the form is to take one value per sibling of."""
-    key = lane_key(filt.work, filt.fields, varying)
+    later one compiled function — among filters of one
+    :func:`~repro.graph.identity.shape_digest` (Radar's 12 sources):
+    emission reads the code and the field types, never a value.
+    ``varying`` names the float fields the form is to take one value per
+    sibling of."""
+    key = shape_digest(filt), varying
     verdict = memo.get(key)
     if verdict is None:
         try:
@@ -743,9 +745,10 @@ class PlanExecutor:
         outside any feedback loop, split by ``duplicate`` or equal
         weights and joined by equal weights, each a run of as many leaf
         filters that agree stage by stage — the same stacking kernel
-        (:meth:`_stacked_kernel`) at the same rates; for ``lanes`` the
-        same code and state too, and nothing but the values of float
-        fields apart.  Such branches see the same occupancies in every
+        (:meth:`_stacked_kernel`): ``matmul`` at the same rates,
+        ``lanes`` of one :func:`~repro.graph.identity.shape_digest` with
+        the same state, and nothing but the values of float fields
+        apart.  Such branches see the same occupancies in every
         sweep and fire in lockstep, so a stage is one step over a
         ``(b, .)`` ring at no change in any node's firing count.
 
@@ -814,14 +817,13 @@ class PlanExecutor:
             return "wiring"
         if kernel is None or kernel[0] != lead_kernel[0]:
             return "kernel"
-        if _steady_rates(node) != _steady_rates(lead):
-            return "rates"
         if kernel[0] == "matmul":
-            return None
-        code = kernel[1]
-        if code is not lead_kernel[1]:
+            return "rates" if _steady_rates(node) != _steady_rates(lead) \
+                else None
+        # lanes: one shape (code, rates, field types) is one lane code
+        if shape_digest(node.stream) != shape_digest(lead.stream):
             return "work function"
-        state = node.stream.mutable_fields | set(code.counters)
+        state = node.stream.mutable_fields | set(kernel[1].counters)
         for name, a in lead.stream.fields.items():
             b = node.stream.fields[name]
             if isinstance(a, np.ndarray):

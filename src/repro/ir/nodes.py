@@ -14,6 +14,7 @@ language as immutable dataclasses.  The same IR is consumed by
 
 from __future__ import annotations
 
+import hashlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -265,6 +266,15 @@ class WorkFunction:
                 f"peek rate ({self.peek}) must be >= pop rate ({self.pop})")
         if min(self.peek, self.pop, self.push) < 0:
             raise ValueError("rates must be non-negative")
+
+    @cached_property
+    def digest(self) -> bytes:
+        """The identity of this code, taken once: a digest of its printed
+        form, which reprs floats (``1`` and ``1.0``, ``0.0`` and ``-0.0``
+        print apart; ``==`` on the nodes would not tell them)."""
+        from .printer import work_to_str
+        return hashlib.blake2b(work_to_str(self).encode(),
+                               digest_size=16).digest()
 
 
 # ---------------------------------------------------------------------------

@@ -805,17 +805,6 @@ class LaneCode:
         return self._fn
 
 
-def lane_key(wf: N.WorkFunction, fields: dict,
-             varying: frozenset = frozenset()) -> tuple:
-    """What :func:`emit_lanes` depends on: the IR text (``repr`` tells
-    ``1`` from ``1.0``, ``==`` on the nodes would not), each field's
-    type and which fields are lanes — never a field's value, so equal
-    filters share one :class:`LaneCode`."""
-    return (repr(wf), tuple(sorted(
-        (k, v.dtype.kind if isinstance(v, np.ndarray) else type(v).__name__)
-        for k, v in fields.items())), tuple(sorted(varying)))
-
-
 def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
                varying: frozenset = frozenset()) -> LaneCode:
     """Generate the lane form of ``wf``, the float scalar fields named

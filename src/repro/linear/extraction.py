@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonLinearError
+from ..graph.identity import value_digest
 from ..graph.streams import Filter, PrimitiveFilter, Stream
 from ..ir import nodes as N
 from ..ir.interp import Interpreter
@@ -337,27 +338,19 @@ def _prework_gate(filt: Filter) -> str | None:
     return None
 
 
-#: results by content — ``(work, prework, field bytes)`` -> (result,
-#: the IR objects, pinned so their ids stay theirs).  ``analyze`` and the
-#: planner's vectorize decision ask about the same filter, and the
-#: elaborator hands the look-alike stages of a bank one work function.
-#: Extraction reads nothing else, so a hit is the answer.  Emptied with
-#: the plans, by ``exec.clear_plan_cache()``, and when full (one dict
-#: operation each: serve compiles on several threads).
-_results: dict[tuple, tuple] = {}
+#: results by the filter's :func:`~repro.graph.identity.value_digest`.
+#: ``analyze`` and the planner's vectorize decision ask about the same
+#: filter, a bank's look-alike stages are one program, and a graph
+#: rebuilt from its source is the same programs again.  Extraction reads
+#: nothing else, so a hit is the answer.  Emptied with the plans, by
+#: ``exec.clear_plan_cache()``, and when full (one dict operation each:
+#: serve compiles on several threads).
+_results: dict[bytes, ExtractionResult] = {}
 _RESULTS_KEPT = 256
 
 
 def clear_extraction_results() -> None:
     _results.clear()
-
-
-def _content_key(filt: Filter) -> tuple:
-    fields = tuple(
-        (name, value.dtype.str, value.shape, value.tobytes())
-        if isinstance(value, np.ndarray) else (name, type(value), repr(value))
-        for name, value in filt.fields.items())
-    return id(filt.work), id(filt.prework), filt.mutable_fields, fields
 
 
 def extract_filter(filt: Stream) -> ExtractionResult:
@@ -377,10 +370,10 @@ def extract_filter(filt: Stream) -> ExtractionResult:
         return ExtractionResult(None, "primitive filter without linear form")
     if not isinstance(filt, Filter):
         return ExtractionResult(None, f"{filt!r} is not a leaf filter")
-    key = _content_key(filt)
+    key = value_digest(filt)
     known = _results.get(key)
     if known is not None:
-        return known[0]
+        return known
     reason = _prework_gate(filt)
     if reason is not None:
         result = ExtractionResult(None, reason)
@@ -391,7 +384,8 @@ def extract_filter(filt: Stream) -> ExtractionResult:
             result = ExtractionResult(None, exc.reason)
         except (ArithmeticError, ValueError) as exc:  # x % 0, log(-1), ...
             result = ExtractionResult(None, f"{type(exc).__name__}: {exc}")
-    if len(_results) >= _RESULTS_KEPT:
-        _results.clear()
-    _results[key] = (result, filt.work, filt.prework)
+    if key is not None:
+        if len(_results) >= _RESULTS_KEPT:
+            _results.clear()
+        _results[key] = result
     return result

@@ -38,10 +38,10 @@ Robustness extensions:
   ``pool.recycle`` before an idle session is popped; both leave the
   pool's books balanced when they fire.
 
-Keys are content fingerprints (plus backend/optimize/mode), so two
-clients opening the same program by different routes share one pool
-bucket.  Sharing is sound because pooled reuse is *serial*: a session
-is held by at most one client at a time, and concurrent sessions of the
+Keys are graph content ids (plus backend/optimize/mode/dtype), so two
+clients opening the same graph share one pool bucket.  Sharing is
+sound because pooled reuse is *serial*: a session is held by at most
+one client at a time, and concurrent sessions of the
 same graph share only the immutable plan (read-only), which the
 interleaving-parity tests pin down.
 

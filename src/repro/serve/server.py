@@ -375,15 +375,16 @@ class StreamServer:
     def _resolve_spec(self, spec: dict):
         """(key, label, factory) for an OPEN spec — runs on a worker.
 
-        The key is the graph's content fingerprint plus
-        (backend, optimize, mode, dtype), so every route to the same
-        program — app registry or DSL text — shares one pool bucket.
-        Graphs whose fingerprint is single-use (opaque callables) get a
-        nonce key: correct, just never shared.
+        The key is the graph's :func:`~repro.graph.identity.content_id`
+        plus (backend, optimize, mode, dtype), so every route to the same
+        graph shares one pool bucket.  An ``app`` graph's stages carry
+        their registry names (``Compressor(3)``), so it and the DSL text
+        of that app are two buckets.  Graphs whose id is single-use
+        (opaque callables) get a nonce key: correct, just never shared.
         ``factory(backend_override)`` builds the session; the override
         is the degradation/quarantine hook.
         """
-        from ..exec.cache import fingerprint_stream
+        from ..graph.identity import content_id
         from ..numeric import resolve_policy
         from ..session import StreamSession
 
@@ -410,15 +411,14 @@ class StreamServer:
         elif "dsl" in spec:
             from ..dsl import load_source
             args = spec.get("args") or ()
-            graph = load_source(spec["dsl"], spec.get("top"), *args,
-                                fingerprint=True)
+            graph = load_source(spec["dsl"], spec.get("top"), *args)
             label = getattr(graph, "name", "dsl")
         else:
             raise ProtocolError(
                 "OPEN spec needs an 'app' or 'dsl' field",
                 code="bad-request")
 
-        digest, single_use = fingerprint_stream(graph)
+        digest, single_use = content_id(graph)
         nonce = next(self._nonce) if single_use else 0
         # dtype goes at the END: the quarantine rewrite slices
         # key[:2] + ("compiled",) + key[3:] by position

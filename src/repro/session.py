@@ -544,9 +544,10 @@ def compile(stream: Stream | str, *, top: str | None = None, args=(),
     ``stream`` is either a stream graph or DSL source text: a string
     parses and elaborates through the cached DSL frontend (``top``
     selects the stream to instantiate, default the last declared;
-    ``args`` are its instantiation arguments), and the source
-    fingerprint becomes the plan-cache key — recompiling the same
-    program text hits the cache without re-hashing the graph.
+    ``args`` are its instantiation arguments).  Either way the plan
+    cache keys on the graph's content
+    (:func:`~repro.graph.identity.content_id`), so recompiling the same
+    program — as text or as a rebuilt graph — hits it.
 
     ``backend`` is one of ``"interp"`` / ``"compiled"`` / ``"plan"``
     (default — the vectorized engine; graphs it cannot batch fall back
@@ -576,7 +577,7 @@ def compile(stream: Stream | str, *, top: str | None = None, args=(),
     """
     if isinstance(stream, str):
         from .dsl import load_source
-        stream = load_source(stream, top, *args, fingerprint=True)
+        stream = load_source(stream, top, *args)
     elif top is not None or args:
         raise TypeError("top/args only apply when compiling DSL source "
                         "text")

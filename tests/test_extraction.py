@@ -394,14 +394,28 @@ def test_the_budget_charges_the_body_not_just_the_trips():
 
 def test_same_filter_is_extracted_once_until_plans_are_cleared():
     """``analyze`` and the planner ask about the same filter: the second
-    answer is the first, by content — another coefficient is another
+    answer is the first, by content — a rebuilt filter (other IR
+    objects) is the same program, another coefficient is another
     filter, and ``clear_plan_cache`` forgets both."""
     from repro.exec import clear_plan_cache
 
     filt = build_example_filter()
     first = extract_filter(filt)
     assert extract_filter(filt) is first
-    assert extract_filter(build_example_filter()) is not first  # other IR
+    rebuilt = build_example_filter()
+    assert rebuilt.work is not filt.work
+    assert extract_filter(rebuilt) is first
+
+    def gain(value):
+        f = FilterBuilder("Gain", peek=1, pop=1, push=1)
+        g = f.const_array("g", [value])
+        with f.work():
+            f.push(g[0] * f.pop_expr())
+        return f.build()
+
+    two = extract_filter(gain(2.0))
+    assert extract_filter(gain(2.0)) is two
+    assert extract_filter(gain(3.0)) is not two
     clear_plan_cache()
     again = extract_filter(filt)
     assert again is not first

@@ -14,9 +14,10 @@ from repro import exec as rexec
 from repro.apps import fir
 from repro.exec import (PLAN_CACHE, PlanCache, PlanExecutor,
                         clear_plan_cache, plan_cache_stats,
-                        plan_executor_for, stream_fingerprint)
+                        plan_executor_for)
 from repro.exec import planner as planner_mod
 from repro.errors import InterpError
+from repro.graph.identity import content_id
 from repro.profiling import Profiler
 from repro.runtime import run_graph
 
@@ -265,29 +266,29 @@ def test_unstable_repr_fields_do_not_collide_or_alias():
     big_a = {"w": np.arange(5000.0)}
     big_b = {"w": np.arange(5000.0)}
     big_b["w"][4321] += 1e-9  # invisible to repr's truncation
-    assert stream_fingerprint(with_field(big_a)) != \
-        stream_fingerprint(with_field(big_b))
-    assert stream_fingerprint(with_field({"w": np.arange(5000.0)})) == \
-        stream_fingerprint(with_field({"w": np.arange(5000.0)}))
+    assert content_id(with_field(big_a)) != \
+        content_id(with_field(big_b))
+    assert content_id(with_field({"w": np.arange(5000.0)})) == \
+        content_id(with_field({"w": np.arange(5000.0)}))
     # unknown objects: identity-pinned — stable for the same object,
     # distinct for different live objects even when their reprs collide
     obj, o1, o2 = object(), object(), object()
-    assert stream_fingerprint(with_field(obj)) == \
-        stream_fingerprint(with_field(obj))
-    assert stream_fingerprint(with_field(o1)) != \
-        stream_fingerprint(with_field(o2))
+    assert content_id(with_field(obj)) == \
+        content_id(with_field(obj))
+    assert content_id(with_field(o1)) != \
+        content_id(with_field(o2))
 
 
 def test_fingerprint_sensitive_to_structure_and_values():
-    base = stream_fingerprint(fir.build(taps=16))
-    assert stream_fingerprint(fir.build(taps=16)) == base
-    assert stream_fingerprint(fir.build(taps=17)) != base
+    base = content_id(fir.build(taps=16))
+    assert content_id(fir.build(taps=16)) == base
+    assert content_id(fir.build(taps=17)) != base
     mutated = fir.build(taps=16)
     from repro.graph.streams import Filter, walk
     filt = next(s for s in walk(mutated)
                 if isinstance(s, Filter) and "h" in s.fields)
     filt.fields["h"][3] *= 2.0
-    assert stream_fingerprint(mutated) != base
+    assert content_id(mutated) != base
 
 
 def test_feedback_island_plans_cached_and_delay_sensitive():
@@ -302,16 +303,16 @@ def test_feedback_island_plans_cached_and_delay_sensitive():
     assert again == first
     assert plan_cache_stats()["hits"] == 1
 
-    assert stream_fingerprint(echo.echo_loop(delay=4)) == \
-        stream_fingerprint(echo.echo_loop(delay=4))
-    assert stream_fingerprint(echo.echo_loop(delay=5)) != \
-        stream_fingerprint(echo.echo_loop(delay=4))
+    assert content_id(echo.echo_loop(delay=4)) == \
+        content_id(echo.echo_loop(delay=4))
+    assert content_id(echo.echo_loop(delay=5)) != \
+        content_id(echo.echo_loop(delay=4))
     primed = FeedbackLoop(
         body=echo.echo_add(), loop=echo.echo_damp(echo.DEFAULT_GAIN),
         joiner=RoundRobin((1, 1)), splitter=RoundRobin((1, 1)),
         enqueued=[0.5] * 4, name="EchoLoop")
-    assert stream_fingerprint(primed) != \
-        stream_fingerprint(echo.echo_loop(delay=4))
+    assert content_id(primed) != \
+        content_id(echo.echo_loop(delay=4))
 
 
 # ---------------------------------------------------------------------------

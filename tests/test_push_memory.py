@@ -209,10 +209,10 @@ def test_live_push_sessions_share_one_plan_entry(dtype):
     assert plan_cache_stats()["misses"] == misses + 2
 
 
-def test_dsl_push_body_is_keyed_by_its_source_text():
-    """A DSL-loaded body inside the push harness is fingerprinted by its
-    source digest, not re-walked: the warm compile is a cache hit."""
-    from repro.exec.cache import fingerprint_stream
+def test_dsl_push_body_is_keyed_by_its_content():
+    """A DSL-loaded body inside the push harness is keyed by its content:
+    the warm compile is a cache hit, other arguments are another plan."""
+    from repro.graph.identity import content_id
 
     text = ("float->float filter Scale(float k) { work pop 1 push 1 "
             "{ push(k * pop()); } }")
@@ -224,7 +224,7 @@ def test_dsl_push_body_is_keyed_by_its_source_text():
     assert plan_cache_stats() == {"hits": 1, "misses": 2, "entries": 2}
     np.testing.assert_array_equal(b.push(np.arange(4.0)), [0, 2, 4, 6])
     np.testing.assert_array_equal(c.push(np.arange(4.0)), [0, 3, 6, 9])
-    assert fingerprint_stream(a._program) == fingerprint_stream(b._program)
+    assert content_id(a._program) == content_id(b._program)
 
 
 @pytest.mark.parametrize("mode", ["freq", "auto"])

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.errors import InterpError
 from repro.exec import RingBuffer, plan_report
-from repro.exec.cache import stream_fingerprint
 from repro.graph import (Duplicate, Pipeline, RoundRobin, SplitJoin,
                          steady_state)
+from repro.graph.identity import content_id
 from repro.ir import FilterBuilder
 from repro.linear import (LinearFilter, LinearNode, combine_pipeline_pair,
                           expand_firings, extract_filter)
@@ -392,12 +392,12 @@ class TestStatefulPlanMechanics:
     def test_stateful_leaf_fingerprints_by_content(self):
         node = extract_filter(
             biquad(0.2, 0.3, 0.1, 0.4, -0.25)).node
-        f1 = stream_fingerprint(LinearFilter(node, name="S"))
-        f2 = stream_fingerprint(LinearFilter(node, name="S"))
+        f1 = content_id(LinearFilter(node, name="S"))
+        f2 = content_id(LinearFilter(node, name="S"))
         assert f1 == f2
         other = extract_filter(
             biquad(0.21, 0.3, 0.1, 0.4, -0.25)).node
-        assert stream_fingerprint(
+        assert content_id(
             LinearFilter(other, name="S")) != f1
 
     def test_combination_respects_rate_changes(self):
