@@ -42,8 +42,7 @@ def main():
 
     # the batch reference: one run_stream call over the whole signal
     batch = run_stream(low_pass_filter(1.0, math.pi / 8, 256),
-                       signal.tolist(), len(streamed), backend="plan",
-                       as_array=True)
+                       signal.tolist(), len(streamed), backend="plan")
     print("chunked == batch:", np.allclose(streamed, batch, atol=1e-9))
 
     # resumable pull sessions work on complete programs too

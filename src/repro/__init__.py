@@ -38,7 +38,7 @@ counts, outputs equal to 1e-9):
 
 ``runtime.run_graph`` / ``run_stream`` / ``count_ops`` remain as thin
 one-shot wrappers over a session (``backend="compiled"`` default,
-``list[float]`` results — pass ``as_array=True`` for ndarrays).
+``list[float]`` results; the session API returns ndarrays).
 
 Benchmark CLI::
 

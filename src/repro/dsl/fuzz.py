@@ -760,14 +760,13 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         if polyphase:  # leaves of this plan; its other runs plan the same
             program.census["polyphase"] = polyphase
         size = n_outputs // calls
-        parts = [session._advance_raw(size) for _ in range(calls - 1)]
-        parts.append(session._advance_raw(n_outputs - size * (calls - 1)))
+        parts = [session.run(size) for _ in range(calls - 1)]
+        parts.append(session.run(n_outputs - size * (calls - 1)))
         if calls > 1:
             for key in ("replayed", "calls"):
                 program.census[key] = (program.census.get(key, 0)
                                        + getattr(session._executor, key, 0))
-        return np.concatenate([np.asarray(p, dtype=policy.dtype)
-                               for p in parts])
+        return np.concatenate(parts)
     finally:
         session.close()
 

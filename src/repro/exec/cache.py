@@ -22,13 +22,13 @@ A :class:`PlanEntry` carries everything reusable across runs:
   or the fallback reason) so a cache hit skips extraction entirely,
 * each feedback island's probed external rates.
 
-Mutable execution state (ring buffers — a push session's feed and
-output rings among them — fallback runners, profilers) and the firing
-schedule are *never* in this cache; every run builds a fresh executor
-around the shared immutable plan and drives it live.  The schedule is
-per executor: :meth:`~repro.exec.planner.PlanExecutor._scheduled`
-simulates a call once per integer state (O(nodes), whatever the
-schedule's period) and replays it when the state recurs.
+Mutable execution state (ring buffers — the sink's output ring and a
+push session's feed ring among them — fallback runners, profilers) and
+the firing schedule are *never* in this cache; every run builds a fresh
+executor around the shared immutable plan and drives it live.  The
+schedule is per executor: :meth:`~repro.exec.planner.PlanExecutor.
+_scheduled` simulates a call once per integer state (O(nodes), whatever
+the schedule's period) and replays it when the state recurs.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ class PlanEntry:
     The content id covers source *values* (a ``ListSource``'s data feeds
     the outputs and the exhaustion schedule, and ``entry.optimized``
     embeds the first caller's source objects), so sharing is only safe
-    between content-identical graphs; ``run_stream`` with per-call-unique
-    inputs therefore misses by design, bounded by the LRU.
+    between content-identical graphs: ``run_stream``, which bakes its
+    inputs into a ``ListSource``, misses on every new input by design,
+    bounded by the LRU.  A session's ``ChunkSource`` and ``Collector``
+    hold no data (their rings are executor state), so push sessions over
+    one body share an entry.  ``compiled_plan_for(..., cache=False)``
+    plans into a private entry, as the cache does a single-use graph.
     """
 
     pin: Stream  # keeps objects hashed by id() alive

@@ -1109,7 +1109,7 @@ class CollectorStep(Step):
 
     def __init__(self, ring_in, sink):
         self.ring_in = ring_in
-        self.sink = sink  # the Collector's runner: a list or a ring
+        self.sink = sink  # the Collector's output ring
 
     def execute(self, n: int) -> None:
         self.sink.extend(self.ring_in.peek_block(n))

@@ -6,8 +6,8 @@ firing *sequence* of an acyclic stream graph is fully determined by the
 static I/O rates, so it splits execution into two phases:
 
 1. **Rate simulation** — an integer-only transcription of
-   ``FlatGraph.run``'s control flow (source pass, topological drain sweep,
-   early stop once the sink holds ``n_outputs``).  No data moves; the
+   ``FlatGraph.advance``'s control flow (source pass, topological drain
+   sweep, early stop once the sink holds ``n_outputs``).  No data moves; the
    simulator only tracks channel occupancies and accumulates *pending
    firing counts* per node.  Because it replicates the scalar executor's
    loop structure exactly — including the final pass's early-break
@@ -89,7 +89,8 @@ The executor is **resumable**: simulator state (occupancies, pending
 counts, source budgets) persists across :meth:`PlanExecutor.advance`
 calls, and :meth:`PlanExecutor.drain_available` drives a push session's
 fed input to quiescence in one jump — this is what backs
-``repro.compile(...)`` sessions.
+``repro.compile(...)`` sessions.  Either pops what it returns off the
+sink (the Collector's output ring, else the graph's output ring).
 """
 
 from __future__ import annotations
@@ -116,8 +117,8 @@ from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
 from ..runtime.channels import Channel
 from ..runtime.executor import _NULL_CHANNEL, FlatGraph, _IRRunner
 from . import kernels as K
-from .cache import _UNSET, PLAN_CACHE
-from .optimize import optimize_stream
+from .cache import _UNSET, PLAN_CACHE, PlanEntry
+from .optimize import fission_stream, optimize_stream
 from .ring import RingBuffer
 
 #: Flush batched work once this many sink outputs are pending (bounds ring
@@ -470,9 +471,9 @@ def _init_rates(node):
 class PlanExecutor:
     """Executes a flattened acyclic graph in batched steady-state chunks.
 
-    Mirrors :meth:`FlatGraph.run`'s interface and observable behavior
-    (outputs, FLOP counts, deadlock errors); only the execution strategy
-    differs.
+    Mirrors :class:`FlatGraph`'s ``advance``/``drain_available``
+    interface and observable behavior (outputs, FLOP counts, deadlock
+    errors); only the execution strategy differs.
     """
 
     #: Plan over the quotient of the flat graph by sibling symmetry
@@ -1016,7 +1017,7 @@ class PlanExecutor:
                                   sn.needs, sn.pops)
 
     def _sweep(self, n_outputs: int) -> None:
-        """One drain sweep, transcribing FlatGraph.run's inner loop.
+        """One drain sweep, transcribing :meth:`FlatGraph._drain`.
 
         Nodes drain fully in flattening (topological) order.  Once the
         sink reaches ``n_outputs`` the scalar executor's loop fires each
@@ -1279,10 +1280,10 @@ class PlanExecutor:
                     f"{self._produced()}/{target} outputs")
         self._flush_taped(tape)
 
-    def _take(self, n: int):
-        """The next ``n`` already-produced outputs past the cursor."""
+    def _take(self, n: int) -> np.ndarray:
+        """Pop the next ``n`` already-produced outputs off the sink."""
         if self._sink is not None:
-            out = self._sink.take(self._returned, n)
+            out = self._sink.take(n)
         else:
             out_ring = self.rings[self._out_chan]
             out = out_ring.pop_block_array(n)
@@ -1292,7 +1293,7 @@ class PlanExecutor:
         return out
 
     # -- public API ---------------------------------------------------------
-    def advance(self, n: int, max_passes: int = 10_000_000):
+    def advance(self, n: int, max_passes: int = 10_000_000) -> np.ndarray:
         """Produce and return the *next* ``n`` outputs (resumable).
 
         Consecutive calls continue the stream: ring occupancy, stateful
@@ -1303,7 +1304,7 @@ class PlanExecutor:
         self._drive(self._returned + n, max_passes)
         return self._take(n)
 
-    def drain_available(self, max_passes: int = 10_000_000):
+    def drain_available(self, max_passes: int = 10_000_000) -> np.ndarray:
         """Greedily fire everything the fed input admits; return the new
         outputs.  Used by ``StreamSession.push``: no output target, so
         no pass stops early and the whole drain is one jump — as many
@@ -1319,45 +1320,10 @@ class PlanExecutor:
         self._jump(k)
         self._flush_taped(tape)
 
-    def run(self, n_outputs: int, max_passes: int = 10_000_000) -> list[float]:
-        """Batched equivalent of :meth:`FlatGraph.run` (same legacy
-        semantics: absolute target with a Collector sink — repeated runs
-        extend and re-return the prefix — consumed outputs otherwise;
-        the session cursor follows either way)."""
-        kept = self._sink.collected if self._sink is not None else None
-        if isinstance(kept, list):
-            self._drive(n_outputs, max_passes)
-            if n_outputs > self._returned:
-                self._returned = n_outputs
-            return kept[:n_outputs]
-        out = self.advance(n_outputs, max_passes)
-        if isinstance(out, np.ndarray):
-            return out.tolist()
-        return out if isinstance(out, list) else list(out)
-
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
-
-
-def _make_executor(flat, chunk_outputs, decisions, island_rates, policy,
-                   workers):
-    """PlanExecutor, or the parallel subclass when ``workers > 1``."""
-    if workers > 1:
-        from ..parallel.executor import ParallelPlanExecutor
-        return ParallelPlanExecutor(flat, chunk_outputs=chunk_outputs,
-                                    decisions=decisions,
-                                    island_rates=island_rates,
-                                    policy=policy, workers=workers)
-    return PlanExecutor(flat, chunk_outputs=chunk_outputs,
-                        decisions=decisions, island_rates=island_rates,
-                        policy=policy)
-
-
-def _fission_rewrite(stream: Stream, workers: int, policy) -> Stream:
-    from .optimize import fission_stream
-    return fission_stream(stream, workers, policy=policy)
 
 
 def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
@@ -1370,15 +1336,16 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     (:func:`~repro.exec.optimize.optimize_stream`), then plan the
     rewritten graph.  Planning artifacts — the rewrite itself, the bailout
     verdict, island probe results and per-filter vectorization decisions
-    — are cached in ``cache`` (default: the process-wide
-    :data:`~repro.exec.cache.PLAN_CACHE`), keyed by the graph's content
-    fingerprint; pass ``cache=False`` to plan from scratch (``entry`` is
-    then None).  Probing happens at most once per entry — repeated
-    compiles of a cached graph never re-extract or re-probe.
+    — are kept in ``entry``, which comes from ``cache`` (default: the
+    process-wide :data:`~repro.exec.cache.PLAN_CACHE`), keyed by the
+    graph's content; with ``cache=False`` it is a private entry, the one
+    the cache hands out for a single-use graph.  Probing happens at most
+    once per entry — repeated compiles of a cached graph never
+    re-extract or re-probe.
 
     ``executor`` is the scalar compiled :class:`FlatGraph` (same
-    ``run``/``advance`` interface) when the graph cannot be batched —
-    see :func:`plan_bailout_reason`; the verdict is on ``entry.bailout``.
+    ``advance`` interface) when the graph cannot be batched — see
+    :func:`plan_bailout_reason`; the verdict is on ``entry.bailout``.
 
     ``workers > 1`` compiles for the parallel engine: the optimized
     graph additionally passes the fission rewrite
@@ -1388,42 +1355,23 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     worker count.
     """
     policy = resolve_policy(dtype)
-    if cache is None:
-        cache = PLAN_CACHE
     if cache is False:
-        opt = optimize_stream(stream, optimize, policy=policy)
-        if workers > 1:
-            opt = _fission_rewrite(opt, workers, policy)
-        flat = FlatGraph(opt, profiler, backend="compiled")
-        rates: dict = {}
-        if plan_bailout_reason(opt, flat, island_rates=rates) is not None:
-            return flat, None
-        return _make_executor(flat, chunk_outputs, None, rates, policy,
-                              workers), None
-
-    entry = cache.entry_for(stream, optimize, policy=policy,
-                            workers=workers)
+        entry = PlanEntry(pin=stream, policy=policy, workers=workers)
+    else:
+        entry = (PLAN_CACHE if cache is None else cache).entry_for(
+            stream, optimize, policy=policy, workers=workers)
     if entry.optimized is None:
-        opt = optimize_stream(stream, optimize, policy=policy)
-        if workers > 1:
-            opt = _fission_rewrite(opt, workers, policy)
-        entry.optimized = opt
-    flat = FlatGraph(entry.optimized, profiler, backend="compiled")
+        entry.optimized = fission_stream(
+            optimize_stream(stream, optimize, policy=policy), workers,
+            policy=policy)
+    flat = FlatGraph(entry.optimized, profiler, dtype=policy.dtype)
     if entry.bailout is _UNSET:
         rates = {}
         entry.bailout = plan_bailout_reason(entry.optimized, flat,
                                             island_rates=rates)
         if entry.bailout is None:
             entry.islands = rates
-    if entry.bailout is not None:
-        return flat, entry
-    executor = _make_executor(flat, chunk_outputs, entry.decisions,
-                              entry.islands, policy, workers)
-    if entry.decisions is None:
-        entry.decisions = executor.decisions
-    if entry.islands is None:
-        entry.islands = executor.island_rates
-    return executor, entry
+    return _executor_over(flat, entry, chunk_outputs), entry
 
 
 def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
@@ -1437,7 +1385,7 @@ def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
                              workers=workers)[0]
 
 
-def executor_from_entry(entry, profiler: Profiler | None = None,
+def executor_from_entry(entry: PlanEntry, profiler: Profiler | None = None,
                         chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS):
     """Fresh executor over an already-compiled :class:`~repro.exec.cache.
     PlanEntry` — no fingerprinting, no probing, no cache lookup.
@@ -1447,13 +1395,30 @@ def executor_from_entry(entry, profiler: Profiler | None = None,
     mutated in place after compilation.  Returns the scalar
     :class:`FlatGraph` when the entry's verdict was a bailout.
     """
-    flat = FlatGraph(entry.optimized, profiler, backend="compiled")
+    flat = FlatGraph(entry.optimized, profiler, dtype=entry.policy.dtype)
+    return _executor_over(flat, entry, chunk_outputs)
+
+
+def _executor_over(flat: FlatGraph, entry: PlanEntry, chunk_outputs: int):
+    """The executor of ``entry``'s plan over ``flat``: the flat graph
+    itself on a bailout, else a :class:`PlanExecutor` (the parallel
+    subclass when ``entry.workers > 1``), whose decisions and island
+    rates the entry keeps if it has none yet."""
     if entry.bailout is not None:
         return flat
-    return _make_executor(flat, chunk_outputs, entry.decisions,
-                          entry.islands,
-                          getattr(entry, "policy", DEFAULT_POLICY),
-                          getattr(entry, "workers", 1))
+    kwargs = dict(chunk_outputs=chunk_outputs, decisions=entry.decisions,
+                  island_rates=entry.islands, policy=entry.policy)
+    if entry.workers > 1:
+        from ..parallel.executor import ParallelPlanExecutor
+        executor = ParallelPlanExecutor(flat, workers=entry.workers,
+                                        **kwargs)
+    else:
+        executor = PlanExecutor(flat, **kwargs)
+    if entry.decisions is None:
+        entry.decisions = executor.decisions
+    if entry.islands is None:
+        entry.islands = executor.island_rates
+    return executor
 
 
 # ---------------------------------------------------------------------------
@@ -1657,14 +1622,10 @@ def _settled_source(step: K.PeriodicSourceStep, policy: NumericPolicy):
 def plan_report(stream: Stream, optimize: str = "none",
                 chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS) -> PlanReport:
     """Explain how ``stream`` would execute under the plan backend."""
-    opt = optimize_stream(stream, optimize)
-    flat = FlatGraph(opt, NullProfiler(), backend="compiled")
-    probed: dict = {}
-    bailout = plan_bailout_reason(opt, flat, island_rates=probed)
-    if bailout is not None:
-        return PlanReport(program=getattr(stream, "name", "?"),
-                          optimize=optimize, bailout=bailout)
-    executor = PlanExecutor(flat, chunk_outputs=chunk_outputs,
-                            island_rates=probed)
-    return report_for_executor(executor, getattr(stream, "name", "?"),
-                               optimize)
+    executor, entry = compiled_plan_for(stream, chunk_outputs=chunk_outputs,
+                                        optimize=optimize, cache=False)
+    name = getattr(stream, "name", "?")
+    if entry.bailout is not None:
+        return PlanReport(program=name, optimize=optimize,
+                          bailout=entry.bailout)
+    return report_for_executor(executor, name, optimize)

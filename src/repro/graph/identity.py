@@ -249,14 +249,13 @@ class _Digest:
         # imports deferred: these modules import graph machinery themselves
         from ..frequency.filters import Decimator, _FreqBase
         from ..linear.filters import ConstantSourceFilter, LinearFilter
-        from ..runtime.builtins import (ArrayCollector, ChunkSource,
-                                        Collector, FunctionSource, Identity,
-                                        ListSource)
+        from ..runtime.builtins import (ChunkSource, Collector,
+                                        FunctionSource, Identity, ListSource)
 
         self._u(s.peek, s.pop, s.push, s.init_peek, s.init_pop, s.init_push)
-        if isinstance(s, (ChunkSource, ArrayCollector)):
-            # a push harness: the feed and output rings are runner
-            # state, so the node is its type, rates and dtype
+        if isinstance(s, ChunkSource):
+            # a push harness: the feed ring is runner state, so the
+            # node is its type, rates and dtype
             self._u(s.dtype.str)
         elif isinstance(s, ListSource):
             self._array(np.asarray(s.values, dtype=float))
@@ -276,7 +275,8 @@ class _Digest:
             self._u(s.backend, s.n)
             self._linear_node(s.linear_node_time_domain)
         elif isinstance(s, (Decimator, Identity, Collector)):
-            pass  # fully described by type + rates
+            pass  # fully described by type + rates (a sink's ring is
+            # runner state, in the executor's dtype)
         else:
             node = getattr(s, "linear_node", None)
             if node is not None:  # e.g. redundancy-elimination filters

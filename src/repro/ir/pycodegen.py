@@ -282,7 +282,7 @@ def compile_work(wf: N.WorkFunction, fields: dict, name: str = "work",
     """Compile a work function to a Python callable.
 
     Returns ``fn(peek, pop, push, fields, bulk)`` where ``bulk`` is the
-    profiler's :meth:`~repro.runtime.profiler.Profiler.bulk` method.  Field
+    profiler's :meth:`~repro.profiling.Profiler.bulk` method.  Field
     reads/writes go through the ``fields`` dict so state persists across
     firings and is shared with the interpreter.  The code calls ``sin``,
     ``sqrt``, ... as attributes of ``intrinsics``.

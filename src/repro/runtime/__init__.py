@@ -1,7 +1,7 @@
 """Execution engine: channels, flattening executor, FLOP profiler."""
 
-from .builtins import (ArrayCollector, ChunkSource, Collector,
-                       FunctionSource, Identity, ListSource)
+from .builtins import (ChunkSource, Collector, FunctionSource, Identity,
+                       ListSource)
 from .channels import Channel
 from .executor import (FlatGraph, count_ops, run_graph, run_stream,
                        sanity_check_schedulable)
@@ -11,5 +11,5 @@ __all__ = [
     "Channel", "FlatGraph", "run_graph", "run_stream", "count_ops",
     "sanity_check_schedulable", "Profiler", "NullProfiler",
     "Counts", "ListSource", "FunctionSource", "Collector", "Identity",
-    "ChunkSource", "ArrayCollector",
+    "ChunkSource",
 ]

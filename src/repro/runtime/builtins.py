@@ -1,7 +1,9 @@
-"""Built-in primitive filters: test sources, sinks, and identity.
+"""Built-in primitive filters: test sources, the sink, and identity.
 
 These are :class:`~repro.graph.streams.PrimitiveFilter` leaves used by the
-executor's convenience entry points and by benchmark top-levels.
+executor's convenience entry points and by benchmark top-levels.  There is
+one sink, :class:`Collector`: every program, app, harness and session ends
+in an output ring that hands each output out once.
 """
 
 from __future__ import annotations
@@ -31,21 +33,13 @@ class ListSource(PrimitiveFilter):
         pos = count()
 
         class _Runner:
-            exhausted = False
-
             def fire(self, ch_in, ch_out):
                 i = next(pos)
                 if i >= len(values):
-                    self.exhausted = True
                     raise IndexError("ListSource exhausted")
                 ch_out.push(values[i])
 
-            def can_fire_extra(self):
-                return next(iter([next(pos)])) < len(values)  # pragma: no cover
-
-        runner = _Runner()
-        runner.remaining = lambda: len(values)
-        return runner
+        return _Runner()
 
 
 class ChunkSource(PrimitiveFilter):
@@ -131,11 +125,13 @@ class FunctionSource(PrimitiveFilter):
 
 
 class Collector(PrimitiveFilter):
-    """Terminal sink: pops one item per firing into ``collected``.
+    """Terminal sink: pops one item per firing into an output ring.
 
-    The executor looks for a Collector to decide when ``n_outputs`` have
-    been produced; its runner hands collected outputs back through
-    ``take`` and counts them through ``produced``.
+    The executor looks for a Collector to decide when ``n`` outputs have
+    been produced.  Stateless like :class:`ChunkSource`: the ring is
+    runner state, stored in the executor's dtype (the session policy's),
+    and ``take`` *pops* it, so a session holds one call of output (plus
+    the overshoot a run has not taken yet), never the stream.
     """
 
     pop = 1
@@ -145,49 +141,8 @@ class Collector(PrimitiveFilter):
     def __init__(self, name: str = "Collector"):
         self.name = name
 
-    def make_runner(self, profiler):
-        return _ListSink()
-
-
-class _ListSink:
-    """Keeps every output: a one-shot run returns any prefix of them."""
-
-    def __init__(self):
-        self.collected: list[float] = []
-
-    def fire(self, ch_in, ch_out):
-        self.collected.append(ch_in.pop())
-
-    def extend(self, block: np.ndarray) -> None:
-        self.collected.extend(block.tolist())
-
-    def produced(self) -> int:
-        return len(self.collected)
-
-    capacity = property(produced)  # it holds all it ever produced
-
-    def take(self, start: int, n: int):
-        return self.collected[start:start + n]
-
-
-class ArrayCollector(Collector):
-    """Terminal sink of a push harness: collects into an output ring
-    that ``take`` *pops*, so a session retains one call of output (plus
-    the overshoot a ``feed; run(n)`` has not taken yet), not the stream.
-
-    Drop-in :class:`Collector` replacement (the executors detect it via
-    the subclass).  Stateless like :class:`ChunkSource`: the ring is
-    runner state, in the node's dtype; batched kernels append whole
-    blocks without boxing and readers get ``np.ndarray`` copies they
-    own.
-    """
-
-    def __init__(self, name: str = "ArrayCollector", dtype=np.float64):
-        self.name = name
-        self.dtype = np.dtype(dtype)
-
-    def make_runner(self, profiler):
-        return _RingSink(self.name, self.dtype)
+    def make_runner(self, profiler, dtype):
+        return _RingSink(self.name, dtype)
 
 
 class _RingSink:
@@ -209,7 +164,8 @@ class _RingSink:
     def capacity(self) -> int:
         return self.collected.capacity
 
-    def take(self, start: int, n: int) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
+        """Pop the next ``n`` outputs into an array the caller owns."""
         self.taken += n
         return self.collected.pop_block_array(n)
 

@@ -21,9 +21,12 @@ Three execution backends exist:
   fall back to ``compiled``.
 
 All execution state lives in channels and runners, and the drive loop
-is reentrant (:meth:`FlatGraph.advance` / :meth:`~FlatGraph.
-drain_available`), so a :class:`repro.session.StreamSession` can pause
-and resume the same graph indefinitely; ``run_graph``/``run_stream``
+is reentrant, so a :class:`repro.session.StreamSession` can pause and
+resume the same graph indefinitely.  Outputs leave an executor one way:
+:meth:`FlatGraph.advance` (the next ``n``) or :meth:`~FlatGraph.
+drain_available` (all the fed input completes) pops them off the sink —
+the :class:`~.builtins.Collector`'s output ring, or the graph's output
+channel — as an ndarray the caller owns.  ``run_graph``/``run_stream``
 are one-shot wrappers over a session.
 """
 
@@ -193,10 +196,13 @@ class FlatGraph:
     """A flattened stream graph ready for execution."""
 
     def __init__(self, stream: Stream, profiler: Profiler | None = None,
-                 backend: str = "compiled"):
+                 backend: str = "compiled", dtype=np.float64):
         self.stream = stream
         self.profiler = profiler if profiler is not None else NullProfiler()
         self.backend = backend
+        #: dtype of the outputs handed out (the session policy's): the
+        #: Collector's ring stores in it
+        self.dtype = np.dtype(dtype)
         self.nodes: list[_Node] = []
         #: outermost FeedbackLoop slices, in flattening order
         self.feedback_regions: list[FeedbackRegion] = []
@@ -242,8 +248,11 @@ class FlatGraph:
             self.nodes.append(node)
             return out
         if isinstance(stream, PrimitiveFilter):
+            runner = (stream.make_runner(self.profiler, self.dtype)
+                      if isinstance(stream, Collector)
+                      else stream.make_runner(self.profiler))
             node = _Node(name=stream.name, kind="primitive", stream=stream,
-                         runner=stream.make_runner(self.profiler))
+                         runner=runner)
             needs_in = stream.peek or stream.pop or (
                 stream.init_peek or stream.init_pop)
             node.inputs = [ch_in] if needs_in else []
@@ -386,17 +395,18 @@ class FlatGraph:
                     f"{self.produced()}/{target} outputs")
             self._drain(target)
 
-    def _take(self, n: int):
-        """The next ``n`` already-produced outputs past the cursor."""
+    def _take(self, n: int) -> np.ndarray:
+        """Pop the next ``n`` already-produced outputs off the sink."""
         if self.collectors:
-            out = self.collectors[0].runner.take(self._returned, n)
+            out = self.collectors[0].runner.take(n)
         else:
-            out = [self.output_channel.pop() for _ in range(n)]
+            out = np.asarray(self.output_channel.pop_block_array(n),
+                             dtype=self.dtype)
             self._out_popped += n
         self._returned += n
         return out
 
-    def advance(self, n: int, max_passes: int = 10_000_000):
+    def advance(self, n: int, max_passes: int = 10_000_000) -> np.ndarray:
         """Produce and return the *next* ``n`` outputs (resumable).
 
         Consecutive calls continue the stream: channel occupancy, filter
@@ -412,7 +422,7 @@ class FlatGraph:
     #: single pass; finite sources stop at exhaustion anyway).
     _GREEDY_SOURCE_BLOCK = 1 << 16
 
-    def drain_available(self, max_passes: int = 10_000_000):
+    def drain_available(self, max_passes: int = 10_000_000) -> np.ndarray:
         """Greedily fire everything the fed input admits; return the new
         outputs.  Used by ``StreamSession.push``: no output target, no
         deadlock — the loop simply stops when the finite sources run
@@ -437,26 +447,6 @@ class FlatGraph:
                     progress = True
         return self._take(self.produced() - self._returned)
 
-    def run(self, n_outputs: int, max_passes: int = 10_000_000) -> list[float]:
-        """Fire nodes until the sink has ``n_outputs`` items; return them.
-
-        Legacy one-shot entry point.  With a Collector sink the target
-        is absolute — ``run(10)`` then ``run(30)`` extends the first run
-        and returns all 30 — and the session cursor follows, so
-        :meth:`advance` afterwards continues past them.  Without one
-        (or with a push harness's draining ArrayCollector) the outputs
-        are consumed: each call returns the *next* ``n_outputs`` items.
-        """
-        kept = (self.collectors[0].runner.collected if self.collectors
-                else None)
-        if isinstance(kept, list):
-            self._drive(n_outputs, max_passes)
-            if n_outputs > self._returned:
-                self._returned = n_outputs
-            return kept[:n_outputs]
-        out = self.advance(n_outputs, max_passes)
-        return out if isinstance(out, list) else list(out)
-
 
 # ---------------------------------------------------------------------------
 # Convenience entry points
@@ -466,8 +456,7 @@ class FlatGraph:
 def run_graph(stream: Stream, n_outputs: int,
               profiler: Profiler | None = None, *,
               backend: str = "compiled",
-              optimize: str = "none",
-              as_array: bool = False):
+              optimize: str = "none") -> list[float]:
     """Run a complete (void->void or void->float) program graph.
 
     ``optimize`` rewrites the graph with the paper's optimization passes
@@ -478,40 +467,24 @@ def run_graph(stream: Stream, n_outputs: int,
 
     One-shot wrapper over :class:`repro.session.StreamSession` — the
     session API (``repro.compile``) is the way in when the plan should
-    be compiled once and amortized across many calls.  ``as_array=True``
-    returns ``np.ndarray`` instead of ``list[float]`` (ndarray-native
-    where the sink allows, converted otherwise).
+    be compiled once and amortized across many calls, and it returns
+    ``np.ndarray``.
     """
     from ..session import StreamSession  # deferred: session imports us
     session = StreamSession(stream, backend=backend, optimize=optimize,
                             profiler=profiler, _program_mode=True)
-    out = session._advance_raw(n_outputs)
-    if as_array:
-        return np.asarray(out, dtype=np.float64)
-    if isinstance(out, np.ndarray):
-        return out.tolist()
-    return out if isinstance(out, list) else list(out)
+    return session.run(n_outputs).tolist()
 
 
 def run_stream(stream: Stream, inputs, n_outputs: int,
                profiler: Profiler | None = None, *,
                backend: str = "compiled",
-               optimize: str = "none",
-               as_array: bool = False):
+               optimize: str = "none") -> list[float]:
     """Run a float->float ``stream`` on ``inputs``; collect ``n_outputs``.
 
-    With ``as_array=True`` the harness is ndarray-native end to end
-    (:class:`~repro.runtime.builtins.ChunkSource` feeding the graph,
-    :class:`~repro.runtime.builtins.ArrayCollector` at the sink) and the
-    result is an ``np.ndarray`` — no per-sample boxing.  The default
-    (list) harness is unchanged: ``ListSource`` + ``Collector``.
+    The program run is ``ListSource(inputs)`` + ``stream`` +
+    :class:`~repro.runtime.builtins.Collector`.
     """
-    if as_array:
-        from ..session import StreamSession
-        session = StreamSession(stream, backend=backend, optimize=optimize,
-                                profiler=profiler)
-        session.feed(inputs)
-        return session.run(n_outputs)
     program = Pipeline([ListSource(inputs), stream, Collector()],
                        name="harness")
     return run_graph(program, n_outputs, profiler, backend=backend,

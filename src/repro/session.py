@@ -17,15 +17,19 @@ Entry point::
     more = session.run(4096)       # continues the stream
     print(session.profile.counts.flops)
 
+Every session's outputs leave through one sink: the program's
+:class:`~repro.runtime.builtins.Collector` (or its output channel),
+whose output ring belongs to the live executor, stores in the policy
+dtype, and is *popped* by every ``run``/``push``.  A session retains one
+call of output and its carried filter state — never the stream — pull
+and push alike.
+
 Float->float graphs (no source of their own) compile into a *push*
 session: an ndarray-native harness (:class:`~repro.runtime.builtins.
-ChunkSource` feeding the graph, :class:`~repro.runtime.builtins.
-ArrayCollector` at the sink) is injected internally, and input arrives
-incrementally.  Both harness nodes are stateless; the feed ring and
-the output ring belong to the live executor, ``feed`` writes into the
-one and every ``push``/``run`` *pops* the other, so a session retains
-one chunk of input, one call of output and its carried filter state —
-never the stream::
+ChunkSource` feeding the graph, a ``Collector`` at the sink) is injected
+internally, and input arrives incrementally.  Both harness nodes are
+stateless; ``feed`` writes into the executor's feed ring, so a push
+session also holds at most one chunk of input::
 
     fir = repro.compile(low_pass_filter(1.0, math.pi / 3, 256))
     for chunk in chunks:                # any chunk sizes
@@ -61,7 +65,7 @@ from .graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                             PrimitiveFilter, SplitJoin, Stream)
 from .numeric import NumericPolicy, resolve_policy
 from .profiling import Profiler
-from .runtime.builtins import ArrayCollector, ChunkSource
+from .runtime.builtins import ChunkSource, Collector, ListSource
 from .runtime.executor import FlatGraph
 
 __all__ = ["StreamSession", "SessionSnapshot", "compile",
@@ -207,7 +211,7 @@ class StreamSession:
         else:
             parts = [ChunkSource(dtype=self.policy.dtype), stream]
             if _produces_output(stream):
-                parts.append(ArrayCollector(dtype=self.policy.dtype))
+                parts.append(Collector())
             self._program = Pipeline(
                 parts, name=f"{getattr(stream, 'name', 'stream')}.session")
 
@@ -239,7 +243,8 @@ class StreamSession:
                 program = optimize_stream(program, self.optimize,
                                           policy=self.policy)
             self._optimized = program
-        return FlatGraph(self._optimized, self._profiler, self.backend)
+        return FlatGraph(self._optimized, self._profiler, self.backend,
+                         dtype=self.policy.dtype)
 
     def _check_push_sources(self) -> None:
         """Reject push graphs with internal *unbounded* sources.
@@ -251,8 +256,6 @@ class StreamSession:
         still runnable as complete programs via ``run_graph`` /
         pull-mode ``compile``.
         """
-        from .runtime.builtins import ListSource
-
         flat = getattr(self._executor, "flat", self._executor)
         for node in flat.nodes:
             if node.inputs:
@@ -352,8 +355,9 @@ class StreamSession:
     def buffers(self) -> tuple[int, int, int]:
         """``(in, out, journal)``: the items of storage this session
         holds for stream data — the live executor's feed ring and its
-        sink (allocated capacity), and the replay journal's cost.  On a
-        push session all three stay bounded however long it streams."""
+        sink (allocated capacity), and the replay journal's cost.  All
+        three stay bounded however long a session streams, pull or
+        push."""
         held = self._executor.buffers() if self._executor else (0, 0)
         return (*held, self._journal_cost if self._ops is not None else 0)
 
@@ -386,16 +390,6 @@ class StreamSession:
             return
         self._ops.append((op, arg))
 
-    def _advance_raw(self, n: int):
-        """Advance and return the executor's native container (list or
-        ndarray) — the zero-conversion path the legacy list-returning
-        wrappers use."""
-        self._check_open()
-        out = self._executor.advance(n)
-        self._produced_total += n
-        self._journal_op("run", n, n)
-        return out
-
     def run(self, n: int) -> np.ndarray:
         """Produce and return the next ``n`` outputs.
 
@@ -406,11 +400,16 @@ class StreamSession:
         error when not enough has been fed.
 
         Outputs are returned in the session's policy dtype (float64
-        unless ``compile(..., dtype=...)`` said otherwise).  Scalar
-        backends evaluate in Python floats and cast at this boundary;
-        the plan backend computed natively in the policy dtype.
+        unless ``compile(..., dtype=...)`` said otherwise): the sink
+        stores in it.  Scalar backends evaluate in Python floats and
+        cast on the way into the sink; the plan backend computed
+        natively in the policy dtype.
         """
-        return np.asarray(self._advance_raw(n), dtype=self.policy.dtype)
+        self._check_open()
+        out = self._executor.advance(n)
+        self._produced_total += n
+        self._journal_op("run", n, n)
+        return out
 
     def feed(self, chunk) -> int:
         """Feed input without draining; returns the item count added.
@@ -445,7 +444,7 @@ class StreamSession:
         out = self._executor.drain_available()
         self._produced_total += len(out)
         self._journal_op("drain", None, len(out))
-        return np.asarray(out, dtype=self.policy.dtype)
+        return out
 
     def _rebuild_executor(self) -> None:
         """Swap in a fresh initial-state executor (reset/restore core)."""

@@ -138,7 +138,7 @@ def inputs():
 
 def outputs(name, **kw):
     graph = compile_source(PROGRAMS[name])
-    return run_stream(graph, inputs(), N_OUT, as_array=True, **kw)
+    return np.asarray(run_stream(graph, inputs(), N_OUT, **kw))
 
 
 @pytest.mark.parametrize("name", sorted(PROGRAMS))

@@ -45,12 +45,12 @@ def _run_pair(build, n_out, workers, optimize="none"):
     """(serial outputs, serial flops, parallel outputs, parallel flops)."""
     p1, p2 = Profiler(), Profiler()
     ex1, _ = compiled_plan_for(build(), p1, optimize=optimize, cache=False)
-    out1 = np.asarray(ex1.run(n_out))
+    out1 = ex1.advance(n_out)
     ex2, _ = compiled_plan_for(build(), p2, optimize=optimize, cache=False,
                                workers=workers)
     assert isinstance(ex2, ParallelPlanExecutor)
     try:
-        out2 = np.asarray(ex2.run(n_out))
+        out2 = ex2.advance(n_out)
     finally:
         ex2.close()
     return out1, p1.counts.flops, out2, p2.counts.flops
@@ -338,7 +338,7 @@ class TestParallelExecutor:
 
         ex, _ = compiled_plan_for(fir.build(taps=32), optimize="none",
                                   cache=False, workers=2)
-        ex.run(200)
+        ex.advance(200)
         segs = [r.shm.name for r in ex.rings]
         ex.close()
         ex.close()
@@ -369,7 +369,7 @@ class TestParallelExecutor:
         ex, _ = compiled_plan_for(filterbank.build(m=3, taps=12),
                                   optimize="none", cache=False, workers=2)
         try:
-            ex.run(600)
+            ex.advance(600)
             stats = ex.parallel_stats()
             assert stats["workers"] == 2
             assert stats["tasks"] >= 1

@@ -1,10 +1,10 @@
-"""Push sessions hold O(chunk), not O(stream).
+"""Sessions hold O(chunk), not O(stream), pull and push alike.
 
-The harness nodes (``ChunkSource``, ``ArrayCollector``) are stateless;
-the feed ring and the output ring are executor state, ``push``/``run``
-pop what they return, and a push plan is keyed by its body.  Everything
-here is hermetic: storage is counted in items, never read from RSS or a
-clock.
+Every program ends in one sink, a ``Collector`` whose output ring is
+executor state that ``push``/``run`` pop; the push harness's
+``ChunkSource`` is stateless too (its feed ring is executor state), and
+a push plan is keyed by its body.  Everything here is hermetic: storage
+is counted in items, never read from RSS or a clock.
 """
 
 import math
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import BENCHMARKS, source_values, split_app
+from repro.apps import BENCHMARKS, fir, radar, source_values, split_app
 from repro.apps.common import low_pass_filter
 from repro.exec import clear_plan_cache, plan_cache_stats
 from repro.profiling import CATEGORIES, Profiler
@@ -39,6 +39,13 @@ def held(session) -> int:
                     for ch in node.inputs + node.outputs}.values()
     return sum(session.buffers[:2]) + sum(
         getattr(ch, "rows", 1) * ch.capacity for ch in channels)
+
+
+def sink_and_rings(session) -> int:
+    """Items of storage behind the sink and every ring (every row of it)
+    of the executor; a scalar executor has no rings but the sink's."""
+    rings = getattr(session._executor, "rings", ())
+    return session.buffers[1] + sum(r.rows * r.capacity for r in rings)
 
 
 def counts(profiler):
@@ -70,6 +77,23 @@ def test_storage_after_2000_pushes_is_storage_after_20(app, backend):
     assert journal <= repro.session.DEFAULT_JOURNAL_LIMIT
     assert f"buffers: in {in_items} / out {out_items} / journal " \
         f"{journal}" in str(session.report())
+
+
+@pytest.mark.parametrize("build", [fir.build, radar.build],
+                         ids=["FIR", "Radar"])
+@pytest.mark.parametrize("backend", ["compiled", "plan"])
+def test_pull_storage_after_200_runs_is_storage_after_20(build, backend):
+    """An app graph ends in its own Collector: a pull session pops it,
+    so the sink holds one call of output, not every output so far."""
+    n = 256 if backend == "plan" else 64
+    session = repro.compile(build(), backend=backend)
+    for i in range(1, 201):
+        out = session.run(n)
+        if i == 20:
+            early = sink_and_rings(session)
+    assert len(out) == n and session.outputs_produced == 200 * n
+    assert sink_and_rings(session) == early
+    assert session.buffers[:2] == (0, n)
 
 
 def test_parallel_session_storage_is_bounded_too():

@@ -209,7 +209,7 @@ def test_pull_mode_run_matches_run_graph():
     from repro.runtime import run_graph
 
     expected = np.asarray(run_graph(BENCHMARKS["FIR"](**FIR_PARAMS), 96,
-                                    backend="plan", as_array=True))
+                                    backend="plan"))
 
     async def scenario(server, path):
         async with await ServeClient.connect(path=path) as client:
@@ -452,7 +452,7 @@ def test_run_whose_reply_cannot_fit_a_frame_is_refused_unexecuted():
     from repro.runtime import run_graph
 
     expected = np.asarray(run_graph(BENCHMARKS["FIR"](**FIR_PARAMS), 64,
-                                    backend="plan", as_array=True))
+                                    backend="plan"))
 
     async def scenario(server, path):
         async with await ServeClient.connect(path=path) as client:

@@ -24,7 +24,7 @@ from repro.graph.streams import Filter, walk
 from repro.profiling import CATEGORIES, Profiler
 from repro.runtime import count_ops, run_graph, run_stream
 from repro.exec.ring import RingBuffer
-from repro.runtime.builtins import ArrayCollector, ChunkSource
+from repro.runtime.builtins import ChunkSource, Collector
 
 BACKENDS = ("interp", "compiled", "plan")
 
@@ -286,28 +286,29 @@ def test_session_cumulative_profile_is_linear_in_outputs():
 
 
 # ---------------------------------------------------------------------------
-# Legacy wrappers: as_array, deprecation shim
+# One-shot wrappers over a session, deprecation shim
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_run_graph_as_array(backend):
+def test_run_graph_is_a_session_run_as_a_list(backend):
     legacy = run_graph(small("FIR"), 48, backend=backend)
-    arr = run_graph(small("FIR"), 48, backend=backend, as_array=True)
+    assert isinstance(legacy, list) and {type(v) for v in legacy} == {float}
+    arr = repro.compile(small("FIR"), backend=backend).run(48)
     assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
     np.testing.assert_array_equal(arr, np.asarray(legacy))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_run_stream_as_array(backend):
+def test_run_stream_matches_a_push_session(backend):
     stream = low_pass_filter(1.0, math.pi / 3, 16)
     inputs = np.sin(np.arange(128.0)).tolist()
     p_list, p_arr = Profiler(), Profiler()
     legacy = run_stream(stream, inputs, 64, p_list, backend=backend)
-    arr = run_stream(low_pass_filter(1.0, math.pi / 3, 16), inputs, 64,
-                     p_arr, backend=backend, as_array=True)
-    assert isinstance(arr, np.ndarray)
-    np.testing.assert_array_equal(arr, np.asarray(legacy))
+    session = repro.compile(low_pass_filter(1.0, math.pi / 3, 16),
+                            backend=backend, profiler=p_arr)
+    session.feed(inputs)
+    np.testing.assert_array_equal(session.run(64), np.asarray(legacy))
     assert_counts_equal(p_list, p_arr, backend)
 
 
@@ -369,7 +370,7 @@ def test_push_harness_is_ndarray_native():
     flat = session._executor.flat
     feed, sink = flat.nodes[0], flat.nodes[-1]
     assert isinstance(feed.stream, ChunkSource)
-    assert isinstance(sink.stream, ArrayCollector)
+    assert isinstance(sink.stream, Collector)
     # the harness nodes are stateless: both rings are runner state,
     # owned by this executor and replaced with it
     assert not hasattr(feed.stream, "buffer")

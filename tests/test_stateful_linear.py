@@ -376,7 +376,7 @@ class TestStatefulPlanMechanics:
                               inputs, 500, backend="interp")
         flat = FlatGraph(prog, Profiler(), backend="compiled")
         ex = PlanExecutor(flat, chunk_outputs=16)
-        np.testing.assert_allclose(ex.run(500), expected, atol=1e-9)
+        np.testing.assert_allclose(ex.advance(500), expected, atol=1e-9)
 
     def test_plan_report_names_stateful_steps(self):
         from repro.runtime import Collector, ListSource
