@@ -55,10 +55,10 @@ def test_plan_matches_compiled_at_paper_scale(name, build, n_outputs):
 
 def test_stateful_app_runs_batched_kernels():
     """Acceptance: the stateful-linear IIR cascade advances through
-    lifted StatefulLinearStep kernels behind a replayed source (its
-    FLOP parity is the IIR case above)."""
+    one lifted StatefulLinearStep — its four sections are one chain —
+    behind a replayed source (its FLOP parity is the IIR case above)."""
     kinds = Counter(s.step_kind for s in plan_report(iir.build()).steps)
-    assert kinds["stateful"] == 4
+    assert kinds["stateful"] == 1
     assert kinds["periodic-source"] == 1
     assert kinds["fallback"] == 0
 

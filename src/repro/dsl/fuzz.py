@@ -723,7 +723,8 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     """Plan-backend run, under a numeric policy or on the parallel
     engine (``workers`` processes) if asked, counting into ``profiler``
     if given.  Notes in the program's census whether sibling branches
-    ran as one step (a many-row ring), a source as a sinusoid step (its
+    ran as one step (a many-row ring), a stateful chain as one lifted
+    step, a source as a sinusoid step (its
     reader folded on), whether the rewrite collapsed a mixed run: a
     leaf with state *and* lookahead or a rate change, as none is — and
     how many leaves run as polyphase frequency filters.
@@ -744,6 +745,8 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         rings = getattr(session._executor, "rings", ())
         if any(ring.rows > 1 for ring in rings):
             program.census["fused"] = 1
+        if getattr(session._executor, "chains", None):
+            program.census["chain"] = 1
         for step in getattr(session._executor, "steps", ()):
             if isinstance(step, SinusoidStep):
                 program.census["sinusoid"] = 1
@@ -963,6 +966,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 1
     fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
+    chain = census.pop("chain", 0)
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
     polyphase = census.pop("polyphase", 0)
@@ -971,7 +975,8 @@ def main(argv=None) -> int:
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
           f"non-source leaves {leaves}; {fused} programs ran sibling "
-          f"branches as one step, {collapsed} collapsed a mixed run into "
+          f"branches as one step, {chain} ran a stateful chain as one "
+          f"step, {collapsed} collapsed a mixed run into "
           f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
           f"folded; {polyphase} polyphase freq leaves; "
           f"replayed {replayed}/{calls} resumed calls)")

@@ -158,7 +158,7 @@ def _measure_stateful_block(policy, rng) -> int:
     it is measured.
     """
     from ..linear.state import from_difference_equation
-    from ..profiling import Counts, NullProfiler
+    from ..profiling import NullProfiler
     from .kernels import StatefulLinearStep
     from .ring import RingBuffer
 
@@ -169,7 +169,7 @@ def _measure_stateful_block(policy, rng) -> int:
     for b in STATEFUL_BLOCKS:
         ring_in = RingBuffer("in", 2 * firings, dtype=policy.dtype)
         ring_out = RingBuffer("out", 2 * firings, dtype=policy.dtype)
-        step = StatefulLinearStep(ring_in, ring_out, node, Counts(),
+        step = StatefulLinearStep(ring_in, ring_out, node, [],
                                   NullProfiler(), policy=policy)
         step.block = b
 

@@ -163,25 +163,26 @@ class MatmulStep(Step):
 #: The boundary lift over ``G`` blocks is ``G·k x (G+1)·k`` and gets all
 #: of it (``G·k = 128``); the block lift is ``B·o x B·u`` and is paid by
 #: every firing, not once per block, so it gets a quarter (``B = 64`` at
-#: ``o = u = 1``).  Measured here on ``IIRBody`` (4 steps, ``k`` = 1, 2,
-#: 2, 2), one ``push(4096)``, min of 1500 in us — f64 by ``G·k``, then
-#: f32 and c128 at ``G·k = 128``; the parent's per-block Python scan ran
-#: 497:
+#: ``o = u = 1``).  Measured on ``IIRBody`` as the planner runs it, one
+#: chain of ``k = 7``, one ``push(4096)`` pinned to one core of a 2-vCPU
+#: Xeon, min of 3 sessions x 500 pushes in us — f64 by ``G·k``, f32, c128
+#: at ``G·k = 128`` (the four steps it replaces ran 151 at ``B = 64``,
+#: ``G·k = 128``):
 #:
 #: ====  ====  ====  ====  ====  ====  ====
 #: B     64    128   256   512   f32   c128
 #: ====  ====  ====  ====  ====  ====  ====
-#: 16    357   259   327   510   266   396
-#: 32    235   200   215   244   155   319
-#: 64    186   151   158   161   121   299
-#: 128   178   184   180   192   334   339
-#: 256   309   302   270   279   890   671
+#: 16    320   206   258   354   309   318
+#: 32    265   176   141   203   119   305
+#: 64    125   83    68    94    69    158
+#: 128   92    72    85    66    73    210
+#: 256   147   94    97    103   71    271
 #: ====  ====  ====  ====  ====  ====  ====
 #:
-#: ``B = 64`` with ``G·k = 128`` is the best cell under every dtype (at
-#: ``G·k = 64`` the push is two groups, beyond 128 one group of the same
-#: 64 blocks against a larger operator); building the operators on the
-#: first push took 4.3 / 5.0 / 8.9 / 21.6 ms by ``G·k``.
+#: ``B = 64 .. 128`` by ``G·k = 128 .. 512`` lie within run-to-run noise,
+#: and none beats ``B = 64``, ``G·k = 128`` under every dtype (``B = 128``
+#: costs c128 a third, a lone f32 biquad 2x), so the budget stays; the
+#: first push built the operators in 2.8 / 3.1 / 2.2 / 6.1 ms by ``G·k``.
 _STATEFUL_LIFT_ELEMS = 1 << 14
 
 
@@ -236,10 +237,10 @@ class StatefulLinearStep(Step):
     4. ``(G, k) @ (k, B·u)`` — each block's entry state added into its
        outputs.
 
-    No Python runs per block; there is one pass per group — 4096
-    firings at ``k = 2``, while a state of ``k >= 128`` variables has
-    ``G = 1``, the boundary recurrence taken one block at a time.  The
-    products are deliberately not batched across groups: a group's
+    No Python runs per block; there is one pass per group — 1152
+    firings at ``k = 7`` (IIR), while a state of ``k >= 128`` variables
+    has ``G = 1``, the boundary recurrence taken one block at a time.
+    The products are deliberately not batched across groups: a group's
     operands fit in L2, and a product four groups tall is where the
     BLAS starts waking its thread pool, which on a 2-core container
     cost milliseconds a call — a batch of 16384 firings ran 7.6 ms as
@@ -247,24 +248,24 @@ class StatefulLinearStep(Step):
 
     The ``n mod B`` firings left over run through the same four
     products at block length 1 (the node itself), so a step holds at
-    most two lifts whatever sizes it is called with.  FLOP accounting
-    reports the scalar runner's exact per-firing counts times ``n`` (the
-    parity contract), not the lift's recomputation.
+    most two lifts whatever sizes it is called with.  ``node`` may be a
+    chain's pipeline combination, one lift for all; FLOP accounting
+    reports each member's scalar per-firing counts times ``n`` under
+    its name (``accounts``, as :class:`MatmulStep`; the parity
+    contract), not the lift's recomputation.
     """
 
     kind = "stateful"
 
-    def __init__(self, ring_in, ring_out, node, counts: Counts,
-                 profiler: Profiler, filter_name: str | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, ring_in, ring_out, node, accounts,
+                 profiler: Profiler, policy: NumericPolicy = DEFAULT_POLICY):
         self.ring_in = ring_in
         self.ring_out = ring_out
         self.node = node
         self.policy = policy
         self.s = np.asarray(node.s0, dtype=policy.dtype).copy()
-        self.counts = policy.adjust_counts(counts)
+        self.accounts = _merged(accounts, policy)
         self.profiler = profiler
-        self.filter_name = filter_name
         self.block = stateful_block_length(node.pop, node.push, policy)
         self.group = stateful_group_length(node.state_dim)
         self._lifted: dict[int, tuple] = {}
@@ -276,6 +277,14 @@ class StatefulLinearStep(Step):
 
     def set_carry_state(self, state) -> None:
         self.s = np.asarray(state, dtype=self.policy.dtype).copy()
+
+    @property
+    def detail(self) -> str:
+        """``k``; the four products' multiply-adds per output of a group."""
+        G, E, _, U, *_ = self._lift(self.block)
+        k = len(self.s)
+        macs = (G * (E * (U + k) + k * U) + ((G + 1) * k) ** 2) / (G * U)
+        return f"k={k}, {macs:.0f} MACs/output"
 
     def _lift(self, b: int) -> tuple:
         pack = self._lifted.get(b)
@@ -338,8 +347,8 @@ class StatefulLinearStep(Step):
             self._run_blocks(full, self.block)
         if rest:
             self._run_blocks(rest, 1)
-        self.profiler.add_counts(self.counts, times=n,
-                                 filter_name=self.filter_name)
+        for counts, name in self.accounts:
+            self.profiler.add_counts(counts, times=n, filter_name=name)
 
 
 #: Cap on the ``k * n * (u + 1)`` complex workspace of one batched FFT

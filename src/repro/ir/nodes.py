@@ -72,10 +72,6 @@ BINARY_OPS = frozenset(
      "&&", "||", "&", "|", "^", "<<", ">>"}
 )
 
-#: Operators whose float execution counts as a multiplication instruction
-#: (the thesis counts the fmul/fdiv x87 families as "multiplications").
-MULTIPLICATIVE_OPS = frozenset({"*", "/"})
-
 UNARY_OPS = frozenset({"-", "!"})
 
 #: Intrinsic math functions (map onto libm / x87 transcendental ops) and

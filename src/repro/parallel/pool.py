@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
 import time
 import traceback
 
@@ -189,10 +188,6 @@ def get_pool(workers: int) -> WorkerPool:
 def pool_stats() -> dict | None:
     """Metrics snapshot, or None when no pool was ever started."""
     return None if _POOL is None else _POOL.stats_snapshot()
-
-
-def default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 @atexit.register

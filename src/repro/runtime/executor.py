@@ -47,8 +47,6 @@ from .builtins import ChunkSource, Collector, ListSource
 from .channels import Channel
 from ..profiling import NullProfiler, Profiler
 
-_MAX_PASSES_WITHOUT_PROGRESS = 2
-
 
 class _IRRunner:
     """Executes an IR filter: prework once (if any), then work."""

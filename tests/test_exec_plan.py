@@ -400,13 +400,14 @@ def test_plan_report_names_fallbacks_with_reasons():
 #: the channel FIR folded onto it (still ``matmul``); no other app has
 #: any under ``auto``.  FilterBank's and RateConvert's decimating
 #: regions are one polyphase ``freq-opt`` step each, with no decimator.
+#: IIR's four sections are one chain, one lifted ``stateful`` step.
 AUTO_CENSUS = {
     "DToA": {'collector': 1, 'feedback': 1, 'freq-opt': 2, 'island:fallback': 1, 'island:lanes': 1, 'island:matmul': 1, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
     "Echo": {'collector': 1, 'feedback': 1, 'freq-opt': 1, 'island:matmul': 2, 'island:rr-join': 1, 'island:rr-split': 1, 'periodic-source': 1},
     "FIR": {'collector': 1, 'freq-opt': 1, 'periodic-source': 1},
     "FMRadio": {'collector': 1, 'freq-opt': 1, 'lanes': 2, 'matmul': 1},
     "FilterBank": {'collector': 1, 'freq-opt': 1, 'lanes': 1},
-    "IIR": {'collector': 1, 'periodic-source': 1, 'stateful': 4},
+    "IIR": {'collector': 1, 'periodic-source': 1, 'stateful': 1},
     "Oversampler": {'collector': 1, 'freq-opt': 1, 'periodic-source': 1},
     "Radar": {'collector': 1, 'dup-split': 2, 'lanes': 2, 'matmul': 3, 'rr-join': 2, 'sinusoid': 1},
     "RateConvert": {'collector': 1, 'freq-opt': 1, 'lanes': 1},

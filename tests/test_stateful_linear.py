@@ -436,7 +436,8 @@ def kernel_step(node, policy=None, profiler=None):
     return StatefulLinearStep(
         RingBuffer("in", dtype=policy.dtype),
         RingBuffer("out", dtype=policy.dtype), node,
-        direct_cost_counts(node), profiler or Profiler(), policy=policy)
+        [(direct_cost_counts(node), None)], profiler or Profiler(),
+        policy=policy)
 
 
 def fire(step, x, n) -> np.ndarray:
