@@ -230,7 +230,7 @@ float->float filter {name} {{
         return name, n, 1
 
     #: body shapes :meth:`_nonlinear` draws from
-    NONLINEAR_VARIANTS = 5
+    NONLINEAR_VARIANTS = 6
 
     def _nonlinear(self, variant: int | None = None) -> tuple[str, int, int]:
         rng = self.rng
@@ -239,7 +239,14 @@ float->float filter {name} {{
         g = self._lit(rng.uniform(0.2, 0.9))
         # Continuous at every branch point — see module docstring.
         if variant is None:
-            variant = rng.randrange(self.NONLINEAR_VARIANTS)
+            # the windowed nest (5) takes most of the loop's (4) draws,
+            # making the same rng calls: a seed's programs are as before
+            # but for those leaves, with the same rates and extraction
+            # verdicts
+            variant = rng.randrange(self.NONLINEAR_VARIANTS - 1)
+            if variant == 4 and float(g) > 0.4:
+                variant = 5
+        peek = 1
         if variant == 0:
             body = f"""\
         float x = pop();
@@ -260,7 +267,7 @@ float->float filter {name} {{
             body = f"""\
         float x = pop();
         push(min(max(x, 0.0 - {t}), {t}));"""
-        else:
+        elif variant == 4:
             # a loop with a carried local under a branch: soft limiter
             # pulling y toward the threshold (y == x where x == t)
             body = f"""\
@@ -272,9 +279,27 @@ float->float filter {name} {{
             }}
         }}
         push(y);"""
+        else:
+            # CorrPeak's reduction nest over a window of 2..5: the
+            # largest scaled autocorrelation, floored at -t (a max)
+            peek = rng.randint(1, 4) + 1
+            body = f"""\
+        float m = 0.0 - {t};
+        for (int i = 0; i < {peek}; i++) {{
+            float s = 0.0;
+            for (int j = i; j < {peek}; j++) {{
+                s = s + peek(i) * peek(j);
+            }}
+            float a = s * {g};
+            if (a > m) {{
+                m = a;
+            }}
+        }}
+        push(m);
+        pop();"""
         self.decls.append(f"""\
 float->float filter {name} {{
-    work peek 1 pop 1 push 1 {{
+    work peek {peek} pop 1 push 1 {{
 {body}
     }}
 }}
@@ -725,14 +750,15 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     if given.  Notes in the program's census whether sibling branches
     ran as one step (a many-row ring), a stateful chain as one lifted
     step, a source as a sinusoid step (its
-    reader folded on), whether the rewrite collapsed a mixed run: a
+    reader folded on), a reduction nest interchanged as lanes, whether
+    the rewrite collapsed a mixed run: a
     leaf with state *and* lookahead or a rate change, as none is — and
     how many leaves run as polyphase frequency filters.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
     also takes the remainder) and adds to the census how many of them
     replayed a schedule the executor had simulated before."""
-    from ..exec.kernels import SinusoidStep
+    from ..exec.kernels import LaneStep, SinusoidStep
     from ..frequency.filters import OptimizedFreqFilter
     from ..session import StreamSession
 
@@ -765,6 +791,10 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         size = n_outputs // calls
         parts = [session.run(size) for _ in range(calls - 1)]
         parts.append(session.run(n_outputs - size * (calls - 1)))
+        if any(isinstance(step, LaneStep) and step.batches > step.refired
+               and "interchanged" in step.code.detail
+               for step in getattr(session._executor, "steps", ())):
+            program.census["interchanged"] = 1
         if calls > 1:
             for key in ("replayed", "calls"):
                 program.census[key] = (program.census.get(key, 0)
@@ -970,6 +1000,7 @@ def main(argv=None) -> int:
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
     polyphase = census.pop("polyphase", 0)
+    interchanged = census.pop("interchanged", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
@@ -978,7 +1009,8 @@ def main(argv=None) -> int:
           f"branches as one step, {chain} ran a stateful chain as one "
           f"step, {collapsed} collapsed a mixed run into "
           f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
-          f"folded; {polyphase} polyphase freq leaves; "
+          f"folded; {polyphase} polyphase freq leaves; {interchanged} "
+          f"ran a reduction nest interchanged; "
           f"replayed {replayed}/{calls} resumed calls)")
     return 0
 

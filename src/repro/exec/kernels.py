@@ -562,7 +562,8 @@ class FallbackStep(Step):
 #: ``CenterClip`` 12.0 vs 12.8 / 12.0 vs 17.4 / 11.9 vs 21.5,
 #: ``FMDemodulator`` (peek > pop: strided window) 18.9 vs 12.8 / 18.9 vs
 #: 17.6 / 18.7 vs 22.6.  The cheapest bodies break even at 8-12 and
-#: loop-heavy ones at once (``CorrPeak``: 4 lanes 0.9 ms vs 16.5 ms).
+#: loop-heavy ones at once (Vocoder's ``CorrPeak``, its nest
+#: interchanged: 4 lanes 0.48 ms vs 23 ms, best of 300 / 40, pinned).
 LANE_MIN_FIRINGS = 12
 
 

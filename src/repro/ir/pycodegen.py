@@ -35,6 +35,7 @@ counter symbolic (for :class:`~repro.exec.kernels.SinusoidStep`).
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -394,10 +395,32 @@ def _accumulate(acc: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
+_FOLDS = {">": np.greater, ">=": np.greater_equal,
+          "<": np.less, "<=": np.less_equal}
+
+
+def _select(m: np.ndarray, x: np.ndarray, op: str) -> np.ndarray:
+    """What ``for t in x: if (t op m) m = t`` leaves, ``t`` running
+    along the last axis of ``x``: the extreme ``np.fmax``/``np.fmin``
+    finds (blind to NaNs, which never pass the ``if``), at its first
+    occurrence — its last for ``>=``/``<=``, which replace on ties — so
+    of a ``-0.0``/``0.0`` tie the element the loop keeps, then one
+    ``if``.  A non-empty last axis."""
+    ext = (np.fmax if op[0] == ">" else np.fmin).reduce(x, axis=-1)
+    hit = x == ext[..., None]
+    if op.endswith("="):
+        k = x.shape[-1] - 1 - np.argmax(hit[..., ::-1], axis=-1)
+    else:
+        k = np.argmax(hit, axis=-1)
+    t = np.take_along_axis(x, k[..., None], axis=-1)[..., 0]
+    return np.where(_FOLDS[op](t, m), t, m)
+
+
 _LANE_NAMESPACE = {"_np": np, "_math": math, "_idiv": _idiv, "_imod": _imod,
                    "_ramp": _ramp, "_min2": _min2, "_max2": _max2,
                    "_taken": _taken, "_gather": _gather,
-                   "_accumulate": _accumulate, "_InterpError": InterpError}
+                   "_accumulate": _accumulate, "_select": _select,
+                   "_InterpError": InterpError}
 
 _LANE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
                "atan": "_np.arctan", "atan2": "_np.arctan2",
@@ -431,7 +454,9 @@ class _LaneEmitter(_Emitter):
     per lane, the locals and pushes of the arm that lane took.  A loop
     stays a Python loop over the arrays, except a reduction loop (``acc
     = acc + E``, see :meth:`_reduce`): one expression with the
-    iterations along one more axis.
+    iterations along one more axis; and a loop around one (see
+    :meth:`_interchange`): its iterations along one more axis, the
+    reduction's the Python loop.
 
     ``varying`` names the float fields whose value differs between the
     sibling filters one call evaluates (bound to ``(siblings, 1)``
@@ -440,7 +465,7 @@ class _LaneEmitter(_Emitter):
     """
 
     def __init__(self, tenv: _TypeEnv, counters: dict,
-                 varying: frozenset = frozenset()):
+                 varying: frozenset = frozenset(), wf: N.WorkFunction = None):
         super().__init__(tenv)
         self.counters = counters
         self.lanes = set(counters) | varying  # names bound to lane arrays
@@ -449,9 +474,15 @@ class _LaneEmitter(_Emitter):
         self.arm: _Arm | None = None
         #: names declared inside an arm that has since been merged
         self.out_of_scope: set[str] = set()
+        self.wf = wf
         self.branches = 0
         self.loops = False
         self.reduced = 0  # loops emitted as one accumulate
+        self.interchanged = 0  # reduction nests, see _interchange
+        #: the float locals of the nest being interchanged (their last
+        #: axis is its iterations) and the cells its terms fill now
+        self.nest: set[str] = set()
+        self.cells = ""
 
     def varying(self, e: N.Expr) -> bool:
         return any(isinstance(x, (N.Peek, N.Pop))
@@ -578,6 +609,8 @@ class _LaneEmitter(_Emitter):
                     raise LaneReject("lane-varying loop bound")
                 self._declare(s.var)
                 self.loops = True
+                if self._interchange(s, indent):
+                    return
             arm = self.arm
             was_static = arm is not None and arm.static
             if arm is not None:
@@ -598,16 +631,17 @@ class _LaneEmitter(_Emitter):
         # ... and the variable ends where the loop leaves it
         self.emit(f"for {self._name(s.var)} in {r}[-1:]: pass", indent)
 
-    def _reduce(self, s: N.For, r: str) -> str | None:
-        """The terms of a reduction loop — a body of the one statement
-        ``acc = acc + E``, ``acc`` a lane local that ``E`` does not
-        read, ``E`` without ``pop()`` — as one expression with the
-        iterations ``r`` along a new last axis, one iteration's counts
-        left pending; None for any other loop."""
+    def _reduction(self, s: N.For, accs=None) -> N.Assign | None:
+        """The one statement ``acc = acc + E`` of a reduction loop,
+        ``acc`` a lane local (one of ``accs`` if given) that ``E`` does
+        not read, ``E`` using the loop variable and without ``pop()``;
+        None for any other loop."""
         if len(s.body) != 1 or not isinstance(s.body[0], N.Assign):
             return None
         acc, value = s.body[0].target, s.body[0].value
-        if not (isinstance(acc, N.Var) and acc.name in self.lanes
+        if accs is None:
+            accs = self.lanes
+        if not (isinstance(acc, N.Var) and acc.name in accs
                 and isinstance(value, N.Bin) and value.op == "+"
                 and value.left == acc):
             return None
@@ -615,23 +649,34 @@ class _LaneEmitter(_Emitter):
         if N.Var(s.var) not in inside or acc in inside \
                 or any(isinstance(x, N.Pop) for x in inside):
             return None
+        return s.body[0]
+
+    def _reduce(self, s: N.For, r: str) -> str | None:
+        """The terms ``E`` of a reduction loop (:meth:`_reduction`) as
+        one expression with the iterations ``r`` along a new last axis,
+        one iteration's counts left pending; None for any other loop."""
+        stmt = self._reduction(s)
+        if stmt is None:
+            return None
         owed = self.pending.copy()
         try:
-            terms = self._terms(value.right, N.Var(s.var), r)
+            terms = self._terms(stmt.value.right, N.Var(s.var), r)
         except _NoSliceForm:
             self.pending = owed
             return None
-        self._count_bin(value)
+        self._count_bin(stmt.value)
         return terms
 
     def _terms(self, e: N.Expr, var: N.Var, r: str) -> str:
         """``e`` for every ``var`` in ``r`` at once: lane values gain a
         last axis of length 1, ``peek(var ± c)`` and ``field[var ± c]``
-        become the slice the loop walks, and arithmetic broadcasts the
-        two.  Of the calls only ``sqrt`` and ``abs``: exact whoever
-        computes them, where the loop may hand a libm call to ``math``
-        or to NumPy."""
-        if var not in N.walk_exprs(e):
+        become the slice the loop walks, a local of the nest being
+        interchanged its cells, and arithmetic broadcasts them.  Of the
+        calls only ``sqrt`` and ``abs``: exact whoever computes them,
+        where the loop may hand a libm call to ``math`` or to NumPy."""
+        if isinstance(e, N.Var) and e.name in self.nest:
+            return self._name(e.name) + self.cells
+        if not self._along(e, var):
             code = self.expr(e)
             return f"{code}[..., None]" if self.varying(e) else code
         if isinstance(e, N.Peek):
@@ -653,6 +698,210 @@ class _LaneEmitter(_Emitter):
             self._count_call(e)
             return f"{_LANE_CALLS[e.fn]}({arg})"
         raise _NoSliceForm
+
+    def _along(self, e: N.Expr, var: N.Var) -> bool:
+        """Whether ``e`` varies along ``var``'s axis."""
+        return any(x == var or isinstance(x, N.Var) and x.name in self.nest
+                   for x in N.walk_exprs(e))
+
+    def _interchange(self, s: N.For, indent: int) -> bool:
+        """Emit a reduction nest with its iterations ``i`` along one more
+        lane axis, and return True; False, having emitted nothing, for
+        any other loop.  A nest is a loop, with a positive constant
+        step, of float locals declared in its body, straight-line float
+        statements, one reduction loop (:meth:`_reduction`) into such a
+        local over ``j`` in bounds each an int constant or ``i + c`` and
+        step 1, and last, at most one fold into a lane local ``m`` no
+        other statement reads: ``m = m + e`` or ``if (x op m) m = x``.
+        A statement of the work body, none of whose names is read after
+        it before being set.
+
+        The reduction becomes the Python loop over ``j``: one slice add
+        onto the cells whose ``j`` range holds ``j``, so cell ``i`` sums
+        ``((0.0 + t_ij0) + t_ij0+1) + …`` in the scalar loop's order; its
+        counts are owed once, for the trips the cells made.  The fold is
+        :func:`_accumulate` or :func:`_select` along the cells.  Bitwise
+        the scalar runner's, in ``O(lanes · I)`` memory."""
+        nest = self._nest(s)
+        if nest is None:
+            return False
+        inner, fold = nest
+        mark, owed = len(self.lines), self.pending.copy()
+        try:
+            self._emit_nest(s, inner, fold, indent)
+        except _NoSliceForm:
+            del self.lines[mark:]
+            self.pending = owed
+            return False
+        finally:
+            self.nest, self.cells = set(), ""
+        self.interchanged += 1
+        return True
+
+    def _nest(self, s: N.For):
+        """``(reduction loop, fold or None)`` of the nest ``s`` (see
+        :meth:`_interchange`), else None."""
+        top = [k for k, t in enumerate(self.wf.body) if t is s]
+        step = s.step.value if isinstance(s.step, N.Const) else 0
+        if not top or not self.wf.peek or \
+                not (isinstance(step, int) and step > 0):
+            return None
+        self.tenv.declare(s.var, "int")
+        body, i = s.body, N.Var(s.var)
+        declared = N.declared_names(body)
+        local: set[str] = set()
+        inner = fold = None
+        for k, t in enumerate(body):
+            if any(isinstance(x, N.Pop) for u in N.walk_stmts((t,))
+                   for e in N.stmt_exprs(u) for x in N.walk_exprs(e)):
+                return None
+            own = {t.var} if isinstance(t, N.For) else set()
+            if _reads((t,)) & declared - local - own:
+                return None  # carried over from the previous iteration
+            if isinstance(t, N.Decl):
+                if t.ty != "float" or t.size is not None:
+                    return None
+                local.add(t.name)
+            elif isinstance(t, N.For) and inner is None:
+                self.tenv.declare(t.var, "int")
+                if self._reduction(t, local) is None \
+                        or t.step != N.Const(1) \
+                        or None in (self._bound(t.start, i),
+                                    self._bound(t.stop, i)):
+                    return None
+                inner = t
+            elif k == len(body) - 1 and self._fold(t, local) is not None:
+                fold = t
+            elif not (isinstance(t, N.Assign) and t.target.name in local):
+                return None
+        if inner is None:
+            return None
+        carried = self._fold(fold, local) if fold is not None else None
+        if carried is not None and carried in _reads(
+                tuple(t for t in body if t is not fold)):
+            return None
+        if _reads_first(self.wf.body[top[0] + 1:],
+                        local | {s.var, inner.var}):
+            return None
+        return inner, fold
+
+    def _fold(self, t: N.Stmt, local: set[str]) -> str | None:
+        """The lane local ``t`` folds each iteration into, when it is
+        ``m = m + e`` or ``if (x op m) m = x`` (``x`` a nest local)."""
+        if isinstance(t, N.Assign):
+            m, value = t.target, t.value
+            ok = isinstance(value, N.Bin) and value.op == "+" \
+                and value.left == m and m not in N.walk_exprs(value.right)
+        elif isinstance(t, N.If) and not t.orelse and len(t.then) == 1:
+            cond, (then,) = t.cond, t.then
+            ok = isinstance(cond, N.Bin) and cond.op in _FOLDS \
+                and isinstance(then, N.Assign) and then.target == cond.right \
+                and then.value == cond.left \
+                and isinstance(cond.left, N.Var) and cond.left.name in local
+            m = cond.right if ok else None
+        else:
+            return None
+        if ok and isinstance(m, N.Var) and m.name in self.lanes \
+                and m.name not in local | set(self.counters) \
+                | self.out_of_scope:
+            return m.name
+        return None
+
+    def _bound(self, e: N.Expr, i: N.Var) -> tuple[str, bool] | None:
+        """``(c, affine)``: ``e`` as ``i + c`` or as the constant ``c``
+        every iteration shares, both ints computed without a float op;
+        None when it is neither."""
+        if not all(map(self.tenv.is_int, N.walk_exprs(e))) \
+                or self.varying(e):
+            return None
+        if i not in N.walk_exprs(e):
+            return self.expr(e), False
+        try:
+            return self._offset(e, i), True
+        except _NoSliceForm:
+            return None
+
+    def _emit_nest(self, s: N.For, inner: N.For, fold: N.Stmt | None,
+                   indent: int) -> None:
+        self.flush_counts(indent)
+        self.uid += 1
+        k, i, step = self.uid, N.Var(s.var), s.step.value
+        r = f"_r{k}"
+        bounds = ", ".join(map(self.expr, (s.start, s.stop, s.step)))
+        self.emit(f"{r} = range({bounds})", indent)
+        self.emit(f"if {r}:  # the iterations along a last axis", indent)
+        indent += 1
+        self.emit(f"_I{k} = len({r})", indent)
+        self.emit(f"_shape{k} = _win.shape[:-1] + (_I{k},)", indent)
+        for t in s.body:
+            if isinstance(t, N.Decl):
+                self.tenv.declare(t.name, "float")
+                self._declare(t.name)
+                self.lanes.add(t.name)
+                self.nest.add(t.name)
+                value = t.init if t.init is not None else N.Const(0.0)
+                self.emit(f"{self._name(t.name)} = "
+                          f"{self._nest_value(value, i, r, k)}", indent)
+            elif t is inner:
+                self._nest_reduce(inner, i, r, k, step, indent)
+            elif t is fold:
+                m = self._name(self._fold(t, self.nest))
+                if isinstance(t, N.If):
+                    self._count_bin(t.cond)
+                    x = self._name(t.cond.left.name)
+                    self.emit(f"{m} = _select({m}, _np.broadcast_to("
+                              f"{x}, _shape{k}), {t.cond.op!r})", indent)
+                else:
+                    terms = self._nest_value(t.value.right, i, r, k)
+                    self._count_bin(t.value)
+                    self.emit(f"{m} = _accumulate({m}, {terms})", indent)
+            else:
+                self.emit(f"{self._name(t.target.name)} = "
+                          f"{self._nest_value(t.value, i, r, k)}", indent)
+        self.flush_counts(indent, trips=f" * _I{k}")
+
+    def _nest_value(self, e: N.Expr, i: N.Var, r: str, k: int) -> str:
+        """``e`` in every cell of nest ``k``, at least as a view."""
+        code = self._terms(e, i, r)
+        if self._along(e, i):
+            return code
+        if not self.varying(e) or self.tenv.is_int(e):
+            code = f"{code} * 1.0"
+        return f"_np.broadcast_to({code}, _shape{k})"
+
+    def _nest_reduce(self, inner: N.For, i: N.Var, r: str, k: int,
+                     step: int, indent: int) -> None:
+        """The reduction of nest ``k``: cells ``[_b, _a)`` hold ``j``."""
+        stmt = inner.body[0]
+        acc, j = self._name(stmt.target.name), self._name(inner.var)
+        (lo, lo_i), (hi, hi_i) = (self._bound(inner.start, i),
+                                  self._bound(inner.stop, i))
+        first = f"{r}[0] + {lo}" if lo_i else lo
+        last = f"{r}[-1] + {hi}" if hi_i else hi
+
+        def cells_to(c):  # how many cells have i + c <= j
+            d = f"{j} - {c} - {r}.start"
+            return f"{d} + 1" if step == 1 else f"({d}) // {step} + 1"
+        a = f"min(_I{k}, {cells_to(lo)})" if lo_i else f"_I{k}"
+        b = f"max(0, {cells_to(hi)})" if hi_i else "0"
+        # a writable accumulator, every cell, of the type the terms add
+        # up to (field arrays are float64, the window float64 or complex)
+        self.emit(f"{acc} = _np.array(_np.broadcast_to({acc}, _shape{k}), "
+                  f"_np.result_type({acc}, _win))", indent)
+        owed, self.pending = self.pending, Counts()
+        self.cells = f"[..., _b{k}:_a{k}]"
+        terms = self._terms(stmt.value.right, i, f"{r}[_b{k}:_a{k}]")
+        self._count_bin(stmt.value)
+        self.emit(f"_t{k} = 0", indent)
+        self.emit(f"for {j} in range({first}, {last}):", indent)
+        self.emit(f"_a{k}, _b{k} = {a}, {b}", indent + 1)
+        self.emit(f"if _a{k} > _b{k}:", indent + 1)
+        self.emit(f"_x{k} = {acc}{self.cells}", indent + 2)
+        self.emit(f"_np.add(_x{k}, {terms}, out=_x{k})", indent + 2)
+        self.emit(f"_t{k} += _a{k} - _b{k}", indent + 2)
+        self.cells = ""
+        self.flush_counts(indent, trips=f" * _t{k}")
+        self.pending = owed
 
     def _offset(self, index: N.Expr, var: N.Var) -> str:
         """``c`` of an index ``var + c``, ``c + var`` or ``var - c``
@@ -709,6 +958,7 @@ class _LaneEmitter(_Emitter):
         else:
             masks = (f"({self.mask} & _c{k})", f"({self.mask} & ~_c{k})")
         live = outer[1].removeprefix(" * ")
+        counted = len(self.lines)
         self.emit(f"_nt{k} = _taken({masks[0]}, _N)", indent)
         self.emit(f"_ne{k} = {live} - _nt{k}", indent)
         arms = []
@@ -730,6 +980,12 @@ class _LaneEmitter(_Emitter):
         if then.pops != orelse.pops or \
                 len(then.pushes) != len(orelse.pushes):
             raise LaneReject("branch arms pop or push different counts")
+        # the lane counts only an arm's counts or a nested branch reads
+        later = "\n".join(self.lines[counted + 2:])
+        if not re.search(rf"\b_ne{k}\b", later):
+            del self.lines[counted + 1]
+            if not re.search(rf"\b_nt{k}\b", later):
+                del self.lines[counted]
         for name in merged:
             self.emit(f"_v_{name} = _np.where(_c{k}, _t{k}_{name}, "
                       f"_v_{name})", indent)
@@ -737,6 +993,40 @@ class _LaneEmitter(_Emitter):
             self._tape_op(pops=then.pops)
         for a, b in zip(then.pushes, orelse.pushes):
             self._push(f"_np.where(_c{k}, {a}, {b})", indent)
+
+
+def _read(s: N.Stmt) -> set[str]:
+    """Names statement ``s`` itself reads (an assigned ``Var`` is not
+    a read)."""
+    exprs = list(N.stmt_exprs(s))
+    if isinstance(s, N.Assign) and isinstance(s.target, N.Var):
+        exprs.remove(s.target)
+    return {x.name for e in exprs for x in N.walk_exprs(e)
+            if isinstance(x, N.Var)}
+
+
+def _reads(stmts: tuple[N.Stmt, ...]) -> set[str]:
+    """Names ``stmts`` and the statements nested in them read."""
+    return set().union(*map(_read, N.walk_stmts(stmts)))
+
+
+def _reads_first(stmts: tuple[N.Stmt, ...], names: set[str]) -> bool:
+    """Whether ``stmts``, run in order, may read one of ``names`` before
+    setting it: a declaration or an assignment at this level sets it, a
+    loop its variable inside it."""
+    names = set(names)
+    for s in stmts:
+        if _read(s) & names:
+            return True
+        if isinstance(s, N.For) and _reads_first(s.body, names - {s.var}) \
+                or isinstance(s, N.If) and (_reads_first(s.then, names)
+                                            or _reads_first(s.orelse, names)):
+            return True
+        if isinstance(s, N.Decl):
+            names.discard(s.name)
+        elif isinstance(s, N.Assign) and isinstance(s.target, N.Var):
+            names.discard(s.target.name)
+    return False
 
 
 def _find_counters(wf: N.WorkFunction, fields: dict) -> dict:
@@ -823,7 +1113,7 @@ def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
         if isinstance(step, N.Var) and step.name in varying:
             raise LaneReject(f"counter {fname} steps by lane-varying "
                              f"field {step.name}")
-    em = _LaneEmitter(tenv, counters, varying)
+    em = _LaneEmitter(tenv, counters, varying, wf)
     entry = "_lanes_" + "".join(c if c.isalnum() else "_" for c in name)
     em.emit(f"def {entry}(_win, _out, _F, _n, _N, _bulk):", 0)
     for fname in sorted(fields):
@@ -843,10 +1133,11 @@ def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
             f"declared pop {wf.pop} push {wf.push}' % (_p, _k))", 2)
     for fname in counters:
         em.emit(f"_F[{fname!r}] = _a_{fname}[_n].item()", 1)
+    kinds = ", ".join(f"{n} {kind}" for n, kind in (
+        (em.reduced, "reduced"), (em.interchanged, "interchanged")) if n)
     detail = ([f"if-converted {em.branches} branches"] * bool(em.branches)
               + [f"counter {c}" for c in counters]
-              + ["loops" + f" ({em.reduced} reduced)" * bool(em.reduced)]
-              * em.loops)
+              + ["loops" + f" ({kinds})" * bool(kinds)] * em.loops)
     return LaneCode("\n".join(em.lines) + "\n", entry,
                     ", ".join(detail) or "straight-line", tuple(counters),
                     varying)

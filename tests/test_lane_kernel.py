@@ -210,6 +210,8 @@ def test_app_filter_lanes_equal_scalar_firings(name):
 def test_fuzzer_shape_lanes_equal_scalar_firings(variant):
     bitwise = variant != 1  # 1 is the atan shape
     differential(lambda: fuzz_shape(variant), bitwise, [1, MIN - 1, MIN, 257])
+    (lanes, _), _ = step_pair(lambda: fuzz_shape(variant))
+    assert ("interchanged" in lanes.detail) == (variant == 5)  # the nest
 
 
 def test_arms_with_unequal_flops_count_the_lanes_that_took_them():
@@ -500,8 +502,14 @@ def test_reduction_loops_equal_scalar_firings(name):
 
 
 def test_corrpeak_inner_loop_is_reduced():
+    """Its nest runs interchanged: the window positions along a lane
+    axis, the fold ``if (ac > maxpeak)`` a select, not a branch."""
     (lanes, _), _ = step_pair(APP_FILTERS["CorrPeak"][0])
-    assert lanes.detail == "if-converted 2 branches, loops (1 reduced)"
+    assert lanes.detail == "if-converted 1 branches, loops (1 interchanged)"
+    # one Python loop over j (the other moves _p past the popped items)
+    loops = re.findall(r"^ *for (\w+) in", lanes.code.source, re.M)
+    assert loops == ["_v_j", "_v_i"] and "_accumulate" not in \
+        lanes.code.source
     rows = [r for r in plan_report(BENCHMARKS["Vocoder"]()).steps
             if r.name == "CorrPeak"]
     assert [r.reason for r in rows] == [lanes.detail]
@@ -598,6 +606,374 @@ def test_sibling_reductions_equal_scalar_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# reduction nests: the outer loop along one more lane axis
+# ---------------------------------------------------------------------------
+
+NESTS = """
+/* CorrPeak's shape: j from i, a > fold; n = 0 is a zero-trip nest */
+float->float filter Triangle(float gain, int n) {
+    float g = gain;
+    work peek 6 pop 1 push 1 {
+        float m = 0.0;
+        for (int i = 0; i < n; i++) {
+            float s = 0.0;
+            for (int j = i; j < n; j++) {
+                s = s + peek(i) * peek(j);
+            }
+            float a = s * g;
+            if (a > m) {
+                m = a;
+            }
+        }
+        push(m);
+        pop();
+    }
+}
+
+/* j from i + 1, an outer step of 2, a local the terms read, a >= fold */
+float->float filter Shifted {
+    work peek 7 pop 2 push 1 {
+        float m = peek(0);
+        for (int i = 1; i < 7; i += 2) {
+            float w = peek(i) - 0.5;
+            float s = 0.0;
+            for (int j = i + 1; j < 7; j++) {
+                s = s + w * peek(j);
+            }
+            if (s >= m) {
+                m = s;
+            }
+        }
+        push(m);
+        pop();
+        pop();
+    }
+}
+
+/* constant bounds, an accumulator started from the cell, a < fold */
+float->float filter Square {
+    work peek 8 pop 1 push 1 {
+        float m = 1.0;
+        for (int i = 0; i < 4; i++) {
+            float s = peek(i);
+            for (int j = 4; j < 8; j++) {
+                s = s + peek(j) * peek(i);
+            }
+            if (s < m) {
+                m = s;
+            }
+        }
+        push(m);
+        pop();
+    }
+}
+
+/* j from i + 2: the last cells' inner loops never run; a <= fold */
+float->float filter Ragged {
+    work peek 9 pop 1 push 1 {
+        float m = 1.0;
+        for (int i = 0; i < 5; i++) {
+            float s = peek(i);
+            for (int j = i + 2; j < 5; j++) {
+                s = s + peek(i + j) * peek(j);
+            }
+            s = s * 2.0;
+            if (s <= m) {
+                m = s;
+            }
+        }
+        push(m);
+        pop();
+    }
+}
+
+/* sum folds: a convolution (j up to i) from a field's value, and a
+   sliding window of sqrt at every other position */
+float->float filter Convolved {
+    float[5] w;
+    init { for (int i = 0; i < 5; i++) { w[i] = 0.5 / (i + 1); } }
+    work peek 5 pop 1 push 1 {
+        float e = peek(4);
+        for (int i = 0; i < 5; i++) {
+            float s = w[i];
+            for (int j = 0; j <= i; j++) {
+                s = s + peek(j) * peek(i - j);
+            }
+            e = e + s * 0.25;
+        }
+        push(e);
+        pop();
+    }
+}
+float->float filter Sliding {
+    work peek 7 pop 1 push 1 {
+        float e = 0.0;
+        for (int i = 0; i < 5; i += 2) {
+            float s = 0.0;
+            for (int j = i; j < i + 3; j++) {
+                s = s + peek(j) * peek(j);
+            }
+            e = e + sqrt(s);
+        }
+        push(e);
+        pop();
+    }
+}
+
+/* two nests, the second declaring the first's names anew */
+float->float filter Twice {
+    work peek 5 pop 1 push 1 {
+        float m = 0.0;
+        for (int i = 0; i < 5; i++) {
+            float s = 0.0;
+            for (int j = i; j < 5; j++) {
+                s = s + peek(i) * peek(j);
+            }
+            if (s > m) {
+                m = s;
+            }
+        }
+        float e = 0.0;
+        for (int i = 0; i < 4; i++) {
+            float s = 0.0;
+            for (int j = 0; j < 2; j++) {
+                s = s + peek(i + j);
+            }
+            e = e + s * s;
+        }
+        push(m + e);
+        pop();
+    }
+}
+
+/* the nests that keep today's form */
+float->float filter OuterSum {
+    work peek 4 pop 1 push 1 {
+        float s = 0.0;
+        for (int i = 0; i < 4; i++) {
+            for (int j = i; j < 4; j++) {
+                s = s + peek(i) * peek(j);
+            }
+        }
+        push(s);
+        pop();
+    }
+}
+float->float filter ReadsAfter {
+    work peek 4 pop 1 push 1 {
+        float m = 0.0;
+        for (int i = 0; i < 4; i++) {
+            float s = 0.0;
+            for (int j = i; j < 4; j++) {
+                s = s + peek(i) * peek(j);
+            }
+            if (s > m) {
+                m = s;
+            }
+        }
+        push(m + s);
+        pop();
+    }
+}
+float->float filter Doubled {
+    work peek 8 pop 1 push 1 {
+        float m = 0.0;
+        for (int i = 0; i < 4; i++) {
+            float s = 0.0;
+            for (int j = 0; j < 2 * i; j++) {
+                s = s + peek(j) * peek(i);
+            }
+            if (s > m) {
+                m = s;
+            }
+        }
+        push(m);
+        pop();
+    }
+}
+float->float filter PopsInNest {
+    work peek 4 pop 2 push 1 {
+        float m = 0.0;
+        for (int i = 0; i < 2; i++) {
+            float x = pop();
+            float s = 0.0;
+            for (int j = 0; j < 2; j++) {
+                s = s + x * peek(j);
+            }
+            if (s > m) {
+                m = s;
+            }
+        }
+        push(m);
+    }
+}
+float->float filter TwoCarried {
+    work peek 4 pop 1 push 1 {
+        float m = 0.0;
+        float e = 0.0;
+        for (int i = 0; i < 4; i++) {
+            float s = 0.0;
+            for (int j = i; j < 4; j++) {
+                s = s + peek(i) * peek(j);
+            }
+            e = e + s;
+            if (s > m) {
+                m = s;
+            }
+        }
+        push(m + e);
+        pop();
+    }
+}
+
+float->float splitjoin TriangleBank {
+    split duplicate;
+    add Triangle(0.5, 6);
+    add Triangle(-1.25, 6);
+    add Triangle(2.0, 6);
+    join roundrobin(1, 1, 1);
+}
+"""
+
+#: name -> (arguments, detail, defined on complex samples?)
+INTERCHANGED = {
+    "Triangle": ((-0.75, 6), "loops (1 interchanged)", False),
+    "Shifted": ((), "loops (1 interchanged)", False),
+    "Square": ((), "loops (1 interchanged)", False),
+    "Ragged": ((), "loops (1 interchanged)", False),
+    "Convolved": ((), "loops (1 interchanged)", True),
+    "Sliding": ((), "loops (1 interchanged)", False),
+    "Twice": ((), "loops (2 interchanged)", False),
+}
+
+
+def nest(name, *args):
+    return lambda: repro.dsl.load_source(NESTS, name, *args)
+
+
+def assert_bits(got, want):
+    """float64 equal to the bit, ``-0.0`` apart from ``0.0``; NaN where
+    NaN."""
+    nan = np.isnan(got)
+    np.testing.assert_array_equal(nan, np.isnan(want))
+    np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(INTERCHANGED))
+def test_nests_run_interchanged_equal_to_scalar_firings(name):
+    """Bitwise, count for count, with no scalar refire."""
+    args, detail, on_complex = INTERCHANGED[name]
+    sizes = [1, MIN - 1, MIN, 257, 2048]
+    for dtype in ("f64", "f32"):
+        differential(nest(name, *args), True, sizes, dtype)
+    if on_complex:
+        differential(nest(name, *args), False, sizes, "c128")
+    (lanes, _), _ = step_pair(nest(name, *args))
+    assert lanes.detail == detail
+    source = lanes.code.source
+    assert "_accumulate(_v_s" not in source and "for _v_i " not in source
+
+
+#: (firings, values, weights): windows of mostly signed zeros (cells
+#: that tie at a zero of either sign), then of positives with inf —
+#: never ``inf - inf`` or ``0 * inf``, which NumPy flags and the batch
+#: refires scalar — all with NaNs
+SPECIALS = [
+    (MIN, [0.0, -0.0, 1.0, -1.0, np.nan], [40, 40, 8, 8, 4]),
+    (257, [0.0, -0.0, 1.0, np.nan], [40, 40, 15, 5]),
+    (2048, [1.0, 2.0, np.inf, np.nan], [40, 40, 10, 10]),
+]
+
+
+@pytest.mark.parametrize("name", sorted(INTERCHANGED))
+def test_nests_fold_signed_zeros_nan_and_inf_as_the_loop_does(name):
+    """A select keeps the occurrence of a tie the ``if`` keeps, and
+    skips what it skips, bit for bit, as lanes."""
+    args = INTERCHANGED[name][0]
+    (lanes, ls), (scalar, ss) = step_pair(nest(name, *args))
+    wf = lanes.node.stream.work
+    rng = np.random.default_rng(11)
+    for n, values, weights in SPECIALS:
+        p = np.array(weights) / sum(weights)
+        data = rng.choice(values, (n - 1) * wf.pop + wf.peek, p=p)
+        for step in (lanes, scalar):
+            step.ring_in.pop_block(len(step.ring_in))
+            step.ring_in.push_block(data)
+            step.execute(n)
+        assert_bits(drain(lanes), drain(scalar))
+        assert_same_counts(ls.profile, ss.profile)
+    assert (lanes.batches, lanes.refired) == (3, 0)
+
+
+def test_signed_zero_ties_pick_the_loops_element():
+    """Every cell ties at a zero: ``>`` keeps ``m``, ``>=`` takes the
+    last tying cell — ``-0.0`` here, where ``np.maximum`` would not say."""
+    (lanes, _), (scalar, _) = step_pair(nest("Triangle", -0.75, 6))
+    for step in (lanes, scalar):
+        step.ring_in.push_block(np.zeros(MIN + 5))
+        step.execute(MIN)
+    got = drain(lanes)
+    assert_bits(got, drain(scalar))
+    assert np.signbit(got).sum() == 0  # -0.0 > 0.0 is false
+    (lanes, _), (scalar, _) = step_pair(nest("Shifted"))
+    data = np.zeros(2 * MIN + 5)
+    data[::2] = -0.0  # m starts at -0.0, every s is 0.0 or -0.0
+    for step in (lanes, scalar):
+        step.ring_in.push_block(data)
+        step.execute(MIN)
+    assert_bits(drain(lanes), drain(scalar))
+
+
+def test_zero_trip_nest_leaves_the_fold_alone():
+    differential(nest("Triangle", 0.5, 0), True, [MIN, 40])
+    differential(nest("Triangle", 0.5, 1), True, [MIN, 40])
+    (lanes, ls), _ = step_pair(nest("Triangle", 0.5, 0))
+    feed(lanes, MIN, np.random.default_rng(3))
+    lanes.execute(MIN)
+    assert not drain(lanes).any() and ls.profile.counts.flops == 0
+
+
+def test_sibling_nests_equal_scalar_rows(monkeypatch):
+    """``(b, n, I)`` cells, ``g`` a ``(b, 1, 1)`` column."""
+    build = lambda: repro.dsl.load_source(NESTS, "TriangleBank")
+    fused = repro.compile(build(), profiler=Profiler())
+    scalar = repro.compile(build(), profiler=Profiler())
+    (step,) = lane_steps(fused)
+    assert len(step.nodes) == 3 and step.code.varying == {"g"}
+    assert "interchanged" in step.detail
+    rng = np.random.default_rng(9)
+    for n in (64, 2 * MIN, 700):
+        chunk = rng.standard_normal(n)
+        got = fused.push(chunk)
+        with monkeypatch.context() as m:
+            m.setattr(K, "LANE_MIN_FIRINGS", 10 ** 9)
+            np.testing.assert_array_equal(got, scalar.push(chunk))
+    assert step.batches == 3 and not step.refired
+    assert_same_counts(fused.profile, scalar.profile)
+
+
+@pytest.mark.parametrize("name, detail", [
+    # j < 2 * i: a bound that varies along the new axis other than as
+    # i + c, so no cell slice holds the iterations that add j
+    ("Doubled", "if-converted 1 branches, loops (1 reduced)"),
+    # a pop() in the body: each iteration reads a different item
+    ("PopsInNest", "if-converted 1 branches, loops (1 reduced)"),
+    # e and m both carried from iteration to iteration
+    ("TwoCarried", "if-converted 1 branches, loops (1 reduced)"),
+    # s read after the nest: the last iteration's, not a cell axis
+    ("ReadsAfter", "if-converted 1 branches, loops (1 reduced)"),
+    # the reduction carries s, declared outside, across iterations
+    ("OuterSum", "loops (1 reduced)"),
+])
+def test_other_nests_keep_the_loop_form(name, detail):
+    (lanes, _), _ = step_pair(nest(name))
+    assert lanes.detail == detail
+    assert "for _v_i " in lanes.code.source
+    differential(nest(name), True, [1, MIN, 257])
+
+
+# ---------------------------------------------------------------------------
 # planner, report, sessions
 # ---------------------------------------------------------------------------
 
@@ -685,7 +1061,7 @@ def test_warm_vocoder_run_fires_no_scalar_batch(monkeypatch):
     rows = {r.name: r for r in s.report().steps if r.step_kind == "lanes"}
     assert sorted(rows) == ["CenterClip", "CorrPeak"]
     assert not any("refired" in r.reason for r in rows.values())
-    assert rows["CorrPeak"].reason.endswith("loops (1 reduced)")
+    assert rows["CorrPeak"].reason.endswith("loops (1 interchanged)")
     corr = [st for st in lane_steps(s) if st.node.name == "CorrPeak"]
     assert [st.batches for st in corr] == [5]
 
