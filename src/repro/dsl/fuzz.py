@@ -756,22 +756,27 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     how many leaves run as polyphase frequency filters.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
-    also takes the remainder) and adds to the census how many of them
-    replayed a schedule the executor had simulated before."""
+    also takes the remainder) and adds to the census how many replayed
+    a kept schedule, and whether the compile hit the plan cache."""
+    from ..exec import PLAN_CACHE
     from ..exec.kernels import LaneStep, SinusoidStep
     from ..frequency.filters import OptimizedFreqFilter
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
+    hits = PLAN_CACHE.hits
     session = StreamSession(_wrap(program), backend="plan",
                             optimize=optimize, dtype=policy,
                             profiler=profiler, workers=workers,
                             _program_mode=True)
+    if calls > 1:
+        for key, n in (("resumed", 1), ("hit", PLAN_CACHE.hits - hits)):
+            program.census[key] = program.census.get(key, 0) + n
     try:
         rings = getattr(session._executor, "rings", ())
         if any(ring.rows > 1 for ring in rings):
             program.census["fused"] = 1
-        if getattr(session._executor, "chains", None):
+        if session.cache_entry.chains:
             program.census["chain"] = 1
         for step in getattr(session._executor, "steps", ()):
             if isinstance(step, SinusoidStep):
@@ -998,6 +1003,7 @@ def main(argv=None) -> int:
     fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
     chain = census.pop("chain", 0)
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
+    hit, resumed = census.pop("hit", 0), census.pop("resumed", 0)
     sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
     polyphase = census.pop("polyphase", 0)
     interchanged = census.pop("interchanged", 0)
@@ -1011,7 +1017,8 @@ def main(argv=None) -> int:
           f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
           f"folded; {polyphase} polyphase freq leaves; {interchanged} "
           f"ran a reduction nest interchanged; "
-          f"replayed {replayed}/{calls} resumed calls)")
+          f"replayed {replayed}/{calls} resumed calls; {hit}/{resumed} "
+          f"resumed runs compiled on a plan-cache hit)")
     return 0
 
 

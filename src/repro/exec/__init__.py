@@ -11,23 +11,22 @@ rewrites the graph with the paper's optimization passes
 (:mod:`repro.exec.optimize`), and caches plans across runs
 (:mod:`repro.exec.cache`).  Entry point:
 ``run_graph(..., backend="plan", optimize=...)`` or
-:func:`plan_executor_for`; :func:`plan_report` explains kernel choices
-and scalar fallbacks.
+:func:`plan_executor_for` (``planner.build_plan`` plans a graph whole,
+once per cache entry, and ``planner.instantiate`` runs one);
+:func:`plan_report` explains kernel choices and scalar fallbacks.
 """
 
 from .cache import PLAN_CACHE, PlanCache, clear_plan_cache, plan_cache_stats
 from .optimize import OPTIMIZE_MODES, optimize_stream
-from .planner import (DEFAULT_CHUNK_OUTPUTS, IslandRates, IslandReport,
-                      PlanExecutor, PlanReport, StepReport,
-                      compiled_plan_for, executor_from_entry,
-                      plan_bailout_reason, plan_executor_for, plan_report,
-                      probe_island, report_for_executor)
+from .planner import (IslandRates, IslandReport, PlanExecutor, PlanReport,
+                      StepReport, compiled_plan_for, plan_bailout_reason,
+                      plan_executor_for, plan_report, probe_island,
+                      report_for_executor)
 from .ring import RingBuffer
 
 __all__ = [
     "PlanExecutor", "RingBuffer", "plan_executor_for",
-    "compiled_plan_for", "executor_from_entry",
-    "plan_bailout_reason", "DEFAULT_CHUNK_OUTPUTS",
+    "compiled_plan_for", "plan_bailout_reason",
     "OPTIMIZE_MODES", "optimize_stream",
     "PLAN_CACHE", "PlanCache", "plan_cache_stats", "clear_plan_cache",
     "PlanReport", "StepReport", "plan_report", "report_for_executor",

@@ -14,18 +14,15 @@ mutating a field array in place changes the id and cleanly invalidates
 the entry.  An id hashed through an object's identity pins the stream in
 its entry; a single-use id (state no snapshot can see) is never stored.
 
-A :class:`PlanEntry` carries everything reusable across runs:
-
-* the rewritten (post-``optimize``) stream,
-* the whole-graph bailout verdict,
-* per-node vectorization *decisions* (linear node + probed FLOP counts,
-  or the fallback reason) so a cache hit skips extraction entirely,
-* each feedback island's probed external rates.
+A :class:`PlanEntry` is one whole build
+(:func:`~repro.exec.planner.build_plan`), stored once complete — a
+build that raises stores nothing — so a hit re-derives none of it.
 
 Mutable execution state (ring buffers — the sink's output ring and a
-push session's feed ring among them — fallback runners, profilers) and
-the firing schedule are *never* in this cache; every run builds a fresh
-executor around the shared immutable plan and drives it live.  The
+push session's feed ring among them — step operators, fallback runners,
+profilers) and the firing schedule are *never* in this cache; every run
+instantiates a fresh executor over the shared immutable plan and drives
+it live.  The
 schedule is per executor: :meth:`~repro.exec.planner.PlanExecutor.
 _scheduled` simulates a call once per integer state (O(nodes), whatever
 the schedule's period) and replays it when the state recurs.
@@ -36,14 +33,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from .. import faults as _faults
 from ..graph.identity import content_id
 from ..graph.streams import Stream
 from ..linear.extraction import clear_extraction_results
 from ..numeric import DEFAULT_POLICY, NumericPolicy
-
-_UNSET = object()  # bailout not yet computed
 
 
 @dataclass
@@ -62,23 +58,34 @@ class PlanEntry:
     """
 
     pin: Stream  # keeps objects hashed by id() alive
-    optimized: Stream | None = None
-    bailout: object = _UNSET  # str | None once computed
-    #: node index -> (LinearNode, Counts) or (None, reason)
-    decisions: dict | None = None
-    #: feedback-region start index -> IslandRates (probe results)
-    islands: dict | None = None
+    optimized: Stream
+    bailout: str | None  # why it runs scalar; None when it plans
+    #: numeric policy the plan was built for; part of the cache key (a
+    #: float32 plan's rings and spectra must never serve a float64 run)
+    policy: NumericPolicy
+    #: worker count the plan was built for; part of the cache key — a
+    #: ``workers=4`` entry's ``optimized`` graph embeds fission replicas
+    #: a serial run must never execute
+    workers: int
+    # the plan, by flat node index of ``optimized`` (empty on a bailout)
+    islands: dict  # feedback region start -> its IslandRates
+    #: IR filter -> a ``(LinearNode, Counts)`` pair, a ``LaneCode`` (a
+    #: sibling stage's takes the fields its rows differ in) or None
+    decisions: dict
+    #: ``(splitter, joiner, stages)`` per fused splitjoin, ``stages[k]``
+    #: every branch's ``k``-th node
+    siblings: list
+    chains: dict  # chain head -> (members, combined LinearNode)
+    #: counter source step -> ``(forms, folds)``: its rows' sinusoid
+    #: forms, and whether its linear reader folds onto them
+    sinusoids: dict
+    #: why a filter runs no faster, a counter source has no sinusoid
+    #: form, or a splitter's look-alike branches run apart
+    reasons: dict
     #: live holders (sessions) of this entry; pinned entries survive the
     #: cache's LRU trim so a long-lived session's plan is never dropped
     #: out from under it while recompiles churn the cache
     pins: int = 0
-    #: numeric policy the plan was built for; part of the cache key (a
-    #: float32 plan's rings and spectra must never serve a float64 run)
-    policy: NumericPolicy = DEFAULT_POLICY
-    #: worker count the plan was built for; part of the cache key — a
-    #: ``workers=4`` entry's ``optimized`` graph embeds fission replicas
-    #: a serial run must never execute
-    workers: int = 1
 
     def acquire(self) -> "PlanEntry":
         """Register a live holder (a session); pairs with :meth:`release`."""
@@ -96,10 +103,9 @@ class PlanCache:
     (content id, optimize, dtype, workers).
 
     Structure mutations hold a lock — the serving layer compiles on
-    worker threads against this one shared cache.  Entry *contents*
-    (optimized graph, decisions, ...) are filled in lock-free by
-    ``compiled_plan_for``; concurrent fillers of one entry compute
-    equivalent values, so last-writer-wins is benign.
+    worker threads against this one shared cache.  A build runs outside
+    it; when two threads miss on one key at once, both build and the
+    first to finish is the entry both get.
     """
 
     def __init__(self, max_entries: int = 32):
@@ -110,29 +116,32 @@ class PlanCache:
         self.misses = 0
 
     def entry_for(self, stream: Stream, optimize: str,
+                  build: Callable[[], PlanEntry],
                   policy: NumericPolicy = DEFAULT_POLICY,
                   workers: int = 1) -> PlanEntry:
+        """The entry of ``stream`` under this key, ``build()`` on a miss
+        (stored unless the graph is single-use, nothing if it raises)."""
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("cache.lookup")
         digest, single_use = content_id(stream)
+        key = (digest, optimize, policy.name, workers)
         with self._lock:
-            key = (digest, optimize, policy.name, workers)
-            if single_use:
-                # unsnapshotable mutable state reachable: never store (a
-                # later in-place mutation would replay a stale plan)
-                self.misses += 1
-                return PlanEntry(pin=stream, policy=policy,
-                                 workers=workers)
-            entry = self._entries.get(key)
+            entry = None if single_use else self._entries.get(key)
             if entry is not None:
                 self.hits += 1
                 self._entries.move_to_end(key)
                 return entry
             self.misses += 1
-            entry = PlanEntry(pin=stream, policy=policy, workers=workers)
-            self._entries[key] = entry
-            self._trim()
+        entry = build()
+        if single_use:
+            # unsnapshotable mutable state reachable: never store (a
+            # later in-place mutation would replay a stale plan)
             return entry
+        with self._lock:
+            entry = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            self._trim()
+        return entry
 
     def _trim(self) -> None:
         """Evict least-recently-used *unpinned* entries past the cap

@@ -35,7 +35,7 @@ static I/O rates, so it splits execution into two phases:
 Topological full-batch execution is valid because within every simulated
 pass producers fire before consumers, so cumulative counts at any pass
 boundary are a feasible prefix schedule.  Runs larger than
-``chunk_outputs`` flush in chunks to bound buffer memory.
+:data:`DEFAULT_CHUNK_OUTPUTS` flush in chunks to bound buffer memory.
 
 **Feedback loops** execute as *islands*: each outermost ``FeedbackLoop``
 flattens into a contiguous node slice (recorded by
@@ -50,7 +50,7 @@ loop body still advances ``delay`` iterations per matmul.
 **Sibling branches** execute as one step per stage: the plan is built
 over the *quotient* of the flat graph by branch symmetry.  The ``b``
 branches of a splitjoin that are the same program with other
-coefficients (:meth:`PlanExecutor._sibling_stages` has the exact
+coefficients (:func:`_sibling_stages` has the exact
 conditions) see the same occupancies in every sweep, so they fire in
 lockstep — a product of stream homomorphisms is a homomorphism into the
 product of their state monoids — and the planner gives each stage one
@@ -80,11 +80,11 @@ non-additive state — through :class:`~repro.exec.kernels.FallbackStep`.
 :func:`plan_report` says which kernel each node got and why not a
 faster one, and names each feedback island with its member kernels.
 
-:func:`plan_executor_for` / :func:`compiled_plan_for` wrap the whole
-pipeline: the ``optimize=`` graph rewrite (:mod:`repro.exec.optimize`)
-runs first, and every planning artifact — rewrite, bailout verdict,
-island rates, per-filter vectorization decisions — is cached across
-runs by graph content (:mod:`repro.exec.cache`).
+A plan is built whole, once per graph content (:mod:`repro.exec.cache`):
+:func:`build_plan` runs the ``optimize=`` rewrite and derives everything
+an executor reads into one :class:`~repro.exec.cache.PlanEntry`, and
+:func:`instantiate`, the one way to run an entry — compile, cache hit,
+``reset``, :func:`plan_report` — only allocates rings, steps and state.
 
 The executor is **resumable**: simulator state (occupancies, pending
 counts, source budgets) persists across :meth:`PlanExecutor.advance`
@@ -121,12 +121,13 @@ from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
 from ..runtime.channels import Channel
 from ..runtime.executor import _NULL_CHANNEL, FlatGraph, _IRRunner
 from . import kernels as K
-from .cache import _UNSET, PLAN_CACHE, PlanEntry
+from .cache import PLAN_CACHE, PlanEntry
 from .optimize import fission_stream, optimize_stream
 from .ring import RingBuffer
 
 #: Flush batched work once this many sink outputs are pending (bounds ring
-#: memory for very long runs while keeping batches large).
+#: memory for very long runs while keeping batches large).  Read at each
+#: drive, so a test may patch it to force many flushes.
 DEFAULT_CHUNK_OUTPUTS = 1 << 16
 
 #: Simulated calls an executor keeps for replay.  A full table is
@@ -365,8 +366,7 @@ def plan_bailout_reason(stream: Stream,
 
     Pass a dict as ``island_rates`` to receive each certified feedback
     island's probed :class:`IslandRates` (keyed by region start index),
-    so the caller can hand them to :class:`PlanExecutor` without a
-    second probe.
+    as :func:`build_plan` keeps them.
     """
     if flat is None:
         flat = FlatGraph(stream, NullProfiler(), backend="compiled")
@@ -454,6 +454,269 @@ def _init_rates(node):
 
 
 # ---------------------------------------------------------------------------
+# The build: what a plan is, derived once per cache entry
+# ---------------------------------------------------------------------------
+
+
+def _decide(filt: Filter, source: bool, memo: dict):
+    """Kernel decision for an IR filter: linear first, then lanes;
+    the reason names both when neither applies.  A source is only
+    ever a lane candidate, and only when a counter drives it — one
+    without state has period 1, which the table replay serves."""
+    if source:
+        code, why = _lane_decision(filt, memo)
+        if code is not None and code.counters:
+            return code, None
+        return None, ("not lane-convertible: "
+                      + (why or "no counter to vectorise over"))
+    params, reason = _vectorize_decision(filt)
+    if params is None and filt.prework is None:
+        params, why = _lane_decision(filt, memo)
+        if params is None:
+            reason = f"{reason}; not lane-convertible: {why}"
+    return params, reason if params is None else None
+
+
+def _stacked_kernel(flat: FlatGraph, decisions: dict, index: int):
+    """How flat node ``index`` would run, if as one of the two kernels
+    that stack along a sibling axis: ``("matmul", linear node,
+    per-firing counts, filter name)`` or ``("lanes", code)``; None for
+    any other."""
+    node = flat.nodes[index]
+    s = node.stream
+    if node.kind == "filter":
+        params = decisions[index]
+        if isinstance(params, LaneCode):
+            return "lanes", params
+        if params is not None and not params[0].state_dim:
+            return "matmul", *params, None
+    elif isinstance(s, LinearFilter) and not s.linear_node.state_dim:
+        return "matmul", s.linear_node, s.counts, s.name
+    return None
+
+
+def _stateful_kernel(flat: FlatGraph, decisions: dict, index: int):
+    """``(linear node with state, (per-firing counts, filter name))``
+    when flat node ``index`` would run as a stateful step, else None."""
+    node = flat.nodes[index]
+    s = node.stream
+    if node.kind == "filter":
+        params = decisions[index]
+        if isinstance(params, tuple) and params[0].state_dim:
+            return params[0], (params[1], None)
+    elif isinstance(s, LinearFilter) and s.linear_node.state_dim:
+        return s.linear_node, (s.counts, s.name)
+    return None
+
+
+def _stateful_chains(flat: FlatGraph, decisions: dict) -> list:
+    """``(members, node)`` per maximal run of two or more flat nodes,
+    outside feedback loops, that would each be a stateful step, each
+    the one reader of the channel the one before writes, peeking and
+    popping what it pushes: a firing of ``node``, their
+    ``combine_pipeline``, is a firing of each, so no firing count
+    moves.  A chain stops where combination refuses, where its state
+    outgrows the lift's budget at one block a boundary lift (``k >
+    128``; on a 2-vCPU Xeon biquad cascades ran 1.9x faster fused at
+    128, even at 256), and before the graph-output writer when no
+    Collector is the sink: its capped last sweep would cap them all."""
+    nodes = flat.nodes
+    readers = Counter(id(ch) for n in nodes for ch in n.inputs)
+    sink = None if flat.collectors else flat.output_channel
+    skip = {j for r in flat.feedback_regions
+            for j in range(r.start, r.stop)}
+    kernels = [None if j in skip or len(n.inputs) != 1 or
+               len(n.outputs) != 1 else _stateful_kernel(flat, decisions, j)
+               for j, n in enumerate(nodes)]
+    chains: list = []
+    for head, first in enumerate(kernels):
+        if first is None or chains and head <= chains[-1][0][-1]:
+            continue
+        members, prev, node = [head], first[0], first[0]
+        for j in range(head + 1, len(nodes)):
+            ch, nxt = nodes[j - 1].outputs[0], kernels[j]
+            if nxt is None or nodes[j].inputs[0] is not ch or \
+                    readers[id(ch)] > 1 or nodes[j].outputs[0] is sink \
+                    or (nxt[0].peek, nxt[0].pop) != (prev.push,) * 2:
+                break
+            try:
+                fused = combine_pipeline_pair(node, nxt[0])
+            except CombinationError:
+                break
+            if fused.state_dim > math.isqrt(K._STATEFUL_LIFT_ELEMS):
+                break
+            members.append(j)
+            prev, node = nxt[0], fused
+        if len(members) > 1:
+            chains.append((members, node))
+    return chains
+
+
+def _sibling_stages(flat: FlatGraph, decisions: dict, region, memo: dict):
+    """``stages[k][j]``, the flat index of the ``k``-th node of
+    ``region``'s ``j``-th branch, when the branches are *siblings*:
+    outside any feedback loop, split by ``duplicate`` or equal
+    weights and joined by equal weights, each a run of as many leaf
+    filters that agree stage by stage — the same stacking kernel
+    (:func:`_stacked_kernel`): ``matmul`` at the same rates,
+    ``lanes`` of one :func:`~repro.graph.identity.shape_digest` with
+    the same state, and nothing but the values of float fields
+    apart.  Such branches see the same occupancies in every
+    sweep and fire in lockstep, so a stage is one step over a
+    ``(b, .)`` ring at no change in any node's firing count.  A
+    ``lanes`` stage whose rows differ in float fields is recoded in
+    ``decisions`` to take them as columns.
+
+    Otherwise: why not, as the plan report prints it on the
+    splitter's row — the empty string for a splitjoin that does not
+    look the part to begin with.
+    """
+    nodes = flat.nodes
+    bounds = region.starts + [region.join]
+    length = bounds[1] - bounds[0]
+    if region.in_feedback or len(region.starts) < 2 or length < 1 or \
+            any(hi - lo != length for lo, hi in zip(bounds, bounds[1:])) \
+            or any(nodes[i].kind not in ("filter", "primitive")
+                   for i in range(bounds[0], region.join)):
+        return ""
+    split, join = nodes[region.split], nodes[region.join]
+    for what, router in (("split", split.splitter),
+                         ("join", join.joiner)):
+        weights = set(getattr(router, "weights", (1,)))
+        if len(weights) > 1:
+            return f"not fused: {what} weights differ"
+        if 0 in weights:
+            return ""
+    stages = [[start + k for start in region.starts]
+              for k in range(length)]
+    feeds = split.outputs  # what each branch's next node reads
+    recoded = []  # (stage, lane code taking its differing fields)
+    for k, members in enumerate(stages):
+        lead = nodes[members[0]]
+        kernels = [_stacked_kernel(flat, decisions, m) for m in members]
+        kernel = kernels[0]
+        if kernel is None:
+            return f"not fused: stage {k} has no stacking kernel"
+        apart: set[str] = set()  # float fields of differing value
+        for j, m in enumerate(members):
+            what = _sibling_mismatch(lead, kernel, nodes[m], kernels[j],
+                                     feeds[j], k == 0, apart)
+            if what:
+                return (f"not fused: branch {j} differs at stage {k} "
+                        f"({what})")
+        if kernel[0] == "lanes" and apart - kernel[1].varying:
+            code, why = _lane_decision(lead.stream, memo, frozenset(apart))
+            if code is None:
+                return (f"not fused: stage {k} differs in "
+                        f"{', '.join(sorted(apart))} ({why})")
+            recoded.append((members, code))
+        feeds = [nodes[m].outputs[0] for m in members]
+    for members, code in recoded:
+        for m in members:
+            decisions[m] = code
+    return stages
+
+
+def _sibling_mismatch(lead, lead_kernel, node, kernel, feed,
+                      first: bool, apart: set) -> str | None:
+    """What keeps ``node`` from riding in ``lead``'s step, if
+    anything; float fields that merely differ in value are added to
+    ``apart``."""
+    if len(node.outputs) != 1 or len(node.inputs) != len(lead.inputs) \
+            or (node.inputs and node.inputs[0] is not feed) \
+            or not (node.inputs or first):
+        return "wiring"
+    if kernel is None or kernel[0] != lead_kernel[0]:
+        return "kernel"
+    if kernel[0] == "matmul":
+        return "rates" if _steady_rates(node) != _steady_rates(lead) \
+            else None
+    # lanes: one shape (code, rates, field types) is one lane code
+    if shape_digest(node.stream) != shape_digest(lead.stream):
+        return "work function"
+    state = node.stream.mutable_fields | set(kernel[1].counters)
+    for name, a in lead.stream.fields.items():
+        b = node.stream.fields[name]
+        if isinstance(a, np.ndarray):
+            same = a.tobytes() == b.tobytes()
+        else:  # repr is exact and tells 0.0 from -0.0
+            same = repr(a) == repr(b)
+        if same:
+            continue
+        if name in state:
+            return f"state {name}"
+        if type(a) is not float or type(b) is not float:
+            return f"field {name} is not a float"
+        apart.add(name)
+    return None
+
+
+def _sinusoid(flat: FlatGraph, decisions: dict, members: list):
+    """Counter sources ``members`` (siblings) as one
+    :class:`~repro.exec.kernels.SinusoidStep` where that removes work —
+    ``b > 1`` rows share its basis, or its reader (linear, popping whole
+    firings) folds onto it: ``(forms, folds)``.  Else None, or why they
+    have no sinusoid form."""
+    nodes = [flat.nodes[m] for m in members]
+    code = decisions[members[0]]
+    try:
+        forms = [sinusoid_form(code, n.stream.work, n.runner.fields)
+                 for n in nodes]
+        if len({(f.step, f.omegas.tobytes()) for f in forms}) > 1:
+            raise LaneReject("frequencies differ across siblings")
+    except LaneReject as exc:
+        return f"not a sinusoid: {exc}"
+    reader = next((i for i, n in enumerate(flat.nodes)
+                   if nodes[0].outputs[0] in n.inputs), None)
+    kernel = None if reader is None else \
+        _stacked_kernel(flat, decisions, reader)
+    folds = kernel is not None and kernel[0] == "matmul" \
+        and kernel[1].pop % forms[0].coef.shape[1] == 0
+    if len(nodes) == 1 and not folds:
+        return None
+    return forms, folds
+
+
+def _plan(flat: FlatGraph, fuse: bool) -> dict:
+    """The plan fields of a :class:`~repro.exec.cache.PlanEntry` over
+    a plannable ``flat``, but for the island rates (the bailout check
+    probes them)."""
+    nodes = flat.nodes
+    memo: dict = {}  # lane codes by shape (see _lane_decision)
+    # kernel decisions first: which branches are siblings hangs on them
+    decisions, reasons = {}, {}
+    for i, node in enumerate(nodes):
+        if node.kind == "filter":
+            decisions[i], reasons[i] = _decide(
+                node.stream, not node.inputs and node.stream.prework is None,
+                memo)
+    siblings = []
+    for region in flat.splitjoins if fuse else ():
+        stages = _sibling_stages(flat, decisions, region, memo)
+        if isinstance(stages, list):
+            siblings.append((region.split, region.join, stages))
+        else:
+            reasons[region.split] = stages
+    chains = {members[0]: (members, node)
+              for members, node in _stateful_chains(flat, decisions)}
+    stage_of = {members[0]: members
+                for _, _, stages in siblings for members in stages}
+    riders = {m for members in stage_of.values() for m in members[1:]}
+    sinusoids = {}
+    for i, code in decisions.items():
+        if isinstance(code, LaneCode) and not nodes[i].inputs and \
+                nodes[i].stream.prework is None and i not in riders:
+            form = _sinusoid(flat, decisions, stage_of.get(i, [i]))
+            if isinstance(form, str):
+                reasons[i] = form
+            elif form is not None:
+                sinusoids[i] = form
+    return dict(decisions=decisions, siblings=siblings, chains=chains,
+                sinusoids=sinusoids,
+                reasons={i: why for i, why in reasons.items() if why})
+
+
+# ---------------------------------------------------------------------------
 # The plan executor
 # ---------------------------------------------------------------------------
 
@@ -466,36 +729,20 @@ class PlanExecutor:
     errors); only the execution strategy differs.
     """
 
-    #: Plan over the quotient of the flat graph by sibling symmetry
-    #: (:meth:`_sibling_stages`).  The parallel executor, whose
-    #: shared-memory rings have one row, plans every node on its own.
+    #: Whether :func:`build_plan` plans a serial executor over the
+    #: quotient of the flat graph by sibling symmetry
+    #: (:func:`_sibling_stages`).
     fuse_siblings = True
 
-    def __init__(self, flat: FlatGraph,
-                 chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
-                 decisions: dict | None = None,
-                 island_rates: dict | None = None,
-                 policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, flat: FlatGraph, plan: PlanEntry):
         self.flat = flat
         self.profiler = flat.profiler
-        self.chunk_outputs = chunk_outputs
+        #: the build this executor instantiates (:func:`build_plan`),
+        #: shared with every other executor of its cache entry
+        self.plan = plan
         #: numeric policy: rings are allocated and kernels compute in this
         #: dtype (float64 default — the seed behavior, bit for bit)
-        self.policy = policy
-
-        # per-filter kernel decisions: node index -> (params, reason),
-        # params a (linear node, counts) pair or a LaneCode.  Passed in
-        # from the plan cache on a hit (skips extraction/probing/
-        # emission); populated here on a miss so the caller can cache them.
-        self._decisions_given = decisions is not None
-        self.decisions: dict = decisions if decisions is not None else {}
-        self._lane_memo: dict = {}
-        #: feedback-region start index -> IslandRates; passed in from the
-        #: plan cache (or plan_bailout_reason) to skip re-probing
-        self.island_rates: dict = (island_rates if island_rates is not None
-                                   else {})
-        #: node index -> why it falls back (lanes: why not a sinusoid)
-        self.fallback_reasons: dict[int, str] = {}
+        self.policy = plan.policy
         #: ring id -> the SinusoidStep writing it, its reader to fold on
         self._sinusoids: dict[int, K.SinusoidStep] = {}
 
@@ -525,61 +772,32 @@ class PlanExecutor:
         self._feed_node: _SimNode | None = None
 
         nodes = flat.nodes
-        # kernel decisions first: which branches are siblings hangs on them
-        if not self._decisions_given:
-            for i, node in enumerate(nodes):
-                if node.kind == "filter":
-                    self.decisions[i] = self._decide(
-                        node.stream,
-                        not node.inputs and node.stream.prework is None)
-
-        # the quotient by sibling symmetry: a fused splitjoin keeps one
-        # ring per level (b channels, b rows) and one step per stage,
-        # planned at its first branch; the other branches ride along
-        stage_of: dict[int, list[int]] = {}  # first-branch node -> siblings
-        riders: set[int] = set()
-        fused_ends: set[int] = set()  # their splitters and joiners
-        #: splitter index of a look-alike splitjoin left unfused -> why
-        self.unfused_reasons: dict[int, str] = {}
-        for region in flat.splitjoins if self.fuse_siblings else ():
-            stages = self._sibling_stages(region)
-            if isinstance(stages, str):
-                if stages:
-                    self.unfused_reasons[region.split] = stages
-                continue
-            levels = [nodes[region.split].outputs] + [
+        # the quotients: a fused splitjoin keeps one ring per level (b
+        # channels, b rows) and one step per stage, a stateful chain is
+        # one lifted step; each is planned at its first node, and the
+        # others ride along
+        stage_of: dict[int, list[int]] = {
+            head: members for head, (members, _) in plan.chains.items()}
+        fused_ends: set[int] = set()  # fused splitters and joiners
+        for split, join, stages in plan.siblings:
+            levels = [nodes[split].outputs] + [
                 [nodes[m].outputs[0] for m in members] for members in stages]
             for level in levels:
                 for ch in level:
                     self._chan_ids[id(ch)] = len(self.rings)
                 self.rings.append(self._new_ring(level[0].name,
                                                  rows=len(level)))
-            for members in stages:
-                stage_of[members[0]] = members
-                riders.update(members[1:])
-            fused_ends.update((region.split, region.join))
+            stage_of.update((members[0], members) for members in stages)
+            fused_ends.update((split, join))
+        riders = {m for members in stage_of.values() for m in members[1:]}
 
-        # the quotient by pipeline combination: a chain of stateful nodes
-        # is one lifted step, planned at its head; the others ride along
-        #: chain head -> the members' pipeline-combined linear node
-        self.chains: dict = {}
-        for members, combined in self._stateful_chains():
-            stage_of[members[0]] = members
-            riders.update(members[1:])
-            self.chains[members[0]] = combined
-
-        # pass 1: per planned node — ring wiring, rates, the batched step
-        raw_in_ids: list = []
-        raw_steps: list = []
-        raw_rates: list = []
         island_start = {r.start: r for r in flat.feedback_regions}
-        island_gates: dict[int, int] = {}  # region start -> gate ring id
-        for i, node in enumerate(nodes):
-            if i in riders:
-                raw_in_ids.append(None)
-                raw_rates.append(None)
-                raw_steps.append(None)
-                continue
+
+        def planned(i):
+            """Planned node ``i``'s ring wiring, rates and batched step:
+            ``(in ids, out ids, (needs, pops, pushes), init rates,
+            step)``."""
+            node = nodes[i]
             # a chain writes its last member's channel (a sibling
             # stage's rows share one ring and one rate)
             last = nodes[stage_of.get(i, [i])[-1]]
@@ -596,18 +814,13 @@ class PlanExecutor:
             if i in island_start:
                 # the loop joiner reads externals through a private gate
                 # ring so the island cannot outrun its simulated schedule
-                gate = len(self.rings)
+                in_ids = [len(self.rings)] + in_ids[1:]
                 self.rings.append(self._new_ring(f"{node.name}.gate"))
-                island_gates[i] = gate
-                in_ids = [gate] + in_ids[1:]
-            raw_in_ids.append(in_ids)
-            raw_rates.append(((needs, pops, pushes), _init_rates(node),
-                              out_ids))
-            raw_steps.append(self._make_step(stage_of.get(i, [i]),
-                                             in_ids, out_ids))
+            return (in_ids, out_ids, (needs, pops, pushes), _init_rates(node),
+                    self._make_step(stage_of.get(i, [i]), in_ids, out_ids))
 
-        # pass 2: assemble the acyclic outer schedule, collapsing each
-        # feedback region into a single FeedbackStep facade
+        # the acyclic outer schedule, each feedback region collapsed into
+        # a single FeedbackStep facade
         self.sim_nodes: list[_SimNode] = []
         self.steps: list[K.Step] = []
         #: per outer position: the flat node (of a sibling stage, the
@@ -615,61 +828,45 @@ class PlanExecutor:
         self.outer_entries: list = []
         #: per outer position: the flat indices the step fires
         self.orbits: list = []
-        self.islands: list[tuple] = []  # (region, IslandRates, FeedbackStep)
         outer_of_flat: dict[int, int] = {}
         i = 0
         while i < len(nodes):
-            if i in riders:
-                i += 1
-                continue
             region = island_start.get(i)
             if region is None:
-                node = nodes[i]
-                (needs, pops, pushes), \
-                    (has_init, init_needs, init_pops, init_pushes), \
-                    out_ids = raw_rates[i]
-                sn = _SimNode(len(self.sim_nodes), raw_in_ids[i], out_ids,
-                              needs, pops, pushes, has_init, init_needs,
-                              init_pops, init_pushes)
-                if isinstance(node.stream, ListSource):
-                    sn.remaining = len(node.stream.values)
-                elif isinstance(node.stream, ChunkSource):
-                    sn.remaining = 0
-                    self._feed_node = sn
-                outer_of_flat[i] = len(self.sim_nodes)
-                self.sim_nodes.append(sn)
-                self.steps.append(raw_steps[i])
-                self.outer_entries.append(node)
-                self.orbits.append(stage_of.get(i, [i]))
+                if i not in riders:
+                    node = nodes[i]
+                    in_ids, out_ids, rates, init, step = planned(i)
+                    sn = _SimNode(len(self.sim_nodes), in_ids, out_ids,
+                                  *rates, *init)
+                    if isinstance(node.stream, ListSource):
+                        sn.remaining = len(node.stream.values)
+                    elif isinstance(node.stream, ChunkSource):
+                        sn.remaining = 0
+                        self._feed_node = sn
+                    outer_of_flat[i] = len(self.sim_nodes)
+                    self.sim_nodes.append(sn)
+                    self.steps.append(step)
+                    self.outer_entries.append(node)
+                    self.orbits.append(stage_of.get(i, [i]))
                 i += 1
                 continue
-            rates = self.island_rates.get(region.start)
-            if rates is None:
-                rates, reason = probe_island(flat, region)
-                if rates is None:
-                    raise InterpError(
-                        f"feedback island {region.stream.name}: {reason} "
-                        "(check plan_bailout_reason before planning)")
-                self.island_rates[region.start] = rates
+            rates = plan.islands[region.start]
             members = []
             for j in range(region.start, region.stop):
-                (needs, pops, _pushes), \
-                    (has_init, init_needs, _ip, _iu), _o = raw_rates[j]
+                in_ids, _, (needs, pops, _), (has_init, init_needs, _, _), \
+                    step = planned(j)
                 members.append(K.IslandMember(
-                    raw_steps[j],
-                    [self.rings[r] for r in raw_in_ids[j]],
+                    step, [self.rings[r] for r in in_ids],
                     needs, pops, has_init, init_needs))
-            join_node = nodes[region.start]
             split_node = next(
                 n for n in nodes[region.start:region.stop]
                 if n.kind == "splitter"
                 and n.splitter is region.stream.splitter)
-            ext_in = ring_of(join_node.inputs[0])
+            ext_in = ring_of(nodes[region.start].inputs[0])
             ext_out = ring_of(split_node.outputs[0])
-            step = K.FeedbackStep(
+            step = K.FeedbackStep(  # the joiner reads the gate ring
                 region.stream.name, self.rings[ext_in],
-                self.rings[island_gates[region.start]], members,
-                rates.pop, rates.push,
+                members[0].in_rings[0], members, rates.pop, rates.push,
                 init_pop=rates.init_pop if rates.has_init else None,
                 init_push=rates.init_push if rates.has_init else None)
             sn = _SimNode(len(self.sim_nodes), [ext_in], [ext_out],
@@ -680,7 +877,6 @@ class PlanExecutor:
             self.steps.append(step)
             self.outer_entries.append(region)
             self.orbits.append(range(region.start, region.stop))
-            self.islands.append((region, rates, step))
             i = region.stop
 
         self.sources = [sn for sn in self.sim_nodes if not sn.in_ids]
@@ -725,179 +921,6 @@ class PlanExecutor:
         return RingBuffer(name, prefill=prefill, dtype=self.policy.dtype,
                           rows=rows)
 
-    # -- sibling symmetry -------------------------------------------------
-    def _stacked_kernel(self, index: int):
-        """How flat node ``index`` would run, if as one of the two
-        kernels that stack along a sibling axis: ``("matmul", linear
-        node, per-firing counts, filter name)`` or ``("lanes", code)``;
-        None for any other."""
-        node = self.flat.nodes[index]
-        s = node.stream
-        if node.kind == "filter":
-            params, _ = self.decisions.get(index, (None, None))
-            if isinstance(params, LaneCode):
-                return "lanes", params
-            if params is not None and not params[0].state_dim:
-                return "matmul", *params, None
-        elif isinstance(s, LinearFilter) and not s.linear_node.state_dim:
-            return "matmul", s.linear_node, s.counts, s.name
-        return None
-
-    def _stateful_kernel(self, index: int):
-        """``(linear node with state, (per-firing counts, filter name))``
-        when flat node ``index`` would run as a stateful step, else None."""
-        node = self.flat.nodes[index]
-        s = node.stream
-        if node.kind == "filter":
-            params, _ = self.decisions.get(index, (None, None))
-            if isinstance(params, tuple) and params[0].state_dim:
-                return params[0], (params[1], None)
-        elif isinstance(s, LinearFilter) and s.linear_node.state_dim:
-            return s.linear_node, (s.counts, s.name)
-        return None
-
-    def _stateful_chains(self) -> list:
-        """``(members, node)`` per maximal run of two or more flat nodes,
-        outside feedback loops, that would each be a stateful step, each
-        the one reader of the channel the one before writes, peeking and
-        popping what it pushes: a firing of ``node``, their
-        ``combine_pipeline``, is a firing of each, so no firing count
-        moves.  A chain stops where combination refuses, where its state
-        outgrows the lift's budget at one block a boundary lift (``k >
-        128``; on a 2-vCPU Xeon biquad cascades ran 1.9x faster fused at
-        128, even at 256), and before the graph-output writer when no
-        Collector is the sink: its capped last sweep would cap them all."""
-        nodes = self.flat.nodes
-        readers = Counter(id(ch) for n in nodes for ch in n.inputs)
-        sink = None if self.flat.collectors else self.flat.output_channel
-        skip = {j for r in self.flat.feedback_regions
-                for j in range(r.start, r.stop)}
-        kernels = [None if j in skip or len(n.inputs) != 1 or
-                   len(n.outputs) != 1 else self._stateful_kernel(j)
-                   for j, n in enumerate(nodes)]
-        chains: list = []
-        for head, first in enumerate(kernels):
-            if first is None or chains and head <= chains[-1][0][-1]:
-                continue
-            members, prev, node = [head], first[0], first[0]
-            for j in range(head + 1, len(nodes)):
-                ch, nxt = nodes[j - 1].outputs[0], kernels[j]
-                if nxt is None or nodes[j].inputs[0] is not ch or \
-                        readers[id(ch)] > 1 or nodes[j].outputs[0] is sink \
-                        or (nxt[0].peek, nxt[0].pop) != (prev.push,) * 2:
-                    break
-                try:
-                    fused = combine_pipeline_pair(node, nxt[0])
-                except CombinationError:
-                    break
-                if fused.state_dim > math.isqrt(K._STATEFUL_LIFT_ELEMS):
-                    break
-                members.append(j)
-                prev, node = nxt[0], fused
-            if len(members) > 1:
-                chains.append((members, node))
-        return chains
-
-    def _sibling_stages(self, region):
-        """``stages[k][j]``, the flat index of the ``k``-th node of
-        ``region``'s ``j``-th branch, when the branches are *siblings*:
-        outside any feedback loop, split by ``duplicate`` or equal
-        weights and joined by equal weights, each a run of as many leaf
-        filters that agree stage by stage — the same stacking kernel
-        (:meth:`_stacked_kernel`): ``matmul`` at the same rates,
-        ``lanes`` of one :func:`~repro.graph.identity.shape_digest` with
-        the same state, and nothing but the values of float fields
-        apart.  Such branches see the same occupancies in every
-        sweep and fire in lockstep, so a stage is one step over a
-        ``(b, .)`` ring at no change in any node's firing count.
-
-        Otherwise: why not, as the plan report prints it on the
-        splitter's row — the empty string for a splitjoin that does not
-        look the part to begin with.
-        """
-        nodes = self.flat.nodes
-        bounds = region.starts + [region.join]
-        length = bounds[1] - bounds[0]
-        if region.in_feedback or len(region.starts) < 2 or length < 1 or \
-                any(hi - lo != length for lo, hi in zip(bounds, bounds[1:])) \
-                or any(nodes[i].kind not in ("filter", "primitive")
-                       for i in range(bounds[0], region.join)):
-            return ""
-        split, join = nodes[region.split], nodes[region.join]
-        for what, router in (("split", split.splitter),
-                             ("join", join.joiner)):
-            weights = set(getattr(router, "weights", (1,)))
-            if len(weights) > 1:
-                return f"not fused: {what} weights differ"
-            if 0 in weights:
-                return ""
-        stages = [[start + k for start in region.starts]
-                  for k in range(length)]
-        feeds = split.outputs  # what each branch's next node reads
-        recoded = []  # (stage, lane code taking its differing fields)
-        for k, members in enumerate(stages):
-            lead = nodes[members[0]]
-            kernels = [self._stacked_kernel(m) for m in members]
-            kernel = kernels[0]
-            if kernel is None:
-                return f"not fused: stage {k} has no stacking kernel"
-            apart: set[str] = set()  # float fields of differing value
-            for j, m in enumerate(members):
-                what = self._sibling_mismatch(lead, kernel, nodes[m],
-                                              kernels[j], feeds[j], k == 0,
-                                              apart)
-                if what:
-                    return (f"not fused: branch {j} differs at stage {k} "
-                            f"({what})")
-            if kernel[0] == "lanes" and apart - kernel[1].varying:
-                code, why = (None, "plan was decided without them") \
-                    if self._decisions_given else \
-                    _lane_decision(lead.stream, self._lane_memo,
-                                   frozenset(apart))
-                if code is None:
-                    return (f"not fused: stage {k} differs in "
-                            f"{', '.join(sorted(apart))} ({why})")
-                recoded.append((members, code))
-            feeds = [nodes[m].outputs[0] for m in members]
-        for members, code in recoded:
-            for m in members:
-                self.decisions[m] = (code, None)
-        return stages
-
-    @staticmethod
-    def _sibling_mismatch(lead, lead_kernel, node, kernel, feed,
-                          first: bool, apart: set) -> str | None:
-        """What keeps ``node`` from riding in ``lead``'s step, if
-        anything; float fields that merely differ in value are added to
-        ``apart``."""
-        if len(node.outputs) != 1 or len(node.inputs) != len(lead.inputs) \
-                or (node.inputs and node.inputs[0] is not feed) \
-                or not (node.inputs or first):
-            return "wiring"
-        if kernel is None or kernel[0] != lead_kernel[0]:
-            return "kernel"
-        if kernel[0] == "matmul":
-            return "rates" if _steady_rates(node) != _steady_rates(lead) \
-                else None
-        # lanes: one shape (code, rates, field types) is one lane code
-        if shape_digest(node.stream) != shape_digest(lead.stream):
-            return "work function"
-        state = node.stream.mutable_fields | set(kernel[1].counters)
-        for name, a in lead.stream.fields.items():
-            b = node.stream.fields[name]
-            if isinstance(a, np.ndarray):
-                same = a.tobytes() == b.tobytes()
-            else:  # repr is exact and tells 0.0 from -0.0
-                same = repr(a) == repr(b)
-            if same:
-                continue
-            if name in state:
-                return f"state {name}"
-            if type(a) is not float or type(b) is not float:
-                return f"field {name} is not a float"
-            apart.add(name)
-        return None
-
     def close(self) -> None:
         """Release execution resources (no-op for the serial executor;
         the parallel subclass detaches/unlinks shared memory here)."""
@@ -929,7 +952,9 @@ class PlanExecutor:
             ins = [self.rings[i] for i in in_ids]
             return K.RoundRobinJoinStep(
                 ins, rout(), list(node.joiner.weights[:len(ins)]))
-        stacked = [self._stacked_kernel(m) for m in members]
+        plan = self.plan
+        stacked = [_stacked_kernel(self.flat, plan.decisions, m)
+                   for m in members]
         if stacked[0] is not None and stacked[0][0] == "matmul":
             lines = [k[1] for k in stacked], [k[2:] for k in stacked]
             if in_ids[0] in self._sinusoids:
@@ -938,29 +963,32 @@ class PlanExecutor:
             return K.MatmulStep(rin(), rout(), *lines, self.profiler,
                                 policy=self.policy)
         # one node or a chain (a stateful node never has siblings)
-        chain = [self._stateful_kernel(m) for m in members]
+        chain = [_stateful_kernel(self.flat, plan.decisions, m)
+                 for m in members]
         if chain[0] is not None:
+            lifted = plan.chains[index][1] if len(members) > 1 \
+                else chain[0][0]
             return K.StatefulLinearStep(
-                rin(), rout(), self.chains.get(index, chain[0][0]),
-                [k[1] for k in chain], self.profiler, policy=self.policy)
+                rin(), rout(), lifted, [k[1] for k in chain],
+                self.profiler, policy=self.policy)
         s = node.stream
         if node.kind == "filter":
-            source = not in_ids and s.prework is None
-            params, reason = self.decisions.get(
-                index, (None, "no cached decision"))
+            params = plan.decisions[index]
             if isinstance(params, LaneCode):
                 nodes = [self.flat.nodes[m] for m in members]
-                step = self._sinusoid(index, nodes, params, out_ids[0]) \
-                    if source else None
-                return step or K.LaneStep(nodes, rin(), rout(), params,
-                                          self.policy)
-            if source:
-                # why its scalar firings, should the state never recur,
-                # are not lanes either
-                self.fallback_reasons[index] = reason
+                if index not in plan.sinusoids:
+                    return K.LaneStep(nodes, rin(), rout(), params,
+                                      self.policy)
+                forms, folds = plan.sinusoids[index]
+                step = K.SinusoidStep(nodes, forms, rout(), self.profiler)
+                if folds:
+                    self._sinusoids[out_ids[0]] = step
+                return step
+            if not in_ids and s.prework is None:
+                # its reason says why its scalar firings, should the
+                # state never recur, are not lanes either
                 return K.PeriodicSourceStep(node, _NULL_CHANNEL, rout(),
                                             self.profiler, self.policy)
-            self.fallback_reasons[index] = reason
             return K.FallbackStep(node, rin(), rout())
         # primitives
         if isinstance(s, NaiveFreqFilter):
@@ -984,52 +1012,10 @@ class PlanExecutor:
             return K.IdentityStep(rin(), rout())
         if isinstance(s, Decimator):
             return K.DecimatorStep(rin(), rout(), s.o, s.u)
-        self.fallback_reasons[index] = (
-            f"no batched kernel for primitive type {type(s).__name__}")
-        return K.FallbackStep(node, rin(), rout())
-
-    def _sinusoid(self, index: int, nodes, code: LaneCode, out_id: int):
-        """Counter sources ``nodes`` (siblings, ``index`` the first) as
-        one :class:`~repro.exec.kernels.SinusoidStep` where that removes
-        work — ``b > 1`` rows share its basis, or its reader (linear,
-        popping whole firings) folds onto it — else None, and why."""
-        try:
-            forms = [sinusoid_form(code, n.stream.work, n.runner.fields)
-                     for n in nodes]
-            if len({(f.step, f.omegas.tobytes()) for f in forms}) > 1:
-                raise LaneReject("frequencies differ across siblings")
-        except LaneReject as exc:
-            self.fallback_reasons[index] = f"not a sinusoid: {exc}"
-            return None
-        reader = next((i for i, n in enumerate(self.flat.nodes)
-                       if nodes[0].outputs[0] in n.inputs), None)
-        kernel = self._stacked_kernel(reader) if reader is not None else None
-        folds = kernel is not None and kernel[0] == "matmul" \
-            and kernel[1].pop % forms[0].coef.shape[1] == 0
-        if len(nodes) == 1 and not folds:
-            return None
-        step = K.SinusoidStep(nodes, forms, self.rings[out_id], self.profiler)
-        if folds:
-            self._sinusoids[out_id] = step
+        step = K.FallbackStep(node, rin(), rout())
+        step.detail = ("no batched kernel for primitive type "
+                       + type(s).__name__)
         return step
-
-    def _decide(self, filt: Filter, source: bool):
-        """Kernel decision for an IR filter: linear first, then lanes;
-        the reason names both when neither applies.  A source is only
-        ever a lane candidate, and only when a counter drives it — one
-        without state has period 1, which the table replay serves."""
-        if source:
-            code, why = _lane_decision(filt, self._lane_memo)
-            if code is not None and code.counters:
-                return code, None
-            return None, ("not lane-convertible: "
-                          + (why or "no counter to vectorise over"))
-        params, reason = _vectorize_decision(filt)
-        if params is None and filt.prework is None:
-            params, why = _lane_decision(filt, self._lane_memo)
-            if params is None:
-                reason = f"{reason}; not lane-convertible: {why}"
-        return params, reason if params is None else None
 
     # -- integer rate simulation ------------------------------------------
     def _produced(self) -> int:
@@ -1307,7 +1293,7 @@ class PlanExecutor:
         self._sweep(target)
         passes = 0
         while self._produced() < target:
-            goal = min(target, self._produced() + self.chunk_outputs)
+            goal = min(target, self._produced() + DEFAULT_CHUNK_OUTPUTS)
             k = min(self._demand(goal) - 1, self._passes_left(),
                     max_passes - passes)
             while k > 0:
@@ -1325,7 +1311,7 @@ class PlanExecutor:
             self.passes_literal += 1
             progress = self._fire_sources(1)
             self._sweep(target)
-            if self._pending_outputs >= self.chunk_outputs:
+            if self._pending_outputs >= DEFAULT_CHUNK_OUTPUTS:
                 self._flush_taped(tape)
             if not progress and self._produced() < target:
                 self._flush()
@@ -1380,22 +1366,58 @@ class PlanExecutor:
 # ---------------------------------------------------------------------------
 
 
+def build_plan(stream: Stream, optimize: str = "none",
+               policy: NumericPolicy = DEFAULT_POLICY, workers: int = 1,
+               profiler: Profiler | None = None):
+    """Plan ``stream`` whole: ``(entry, flat)``, the
+    :class:`~repro.exec.cache.PlanEntry` and the flat graph (profiling
+    into ``profiler``) it was planned over, for the first executor.
+
+    The rewritten graph (``workers > 1`` adds
+    :func:`~repro.exec.optimize.fission_stream`) is flattened once and
+    checked for a bailout, which probes the feedback islands; a
+    plannable one then gets its kernel decisions, sibling stages,
+    stateful chains and sinusoid forms."""
+    optimized = fission_stream(optimize_stream(stream, optimize,
+                                               policy=policy),
+                               workers, policy=policy)
+    flat = FlatGraph(optimized, profiler, dtype=policy.dtype)
+    islands: dict = {}
+    bailout = plan_bailout_reason(optimized, flat, island_rates=islands)
+    # (the parallel executor's shared-memory rings have one row)
+    plan = dict(decisions={}, siblings=[], chains={}, sinusoids={},
+                reasons={}) if bailout else \
+        _plan(flat, workers == 1 and PlanExecutor.fuse_siblings)
+    return PlanEntry(pin=stream, optimized=optimized, bailout=bailout,
+                     policy=policy, workers=workers, islands=islands,
+                     **plan), flat
+
+
+def instantiate(entry: PlanEntry, profiler: Profiler | None = None,
+                flat: FlatGraph | None = None):
+    """A fresh executor of ``entry``'s plan over ``flat`` (by default a
+    new flattening of ``entry.optimized``): the scalar
+    :class:`FlatGraph` on a bailout, else a :class:`PlanExecutor`, the
+    parallel one when ``entry.workers > 1``."""
+    if flat is None:
+        flat = FlatGraph(entry.optimized, profiler, dtype=entry.policy.dtype)
+    if entry.bailout is not None:
+        return flat
+    if entry.workers > 1:
+        from ..parallel.executor import ParallelPlanExecutor
+        return ParallelPlanExecutor(flat, entry)
+    return PlanExecutor(flat, entry)
+
+
 def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
-                      chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
                       optimize: str = "none", cache=None, dtype=None,
                       workers: int = 1):
     """Compile ``stream``; return ``(executor, entry)``.
 
-    The full pipeline: rewrite the graph per ``optimize``
-    (:func:`~repro.exec.optimize.optimize_stream`), then plan the
-    rewritten graph.  Planning artifacts — the rewrite itself, the bailout
-    verdict, island probe results and per-filter vectorization decisions
-    — are kept in ``entry``, which comes from ``cache`` (default: the
-    process-wide :data:`~repro.exec.cache.PLAN_CACHE`), keyed by the
-    graph's content; with ``cache=False`` it is a private entry, the one
-    the cache hands out for a single-use graph.  Probing happens at most
-    once per entry — repeated compiles of a cached graph never
-    re-extract or re-probe.
+    ``entry`` is :func:`build_plan`'s, from ``cache`` (default: the
+    process-wide :data:`~repro.exec.cache.PLAN_CACHE`) keyed by the
+    graph's content, or private with ``cache=False`` (as the cache's
+    is for a single-use graph).  A miss flattens the graph once.
 
     ``executor`` is the scalar compiled :class:`FlatGraph` (same
     ``advance`` interface) when the graph cannot be batched — see
@@ -1409,70 +1431,28 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     worker count.
     """
     policy = resolve_policy(dtype)
+    built: list = []  # the (entry, flat) this call built, if it missed
+
+    def build() -> PlanEntry:
+        built.append(build_plan(stream, optimize, policy, workers, profiler))
+        return built[-1][0]
+
     if cache is False:
-        entry = PlanEntry(pin=stream, policy=policy, workers=workers)
+        entry = build()
     else:
         entry = (PLAN_CACHE if cache is None else cache).entry_for(
-            stream, optimize, policy=policy, workers=workers)
-    if entry.optimized is None:
-        entry.optimized = fission_stream(
-            optimize_stream(stream, optimize, policy=policy), workers,
-            policy=policy)
-    flat = FlatGraph(entry.optimized, profiler, dtype=policy.dtype)
-    if entry.bailout is _UNSET:
-        rates = {}
-        entry.bailout = plan_bailout_reason(entry.optimized, flat,
-                                            island_rates=rates)
-        if entry.bailout is None:
-            entry.islands = rates
-    return _executor_over(flat, entry, chunk_outputs), entry
+            stream, optimize, build, policy=policy, workers=workers)
+    flat = built[0][1] if built and built[0][0] is entry else None
+    return instantiate(entry, profiler, flat), entry
 
 
 def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
-                      chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS,
                       optimize: str = "none", cache=None, dtype=None,
                       workers: int = 1):
     """Compile ``stream`` into a :class:`PlanExecutor` — see
     :func:`compiled_plan_for` (this drops the cache entry)."""
-    return compiled_plan_for(stream, profiler, chunk_outputs=chunk_outputs,
-                             optimize=optimize, cache=cache, dtype=dtype,
-                             workers=workers)[0]
-
-
-def executor_from_entry(entry: PlanEntry, profiler: Profiler | None = None,
-                        chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS):
-    """Fresh executor over an already-compiled :class:`~repro.exec.cache.
-    PlanEntry` — no fingerprinting, no probing, no cache lookup.
-
-    ``StreamSession.reset`` rebuilds execution state through this, so a
-    session keeps its pinned plan even if the graph's fields were
-    mutated in place after compilation.  Returns the scalar
-    :class:`FlatGraph` when the entry's verdict was a bailout.
-    """
-    flat = FlatGraph(entry.optimized, profiler, dtype=entry.policy.dtype)
-    return _executor_over(flat, entry, chunk_outputs)
-
-
-def _executor_over(flat: FlatGraph, entry: PlanEntry, chunk_outputs: int):
-    """The executor of ``entry``'s plan over ``flat``: the flat graph
-    itself on a bailout, else a :class:`PlanExecutor` (the parallel
-    subclass when ``entry.workers > 1``), whose decisions and island
-    rates the entry keeps if it has none yet."""
-    if entry.bailout is not None:
-        return flat
-    kwargs = dict(chunk_outputs=chunk_outputs, decisions=entry.decisions,
-                  island_rates=entry.islands, policy=entry.policy)
-    if entry.workers > 1:
-        from ..parallel.executor import ParallelPlanExecutor
-        executor = ParallelPlanExecutor(flat, workers=entry.workers,
-                                        **kwargs)
-    else:
-        executor = PlanExecutor(flat, **kwargs)
-    if entry.decisions is None:
-        entry.decisions = executor.decisions
-    if entry.islands is None:
-        entry.islands = executor.island_rates
-    return executor
+    return compiled_plan_for(stream, profiler, optimize=optimize,
+                             cache=cache, dtype=dtype, workers=workers)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1618,8 +1598,7 @@ def report_for_executor(executor: PlanExecutor, program: str,
     for pos, (entry, step, orbit) in enumerate(zip(
             executor.outer_entries, executor.steps, executor.orbits)):
         if isinstance(entry, FeedbackRegion):
-            _, rates, _ = next(t for t in executor.islands
-                               if t[0] is entry)
+            rates = executor.plan.islands[entry.start]
             n_members = entry.stop - entry.start
             rep.steps.append(StepReport(
                 pos, f"{entry.stream.name} [feedback island: "
@@ -1635,11 +1614,10 @@ def report_for_executor(executor: PlanExecutor, program: str,
                 node, mstep = flat.nodes[j], member.step
                 isl.steps.append(StepReport(
                     j, node.name, node.kind, mstep.kind,
-                    mstep.detail or executor.fallback_reasons.get(j)))
+                    mstep.detail or executor.plan.reasons.get(j)))
             rep.islands.append(isl)
         else:
-            reason = executor.fallback_reasons.get(orbit[0]) \
-                or executor.unfused_reasons.get(orbit[0])
+            reason = executor.plan.reasons.get(orbit[0])
             if isinstance(step, K.PeriodicSourceStep):
                 step = _settled_source(step, executor.policy)
                 if step.period or reason is None:
@@ -1676,11 +1654,10 @@ def _settled_source(step: K.PeriodicSourceStep, policy: NumericPolicy):
     return twin
 
 
-def plan_report(stream: Stream, optimize: str = "none",
-                chunk_outputs: int = DEFAULT_CHUNK_OUTPUTS) -> PlanReport:
+def plan_report(stream: Stream, optimize: str = "none") -> PlanReport:
     """Explain how ``stream`` would execute under the plan backend."""
-    executor, entry = compiled_plan_for(stream, chunk_outputs=chunk_outputs,
-                                        optimize=optimize, cache=False)
+    executor, entry = compiled_plan_for(stream, optimize=optimize,
+                                        cache=False)
     name = getattr(stream, "name", "?")
     if entry.bailout is not None:
         return PlanReport(program=name, optimize=optimize,

@@ -52,12 +52,9 @@ _PLAN_SEQ = _count()
 class ParallelPlanExecutor(PlanExecutor):
     """A :class:`PlanExecutor` that flushes batches across a worker pool."""
 
-    #: a :class:`ShmRing` has one row: every node is planned on its own
-    fuse_siblings = False
-
-    def __init__(self, flat, *, workers: int = 2, **kwargs):
-        self.workers = max(2, int(workers))
-        super().__init__(flat, **kwargs)
+    def __init__(self, flat, plan):
+        self.workers = max(2, plan.workers)
+        super().__init__(flat, plan)
         self.units: list[Unit] = build_units(self)
         self._plan_uid = f"plan-{next(_PLAN_SEQ)}-{token_hex(4)}"
         self._ring_by_uid = {r.uid: r for r in self.rings}

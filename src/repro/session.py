@@ -162,7 +162,6 @@ class StreamSession:
 
     def __init__(self, stream: Stream, *, backend: str = "plan",
                  optimize: str = "none", profiler: Profiler | None = None,
-                 chunk_outputs: int | None = None,
                  journal_limit: int = DEFAULT_JOURNAL_LIMIT,
                  dtype=None, workers: int = 1,
                  _program_mode: bool | None = None):
@@ -215,26 +214,25 @@ class StreamSession:
             self._program = Pipeline(
                 parts, name=f"{getattr(stream, 'name', 'stream')}.session")
 
-        from .exec.planner import DEFAULT_CHUNK_OUTPUTS
-        self._chunk_outputs = (chunk_outputs if chunk_outputs is not None
-                               else DEFAULT_CHUNK_OUTPUTS)
         self._entry = None
         self._optimized = None  # scalar backends: the rewritten program
         self._executor = self._build_executor()
+        if self._push_mode:
+            self._check_push_sources()  # before the pin: it may refuse
         if self._entry is not None:
             self._entry.acquire()
-        if self._push_mode:
-            self._check_push_sources()
 
     # -- compilation -------------------------------------------------------
     def _build_executor(self):
+        """An initial-state executor: the plan is compiled once, then
+        instantiated; a scalar rewrite is made once, then flattened."""
         if self.backend == "plan":
-            from .exec.planner import compiled_plan_for
-            executor, entry = compiled_plan_for(
-                self._program, self._profiler,
-                chunk_outputs=self._chunk_outputs, optimize=self.optimize,
+            from .exec.planner import compiled_plan_for, instantiate
+            if self._entry is not None:
+                return instantiate(self._entry, self._profiler)
+            executor, self._entry = compiled_plan_for(
+                self._program, self._profiler, optimize=self.optimize,
                 dtype=self.policy, workers=self.workers)
-            self._entry = entry
             return executor
         if self._optimized is None:
             program = self._program
@@ -367,6 +365,7 @@ class StreamSession:
         session's :attr:`buffers` as its footer."""
         from .exec.planner import (PlanExecutor, PlanReport, plan_report,
                                    report_for_executor)
+        self._check_open()
         name = getattr(self.stream, "name", "?")
         if isinstance(self._executor, PlanExecutor):
             rep = report_for_executor(self._executor, name, self.optimize)
@@ -450,13 +449,7 @@ class StreamSession:
         """Swap in a fresh initial-state executor (reset/restore core)."""
         if self._executor is not None:
             getattr(self._executor, "close", lambda: None)()
-        if self._entry is not None:
-            from .exec.planner import executor_from_entry
-            self._executor = executor_from_entry(
-                self._entry, self._profiler,
-                chunk_outputs=self._chunk_outputs)
-        else:
-            self._executor = self._build_executor()
+        self._executor = self._build_executor()
         self._produced_total = 0
         self._fed = 0
 
@@ -536,7 +529,6 @@ class StreamSession:
 def compile(stream: Stream | str, *, top: str | None = None, args=(),
             backend: str = "plan",
             optimize: str = "none", profiler: Profiler | None = None,
-            chunk_outputs: int | None = None,
             dtype=None, workers: int = 1) -> StreamSession:
     """Compile ``stream`` once into a resumable :class:`StreamSession`.
 
@@ -583,5 +575,4 @@ def compile(stream: Stream | str, *, top: str | None = None, args=(),
     if profiler is None:
         profiler = Profiler()
     return StreamSession(stream, backend=backend, optimize=optimize,
-                         profiler=profiler, chunk_outputs=chunk_outputs,
-                         dtype=dtype, workers=workers)
+                         profiler=profiler, dtype=dtype, workers=workers)

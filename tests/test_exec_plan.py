@@ -16,7 +16,7 @@ from repro.bench import CONFIGS, build_config
 from repro.bench import main as bench_main
 from repro.errors import InterpError
 from repro.exec import PlanExecutor, RingBuffer, plan_bailout_reason, \
-    plan_executor_for
+    plan_executor_for, planner
 from repro.exec.kernels import (FallbackStep, FeedbackStep, MatmulStep,
                                 PeriodicSourceStep)
 from repro.graph import FeedbackLoop, Pipeline, RoundRobin
@@ -24,7 +24,6 @@ from repro.ir import FilterBuilder
 from repro.profiling import CATEGORIES, Profiler
 from repro.runtime import (Collector, FunctionSource, ListSource, run_graph,
                            run_stream)
-from repro.runtime.executor import FlatGraph
 
 SMALL_PARAMS = {
     "FIR": dict(taps=32),
@@ -162,18 +161,17 @@ def test_plan_stateful_source_exact():
     np.testing.assert_allclose(b, a, atol=1e-9)
 
 
-def test_plan_executor_chunks_large_runs():
+def test_plan_executor_chunks_large_runs(monkeypatch):
     """Tiny chunk size forces multiple flushes; results unchanged."""
-    flat = FlatGraph(small("FIR"), Profiler(), backend="compiled")
-    ex = PlanExecutor(flat, chunk_outputs=8)
+    monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 8)
+    ex = plan_executor_for(small("FIR"), Profiler(), cache=False)
     out = ex.advance(100)
     expected = run_graph(small("FIR"), 100)
     np.testing.assert_allclose(out, expected, atol=1e-9)
 
 
 def test_plan_repeated_run_extends():
-    flat = FlatGraph(small("FIR"), Profiler(), backend="compiled")
-    ex = PlanExecutor(flat)
+    ex = plan_executor_for(small("FIR"), Profiler(), cache=False)
     first = ex.advance(10)
     more = ex.advance(20)
     expected = run_graph(small("FIR"), 30)
@@ -247,12 +245,12 @@ def test_feedback_island_nonloop_regions_stay_batched():
     assert "matmul" in member_kinds  # the linear loop body, batched
 
 
-def test_feedback_island_chunked_and_repeated_runs():
+def test_feedback_island_chunked_and_repeated_runs(monkeypatch):
     """Island state survives chunk flushes and incremental runs."""
     from repro.apps import echo
     prog = echo.build(**SMALL_PARAMS["Echo"])
-    flat = FlatGraph(prog, Profiler(), backend="compiled")
-    ex = PlanExecutor(flat, chunk_outputs=16)  # many flushes
+    monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)  # many flushes
+    ex = plan_executor_for(prog, Profiler(), cache=False)
     first = ex.advance(50)
     more = ex.advance(150)
     expected = run_graph(echo.build(**SMALL_PARAMS["Echo"]), 200)
@@ -320,11 +318,11 @@ def test_naive_freq_filter_gets_batched_step():
     assert_counts_equal(p_c, p_p, "naive-freq")
 
 
-def test_freq_step_partials_survive_chunk_flushes():
+def test_freq_step_partials_survive_chunk_flushes(monkeypatch):
     """OptimizedFreqStep carries partial sums across flush boundaries."""
     stream = build_config(small("FIR"), "freq")
-    flat = FlatGraph(stream, Profiler(), backend="compiled")
-    ex = PlanExecutor(flat, chunk_outputs=16)  # many flushes
+    monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)  # many flushes
+    ex = plan_executor_for(stream, Profiler(), cache=False)
     out = ex.advance(400)
     expected = run_graph(build_config(small("FIR"), "freq"), 400)
     np.testing.assert_allclose(out, expected, atol=1e-8)

@@ -21,8 +21,8 @@ from repro.apps import BENCHMARKS
 from repro.apps._loader import load_unit
 from repro.dsl import fuzz
 from repro.errors import FaultInjected
-from repro.exec import PlanExecutor, clear_plan_cache, kernels as K
-from repro.exec import plan_report
+from repro.exec import clear_plan_cache, kernels as K
+from repro.exec import plan_report, planner
 from repro.graph import Pipeline
 from repro.ir.pycodegen import LaneReject, emit_lanes
 from repro.numeric import resolve_policy
@@ -993,9 +993,11 @@ def lane_steps(s):
 @pytest.fixture
 def counter_sources_as_lanes():
     """Plan with no sinusoid kernel: Radar's counter sources run as
-    lanes, as any counter source without a sinusoid form does."""
-    with mock.patch.object(PlanExecutor, "_sinusoid", return_value=None):
+    lanes, as any counter source without a sinusoid form does.  A plan
+    is built once per cache entry: none of these is left behind."""
+    with mock.patch.object(planner, "_sinusoid", return_value=None):
         yield
+    clear_plan_cache()
 
 
 @pytest.mark.usefixtures("counter_sources_as_lanes")

@@ -319,13 +319,18 @@ def test_feedback_island_plans_cached_and_delay_sensitive():
 # ---------------------------------------------------------------------------
 
 
+def lookup(cache, program):
+    return cache.entry_for(program, "none",
+                           lambda: planner_mod.build_plan(program)[0])
+
+
 def test_lru_eviction_bounds_entries():
     cache = PlanCache(max_entries=2)
     for taps in (8, 12, 16):
-        cache.entry_for(fir.build(taps=taps), "none")
+        lookup(cache, fir.build(taps=taps))
     assert len(cache) == 2
     # taps=8 was evicted; re-requesting it is a miss
-    cache.entry_for(fir.build(taps=8), "none")
+    lookup(cache, fir.build(taps=8))
     assert cache.misses == 4 and cache.hits == 0
 
 

@@ -18,6 +18,7 @@ import repro
 from repro.apps import BENCHMARKS
 from repro.errors import InterpError
 from repro.exec import clear_plan_cache, kernels as K
+from repro.exec import planner
 from repro.exec.planner import PlanExecutor
 from repro.graph import Pipeline
 from repro.linear.filters import ConstantSourceFilter
@@ -299,12 +300,14 @@ def test_jumps_equal_the_literal_simulator(top):
         assert fast._executor.passes_literal == len(splits)
 
 
-def test_jumps_flush_mid_run_like_the_literal_simulator():
-    """``chunk_outputs`` below the run length: a jump stops at each
-    chunk boundary, the flush happens there, the counts do not move."""
+def test_jumps_flush_mid_run_like_the_literal_simulator(monkeypatch):
+    """``DEFAULT_CHUNK_OUTPUTS`` below the run length: a jump stops at
+    each chunk boundary, the flush happens there, the counts do not
+    move."""
+    monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 8)
     for splits in ([57], [23, 34]):
         fast, _ = assert_jumps_equal_literal(
-            lambda: session("Coprime", chunk_outputs=8), splits)
+            lambda: session("Coprime"), splits)
         # one jump and one literal pass per chunk, not per run
         assert fast._executor.jumps >= 57 // 8
         assert fast._executor.passes_literal >= 57 // 8

@@ -26,6 +26,7 @@ from repro.exec.planner import SCHEDULE_TABLE_SIZE
 from repro.exec.ring import RingBuffer
 from repro.profiling import Profiler
 from test_pull_pacing import CENSUS, assert_same_counts, count_firings
+from test_sibling_fusion import apart
 
 
 def simulating(session):
@@ -304,7 +305,7 @@ def test_fused_and_unfused_splitjoin_join_alike():
     chunk = np.random.default_rng(6).standard_normal(300)
     clear_plan_cache()
     fused = repro.compile(load_source(PAIRS, "Wide"))
-    with mock.patch.object(PlanExecutor, "fuse_siblings", False):
+    with apart():
         plain = repro.compile(load_source(PAIRS, "Wide"))
     joins = [[st for st in s._executor.steps
               if isinstance(st, K.RoundRobinJoinStep)][0]

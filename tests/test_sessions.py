@@ -19,7 +19,8 @@ import repro
 from repro.apps import BENCHMARKS, FEEDBACK_APPS, source_values, split_app
 from repro.apps.common import low_pass_filter
 from repro.errors import InterpError, StreamGraphError
-from repro.exec import PlanExecutor, clear_plan_cache, plan_cache_stats
+from repro.exec import (PLAN_CACHE, PlanExecutor, clear_plan_cache,
+                        plan_cache_stats)
 from repro.graph.streams import Filter, walk
 from repro.profiling import CATEGORIES, Profiler
 from repro.runtime import count_ops, run_graph, run_stream
@@ -413,6 +414,12 @@ def test_push_graph_with_unbounded_source_rejected_at_compile():
     for backend in BACKENDS:
         with pytest.raises(StreamGraphError, match="unbounded source"):
             repro.compile(body, backend=backend)
+    # a refused compile holds nothing: its plan stays evictable
+    clear_plan_cache()
+    for _ in range(3):
+        with pytest.raises(StreamGraphError, match="unbounded source"):
+            repro.compile(body)
+    assert [e.pins for e in PLAN_CACHE._entries.values()] == [0]
 
 
 def make_output_channel_program():
@@ -506,7 +513,8 @@ def test_closed_session_raises_typed_error(backend):
 
     session = repro.compile(small("FIR"), backend=backend)
     session.close()
-    for call in (lambda: session.run(8), lambda: session.reset()):
+    for call in (lambda: session.run(8), lambda: session.reset(),
+                 session.report):
         with pytest.raises(SessionClosedError):
             call()
 

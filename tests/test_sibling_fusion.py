@@ -2,14 +2,15 @@
 
 The look-alike branches of a splitjoin run as one ``(b, .)`` step per
 stage.  The reference is the same graph planned with the trivial
-quotient (``PlanExecutor.fuse_siblings = False``, what the parallel
-executor runs): outputs, the firing count of every flat node and every
+quotient (``PlanExecutor.fuse_siblings = False`` while the plan is
+built, what the parallel executor runs): outputs, the firing count of every flat node and every
 field of the FLOP profile must agree.  Hermetic: no wall clock, storage
 counted in items.
 """
 
 import re
 from collections import Counter
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro.numeric import resolve_policy
 from repro.profiling import CATEGORIES, Profiler
 from test_exec_plan import FEEDBACK_APPS, N_OUT, small
 from test_push_memory import held
+from test_sinusoid_source import unfolded
 
 MIN = K.LANE_MIN_FIRINGS
 
@@ -88,9 +90,18 @@ def small_radar():
                                fir2_taps=2, mf_taps=4)
 
 
+@contextmanager
 def apart():
-    """Plan (and re-plan, on ``reset``) with the trivial quotient."""
-    return mock.patch.object(PlanExecutor, "fuse_siblings", False)
+    """Plan with the trivial quotient (``reset`` keeps it: it
+    instantiates the same plan).  A plan is built once per cache entry,
+    so this plans into an empty cache and leaves none of its plans
+    behind."""
+    clear_plan_cache()
+    try:
+        with mock.patch.object(PlanExecutor, "fuse_siblings", False):
+            yield
+    finally:
+        clear_plan_cache()
 
 
 def pair(build, **kw):
@@ -302,7 +313,7 @@ def test_two_live_sessions_share_one_cached_entry():
     assert [st.code for st in lanes_a] == [st.code for st in lanes_b]
     # the decisions carry the lane form that takes `phase` a row, which
     # the sources' sinusoid form is read from
-    codes = [s._executor.decisions[s._executor.orbits[1][0]][0]
+    codes = [s._executor.plan.decisions[s._executor.orbits[1][0]]
              for s in (a, b)]
     assert codes[0] is codes[1] and codes[0].varying == {"phase"}
     assert all(isinstance(s._executor.steps[1], K.SinusoidStep)
@@ -385,7 +396,7 @@ def test_the_lane_threshold_counts_lanes_not_firings(monkeypatch):
 
 def test_counters_are_written_back_to_every_sibling():
     # counter sources as lanes, as they run without a sinusoid form
-    with mock.patch.object(PlanExecutor, "_sinusoid", return_value=None):
+    with unfolded():
         fused, plain = pair(small_radar, optimize="auto")
     for s in (fused, plain):
         s.run(2)  # scalar: 4 channels x a few firings

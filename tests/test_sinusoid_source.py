@@ -11,6 +11,7 @@ Hermetic: no wall clock.
 """
 
 import random
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.apps._loader import load_unit
 from repro.dsl import fuzz, load_source
 from repro.errors import FaultInjected
 from repro.exec import kernels as K
-from repro.exec import PlanExecutor, plan_report
+from repro.exec import clear_plan_cache, plan_report, planner
 from repro.exec.ring import RingBuffer
 from repro.graph.streams import Pipeline
 from repro.ir.pycodegen import LaneCode, LaneReject, emit_lanes, sinusoid_form
@@ -233,10 +234,9 @@ def source_pair(build, dtype="f64"):
         ex = repro.compile(build(), dtype=dtype, profiler=profiler)._executor
         orbit = next(o for o in ex.orbits if isinstance(o, list)
                      and not ex.flat.nodes[o[0]].inputs
-                     and isinstance(ex.decisions.get(o[0], (0,))[0],
-                                    LaneCode))
+                     and isinstance(ex.plan.decisions[o[0]], LaneCode))
         nodes = [ex.flat.nodes[m] for m in orbit]
-        code = ex.decisions[orbit[0]][0]
+        code = ex.plan.decisions[orbit[0]]
         ring = RingBuffer("out", dtype=policy.dtype, rows=len(nodes))
         if lanes:
             step = K.LaneStep(nodes, _NULL_CHANNEL, ring, code, policy)
@@ -312,10 +312,17 @@ def test_error_grows_with_the_ulp_of_the_argument_only():
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
 def unfolded():
     """Plan with no sinusoid step: counter sources as lanes and their
-    readers as matmuls."""
-    return mock.patch.object(PlanExecutor, "_sinusoid", return_value=None)
+    readers as matmuls.  A plan is built once per cache entry, so this
+    plans into an empty cache and leaves none of its plans behind."""
+    clear_plan_cache()
+    try:
+        with mock.patch.object(planner, "_sinusoid", return_value=None):
+            yield
+    finally:
+        clear_plan_cache()
 
 
 FOLDS = {  # (graph, optimize)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.exec import PlanExecutor, plan_report
+from repro.exec import plan_report, planner
 from repro.graph import Duplicate, FeedbackLoop, Pipeline, RoundRobin, \
     SplitJoin
 from repro.linear import LinearFilter, LinearNode
@@ -203,7 +203,7 @@ def test_report_counts_the_macs_the_lift_saves():
         return sum(float(r.reason.split(", ")[1].split()[0]) for r in rows)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PlanExecutor, "_stateful_chains", lambda self: [])
+        mp.setattr(planner, "_stateful_chains", lambda *a: [])
         apart = chain_rows(plan_report(iir.build()))
     (one,) = chain_rows(plan_report(iir.build()))
     assert len(apart) == 4
@@ -294,7 +294,7 @@ def test_second_reader_of_an_inner_channel_stays_apart():
     a = next(n for n in flat.nodes if n.name == "a")
     flat.nodes.append(_Node(name="tap", kind="primitive",
                             stream=Collector("tap"), inputs=a.outputs))
-    assert PlanExecutor(flat).chains == {}
+    assert planner._plan(flat, fuse=True)["chains"] == {}
 
 
 def test_graph_output_writer_stays_out_of_the_chain():

@@ -360,12 +360,11 @@ class TestDifferentialRandomized:
 
 
 class TestStatefulPlanMechanics:
-    def test_chunked_runs_preserve_state(self):
+    def test_chunked_runs_preserve_state(self, monkeypatch):
         """Chunk flushes smaller than the lift block and repeated
         executes must thread the state carry exactly."""
-        from repro.exec import PlanExecutor
+        from repro.exec import planner, plan_executor_for
         from repro.runtime import Collector, ListSource
-        from repro.runtime.executor import FlatGraph
 
         rng = np.random.default_rng(8)
         inputs = rng.normal(size=600).tolist()
@@ -374,8 +373,8 @@ class TestStatefulPlanMechanics:
                          Collector()])
         expected = run_stream(biquad(0.2, 0.3, 0.1, 0.4, -0.25),
                               inputs, 500, backend="interp")
-        flat = FlatGraph(prog, Profiler(), backend="compiled")
-        ex = PlanExecutor(flat, chunk_outputs=16)
+        monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)
+        ex = plan_executor_for(prog, Profiler(), cache=False)
         np.testing.assert_allclose(ex.advance(500), expected, atol=1e-9)
 
     def test_plan_report_names_stateful_steps(self):
