@@ -12,7 +12,7 @@ configured rate.  Sites:
                         (:mod:`repro.exec.kernels`)
 ``cache.lookup``        a plan-cache lookup fails (:mod:`repro.exec.cache`)
 ``pool.compile``        a pool compile fails before the factory runs
-``pool.recycle``        recycling a parked session fails
+                        (every serve ``OPEN`` and checkpoint restore)
 ``wire.corrupt``        one frame byte is flipped before the write — the
                         CRC-32 in the frame header turns this into a typed
                         ``corrupt`` protocol error at the receiver
@@ -48,8 +48,8 @@ __all__ = ["FaultPlan", "FaultInjected", "ACTIVE", "install", "uninstall",
            "suppress", "SITES"]
 
 #: Every injection site threaded through the stack, grouped by class.
-SITES = ("kernel.step", "cache.lookup", "pool.compile", "pool.recycle",
-         "wire.corrupt", "wire.truncate", "wire.drop", "wire.latency")
+SITES = ("kernel.step", "cache.lookup", "pool.compile", "wire.corrupt",
+         "wire.truncate", "wire.drop", "wire.latency")
 
 #: The installed plan, or ``None``.  Call sites read this inline.
 ACTIVE: "FaultPlan | None" = None

@@ -6,10 +6,10 @@ streams over the shared plan cache.
 
 * :mod:`~repro.serve.server` — :class:`StreamServer` + serving knobs
   (:class:`ServeConfig`): backpressure caps, per-request timeouts,
-  idle-session TTL eviction, thread-pool execution;
-* :mod:`~repro.serve.pool` — :class:`SessionPool`: sessions keyed by
-  graph fingerprint, recycled via ``reset()`` (zero recompiles), TTL
-  eviction unpins plan entries;
+  thread-pool execution;
+* :mod:`~repro.serve.pool` — :class:`SessionPool`: a fresh session per
+  OPEN from the plan its graph fingerprint keys, a single-flighted
+  first compile, per-graph stats and the circuit breaker;
 * :mod:`~repro.serve.protocol` — length-prefixed binary framing
   (dtype-tagged chunk payloads, JSON error frames) and the one table
   of frame kinds;

@@ -3,16 +3,17 @@
 Architecture: the event loop owns framing and connection lifecycle;
 session work — compiling on an OPEN, advancing on PUSH/RUN — runs on a
 bounded thread pool, so one client's matmul never blocks another
-client's frames.  Exception: requests a session's own history predicts
-to be sub-millisecond run *inline* on the loop (see
+client's frames.  Exception: requests their graph's recent history
+predicts to be sub-millisecond run *inline* on the loop (see
 ``ServeConfig.inline_fast_path``) — for small steady-state pushes the
 thread-pool hop costs several times the work itself, and blocking the
-loop for less than a millisecond is cheaper than the churn.  Each
-connection drives at most one session at a time
-(frames on a connection are processed strictly in order), which is what
-makes pooled reuse serial and interleaved streams deterministic:
-concurrent sessions of the same graph share only the immutable compiled
-plan, never mutable execution state.
+loop for less than a millisecond is cheaper than the churn.  Every OPEN
+builds a fresh session from the shared plan (a plan-cache hit on a warm
+graph) and every CLOSE or disconnect closes it.  Each connection drives
+at most one session at a time (frames on a connection are processed
+strictly in order), which is what makes interleaved streams
+deterministic: concurrent sessions of the same graph share only the
+immutable compiled plan, never mutable execution state.
 
 Robustness:
 
@@ -27,10 +28,9 @@ Robustness:
 * **Per-request deadlines** — each request runs under
   ``config.request_timeout``; expiry returns a clean ``timeout`` error
   frame and poisons the session (its worker thread may still be
-  running) so the pool closes it instead of recycling it.  Further
-  requests on a poisoned session get a ``poisoned`` error frame.
-* **Idle TTL** — a background sweep closes sessions parked longer than
-  ``config.idle_ttl``, unpinning their plan-cache entries.
+  running).  Further requests on a poisoned session get a
+  ``poisoned`` error frame, and its close counts against the graph's
+  circuit breaker.
 
 Recovery (see also :mod:`repro.faults` and ``README`` §Fault
 tolerance):
@@ -56,7 +56,7 @@ tolerance):
   client re-attaches with RESUME and continues its stream.
 * **Graceful shutdown** — ``shutdown()`` (wired to SIGTERM via
   :meth:`install_signal_handlers`) stops accepting, drains in-flight
-  requests under ``config.drain_deadline``, parks sessions, and
+  requests under ``config.drain_deadline``, closes sessions, and
   returns a final STATS dump.
 
 Observability: every counter, gauge, and latency histogram lives in a
@@ -102,20 +102,15 @@ class ServeConfig:
     max_pending_samples: int = 1 << 20
     #: seconds one request may run before a ``timeout`` error frame
     request_timeout: float = 30.0
-    #: sessions whose recent requests averaged under this many seconds
+    #: graphs whose recent requests averaged under this many seconds
     #: run the next request *inline* on the event loop instead of paying
     #: a thread-pool hop (~0.15 ms of future/timer/GIL churn per
-    #: request — several times the work itself for a small push).  The
-    #: first request after a compile always goes to a worker, so the
-    #: predictor only ever inlines work it has seen run fast.  Inline
-    #: requests cannot be timed out — safe because they are predicted
-    #: orders of magnitude under ``request_timeout``.  0 disables.
+    #: request — several times the work itself for a small push).  A
+    #: graph's first request always goes to a worker, so the predictor
+    #: only ever inlines work it has seen run fast.  Inline requests
+    #: cannot be timed out — safe because they are predicted orders of
+    #: magnitude under ``request_timeout``.  0 disables.
     inline_fast_path: float = 0.002
-    #: seconds a parked session survives before TTL eviction (the
-    #: sweep runs every ``idle_ttl / 4``)
-    idle_ttl: float = 60.0
-    #: parked sessions kept per graph key
-    max_idle_per_key: int = 8
     #: session worker threads (None: ThreadPoolExecutor default)
     max_workers: int | None = None
     #: seconds ``aclose``/``shutdown`` wait for in-flight requests
@@ -123,7 +118,8 @@ class ServeConfig:
     drain_deadline: float = 5.0
     #: seconds a disconnected resumable session stays parked awaiting
     #: RESUME; its checkpoint survives a further ``resume_ttl`` after
-    #: the live session is reclaimed
+    #: the live session is reclaimed (the sweep runs every
+    #: ``resume_ttl / 4``)
     resume_ttl: float = 30.0
     #: re-run a failed plan-backend request on the compiled backend
     #: from the last checkpoint (the degradation path)
@@ -195,16 +191,16 @@ class _ResumeEntry:
     """A parked resumable session awaiting its client's RESUME."""
 
     __slots__ = ("ps", "snap", "replies", "key", "label", "factory",
-                 "parked_at")
+                 "dropped_at")
 
-    def __init__(self, ps, parked_at: float):
+    def __init__(self, ps, dropped_at: float):
         self.ps = ps  # cleared when the live session is reclaimed
         self.snap = ps.snap
         self.replies = ps.replies
         self.key = ps.key
         self.label = ps.label
         self.factory = ps.factory
-        self.parked_at = parked_at
+        self.dropped_at = dropped_at
 
 
 class StreamServer:
@@ -214,12 +210,10 @@ class StreamServer:
                  metrics: MetricsRegistry | None = None):
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.pool = SessionPool(
-            max_idle_per_key=self.config.max_idle_per_key,
-            idle_ttl=self.config.idle_ttl, metrics=self.metrics)
+        self.pool = SessionPool(metrics=self.metrics)
         self._server: asyncio.AbstractServer | None = None
         self._workers: ThreadPoolExecutor | None = None
-        self._evict_task: asyncio.Task | None = None
+        self._sweep_task: asyncio.Task | None = None
         self._nonce = itertools.count()
         self._tokens = itertools.count(1)
         #: token -> _ResumeEntry for disconnected resumable sessions
@@ -259,8 +253,8 @@ class StreamServer:
             self._server = await asyncio.start_server(
                 self._handle, host, port)
             self.address = self._server.sockets[0].getsockname()[:2]
-        self._evict_task = asyncio.get_running_loop().create_task(
-            self._evict_loop(max(self.config.idle_ttl / 4, 0.05)))
+        self._sweep_task = asyncio.get_running_loop().create_task(
+            self._sweep_loop(max(self.config.resume_ttl / 4, 0.05)))
         return self.address
 
     def install_signal_handlers(self, signals=(signal.SIGTERM,),
@@ -273,7 +267,7 @@ class StreamServer:
 
     async def shutdown(self, deadline: float | None = None) -> str:
         """Graceful stop: refuse new work, drain in-flight requests
-        under ``deadline`` (default ``config.drain_deadline``), park
+        under ``deadline`` (default ``config.drain_deadline``), close
         sessions, and return the final STATS dump (also kept as
         ``server.final_stats``)."""
         if self._closing:
@@ -301,20 +295,20 @@ class StreamServer:
             return False
 
     async def aclose(self) -> None:
-        """Stop accepting, cancel the evictor, drain in-flight work
-        (bounded by ``config.drain_deadline``), close pooled sessions.
+        """Stop accepting, cancel the sweep, drain in-flight work
+        (bounded by ``config.drain_deadline``), close parked sessions.
 
         The drain runs *before* the worker pool shuts down: killing a
         worker mid-advance would leave a half-mutated session behind a
         reply the client already counts on."""
         self._closing = True
-        if self._evict_task is not None:
-            self._evict_task.cancel()
+        if self._sweep_task is not None:
+            self._sweep_task.cancel()
             try:
-                await self._evict_task
+                await self._sweep_task
             except asyncio.CancelledError:
                 pass
-            self._evict_task = None
+            self._sweep_task = None
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -326,7 +320,7 @@ class StreamServer:
                 entry.ps = None
         self._resume.clear()
         self._issued.clear()
-        self.pool.close_all()
+        self.pool.close()
         if self._workers is not None:
             self._workers.shutdown(wait=drained, cancel_futures=not drained)
             self._workers = None
@@ -335,10 +329,9 @@ class StreamServer:
         from ..parallel.pool import shutdown_pool
         shutdown_pool()
 
-    async def _evict_loop(self, interval: float) -> None:
+    async def _sweep_loop(self, interval: float) -> None:
         while True:
             await asyncio.sleep(interval)
-            self.pool.evict_idle()
             self._sweep_resume()
 
     def _sweep_resume(self, now: float | None = None) -> None:
@@ -349,7 +342,7 @@ class StreamServer:
             now = time.monotonic()
         ttl = self.config.resume_ttl
         for token, entry in list(self._resume.items()):
-            age = now - entry.parked_at
+            age = now - entry.dropped_at
             if entry.ps is not None and age >= ttl:
                 self.metrics.gauge("serve.sessions.parked").dec()
                 ps = entry.ps
@@ -377,10 +370,11 @@ class StreamServer:
 
         The key is the graph's :func:`~repro.graph.identity.content_id`
         plus (backend, optimize, mode, dtype), so every route to the same
-        graph shares one pool bucket.  An ``app`` graph's stages carry
-        their registry names (``Compressor(3)``), so it and the DSL text
-        of that app are two buckets.  Graphs whose id is single-use
-        (opaque callables) get a nonce key: correct, just never shared.
+        graph shares one plan and one row of pool stats.  An ``app``
+        graph's stages carry their registry names (``Compressor(3)``), so
+        it and the DSL text of that app are two keys.  Graphs whose id is
+        single-use (opaque callables) get a nonce key: correct, just never
+        shared.
         ``factory(backend_override)`` builds the session; the override
         is the degradation/quarantine hook.
         """
@@ -449,19 +443,14 @@ class StreamServer:
                 return _inner(backend_override or "compiled")
 
         ps = self.pool.acquire(key, factory, label)
-        ps.factory = factory
-        # field hygiene: a recycled session must start this client's
-        # life with a fresh checkpoint and no reply cache
+        # the first checkpoint: a failing first request degrades from it
         ps.snap = ps.session.snapshot()
-        ps.replies = None
-        ps.resume_token = None
         return ps
 
     def _restore_session(self, entry: _ResumeEntry):
         """Rebuild a parked-then-reclaimed session from its checkpoint
         (runs on a worker)."""
         ps = self.pool.acquire(entry.key, entry.factory, entry.label)
-        ps.factory = entry.factory
         try:
             ps.session.restore(entry.snap)
         except Exception:
@@ -771,13 +760,13 @@ class StreamServer:
         session's graph; execution errors poison the session (its stream
         position is indeterminate).
 
-        Requests predicted fast (the session's recent average is under
+        Requests predicted fast (the graph's recent average is under
         ``config.inline_fast_path``) run inline on the event loop; the
         rest go to the worker pool under the request timeout.
         """
         t0 = time.perf_counter()
-        inline = (ps.avg_serve is not None
-                  and ps.avg_serve < self.config.inline_fast_path)
+        avg = self.pool.predicted_serve(ps)
+        inline = avg is not None and avg < self.config.inline_fast_path
         exec_dt = None  # pure execution time — excludes worker-queue wait
         try:
             if inline:
@@ -804,11 +793,10 @@ class StreamServer:
                 # long it queued — under a cold stampede the span is
                 # dominated by executor backlog, which would lock the
                 # EWMA above the inline threshold forever
-                ps.avg_serve = (exec_dt if ps.avg_serve is None
-                                else 0.25 * exec_dt + 0.75 * ps.avg_serve)
                 self.pool.record_serve(ps, exec_dt)
             else:  # timeout/error: bill the full span, skip the EWMA
-                self.pool.record_serve(ps, time.perf_counter() - t0)
+                self.pool.record_serve(ps, time.perf_counter() - t0,
+                                       predict=False)
 
     # -- observability -----------------------------------------------------
     def render_stats(self) -> str:

@@ -453,19 +453,12 @@ class StreamSession:
         self._produced_total = 0
         self._fed = 0
 
-    def _clear_profile(self) -> None:
-        if self._profiler is not None:
-            from .profiling import Counts
-            self._profiler.counts = Counts()
-            self._profiler.per_filter.clear()
-
-    def reset(self, clear_profile: bool = False) -> None:
+    def reset(self) -> None:
         """Rewind the stream to its initial state without recompiling.
 
         Channel occupancy, filter state, island rings, and source
         positions reset; the compiled plan (and its pinned cache entry)
-        is reused as-is.  The cumulative profile is kept unless
-        ``clear_profile`` is set.
+        is reused as-is.  The cumulative profile is kept.
         """
         self._check_open()
         self._rebuild_executor()
@@ -473,8 +466,6 @@ class StreamSession:
         # reference to the old one and stay replayable
         self._ops = [] if self._journal_limit else None
         self._journal_cost = 0
-        if clear_profile:
-            self._clear_profile()
 
     # -- checkpoint / recovery ---------------------------------------------
     def snapshot(self) -> SessionSnapshot | None:
@@ -502,7 +493,10 @@ class StreamSession:
         """
         from . import faults
         self._check_open()
-        self._clear_profile()
+        if self._profiler is not None:
+            from .profiling import Counts
+            self._profiler.counts = Counts()
+            self._profiler.per_filter.clear()
         with faults.suppress():
             self._rebuild_executor()
             ops = snap.ops[:snap.n_ops]

@@ -3,9 +3,10 @@
 :func:`run_chaos` drives N concurrent resumable clients through the
 full serving stack while a seeded :class:`~repro.faults.FaultPlan`
 injects failures at every site class — kernel raises mid-advance, plan
-cache lookups, pool compile/recycle, and the wire (corrupted frames,
-dropped connections, truncated writes, latency).  The harness then
-checks the one property the whole recovery design exists for:
+cache lookups, pool compiles (every ``OPEN`` builds a fresh session),
+and the wire (corrupted frames, dropped connections, truncated writes,
+latency).  The harness then checks the one property the whole recovery
+design exists for:
 
     **every client-visible output is bitwise-equal to the fault-free
     run** — degradation, retries, and RESUME are invisible except in
@@ -23,7 +24,7 @@ Checks beyond parity, all read from the returned dict:
 
 * **no leaked sessions** — ``leaked``
   (``SessionPool.accounting()["outstanding"]``) must be zero after
-  shutdown: every session ever compiled was closed or sits idle;
+  shutdown: every session ever compiled was closed;
 * **coverage** — ``missing_classes`` lists the site classes (kernel /
   cache / pool / wire) that never fired, so a green run can't mean
   "the faults never happened";
@@ -75,7 +76,6 @@ DEFAULT_RATES = {
     "kernel.step": 0.05,
     "cache.lookup": 0.35,
     "pool.compile": 0.25,
-    "pool.recycle": 0.25,
     "wire.corrupt": 0.05,
     "wire.drop": 0.05,
     "wire.truncate": 0.03,
@@ -124,29 +124,6 @@ async def _chaos_client(index: int, host: str, port: int,
             "retries": client.retries_used, "resumes": client.resumes}
 
 
-async def _recycle_wave(host: str, port: int, opens: int,
-                        retries: int) -> str | None:
-    """Sequential open/close churn on an interp-backend session so the
-    ``pool.recycle`` site sees attempts: the first open parks a session
-    at close, every later open rolls recycle against it.  Interp
-    sessions never reach the kernel fault site, so this wave only
-    exercises pool and wire faults.  Returns why it gave up, if it did."""
-    client = await ServeClient.connect(
-        host, port, retries=retries, retry_seed=999,
-        backoff=0.02, backoff_cap=0.25)
-    try:
-        for done in range(opens):
-            await client.open(dsl=CHAOS_DSL, backend="interp",
-                              resumable=True)
-            await client.close_session()
-    except ProtocolError as exc:
-        return (f"gave up after {done}/{opens} opens and "
-                f"{client.retries_used} retries ({exc.code}): {exc}")
-    finally:
-        await client.close()
-    return None
-
-
 async def _run(clients: int, chunks: int, chunk: int, seed: int,
                rates: dict, retries: int) -> dict:
     expected = {i: _baseline(_client_inputs(i, chunks, chunk))
@@ -164,8 +141,6 @@ async def _run(clients: int, chunks: int, chunk: int, seed: int,
             _chaos_client(i, host, port,
                           _client_inputs(i, chunks, chunk), retries)
             for i in range(clients)))
-        wave_gave_up = await _recycle_wave(host, port, opens=12,
-                                           retries=retries)
     finally:
         faults.uninstall()
 
@@ -173,8 +148,6 @@ async def _run(clients: int, chunks: int, chunk: int, seed: int,
     await server.aclose()
 
     violations = []
-    if wave_gave_up:
-        violations.append(f"recycle wave: {wave_gave_up}")
     for r in results:
         if r["gave_up"]:
             violations.append(f"client {r['index']}: {r['gave_up']}")

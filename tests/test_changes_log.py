@@ -7,7 +7,7 @@ import re
 
 CHANGES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "CHANGES.md")
-FIRST_CHECKED = 26
+FIRST_CHECKED = 1
 MAX_LINES, MAX_WIDTH = 15, 100
 
 

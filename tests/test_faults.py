@@ -2,8 +2,8 @@
 
 The acceptance bar extends the serving suite's invisibility principle
 to *failure*: with faults injected at every site class — kernel raises
-mid-advance, cache lookups, pool compile/recycle, corrupted / dropped /
-truncated frames — a resumable client's outputs must stay
+mid-advance, cache lookups, pool compiles (every OPEN), corrupted /
+dropped / truncated frames — a resumable client's outputs must stay
 bitwise-identical to the fault-free run, the pool's session books must
 balance (nothing leaks), and every recovery action must be visible in
 the metrics rather than in the data.

@@ -1078,11 +1078,11 @@ def test_reset_and_restore_mid_stream():
     np.testing.assert_array_equal(s.run(5), later)
     np.testing.assert_array_equal(s.run(90), after)
     flops = s.profile.counts.flops
-    s.reset(clear_profile=True)
+    s.reset()
     np.testing.assert_array_equal(s.run(70), first)
     s.run(5)
     s.run(90)
-    assert s.profile.counts.flops == flops
+    assert s.profile.counts.flops == 2 * flops
 
 
 @pytest.mark.usefixtures("counter_sources_as_lanes")

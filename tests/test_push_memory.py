@@ -153,9 +153,13 @@ def test_snapshot_restore_and_reset_rebuild_the_rings(backend):
     for c, expected in zip(chunks[4:], later):
         np.testing.assert_array_equal(session.push(c), expected)
     assert held(session) == size
-    session.reset(clear_profile=True)
+    start = session.profile.counts.flops
+    session.reset()
     assert session.consumed == 0 and session.outputs_produced == 0
-    np.testing.assert_array_equal(session.push(chunks[0]), outs[0])
+    for c, expected in zip(chunks[:4], outs):
+        np.testing.assert_array_equal(session.push(c), expected)
+    # the rewound pushes cost what the first four did
+    assert session.profile.counts.flops - start == flops
     session.close()
     assert session.buffers == (0, 0, 0)
 

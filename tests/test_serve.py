@@ -3,12 +3,13 @@
 The acceptance bar mirrors the session suite's: serving is
 *observationally invisible* — outputs streamed through the server are
 bitwise-identical to driving a local :class:`~repro.session.
-StreamSession`, whether sessions run interleaved or sequentially, cold
-or recycled from the pool.  On top of that sit the serving guarantees:
-backpressure caps a misbehaving client's buffered input, timeouts retire
-(poison) sessions instead of recycling them, TTL eviction unpins plan
-entries, and every failure surfaces as a typed error frame, never a
-dropped connection.
+StreamSession`, whether sessions run interleaved or sequentially, on a
+cold plan or a warm one.  Every OPEN instantiates a fresh session from
+the shared plan and every CLOSE closes it, unpinning the plan entry.
+On top of that sit the serving guarantees: backpressure caps a
+misbehaving client's buffered input, timeouts retire (poison) sessions,
+and every failure surfaces as a typed error frame, never a dropped
+connection.
 """
 
 import asyncio
@@ -283,31 +284,89 @@ def test_stats_report_what_a_session_holds_not_what_it_streamed():
 
 
 # ---------------------------------------------------------------------------
-# Pooling: recycle, single-flighted first compile, eviction
+# Pooling: a fresh session per OPEN, single-flighted first compile
 # ---------------------------------------------------------------------------
 
 
+def recording_acquires(pool):
+    """Wrap ``pool.acquire`` to keep each session it hands out, with the
+    plan entry it pinned (``None`` off the plan backend)."""
+    acquired = []
+    acquire = pool.acquire
+
+    def recording(*args, **kwargs):
+        ps = acquire(*args, **kwargs)
+        acquired.append((ps, ps.session.cache_entry))
+        return ps
+
+    pool.acquire = recording
+    return acquired
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_pool_recycles_released_sessions(backend):
+def test_every_open_instantiates_a_fresh_session_from_the_plan(backend):
+    from repro.exec import clear_plan_cache, plan_cache_stats
+
+    n = 4
     inputs = fir_inputs(400)
     expected = direct_push_outputs([inputs], backend)
+    clear_plan_cache()
 
     async def scenario(server, path):
+        acquired = recording_acquires(server.pool)
         outs = []
-        for _ in range(3):  # same connection: open, stream, release
+        for i in range(n):
             async with await ServeClient.connect(path=path) as client:
                 await client.open(app="fir", params=FIR_PARAMS,
                                   backend=backend)
                 outs.append(await client.push(inputs))
                 await client.close_session()
+            ps, entry = acquired[i]
+            assert ps.session.closed  # no session outlives its CLOSE
+            assert entry is None or entry.pins == 0
+        entries = {id(entry) for _ps, entry in acquired}
+        assert len(acquired) == n and len(entries) == 1
         snap = server.stats_snapshot()
-        assert snap["serve.sessions.compiled"] == 1
-        assert snap["serve.sessions.recycled"] == 2
-        assert server.pool.graph_stats()[0]["compiles"] == 1
+        assert snap["serve.sessions.compiled"] == n
+        assert server.pool.graph_stats()[0]["compiles"] == n
+        assert server.pool.accounting()["outstanding"] == 0
+        assert plan_cache_stats()["misses"] == \
+            (1 if backend == "plan" else 0)
         return outs
 
     for out in serve_test(scenario):
-        np.testing.assert_array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()
+
+
+def test_second_session_of_a_warm_key_inlines_its_first_push():
+    """The inline fast-path predictor belongs to the graph: a session
+    opened after a sibling has pushed inlines its first request, and a
+    never-served graph's first request goes to a worker."""
+    inputs = fir_inputs(256)
+    expected = direct_push_outputs([inputs])
+
+    def inline(server):
+        return server.stats_snapshot().get("serve.requests.inline", 0)
+
+    async def scenario(server, path):
+        async with await ServeClient.connect(path=path) as first, \
+                await ServeClient.connect(path=path) as second:
+            await first.open(app="fir", params=FIR_PARAMS)
+            await first.push(inputs)
+            assert inline(server) == 0  # the key had never served
+            await second.open(app="fir", params=FIR_PARAMS)
+            out = await second.push(inputs)
+            assert inline(server) == 1
+            await first.close_session()
+            await second.close_session()
+            await first.open(dsl=DSL_SCALE, top="Scale")
+            await first.push([1.0])
+            assert inline(server) == 1  # another key starts cold
+        return out
+
+    # a generous threshold: only "has this graph served before" decides
+    config = ServeConfig(inline_fast_path=1.0)
+    assert serve_test(scenario, config).tobytes() == expected.tobytes()
 
 
 def test_cold_stampede_of_opens_plans_once():
@@ -318,7 +377,7 @@ def test_cold_stampede_of_opens_plans_once():
     from repro.exec import clear_plan_cache, plan_cache_stats
 
     clear_plan_cache()
-    pool = SessionPool(max_idle_per_key=8)
+    pool = SessionPool()
 
     def factory():  # every open builds its own graph, as the server does
         _source, body = split_app(BENCHMARKS["FIR"](**FIR_PARAMS))
@@ -347,49 +406,58 @@ def test_cold_stampede_of_opens_plans_once():
     outs = [ps.session.push(inputs) for ps in sessions]
     for out in outs[1:]:
         np.testing.assert_array_equal(out, outs[0])
-    pool.close_all()
+    for ps in sessions:
+        pool.release(ps)
+    assert entries[0].pins == 0
 
 
-def test_idle_ttl_eviction_unpins_plan_entries():
-    from repro.exec import clear_plan_cache
+def test_release_closes_and_unpins():
+    from repro.exec import clear_plan_cache, plan_cache_stats
 
     clear_plan_cache()
     program = BENCHMARKS["FIR"](**FIR_PARAMS)
-    pool = SessionPool(max_idle_per_key=4, idle_ttl=30.0)
+    pool = SessionPool()
 
     def factory():
         return StreamSession(program, backend="plan")
 
-    ps = pool.acquire("k", factory, "fir")
-    entry = ps.session.cache_entry
-    assert entry.pins == 1
-    pool.release(ps)  # parked, still pinned
-    assert entry.pins == 1 and pool.idle_count == 1
-    assert pool.evict_idle(now=pool._clock() + 31.0) == 1
-    assert entry.pins == 0 and pool.idle_count == 0
-    assert ps.session.closed
-    assert pool.metrics.counter("serve.sessions.evicted").value == 1
+    a = pool.acquire("k", factory, "fir")
+    b = pool.acquire("k", factory, "fir")
+    entry = a.session.cache_entry
+    assert b.session.cache_entry is entry and entry.pins == 2
+    pool.release(a)
+    assert a.session.closed and entry.pins == 1
+    pool.release(b)
+    assert b.session.closed and entry.pins == 0
+    # the next OPEN instantiates the same plan again: a cache hit
+    c = pool.acquire("k", factory, "fir")
+    assert c.session.cache_entry is entry
+    assert plan_cache_stats()["misses"] == 1
+    pool.release(c)
+    assert pool.accounting() == {"compiled": 3, "closed": 3,
+                                 "outstanding": 0}
 
 
-def test_pool_discards_overflow_and_poisoned():
+def test_pool_closes_poisoned_sessions_and_counts_them():
     _source, body = split_app(BENCHMARKS["FIR"](**FIR_PARAMS))
-    pool = SessionPool(max_idle_per_key=1)
+    pool = SessionPool()
 
     def factory():
         return StreamSession(body, backend="plan")
 
     a = pool.acquire("k", factory, "fir")
-    b = pool.acquire("k", factory, "fir")
     c = pool.acquire("k", factory, "fir")
     pool.release(a)
-    pool.release(b)  # bucket full -> closed, not parked
-    assert pool.idle_count == 1 and b.session.closed
-    assert pool.metrics.counter("serve.sessions.discarded").value == 1
+    assert a.session.closed
+    assert pool.metrics.counter("serve.sessions.poisoned").value == 0
     c.poisoned = True
-    pool.release(c)  # poisoned -> closed, never recycled
-    assert pool.idle_count == 1 and c.session.closed
+    pool.release(c)  # closed, and one strike against the key
+    assert c.session.closed
     assert pool.metrics.counter("serve.sessions.poisoned").value == 1
-    pool.close_all()
+    assert pool.record_poison("k") == 2
+    pool.close()
+    with pytest.raises(RuntimeError):
+        pool.acquire("k", factory, "fir")
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +501,13 @@ def test_request_timeout_returns_error_frame_and_retires_session():
             with pytest.raises(ProtocolError) as ei:
                 await client.run(2_000_000)
             assert ei.value.code == "timeout"
-            await client.close_session()  # poisoned -> closed, not parked
+            await client.close_session()  # poisoned -> closed
         # the worker thread may still be running the doomed request;
-        # poisoning guarantees the session is never handed out again
-        assert server.pool.idle_count == 0
+        # the session is closed all the same, and counted as poisoned
+        assert server.pool.accounting()["outstanding"] == 0
         snap = server.stats_snapshot()
         assert snap["serve.errors.timeout"] == 1
+        assert snap["serve.sessions.poisoned"] == 1
 
     serve_test(scenario, config)
 

@@ -223,17 +223,16 @@ def test_reset_rewinds_without_recompiling():
     clear_plan_cache()
     session = repro.compile(small("IIR"), backend="plan")
     first = session.run(96)
+    flops = session.profile.counts.flops
     stats = plan_cache_stats()
     session.reset()
     assert plan_cache_stats() == stats  # reuses the pinned entry
+    assert session.profile.counts.flops == flops  # the profile is kept
     again = session.run(96)
     np.testing.assert_array_equal(again, first)
     assert session.outputs_produced == 96
-
-    flops = session.profile.counts.flops
-    session.reset(clear_profile=True)
-    assert session.profile.counts.flops == 0
-    assert flops > 0
+    # the rewound run costs what the first one did
+    assert flops > 0 and session.profile.counts.flops == 2 * flops
 
 
 def test_session_on_a_cached_plan_resumes():
