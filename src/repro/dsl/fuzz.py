@@ -45,6 +45,7 @@ import math
 import random
 import sys
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +81,9 @@ class FuzzProgram:
     push: int = 1
     #: construct census, e.g. {"filter": 4, "splitjoin": 1}
     census: dict = field(default_factory=dict)
+    #: the plan report's census keys its plan sessions reached, e.g.
+    #: {"matmul[fused]", "island:lanes"}
+    kernels: set = field(default_factory=set)
 
 
 @dataclass
@@ -747,20 +751,14 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
               calls: int = 1) -> np.ndarray:
     """Plan-backend run, under a numeric policy or on the parallel
     engine (``workers`` processes) if asked, counting into ``profiler``
-    if given.  Notes in the program's census whether sibling branches
-    ran as one step (a many-row ring), a stateful chain as one lifted
-    step, a source as a sinusoid step (its
-    reader folded on), a reduction nest interchanged as lanes, whether
-    the rewrite collapsed a mixed run: a
-    leaf with state *and* lookahead or a rate change, as none is — and
-    how many leaves run as polyphase frequency filters.
+    if given.  Adds the keys of the session's
+    :meth:`~repro.exec.planner.PlanReport.census`, taken after the run,
+    to the program's :attr:`~FuzzProgram.kernels`.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
     also takes the remainder) and adds to the census how many replayed
     a kept schedule, and whether the compile hit the plan cache."""
     from ..exec import PLAN_CACHE
-    from ..exec.kernels import LaneStep, SinusoidStep
-    from ..frequency.filters import OptimizedFreqFilter
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
@@ -773,33 +771,10 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         for key, n in (("resumed", 1), ("hit", PLAN_CACHE.hits - hits)):
             program.census[key] = program.census.get(key, 0) + n
     try:
-        rings = getattr(session._executor, "rings", ())
-        if any(ring.rows > 1 for ring in rings):
-            program.census["fused"] = 1
-        if session.cache_entry.chains:
-            program.census["chain"] = 1
-        for step in getattr(session._executor, "steps", ()):
-            if isinstance(step, SinusoidStep):
-                program.census["sinusoid"] = 1
-                if step.source is not step:
-                    program.census["folded"] = 1
-        flat = getattr(session._executor, "flat", session._executor)
-        for node in flat.nodes:
-            ln = getattr(node.stream, "linear_node", None)
-            if ln is not None and ln.state_dim and \
-                    (ln.peek > ln.pop or ln.pop != ln.push):
-                program.census["collapsed"] = 1
-        polyphase = sum(isinstance(node.stream, OptimizedFreqFilter)
-                        and node.stream.phases > 1 for node in flat.nodes)
-        if polyphase:  # leaves of this plan; its other runs plan the same
-            program.census["polyphase"] = polyphase
         size = n_outputs // calls
         parts = [session.run(size) for _ in range(calls - 1)]
         parts.append(session.run(n_outputs - size * (calls - 1)))
-        if any(isinstance(step, LaneStep) and step.batches > step.refired
-               and "interchanged" in step.code.detail
-               for step in getattr(session._executor, "steps", ())):
-            program.census["interchanged"] = 1
+        program.kernels.update(session.report().census())
         if calls > 1:
             for key in ("replayed", "calls"):
                 program.census[key] = (program.census.get(key, 0)
@@ -975,11 +950,11 @@ def main(argv=None) -> int:
     if args.workers < 1:
         parser.error("--workers must be a positive integer")
 
-    census: dict[str, int] = {}
+    census, kernels = Counter(), Counter()
 
     def progress(done: int, program: FuzzProgram) -> None:
-        for kind, n in program.census.items():
-            census[kind] = census.get(kind, 0) + n
+        census.update(program.census)
+        kernels.update(program.kernels)
         if args.print_source:
             print(f"// ---- seed {program.seed} ----")
             print(program.source)
@@ -1000,23 +975,14 @@ def main(argv=None) -> int:
         print(f"[fuzz] FAILED: {len(mismatches)} mismatch(es)",
               file=sys.stderr)
         return 1
-    fused, collapsed = census.pop("fused", 0), census.pop("collapsed", 0)
-    chain = census.pop("chain", 0)
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     hit, resumed = census.pop("hit", 0), census.pop("resumed", 0)
-    sinusoid, folded = census.pop("sinusoid", 0), census.pop("folded", 0)
-    polyphase = census.pop("polyphase", 0)
-    interchanged = census.pop("interchanged", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
+    reach = ", ".join(f"{n} {key}" for key, n in sorted(kernels.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
-          f"non-source leaves {leaves}; {fused} programs ran sibling "
-          f"branches as one step, {chain} ran a stateful chain as one "
-          f"step, {collapsed} collapsed a mixed run into "
-          f"one leaf with state; sinusoid {sinusoid} programs, {folded} "
-          f"folded; {polyphase} polyphase freq leaves; {interchanged} "
-          f"ran a reduction nest interchanged; "
+          f"non-source leaves {leaves}; programs per plan kernel: {reach}; "
           f"replayed {replayed}/{calls} resumed calls; {hit}/{resumed} "
           f"resumed runs compiled on a plan-cache hit)")
     return 0

@@ -71,6 +71,9 @@ class Step:
     #: what the plan report prints beside the kind, if anything
     detail: str | None = None
 
+    #: this step's variant of ``kind``, the plan report's ``kind[tag,…]``
+    tags: tuple = ()
+
     def execute(self, n: int) -> None:
         raise NotImplementedError
 
@@ -262,6 +265,9 @@ class StatefulLinearStep(Step):
         self.ring_in = ring_in
         self.ring_out = ring_out
         self.node = node
+        # state with lookahead or a rate change: a collapsed mixed run
+        self.tags = ("mixed",) * (node.peek > node.pop
+                                  or node.pop != node.push)
         self.policy = policy
         self.s = np.asarray(node.s0, dtype=policy.dtype).copy()
         self.accounts = _merged(accounts, policy)
@@ -433,6 +439,7 @@ class OptimizedFreqStep(Step):
         self.o = filt.phases
         self.detail = f"N={filt.n}" + (f", {self.o} phases"
                                        if self.o > 1 else "")
+        self.tags = ("polyphase",) * (self.o > 1)
         self.b_push = np.asarray(filt.b_push, dtype=policy.dtype)
         # the polyphase assembly adds b per output column, if at all
         self.b_col = self.b_push[:, None] if filt.b_push.any() else None
@@ -598,6 +605,7 @@ class LaneStep(FallbackStep):
         super().__init__(nodes[0], ring_in, ring_out)
         self.nodes = nodes
         self.code = code
+        self.tags = ("interchanged",) * bool(code.interchanged)
         self.dtype = np.dtype(np.complex128 if policy.is_complex
                               else np.float64)
         self.batches = self.refired = 0  # lane calls made / abandoned
@@ -734,7 +742,7 @@ class SinusoidStep(Step):
         reader.stride = self.stride * (first.pop // self.push)
         reader.pop, reader.push = first.pop, first.push
         reader.accounts = _merged(accounts, policy)
-        reader.kind = "matmul"
+        reader.kind, reader.tags = "matmul", ("folded",)
         reader.detail = f"folded onto {self.nodes[0].name}'s basis"
         reader.coef = W @ A
         reader.coef[:, -1] += np.stack([node.b[::-1] for node in nodes])

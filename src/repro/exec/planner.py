@@ -1462,7 +1462,8 @@ def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
 
 @dataclass
 class StepReport:
-    """How one flattened node is realized inside a plan."""
+    """How one flattened node is realized inside a plan; its census
+    :attr:`key` is ``step_kind`` and ``tags``."""
 
     index: int
     name: str
@@ -1474,10 +1475,18 @@ class StepReport:
     reason: str | None
     #: sibling nodes the step fires at once (``name`` is the first's)
     width: int = 1
+    #: the kernel's own :attr:`~repro.exec.kernels.Step.tags`, then
+    #: ``fused`` (``width > 1``) or ``chained`` (a stateful chain's lift)
+    tags: tuple = ()
 
     @property
     def label(self) -> str:
         return self.name if self.width == 1 else f"{self.name} ×{self.width}"
+
+    @property
+    def key(self) -> str:
+        """The row's census key: ``kind`` or ``kind[tag,…]``."""
+        return self.step_kind + (f"[{','.join(self.tags)}]" * bool(self.tags))
 
 
 @dataclass
@@ -1520,6 +1529,7 @@ class PlanReport:
     Render with ``str(report)`` or read :attr:`steps` /
     :attr:`fallbacks` / :attr:`islands`; a feedback island is one
     ``feedback`` row plus a section listing its member kernels.
+    :meth:`census` is which kernels the plan reached, as data.
     """
 
     program: str
@@ -1541,8 +1551,19 @@ class PlanReport:
     buffers: tuple | None = None
 
     @property
+    def members(self) -> list[StepReport]:
+        return [s for isl in self.islands for s in isl.steps]
+
+    @property
     def fallbacks(self) -> list[StepReport]:
-        return [s for s in self.steps if s.step_kind == "fallback"]
+        """The scalar rows, an island's members included."""
+        return [s for s in self.steps + self.members
+                if s.step_kind == "fallback"]
+
+    def census(self) -> Counter:
+        """Rows by :attr:`StepReport.key`, a member's as ``island:<key>``."""
+        return Counter([s.key for s in self.steps]
+                       + ["island:" + s.key for s in self.members])
 
     def __str__(self) -> str:
         title = f"plan report: {self.program} (optimize={self.optimize})"
@@ -1614,7 +1635,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
                 node, mstep = flat.nodes[j], member.step
                 isl.steps.append(StepReport(
                     j, node.name, node.kind, mstep.kind,
-                    mstep.detail or executor.plan.reasons.get(j)))
+                    mstep.detail or executor.plan.reasons.get(j),
+                    tags=mstep.tags))
             rep.islands.append(isl)
         else:
             reason = executor.plan.reasons.get(orbit[0])
@@ -1627,11 +1649,13 @@ def report_for_executor(executor: PlanExecutor, program: str,
             else:
                 reason = "; ".join(filter(None, (step.detail, reason))) \
                     or None
-            name, width = entry.name, len(orbit)
+            name, width, grouped = entry.name, len(orbit), "fused"
             if isinstance(step, K.StatefulLinearStep):  # orbit: a chain
                 name, width = " → ".join(flat.nodes[j].name for j in orbit), 1
-            rep.steps.append(StepReport(pos, name, entry.kind, step.kind,
-                                        reason, width))
+                grouped = "chained"
+            rep.steps.append(StepReport(
+                pos, name, entry.kind, step.kind, reason, width,
+                step.tags + (grouped,) * (len(orbit) > 1)))
     return rep
 
 

@@ -1074,10 +1074,12 @@ class LaneCode:
     domain errors raised rather than warned about."""
 
     def __init__(self, source: str, entry: str, detail: str,
-                 counters: tuple, varying: frozenset = frozenset()):
+                 counters: tuple, varying: frozenset = frozenset(),
+                 interchanged: int = 0):
         self.source = source
         self.entry = entry
         self.detail = detail  # what the plan report prints
+        self.interchanged = interchanged  # reduction nests, see _interchange
         self.counters = counters
         self.varying = varying  # fields it takes one value per sibling of
         self._fn = None
@@ -1140,7 +1142,7 @@ def emit_lanes(wf: N.WorkFunction, fields: dict, name: str = "work",
               + ["loops" + f" ({kinds})" * bool(kinds)] * em.loops)
     return LaneCode("\n".join(em.lines) + "\n", entry,
                     ", ".join(detail) or "straight-line", tuple(counters),
-                    varying)
+                    varying, em.interchanged)
 
 
 # ---------------------------------------------------------------------------

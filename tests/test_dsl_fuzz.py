@@ -38,6 +38,25 @@ def test_generated_programs_cover_all_constructs():
         assert census.get(kind, 0) > 0, f"no {kind} generated"
 
 
+@pytest.mark.parametrize("seed", [3, 17, 41])
+def test_kernel_census_is_the_plan_reports(monkeypatch, seed):
+    """A program's kernel keys are the union of its plan sessions'
+    ``report().census()`` keys: the fuzzer keeps no census of its own."""
+    from repro.session import StreamSession
+
+    reached, close = set(), StreamSession.close
+
+    def recording(session):
+        if not session.closed and session.backend == "plan":
+            reached.update(session.report().census())
+        close(session)
+
+    monkeypatch.setattr(StreamSession, "close", recording)
+    program = generate(seed)
+    assert check_program(program, n_outputs=48, optimize="auto") is None
+    assert reached and program.kernels == reached
+
+
 def test_rate_signature_is_consistent():
     """The generator's claimed (pop, push) must divide evenly into any
     steady state — spot-check that requesting a multiple of ``push``
