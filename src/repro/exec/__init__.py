@@ -11,7 +11,7 @@ rewrites the graph with the paper's optimization passes
 (:mod:`repro.exec.optimize`), and caches plans across runs
 (:mod:`repro.exec.cache`).  Entry point:
 ``run_graph(..., backend="plan", optimize=...)`` or
-:func:`plan_executor_for` (``planner.build_plan`` plans a graph whole,
+:func:`compiled_plan_for` (``planner.build_plan`` plans a graph whole,
 once per cache entry, and ``planner.instantiate`` runs one);
 :func:`plan_report` explains kernel choices and scalar fallbacks.
 """
@@ -20,13 +20,11 @@ from .cache import PLAN_CACHE, PlanCache, clear_plan_cache, plan_cache_stats
 from .optimize import OPTIMIZE_MODES, optimize_stream
 from .planner import (IslandRates, IslandReport, PlanExecutor, PlanReport,
                       StepReport, compiled_plan_for, plan_bailout_reason,
-                      plan_executor_for, plan_report, probe_island,
-                      report_for_executor)
+                      plan_report, probe_island, report_for_executor)
 from .ring import RingBuffer
 
 __all__ = [
-    "PlanExecutor", "RingBuffer", "plan_executor_for",
-    "compiled_plan_for", "plan_bailout_reason",
+    "PlanExecutor", "RingBuffer", "compiled_plan_for", "plan_bailout_reason",
     "OPTIMIZE_MODES", "optimize_stream",
     "PLAN_CACHE", "PlanCache", "plan_cache_stats", "clear_plan_cache",
     "PlanReport", "StepReport", "plan_report", "report_for_executor",

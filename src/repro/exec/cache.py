@@ -16,16 +16,17 @@ its entry; a single-use id (state no snapshot can see) is never stored.
 
 A :class:`PlanEntry` is one whole build
 (:func:`~repro.exec.planner.build_plan`), stored once complete — a
-build that raises stores nothing — so a hit re-derives none of it.
+build that raises stores nothing — so a hit re-derives none of it,
+step operators (matrices, lifts, source tables) included.
 
-Mutable execution state (ring buffers — the sink's output ring and a
-push session's feed ring among them — step operators, fallback runners,
-profilers) and the firing schedule are *never* in this cache; every run
-instantiates a fresh executor over the shared immutable plan and drives
-it live.  The
-schedule is per executor: :meth:`~repro.exec.planner.PlanExecutor.
-_scheduled` simulates a call once per integer state (O(nodes), whatever
-the schedule's period) and replays it when the state recurs.
+Mutable execution state (rings — the sink's output ring and a push
+session's feed ring among them — carries, counters, the runners that
+fire scalar, profilers) and the firing schedule are *never* in this
+cache; every run instantiates a fresh executor that allocates them over
+the shared immutable plan and drives it live.  The schedule is per
+executor: :meth:`~repro.exec.planner.PlanExecutor._scheduled` simulates
+a call once per integer state (O(nodes), whatever the schedule's
+period) and replays it when the state recurs.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ from ..numeric import DEFAULT_POLICY, NumericPolicy
 
 @dataclass
 class PlanEntry:
-    """Immutable plan artifacts shared by every run of one (graph, mode).
+    """Everything an executor reads that depends on the graph alone,
+    shared by every run of one (graph, mode).
 
     The content id covers source *values* (a ``ListSource``'s data feeds
     the outputs and the exhaustion schedule, and ``entry.optimized``
@@ -82,6 +84,12 @@ class PlanEntry:
     #: why a filter runs no faster, a counter source has no sinusoid
     #: form, or a splitter's look-alike branches run apart
     reasons: dict
+    flat: object  # ``optimized`` flattened: topology, runners never fire
+    rings: list  # ``(name, rows, prefill)`` by ring id
+    outer: list  # a :class:`~repro.exec.planner.PlanStep` a position
+    #: outer positions of the sink and the push feed (None: none)
+    sink: int | None
+    feed: int | None
     #: live holders (sessions) of this entry; pinned entries survive the
     #: cache's LRU trim so a long-lived session's plan is never dropped
     #: out from under it while recompiles churn the cache

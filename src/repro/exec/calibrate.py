@@ -159,19 +159,22 @@ def _measure_stateful_block(policy, rng) -> int:
     """
     from ..linear.state import from_difference_equation
     from ..profiling import NullProfiler
-    from .kernels import StatefulLinearStep
+    from .kernels import (StatefulLinearStep, stateful_group_length,
+                          stateful_lift)
     from .ring import RingBuffer
 
     firings = 4096
     node = from_difference_equation([0.2, 0.4, 0.2], [0.4, -0.2])
+    group = stateful_group_length(node.state_dim)
     x = _randn(rng, firings, policy.dtype)
     best_b, best_t = STATEFUL_BLOCKS[0], float("inf")
     for b in STATEFUL_BLOCKS:
         ring_in = RingBuffer("in", 2 * firings, dtype=policy.dtype)
         ring_out = RingBuffer("out", 2 * firings, dtype=policy.dtype)
-        step = StatefulLinearStep(ring_in, ring_out, node, [],
-                                  NullProfiler(), policy=policy)
-        step.block = b
+        lifts = {k: stateful_lift(node, k, group, policy.dtype)
+                 for k in {b, 1}}
+        step = StatefulLinearStep(ring_in, ring_out, (
+            node, (), b, group, lifts, policy), NullProfiler())
 
         def run():
             ring_in.push_array(x)

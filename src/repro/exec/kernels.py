@@ -20,8 +20,8 @@ the same class, its arrays without the axis.
 * splitter/joiner steps become reshape + strided scatter/gather;
 * trivial primitives (identity, decimator, sources, collector) become
   block transfers;
-* :class:`PeriodicSourceStep` fires an IR source scalar until its state
-  recurs, then replays the cycle of outputs from a table;
+* :class:`PeriodicSourceStep` replays an IR source's outputs from the
+  table the planner fired once, at build, until its state recurred;
 * :class:`LaneStep` evaluates ``n`` firings of a stateless non-linear
   filter, or of a counter-driven source, as one call of its generated
   lane form — NumPy ufuncs over the ``(n, peek)`` window;
@@ -39,11 +39,17 @@ the same class, its arrays without the axis.
 FLOP accounting: every step reports exactly the operations the scalar
 backends would have counted for the same firings, so profiles are
 bit-identical across ``interp``/``compiled``/``plan``.
+
+A step is its executor's state (rings, carries, counters, runners) over
+an *operator* that depends on the graph alone: the tuple a kernel's
+``operator`` makes (a source's table, a lane step's columns).  The
+planner derives each once per plan entry, every executor of the entry
+shares it, and its arrays are read-only (:func:`shared`), so a kernel
+writing one fails instead of corrupting another session.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -86,13 +92,20 @@ class Step:
             f"{type(self).__name__} does not carry state")
 
 
-def _merged(accounts, policy: NumericPolicy) -> list:
+def _merged(accounts, policy: NumericPolicy) -> tuple:
     """``(counts, name)`` accounts in the policy's units, one per name,
     the unnamed ones summed."""
     merged: dict = {}
     for counts, name in accounts:
         merged.setdefault(name, Counts()).add(policy.adjust_counts(counts))
-    return [(counts, name) for name, counts in merged.items()]
+    return tuple((counts, name) for name, counts in merged.items())
+
+
+def shared(a, dtype=None) -> np.ndarray:
+    """``a`` as an operator array: a private contiguous copy, read-only."""
+    a = np.array(a, dtype=dtype, order="C")
+    a.flags.writeable = False
+    return a
 
 
 class MatmulStep(Step):
@@ -109,12 +122,10 @@ class MatmulStep(Step):
 
     kind = "matmul"
 
-    def __init__(self, ring_in, ring_out, nodes, accounts,
-                 profiler: Profiler, policy: NumericPolicy = DEFAULT_POLICY):
-        self.ring_in = ring_in
-        self.ring_out = ring_out
+    @staticmethod
+    def operator(nodes, accounts, policy: NumericPolicy) -> tuple:
+        """``(peek, pop, push, A, b, taps, accounts)``."""
         first = nodes[0]
-        self.peek, self.pop, self.push = first.peek, first.pop, first.push
         # row i <=> peek(i), column j <=> the j-th item pushed (y[u-1]
         # goes first), so the product lands in the ring as it stands;
         # stored in the policy dtype so it computes natively in it (f32
@@ -123,10 +134,7 @@ class MatmulStep(Step):
         b = np.stack([node.b[::-1] for node in nodes])[:, None, :]
         if len(nodes) == 1:
             A, b = A[0], b[0, 0]
-        self.A = np.ascontiguousarray(A, dtype=policy.dtype)
-        self.b = b.astype(policy.dtype) if b.any() else None
-        self.accounts = _merged(accounts, policy)
-        self.profiler = profiler
+        A = shared(A, policy.dtype)
         # pop == push == 1 (an n-tap sliding filter, the FIR shape):
         # consecutive windows overlap in all but one element, and BLAS
         # forces a dense (n, peek) copy of the strided view first — a
@@ -134,10 +142,21 @@ class MatmulStep(Step):
         # the window matrix (~5x on a 256-tap FIR).  np.correlate
         # conjugates its second argument, so complex taps are
         # pre-conjugated to keep the plain product semantics.
-        self._taps = None
-        if self.pop == 1 and self.push == 1 and self.peek >= 1:
-            taps = self.A.reshape(len(nodes), -1)
-            self._taps = np.conj(taps) if policy.is_complex else taps
+        taps = None
+        if first.pop == 1 and first.push == 1 and first.peek >= 1:
+            taps = A.reshape(len(nodes), -1)
+            taps = shared(np.conj(taps)) if policy.is_complex else taps
+        return (first.peek, first.pop, first.push, A,
+                shared(b, policy.dtype) if b.any() else None, taps,
+                _merged(accounts, policy))
+
+    def __init__(self, ring_in, ring_out, op: tuple, profiler: Profiler):
+        self.ring_in = ring_in
+        self.ring_out = ring_out
+        self.op = op
+        (self.peek, self.pop, self.push, self.A, self.b, self._taps,
+         self.accounts) = op
+        self.profiler = profiler
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
@@ -184,8 +203,9 @@ class MatmulStep(Step):
 #:
 #: ``B = 64 .. 128`` by ``G·k = 128 .. 512`` lie within run-to-run noise,
 #: and none beats ``B = 64``, ``G·k = 128`` under every dtype (``B = 128``
-#: costs c128 a third, a lone f32 biquad 2x), so the budget stays; the
-#: first push built the operators in 2.8 / 3.1 / 2.2 / 6.1 ms by ``G·k``.
+#: costs c128 a third, a lone f32 biquad 2x), so the budget stays.
+#: Deriving the two lifts took 2.8 / 3.1 / 2.2 / 6.1 ms by ``G·k``, paid
+#: once per plan entry, never by a session.
 _STATEFUL_LIFT_ELEMS = 1 << 14
 
 
@@ -219,6 +239,31 @@ def stateful_group_length(state_dim: int) -> int:
     return max(1, math.isqrt(_STATEFUL_LIFT_ELEMS) // max(1, state_dim))
 
 
+def stateful_lift(node, b: int, group: int, dtype) -> tuple:
+    """The operators of :class:`StatefulLinearStep` at block length
+    ``b``: ``b`` firings of ``node`` lifted into one, and the boundary
+    recurrence lifted over ``group`` blocks."""
+    from ..linear.expansion import expand_firings
+    from ..linear.state import boundary_lift
+
+    ex = expand_firings(node, b)
+
+    def offset(v):
+        return shared(v, dtype) if v.any() else None
+
+    G, T, P = group, None, None
+    if ex.state_dim:
+        T, P = boundary_lift(ex.Cs, G, dtype)
+        G = len(T) // ex.state_dim  # fewer if Cs^b overflows
+        T, P = shared(T), shared(P)
+    # rows reversed like MatmulStep's (window rows are [peek(0)..
+    # peek(E-1)], the node uses the x-convention); output columns
+    # reversed too, into push order (y[U-1] first)
+    return (G, ex.peek, ex.pop, ex.push, shared(ex.A[::-1, ::-1], dtype),
+            shared(ex.As[:, ::-1], dtype), offset(ex.b[::-1]),
+            shared(ex.Cx[::-1], dtype), offset(ex.bs), T, P)
+
+
 class StatefulLinearStep(Step):
     """Batched kernel of a linear node with state: ``n`` firings of
     ``y = x·A + s·As + b``, ``s' = x·Cx + s·Cs + bs`` as four matmuls
@@ -250,31 +295,38 @@ class StatefulLinearStep(Step):
     one product per operator, 0.12 ms group by group.
 
     The ``n mod B`` firings left over run through the same four
-    products at block length 1 (the node itself), so a step holds at
-    most two lifts whatever sizes it is called with.  ``node`` may be a
-    chain's pipeline combination, one lift for all; FLOP accounting
-    reports each member's scalar per-firing counts times ``n`` under
-    its name (``accounts``, as :class:`MatmulStep`; the parity
-    contract), not the lift's recomputation.
+    products at block length 1 (the node itself), so the operator holds
+    two lifts whatever sizes the step is called with, both derived with
+    the plan; the step itself holds only the state ``s``.  ``node`` may
+    be a chain's pipeline combination, one lift for all; FLOP accounting
+    reports each member's scalar per-firing counts times ``n`` under its
+    name (``accounts``, as :class:`MatmulStep`; the parity contract),
+    not the lift's recomputation.
     """
 
     kind = "stateful"
 
-    def __init__(self, ring_in, ring_out, node, accounts,
-                 profiler: Profiler, policy: NumericPolicy = DEFAULT_POLICY):
+    @staticmethod
+    def operator(node, accounts, policy: NumericPolicy) -> tuple:
+        """``(node, accounts, block, group, lifts, policy)``, ``lifts``
+        by block length: ``block`` and 1."""
+        block = stateful_block_length(node.pop, node.push, policy)
+        group = stateful_group_length(node.state_dim)
+        return (node, _merged(accounts, policy), block, group,
+                {b: stateful_lift(node, b, group, policy.dtype)
+                 for b in {block, 1}}, policy)
+
+    def __init__(self, ring_in, ring_out, op: tuple, profiler: Profiler):
         self.ring_in = ring_in
         self.ring_out = ring_out
-        self.node = node
+        self.op = op
+        (self.node, self.accounts, self.block, self.group, self.lifts,
+         self.policy) = op
         # state with lookahead or a rate change: a collapsed mixed run
-        self.tags = ("mixed",) * (node.peek > node.pop
-                                  or node.pop != node.push)
-        self.policy = policy
-        self.s = np.asarray(node.s0, dtype=policy.dtype).copy()
-        self.accounts = _merged(accounts, policy)
+        self.tags = ("mixed",) * (self.node.peek > self.node.pop
+                                  or self.node.pop != self.node.push)
+        self.s = np.array(self.node.s0, dtype=self.policy.dtype)
         self.profiler = profiler
-        self.block = stateful_block_length(node.pop, node.push, policy)
-        self.group = stateful_group_length(node.state_dim)
-        self._lifted: dict[int, tuple] = {}
 
     carries_state = True
 
@@ -282,49 +334,20 @@ class StatefulLinearStep(Step):
         return self.s.copy()
 
     def set_carry_state(self, state) -> None:
-        self.s = np.asarray(state, dtype=self.policy.dtype).copy()
+        self.s = np.array(state, dtype=self.policy.dtype)
 
     @property
     def detail(self) -> str:
         """``k``; the four products' multiply-adds per output of a group."""
-        G, E, _, U, *_ = self._lift(self.block)
+        G, E, _, U, *_ = self.lifts[self.block]
         k = len(self.s)
         macs = (G * (E * (U + k) + k * U) + ((G + 1) * k) ** 2) / (G * U)
         return f"k={k}, {macs:.0f} MACs/output"
 
-    def _lift(self, b: int) -> tuple:
-        pack = self._lifted.get(b)
-        if pack is None:
-            from ..linear.expansion import expand_firings
-            from ..linear.state import boundary_lift
-
-            ex = expand_firings(self.node, b)
-            dt = self.policy.dtype
-
-            def operator(m):
-                return np.ascontiguousarray(m, dtype=dt)
-
-            def offset(v):
-                return np.asarray(v, dtype=dt) if v.any() else None
-
-            G, T, P = self.group, None, None
-            if ex.state_dim:
-                T, P = boundary_lift(ex.Cs, G, dt)
-                G = len(T) // ex.state_dim  # fewer if Cs^b overflows
-            # rows reversed like MatmulStep's (window rows are
-            # [peek(0)..peek(E-1)], the node uses the x-convention);
-            # output columns reversed too, into push order (y[U-1] first)
-            pack = (G, ex.peek, ex.pop, ex.push,
-                    operator(ex.A[::-1, ::-1]), operator(ex.As[:, ::-1]),
-                    offset(ex.b[::-1]),
-                    operator(ex.Cx[::-1]), offset(ex.bs), T, P)
-            self._lifted[b] = pack
-        return pack
-
     def _run_blocks(self, blocks: int, b: int) -> None:
         """Execute ``blocks`` consecutive lifted firings of block size
         ``b``, a group at a time: one window view, four matmuls."""
-        G, E, pop, U, Axr, As, bx, Cxr, bs, T, P = self._lift(b)
+        G, E, pop, U, Axr, As, bx, Cxr, bs, T, P = self.lifts[b]
         k = len(self.s)
         for done in range(0, blocks, G):
             g = min(G, blocks - done)
@@ -374,23 +397,26 @@ class NaiveFreqStep(Step):
 
     kind = "freq-naive"
 
-    def __init__(self, ring_in, ring_out, filt, profiler: Profiler,
-                 policy: NumericPolicy = DEFAULT_POLICY):
-        self.ring_in = ring_in
-        self.ring_out = ring_out
-        self.kernel = filt.kernel.for_policy(policy)
-        self.e, self.m, self.u = filt.e, filt.m, filt.u
-        # one firing's offsets, flat like the (k, m*u) rows they go to
-        self.b_row = np.tile(np.asarray(filt.b_push, dtype=policy.dtype),
-                             filt.m)
+    @staticmethod
+    def operator(filt, policy: NumericPolicy) -> tuple:
+        """``(filt, kernel, b_row, counts, rows)``."""
         counts = filt.kernel.counts_per_block.copy()
         counts.fadd += int(np.count_nonzero(filt.b_push)) * filt.m
-        self.counts = policy.adjust_counts(counts)
+        # one firing's offsets, flat like the (k, m*u) rows they go to
+        return (filt, filt.kernel.for_policy(policy),
+                shared(np.tile(filt.b_push, filt.m), policy.dtype),
+                policy.adjust_counts(counts),
+                max(1, _MAX_FFT_BLOCK_ELEMS // (filt.kernel.n * (filt.u + 1))))
+
+    def __init__(self, ring_in, ring_out, op: tuple, profiler: Profiler):
+        self.ring_in = ring_in
+        self.ring_out = ring_out
+        self.op = op
+        filt, self.kernel, self.b_row, self.counts, self.rows = op
+        self.e, self.m, self.u = filt.e, filt.m, filt.u
         self.profiler = profiler
         self.name = filt.name
         self.detail = f"N={filt.n}"
-        self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
-                        // (filt.kernel.n * (filt.u + 1)))
         self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
     def execute(self, n: int) -> None:
@@ -429,37 +455,43 @@ class OptimizedFreqStep(Step):
 
     kind = "freq-opt"
 
-    def __init__(self, ring_in, ring_out, filt, profiler: Profiler,
-                 policy: NumericPolicy = DEFAULT_POLICY):
-        self.ring_in = ring_in
-        self.ring_out = ring_out
-        self.kernel = filt.kernel.for_policy(policy)
-        self.policy = policy
-        self.e, self.m, self.u, self.r = filt.e, filt.m, filt.u, filt.r
-        self.o = filt.phases
-        self.detail = f"N={filt.n}" + (f", {self.o} phases"
-                                       if self.o > 1 else "")
-        self.tags = ("polyphase",) * (self.o > 1)
-        self.b_push = np.asarray(filt.b_push, dtype=policy.dtype)
-        # the polyphase assembly adds b per output column, if at all
-        self.b_col = self.b_push[:, None] if filt.b_push.any() else None
-        # one firing's offsets: rows of outputs are added flat, (k, r*u),
-        # because a length-u inner loop is what makes an ufunc slow
-        self.b_row = np.tile(self.b_push, filt.r)
+    @staticmethod
+    def operator(filt, policy: NumericPolicy) -> tuple:
+        """``(filt, kernel, b_push, b_col, b_row, init_counts,
+        steady_counts, rows, policy)``: the polyphase assembly adds
+        ``b_col`` per output column, if at all; the rows of outputs add
+        ``b_row`` flat, ``(k, r*u)``, because a length-``u`` inner loop
+        is what makes an ufunc slow; ``o`` phases multiply a row's
+        workspace by about ``o`` (``o*u`` products)."""
+        b_push = shared(filt.b_push, policy.dtype)
         b_adds = int(np.count_nonzero(filt.b_push))
         init_counts = filt.kernel.counts_per_block.copy()
         init_counts.fadd += b_adds * filt.m
         steady_counts = filt.kernel.counts_per_block.copy()
         steady_counts.fadd += b_adds * filt.r
         steady_counts.fadd += filt.u * (filt.e - 1)
-        self.init_counts = policy.adjust_counts(init_counts)
-        self.steady_counts = policy.adjust_counts(steady_counts)
+        return (filt, filt.kernel.for_policy(policy), b_push,
+                b_push[:, None] if filt.b_push.any() else None,
+                shared(np.tile(b_push, filt.r)),
+                policy.adjust_counts(init_counts),
+                policy.adjust_counts(steady_counts),
+                max(1, _MAX_FFT_BLOCK_ELEMS
+                    // (filt.kernel.n * (filt.u + 1) * filt.phases)), policy)
+
+    def __init__(self, ring_in, ring_out, op: tuple, profiler: Profiler):
+        self.ring_in = ring_in
+        self.ring_out = ring_out
+        self.op = op
+        (filt, self.kernel, self.b_push, self.b_col, self.b_row,
+         self.init_counts, self.steady_counts, self.rows, self.policy) = op
+        self.e, self.m, self.u, self.r = filt.e, filt.m, filt.u, filt.r
+        self.o = filt.phases
+        self.detail = f"N={filt.n}" + (f", {self.o} phases"
+                                       if self.o > 1 else "")
+        self.tags = ("polyphase",) * (self.o > 1)
         self.profiler = profiler
         self.name = filt.name
         self.partials: np.ndarray | None = None
-        # o phases multiply a row's workspace by about o (o*u products)
-        self.rows = max(1, _MAX_FFT_BLOCK_ELEMS
-                        // (filt.kernel.n * (filt.u + 1) * self.o))
         self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
     # None is meaningful state here (first firing not yet taken), so the
@@ -574,6 +606,13 @@ class FallbackStep(Step):
 LANE_MIN_FIRINGS = 12
 
 
+def lane_columns(code, streams) -> dict:
+    """The fields sibling filters ``streams`` differ in
+    (``code.varying``) as the ``(b, 1)`` columns a lane call takes."""
+    return {name: shared([[s.fields[name]] for s in streams])
+            for name in code.varying}
+
+
 class LaneStep(FallbackStep):
     """``n`` firings of a stateless non-linear filter, or of a source
     driven by additive counters, as one call of its lane form
@@ -597,10 +636,11 @@ class LaneStep(FallbackStep):
     a step that refires most of its batches reports itself as the
     ``fallback`` it is.  Batches under :data:`LANE_MIN_FIRINGS` lanes
     (``b * n``) fire scalar too; the counters live in every sibling's
-    ``runner.fields`` either way.
+    ``runner.fields`` either way.  ``columns`` is the plan's
+    (:func:`lane_columns`).
     """
 
-    def __init__(self, nodes, ring_in, ring_out, code,
+    def __init__(self, nodes, ring_in, ring_out, code, columns: dict,
                  policy: NumericPolicy = DEFAULT_POLICY):
         super().__init__(nodes[0], ring_in, ring_out)
         self.nodes = nodes
@@ -609,10 +649,7 @@ class LaneStep(FallbackStep):
         self.dtype = np.dtype(np.complex128 if policy.is_complex
                               else np.float64)
         self.batches = self.refired = 0  # lane calls made / abandoned
-        #: the fields that differ between siblings, one value a row
-        self._columns = {
-            name: np.array([[node.runner.fields[name]] for node in nodes])
-            for name in code.varying}
+        self.columns = columns
         self._meter = Profiler()
 
     @property
@@ -651,8 +688,8 @@ class LaneStep(FallbackStep):
             out = self.ring_out.alloc_push(n * wf.push)
             out = out.reshape(out.shape[:-1] + (n, wf.push))
         fields = self.node.runner.fields
-        if self._columns:
-            fields = {**fields, **self._columns}
+        if self.columns:
+            fields = {**fields, **self.columns}
         meter = self._meter
         meter.counts = Counts()
         try:
@@ -690,64 +727,73 @@ class LaneStep(FallbackStep):
             self.ring_in.pop_block(n * wf.pop)
 
 
+def fold(source: tuple, nodes, accounts,
+         policy: NumericPolicy = DEFAULT_POLICY) -> tuple:
+    """The operator of the reader of the sources of
+    :class:`SinusoidStep` operator ``source``: linear ``nodes`` popping
+    whole firings, :class:`MatmulStep`'s ``accounts``.  Window item
+    ``i`` from counter ``c`` is ``basis(c) @ R(d_i) @ C[:, i % push]``,
+    ``R(d)`` turning each ``(sin, cos)`` pair by ``ω·d``, ``d_i =
+    step·(i // push)``: so ``M = Σ_i R(d_i) C[:, i % push] ⊗ A[i]``, and
+    ``c`` is the sources' counter less a ``step`` a firing the ring
+    holds.  The sources then write nothing into that ring, and nothing
+    reads it."""
+    coef, counter, stride, omegas, _, push, _ = source
+    first, K = nodes[0], len(omegas)
+    i = np.arange(first.peek)
+    angle = np.multiply.outer(omegas, stride * (i // push))
+    cos, sin = np.cos(angle), np.sin(angle)
+    C = coef[..., i % push]  # item i's column; const last
+    W = np.concatenate((cos * C[:, :K] - sin * C[:, K:-1],
+                        sin * C[:, :K] + cos * C[:, K:-1], C[:, -1:]),
+                       axis=1)
+    # rows and columns as MatmulStep orders them (window, push order)
+    coef = W @ np.stack([node.A[::-1, ::-1] for node in nodes])
+    coef[:, -1] += np.stack([node.b[::-1] for node in nodes])
+    return (shared(coef), counter, stride * (first.pop // push), omegas,
+            first.pop, first.push, _merged(accounts, policy))
+
+
 class SinusoidStep(Step):
     """``n`` firings of ``b`` sibling sources of one sinusoid form
     (:func:`~repro.ir.pycodegen.sinusoid_form`), or of their linear
-    reader folded on (:meth:`fold`): one basis of the shared frequencies
-    straight from the int counter, ``ω·(c0 + step·i)`` in float64 (so
-    nothing drifts), times a row of coefficients each, cast into the
-    ring.  Values are the graph's to ``k·ulp(ω·c)·‖C‖`` (the graph rounds
-    ``ω·c + θ``; ``θ`` is in ``C`` here); the counter lives in the
-    siblings' ``runner.fields`` as for a :class:`LaneStep`.
+    reader folded on (:func:`fold`; ``source`` is then the sources'
+    step): one basis of the shared frequencies straight from the int
+    counter, ``ω·(c0 + step·i)`` in float64 (so nothing drifts), times a
+    row of coefficients each, cast into the ring.  Values are the
+    graph's to ``k·ulp(ω·c)·‖C‖`` (the graph rounds ``ω·c + θ``; ``θ`` is
+    in ``C`` here); the counter lives in the siblings' ``runner.fields``
+    as for a :class:`LaneStep`.
     """
 
     kind = "sinusoid"
 
-    def __init__(self, nodes, forms, ring_out, profiler: Profiler):
+    @staticmethod
+    def operator(forms) -> tuple:
+        """``(coef, counter, stride, omegas, pop, push, accounts)`` of
+        the sources of ``forms``, one a sibling row: ``coef`` is ``(b,
+        2K + 1, push)``, the constant last, against a basis row of ones
+        (a broadcast add over ``push`` items is a short loop), None
+        where a reader folds the sources on."""
         lead = forms[0]
-        self.nodes, self.source = nodes, self  # source: whose counter
-        self.counter, self.stride = lead.counter, lead.step
-        self.omegas = lead.omegas
-        #: (b, 2K + 1, push), the constant last, against a basis row of
-        #: ones (a broadcast add over ``push`` items is a short loop)
-        self.coef = np.stack([f.coef for f in forms])
-        self.ring_in, self.ring_out = None, ring_out
-        self.push = self.coef.shape[-1]
-        self.profiler = profiler
-        self.accounts = [(lead.counts.scaled(len(nodes)), None)]
-        self.detail = f"{len(self.omegas)} frequencies, counter {lead.counter}"
+        coef = shared(np.stack([f.coef for f in forms]))
+        return (coef, lead.counter, lead.step, shared(lead.omegas), 0,
+                coef.shape[-1], ((lead.counts.scaled(len(forms)), None),))
 
-    def fold(self, nodes, accounts, ring_out,
-             policy: NumericPolicy = DEFAULT_POLICY) -> "SinusoidStep":
-        """The step of the reader: linear ``nodes`` popping whole firings,
-        :class:`MatmulStep`'s ``accounts``.  Window item ``i`` from
-        counter ``c`` is ``basis(c) @ R(d_i) @ C[:, i % push]``, ``R(d)``
-        turning each ``(sin, cos)`` pair by ``ω·d``, ``d_i = step·(i //
-        push)``: so ``M = Σ_i R(d_i) C[:, i % push] ⊗ A[i]``, and ``c`` is
-        this counter less a ``step`` a firing the ring holds.  This step
-        then writes nothing into that ring, and nothing reads it."""
-        first, K = nodes[0], len(self.omegas)
-        i = np.arange(first.peek)
-        angle = np.multiply.outer(self.omegas, self.stride * (i // self.push))
-        cos, sin = np.cos(angle), np.sin(angle)
-        C = self.coef[..., i % self.push]  # item i's column; const last
-        W = np.concatenate((cos * C[:, :K] - sin * C[:, K:-1],
-                            sin * C[:, :K] + cos * C[:, K:-1], C[:, -1:]),
-                           axis=1)
-        # rows and columns as MatmulStep orders them (window, push order)
-        A = np.stack([node.A[::-1, ::-1] for node in nodes])
-        reader = copy.copy(self)
-        reader.source, reader.ring_in, reader.ring_out = \
-            self, self.ring_out, ring_out
-        reader.stride = self.stride * (first.pop // self.push)
-        reader.pop, reader.push = first.pop, first.push
-        reader.accounts = _merged(accounts, policy)
-        reader.kind, reader.tags = "matmul", ("folded",)
-        reader.detail = f"folded onto {self.nodes[0].name}'s basis"
-        reader.coef = W @ A
-        reader.coef[:, -1] += np.stack([node.b[::-1] for node in nodes])
-        self.coef = None
-        return reader
+    def __init__(self, op: tuple, nodes, ring_in, ring_out,
+                 profiler: Profiler, source: "SinusoidStep | None" = None):
+        self.op, self.nodes = op, nodes
+        (self.coef, self.counter, self.stride, self.omegas, self.pop,
+         self.push, self.accounts) = op
+        self.ring_in, self.ring_out = ring_in, ring_out
+        self.profiler = profiler
+        self.source = source or self
+        if source is None:
+            self.detail = (f"{len(self.omegas)} frequencies, "
+                           f"counter {self.counter}")
+        else:
+            self.kind, self.tags = "matmul", ("folded",)
+            self.detail = f"folded onto {source.nodes[0].name}'s basis"
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
@@ -779,135 +825,67 @@ class SinusoidStep(Step):
             self.profiler.add_counts(counts, times=n, filter_name=name)
 
 
-#: Scalar firings a source takes without its state recurring before
-#: :class:`PeriodicSourceStep` stops looking — hence also the longest
-#: transient + cycle it can find.
+#: Scalar firings the planner takes of a source without its state
+#: recurring before it stops looking — hence also the longest transient
+#: + cycle a table of :class:`PeriodicSourceStep` holds.
 SOURCE_RECURRENCE_LIMIT = 1024
 
 
 class PeriodicSourceStep(Step):
-    """Table replay for a source whose state recurs.
+    """Table replay of a source whose state recurs.
 
     A ``pop 0`` filter is a closed system: what a firing pushes, counts
-    and leaves behind is a function of its mutable fields alone.  The
-    step starts as a :class:`FallbackStep` that also keys every firing
-    on those fields; once a key repeats, the source is a transient
-    followed by a cycle forever, and ``execute(n)`` becomes one
-    phase-offset ``np.tile`` slice of the cycle's outputs plus the exact
-    counts of the firings it stands for.  A source whose state has not
-    recurred after :data:`SOURCE_RECURRENCE_LIMIT` firings (a counter)
-    drops the bookkeeping and stays a plain scalar loop.
+    and leaves behind is a function of its mutable fields alone, so once
+    a state repeats the source is a transient followed by a cycle
+    forever.  The planner fires it once, at build, until that happens,
+    into its table ``(outputs, transient, period, cum)``: the firings'
+    outputs and ``cum[k]``, the counts of the first ``k``.
+    ``execute(n)`` is a slice of the transient's outputs and a
+    phase-offset ``np.tile`` of the cycle's, plus the exact counts of
+    the firings they stand for.  The step itself holds only its firing
+    count, the replay phase.
     """
 
-    def __init__(self, node, ring_in, ring_out, profiler: Profiler,
-                 policy: NumericPolicy = DEFAULT_POLICY):
-        self.node = node
+    kind = "periodic-source"
+
+    def __init__(self, ring_in, ring_out, table: tuple, profiler: Profiler):
         self.ring_in = ring_in  # the void tape, as FallbackStep holds it
         self.ring_out = ring_out
+        self.table = table
+        self.outputs, self.transient, self.period, self._cum = table
         self.profiler = profiler
-        self.dtype = policy.dtype
-        self.fired = 0  # firings so far: the replay phase
-        #: firings before the cycle / firings per cycle (0 = none found)
-        self.transient = self.period = 0
-        self._cycle: np.ndarray | None = None  # one cycle of outputs
-        self._cum: list[Counts] = []  # counts of the cycle's first k firings
-        #: state key -> firing it preceded; None once the search is over
-        self._seen: dict | None = {}
-
-    @classmethod
-    def constant(cls, values, ring_out, profiler: Profiler,
-                 policy: NumericPolicy = DEFAULT_POLICY):
-        """The period-1 case known up front: a source pushing the same
-        vector every firing, at no FLOP cost."""
-        step = cls(None, None, ring_out, profiler, policy)
-        step._set_cycle(0, 1, values, [Counts(), Counts()])
-        return step
+        self.fired = 0
 
     @property
-    def kind(self) -> str:
-        return "periodic-source" if self.period else "fallback"
+    def detail(self) -> str:
+        return f"transient {self.transient}, period {self.period}"
 
-    @property
-    def detail(self) -> str | None:
-        """What the search concluded (None while it is still running)."""
-        if self.period:
-            return f"transient {self.transient}, period {self.period}"
-        if self._seen is None:
-            return ("state did not recur within "
-                    f"{SOURCE_RECURRENCE_LIMIT} firings")
-        return None
-
-    def _set_cycle(self, transient: int, period: int, outputs,
-                   cum: list[Counts]) -> None:
-        self.transient, self.period = transient, period
-        self._cycle = np.asarray(outputs, dtype=self.dtype)
-        self._cum = cum
-        self._seen = None
-
-    def _search(self, n: int) -> int:
-        """Fire scalar, up to ``n`` times, until the state about to fire
-        has been seen before or the firing limit is reached; returns how
-        many of the ``n`` firings are left for the caller."""
-        runner = self.node.runner
-        fire, fields = runner.fire, runner.fields
-        names = sorted(self.node.stream.mutable_fields)
-        seen, void, out = self._seen, self.ring_in, self.ring_out
-        start = self.fired
-        stop = min(start + n, SOURCE_RECURRENCE_LIMIT)
-        for i in range(start, stop):
-            # repr is exact for ints and floats and tells 0.0 from -0.0
-            # and 1 from 1.0, which == on the values would not
-            key = ",".join([v.tobytes().hex() if isinstance(v, np.ndarray)
-                            else repr(v)
-                            for v in map(fields.__getitem__, names)])
-            first = seen.setdefault(key, i)
-            if first != i:
-                self.fired = i
-                self._learn(first)
-                return start + n - i
-            fire(void, out)
-        self.fired = stop
-        if stop == SOURCE_RECURRENCE_LIMIT:
-            self._seen = None
-        return start + n - stop
-
-    def _learn(self, first: int) -> None:
-        """The state now equals the one firing ``first`` started from.
-        Tabulate the cycle with one more lap fired off the record —
-        outputs to a list, counts to a private profiler, so neither the
-        stream nor the session profile sees it.  The lap leaves the
-        runner in this same state, and it never fires again."""
-        runner = self.node.runner
-        meter = runner.profiler = Profiler()
-        tape = Channel("lap")
-        cum = [Counts()]
-        period = self.fired - first
-        for _ in range(period):
-            runner.fire(self.ring_in, tape)
-            cum.append(meter.counts.copy())
-        self._set_cycle(first, period, tape.snapshot(), cum)
+    def _counts(self, m: int) -> Counts:
+        """The counts of the source's first ``m`` firings."""
+        T, P, cum = self.transient, self.period, self._cum
+        if m <= T + P:
+            return cum[m]
+        laps, rest = divmod(m - T, P)
+        counts = (cum[T + P] - cum[T]).scaled(laps)
+        counts.add(cum[T + rest])
+        return counts
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
             _faults.ACTIVE.fire("kernel.step")
-        if self._seen is not None:
-            n = self._search(n)
-        if not self.period:
-            fire_scalar(self.node, self.ring_in, self.ring_out, n)
-            return
-        if not n:
-            return
-        period, cum = self.period, self._cum
-        phase = (self.fired - self.transient) % period
-        laps, rest = divmod(phase + n, period)
-        u = len(self._cycle) // period
-        self.ring_out.push_array(
-            np.tile(self._cycle, laps + bool(rest))[phase * u:(phase + n) * u])
-        self.fired += n
-        if cum[period].flops:
-            counts = cum[period].scaled(laps)
-            counts.add(cum[rest])
-            self.profiler.add_counts(counts - cum[phase])
+        f, T, P = self.fired, self.transient, self.period
+        u = len(self.outputs) // (T + P)
+        head = min(n, max(T - f, 0))  # firings left in the transient
+        if head:
+            self.ring_out.push_array(self.outputs[f * u:(f + head) * u])
+        if n > head:
+            phase = (f + head - T) % P
+            laps = -(-(phase + n - head) // P)
+            self.ring_out.push_array(np.tile(self.outputs[T * u:], laps)[
+                phase * u:(phase + n - head) * u])
+        self.fired = f + n
+        if self._cum[-1].flops:
+            self.profiler.add_counts(self._counts(f + n) - self._counts(f))
 
 
 def feasible_firings(haves, needs, pops) -> int:
@@ -929,7 +907,9 @@ def feasible_firings(haves, needs, pops) -> int:
 
 
 class IslandMember:
-    """One node of a feedback island: its kernel plus firing-rate data.
+    """One node of a feedback island: its kernel, input rings and
+    firing rates (the planner's rate record: ``needs``, ``pops``,
+    ``has_init``, ``init_needs``).
 
     ``feasible`` mirrors the scalar executor's ``can_fire`` but returns
     the *largest* batch the current ring occupancies admit, so a loop
@@ -937,22 +917,17 @@ class IslandMember:
     drain round through one batched kernel call each.
     """
 
-    __slots__ = ("step", "in_rings", "needs", "pops", "has_init",
-                 "init_needs", "fired")
+    __slots__ = ("step", "in_rings", "rates", "fired")
 
-    def __init__(self, step: Step, in_rings, needs, pops,
-                 has_init: bool = False, init_needs=()):
+    def __init__(self, step: Step, in_rings, rates):
         self.step = step
         self.in_rings = in_rings
-        self.needs = needs
-        self.pops = pops
-        self.has_init = has_init
-        self.init_needs = list(init_needs)
+        self.rates = rates
         self.fired = False
 
     def feasible(self) -> int:
         return feasible_firings((len(r) for r in self.in_rings),
-                                self.needs, self.pops)
+                                self.rates.needs, self.rates.pops)
 
 
 class FeedbackStep(Step):
@@ -979,16 +954,12 @@ class FeedbackStep(Step):
     MAX_ROUNDS = 100_000_000
 
     def __init__(self, name: str, ring_in, gate, members: list[IslandMember],
-                 pop: int, push: int, init_pop: int | None = None,
-                 init_push: int | None = None):
+                 rates):
         self.name = name
         self.ring_in = ring_in
         self.gate = gate
         self.members = members
-        self.pop = pop
-        self.push = push
-        self.init_pop = init_pop
-        self.init_push = init_push
+        self.rates = rates  # the planner's IslandRates
         self._fired_init = False
         #: island firings so far, and the drain rounds that made
         #: progress on them: one round a firing is a loop iterating
@@ -999,11 +970,11 @@ class FeedbackStep(Step):
     def execute(self, n: int) -> None:
         self.firings += n
         take = 0
-        if self.init_pop is not None and not self._fired_init:
-            take += self.init_pop
+        if self.rates.has_init and not self._fired_init:
+            take += self.rates.init_pop
             n -= 1
         self._fired_init = True
-        take += n * self.pop
+        take += n * self.rates.pop
         if take:
             self.gate.push_array(self.ring_in.pop_block_array(take))
         # ring-backed mirror of probe_island's drain loop: init gating
@@ -1019,9 +990,9 @@ class FeedbackStep(Step):
                     "quiesce (planner bug)")
             progress = False
             for m in self.members:
-                if m.has_init and not m.fired:
+                if m.rates.has_init and not m.fired:
                     ok = all(len(r) >= need for r, need
-                             in zip(m.in_rings, m.init_needs))
+                             in zip(m.in_rings, m.rates.init_needs))
                     if not ok:
                         continue
                     m.step.execute(1)
@@ -1137,10 +1108,9 @@ class CollectorStep(Step):
 class ListSourceStep(Step):
     kind = "list-source"
 
-    def __init__(self, ring_out, values,
-                 policy: NumericPolicy = DEFAULT_POLICY):
+    def __init__(self, ring_out, values: np.ndarray):
         self.ring_out = ring_out
-        self.values = np.asarray(values, dtype=policy.dtype)
+        self.values = values  # in the ring's dtype
         self.pos = 0
 
     def execute(self, n: int) -> None:
@@ -1157,9 +1127,10 @@ class ChunkSourceStep(Step):
 
     kind = "chunk-source"
 
-    def __init__(self, ring_out, buffer):
+    def __init__(self, ring_out, feed):
         self.ring_out = ring_out
-        self.buffer = buffer
+        self.feed = feed  # what the session feeds
+        self.buffer = feed.buffer
 
     def execute(self, n: int) -> None:
         buffer = self.buffer

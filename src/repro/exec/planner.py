@@ -69,10 +69,11 @@ rates the probe cannot certify (sources or collectors inside the cycle,
 no external input/output, or a schedule that never reaches a periodic
 regime).  Filters whose fields update *affinely* (IIR) run through the
 lifted :class:`~repro.exec.kernels.StatefulLinearStep`, a chain of them
-as one step over their pipeline combination; sources (``pop
-0``, no prework) through :class:`~repro.exec.kernels.PeriodicSourceStep`
-until their state recurs; stateless non-linear filters and sources with
-an additive counter through :class:`~repro.exec.kernels.LaneStep`, and
+as one step over their pipeline combination; sources (``pop 0``, no
+prework) whose state recurs within the build's scratch firings through
+the table replay of :class:`~repro.exec.kernels.PeriodicSourceStep`;
+stateless non-linear filters and sources with an additive counter
+through :class:`~repro.exec.kernels.LaneStep`, and
 sources pushing sums of sinusoids of an int counter through one
 :class:`~repro.exec.kernels.SinusoidStep` where sibling rows share its
 basis or a linear reader folds onto it; the rest — prework, array or
@@ -82,9 +83,10 @@ faster one, and names each feedback island with its member kernels.
 
 A plan is built whole, once per graph content (:mod:`repro.exec.cache`):
 :func:`build_plan` runs the ``optimize=`` rewrite and derives everything
-an executor reads into one :class:`~repro.exec.cache.PlanEntry`, and
-:func:`instantiate`, the one way to run an entry — compile, cache hit,
-``reset``, :func:`plan_report` — only allocates rings, steps and state.
+an executor reads into one :class:`~repro.exec.cache.PlanEntry`, step
+operators and layout included, and :func:`instantiate`, the one way to
+run an entry — compile, cache hit, ``reset``, :func:`plan_report` —
+only allocates rings, runners and state.
 
 The executor is **resumable**: simulator state (occupancies, pending
 counts, source budgets) persists across :meth:`PlanExecutor.advance`
@@ -99,10 +101,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
-from .. import faults
 from ..errors import (CombinationError, InterpError, SchedulingError,
                       StreamGraphError)
 from ..graph.identity import shape_digest
@@ -119,7 +122,8 @@ from ..profiling import Counts, NullProfiler, Profiler
 from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
                                 Identity, ListSource)
 from ..runtime.channels import Channel
-from ..runtime.executor import _NULL_CHANNEL, FlatGraph, _IRRunner
+from ..runtime.executor import (_NULL_CHANNEL, FeedbackRegion, FlatGraph,
+                                make_runner)
 from . import kernels as K
 from .cache import PLAN_CACHE, PlanEntry
 from .optimize import fission_stream, optimize_stream
@@ -678,9 +682,9 @@ def _sinusoid(flat: FlatGraph, decisions: dict, members: list):
 
 
 def _plan(flat: FlatGraph, fuse: bool) -> dict:
-    """The plan fields of a :class:`~repro.exec.cache.PlanEntry` over
-    a plannable ``flat``, but for the island rates (the bailout check
-    probes them)."""
+    """The decision fields of a :class:`~repro.exec.cache.PlanEntry`
+    over a plannable ``flat``: all but the island rates (the bailout
+    check probes them) and the layout (:func:`_layout`)."""
     nodes = flat.nodes
     memo: dict = {}  # lane codes by shape (see _lane_decision)
     # kernel decisions first: which branches are siblings hangs on them
@@ -716,6 +720,269 @@ def _plan(flat: FlatGraph, fuse: bool) -> dict:
                 reasons={i: why for i, why in reasons.items() if why})
 
 
+def _source_table(filt: Filter, policy: NumericPolicy):
+    """Fire source ``filt`` on a scratch runner until the state about to
+    fire recurs: ``(table, None)``, its :class:`~repro.exec.kernels.
+    PeriodicSourceStep` table, or ``(None, why not)`` once
+    :data:`~repro.exec.kernels.SOURCE_RECURRENCE_LIMIT` firings pass
+    without (or one raises: the scalar runner raises it in turn)."""
+    profiler, tape = Profiler(), Channel("scratch")
+    runner = make_runner(filt, profiler)
+    fields, names = runner.fields, sorted(filt.mutable_fields)
+    seen: dict = {}  # state key -> the firing it preceded
+    cum = [Counts()]
+    for i in range(K.SOURCE_RECURRENCE_LIMIT):
+        # repr is exact for ints and floats and tells 0.0 from -0.0 and
+        # 1 from 1.0, which == on the values would not
+        key = ",".join([v.tobytes().hex() if isinstance(v, np.ndarray)
+                        else repr(v) for v in map(fields.__getitem__, names)])
+        first = seen.setdefault(key, i)
+        if first != i:
+            return (K.shared(tape.snapshot(), policy.dtype), first,
+                    i - first, tuple(cum)), None
+        try:
+            runner.fire(_NULL_CHANNEL, tape)
+        except Exception as exc:
+            return None, f"firing {i} raises {type(exc).__name__}"
+        cum.append(profiler.counts.copy())
+    return None, ("state did not recur within "
+                  f"{K.SOURCE_RECURRENCE_LIMIT} firings")
+
+
+def _step_maker(flat: FlatGraph, plan: dict, policy: NumericPolicy,
+                members: list, in_ids: list, out_ids: list, basis: dict,
+                pos: int):
+    """``make(executor, ins, outs)``: the step at outer position ``pos``
+    firing flat nodes ``members`` (a node, a sibling stage or a stateful
+    chain) over rings ``ins`` and ``outs``, its operator derived here,
+    once; runners only for the steps that fire through one.  ``basis``:
+    the ring of a folded sinusoid source -> ``(pos, op)``."""
+    from ..frequency.filters import (Decimator, NaiveFreqFilter,
+                                     OptimizedFreqFilter)
+
+    index = members[0]
+    node = flat.nodes[index]
+    s = node.stream
+    decisions, reasons = plan["decisions"], plan["reasons"]
+
+    def kernel(cls, op):  # a cls(ring in, ring out, op, profiler) step
+        return lambda ex, ins, outs: cls(ins[0], outs[0], op, ex.profiler)
+
+    # (the b branches of a fused splitjoin are one ring, one weight)
+    if node.kind == "splitter":
+        if isinstance(node.splitter, Duplicate):
+            return lambda ex, ins, outs: K.DuplicateSplitStep(ins[0], outs)
+        weights = list(node.splitter.weights)
+        return lambda ex, ins, outs: K.RoundRobinSplitStep(
+            ins[0], outs, weights[:len(outs)])
+    if node.kind == "joiner":
+        weights = list(node.joiner.weights)
+        return lambda ex, ins, outs: K.RoundRobinJoinStep(
+            ins, outs[0], weights[:len(ins)])
+    stacked = [_stacked_kernel(flat, decisions, m) for m in members]
+    if stacked[0] is not None and stacked[0][0] == "matmul":
+        lines = [k[1] for k in stacked], [k[2:] for k in stacked]
+        if in_ids[0] in basis:
+            source, op = basis[in_ids[0]]
+            reader = K.fold(op, *lines, policy)
+            return lambda ex, ins, outs: K.SinusoidStep(
+                reader, None, ins[0], outs[0], ex.profiler, ex.steps[source])
+        return kernel(K.MatmulStep, K.MatmulStep.operator(*lines, policy))
+    # one node or a chain (a stateful node never has siblings)
+    chain = [_stateful_kernel(flat, decisions, m) for m in members]
+    if chain[0] is not None:
+        lifted = plan["chains"][index][1] if len(members) > 1 \
+            else chain[0][0]
+        return kernel(K.StatefulLinearStep, K.StatefulLinearStep.operator(
+            lifted, [k[1] for k in chain], policy))
+    if node.kind == "filter":
+        code = decisions[index]
+        if isinstance(code, LaneCode) and index not in plan["sinusoids"]:
+            columns = K.lane_columns(code,
+                                     [flat.nodes[m].stream for m in members])
+            return lambda ex, ins, outs: K.LaneStep(
+                [ex.own_node(m) for m in members], ins[0], outs[0], code,
+                columns, policy)
+        if isinstance(code, LaneCode):
+            forms, folds = plan["sinusoids"][index]
+            op = K.SinusoidStep.operator(forms)
+            if folds:  # its reader folds it on: it writes nothing
+                basis[out_ids[0]] = pos, op
+                op = (None, *op[1:])
+            return lambda ex, ins, outs: K.SinusoidStep(
+                op, [ex.own_node(m) for m in members], None, outs[0],
+                ex.profiler)
+        if not in_ids and s.prework is None:
+            table, why = _source_table(s, policy)
+            if table is not None:
+                reasons.pop(index, None)  # its detail says what it is
+                return kernel(K.PeriodicSourceStep, table)
+            # and its reason why its firings are not lanes either
+            reasons[index] = "; ".join(filter(None, (why,
+                                                     reasons.get(index))))
+    elif isinstance(s, NaiveFreqFilter):
+        return kernel(K.NaiveFreqStep, K.NaiveFreqStep.operator(s, policy))
+    elif isinstance(s, OptimizedFreqFilter):
+        return kernel(K.OptimizedFreqStep,
+                      K.OptimizedFreqStep.operator(s, policy))
+    elif isinstance(s, Collector):
+        return lambda ex, ins, outs: K.CollectorStep(
+            ins[0], ex.own_node(index).runner)
+    elif isinstance(s, ChunkSource):
+        return lambda ex, ins, outs: K.ChunkSourceStep(
+            outs[0], ex.own_node(index).runner)
+    elif isinstance(s, ListSource):
+        values = K.shared(s.values, policy.dtype)
+        return lambda ex, ins, outs: K.ListSourceStep(outs[0], values)
+    elif isinstance(s, FunctionSource):
+        return lambda ex, ins, outs: K.FunctionSourceStep(outs[0], s.fn,
+                                                          policy)
+    elif isinstance(s, ConstantSourceFilter):  # period 1, no FLOPs
+        return kernel(K.PeriodicSourceStep, (
+            K.shared(s.values, policy.dtype), 0, 1, (Counts(), Counts())))
+    elif isinstance(s, Identity):
+        return lambda ex, ins, outs: K.IdentityStep(ins[0], outs[0])
+    elif isinstance(s, Decimator):
+        return lambda ex, ins, outs: K.DecimatorStep(ins[0], outs[0], s.o,
+                                                     s.u)
+    else:
+        reasons[index] = ("no batched kernel for primitive type "
+                          + type(s).__name__)
+    return lambda ex, ins, outs: K.FallbackStep(ex.own_node(index), ins[0],
+                                                outs[0])
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """A position of a plan's outer schedule, or an island member: the
+    flat node it fires (a stage's or chain's first) or the island's
+    :class:`~repro.runtime.executor.FeedbackRegion`, the flat indices it
+    fires, its rate record as a fresh executor starts it, its maker."""
+
+    entry: object
+    orbit: object
+    sim: _SimNode
+    make: Callable
+
+
+def _island_maker(region, rates: IslandRates, members: list) -> Callable:
+    """``make`` of a feedback island's step: its ``members``' steps
+    behind the island's rate facade; the loop joiner reads the gate."""
+    def make(ex, ins, outs):
+        steps = []
+        for p in members:
+            rings = ex.rings_of(p.sim.in_ids)
+            steps.append(K.IslandMember(
+                p.make(ex, rings, ex.rings_of(p.sim.out_ids)), rings, p.sim))
+        return K.FeedbackStep(region.stream.name, ins[0],
+                              steps[0].in_rings[0], steps, rates)
+    return make
+
+
+def _layout(flat: FlatGraph, plan: dict, islands: dict,
+            policy: NumericPolicy) -> dict:
+    """The executor half of a plannable build, as
+    :class:`~repro.exec.cache.PlanEntry` fields: the ring table (the
+    graph output's first), the outer schedule and the positions of the
+    sink and the push feed.  Every distinct channel gets a ring, which
+    starts holding what the channel holds (a feedback back edge, the
+    loop's enqueued values).  The quotients: a fused splitjoin keeps
+    one ring per level (``b`` channels, ``b`` rows) and one step per
+    stage, a stateful chain is one lifted step, each planned at its
+    first node; a feedback island is one :class:`~repro.exec.kernels.
+    FeedbackStep` facade."""
+    nodes = flat.nodes
+    chan_ids: dict[int, int] = {}
+    rings: list = []  # (name, rows, prefill)
+
+    def ring_of(ch):
+        idx = chan_ids.get(id(ch))
+        if idx is None:
+            idx = chan_ids[id(ch)] = len(rings)
+            rings.append((ch.name, 1, tuple(ch.snapshot()) or None))
+        return idx
+
+    ring_of(flat.output_channel)
+    ring_of(flat.input_channel)
+    stage_of: dict[int, list[int]] = {
+        head: members for head, (members, _) in plan["chains"].items()}
+    fused_ends: set[int] = set()  # fused splitters and joiners
+    for split, join, stages in plan["siblings"]:
+        levels = [nodes[split].outputs] + [
+            [nodes[m].outputs[0] for m in members] for members in stages]
+        for level in levels:
+            for ch in level:
+                chan_ids[id(ch)] = len(rings)
+            rings.append((level[0].name, len(level), None))
+        stage_of.update((members[0], members) for members in stages)
+        fused_ends.update((split, join))
+    riders = {m for members in stage_of.values() for m in members[1:]}
+    island_start = {r.start: r for r in flat.feedback_regions}
+    basis: dict = {}
+    outer: list[PlanStep] = []
+
+    def planned(i) -> PlanStep:
+        node = nodes[i]
+        # a chain writes its last member's channel (a sibling stage's
+        # rows share one ring and one rate)
+        members = stage_of.get(i, [i])
+        last = nodes[members[-1]]
+        in_ids = [ring_of(ch) for ch in node.inputs]
+        out_ids = [ring_of(ch) for ch in last.outputs]
+        needs, pops, pushes = _steady_rates(node)[:2] + \
+            _steady_rates(last)[2:]
+        if i in fused_ends:
+            # b equal-weight channels are one ring at one rate
+            if node.kind == "splitter":
+                out_ids, pushes = out_ids[:1], pushes[:1]
+            else:
+                in_ids, needs, pops = in_ids[:1], needs[:1], pops[:1]
+        if i in island_start:
+            # the loop joiner reads externals through a private gate
+            # ring so the island cannot outrun its simulated schedule
+            in_ids = [len(rings)] + in_ids[1:]
+            rings.append((f"{node.name}.gate", 1, None))
+        sim = _SimNode(len(outer), in_ids, out_ids, needs, pops, pushes,
+                       *_init_rates(node))
+        if isinstance(node.stream, ListSource):
+            sim.remaining = len(node.stream.values)
+        elif isinstance(node.stream, ChunkSource):
+            sim.remaining = 0  # refreshed from the feed ring each drive
+        return PlanStep(node, members, sim, _step_maker(
+            flat, plan, policy, members, in_ids, out_ids, basis, len(outer)))
+
+    i = 0
+    while i < len(nodes):
+        region = island_start.get(i)
+        if region is None:
+            if i not in riders:
+                outer.append(planned(i))
+            i += 1
+            continue
+        rates = islands[region.start]
+        members = [planned(j) for j in range(region.start, region.stop)]
+        split_node = next(
+            n for n in nodes[region.start:region.stop]
+            if n.kind == "splitter" and n.splitter is region.stream.splitter)
+        sim = _SimNode(len(outer), [ring_of(nodes[region.start].inputs[0])],
+                       [ring_of(split_node.outputs[0])], [rates.pop],
+                       [rates.pop], [rates.push], rates.has_init,
+                       [rates.init_pop], [rates.init_pop], [rates.init_push])
+        outer.append(PlanStep(region, range(region.start, region.stop), sim,
+                              _island_maker(region, rates, members)))
+        i = region.stop
+    # the sink an executor watches: the first Collector, else the
+    # (last) writer of the graph output ring
+    sink = max((k for k, p in enumerate(outer) if 0 in p.sim.out_ids),
+               default=None)
+    if flat.collectors:
+        sink = next(k for k, p in enumerate(outer)
+                    if p.entry is flat.collectors[0])
+    feed = next((k for k, p in enumerate(outer)
+                 if isinstance(p.entry.stream, ChunkSource)), None)
+    return dict(rings=rings, outer=outer, sink=sink, feed=feed)
+
+
 # ---------------------------------------------------------------------------
 # The plan executor
 # ---------------------------------------------------------------------------
@@ -734,167 +1001,40 @@ class PlanExecutor:
     #: (:func:`_sibling_stages`).
     fuse_siblings = True
 
-    def __init__(self, flat: FlatGraph, plan: PlanEntry):
-        self.flat = flat
-        self.profiler = flat.profiler
+    def __init__(self, plan: PlanEntry, profiler: Profiler | None = None):
         #: the build this executor instantiates (:func:`build_plan`),
         #: shared with every other executor of its cache entry
         self.plan = plan
+        #: the plan's flattened graph: topology (its runners never fire)
+        self.flat = plan.flat
+        self.profiler = NullProfiler() if profiler is None else profiler
         #: numeric policy: rings are allocated and kernels compute in this
         #: dtype (float64 default — the seed behavior, bit for bit)
         self.policy = plan.policy
-        #: ring id -> the SinusoidStep writing it, its reader to fold on
-        self._sinusoids: dict[int, K.SinusoidStep] = {}
-
-        # channel registry: every distinct Channel gets a ring and an
-        # index; rings inherit the channel's current contents (a feedback
-        # back edge starts holding the loop's enqueued values)
-        self._chan_ids: dict[int, int] = {}
-        self.rings: list[RingBuffer] = []
-
-        def ring_of(ch):
-            key = id(ch)
-            idx = self._chan_ids.get(key)
-            if idx is None:
-                idx = len(self.rings)
-                self._chan_ids[key] = idx
-                self.rings.append(self._new_ring(ch.name,
-                                                 prefill=ch.snapshot()))
-            return idx
-
-        self._out_chan = ring_of(flat.output_channel)
-        ring_of(flat.input_channel)
-
-        #: the push harness's feed (see :attr:`FlatGraph.feed`) and the
-        #: sim node whose ``remaining`` is refreshed from its ring
-        #: before every drive (sessions feed the ring between calls)
-        self.feed = flat.feed
-        self._feed_node: _SimNode | None = None
-
-        nodes = flat.nodes
-        # the quotients: a fused splitjoin keeps one ring per level (b
-        # channels, b rows) and one step per stage, a stateful chain is
-        # one lifted step; each is planned at its first node, and the
-        # others ride along
-        stage_of: dict[int, list[int]] = {
-            head: members for head, (members, _) in plan.chains.items()}
-        fused_ends: set[int] = set()  # fused splitters and joiners
-        for split, join, stages in plan.siblings:
-            levels = [nodes[split].outputs] + [
-                [nodes[m].outputs[0] for m in members] for members in stages]
-            for level in levels:
-                for ch in level:
-                    self._chan_ids[id(ch)] = len(self.rings)
-                self.rings.append(self._new_ring(level[0].name,
-                                                 rows=len(level)))
-            stage_of.update((members[0], members) for members in stages)
-            fused_ends.update((split, join))
-        riders = {m for members in stage_of.values() for m in members[1:]}
-
-        island_start = {r.start: r for r in flat.feedback_regions}
-
-        def planned(i):
-            """Planned node ``i``'s ring wiring, rates and batched step:
-            ``(in ids, out ids, (needs, pops, pushes), init rates,
-            step)``."""
-            node = nodes[i]
-            # a chain writes its last member's channel (a sibling
-            # stage's rows share one ring and one rate)
-            last = nodes[stage_of.get(i, [i])[-1]]
-            in_ids = [ring_of(ch) for ch in node.inputs]
-            out_ids = [ring_of(ch) for ch in last.outputs]
-            needs, pops, pushes = _steady_rates(node)[:2] + \
-                _steady_rates(last)[2:]
-            if i in fused_ends:
-                # b equal-weight channels are one ring at one rate
-                if node.kind == "splitter":
-                    out_ids, pushes = out_ids[:1], pushes[:1]
-                else:
-                    in_ids, needs, pops = in_ids[:1], needs[:1], pops[:1]
-            if i in island_start:
-                # the loop joiner reads externals through a private gate
-                # ring so the island cannot outrun its simulated schedule
-                in_ids = [len(self.rings)] + in_ids[1:]
-                self.rings.append(self._new_ring(f"{node.name}.gate"))
-            return (in_ids, out_ids, (needs, pops, pushes), _init_rates(node),
-                    self._make_step(stage_of.get(i, [i]), in_ids, out_ids))
-
-        # the acyclic outer schedule, each feedback region collapsed into
-        # a single FeedbackStep facade
-        self.sim_nodes: list[_SimNode] = []
-        self.steps: list[K.Step] = []
-        #: per outer position: the flat node (of a sibling stage, the
-        #: first branch's), or the FeedbackRegion
-        self.outer_entries: list = []
-        #: per outer position: the flat indices the step fires
-        self.orbits: list = []
-        outer_of_flat: dict[int, int] = {}
-        i = 0
-        while i < len(nodes):
-            region = island_start.get(i)
-            if region is None:
-                if i not in riders:
-                    node = nodes[i]
-                    in_ids, out_ids, rates, init, step = planned(i)
-                    sn = _SimNode(len(self.sim_nodes), in_ids, out_ids,
-                                  *rates, *init)
-                    if isinstance(node.stream, ListSource):
-                        sn.remaining = len(node.stream.values)
-                    elif isinstance(node.stream, ChunkSource):
-                        sn.remaining = 0
-                        self._feed_node = sn
-                    outer_of_flat[i] = len(self.sim_nodes)
-                    self.sim_nodes.append(sn)
-                    self.steps.append(step)
-                    self.outer_entries.append(node)
-                    self.orbits.append(stage_of.get(i, [i]))
-                i += 1
-                continue
-            rates = plan.islands[region.start]
-            members = []
-            for j in range(region.start, region.stop):
-                in_ids, _, (needs, pops, _), (has_init, init_needs, _, _), \
-                    step = planned(j)
-                members.append(K.IslandMember(
-                    step, [self.rings[r] for r in in_ids],
-                    needs, pops, has_init, init_needs))
-            split_node = next(
-                n for n in nodes[region.start:region.stop]
-                if n.kind == "splitter"
-                and n.splitter is region.stream.splitter)
-            ext_in = ring_of(nodes[region.start].inputs[0])
-            ext_out = ring_of(split_node.outputs[0])
-            step = K.FeedbackStep(  # the joiner reads the gate ring
-                region.stream.name, self.rings[ext_in],
-                members[0].in_rings[0], members, rates.pop, rates.push,
-                init_pop=rates.init_pop if rates.has_init else None,
-                init_push=rates.init_push if rates.has_init else None)
-            sn = _SimNode(len(self.sim_nodes), [ext_in], [ext_out],
-                          [rates.pop], [rates.pop], [rates.push],
-                          rates.has_init, [rates.init_pop],
-                          [rates.init_pop], [rates.init_push])
-            self.sim_nodes.append(sn)
-            self.steps.append(step)
-            self.outer_entries.append(region)
-            self.orbits.append(range(region.start, region.stop))
-            i = region.stop
-
+        self.rings: list[RingBuffer] = [
+            self._new_ring(name, prefill, rows)
+            for name, rows, prefill in plan.rings]
+        self._out_chan = 0  # the graph output's ring
+        # fresh copies: the phases (fired, remaining) are this executor's
+        self.sim_nodes = [_SimNode(**vars(p.sim)) for p in plan.outer]
         self.sources = [sn for sn in self.sim_nodes if not sn.in_ids]
         self.consumers = [sn for sn in self.sim_nodes if sn.in_ids]
-
-        # the sink the executor watches: first Collector, else graph out
-        self._sink = None  # the Collector's runner
-        self._sink_index: int | None = None
-        if flat.collectors:
-            coll = flat.collectors[0]
-            flat_idx = next(i for i, n in enumerate(flat.nodes)
-                            if n is coll)
-            self._sink = coll.runner
-            self._sink_index = outer_of_flat[flat_idx]
-        else:
-            for sn in self.sim_nodes:
-                if self._out_chan in sn.out_ids:
-                    self._sink_index = sn.index
+        #: per outer position: the flat node (of a sibling stage, the
+        #: first branch's) or the FeedbackRegion, and the flat indices
+        #: its step fires
+        self.outer_entries = [p.entry for p in plan.outer]
+        self.orbits = [p.orbit for p in plan.outer]
+        self.steps: list[K.Step] = []
+        for p in plan.outer:  # (a folded reader reads its source's step)
+            self.steps.append(p.make(self, self.rings_of(p.sim.in_ids),
+                                     self.rings_of(p.sim.out_ids)))
+        # the sink the executor watches: the Collector's runner, else
+        # the graph output ring (None)
+        self._sink_index = plan.sink
+        sink = None if plan.sink is None else self.steps[plan.sink]
+        self._sink = sink.sink if isinstance(sink, K.CollectorStep) else None
+        #: the push harness's feed (see :attr:`FlatGraph.feed`)
+        self.feed = None if plan.feed is None else self.steps[plan.feed].feed
         self._sink_fires = 0  # cumulative collector firings (sim)
         # persistent simulator state (pre-filled rings start occupied)
         self._occ = [len(r) for r in self.rings]
@@ -914,108 +1054,26 @@ class PlanExecutor:
         self._returned = 0  # outputs handed out to the caller
         self._out_popped = 0  # items popped off the graph output ring
 
-    # -- ring construction ------------------------------------------------
+    # -- construction hooks -------------------------------------------------
     def _new_ring(self, name: str, prefill=None, rows: int = 1) -> RingBuffer:
         """Channel-storage hook: the parallel executor overrides this to
         allocate shared-memory rings workers can attach to."""
         return RingBuffer(name, prefill=prefill, dtype=self.policy.dtype,
                           rows=rows)
 
+    def rings_of(self, ids: list) -> list:
+        """The rings of ``ids``; a void tape for none."""
+        return [self.rings[r] for r in ids] or [_NULL_CHANNEL]
+
+    def own_node(self, i: int):
+        """Flat node ``i`` with a runner of this executor's own."""
+        node = self.flat.nodes[i]
+        return replace(node, runner=make_runner(node.stream, self.profiler,
+                                                dtype=self.policy.dtype))
+
     def close(self) -> None:
         """Release execution resources (no-op for the serial executor;
         the parallel subclass detaches/unlinks shared memory here)."""
-
-    # -- step construction ------------------------------------------------
-    def _make_step(self, members, in_ids, out_ids) -> K.Step:
-        """The step firing flat nodes ``members``: one node, or the
-        sibling nodes of one stage of a fused splitjoin."""
-        from ..frequency.filters import (Decimator, NaiveFreqFilter,
-                                         OptimizedFreqFilter)
-
-        index = members[0]
-        node = self.flat.nodes[index]
-
-        def rin(j=0):
-            return self.rings[in_ids[j]] if in_ids else _NULL_CHANNEL
-
-        def rout(j=0):
-            return self.rings[out_ids[j]] if out_ids else _NULL_CHANNEL
-
-        # (the b branches of a fused splitjoin are one ring, one weight)
-        if node.kind == "splitter":
-            outs = [self.rings[i] for i in out_ids]
-            if isinstance(node.splitter, Duplicate):
-                return K.DuplicateSplitStep(rin(), outs)
-            return K.RoundRobinSplitStep(
-                rin(), outs, list(node.splitter.weights[:len(outs)]))
-        if node.kind == "joiner":
-            ins = [self.rings[i] for i in in_ids]
-            return K.RoundRobinJoinStep(
-                ins, rout(), list(node.joiner.weights[:len(ins)]))
-        plan = self.plan
-        stacked = [_stacked_kernel(self.flat, plan.decisions, m)
-                   for m in members]
-        if stacked[0] is not None and stacked[0][0] == "matmul":
-            lines = [k[1] for k in stacked], [k[2:] for k in stacked]
-            if in_ids[0] in self._sinusoids:
-                return self._sinusoids[in_ids[0]].fold(*lines, rout(),
-                                                       self.policy)
-            return K.MatmulStep(rin(), rout(), *lines, self.profiler,
-                                policy=self.policy)
-        # one node or a chain (a stateful node never has siblings)
-        chain = [_stateful_kernel(self.flat, plan.decisions, m)
-                 for m in members]
-        if chain[0] is not None:
-            lifted = plan.chains[index][1] if len(members) > 1 \
-                else chain[0][0]
-            return K.StatefulLinearStep(
-                rin(), rout(), lifted, [k[1] for k in chain],
-                self.profiler, policy=self.policy)
-        s = node.stream
-        if node.kind == "filter":
-            params = plan.decisions[index]
-            if isinstance(params, LaneCode):
-                nodes = [self.flat.nodes[m] for m in members]
-                if index not in plan.sinusoids:
-                    return K.LaneStep(nodes, rin(), rout(), params,
-                                      self.policy)
-                forms, folds = plan.sinusoids[index]
-                step = K.SinusoidStep(nodes, forms, rout(), self.profiler)
-                if folds:
-                    self._sinusoids[out_ids[0]] = step
-                return step
-            if not in_ids and s.prework is None:
-                # its reason says why its scalar firings, should the
-                # state never recur, are not lanes either
-                return K.PeriodicSourceStep(node, _NULL_CHANNEL, rout(),
-                                            self.profiler, self.policy)
-            return K.FallbackStep(node, rin(), rout())
-        # primitives
-        if isinstance(s, NaiveFreqFilter):
-            return K.NaiveFreqStep(rin(), rout(), s, self.profiler,
-                                   policy=self.policy)
-        if isinstance(s, OptimizedFreqFilter):
-            return K.OptimizedFreqStep(rin(), rout(), s, self.profiler,
-                                       policy=self.policy)
-        if isinstance(s, Collector):
-            return K.CollectorStep(rin(), node.runner)
-        if isinstance(s, ChunkSource):
-            return K.ChunkSourceStep(rout(), node.runner.buffer)
-        if isinstance(s, ListSource):
-            return K.ListSourceStep(rout(), s.values, self.policy)
-        if isinstance(s, FunctionSource):
-            return K.FunctionSourceStep(rout(), s.fn, self.policy)
-        if isinstance(s, ConstantSourceFilter):
-            return K.PeriodicSourceStep.constant(s.values, rout(),
-                                                 self.profiler, self.policy)
-        if isinstance(s, Identity):
-            return K.IdentityStep(rin(), rout())
-        if isinstance(s, Decimator):
-            return K.DecimatorStep(rin(), rout(), s.o, s.u)
-        step = K.FallbackStep(node, rin(), rout())
-        step.detail = ("no batched kernel for primitive type "
-                       + type(s).__name__)
-        return step
 
     # -- integer rate simulation ------------------------------------------
     def _produced(self) -> int:
@@ -1265,8 +1323,9 @@ class PlanExecutor:
 
     # -- reentrant drive loop -----------------------------------------------
     def _refresh_feed(self) -> None:
-        if self._feed_node is not None:
-            self._feed_node.remaining = len(self.feed.buffer)
+        """The feed's budget: what sessions fed its ring between calls."""
+        if self.feed is not None:
+            self.sim_nodes[self.plan.feed].remaining = len(self.feed.buffer)
 
     def _drive(self, target: int, max_passes: int) -> None:
         """Bring the sink to ``target`` total outputs: :meth:`_simulate`
@@ -1367,46 +1426,45 @@ class PlanExecutor:
 
 
 def build_plan(stream: Stream, optimize: str = "none",
-               policy: NumericPolicy = DEFAULT_POLICY, workers: int = 1,
-               profiler: Profiler | None = None):
-    """Plan ``stream`` whole: ``(entry, flat)``, the
-    :class:`~repro.exec.cache.PlanEntry` and the flat graph (profiling
-    into ``profiler``) it was planned over, for the first executor.
+               policy: NumericPolicy = DEFAULT_POLICY,
+               workers: int = 1) -> PlanEntry:
+    """Plan ``stream`` whole, into one :class:`~repro.exec.cache.PlanEntry`.
 
     The rewritten graph (``workers > 1`` adds
     :func:`~repro.exec.optimize.fission_stream`) is flattened once and
     checked for a bailout, which probes the feedback islands; a
     plannable one then gets its kernel decisions, sibling stages,
-    stateful chains and sinusoid forms."""
+    stateful chains and sinusoid forms, and its ring layout and outer
+    schedule with every step's operator (:func:`_layout`)."""
     optimized = fission_stream(optimize_stream(stream, optimize,
                                                policy=policy),
                                workers, policy=policy)
-    flat = FlatGraph(optimized, profiler, dtype=policy.dtype)
+    flat = FlatGraph(optimized, dtype=policy.dtype)
     islands: dict = {}
     bailout = plan_bailout_reason(optimized, flat, island_rates=islands)
-    # (the parallel executor's shared-memory rings have one row)
-    plan = dict(decisions={}, siblings=[], chains={}, sinusoids={},
-                reasons={}) if bailout else \
-        _plan(flat, workers == 1 and PlanExecutor.fuse_siblings)
+    if bailout:
+        plan = dict(decisions={}, siblings=[], chains={}, sinusoids={},
+                    reasons={}, rings=[], outer=[], sink=None, feed=None)
+    else:
+        # (the parallel executor's shared-memory rings have one row)
+        plan = _plan(flat, workers == 1 and PlanExecutor.fuse_siblings)
+        plan.update(_layout(flat, plan, islands, policy))
     return PlanEntry(pin=stream, optimized=optimized, bailout=bailout,
-                     policy=policy, workers=workers, islands=islands,
-                     **plan), flat
+                     policy=policy, workers=workers, flat=flat,
+                     islands=islands, **plan)
 
 
-def instantiate(entry: PlanEntry, profiler: Profiler | None = None,
-                flat: FlatGraph | None = None):
-    """A fresh executor of ``entry``'s plan over ``flat`` (by default a
-    new flattening of ``entry.optimized``): the scalar
-    :class:`FlatGraph` on a bailout, else a :class:`PlanExecutor`, the
-    parallel one when ``entry.workers > 1``."""
-    if flat is None:
-        flat = FlatGraph(entry.optimized, profiler, dtype=entry.policy.dtype)
+def instantiate(entry: PlanEntry, profiler: Profiler | None = None):
+    """A fresh executor of ``entry``'s plan, profiling into ``profiler``:
+    the scalar :class:`FlatGraph` on a bailout, else a
+    :class:`PlanExecutor` (the parallel one when ``entry.workers > 1``),
+    which allocates state and derives nothing."""
     if entry.bailout is not None:
-        return flat
+        return FlatGraph(entry.optimized, profiler, dtype=entry.policy.dtype)
     if entry.workers > 1:
         from ..parallel.executor import ParallelPlanExecutor
-        return ParallelPlanExecutor(flat, entry)
-    return PlanExecutor(flat, entry)
+        return ParallelPlanExecutor(entry, profiler)
+    return PlanExecutor(entry, profiler)
 
 
 def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
@@ -1417,7 +1475,8 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     ``entry`` is :func:`build_plan`'s, from ``cache`` (default: the
     process-wide :data:`~repro.exec.cache.PLAN_CACHE`) keyed by the
     graph's content, or private with ``cache=False`` (as the cache's
-    is for a single-use graph).  A miss flattens the graph once.
+    is for a single-use graph); ``executor`` is
+    :func:`instantiate`'s.
 
     ``executor`` is the scalar compiled :class:`FlatGraph` (same
     ``advance`` interface) when the graph cannot be batched — see
@@ -1431,28 +1490,13 @@ def compiled_plan_for(stream: Stream, profiler: Profiler | None = None,
     worker count.
     """
     policy = resolve_policy(dtype)
-    built: list = []  # the (entry, flat) this call built, if it missed
-
-    def build() -> PlanEntry:
-        built.append(build_plan(stream, optimize, policy, workers, profiler))
-        return built[-1][0]
-
+    build = partial(build_plan, stream, optimize, policy, workers)
     if cache is False:
         entry = build()
     else:
         entry = (PLAN_CACHE if cache is None else cache).entry_for(
             stream, optimize, build, policy=policy, workers=workers)
-    flat = built[0][1] if built and built[0][0] is entry else None
-    return instantiate(entry, profiler, flat), entry
-
-
-def plan_executor_for(stream: Stream, profiler: Profiler | None = None,
-                      optimize: str = "none", cache=None, dtype=None,
-                      workers: int = 1):
-    """Compile ``stream`` into a :class:`PlanExecutor` — see
-    :func:`compiled_plan_for` (this drops the cache entry)."""
-    return compiled_plan_for(stream, profiler, optimize=optimize,
-                             cache=cache, dtype=dtype, workers=workers)[0]
+    return instantiate(entry, profiler), entry
 
 
 # ---------------------------------------------------------------------------
@@ -1608,8 +1652,6 @@ def report_for_executor(executor: PlanExecutor, program: str,
     re-probes nothing; :func:`plan_report` builds a throwaway executor
     and routes through here.
     """
-    from ..runtime.executor import FeedbackRegion
-
     flat = executor.flat
     rep = PlanReport(program=program, optimize=optimize, bailout=None,
                      nodes=len(flat.nodes),
@@ -1639,16 +1681,8 @@ def report_for_executor(executor: PlanExecutor, program: str,
                     tags=mstep.tags))
             rep.islands.append(isl)
         else:
-            reason = executor.plan.reasons.get(orbit[0])
-            if isinstance(step, K.PeriodicSourceStep):
-                step = _settled_source(step, executor.policy)
-                if step.period or reason is None:
-                    reason = step.detail
-                else:
-                    reason = f"{step.detail}; {reason}"
-            else:
-                reason = "; ".join(filter(None, (step.detail, reason))) \
-                    or None
+            reason = "; ".join(filter(None, (
+                step.detail, executor.plan.reasons.get(orbit[0])))) or None
             name, width, grouped = entry.name, len(orbit), "fused"
             if isinstance(step, K.StatefulLinearStep):  # orbit: a chain
                 name, width = " → ".join(flat.nodes[j].name for j in orbit), 1
@@ -1657,25 +1691,6 @@ def report_for_executor(executor: PlanExecutor, program: str,
                 pos, name, entry.kind, step.kind, reason, width,
                 step.tags + (grouped,) * (len(orbit) > 1)))
     return rep
-
-
-def _settled_source(step: K.PeriodicSourceStep, policy: NumericPolicy):
-    """``step`` once its recurrence search is over.  A search still
-    running (the source has fired fewer times than the limit) is a pure
-    function of the filter's initial state, so a scratch twin fired
-    into a throwaway ring reaches the same verdict without touching
-    the live stream."""
-    if step.detail is not None:
-        return step
-    node = step.node
-    twin = K.PeriodicSourceStep(
-        replace(node, runner=_IRRunner(node.stream, NullProfiler(),
-                                       "compiled")),
-        _NULL_CHANNEL, RingBuffer("scratch", dtype=policy.dtype),
-        NullProfiler(), policy)
-    with faults.suppress():  # not a step of the stream
-        twin.execute(K.SOURCE_RECURRENCE_LIMIT)
-    return twin
 
 
 def plan_report(stream: Stream, optimize: str = "none") -> PlanReport:

@@ -52,9 +52,9 @@ _PLAN_SEQ = _count()
 class ParallelPlanExecutor(PlanExecutor):
     """A :class:`PlanExecutor` that flushes batches across a worker pool."""
 
-    def __init__(self, flat, plan):
+    def __init__(self, plan, profiler=None):
         self.workers = max(2, plan.workers)
-        super().__init__(flat, plan)
+        super().__init__(plan, profiler)
         self.units: list[Unit] = build_units(self)
         self._plan_uid = f"plan-{next(_PLAN_SEQ)}-{token_hex(4)}"
         self._ring_by_uid = {r.uid: r for r in self.rings}
@@ -77,7 +77,8 @@ class ParallelPlanExecutor(PlanExecutor):
         }
 
     # -- storage ----------------------------------------------------------
-    def _new_ring(self, name, prefill=None):
+    def _new_ring(self, name, prefill=None, rows=1):
+        # (rows == 1: a parallel plan never fuses siblings)
         return ShmRing(name, prefill=prefill, dtype=self.policy.dtype)
 
     def close(self) -> None:
@@ -242,10 +243,8 @@ class ParallelPlanExecutor(PlanExecutor):
     def _cold_copy(step):
         c = copy.copy(step)
         c.profiler = None  # the worker installs a per-task profiler
-        if isinstance(c, K.StatefulLinearStep):
-            c._lifted = {}  # block-lift cache: rebuilt worker-side
-        elif isinstance(c, (K.NaiveFreqStep, K.OptimizedFreqStep)):
-            c._work = []  # FFT workspace: likewise
+        if isinstance(c, (K.NaiveFreqStep, K.OptimizedFreqStep)):
+            c._work = []  # FFT workspace: rebuilt worker-side
         return c
 
     def _apply_reply(self, worker, unit: Unit, t0: float, pool) -> None:

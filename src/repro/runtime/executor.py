@@ -86,6 +86,17 @@ class _IRRunner:
         self.fired_init = True
 
 
+def make_runner(stream, profiler: Profiler, backend: str = "compiled",
+                dtype=np.float64):
+    """A fresh runner of leaf ``stream`` (fields, feed or output ring its
+    own) counting into ``profiler``; a Collector's ring is ``dtype``."""
+    if isinstance(stream, Filter):
+        return _IRRunner(stream, profiler, backend)
+    if isinstance(stream, Collector):
+        return stream.make_runner(profiler, dtype)
+    return stream.make_runner(profiler)
+
+
 @dataclass
 class _Node:
     """A flattened execution node."""
@@ -235,27 +246,21 @@ class FlatGraph:
 
     def _flatten(self, stream: Stream, ch_in: Channel) -> Channel | None:
         """Wire ``stream`` reading from ``ch_in``; return its output channel."""
-        if isinstance(stream, Filter):
-            node = _Node(name=stream.name, kind="filter", stream=stream,
-                         runner=_IRRunner(stream, self.profiler, self.backend))
-            node.inputs = [ch_in] if stream.pop or stream.peek else []
-            out = self._new_channel() if stream.push or (
-                stream.prework and stream.prework.push) else None
-            if out is not None:
-                node.outputs = [out]
-            self.nodes.append(node)
-            return out
-        if isinstance(stream, PrimitiveFilter):
-            runner = (stream.make_runner(self.profiler, self.dtype)
-                      if isinstance(stream, Collector)
-                      else stream.make_runner(self.profiler))
-            node = _Node(name=stream.name, kind="primitive", stream=stream,
-                         runner=runner)
-            needs_in = stream.peek or stream.pop or (
-                stream.init_peek or stream.init_pop)
-            node.inputs = [ch_in] if needs_in else []
-            out = self._new_channel() if stream.push or (
-                stream.init_push) else None
+        if isinstance(stream, (Filter, PrimitiveFilter)):
+            if isinstance(stream, Filter):
+                kind, pw = "filter", stream.prework
+                reads = stream.pop or stream.peek
+                writes = stream.push or (pw and pw.push)
+            else:
+                kind = "primitive"
+                reads = stream.peek or stream.pop or stream.init_peek \
+                    or stream.init_pop
+                writes = stream.push or stream.init_push
+            node = _Node(name=stream.name, kind=kind, stream=stream,
+                         inputs=[ch_in] if reads else [],
+                         runner=make_runner(stream, self.profiler,
+                                            self.backend, self.dtype))
+            out = self._new_channel() if writes else None
             if out is not None:
                 node.outputs = [out]
             self.nodes.append(node)

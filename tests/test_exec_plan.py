@@ -15,8 +15,8 @@ from repro.apps import BENCHMARKS, FEEDBACK_APPS, build_app
 from repro.bench import CONFIGS, build_config
 from repro.bench import main as bench_main
 from repro.errors import InterpError
-from repro.exec import PlanExecutor, RingBuffer, plan_bailout_reason, \
-    plan_executor_for, planner
+from repro.exec import PlanExecutor, RingBuffer, compiled_plan_for, \
+    plan_bailout_reason, planner
 from repro.exec.kernels import (FallbackStep, FeedbackStep, MatmulStep,
                                 PeriodicSourceStep)
 from repro.graph import FeedbackLoop, Pipeline, RoundRobin
@@ -164,14 +164,14 @@ def test_plan_stateful_source_exact():
 def test_plan_executor_chunks_large_runs(monkeypatch):
     """Tiny chunk size forces multiple flushes; results unchanged."""
     monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 8)
-    ex = plan_executor_for(small("FIR"), Profiler(), cache=False)
+    ex = compiled_plan_for(small("FIR"), Profiler(), cache=False)[0]
     out = ex.advance(100)
     expected = run_graph(small("FIR"), 100)
     np.testing.assert_allclose(out, expected, atol=1e-9)
 
 
 def test_plan_repeated_run_extends():
-    ex = plan_executor_for(small("FIR"), Profiler(), cache=False)
+    ex = compiled_plan_for(small("FIR"), Profiler(), cache=False)[0]
     first = ex.advance(10)
     more = ex.advance(20)
     expected = run_graph(small("FIR"), 30)
@@ -225,7 +225,7 @@ def test_feedback_loop_runs_as_island():
     loop = make_feedback_program()
     prog = Pipeline([ListSource([1, 2, 3, 4]), loop, Collector()])
     assert plan_bailout_reason(prog) is None
-    ex = plan_executor_for(prog, cache=False)
+    ex = compiled_plan_for(prog, cache=False)[0]
     assert isinstance(ex, PlanExecutor)
     assert any(isinstance(s, FeedbackStep) for s in ex.steps)
     out = run_stream(make_feedback_program(), [1.0, 2.0, 3.0, 4.0], 4,
@@ -236,7 +236,7 @@ def test_feedback_loop_runs_as_island():
 def test_feedback_island_nonloop_regions_stay_batched():
     """Hybrid islanding: nodes outside the cycle keep batched kernels."""
     from repro.apps import echo
-    ex = plan_executor_for(echo.build(**SMALL_PARAMS["Echo"]), cache=False)
+    ex = compiled_plan_for(echo.build(**SMALL_PARAMS["Echo"]), cache=False)[0]
     kinds = [s.kind for s in ex.steps]
     assert "feedback" in kinds
     assert "matmul" in kinds  # the low-pass conditioner outside the loop
@@ -250,7 +250,7 @@ def test_feedback_island_chunked_and_repeated_runs(monkeypatch):
     from repro.apps import echo
     prog = echo.build(**SMALL_PARAMS["Echo"])
     monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)  # many flushes
-    ex = plan_executor_for(prog, Profiler(), cache=False)
+    ex = compiled_plan_for(prog, Profiler(), cache=False)[0]
     first = ex.advance(50)
     more = ex.advance(150)
     expected = run_graph(echo.build(**SMALL_PARAMS["Echo"]), 200)
@@ -283,12 +283,12 @@ def test_feedback_island_with_inner_source_bails_out():
 
 def test_plannable_program_has_no_bailout_reason():
     assert plan_bailout_reason(small("FilterBank")) is None
-    ex = plan_executor_for(small("FIR"))
+    ex = compiled_plan_for(small("FIR"))[0]
     assert isinstance(ex, PlanExecutor)
 
 
 def test_linear_filters_get_matmul_steps():
-    ex = plan_executor_for(small("FIR"))
+    ex = compiled_plan_for(small("FIR"))[0]
     kinds = {type(s).__name__ for s in ex.steps}
     assert "MatmulStep" in kinds  # the 32-tap low-pass
     assert any(isinstance(s, PeriodicSourceStep) for s in ex.steps)  # ramp
@@ -299,7 +299,7 @@ def test_frequency_filters_get_batched_fft_steps():
     """Freq-rewritten graphs run OptimizedFreqStep, not FallbackStep."""
     from repro.exec.kernels import OptimizedFreqStep
     stream = build_config(small("FIR"), "freq")
-    ex = plan_executor_for(stream, cache=False)
+    ex = compiled_plan_for(stream, cache=False)[0]
     assert any(isinstance(s, OptimizedFreqStep) for s in ex.steps)
 
 
@@ -307,7 +307,7 @@ def test_naive_freq_filter_gets_batched_step():
     from repro.exec.kernels import NaiveFreqStep
     from repro.frequency import maximal_frequency_replacement
     stream = maximal_frequency_replacement(small("FIR"), strategy="naive")
-    ex = plan_executor_for(stream, cache=False)
+    ex = compiled_plan_for(stream, cache=False)[0]
     assert any(isinstance(s, NaiveFreqStep) for s in ex.steps)
     p_c, p_p = Profiler(), Profiler()
     compiled = run_graph(stream, 96, p_c)
@@ -322,7 +322,7 @@ def test_freq_step_partials_survive_chunk_flushes(monkeypatch):
     """OptimizedFreqStep carries partial sums across flush boundaries."""
     stream = build_config(small("FIR"), "freq")
     monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)  # many flushes
-    ex = plan_executor_for(stream, Profiler(), cache=False)
+    ex = compiled_plan_for(stream, Profiler(), cache=False)[0]
     out = ex.advance(400)
     expected = run_graph(build_config(small("FIR"), "freq"), 400)
     np.testing.assert_allclose(out, expected, atol=1e-8)
@@ -589,7 +589,7 @@ def test_nonlinear_filters_fall_back():
         f.push(v * v)
     prog = Pipeline([FunctionSource(lambda n: float(n), "src"), f.build(),
                      Collector()])
-    ex = plan_executor_for(prog)
+    ex = compiled_plan_for(prog)[0]
     assert isinstance(ex, PlanExecutor)
     assert not any(isinstance(s, MatmulStep) for s in ex.steps)
     out = run_graph(prog, 8, backend="plan")

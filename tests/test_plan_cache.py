@@ -13,8 +13,8 @@ import pytest
 from repro import exec as rexec
 from repro.apps import fir
 from repro.exec import (PLAN_CACHE, PlanCache, PlanExecutor,
-                        clear_plan_cache, plan_cache_stats,
-                        plan_executor_for)
+                        clear_plan_cache, compiled_plan_for,
+                        plan_cache_stats)
 from repro.exec import planner as planner_mod
 from repro.errors import InterpError
 from repro.graph.identity import content_id
@@ -93,7 +93,7 @@ def test_executor_on_a_cached_plan_resumes():
     longer run."""
     program = fir.build(taps=32)
     run_graph(program, 50, backend="plan")  # caches the plan
-    executor = plan_executor_for(program)
+    executor = compiled_plan_for(program)[0]
     assert isinstance(executor, PlanExecutor)
     assert plan_cache_stats()["hits"] == 1
     resumed = np.concatenate([executor.advance(50), executor.advance(10)])
@@ -321,7 +321,7 @@ def test_feedback_island_plans_cached_and_delay_sensitive():
 
 def lookup(cache, program):
     return cache.entry_for(program, "none",
-                           lambda: planner_mod.build_plan(program)[0])
+                           lambda: planner_mod.build_plan(program))
 
 
 def test_lru_eviction_bounds_entries():
@@ -336,8 +336,8 @@ def test_lru_eviction_bounds_entries():
 
 def test_cache_false_bypasses_cache():
     program = fir.build(taps=16)
-    a = plan_executor_for(program, cache=False).advance(64)
-    b = plan_executor_for(program, cache=False).advance(64)
+    a = compiled_plan_for(program, cache=False)[0].advance(64)
+    b = compiled_plan_for(program, cache=False)[0].advance(64)
     np.testing.assert_array_equal(a, b)
     assert plan_cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
 

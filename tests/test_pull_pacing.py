@@ -64,6 +64,15 @@ void->float filter Counter {
     }
 }
 
+/* divides by zero at the firing where t reaches lead; not additive */
+void->float filter Pole(int lead) {
+    int t;
+    work push 1 {
+        push(1.0 / (lead - t));
+        t = t * 2 + 1;
+    }
+}
+
 void->float filter Primed(int period) {
     int idx;
     prework push 1 {
@@ -167,6 +176,7 @@ void->float pipeline Just(int which, int a, int b) {
     if (which == 1) { add LateRamp(a, b); }
     if (which == 2) { add Pair(a); }
     if (which == 3) { add Counter(); }
+    if (which == 4) { add Pole(a); }
     add Scale(3.0);
 }
 """
@@ -221,11 +231,14 @@ def source_steps(s):
 
 def scalar_sources(s):
     """Swap a fresh plan session's source steps for the FallbackStep
-    they replaced: the scalar reference."""
-    steps = s._executor.steps
-    for i, step in enumerate(steps):
+    they replaced, over a runner of the session's own: the scalar
+    reference."""
+    ex = s._executor
+    for i, step in enumerate(ex.steps):
         if isinstance(step, K.PeriodicSourceStep):
-            steps[i] = K.FallbackStep(step.node, step.ring_in, step.ring_out)
+            ex.steps[i] = K.FallbackStep(ex.own_node(ex.orbits[i][0]),
+                                         planner._NULL_CHANNEL,
+                                         step.ring_out)
     return s
 
 
@@ -454,30 +467,44 @@ def test_periodic_source_replays_bitwise_with_exact_flops(name, dtype):
 
 
 def test_counter_source_gives_up_and_stays_the_scalar_loop():
-    """A period beyond the firing limit: the step drops its bookkeeping
-    and the stream is bitwise FallbackStep's throughout (an additive
-    ``n = n + 1`` never gets here: tests/test_lane_kernel.py)."""
+    """A period beyond the firing limit: the build plans the source as
+    the FallbackStep it is, bitwise the scalar loop throughout (an
+    additive ``n = n + 1`` never gets here: tests/test_lane_kernel.py)."""
     n = K.SOURCE_RECURRENCE_LIMIT + 500
     plan = session("Just", (3, 0, 0))
-    (step,) = source_steps(plan)
+    assert not source_steps(plan)
+    step = plan._executor.steps[0]
+    assert type(step) is K.FallbackStep and step.kind == "fallback"
+    compiled = session("Just", (3, 0, 0), backend="compiled")
     got = np.concatenate([plan.run(n // 2), plan.run(n - n // 2)])
-    np.testing.assert_array_equal(
-        got, scalar_sources(session("Just", (3, 0, 0))).run(n))
-    assert step.kind == "fallback" and step._seen is None
-    assert step.detail == (f"state did not recur within "
-                           f"{K.SOURCE_RECURRENCE_LIMIT} firings")
+    np.testing.assert_array_equal(got, compiled.run(n))
+    assert_same_counts(plan.profile, compiled.profile)
     (row,) = plan.report().fallbacks
     assert row.reason.startswith("state did not recur within 1024 firings; "
                                  "not lane-convertible: field n is not")
 
 
-def test_report_settles_a_source_that_has_not_fired_yet():
-    """Detection is lazy, the report is not: a fresh session already
-    says what each source will turn out to be, without firing it."""
+def test_a_source_that_raises_is_planned_scalar_and_raises_on_time():
+    """A scratch firing that raises ends the build's search: the source
+    is planned as the FallbackStep it is, runs up to that firing, and
+    raises there as the compiled backend does."""
+    plan = session("Just", (4, 7, 0))
+    (row,) = plan.report().fallbacks
+    assert row.reason.startswith("firing 3 raises ZeroDivisionError; ")
+    compiled = session("Just", (4, 7, 0), backend="compiled")
+    np.testing.assert_array_equal(plan.run(3), compiled.run(3))
+    for s in (compiled, plan):
+        with pytest.raises(ZeroDivisionError):
+            s.run(1)
+
+
+def test_a_fresh_session_replays_from_its_first_firing():
+    """The build fires a source until its state recurs, so a fresh
+    session's step is already the table, and so is its report."""
     fresh = session("Just", (1, 5, 9))
     assert fresh.report().steps[0].reason == "transient 5, period 9"
     (step,) = source_steps(fresh)
-    assert step.fired == 0 and step.detail is None
+    assert step.fired == 0 and step.detail == "transient 5, period 9"
     counter = session("Just", (3, 0, 0)).report()
     assert counter.steps[0].step_kind == "fallback"
 
@@ -537,13 +564,13 @@ def test_source_step_passes_the_kernel_fault_site():
     from repro import faults
     from repro.errors import FaultInjected
     s = session("Just", (0, 7, 0))
-    searching, = source_steps(session("Just", (0, 7, 0)))
+    fresh, = source_steps(session("Just", (0, 7, 0)))
     s.run(30)
     replaying, = source_steps(s)
-    assert replaying.period and not searching.period
+    assert replaying.fired and not fresh.fired
     faults.install(faults.FaultPlan(rates={"kernel.step": 1.0}))
     try:
-        for step in (searching, replaying):
+        for step in (fresh, replaying):
             with pytest.raises(FaultInjected):
                 step.execute(1)
     finally:
@@ -564,15 +591,12 @@ def test_resumed_fir_run_is_block_paced():
     s.run(8192)
     ex = s._executor
     (step,) = source_steps(s)
-    assert step.kind == "periodic-source"
-    scalar = []
-    step.node.runner.fire = lambda *a: scalar.append(a)
+    assert step.kind == "periodic-source"  # a table: no runner to fire
     before = (ex._passes, ex.jumps, ex.passes_literal)
     s.run(8192)
     after = (ex._passes, ex.jumps, ex.passes_literal)
     assert after[0] - before[0] > 7000  # still one per source item
     assert after[1:] == (before[1] + 1, before[2] + 1)
-    assert scalar == []
     text = str(s.report())
     assert "periodic-source" in text
     assert f"schedule: {after[0]} passes, 3 jumps, 3 literal passes" in text

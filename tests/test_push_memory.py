@@ -125,7 +125,8 @@ def test_feed_then_run_matches_the_list_harness_and_keeps_the_tail(
     session.feed(inputs)
     first = session.run(100)
     executor = session._executor
-    sink = getattr(executor, "flat", executor).collectors[0].runner
+    sink = getattr(executor, "_sink", None) or \
+        executor.collectors[0].runner
     assert sink.produced() == 100 + len(sink.collected)
     second = session.run(100)
     np.testing.assert_array_equal(np.concatenate([first, second]), legacy)

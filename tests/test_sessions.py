@@ -367,21 +367,24 @@ def test_scalar_session_report_is_advisory():
 def test_push_harness_is_ndarray_native():
     session = repro.compile(low_pass_filter(1.0, math.pi / 3, 16),
                             backend="plan")
-    flat = session._executor.flat
-    feed, sink = flat.nodes[0], flat.nodes[-1]
+    ex = session._executor
+    feed, sink = ex.flat.nodes[0], ex.flat.nodes[-1]
     assert isinstance(feed.stream, ChunkSource)
     assert isinstance(sink.stream, Collector)
     # the harness nodes are stateless: both rings are runner state,
-    # owned by this executor and replaced with it
+    # owned by this executor (not the plan's flat graph) and replaced
+    # with it
     assert not hasattr(feed.stream, "buffer")
-    assert session._executor.feed is feed.runner
-    assert isinstance(feed.runner.buffer, RingBuffer)
-    assert isinstance(sink.runner.collected, RingBuffer)
+    assert ex.feed is ex.steps[0].feed is not feed.runner
+    assert ex._sink is ex.steps[-1].sink is not sink.runner
+    assert isinstance(ex.feed.buffer, RingBuffer)
+    assert isinstance(ex._sink.collected, RingBuffer)
     out = session.push(np.arange(64.0))
     assert isinstance(out, np.ndarray) and out.dtype == np.float64
-    assert len(sink.runner.collected) == 0  # push popped what it returned
+    assert len(ex._sink.collected) == 0  # push popped what it returned
     session.reset()
-    assert session._executor.feed is not feed.runner
+    assert session._executor.feed is not ex.feed
+    assert session._executor._sink is not ex._sink
 
 
 def test_unknown_backend_rejected_eagerly():

@@ -188,7 +188,7 @@ def test_a_fused_stage_is_one_ring_one_sim_node_one_step():
     assert isinstance(shape, K.LaneStep) and len(shape.nodes) == 5
     assert shape.code.varying == {"gain"}
     np.testing.assert_array_equal(
-        shape._columns["gain"], [[0.5], [1.5], [-0.75], [0.0], [2.0]])
+        shape.columns["gain"], [[0.5], [1.5], [-0.75], [0.0], [2.0]])
 
 
 def test_plain_steps_keep_one_dimensional_storage():

@@ -235,15 +235,18 @@ def source_pair(build, dtype="f64"):
         orbit = next(o for o in ex.orbits if isinstance(o, list)
                      and not ex.flat.nodes[o[0]].inputs
                      and isinstance(ex.plan.decisions[o[0]], LaneCode))
-        nodes = [ex.flat.nodes[m] for m in orbit]
+        nodes = [ex.own_node(m) for m in orbit]
         code = ex.plan.decisions[orbit[0]]
         ring = RingBuffer("out", dtype=policy.dtype, rows=len(nodes))
         if lanes:
-            step = K.LaneStep(nodes, _NULL_CHANNEL, ring, code, policy)
+            columns = K.lane_columns(code, [node.stream for node in nodes])
+            step = K.LaneStep(nodes, _NULL_CHANNEL, ring, code, columns,
+                              policy)
         else:
             forms = [sinusoid_form(code, node.stream.work, node.runner.fields)
                      for node in nodes]
-            step = K.SinusoidStep(nodes, forms, ring, profiler)
+            step = K.SinusoidStep(K.SinusoidStep.operator(forms), nodes,
+                                  None, ring, profiler)
         pair.append((step, profiler))
     return pair
 

@@ -132,7 +132,7 @@ def test_unstable_section_halves_the_boundary_lift():
         (step,) = [st for st in s._executor.steps
                    if st.kind == "stateful"]
         s.push(inputs(POLICIES["f64"], 4096))
-        assert step._lift(step.block)[0] < step.group
+        assert step.lifts[step.block][0] < step.group
 
 
 @pytest.mark.parametrize("dtype", ["f64", "f32"])

@@ -363,7 +363,7 @@ class TestStatefulPlanMechanics:
     def test_chunked_runs_preserve_state(self, monkeypatch):
         """Chunk flushes smaller than the lift block and repeated
         executes must thread the state carry exactly."""
-        from repro.exec import planner, plan_executor_for
+        from repro.exec import compiled_plan_for, planner
         from repro.runtime import Collector, ListSource
 
         rng = np.random.default_rng(8)
@@ -374,7 +374,7 @@ class TestStatefulPlanMechanics:
         expected = run_stream(biquad(0.2, 0.3, 0.1, 0.4, -0.25),
                               inputs, 500, backend="interp")
         monkeypatch.setattr(planner, "DEFAULT_CHUNK_OUTPUTS", 16)
-        ex = plan_executor_for(prog, Profiler(), cache=False)
+        ex = compiled_plan_for(prog, Profiler(), cache=False)[0]
         np.testing.assert_allclose(ex.advance(500), expected, atol=1e-9)
 
     def test_plan_report_names_stateful_steps(self):
@@ -434,9 +434,10 @@ def kernel_step(node, policy=None, profiler=None):
     policy = policy or DEFAULT_POLICY
     return StatefulLinearStep(
         RingBuffer("in", dtype=policy.dtype),
-        RingBuffer("out", dtype=policy.dtype), node,
-        [(direct_cost_counts(node), None)], profiler or Profiler(),
-        policy=policy)
+        RingBuffer("out", dtype=policy.dtype),
+        StatefulLinearStep.operator(
+            node, [(direct_cost_counts(node), None)], policy),
+        profiler or Profiler())
 
 
 def fire(step, x, n) -> np.ndarray:
@@ -489,11 +490,12 @@ class TestScanFreeKernel:
                 got, reference(node, x, n), rtol=policy.rtol,
                 atol=policy.atol, err_msg=f"n={n}")
             assert profiler.counts - before == per_firing.scaled(n)
-        assert len(step._lifted) <= 2
+        assert len(step.lifts) <= 2
 
     def test_lift_cache_is_bounded_whatever_sizes_are_called(self):
         """Every remainder used to get a lift of its own, kept forever
-        (120 of them per step after 300 pushes of 1-700 samples)."""
+        (120 of them per step after 300 pushes of 1-700 samples); the
+        operator holds the two its block lengths need, from the start."""
         rng = np.random.default_rng(3)
         node = from_difference_equation([0.2, 0.3, 0.1], [0.4, -0.25])
         step = kernel_step(node)
@@ -501,7 +503,7 @@ class TestScanFreeKernel:
         x = rng.normal(size=sum(sizes))
         got = np.concatenate([fire(step, x[a - n:a], n)
                               for n, a in zip(sizes, np.cumsum(sizes))])
-        assert sorted(step._lifted) == [1, step.block]
+        assert sorted(step.lifts) == [1, step.block]
         np.testing.assert_allclose(got, node.reference_run(x, len(x)),
                                    rtol=1e-9, atol=1e-12)
 
@@ -516,7 +518,7 @@ class TestScanFreeKernel:
         step = kernel_step(node)
         assert step.block * step.group >= 4096
         x = np.random.default_rng(4).normal(size=4096)
-        fire(step, x, 4096)  # builds the lift
+        fire(step, x, 4096)  # grows the rings
 
         def calls(n):
             prof = cProfile.Profile()
