@@ -66,7 +66,8 @@ PLAN_RTOL = 1e-9
 PLAN_ATOL = 1e-9
 #: each plan mode also runs resumed, in this many calls: the calls after
 #: the first start from states the executor may have simulated before,
-#: so they exercise its schedule replay against the one-call run
+#: so they exercise its schedule replay against the one-call run, the
+#: second half in a fresh session restored from the first's snapshot
 RESUMED_CALLS = 8
 
 
@@ -756,28 +757,41 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     to the program's :attr:`~FuzzProgram.kernels`.
 
     ``calls > 1`` takes the outputs in that many equal calls (the last
-    also takes the remainder) and adds to the census how many replayed
-    a kept schedule, and whether the compile hit the plan cache."""
+    also takes the remainder), the calls from ``calls // 2`` on in a
+    fresh session restored from the first one's snapshot, and adds to
+    the census how many replayed a kept schedule, and whether the
+    compile hit the plan cache."""
     from ..exec import PLAN_CACHE
     from ..session import StreamSession
 
     policy = resolve_policy(policy)
     hits = PLAN_CACHE.hits
-    session = StreamSession(_wrap(program), backend="plan",
-                            optimize=optimize, dtype=policy,
-                            profiler=profiler, workers=workers,
-                            _program_mode=True)
+
+    def compiled():
+        return StreamSession(_wrap(program), backend="plan",
+                             optimize=optimize, dtype=policy,
+                             profiler=profiler, workers=workers,
+                             _program_mode=True)
+
+    session = compiled()
     if calls > 1:
         for key, n in (("resumed", 1), ("hit", PLAN_CACHE.hits - hits)):
             program.census[key] = program.census.get(key, 0) + n
     try:
         size = n_outputs // calls
-        parts = [session.run(size) for _ in range(calls - 1)]
-        parts.append(session.run(n_outputs - size * (calls - 1)))
+        sizes = [size] * (calls - 1) + [n_outputs - size * (calls - 1)]
+        parts = [session.run(k) for k in sizes[:calls // 2]]
+        if calls > 1:  # the rest in a fresh session, restored
+            snap, first = session.snapshot(), session._executor
+            session.close()
+            session = compiled()
+            session.restore(snap)
+        parts += [session.run(k) for k in sizes[calls // 2:]]
         program.kernels.update(session.report().census())
         if calls > 1:
             for key in ("replayed", "calls"):
                 program.census[key] = (program.census.get(key, 0)
+                                       + getattr(first, key, 0)
                                        + getattr(session._executor, key, 0))
         return np.concatenate(parts)
     finally:
@@ -853,6 +867,7 @@ def check_program(program: FuzzProgram, n_outputs: int = 64,
             return Mismatch(program, f"counts:{where}",
                             f"one call {one_call.counts} vs "
                             f"{RESUMED_CALLS} calls {resumed.counts}")
+        program.census["restored"] = program.census.get("restored", 0) + 1
         if workers > 1:
             try:
                 par = _run_plan(program, n_outputs, mode, workers=workers)
@@ -977,6 +992,7 @@ def main(argv=None) -> int:
         return 1
     replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     hit, resumed = census.pop("hit", 0), census.pop("resumed", 0)
+    restored = census.pop("restored", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
                         for verdict in ("k=0", "k>0", "rejected"))
     shape = ", ".join(f"{n} {kind}" for kind, n in sorted(census.items()))
@@ -984,7 +1000,8 @@ def main(argv=None) -> int:
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
           f"non-source leaves {leaves}; programs per plan kernel: {reach}; "
           f"replayed {replayed}/{calls} resumed calls; {hit}/{resumed} "
-          f"resumed runs compiled on a plan-cache hit)")
+          f"resumed runs compiled on a plan-cache hit; {restored}/"
+          f"{resumed} restored runs matched)")
     return 0
 
 

@@ -180,7 +180,7 @@ class SessionPoisonedError(ReproError, RuntimeError):
     A poisoned session's stream position is indeterminate (a timed-out
     worker may still be mutating it), so the server refuses further
     work on it instead of returning wrong samples; clients RESUME (the
-    server restores the last checkpoint) or open a fresh session.
+    state after its last good request, restored) or open a new session.
     """
 
 

@@ -90,6 +90,8 @@ class PlanEntry:
     #: outer positions of the sink and the push feed (None: none)
     sink: int | None
     feed: int | None
+    #: what an executor's state fits, set by the first executor
+    layout: tuple | None = None
     #: live holders (sessions) of this entry; pinned entries survive the
     #: cache's LRU trim so a long-lived session's plan is never dropped
     #: out from under it while recompiles churn the cache

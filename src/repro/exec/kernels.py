@@ -59,19 +59,17 @@ from ..errors import InterpError
 from ..ir.pycodegen import LaneBailout
 from ..numeric import DEFAULT_POLICY, NumericPolicy
 from ..profiling import Counts, Profiler
-from ..runtime.channels import Channel
+from ..runtime.channels import Channel, Stateful
 
 
-class Step:
+class Step(Stateful):
     """One plan step: executes batched firings of a single node."""
 
     #: debugging/introspection label set by the planner
     kind = "step"
 
-    #: True when the step carries numeric state across firings that the
-    #: parallel executor must synchronize between the parent's step
-    #: object (the authority) and a worker's cached copy.  Stateful
-    #: steps override :meth:`carry_state`/:meth:`set_carry_state`.
+    #: True when the parallel executor syncs the step's state between the
+    #: parent's step (the authority) and a worker's cached copy.
     carries_state = False
 
     #: what the plan report prints beside the kind, if anything
@@ -82,14 +80,6 @@ class Step:
 
     def execute(self, n: int) -> None:
         raise NotImplementedError
-
-    def carry_state(self):
-        """The step's cross-firing state (picklable), or None."""
-        return None
-
-    def set_carry_state(self, state) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not carry state")
 
 
 def _merged(accounts, policy: NumericPolicy) -> tuple:
@@ -329,12 +319,7 @@ class StatefulLinearStep(Step):
         self.profiler = profiler
 
     carries_state = True
-
-    def carry_state(self):
-        return self.s.copy()
-
-    def set_carry_state(self, state) -> None:
-        self.s = np.array(state, dtype=self.policy.dtype)
+    STATE = ("s",)
 
     @property
     def detail(self) -> str:
@@ -494,17 +479,8 @@ class OptimizedFreqStep(Step):
         self.partials: np.ndarray | None = None
         self._work: list = []  # FFT workspace (fftlib._convolve_batch)
 
-    # None is meaningful state here (first firing not yet taken), so the
-    # parallel executor wraps the carry in a 1-tuple on the wire
     carries_state = True
-
-    def carry_state(self):
-        return None if self.partials is None else self.partials.copy()
-
-    def set_carry_state(self, state) -> None:
-        self.partials = (None if state is None
-                         else np.asarray(state,
-                                         dtype=self.policy.dtype).copy())
+    STATE = ("partials",)  # None: the first firing is not yet taken
 
     def execute(self, n: int) -> None:
         if _faults.ACTIVE is not None:
@@ -579,9 +555,11 @@ class FallbackStep(Step):
     """Scalar escape hatch: fire the node's existing runner ``n`` times."""
 
     kind = "fallback"
+    STATE = ("nodes",)  # their runners
 
     def __init__(self, node, ring_in, ring_out):
         self.node = node
+        self.nodes = [node]
         self.ring_in = ring_in
         self.ring_out = ring_out
 
@@ -722,7 +700,7 @@ class LaneStep(FallbackStep):
                 tape_in.push_array(row_in)
             fire_scalar(node, tape_in, tape_out, n)
             if row_out is not None:
-                row_out[:] = tape_out.snapshot()
+                row_out[:] = tape_out.state()
         if wf.pop:
             self.ring_in.pop_block(n * wf.pop)
 
@@ -767,6 +745,7 @@ class SinusoidStep(Step):
     """
 
     kind = "sinusoid"
+    STATE = ("nodes",)  # the counter is in the sources' runners
 
     @staticmethod
     def operator(forms) -> tuple:
@@ -782,12 +761,13 @@ class SinusoidStep(Step):
 
     def __init__(self, op: tuple, nodes, ring_in, ring_out,
                  profiler: Profiler, source: "SinusoidStep | None" = None):
-        self.op, self.nodes = op, nodes
+        self.op = op
         (self.coef, self.counter, self.stride, self.omegas, self.pop,
          self.push, self.accounts) = op
         self.ring_in, self.ring_out = ring_in, ring_out
         self.profiler = profiler
         self.source = source or self
+        self.nodes = nodes if source is None else []  # a reader: none
         if source is None:
             self.detail = (f"{len(self.omegas)} frequencies, "
                            f"counter {self.counter}")
@@ -847,6 +827,7 @@ class PeriodicSourceStep(Step):
     """
 
     kind = "periodic-source"
+    STATE = ("fired",)
 
     def __init__(self, ring_in, ring_out, table: tuple, profiler: Profiler):
         self.ring_in = ring_in  # the void tape, as FallbackStep holds it
@@ -906,7 +887,7 @@ def feasible_firings(haves, needs, pops) -> int:
     return n if n is not None else 0
 
 
-class IslandMember:
+class IslandMember(Stateful):
     """One node of a feedback island: its kernel, input rings and
     firing rates (the planner's rate record: ``needs``, ``pops``,
     ``has_init``, ``init_needs``).
@@ -918,6 +899,7 @@ class IslandMember:
     """
 
     __slots__ = ("step", "in_rings", "rates", "fired")
+    STATE = ("fired", "step")
 
     def __init__(self, step: Step, in_rings, rates):
         self.step = step
@@ -948,6 +930,7 @@ class FeedbackStep(Step):
     """
 
     kind = "feedback"
+    STATE = ("_fired_init", "members")  # their rings: the executor's
 
     #: Drain-round ceiling; a healthy island consumes ≥1 external per
     #: cycle iteration, so this only trips on planner bugs.
@@ -1095,6 +1078,7 @@ class RoundRobinJoinStep(Step):
 
 class CollectorStep(Step):
     kind = "collector"
+    STATE = ("sink",)
 
     def __init__(self, ring_in, sink):
         self.ring_in = ring_in
@@ -1107,6 +1091,7 @@ class CollectorStep(Step):
 
 class ListSourceStep(Step):
     kind = "list-source"
+    STATE = ("pos",)
 
     def __init__(self, ring_out, values: np.ndarray):
         self.ring_out = ring_out
@@ -1126,6 +1111,7 @@ class ChunkSourceStep(Step):
     session."""
 
     kind = "chunk-source"
+    STATE = ("feed",)
 
     def __init__(self, ring_out, feed):
         self.ring_out = ring_out
@@ -1142,6 +1128,7 @@ class ChunkSourceStep(Step):
 
 class FunctionSourceStep(Step):
     kind = "function-source"
+    STATE = ("pos",)
 
     def __init__(self, ring_out, fn,
                  policy: NumericPolicy = DEFAULT_POLICY):

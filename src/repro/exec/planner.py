@@ -121,7 +121,7 @@ from ..numeric import DEFAULT_POLICY, NumericPolicy, resolve_policy
 from ..profiling import Counts, NullProfiler, Profiler
 from ..runtime.builtins import (ChunkSource, Collector, FunctionSource,
                                 Identity, ListSource)
-from ..runtime.channels import Channel
+from ..runtime.channels import Channel, restored, state_of
 from ..runtime.executor import (_NULL_CHANNEL, FeedbackRegion, FlatGraph,
                                 make_runner)
 from . import kernels as K
@@ -154,8 +154,7 @@ def _probe_firing_counts(filt: Filter) -> Counts | None:
     mutable fields change *values* across firings, never the op mix.
     Returns None when probing fails.
     """
-    fields = {k: (v.copy() if isinstance(v, np.ndarray) else v)
-              for k, v in filt.fields.items()}
+    fields = state_of(filt.fields)
     profiler = Profiler()
     ch_in = Channel("probe-in")
     ch_in.push_block([_PROBE_INPUT] * filt.peek)
@@ -738,7 +737,7 @@ def _source_table(filt: Filter, policy: NumericPolicy):
                         else repr(v) for v in map(fields.__getitem__, names)])
         first = seen.setdefault(key, i)
         if first != i:
-            return (K.shared(tape.snapshot(), policy.dtype), first,
+            return (K.shared(tape.state(), policy.dtype), first,
                     i - first, tuple(cum)), None
         try:
             runner.fire(_NULL_CHANNEL, tape)
@@ -899,7 +898,7 @@ def _layout(flat: FlatGraph, plan: dict, islands: dict,
         idx = chan_ids.get(id(ch))
         if idx is None:
             idx = chan_ids[id(ch)] = len(rings)
-            rings.append((ch.name, 1, tuple(ch.snapshot()) or None))
+            rings.append((ch.name, 1, tuple(ch.state()) or None))
         return idx
 
     ring_of(flat.output_channel)
@@ -1053,6 +1052,11 @@ class PlanExecutor:
         # resumable-session cursors (see advance/drain_available)
         self._returned = 0  # outputs handed out to the caller
         self._out_popped = 0  # items popped off the graph output ring
+        if plan.layout is None:  # ring names and rows, step kinds
+            plan.layout = (tuple(r[:2] for r in plan.rings),
+                           tuple(type(s).__name__ for s in self.steps))
+        #: what a state fits, derived once per plan entry
+        self.layout = plan.layout
 
     # -- construction hooks -------------------------------------------------
     def _new_ring(self, name: str, prefill=None, rows: int = 1) -> RingBuffer:
@@ -1188,23 +1192,40 @@ class PlanExecutor:
         self._passes += k
         self.jumps += 1
 
-    def _phases(self) -> tuple:
-        """Every node's init phase and source budget."""
-        return tuple([(sn.fired, sn.remaining) for sn in self.sim_nodes])
+    def _position(self) -> tuple:
+        """What the simulator reads (the replay key): occupancies, and
+        every node's init phase and source budget."""
+        return tuple(self._occ), tuple([(sn.fired, sn.remaining)
+                                        for sn in self.sim_nodes])
 
-    def _set_phases(self, phases: tuple) -> None:
+    def _set_position(self, occ: tuple, phases: tuple) -> None:
+        self._occ[:] = occ
         for sn, (fired, remaining) in zip(self.sim_nodes, phases):
             sn.fired, sn.remaining = fired, remaining
 
-    def _checkpoint(self) -> tuple:
-        """Everything a jump changes, for :meth:`_rollback`."""
-        return (self._occ[:], self._pending[:], self._pending_outputs,
-                self._sink_fires, self._passes, self.jumps, self._phases())
+    def integers(self) -> tuple:
+        """The integer half of the state: :meth:`_position`, firings
+        pending, and the sink, pass and output counters."""
+        return (*self._position(), tuple(self._pending),
+                (self._sink_fires, self._passes, self.jumps,
+                 self.passes_literal, self._pending_outputs, self._returned,
+                 self._out_popped))
 
-    def _rollback(self, saved: tuple) -> None:
-        (self._occ, self._pending, self._pending_outputs, self._sink_fires,
-         self._passes, self.jumps, phases) = saved
-        self._set_phases(phases)
+    def set_integers(self, ints: tuple) -> None:
+        occ, phases, self._pending[:], counters = ints
+        self._set_position(occ, phases)
+        (self._sink_fires, self._passes, self.jumps, self.passes_literal,
+         self._pending_outputs, self._returned, self._out_popped) = counters
+
+    def state(self) -> tuple:
+        """``(integer half, float half)``: :meth:`integers`; every
+        ring's items and every step's state, copied."""
+        return self.integers(), state_of([self.rings, self.steps])
+
+    def set_state(self, state: tuple) -> None:
+        """Take up a :meth:`state` of an executor of this layout."""
+        self.set_integers(state[0])
+        restored([self.rings, self.steps], state[1])
 
     def _passes_left(self):
         """Passes until every source has run dry (inf: one never does)."""
@@ -1274,9 +1295,8 @@ class PlanExecutor:
         through :meth:`_flush_taped` onto ``tape`` — or its replay.
 
         Everything the simulator reads is ``call`` (the target or pass
-        budget, relative to what the sink holds) and the integer state:
-        occupancies and every node's init phase and source budget.  So
-        the first call from a state runs the simulation and keeps the
+        budget, relative to what the sink holds) and :meth:`_position`.
+        So the first call from a state runs the simulation and keeps the
         pending vectors it flushed, the state it left and its counter
         deltas; a later call from the same state sets that state and
         fires the vectors through :meth:`_flush` (which the parallel
@@ -1292,12 +1312,11 @@ class PlanExecutor:
         if self._schedules is None or any(pending):
             simulate(*args, [])
             return
-        key = (call, tuple(self._occ), self._phases())
+        key = (call, *self._position())
         kept = self._schedules.get(key)
         if kept is not None:
-            tape, occ, phases, sink, passes, jumps, literal = kept
-            self._occ[:] = occ
-            self._set_phases(phases)
+            tape, after, (sink, passes, jumps, literal) = kept
+            self._set_position(*after)
             self._sink_fires += sink
             self._passes += passes
             self.jumps += jumps
@@ -1316,10 +1335,9 @@ class PlanExecutor:
                 self._schedules = None
                 return
             self._schedules.clear()
-        self._schedules[key] = (
-            tape, tuple(self._occ), self._phases(),
+        self._schedules[key] = (tape, self._position(), (
             self._sink_fires - before[0], self._passes - before[1],
-            self.jumps - before[2], self.passes_literal - before[3])
+            self.jumps - before[2], self.passes_literal - before[3]))
 
     # -- reentrant drive loop -----------------------------------------------
     def _refresh_feed(self) -> None:
@@ -1356,12 +1374,12 @@ class PlanExecutor:
             k = min(self._demand(goal) - 1, self._passes_left(),
                     max_passes - passes)
             while k > 0:
-                saved = self._checkpoint()
+                saved = self.integers()
                 self._jump(k)
                 if self._produced() < goal:
                     passes += k
                     break
-                self._rollback(saved)
+                self.set_integers(saved)
                 k //= 2
             passes += 1
             if passes > max_passes:
@@ -1613,7 +1631,7 @@ class PlanReport:
         title = f"plan report: {self.program} (optimize={self.optimize})"
         lines = [title, "=" * len(title)]
         held = ([] if self.buffers is None else
-                ["buffers: in {} / out {} / journal {}".format(*self.buffers)])
+                ["buffers: in {} / out {}".format(*self.buffers)])
         if self.bailout is not None:
             lines.append(f"whole-graph bailout to compiled: {self.bailout}")
             return "\n".join(lines + held)

@@ -28,11 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InterpError
+from ..runtime.channels import Stateful
 
 _MIN_CAPACITY = 64
 
 
-class RingBuffer:
+class RingBuffer(Stateful):
     """A FIFO of samples over a contiguous, growable ndarray."""
 
     #: ``_cap`` is ``_buf.shape[-1]``, kept for :meth:`_reserve`: every
@@ -199,6 +200,11 @@ class RingBuffer:
         kernel gave up before committing."""
         self._tail -= n
 
-    def snapshot(self) -> list:
-        """Current contents (for debugging/tests)."""
-        return self._buf[..., self._head:self._tail].tolist()
+    def state(self) -> np.ndarray:
+        """The live items (of every row), as a copy."""
+        return self._buf[..., self._head:self._tail].copy()
+
+    def set_state(self, items: np.ndarray) -> None:
+        """Hold exactly ``items`` (a :meth:`state`), copied in."""
+        self._head = self._tail = 0
+        self.alloc_push(items.shape[-1])[...] = items

@@ -25,12 +25,13 @@ The hot-path contract is **zero overhead when disabled**: call sites
 read the module global ``ACTIVE`` inline (``if faults.ACTIVE is not
 None: ...``) — one attribute load and an ``is`` test, no call.
 
-Recovery code must not re-fault while replaying a checkpoint (a high
-kernel rate would livelock the restore); :func:`suppress` masks every
+Recovery must not re-fault while it re-runs a request from a checkpoint
+(a high kernel rate would livelock it); :func:`suppress` masks every
 site for the current thread::
 
     with faults.suppress():
         session.restore(snap)
+        out = session.push(chunk)
 
 Install/uninstall are process-global; tests (and the chaos harness,
 ``tests/chaos.py``) pair them in ``try/finally``.

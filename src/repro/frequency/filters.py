@@ -38,6 +38,7 @@ from ..errors import StreamGraphError
 from ..graph.streams import Pipeline, PrimitiveFilter, Stream
 from ..linear.node import LinearNode
 from ..profiling import Counts
+from ..runtime.channels import Stateful
 from .fftlib import FrequencyKernel, fft_size_for, phase_taps
 
 
@@ -79,7 +80,7 @@ class Decimator(PrimitiveFilter):
     def make_runner(self, profiler):
         o, u = self.o, self.u
 
-        class _Runner:
+        class _Runner(Stateful):
             def fire(self, ch_in, ch_out):
                 block = ch_in.peek_block(u * o)
                 ch_out.push_array(block[:u])
@@ -135,7 +136,7 @@ class NaiveFreqFilter(_FreqBase):
         counts.fadd += self._b_adds * m  # adding b to each kept output
         name = self.name
 
-        class _Runner:
+        class _Runner(Stateful):
             def fire(self, ch_in, ch_out):
                 x = ch_in.peek_block(m + e - 1)
                 y = kernel.convolve_block(x)  # (n, u)
@@ -175,7 +176,9 @@ class OptimizedFreqFilter(_FreqBase):
         steady_counts.fadd += u * (e - 1)  # partial-sum completion adds
         name = self.name
 
-        class _Runner:
+        class _Runner(Stateful):
+            STATE = ("partials",)
+
             def __init__(self):
                 self.partials: np.ndarray | None = None
 

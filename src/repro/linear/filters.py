@@ -12,6 +12,7 @@ import numpy as np
 
 from ..graph.streams import PrimitiveFilter
 from ..profiling import Counts
+from ..runtime.channels import Stateful
 from .matmul import cost_counts, make_kernel
 from .node import LinearNode
 
@@ -43,14 +44,15 @@ class LinearFilter(PrimitiveFilter):
 
     def make_runner(self, profiler):
         node = self.linear_node
-        kernel = make_kernel(node, self.backend)
         counts = self.counts
         name = self.name
 
-        class _Runner:
+        class _Runner(Stateful):
+            STATE, kernel = ("kernel",), make_kernel(node, self.backend)
+
             def fire(self, ch_in, ch_out):
                 window = ch_in.peek_block(node.peek)
-                y = kernel.fire_window(window)
+                y = self.kernel.fire_window(window)
                 ch_out.push_array(y)
                 ch_in.pop_block(node.pop)
                 profiler.add_counts(counts, filter_name=name)
@@ -78,7 +80,7 @@ class ConstantSourceFilter(PrimitiveFilter):
     def make_runner(self, profiler):
         values = self.values
 
-        class _Runner:
+        class _Runner(Stateful):
             def fire(self, ch_in, ch_out):
                 ch_out.push_array(values)
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..profiling import Counts
+from ..runtime.channels import Stateful
 from .node import LinearNode
 
 
@@ -65,7 +66,7 @@ def cost_counts(node: LinearNode, backend: str = "direct") -> Counts:
     raise ValueError(f"unknown matmul backend {backend!r}")
 
 
-class _DirectKernel:
+class _DirectKernel(Stateful):
     """Column-span matrix multiply (the paper's generated loop nest),
     carrying the node's state across firings when it has one."""
 
@@ -75,6 +76,8 @@ class _DirectKernel:
         # Pre-slice columns; window is reversed so x[i] = peek(e-1-i).
         self.cols = [node.A[lo:hi, j] for j, (lo, hi) in enumerate(self.spans)]
         self.s = node.s0
+
+    STATE = ("s",)
 
     def fire_window(self, window: np.ndarray) -> np.ndarray:
         """window = [peek(0), ..., peek(e-1)] -> outputs in push order."""
@@ -90,7 +93,7 @@ class _DirectKernel:
         return y[::-1]
 
 
-class _BlasKernel:
+class _BlasKernel(Stateful):
     """Dense matrix multiply (the ATLAS stand-in)."""
 
     def __init__(self, node: LinearNode):

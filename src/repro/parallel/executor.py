@@ -229,7 +229,7 @@ class ParallelPlanExecutor(PlanExecutor):
             step = self.steps[i]
             cold = (None if widx in self._shipped[i]
                     else self._cold_copy(step))
-            carry = (step.carry_state(),) if step.carries_state else None
+            carry = step.state() if step.carries_state else None
             entries.append((i, n, cold, carry))
             pending[i] = 0
         worker.conn.send(("exec", self._next_task, self._plan_uid,
@@ -261,7 +261,7 @@ class ParallelPlanExecutor(PlanExecutor):
             r = self._ring_by_uid[uid]
             r._head, r._tail = head, tail
         for idx, state in carries.items():
-            self.steps[idx].set_carry_state(state)
+            self.steps[idx].set_state(state)
         rest = counts.copy()
         for name, c in per_filter.items():
             self.profiler.add_counts(c, filter_name=name)

@@ -11,8 +11,8 @@ Protocol (parent -> worker):
 * ``("exec", task_id, plan_uid, rings_info, entries)`` — attach/refresh
   the listed rings (``ShmRing.describe()`` tuples), then execute each
   ``(step_idx, n, cold_step | None, carry | None)`` entry in order.
-  ``carry`` is a 1-tuple holding the step's authoritative state (the
-  parent's copy) when the step carries state across firings.
+  ``carry`` is the step's authoritative state (the parent's copy)
+  when the step carries state across firings.
 * ``("forget", plan_uid, ring_uids)`` — retire a plan's cached steps
   and detach its rings.
 * ``("stop",)`` — exit.
@@ -75,10 +75,10 @@ def _worker_main(conn) -> None:
                     steps[idx] = step = cold
                 step.profiler = prof
                 if carry is not None:
-                    step.set_carry_state(carry[0])
+                    step.set_state(carry)
                 step.execute(n)
                 ran.append(step)
-            carries = {idx: step.carry_state()
+            carries = {idx: step.state()
                        for (idx, _n, _c, carry), step in zip(entries, ran)
                        if carry is not None}
             cursors = {r.uid: (r._head, r._tail) for r in rings}

@@ -22,6 +22,7 @@ import numpy as np
 from ..graph.streams import PrimitiveFilter
 from ..linear.node import LinearNode
 from ..profiling import Counts
+from ..runtime.channels import Stateful
 from .analysis import RedundancyInfo, analyze_redundancy
 
 
@@ -97,9 +98,11 @@ class RedundancyEliminationFilter(PrimitiveFilter):
         info = self.info
         buffer_tuples = sorted(info.reused)
 
-        class _Runner:
+        class _Runner(Stateful):
+            STATE = ("slots", "index", "primed")
+
             def __init__(self):
-                self.state = [np.zeros(sz) for sz in buffer_sizes]
+                self.slots = [np.zeros(sz) for sz in buffer_sizes]
                 self.index = [0] * len(buffer_sizes)
                 self.primed = False
 
@@ -108,7 +111,7 @@ class RedundancyEliminationFilter(PrimitiveFilter):
                 for b_idx, t in enumerate(buffer_tuples):
                     coeff, pos = t
                     for use in range(1, info.max_use[t] + 1):
-                        self.state[b_idx][use] = \
+                        self.slots[b_idx][use] = \
                             coeff * ch_in.peek(pos - o * use)
                         profiler.bulk(fmul=1)
                 self.primed = True
@@ -116,16 +119,16 @@ class RedundancyEliminationFilter(PrimitiveFilter):
             def fire(self, ch_in, ch_out):
                 if not self.primed:
                     self._prime(ch_in)
-                state, index = self.state, self.index
+                slots, index = self.slots, self.index
                 for b_idx, coeff, pos in store_plan:
-                    state[b_idx][index[b_idx]] = coeff * ch_in.peek(pos)
+                    slots[b_idx][index[b_idx]] = coeff * ch_in.peek(pos)
                 for terms, b in columns:
                     total = b
                     for term in terms:
                         if isinstance(term, _CachedTerm):
                             buf = term.buffer
                             size = buffer_sizes[buf]
-                            total += state[buf][(index[buf] + term.use)
+                            total += slots[buf][(index[buf] + term.use)
                                                 % size]
                         else:
                             total += term.coeff * ch_in.peek(term.pos)

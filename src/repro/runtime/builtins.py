@@ -8,13 +8,13 @@ in an output ring that hands each output out once.
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Callable, Iterable
 
 import numpy as np
 
 from ..errors import ChunkDtypeError
 from ..graph.streams import PrimitiveFilter
+from .channels import Stateful
 
 
 class ListSource(PrimitiveFilter):
@@ -30,13 +30,15 @@ class ListSource(PrimitiveFilter):
 
     def make_runner(self, profiler):
         values = self.values
-        pos = count()
 
-        class _Runner:
+        class _Runner(Stateful):
+            STATE, pos = ("pos",), 0
+
             def fire(self, ch_in, ch_out):
-                i = next(pos)
+                i = self.pos
                 if i >= len(values):
                     raise IndexError("ListSource exhausted")
+                self.pos += 1
                 ch_out.push(values[i])
 
         return _Runner()
@@ -70,8 +72,10 @@ class ChunkSource(PrimitiveFilter):
         return ChunkFeed(self.name, self.dtype)
 
 
-class ChunkFeed:
+class ChunkFeed(Stateful):
     """One executor's feed ring: what was fed and not yet consumed."""
+
+    STATE = ("buffer",)
 
     def __init__(self, name: str, dtype):
         from ..exec.ring import RingBuffer  # deferred: exec imports us
@@ -115,11 +119,13 @@ class FunctionSource(PrimitiveFilter):
 
     def make_runner(self, profiler):
         fn = self.fn
-        counter = count()
 
-        class _Runner:
+        class _Runner(Stateful):
+            STATE, pos = ("pos",), 0
+
             def fire(self, ch_in, ch_out):
-                ch_out.push(float(fn(next(counter))))
+                ch_out.push(float(fn(self.pos)))
+                self.pos += 1
 
         return _Runner()
 
@@ -145,7 +151,9 @@ class Collector(PrimitiveFilter):
         return _RingSink(self.name, dtype)
 
 
-class _RingSink:
+class _RingSink(Stateful):
+    STATE = ("collected", "taken")
+
     def __init__(self, name: str, dtype):
         from ..exec.ring import RingBuffer  # deferred: exec imports us
         self.collected = RingBuffer(f"{name}.out", dtype=dtype)
@@ -181,7 +189,7 @@ class Identity(PrimitiveFilter):
         self.name = name
 
     def make_runner(self, profiler):
-        class _Runner:
+        class _Runner(Stateful):
             def fire(self, ch_in, ch_out):
                 ch_out.push(ch_in.pop())
 

@@ -10,6 +10,8 @@ how large the channel gets.
 
 The plan backend's :class:`~repro.exec.ring.RingBuffer` implements the
 same interface over a preallocated ndarray.
+
+:class:`Stateful` is how every part of an executor names its state, once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,51 @@ from ..errors import InterpError
 _MIN_COMPACT = 64
 
 
-class Channel:
+class Stateful:
+    """A part of an executor — a channel or ring, a step, a runner, a
+    node — whose mutable state is the attributes it names in
+    :attr:`STATE`.  A checkpoint is these values (:func:`state_of`)."""
+
+    __slots__ = ()
+    STATE: tuple = ()
+
+    def state(self) -> list:
+        return [state_of(getattr(self, name)) for name in self.STATE]
+
+    def set_state(self, state) -> None:
+        for name, held in zip(self.STATE, state):
+            setattr(self, name, restored(getattr(self, name), held))
+
+
+def state_of(value):
+    """``value``'s state: a :class:`Stateful` part's own, every array,
+    list and dict copied, numbers and flags as they are."""
+    if isinstance(value, Stateful):
+        return value.state()
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, list):
+        return [state_of(v) for v in value]
+    if isinstance(value, dict):
+        return {k: state_of(v) for k, v in value.items()}
+    return value
+
+
+def restored(value, held):
+    """``value`` having taken up ``held``, a :func:`state_of` it: parts
+    and dicts (a runner's fields) in place, else a copy of ``held``."""
+    if isinstance(value, Stateful):
+        value.set_state(held)
+        return value
+    if isinstance(value, list):
+        return [restored(v, h) for v, h in zip(value, held)]
+    if isinstance(value, dict):
+        value.update(state_of(held))
+        return value
+    return state_of(held)
+
+
+class Channel(Stateful):
     """A FIFO of floats with peeking."""
 
     __slots__ = ("_buf", "_head", "name")
@@ -104,6 +150,10 @@ class Channel:
     def push_array(self, values: np.ndarray) -> None:
         self._buf.extend(values.tolist())
 
-    def snapshot(self) -> list[float]:
-        """Current contents (for debugging/tests)."""
-        return list(self._buf[self._head:])
+    def state(self) -> list[float]:
+        """The live items, as a copy."""
+        return self._buf[self._head:]
+
+    def set_state(self, items: list[float]) -> None:
+        """Hold exactly ``items`` (a :meth:`state`), copied in."""
+        self._buf, self._head = list(items), 0

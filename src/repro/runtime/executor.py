@@ -44,21 +44,20 @@ from ..graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
 from ..ir.interp import Interpreter
 from ..ir.pycodegen import compile_work
 from .builtins import ChunkSource, Collector, ListSource
-from .channels import Channel
+from .channels import Channel, Stateful, state_of
 from ..profiling import NullProfiler, Profiler
 
 
-class _IRRunner:
+class _IRRunner(Stateful):
     """Executes an IR filter: prework once (if any), then work."""
+
+    STATE = ("fields", "fired_init")
 
     def __init__(self, filt: Filter, profiler: Profiler, backend: str):
         self.filt = filt
         self.profiler = profiler
         # fields are copied so a graph can be executed repeatedly
-        self.fields = {
-            k: (v.copy() if isinstance(v, np.ndarray) else v)
-            for k, v in filt.fields.items()
-        }
+        self.fields = state_of(filt.fields)
         self.fired_init = filt.prework is None
         if backend == "interp":
             interp = Interpreter(self.fields, profiler)
@@ -98,8 +97,10 @@ def make_runner(stream, profiler: Profiler, backend: str = "compiled",
 
 
 @dataclass
-class _Node:
+class _Node(Stateful):
     """A flattened execution node."""
+
+    STATE = ("prim_fired_init", "runner")
 
     name: str
     kind: str  # 'filter' | 'primitive' | 'splitter' | 'joiner'
@@ -201,8 +202,11 @@ class SplitJoinRegion:
     in_feedback: bool
 
 
-class FlatGraph:
-    """A flattened stream graph ready for execution."""
+class FlatGraph(Stateful):
+    """A flattened stream graph ready for execution; its state is its
+    output cursors and passes, channels' items and nodes' states."""
+
+    STATE = ("_returned", "_out_popped", "_passes", "channels", "nodes")
 
     def __init__(self, stream: Stream, profiler: Profiler | None = None,
                  backend: str = "compiled", dtype=np.float64):
@@ -218,9 +222,10 @@ class FlatGraph:
         #: every SplitJoin, outermost first
         self.splitjoins: list[SplitJoinRegion] = []
         self._feedback_depth = 0
-        self._channel_counter = 0
         self.input_channel = Channel("graph-in")
         self.output_channel = Channel("graph-out")
+        #: every channel made, the graph output's and input's first
+        self.channels = [self.output_channel, self.input_channel]
         out = self._flatten(stream, self.input_channel)
         # replace dangling output with the graph output channel
         if out is not None:
@@ -238,11 +243,14 @@ class FlatGraph:
         self._returned = 0  # outputs handed out past runs
         self._out_popped = 0  # items popped off the graph output channel
         self._passes = 0
+        #: what a state fits: channel names and rows, node kinds
+        self.layout = (tuple((ch.name, 1) for ch in self.channels),
+                       tuple(node.kind for node in self.nodes))
 
     # ------------------------------------------------------------------
     def _new_channel(self) -> Channel:
-        self._channel_counter += 1
-        return Channel(f"ch{self._channel_counter}")
+        self.channels.append(Channel(f"ch{len(self.channels) - 1}"))
+        return self.channels[-1]
 
     def _flatten(self, stream: Stream, ch_in: Channel) -> Channel | None:
         """Wire ``stream`` reading from ``ch_in``; return its output channel."""

@@ -19,9 +19,9 @@ streams over the shared plan cache.
 
 The stack is fault-tolerant end to end (see ``README`` §Fault
 tolerance): CRC-checked frames, idempotent retries with reply caching,
-RESUME re-attachment of dropped connections, checkpoint/restore with
-transparent plan→compiled degradation, a per-graph circuit breaker,
-and graceful drain on shutdown.
+RESUME re-attachment of dropped connections, O(state) checkpoints with
+a failed plan request re-run from one on the same plan, a per-graph
+circuit breaker, and graceful drain on shutdown.
 
 Quick start::
 

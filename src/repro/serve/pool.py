@@ -25,9 +25,9 @@ Robustness extensions:
   which the server uses to route new opens of a repeatedly-poisoning
   plan graph to the compiled backend instead of recompiling the same
   poisonous plan forever.
-* **Accounting** — every session the pool has ever built (or adopted
-  through ``replace``) is counted in ``compiled_total``; every close in
-  ``closed_total``.  ``accounting()["outstanding"]`` is their
+* **Accounting** — every session the pool has ever built is counted
+  in ``compiled_total``; every close in ``closed_total``.
+  ``accounting()["outstanding"]`` is their
   difference, the sessions alive now (held by connections, parked for
   resume) — zero after a clean drain, the chaos harness's leak check.
 * **Fault site** — ``pool.compile`` fires before a factory runs and
@@ -68,8 +68,8 @@ class PooledSession:
         #: a request timed out (its worker thread may still be touching
         #: the session) or errored mid-advance: serve nothing more
         self.poisoned = False
-        #: the OPEN's session factory — kept so recovery can rebuild
-        #: this session (optionally on another backend)
+        #: the OPEN's session factory — kept so a RESUME after the
+        #: session was reclaimed can rebuild it from :attr:`snap`
         self.factory = factory
         #: last good :class:`~repro.session.SessionSnapshot`
         self.snap = None
@@ -169,22 +169,6 @@ class SessionPool:
             ps.session.close()
         except Exception:  # closing must never propagate into serving
             pass
-
-    def replace(self, ps: PooledSession, session) -> None:
-        """Swap ``ps``'s underlying session for a replacement built
-        outside the pool (the degradation path), keeping the books
-        balanced: the old session is closed and counted, the new one
-        adopted into ``compiled_total``."""
-        old = ps.session
-        self.metrics.counter("serve.sessions.degraded").inc()
-        with self._lock:
-            self.closed_total += 1
-            self.compiled_total += 1
-        try:
-            old.close()
-        except Exception:
-            pass
-        ps.session = session
 
     def close(self) -> None:
         """Refuse further acquires."""

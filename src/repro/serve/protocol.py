@@ -22,8 +22,8 @@ row::
     STATS  -> TXT metrics dump
     PING   -> OK liveness probe
     RESUME u64be token -> OK(token); re-attaches this connection to the
-           parked session of a dropped one (or restores it from its
-           last checkpoint)
+           parked session of a dropped one (or, once reclaimed,
+           restores its last checkpoint into a fresh session)
 
     OK     empty or u64be count/token
     ARR    chunk of output samples

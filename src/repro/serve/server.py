@@ -35,16 +35,16 @@ Robustness:
 Recovery (see also :mod:`repro.faults` and ``README`` §Fault
 tolerance):
 
-* **Checkpoints + degradation** — sessions journal their call history
-  (:meth:`~repro.session.StreamSession.snapshot`); after every
-  successful request on a resumable session the server refreshes its
-  checkpoint.  When a plan-backend kernel raises mid-advance, the
-  server rebuilds the session on the **compiled backend**, restores the
-  checkpoint, and transparently re-runs the failed request — counted in
-  ``serve.requests.degraded``, invisible to the client.  A
-  per-fingerprint circuit breaker in the pool quarantines plan keys
-  that poison repeatedly; new opens of a quarantined key go straight to
-  the compiled backend.
+* **Checkpoints + degradation** — after every successful request the
+  server keeps the session's state as its checkpoint
+  (:meth:`~repro.session.StreamSession.snapshot`, a copy O(state),
+  however long the stream).  When a plan-backend kernel raises
+  mid-advance, the server restores the checkpoint into a fresh
+  executor of the **same plan** and re-runs the failed request with
+  faults suppressed — counted in ``serve.requests.degraded``,
+  invisible to the client.  A per-fingerprint circuit breaker in the
+  pool quarantines plan keys that poison repeatedly; new opens of a
+  quarantined key go to the compiled backend.
 * **Idempotent retries** — ``PUSH``/``FEED``/``RUN`` carry a client
   request id; a resumable session caches its executed replies, so a
   retry after a lost reply is answered from the cache and never
@@ -73,6 +73,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .. import faults as _faults
 from ..errors import (ChunkDtypeError, CombinationError, CompileOptionError,
@@ -121,12 +122,9 @@ class ServeConfig:
     #: the live session is reclaimed (the sweep runs every
     #: ``resume_ttl / 4``)
     resume_ttl: float = 30.0
-    #: re-run a failed plan-backend request on the compiled backend
-    #: from the last checkpoint (the degradation path)
+    #: re-run a failed plan-backend request from the last checkpoint on
+    #: a fresh executor of the same plan (the degradation path)
     degrade: bool = True
-    #: journal cap (samples) for server-built sessions; 0 disables
-    #: checkpoints (and with them degradation and snapshot-RESUME)
-    journal_limit: int = 1 << 20
 
 
 #: Declarative exception -> wire-code table; first match wins, so
@@ -170,8 +168,6 @@ def wire_code(exc: Exception) -> str:
 #: and protocol errors re-run identically, so they are excluded.
 _RECOVERABLE = (InterpError, FaultInjected)
 
-_NO_RECOVERY = object()
-
 #: executed replies a resumable session keeps for idempotent retries —
 #: must exceed the client's pipeline window
 _REPLY_CACHE = 32
@@ -188,18 +184,14 @@ class _Connection:
 
 
 class _ResumeEntry:
-    """A parked resumable session awaiting its client's RESUME."""
+    """A dropped resumable session awaiting RESUME: parked live until
+    reclaimed (a poisoned one is at once), then its ``ps.snap`` alone."""
 
-    __slots__ = ("ps", "snap", "replies", "key", "label", "factory",
-                 "dropped_at")
+    __slots__ = ("ps", "live", "dropped_at")
 
     def __init__(self, ps, dropped_at: float):
-        self.ps = ps  # cleared when the live session is reclaimed
-        self.snap = ps.snap
-        self.replies = ps.replies
-        self.key = ps.key
-        self.label = ps.label
-        self.factory = ps.factory
+        self.ps = ps
+        self.live = not ps.poisoned
         self.dropped_at = dropped_at
 
 
@@ -315,9 +307,9 @@ class StreamServer:
             self._server = None
         drained = await self._await_drain()
         for entry in self._resume.values():
-            if entry.ps is not None:
+            if entry.live:
+                entry.live = False
                 self.pool.release(entry.ps)
-                entry.ps = None
         self._resume.clear()
         self._issued.clear()
         self.pool.close()
@@ -343,13 +335,12 @@ class StreamServer:
         ttl = self.config.resume_ttl
         for token, entry in list(self._resume.items()):
             age = now - entry.dropped_at
-            if entry.ps is not None and age >= ttl:
+            if entry.live and age >= ttl:
                 self.metrics.gauge("serve.sessions.parked").dec()
-                ps = entry.ps
-                entry.ps = None
-                ps.resume_token = None
-                self.pool.release(ps)
-            if entry.ps is None and age >= 2 * ttl:
+                entry.live = False
+                entry.ps.resume_token = None
+                self.pool.release(entry.ps)
+            if not entry.live and age >= 2 * ttl:
                 del self._resume[token]
                 self._issued.discard(token)
 
@@ -375,8 +366,8 @@ class StreamServer:
         it and the DSL text of that app are two keys.  Graphs whose id is
         single-use (opaque callables) get a nonce key: correct, just never
         shared.
-        ``factory(backend_override)`` builds the session; the override
-        is the degradation/quarantine hook.
+        ``factory(backend)`` builds the session; the override is the
+        quarantine hook.
         """
         from ..graph.identity import content_id
         from ..numeric import resolve_policy
@@ -420,13 +411,10 @@ class StreamServer:
         label = f"{label}/{backend}/{optimize}/{mode}"
         if not policy.is_default:
             label += f"/{policy.name}"
-        journal_limit = self.config.journal_limit
 
-        def factory(backend_override=None):
-            return StreamSession(
-                graph, backend=backend_override or backend,
-                optimize=optimize, journal_limit=journal_limit,
-                dtype=policy)
+        def factory(backend=backend):
+            return StreamSession(graph, backend=backend, optimize=optimize,
+                                 dtype=policy)
 
         return key, label, factory
 
@@ -438,9 +426,7 @@ class StreamServer:
             self.metrics.counter("serve.sessions.quarantine_opens").inc()
             key = key[:2] + ("compiled",) + key[3:]
             label += "/quarantined"
-
-            def factory(backend_override=None, _inner=factory):
-                return _inner(backend_override or "compiled")
+            factory = partial(factory, "compiled")
 
         ps = self.pool.acquire(key, factory, label)
         # the first checkpoint: a failing first request degrades from it
@@ -450,14 +436,15 @@ class StreamServer:
     def _restore_session(self, entry: _ResumeEntry):
         """Rebuild a parked-then-reclaimed session from its checkpoint
         (runs on a worker)."""
-        ps = self.pool.acquire(entry.key, entry.factory, entry.label)
+        old = entry.ps
+        ps = self.pool.acquire(old.key, old.factory, old.label)
         try:
-            ps.session.restore(entry.snap)
+            ps.session.restore(old.snap)
         except Exception:
             ps.poisoned = True
             self.pool.release(ps)
             raise
-        ps.snap = entry.snap
+        ps.snap = old.snap
         return ps
 
     # -- connection handler ------------------------------------------------
@@ -501,13 +488,10 @@ class StreamServer:
         """A resumable connection dropped: park its session (or, if the
         session is poisoned, just its checkpoint) for RESUME."""
         entry = _ResumeEntry(ps, time.monotonic())
-        if ps.poisoned:
-            # the live session is unusable, but its last checkpoint can
-            # still seed a restore
-            entry.ps = None
-            self.pool.release(ps)
-        else:
+        if entry.live:
             self.metrics.gauge("serve.sessions.parked").inc()
+        else:  # unusable, but its last checkpoint can seed a restore
+            self.pool.release(ps)
         self.metrics.counter("serve.sessions.parks").inc()
         self._resume[ps.resume_token] = entry
 
@@ -652,7 +636,6 @@ class StreamServer:
             self.metrics.counter("serve.samples.in").inc(len(arr))
             out = await self._execute(
                 ps, "push" if frame.kind == P.PUSH else "feed", arr)
-            # ps.session, not a local: a degraded request swapped it
             self.metrics.gauge("serve.pending_samples").set(
                 ps.session.pending_input)
         if frame.kind == P.FEED:
@@ -688,72 +671,51 @@ class StreamServer:
         if entry is None:
             raise ProtocolError("unknown or expired resume token",
                                 code="resume-lost")
-        if entry.ps is not None:
+        if entry.live:
             ps = entry.ps
             self.metrics.gauge("serve.sessions.parked").dec()
             self.metrics.counter("serve.sessions.resumed").inc()
         else:
-            if entry.snap is None:
-                raise ProtocolError(
-                    "session expired and left no checkpoint",
-                    code="resume-lost")
             ps = await self._in_worker(self._restore_session, entry)
             self.metrics.counter("serve.sessions.restored").inc()
         ps.resume_token = token
-        ps.replies = entry.replies if entry.replies is not None \
-            else OrderedDict()
+        ps.replies = entry.ps.replies
         conn.pooled = ps
         await P.write_frame(writer, P.OK, token.to_bytes(8, "big"))
 
     async def _execute(self, ps, op: str, *args):
-        """Run one session operation; a recoverable plan failure is
-        transparently re-run on the compiled backend from the last
-        checkpoint (the degradation path)."""
+        """Run one session operation.  A recoverable plan failure (the
+        degradation path) restores the last checkpoint into a fresh
+        executor of the same plan and re-runs the request, faults
+        suppressed; if that fails too the original error surfaces and
+        the session stays poisoned."""
         try:
             result = await self._run_session(ps, getattr(ps.session, op),
                                              *args)
         except _RECOVERABLE as exc:
-            recovered = await self._try_degrade(ps, op, args)
-            if recovered is _NO_RECOVERY:
+            if not (self.config.degrade and ps.session.backend == "plan"
+                    and op in ("push", "run")):
+                raise
+
+            def recover():
+                with _faults.suppress():
+                    ps.session.restore(ps.snap)
+                    return getattr(ps.session, op)(*args)
+
+            try:
+                result = await self._in_worker(recover)
+            except Exception:
                 raise exc
-            result = recovered
-        # refresh the checkpoint after *every* success: a snapshot is a
-        # prefix length into the live journal, so a stale one would
-        # restore the session to a long-gone stream position
-        snap = ps.session.snapshot()
-        if snap is not None:
-            ps.snap = snap
+            ps.poisoned = False
+            self.pool.record_poison(ps.key)  # feeds the circuit breaker
+            self.metrics.counter("serve.requests.degraded").inc()
+        # the checkpoint is the state after every success
+        ps.snap = ps.session.snapshot()
         # what the session holds after the call; STATS shows the
         # high-water mark as ``serve.session_buffer_items.max``
         self.metrics.gauge("serve.session_buffer_items").set(
             sum(ps.session.buffers))
         return result
-
-    async def _try_degrade(self, ps, op: str, args):
-        """Rebuild ``ps`` on the compiled backend, restore the last
-        checkpoint, and re-run the failed request; ``_NO_RECOVERY``
-        when not applicable or the re-run also fails."""
-        if not (self.config.degrade and ps.snap is not None
-                and ps.factory is not None
-                and ps.session.backend == "plan"
-                and op in ("push", "run")):
-            return _NO_RECOVERY
-
-        def recover():
-            with _faults.suppress():
-                repl = ps.factory("compiled")
-                repl.restore(ps.snap)
-                return repl, getattr(repl, op)(*args)
-
-        try:
-            repl, out = await self._in_worker(recover)
-        except Exception:
-            return _NO_RECOVERY  # the original error surfaces
-        self.pool.replace(ps, repl)
-        ps.poisoned = False
-        self.pool.record_poison(ps.key)  # feeds the circuit breaker
-        self.metrics.counter("serve.requests.degraded").inc()
-        return out
 
     async def _run_session(self, ps, fn, *args):
         """Run one session operation, attributing serve time to the

@@ -55,11 +55,12 @@ the cache and recompiles, exactly like ``run_graph``.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ChunkDtypeError, CompileOptionError, InterpError,
+from .errors import (ChunkDtypeError, CompileOptionError,
                      SessionClosedError, StreamGraphError)
 from .graph.streams import (Duplicate, FeedbackLoop, Filter, Pipeline,
                             PrimitiveFilter, SplitJoin, Stream)
@@ -68,32 +69,27 @@ from .profiling import Profiler
 from .runtime.builtins import ChunkSource, Collector, ListSource
 from .runtime.executor import FlatGraph
 
-__all__ = ["StreamSession", "SessionSnapshot", "compile",
-           "DEFAULT_JOURNAL_LIMIT"]
-
-#: Default cap (in samples fed + outputs produced) on the replay
-#: journal backing :meth:`StreamSession.snapshot`.  Past it, journaling
-#: is abandoned and the session reports no checkpoint.
-DEFAULT_JOURNAL_LIMIT = 1 << 20
+__all__ = ["StreamSession", "SessionSnapshot", "compile"]
 
 
 @dataclass(frozen=True)
 class SessionSnapshot:
-    """An O(1) checkpoint of a :class:`StreamSession`.
+    """A checkpoint of a :class:`StreamSession`: its state, copied.
 
-    The session journals every successful mutating call (``feed`` /
-    ``push``-drain / ``run``) in an append-only op list; a snapshot is
-    just ``(ops ref, prefix length, produced count)``.  ``restore``
-    replays the prefix against a freshly rebuilt executor — a stream
-    program is a deterministic state-carrying homomorphism, so the
-    replayed state (values *and* FLOP counts) is identical to the
-    uninterrupted run, on any backend.
+    The plan is shared, and a session's state *is* its checkpoint, so
+    a snapshot is O(state) however long the session has streamed: the
+    executor's (a plan executor's integer half — occupancies, phases,
+    source budgets, counters — and float half — ring contents, carries,
+    FFT partials, runner fields, source positions), the items produced
+    and fed, and the profile.  It ``fits`` sessions of its backend,
+    optimize mode, dtype and executor layout (rings, step kinds).
     """
 
-    ops: list
-    n_ops: int
+    fits: tuple
+    state: tuple
     produced: int
-    cost: int  #: journal cost (samples + outputs) at snapshot time
+    fed: int
+    profile: Profiler | None
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +158,6 @@ class StreamSession:
 
     def __init__(self, stream: Stream, *, backend: str = "plan",
                  optimize: str = "none", profiler: Profiler | None = None,
-                 journal_limit: int = DEFAULT_JOURNAL_LIMIT,
                  dtype=None, workers: int = 1,
                  _program_mode: bool | None = None):
         from .exec.optimize import OPTIMIZE_MODES
@@ -190,12 +185,6 @@ class StreamSession:
         self.optimize = optimize
         self._profiler = profiler
         self._produced_total = 0
-        #: replay journal for snapshot/restore: append-only op list of
-        #: ("feed", f64 chunk copy) / ("drain", None) / ("run", n);
-        #: None once the cost cap is exceeded (or journaling disabled)
-        self._journal_limit = journal_limit
-        self._ops: list | None = [] if journal_limit else None
-        self._journal_cost = 0
 
         if _program_mode is None:
             program_mode = not _consumes_external_input(stream)
@@ -296,7 +285,6 @@ class StreamSession:
             getattr(self._executor, "close", lambda: None)()
         self._executor = None
         self._optimized = None
-        self._ops = None  # snapshots already taken keep their own ref
 
     def __enter__(self) -> "StreamSession":
         self._check_open()
@@ -350,14 +338,12 @@ class StreamSession:
         return 0 if self._closed else len(self._executor.feed.buffer)
 
     @property
-    def buffers(self) -> tuple[int, int, int]:
-        """``(in, out, journal)``: the items of storage this session
-        holds for stream data — the live executor's feed ring and its
-        sink (allocated capacity), and the replay journal's cost.  All
-        three stay bounded however long a session streams, pull or
-        push."""
-        held = self._executor.buffers() if self._executor else (0, 0)
-        return (*held, self._journal_cost if self._ops is not None else 0)
+    def buffers(self) -> tuple[int, int]:
+        """``(in, out)``: the items of storage this session holds for
+        stream data — the live executor's feed ring and its sink
+        (allocated capacity).  Both stay bounded however long a session
+        streams, pull or push."""
+        return self._executor.buffers() if self._executor else (0, 0)
 
     def report(self):
         """The plan's kernel choices for this program (no re-planning
@@ -378,17 +364,6 @@ class StreamSession:
         return rep
 
     # -- execution ---------------------------------------------------------
-    def _journal_op(self, op: str, arg, cost: int) -> None:
-        """Append one successful mutating call to the replay journal
-        (dropping the journal entirely once the cost cap is passed)."""
-        if self._ops is None:
-            return
-        self._journal_cost += cost
-        if self._journal_cost > self._journal_limit:
-            self._ops = None  # checkpointing off for this stream's life
-            return
-        self._ops.append((op, arg))
-
     def run(self, n: int) -> np.ndarray:
         """Produce and return the next ``n`` outputs.
 
@@ -407,7 +382,6 @@ class StreamSession:
         self._check_open()
         out = self._executor.advance(n)
         self._produced_total += n
-        self._journal_op("run", n, n)
         return out
 
     def feed(self, chunk) -> int:
@@ -425,11 +399,6 @@ class StreamSession:
                 "sources; feed/push apply to float->float sessions only")
         count = self._executor.feed.feed(chunk)
         self._fed += count
-        if self._ops is not None:
-            # journal an owned copy: the caller may mutate its buffer
-            self._journal_op(
-                "feed", np.array(chunk, dtype=self.policy.dtype, copy=True)
-                .reshape(-1), count)
         return count
 
     def push(self, chunk) -> np.ndarray:
@@ -442,7 +411,6 @@ class StreamSession:
         self.feed(chunk)
         out = self._executor.drain_available()
         self._produced_total += len(out)
-        self._journal_op("drain", None, len(out))
         return out
 
     def _rebuild_executor(self) -> None:
@@ -462,62 +430,40 @@ class StreamSession:
         """
         self._check_open()
         self._rebuild_executor()
-        # a fresh list, never .clear(): outstanding snapshots keep a
-        # reference to the old one and stay replayable
-        self._ops = [] if self._journal_limit else None
-        self._journal_cost = 0
 
     # -- checkpoint / recovery ---------------------------------------------
-    def snapshot(self) -> SessionSnapshot | None:
-        """An O(1) checkpoint of the current stream position, or ``None``
-        when the replay journal was dropped (``journal_limit`` exceeded,
-        or journaling disabled with ``journal_limit=0``)."""
+    def _fits(self) -> tuple:
+        return (self.backend, self.optimize, self.policy.name,
+                self._executor.layout)
+
+    def snapshot(self) -> SessionSnapshot:
+        """A checkpoint of the current stream position: a copy of the
+        session's state (:class:`SessionSnapshot`), O(state)."""
         self._check_open()
-        if self._ops is None:
-            return None
-        return SessionSnapshot(ops=self._ops, n_ops=len(self._ops),
-                               produced=self._produced_total,
-                               cost=self._journal_cost)
+        if self.workers > 1:
+            raise StreamGraphError("a workers > 1 session cannot snapshot: "
+                                   "its runners live in worker processes")
+        return SessionSnapshot(self._fits(), self._executor.state(),
+                               self._produced_total, self._fed,
+                               copy.deepcopy(self._profiler))
 
     def restore(self, snap: SessionSnapshot) -> None:
-        """Rewind to ``snap`` by replaying its journaled calls against a
-        fresh executor.
-
-        Works across sessions and **across backends**: a snapshot taken
-        from a plan-backend session restores onto a compiled-backend
-        session of the same program (the serving layer's degradation
-        path), because the journal records the public call sequence, not
-        executor internals.  The profile is cleared first and replay
-        recounts it, so afterwards it equals an uninterrupted run to the
-        checkpoint.  Fault-injection sites are suppressed during replay.
-        """
-        from . import faults
+        """Rewind (or advance) to ``snap``: a fresh executor, built as
+        :meth:`reset` builds one, takes up its state, the profile its
+        copy; nothing is replayed.  A session ``snap`` does not fit
+        raises :class:`~repro.errors.StreamGraphError`."""
         self._check_open()
-        if self._profiler is not None:
-            from .profiling import Counts
-            self._profiler.counts = Counts()
-            self._profiler.per_filter.clear()
-        with faults.suppress():
-            self._rebuild_executor()
-            ops = snap.ops[:snap.n_ops]
-            self._ops = None  # replay must not re-journal
-            for op, arg in ops:
-                if op == "feed":
-                    self._fed += self._executor.feed.feed(arg)
-                elif op == "drain":
-                    self._produced_total += len(
-                        self._executor.drain_available())
-                else:  # "run"
-                    self._executor.advance(arg)
-                    self._produced_total += arg
-        if self._produced_total != snap.produced:
-            raise InterpError(
-                f"snapshot replay diverged: produced "
-                f"{self._produced_total} outputs, checkpoint recorded "
-                f"{snap.produced}")
-        if self._journal_limit:
-            self._ops = list(ops)
-            self._journal_cost = snap.cost
+        mine = self._fits()
+        if snap.fits != mine:
+            raise StreamGraphError(
+                f"snapshot of a {'/'.join(snap.fits[:3])} session does not "
+                f"fit this {'/'.join(mine[:3])} session: backend, optimize "
+                "mode, dtype and executor layout must all match")
+        self._rebuild_executor()
+        self._executor.set_state(snap.state)
+        self._produced_total, self._fed = snap.produced, snap.fed
+        if self._profiler is not None and snap.profile is not None:
+            vars(self._profiler).update(copy.deepcopy(vars(snap.profile)))
 
 
 def compile(stream: Stream | str, *, top: str | None = None, args=(),

@@ -14,11 +14,11 @@ design exists for:
 
 The workload program is a 2-tap DSL smoother chosen because its plan
 and compiled backends are bitwise-identical (a single fused expression
-per output; no reassociation), so a mid-stream plan→compiled
-degradation cannot show up as a least-significant-bit wobble and every
-parity failure is a real protocol bug.  The fault-free baseline is
-computed with *direct* sessions (no server), so the comparison also
-spans the entire wire encoding.
+per output; no reassociation), so the baseline may come from either,
+and a degraded request — re-run from the checkpoint on the same plan —
+must match it bit for bit: every parity failure is a real protocol or
+state bug.  The fault-free baseline is computed with *direct* sessions
+(no server), so the comparison also spans the entire wire encoding.
 
 Checks beyond parity, all read from the returned dict:
 
@@ -59,8 +59,9 @@ __all__ = ["CHAOS_DSL", "DEFAULT_RATES", "run_chaos"]
 
 #: The workload: bitwise-identical across all three backends (each
 #: output is one fused multiply-add; no sum reassociation), which is
-#: what lets the harness demand *bitwise* parity across mid-stream
-#: backend degradations.
+#: what lets the harness demand *bitwise* parity of degraded requests
+#: (re-run from the checkpoint on the same plan) and of the sessions a
+#: tripped breaker opens on the compiled backend alike.
 CHAOS_DSL = """
 float->float filter Smooth {
   work push 1 pop 1 peek 2 {

@@ -84,7 +84,7 @@ def test_push_block_accepts_ndarray():
     ch = Channel()
     ch.push_block(np.array([1.5, 2.5]))
     ch.push_block([3.5])
-    assert ch.snapshot() == [1.5, 2.5, 3.5]
+    assert ch.state() == [1.5, 2.5, 3.5]
 
 
 def test_compaction_is_proportional_to_buffer():
@@ -96,11 +96,16 @@ def test_compaction_is_proportional_to_buffer():
         # head may lag live data by at most max(live, _MIN_COMPACT)
         assert ch._head <= max(len(ch), 64)
     assert len(ch) == 1000
-    assert ch.snapshot()[0] == 99_000.0
+    assert ch.state()[0] == 99_000.0
 
 
-def test_snapshot():
+def test_state_round_trips():
     ch = Channel()
     ch.push_block([1.0, 2.0, 3.0])
     ch.pop()
-    assert ch.snapshot() == [2.0, 3.0]
+    held = ch.state()
+    assert held == [2.0, 3.0]
+    ch.push(4.0)  # the state is a copy
+    other = Channel()
+    other.set_state(held)
+    assert other.pop() == 2.0 and other.state() == [3.0] == held[1:]

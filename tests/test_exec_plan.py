@@ -622,7 +622,7 @@ def test_ring_blocks_and_windows():
     np.testing.assert_array_equal(
         w, [[0, 1, 2, 3], [2, 3, 4, 5], [4, 5, 6, 7]])
     np.testing.assert_array_equal(r.pop_block_array(2), [0.0, 1.0])
-    assert r.snapshot() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    assert r.state().tolist() == [2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
     with pytest.raises(InterpError):
         r.window_view(4, 2, 4)
 
@@ -644,7 +644,7 @@ def test_ring_push_block_iterable():
     r = RingBuffer()
     r.push_block([1.0, 2.0])
     r.push_block(np.array([3.0, 4.0]))
-    assert r.snapshot() == [1.0, 2.0, 3.0, 4.0]
+    assert r.state().tolist() == [1.0, 2.0, 3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TestShmRing:
             # the attached side's writes land in the owner's storage
             other.push_array(np.array([99.0]))
             ring._head, ring._tail = other._head, other._tail
-            assert ring.snapshot()[-1] == 99.0
+            assert ring.state()[-1] == 99.0
             forget_rings([ring.uid])
         finally:
             ring.close(unlink=True)
@@ -85,7 +85,7 @@ class TestShmRing:
             ring.ensure_capacity(cap0 * 4)
             assert ring.shm.name != seg0
             assert len(ring._buf) >= cap0 * 4
-            assert list(ring.snapshot()) == [float(i) for i in range(10)]
+            assert list(ring.state()) == [float(i) for i in range(10)]
         finally:
             ring.close(unlink=True)
 
@@ -121,7 +121,7 @@ class TestShmRing:
             # worker keep valid references across tasks
             assert clone is again
             assert clone is shm_mod._ATTACHED[ring.uid]
-            assert list(clone.snapshot()) == [0.0, 1.0, 2.0, 3.0]
+            assert list(clone.state()) == [0.0, 1.0, 2.0, 3.0]
             forget_rings([ring.uid])
         finally:
             ring.close(unlink=True)

@@ -56,7 +56,7 @@ class TestCodegen:
         ch_in, ch_out = Channel(), Channel()
         ch_in.push_block(inputs)
         fn(ch_in.peek, ch_in.pop, ch_out.push, fields, prof.bulk)
-        return ch_out.snapshot(), prof
+        return ch_out.state(), prof
 
     def test_source_attached(self):
         f = FilterBuilder("G", peek=1, pop=1, push=1)
@@ -103,7 +103,7 @@ class TestCodegen:
         ref, ch_in, ch_out = Profiler(), Channel(), Channel()
         ch_in.push_block([1.0, 2.0, 3.0, 4.0])
         Interpreter(dict(filt.fields), ref).run(filt.work, ch_in, ch_out)
-        assert out == ch_out.snapshot()
+        assert out == ch_out.state()
         assert prof.counts == ref.counts
         assert (prof.counts.fadd, prof.counts.fmul) == (9, 12)
         src = compile_work(filt.work, dict(filt.fields),
@@ -169,7 +169,7 @@ class TestCodegen:
         ch_in.push_block([1.0, 2.0])
         fn(ch_in.peek, ch_in.pop, ch_out.push, fields, prof.bulk)
         fn(ch_in.peek, ch_in.pop, ch_out.push, fields, prof.bulk)
-        assert ch_out.snapshot() == [1.0, 3.0]
+        assert ch_out.state() == [1.0, 3.0]
         assert fields["acc"] == 3.0
 
     def test_array_field_shared_in_place(self):

@@ -72,11 +72,10 @@ def test_storage_after_2000_pushes_is_storage_after_20(app, backend):
             early = held(session)
     assert len(out) == n and session.pending_input == 0
     assert held(session) == early
-    in_items, out_items, journal = session.buffers
+    in_items, out_items = session.buffers
     assert in_items <= 2 * max(n, 64) and out_items <= 2 * max(n, 64)
-    assert journal <= repro.session.DEFAULT_JOURNAL_LIMIT
-    assert f"buffers: in {in_items} / out {out_items} / journal " \
-        f"{journal}" in str(session.report())
+    assert f"buffers: in {in_items} / out {out_items}" in \
+        str(session.report())
 
 
 @pytest.mark.parametrize("build", [fir.build, radar.build],
@@ -162,7 +161,7 @@ def test_snapshot_restore_and_reset_rebuild_the_rings(backend):
     # the rewound pushes cost what the first four did
     assert session.profile.counts.flops - start == flops
     session.close()
-    assert session.buffers == (0, 0, 0)
+    assert session.buffers == (0, 0)
 
 
 # ---------------------------------------------------------------------------

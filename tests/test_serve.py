@@ -261,10 +261,9 @@ def test_interleaved_sessions_match_sequential(backend):
 
 def test_stats_report_what_a_session_holds_not_what_it_streamed():
     """``serve.session_buffer_items`` is the served session's feed ring
-    + output ring + journal after each request; its high-water mark
-    stops moving once the journal is dropped."""
+    + output ring after each request; its high-water mark stops moving
+    at once and stays within the two rings."""
     chunk = fir_inputs(512)
-    config = ServeConfig(journal_limit=4096)
 
     async def scenario(server, path):
         marks = []
@@ -278,8 +277,8 @@ def test_stats_report_what_a_session_holds_not_what_it_streamed():
             text = await client.stats()
         return marks, text
 
-    (early, late), text = serve_test(scenario, config)
-    assert 0 < late == early <= 4096 + 2 * 1024  # journal + two rings
+    (early, late), text = serve_test(scenario)
+    assert 0 < late == early <= 2 * 1024  # two rings
     assert "serve.session_buffer_items.max" in text
 
 

@@ -483,7 +483,7 @@ class TestScanFreeKernel:
             if policy.is_complex:
                 x = x + 1j * rng.normal(size=len(x))
             x = x.astype(policy.dtype)
-            step.set_carry_state(node.s0)
+            step.set_state([np.asarray(node.s0, dtype=policy.dtype)])
             before = profiler.counts.copy()
             got = fire(step, x, n)
             np.testing.assert_allclose(
@@ -528,7 +528,7 @@ class TestScanFreeKernel:
 
         assert abs(calls(4096) - calls(step.block)) <= 4
 
-    def test_carry_state_continues_bit_identically(self):
+    def test_state_continues_bit_identically(self):
         """What the parallel engine does between dispatches: the state
         leaves one step object and enters a fresh one mid-stream."""
         rng = np.random.default_rng(5)
@@ -537,7 +537,7 @@ class TestScanFreeKernel:
         whole = kernel_step(node)
         first = fire(whole, x[:2 * 333 + 1], 333)
         fresh = kernel_step(node)
-        fresh.set_carry_state(whole.carry_state())
+        fresh.set_state(whole.state())
         tail = x[2 * 333:]
         assert np.array_equal(fire(fresh, tail, 667), fire(whole, tail, 667))
         np.testing.assert_allclose(
