@@ -64,10 +64,10 @@ __all__ = ["FuzzProgram", "Mismatch", "generate", "check_program",
 TOP = "FuzzProgram"
 PLAN_RTOL = 1e-9
 PLAN_ATOL = 1e-9
-#: each plan mode also runs resumed, in this many calls: the calls after
-#: the first start from states the executor may have simulated before,
-#: so they exercise its schedule replay against the one-call run, the
-#: second half in a fresh session restored from the first's snapshot
+#: each plan mode also runs resumed, in this many calls, against the
+#: one-call run: every call after the first starts from the leftovers of
+#: the one before, the second half in a fresh session restored from the
+#: first's snapshot
 RESUMED_CALLS = 8
 
 
@@ -759,8 +759,7 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
     ``calls > 1`` takes the outputs in that many equal calls (the last
     also takes the remainder), the calls from ``calls // 2`` on in a
     fresh session restored from the first one's snapshot, and adds to
-    the census how many replayed a kept schedule, and whether the
-    compile hit the plan cache."""
+    the census whether the compile hit the plan cache."""
     from ..exec import PLAN_CACHE
     from ..session import StreamSession
 
@@ -782,17 +781,12 @@ def _run_plan(program: FuzzProgram, n_outputs: int, optimize: str,
         sizes = [size] * (calls - 1) + [n_outputs - size * (calls - 1)]
         parts = [session.run(k) for k in sizes[:calls // 2]]
         if calls > 1:  # the rest in a fresh session, restored
-            snap, first = session.snapshot(), session._executor
+            snap = session.snapshot()
             session.close()
             session = compiled()
             session.restore(snap)
         parts += [session.run(k) for k in sizes[calls // 2:]]
         program.kernels.update(session.report().census())
-        if calls > 1:
-            for key in ("replayed", "calls"):
-                program.census[key] = (program.census.get(key, 0)
-                                       + getattr(first, key, 0)
-                                       + getattr(session._executor, key, 0))
         return np.concatenate(parts)
     finally:
         session.close()
@@ -990,7 +984,6 @@ def main(argv=None) -> int:
         print(f"[fuzz] FAILED: {len(mismatches)} mismatch(es)",
               file=sys.stderr)
         return 1
-    replayed, calls = census.pop("replayed", 0), census.pop("calls", 0)
     hit, resumed = census.pop("hit", 0), census.pop("resumed", 0)
     restored = census.pop("restored", 0)
     leaves = " / ".join(f"{census.pop(verdict, 0)} {verdict}"
@@ -999,9 +992,8 @@ def main(argv=None) -> int:
     reach = ", ".join(f"{n} {key}" for key, n in sorted(kernels.items()))
     print(f"[fuzz] OK: {args.count} programs, 0 mismatches ({shape}; "
           f"non-source leaves {leaves}; programs per plan kernel: {reach}; "
-          f"replayed {replayed}/{calls} resumed calls; {hit}/{resumed} "
-          f"resumed runs compiled on a plan-cache hit; {restored}/"
-          f"{resumed} restored runs matched)")
+          f"{hit}/{resumed} resumed runs compiled on a plan-cache hit; "
+          f"{restored}/{resumed} restored runs matched)")
     return 0
 
 

@@ -23,10 +23,11 @@ Mutable execution state (rings — the sink's output ring and a push
 session's feed ring among them — carries, counters, the runners that
 fire scalar, profilers) and the firing schedule are *never* in this
 cache; every run instantiates a fresh executor that allocates them over
-the shared immutable plan and drives it live.  The schedule is per
-executor: :meth:`~repro.exec.planner.PlanExecutor._scheduled` simulates
-a call once per integer state (O(nodes), whatever the schedule's
-period) and replays it when the state recurs.
+the shared immutable plan and drives it live.  The rates are in the
+entry, read-only, and every call simulates its own schedule from the
+executor's integer state — O(nodes) a call, whatever the schedule's
+period (``PlanExecutor._drive``) — so a warm, a fresh and a restored
+executor run one call alike.
 """
 
 from __future__ import annotations
@@ -90,6 +91,10 @@ class PlanEntry:
     #: outer positions of the sink and the push feed (None: none)
     sink: int | None
     feed: int | None
+    #: the rate simulator's read-only tables (``planner._layout``): the
+    #: steps that read, in order, and those that do not, with budgets
+    sweep: tuple
+    sources: tuple
     #: what an executor's state fits, set by the first executor
     layout: tuple | None = None
     #: live holders (sessions) of this entry; pinned entries survive the

@@ -869,15 +869,16 @@ class PeriodicSourceStep(Step):
             self.profiler.add_counts(self._counts(f + n) - self._counts(f))
 
 
-def feasible_firings(haves, needs, pops) -> int:
-    """Max consecutive steady firings the per-input occupancies admit.
+def feasible_firings(haves, ins) -> int:
+    """Max consecutive steady firings the per-input occupancies admit,
+    ``ins`` a rate record's ``(ring, need, pop)`` per input.
 
-    The single source of truth for the batch-size formula: the planner's
-    rate simulator, the island probe, and the island drain all call this,
-    so a certified island executes exactly the schedule that was probed.
+    The batch-size formula of the island probe and the island drain, so
+    a certified island executes exactly the schedule that was probed
+    (the planner's sweep inlines it).
     """
     n = None
-    for have, need, o in zip(haves, needs, pops):
+    for have, (_, need, o) in zip(haves, ins):
         if have < need:
             return 0
         if o > 0:
@@ -889,8 +890,7 @@ def feasible_firings(haves, needs, pops) -> int:
 
 class IslandMember(Stateful):
     """One node of a feedback island: its kernel, input rings and
-    firing rates (the planner's rate record: ``needs``, ``pops``,
-    ``has_init``, ``init_needs``).
+    firing rates (the planner's rate record: ``(ins, outs, first)``).
 
     ``feasible`` mirrors the scalar executor's ``can_fire`` but returns
     the *largest* batch the current ring occupancies admit, so a loop
@@ -909,7 +909,7 @@ class IslandMember(Stateful):
 
     def feasible(self) -> int:
         return feasible_firings((len(r) for r in self.in_rings),
-                                self.rates.needs, self.rates.pops)
+                                self.rates[0])
 
 
 class FeedbackStep(Step):
@@ -973,9 +973,10 @@ class FeedbackStep(Step):
                     "quiesce (planner bug)")
             progress = False
             for m in self.members:
-                if m.rates.has_init and not m.fired:
-                    ok = all(len(r) >= need for r, need
-                             in zip(m.in_rings, m.rates.init_needs))
+                first = m.rates[2]
+                if first is not None and not m.fired:
+                    ok = all(len(r) >= need for r, (_, need, _)
+                             in zip(m.in_rings, first[0]))
                     if not ok:
                         continue
                     m.step.execute(1)

@@ -12,19 +12,16 @@ static I/O rates, so it splits execution into two phases:
    firing counts* per node.  Because it replicates the scalar executor's
    loop structure exactly — including the final pass's early-break
    behavior — every node's total firing count matches the scalar backends,
-   which is what makes FLOP accounting bit-identical.  Only that final
-   pass is simulated on its own: a pass is an action on the channel
-   occupancies that composes, so the ``k`` passes before it are the
-   sources firing ``k`` times and one sweep
-   (:meth:`PlanExecutor._jump`), and ``k`` follows from walking the
-   sink's demand back to the sources (:meth:`PlanExecutor._demand`) —
-   O(nodes) per call, whatever the schedule's period.  A call's firing
-   counts are a function of the integer state it starts from
-   (occupancies, init phases, source budgets), so each executor keeps
-   the counts of the states it has simulated and a call that finds its
-   state there replays them without simulating
-   (:meth:`PlanExecutor._scheduled`): a lookup when the state recurs,
-   else the walk.
+   which is what makes FLOP accounting bit-identical.  The rates are
+   static, so a call's firings are a function of the integer state it
+   starts from (occupancies, init phases, source budgets) and of the call
+   alone, and every call simulates them afresh over the plan's read-only
+   rate tables: a push is the sources firing ``k`` times and one sweep
+   (:meth:`PlanExecutor._jump` — a pass is an action on the occupancies
+   that composes), and a pull is one walk of the sink's demand back to
+   the sources (:meth:`PlanExecutor._demand`), which names the pass that
+   reaches the target, one jump over the passes before it and that pass
+   run literally — O(nodes) a call, whatever the schedule's period.
 
 2. **Batched execution** — pending counts are flushed in flattening
    (topological) order: each node executes all of its pending firings as
@@ -55,11 +52,12 @@ conditions) see the same occupancies in every sweep, so they fire in
 lockstep — a product of stream homomorphisms is a homomorphism into the
 product of their state monoids — and the planner gives each stage one
 rate record, one step and one ``(b, capacity)`` ring instead of ``b`` of
-each (Radar: 45 nodes, 11 steps).  Every flat node fires exactly as
-often as it would on its own, so outputs, FLOPs and the schedule are
-those of the unquotiented plan; a splitjoin that does not match plans
-node by node (orbits of size 1), and :func:`plan_report` says on its
-splitter's row what kept a near miss apart.
+each (Radar: 57 nodes in 12 steps, 45 in 11 under ``auto``).  Every
+flat node fires exactly as often as it would on its own, so outputs,
+FLOPs and the schedule are those of the unquotiented plan; a splitjoin
+that does not match plans node by node (orbits of size 1), and
+:func:`plan_report` says on its splitter's row what kept a near miss
+apart.
 
 The planner *bails out* to the scalar compiled executor only for graphs
 it cannot batch safely: nodes that consume nothing yet have inputs
@@ -89,10 +87,11 @@ run an entry — compile, cache hit, ``reset``, :func:`plan_report` —
 only allocates rings, runners and state.
 
 The executor is **resumable**: simulator state (occupancies, pending
-counts, source budgets) persists across :meth:`PlanExecutor.advance`
-calls, and :meth:`PlanExecutor.drain_available` drives a push session's
-fed input to quiescence in one jump — this is what backs
-``repro.compile(...)`` sessions.  Either pops what it returns off the
+counts, init phases, source budgets) persists across
+:meth:`PlanExecutor.advance` calls, and
+:meth:`PlanExecutor.drain_available` drives a push session's fed input
+to quiescence in one jump — this is what backs ``repro.compile(...)``
+sessions.  Either pops what it returns off the
 sink (the Collector's output ring, else the graph's output ring).
 """
 
@@ -133,10 +132,6 @@ from .ring import RingBuffer
 #: memory for very long runs while keeping batches large).  Read at each
 #: drive, so a test may patch it to force many flushes.
 DEFAULT_CHUNK_OUTPUTS = 1 << 16
-
-#: Simulated calls an executor keeps for replay.  A full table is
-#: emptied, or dropped for good if none of its calls has replayed.
-SCHEDULE_TABLE_SIZE = 256
 
 _PROBE_INPUT = 0.5  # probe value dodging singularities (log 0, 1/0, ...)
 
@@ -291,15 +286,10 @@ def probe_island(flat: FlatGraph, region) -> tuple[IslandRates | None, str]:
                       and n.splitter is region.stream.splitter)
     ext_out = cid(split_node.outputs[0])
 
-    recs = []
-    for node in nodes:
-        in_ids = [cid(ch) for ch in node.inputs]
-        out_ids = [cid(ch) for ch in node.outputs]
-        needs, pops, pushes = _steady_rates(node)
-        has_init, init_needs, init_pops, init_pushes = _init_rates(node)
-        recs.append(_SimNode(len(recs), in_ids, out_ids, needs, pops,
-                             pushes, has_init, init_needs, init_pops,
-                             init_pushes))
+    recs = [_record([cid(ch) for ch in node.inputs],
+                    [cid(ch) for ch in node.outputs], *_steady_rates(node),
+                    _init_rates(node)) for node in nodes]
+    fired = [False] * len(recs)
 
     def drain():
         # occupancy-only mirror of FeedbackStep's drain loop: any change
@@ -308,32 +298,30 @@ def probe_island(flat: FlatGraph, region) -> tuple[IslandRates | None, str]:
         progress = True
         while progress:
             progress = False
-            for sn in recs:
-                if sn.has_init and not sn.fired:
-                    if not all(occ[c] >= need for c, need
-                               in zip(sn.in_ids, sn.init_needs)):
+            for j, (ins, outs, first) in enumerate(recs):
+                if first is not None and not fired[j]:
+                    if any(occ[c] < need for c, need, _ in first[0]):
                         continue
-                    for c, o in zip(sn.in_ids, sn.init_pops):
+                    for c, _, o in first[0]:
                         occ[c] -= o
-                    for c, u in zip(sn.out_ids, sn.init_pushes):
+                    for c, u in first[1]:
                         occ[c] += u
-                    sn.fired = True
-                    progress = True
-                n = K.feasible_firings((occ[c] for c in sn.in_ids),
-                                       sn.needs, sn.pops)
+                    fired[j] = progress = True
+                n = K.feasible_firings((occ[c] for c, _, _ in ins), ins)
                 if n:
-                    for c, o in zip(sn.in_ids, sn.pops):
+                    for c, _, o in ins:
                         occ[c] -= o * n
-                    for c, u in zip(sn.out_ids, sn.pushes):
+                    for c, u in outs:
                         occ[c] += u * n
-                    sn.fired = True
-                    progress = True
+                    fired[j] = progress = True
 
     def snapshot():
         state = tuple(v for i, v in enumerate(occ) if i != ext_out)
-        return state + tuple(sn.fired for sn in recs if sn.has_init)
+        return state + tuple(f for f, (_, _, first) in zip(fired, recs)
+                             if first is not None)
 
-    c_lim = 4 * ss.pop + sum(occ) + sum(sum(sn.needs) for sn in recs) + 32
+    c_lim = 4 * ss.pop + sum(occ) + sum(need for ins, _, _ in recs
+                                        for _, need, _ in ins) + 32
     c_max = c_lim + _PROBE_PERIODS * ss.pop
     drain()
     snaps = [(snapshot(), occ[ext_out])]
@@ -400,23 +388,17 @@ def plan_bailout_reason(stream: Stream,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SimNode:
-    """Static I/O rates of one flattened node, with a one-shot init phase."""
-
-    index: int
-    in_ids: list[int]
-    out_ids: list[int]
-    needs: list[int]
-    pops: list[int]
-    pushes: list[int]
-    # first-firing (prework / init) overrides, aligned with in/out ids
-    has_init: bool = False
-    init_needs: list[int] = field(default_factory=list)
-    init_pops: list[int] = field(default_factory=list)
-    init_pushes: list[int] = field(default_factory=list)
-    fired: bool = False
-    remaining: int | None = None  # finite sources (ListSource)
+def _record(in_ids, out_ids, needs, pops, pushes, init=None) -> tuple:
+    """A rate record, ``(ins, outs, first)``: ``(ring, need, pop)`` an
+    input and ``(ring, push)`` an output of a steady firing, and the
+    ``(ins, outs)`` of a first firing that differs (``init``: its
+    needs, pops and pushes — prework, a primitive's init rates, an
+    island's prologue), else None.  Read-only: whether that first
+    firing is still to come is an executor's state."""
+    first = None if init is None else (
+        tuple(zip(in_ids, init[0], init[1])), tuple(zip(out_ids, init[2])))
+    return (tuple(zip(in_ids, needs, pops)), tuple(zip(out_ids, pushes)),
+            first)
 
 
 def _leaf_rates(node, peek: int, pop: int, push: int) -> tuple:
@@ -442,18 +424,18 @@ def _steady_rates(node) -> tuple[list[int], list[int], list[int]]:
 
 
 def _init_rates(node):
-    """(has_init, needs, pops, pushes) for the first firing."""
+    """(needs, pops, pushes) of a first firing that differs, else None."""
     s = node.stream
     if node.kind == "filter" and s.prework is not None:
         pw = s.prework
-        return (True, *_leaf_rates(node, pw.peek, pw.pop, pw.push))
+        return _leaf_rates(node, pw.peek, pw.pop, pw.push)
     if node.kind == "primitive":
         init = (s.init_peek, s.init_pop, s.init_push)
         if init != (None, None, None):
-            return (True, *_leaf_rates(node, *(
+            return _leaf_rates(node, *(
                 v if i is None else i
-                for i, v in zip(init, (s.peek, s.pop, s.push)))))
-    return False, [], [], []
+                for i, v in zip(init, (s.peek, s.pop, s.push))))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +838,11 @@ class PlanStep:
     """A position of a plan's outer schedule, or an island member: the
     flat node it fires (a stage's or chain's first) or the island's
     :class:`~repro.runtime.executor.FeedbackRegion`, the flat indices it
-    fires, its rate record as a fresh executor starts it, its maker."""
+    fires, its rate record (:func:`_record`), its maker."""
 
     entry: object
     orbit: object
-    sim: _SimNode
+    rates: tuple
     make: Callable
 
 
@@ -870,9 +852,9 @@ def _island_maker(region, rates: IslandRates, members: list) -> Callable:
     def make(ex, ins, outs):
         steps = []
         for p in members:
-            rings = ex.rings_of(p.sim.in_ids)
+            rings = ex.rings_of(p.rates[0])
             steps.append(K.IslandMember(
-                p.make(ex, rings, ex.rings_of(p.sim.out_ids)), rings, p.sim))
+                p.make(ex, rings, ex.rings_of(p.rates[1])), rings, p.rates))
         return K.FeedbackStep(region.stream.name, ins[0],
                               steps[0].in_rings[0], steps, rates)
     return make
@@ -882,14 +864,21 @@ def _layout(flat: FlatGraph, plan: dict, islands: dict,
             policy: NumericPolicy) -> dict:
     """The executor half of a plannable build, as
     :class:`~repro.exec.cache.PlanEntry` fields: the ring table (the
-    graph output's first), the outer schedule and the positions of the
-    sink and the push feed.  Every distinct channel gets a ring, which
-    starts holding what the channel holds (a feedback back edge, the
-    loop's enqueued values).  The quotients: a fused splitjoin keeps
-    one ring per level (``b`` channels, ``b`` rows) and one step per
-    stage, a stateful chain is one lifted step, each planned at its
-    first node; a feedback island is one :class:`~repro.exec.kernels.
-    FeedbackStep` facade."""
+    graph output's first), the outer schedule, the positions of the
+    sink and the push feed, and the simulator's tables: ``sweep``, the
+    ``(position, ins, outs, first)`` of every step that reads, in
+    order, its inputs that pop nothing left out — none if one of them
+    is a ring nothing fills, as it never fires; a Collector sink pushes
+    one item a firing onto a count past the last ring — and
+    ``sources``, the ``(position, outs, first, budget)`` of every step
+    that does not, ``budget`` its firings (a ListSource's items, a
+    ChunkSource's 0: the feed ring's, read at each call) or None.
+    Every distinct channel gets a ring, which starts holding what the
+    channel holds (a feedback back edge, the loop's enqueued values).
+    The quotients: a fused splitjoin keeps one ring per level (``b``
+    channels, ``b`` rows) and one step per stage, a stateful chain is
+    one lifted step, each planned at its first node; a feedback island
+    is one :class:`~repro.exec.kernels.FeedbackStep` facade."""
     nodes = flat.nodes
     chan_ids: dict[int, int] = {}
     rings: list = []  # (name, rows, prefill)
@@ -941,13 +930,9 @@ def _layout(flat: FlatGraph, plan: dict, islands: dict,
             # ring so the island cannot outrun its simulated schedule
             in_ids = [len(rings)] + in_ids[1:]
             rings.append((f"{node.name}.gate", 1, None))
-        sim = _SimNode(len(outer), in_ids, out_ids, needs, pops, pushes,
-                       *_init_rates(node))
-        if isinstance(node.stream, ListSource):
-            sim.remaining = len(node.stream.values)
-        elif isinstance(node.stream, ChunkSource):
-            sim.remaining = 0  # refreshed from the feed ring each drive
-        return PlanStep(node, members, sim, _step_maker(
+        rates = _record(in_ids, out_ids, needs, pops, pushes,
+                        _init_rates(node))
+        return PlanStep(node, members, rates, _step_maker(
             flat, plan, policy, members, in_ids, out_ids, basis, len(outer)))
 
     i = 0
@@ -963,28 +948,67 @@ def _layout(flat: FlatGraph, plan: dict, islands: dict,
         split_node = next(
             n for n in nodes[region.start:region.stop]
             if n.kind == "splitter" and n.splitter is region.stream.splitter)
-        sim = _SimNode(len(outer), [ring_of(nodes[region.start].inputs[0])],
-                       [ring_of(split_node.outputs[0])], [rates.pop],
-                       [rates.pop], [rates.push], rates.has_init,
-                       [rates.init_pop], [rates.init_pop], [rates.init_push])
-        outer.append(PlanStep(region, range(region.start, region.stop), sim,
-                              _island_maker(region, rates, members)))
+        facade = _record([ring_of(nodes[region.start].inputs[0])],
+                         [ring_of(split_node.outputs[0])], [rates.pop],
+                         [rates.pop], [rates.push],
+                         ([rates.init_pop], [rates.init_pop],
+                          [rates.init_push]) if rates.has_init else None)
+        outer.append(PlanStep(region, range(region.start, region.stop),
+                              facade, _island_maker(region, rates, members)))
         i = region.stop
     # the sink an executor watches: the first Collector, else the
     # (last) writer of the graph output ring
-    sink = max((k for k, p in enumerate(outer) if 0 in p.sim.out_ids),
-               default=None)
+    sink = max((k for k, p in enumerate(outer)
+                if any(r == 0 for r, _ in p.rates[1])), default=None)
     if flat.collectors:
         sink = next(k for k, p in enumerate(outer)
                     if p.entry is flat.collectors[0])
     feed = next((k for k, p in enumerate(outer)
                  if isinstance(p.entry.stream, ChunkSource)), None)
-    return dict(rings=rings, outer=outer, sink=sink, feed=feed)
+    sweep, sources = [], []
+    fed = {r for r, ring in enumerate(rings) if ring[2]}  # rings written
+    for k, p in enumerate(outer):
+        ins, outs, first = p.rates
+        if ins:
+            ins = tuple(i for i in ins if i[2])
+            if any(r not in fed for r, _, _ in ins):
+                continue  # (it never fires)
+            if k == sink and flat.collectors:  # (see PlanExecutor._out)
+                outs = ((len(rings), 1),)
+            fed.update(r for r, _ in outs)
+            sweep.append((k, ins, outs, first))
+            continue
+        fed.update(r for r, _ in outs)
+        s = p.entry.stream
+        budget = len(s.values) if isinstance(s, ListSource) else \
+            0 if isinstance(s, ChunkSource) else None
+        sources.append((k, outs, first, budget))
+    return dict(rings=rings, outer=outer, sink=sink, feed=feed,
+                sweep=tuple(sweep), sources=tuple(sources))
 
 
 # ---------------------------------------------------------------------------
 # The plan executor
 # ---------------------------------------------------------------------------
+
+
+def _supplying(owed: list, outs: tuple, first: tuple | None) -> int:
+    """The firings of a step with outputs ``outs`` that add the items
+    ``owed`` asks of each, the first at ``first``'s rates if given (a
+    step that pushes nothing where items are owed adds what it can)."""
+    f = 0
+    for j, (r, u) in enumerate(outs):
+        rest = owed[r]
+        if rest > 0:
+            k = 0
+            if first is not None:
+                rest -= first[1][j][1]
+                k = 1
+            if rest > 0 and u:
+                k += -(-rest // u)  # ceil
+            if k > f:
+                f = k
+    return f
 
 
 class PlanExecutor:
@@ -1013,11 +1037,6 @@ class PlanExecutor:
         self.rings: list[RingBuffer] = [
             self._new_ring(name, prefill, rows)
             for name, rows, prefill in plan.rings]
-        self._out_chan = 0  # the graph output's ring
-        # fresh copies: the phases (fired, remaining) are this executor's
-        self.sim_nodes = [_SimNode(**vars(p.sim)) for p in plan.outer]
-        self.sources = [sn for sn in self.sim_nodes if not sn.in_ids]
-        self.consumers = [sn for sn in self.sim_nodes if sn.in_ids]
         #: per outer position: the flat node (of a sibling stage, the
         #: first branch's) or the FeedbackRegion, and the flat indices
         #: its step fires
@@ -1025,30 +1044,34 @@ class PlanExecutor:
         self.orbits = [p.orbit for p in plan.outer]
         self.steps: list[K.Step] = []
         for p in plan.outer:  # (a folded reader reads its source's step)
-            self.steps.append(p.make(self, self.rings_of(p.sim.in_ids),
-                                     self.rings_of(p.sim.out_ids)))
+            self.steps.append(p.make(self, self.rings_of(p.rates[0]),
+                                     self.rings_of(p.rates[1])))
         # the sink the executor watches: the Collector's runner, else
         # the graph output ring (None)
         self._sink_index = plan.sink
         sink = None if plan.sink is None else self.steps[plan.sink]
         self._sink = sink.sink if isinstance(sink, K.CollectorStep) else None
+        # where the simulator counts outputs, and what a sink firing adds
+        # there: a Collector's firings on a slot past the last ring, else
+        # the items the sink pushes onto ring 0
+        self._out, self._gain = len(self.rings), 1
+        if self._sink is None:
+            self._out, self._gain = 0, 0 if plan.sink is None else \
+                dict(plan.outer[plan.sink].rates[1]).get(0, 0)
         #: the push harness's feed (see :attr:`FlatGraph.feed`)
         self.feed = None if plan.feed is None else self.steps[plan.feed].feed
-        self._sink_fires = 0  # cumulative collector firings (sim)
-        # persistent simulator state (pre-filled rings start occupied)
-        self._occ = [len(r) for r in self.rings]
-        self._pending = [0] * len(self.sim_nodes)
-        self._pending_outputs = 0
+        # the simulator's state: occupancies (pre-filled rings start
+        # occupied), firings pending, the steps whose first firing is
+        # still to come, the firings left to finite sources
+        self._occ = [len(r) for r in self.rings] + [0]
+        self._pending = [0] * len(self.steps)
+        self._unfired = {k for k, p in enumerate(plan.outer)
+                         if p.rates[2] is not None}
+        self._left = {k: b for k, _, _, b in plan.sources if b is not None}
         self._passes = 0  # lifetime passes, however they were advanced
         #: how many jumps advanced them / how many ran one by one
         self.jumps = 0
         self.passes_literal = 0
-        #: schedule replay (:meth:`_scheduled`): simulator input -> what
-        #: the call flushed and left behind (None once given up); calls
-        #: that needed a schedule, and how many of them replayed one
-        self._schedules: dict | None = {}
-        self.calls = 0
-        self.replayed = 0
         # resumable-session cursors (see advance/drain_available)
         self._returned = 0  # outputs handed out to the caller
         self._out_popped = 0  # items popped off the graph output ring
@@ -1065,9 +1088,10 @@ class PlanExecutor:
         return RingBuffer(name, prefill=prefill, dtype=self.policy.dtype,
                           rows=rows)
 
-    def rings_of(self, ids: list) -> list:
-        """The rings of ``ids``; a void tape for none."""
-        return [self.rings[r] for r in ids] or [_NULL_CHANNEL]
+    def rings_of(self, ios: tuple) -> list:
+        """The rings of a rate record's ``ins`` or ``outs``; a void tape
+        for none."""
+        return [self.rings[io[0]] for io in ios] or [_NULL_CHANNEL]
 
     def own_node(self, i: int):
         """Flat node ``i`` with a runner of this executor's own."""
@@ -1084,97 +1108,90 @@ class PlanExecutor:
         """Total sink outputs since construction (including ones already
         taken by the caller — the out ring's pops are tracked so the
         count stays cumulative across session advances)."""
-        if self._sink is not None:
-            return self._sink_fires
-        return self._out_popped + self._occ[self._out_chan]
+        return self._out_popped + self._occ[self._out]
 
     def buffers(self) -> tuple[int, int]:
         """Items of storage behind the feed ring and behind the sink."""
-        sink = self._sink or self.rings[self._out_chan]
+        sink = self._sink or self.rings[0]
         return (self.feed.buffer.capacity if self.feed else 0,
                 sink.capacity)
 
-    def _sim_fire(self, sn: _SimNode, n: int, init: bool) -> None:
-        occ = self._occ
-        pops = sn.init_pops if init else sn.pops
-        pushes = sn.init_pushes if init else sn.pushes
-        for cid, o in zip(sn.in_ids, pops):
-            occ[cid] -= o * n
-        for cid, u in zip(sn.out_ids, pushes):
-            occ[cid] += u * n
-        self._pending[sn.index] += n
-        sn.fired = True
-        if sn.index == self._sink_index:
-            if self._sink is not None:
-                self._sink_fires += n
-            self._pending_outputs += n
-
-    def _in_init_phase(self, sn: _SimNode) -> bool:
-        return sn.has_init and not sn.fired
-
-    def _feasible_steady(self, sn: _SimNode) -> int:
-        """Max consecutive steady firings given current occupancies."""
-        occ = self._occ
-        return K.feasible_firings((occ[cid] for cid in sn.in_ids),
-                                  sn.needs, sn.pops)
-
-    def _sweep(self, n_outputs: int) -> None:
+    def _sweep(self, target) -> None:
         """One drain sweep, transcribing :meth:`FlatGraph._drain`.
 
         Nodes drain fully in flattening (topological) order.  Once the
-        sink reaches ``n_outputs`` the scalar executor's loop fires each
+        sink reaches ``target`` the scalar executor's loop fires each
         remaining fireable node exactly once before stopping; we replicate
         that to keep firing counts — and therefore FLOP counts —
         identical.
         """
-        hit = self._produced() >= n_outputs
-        for sn in self.consumers:
-            if self._in_init_phase(sn):
-                ok = all(self._occ[cid] >= need for cid, need
-                         in zip(sn.in_ids, sn.init_needs))
-                if not ok:
+        occ, pending, unfired = self._occ, self._pending, self._unfired
+        sink, gain = self._sink_index, self._gain
+        hit = self._produced() >= target
+        for pos, ins, outs, first in self.plan.sweep:
+            if first is not None and pos in unfired:
+                if any(occ[r] < need for r, need, _ in first[0]):
                     continue
-                self._sim_fire(sn, 1, init=True)
-                if hit:
-                    continue
-                if sn.index == self._sink_index and \
-                        self._produced() >= n_outputs:
+                for r, _, o in first[0]:
+                    occ[r] -= o
+                for r, u in first[1]:
+                    occ[r] += u
+                pending[pos] += 1
+                unfired.discard(pos)
+                if pos == sink and not hit and self._produced() >= target:
                     hit = True
                     continue
+                if hit:
+                    continue
+            if len(ins) == 1:  # (most steps)
+                (r, need, o), = ins
+                n = (occ[r] - need) // o
+            else:
+                r = None
+                n = min([(occ[r] - need) // o for r, need, o in ins])
+            if n < 0:  # (``n + 1`` firings fit)
+                continue
             if hit:
-                if self._feasible_steady(sn) > 0:
-                    self._sim_fire(sn, 1, init=False)
-                continue
-            n = self._feasible_steady(sn)
-            if n <= 0:
-                continue
-            if sn.index == self._sink_index:
-                gain = (1 if self._sink is not None
-                        else (sn.pushes[sn.out_ids.index(self._out_chan)]
-                              if self._out_chan in sn.out_ids else 0))
-                if gain > 0 and not math.isinf(n_outputs):
-                    deficit = n_outputs - self._produced()
-                    cap = -(-deficit // gain)  # ceil
+                n = 1
+            else:
+                n += 1
+                if pos == sink and gain:
+                    # (the deficit's ceil)
+                    cap = -((self._produced() - target) // gain)
                     if n >= cap:
-                        n = cap
-                        hit = True
-            self._sim_fire(sn, n, init=False)
+                        n, hit = cap, True
+            if r is None:
+                for r, _, o in ins:
+                    occ[r] -= o * n
+            else:
+                occ[r] -= o * n
+            for r, u in outs:
+                occ[r] += u * n
+            pending[pos] += n
 
     def _fire_sources(self, k: int) -> bool:
         """The source half of ``k`` passes: every source fires ``k``
         times, a finite one until it runs dry."""
+        occ, pending, unfired, left = (self._occ, self._pending,
+                                       self._unfired, self._left)
         progress = False
-        for sn in self.sources:
-            n = k if sn.remaining is None else min(k, sn.remaining)
+        for pos, outs, first, _ in self.plan.sources:
+            n = k
+            if pos in left:
+                n = min(k, left[pos])
+                if n > 0:
+                    left[pos] -= n
             if n <= 0:
                 continue
-            if sn.remaining is not None:
-                sn.remaining -= n
-            if self._in_init_phase(sn):
-                self._sim_fire(sn, 1, init=True)
+            if first is not None and pos in unfired:
+                unfired.discard(pos)
+                for r, u in first[1]:
+                    occ[r] += u
+                pending[pos] += 1
                 n -= 1
-            if n:
-                self._sim_fire(sn, n, init=False)
+            for r, u in outs:
+                occ[r] += u * n
+            pending[pos] += n
             progress = True
         return progress
 
@@ -1192,30 +1209,22 @@ class PlanExecutor:
         self._passes += k
         self.jumps += 1
 
-    def _position(self) -> tuple:
-        """What the simulator reads (the replay key): occupancies, and
-        every node's init phase and source budget."""
-        return tuple(self._occ), tuple([(sn.fired, sn.remaining)
-                                        for sn in self.sim_nodes])
-
-    def _set_position(self, occ: tuple, phases: tuple) -> None:
-        self._occ[:] = occ
-        for sn, (fired, remaining) in zip(self.sim_nodes, phases):
-            sn.fired, sn.remaining = fired, remaining
-
     def integers(self) -> tuple:
-        """The integer half of the state: :meth:`_position`, firings
+        """The integer half of the state: occupancies, the steps whose
+        first firing is to come, finite sources' budgets, firings
         pending, and the sink, pass and output counters."""
-        return (*self._position(), tuple(self._pending),
-                (self._sink_fires, self._passes, self.jumps,
-                 self.passes_literal, self._pending_outputs, self._returned,
-                 self._out_popped))
+        return (tuple(self._occ), tuple(sorted(self._unfired)),
+                tuple(self._left.values()), tuple(self._pending),
+                (self._passes, self.jumps, self.passes_literal,
+                 self._returned, self._out_popped))
 
     def set_integers(self, ints: tuple) -> None:
-        occ, phases, self._pending[:], counters = ints
-        self._set_position(occ, phases)
-        (self._sink_fires, self._passes, self.jumps, self.passes_literal,
-         self._pending_outputs, self._returned, self._out_popped) = counters
+        occ, unfired, left, self._pending[:], counters = ints
+        self._occ[:] = occ
+        self._unfired = set(unfired)
+        self._left = dict(zip(self._left, left))
+        (self._passes, self.jumps, self.passes_literal, self._returned,
+         self._out_popped) = counters
 
     def state(self) -> tuple:
         """``(integer half, float half)``: :meth:`integers`; every
@@ -1229,48 +1238,52 @@ class PlanExecutor:
 
     def _passes_left(self):
         """Passes until every source has run dry (inf: one never does)."""
-        return max((math.inf if sn.remaining is None else sn.remaining
-                    for sn in self.sources), default=0)
+        if len(self._left) < len(self.plan.sources):
+            return math.inf
+        return max(self._left.values(), default=0)
 
     def _demand(self, goal: int) -> int:
         """The first pass at which the sink reaches ``goal`` total
-        outputs, by walking its demand backwards: a node's ``f`` next
-        firings need ``need + (f - 1) * pop`` items on each input, the
-        channel's producer fires ``ceil(owed / push)`` times to supply
-        what the channel does not hold, and a source fires once a pass.
-        A pending init firing is the first of the ``f``, at its own
-        rates.  :meth:`_drive` takes this as a hint and checks it
-        against the sweep.
+        outputs — 0 when the leftovers of the last call do — by walking
+        its demand backwards: a node's ``f`` next firings need ``need +
+        (f - 1) * pop`` items on each input, the channel's producer
+        fires ``ceil(owed / push)`` times to supply what the channel
+        does not hold, and a source fires once a pass.  A pending first
+        firing is the first of the ``f``, at its own rates.  Exact: a
+        jump :meth:`_drive` sizes by it must stop short of ``goal``.
         """
-        occ = self._occ
+        occ, unfired = self._occ, self._unfired
         owed = [0] * len(occ)  # items each channel's producer must add
-        deficit = goal - self._produced()
-        collector = None  # a Collector sink fires once per output
-        if self._sink is None:
-            owed[self._out_chan] = deficit
-        else:
-            collector = self._sink_index
-        passes = 0
-        for sn in reversed(self.sim_nodes):
-            init = self._in_init_phase(sn)
-            f = deficit if sn.index == collector else 0
-            for j, cid in enumerate(sn.out_ids):
-                if owed[cid] > 0:
-                    rest = owed[cid] - (sn.init_pushes[j] if init else 0)
-                    u = sn.pushes[j]
-                    f = max(f, init + (-(-rest // u)  # ceil
-                                       if rest > 0 and u else 0))
-            if not f:
+        owed[self._out] = goal - self._produced()
+        for pos, ins, outs, first in reversed(self.plan.sweep):
+            if first is not None and pos in unfired:
+                f = _supplying(owed, outs, first)
+                if not f:
+                    continue
+                steady = f - 1
+                for (r, need, o), (_, need0, o0) in zip(ins, first[0]):
+                    items = need + (steady - 1) * o if steady else 0
+                    owed[r] = max(need0, o0 + items) - occ[r]
                 continue
-            if not sn.in_ids:
-                passes = max(passes, f)
-            steady = f - init
-            for j, cid in enumerate(sn.in_ids):
-                items = sn.needs[j] + (steady - 1) * sn.pops[j] \
-                    if steady else 0
-                if init:
-                    items = max(sn.init_needs[j], sn.init_pops[j] + items)
-                owed[cid] = items - occ[cid]
+            if len(outs) == 1:  # (most steps)
+                (r, u), = outs
+                f = -(-owed[r] // u) if u else 0  # ceil
+            else:
+                f = max([-(-owed[r] // u) if u else 0 for r, u in outs],
+                        default=0)
+            if f <= 0:
+                continue
+            if len(ins) == 1:
+                (r, need, o), = ins
+                owed[r] = need + (f - 1) * o - occ[r]
+            else:
+                for r, need, o in ins:
+                    owed[r] = need + (f - 1) * o - occ[r]
+        passes = 0  # a source fires once a pass
+        for pos, outs, first, _ in self.plan.sources:
+            f = _supplying(owed, outs, first if pos in unfired else None)
+            if f > passes:
+                passes = f
         return passes
 
     # -- batched flush -----------------------------------------------------
@@ -1281,80 +1294,14 @@ class PlanExecutor:
             if n:
                 step.execute(n)
                 pending[i] = 0
-        self._pending_outputs = 0
 
-    def _flush_taped(self, tape: list) -> None:
-        """:meth:`_flush`, noting on ``tape`` what it fires."""
-        if any(self._pending):
-            tape.append(self._pending[:])
-        self._flush()
-
-    # -- schedule replay -----------------------------------------------------
-    def _scheduled(self, call: tuple, simulate, *args) -> None:
-        """``simulate(*args, tape)`` — a simulated call that flushes
-        through :meth:`_flush_taped` onto ``tape`` — or its replay.
-
-        Everything the simulator reads is ``call`` (the target or pass
-        budget, relative to what the sink holds) and :meth:`_position`.
-        So the first call from a state runs the simulation and keeps the
-        pending vectors it flushed, the state it left and its counter
-        deltas; a later call from the same state sets that state and
-        fires the vectors through :meth:`_flush` (which the parallel
-        executor overrides), simulating nothing.  A call that raises is
-        not kept, and one that starts with firings still pending (a
-        flush raised) is simulated and not kept.  When the table fills
-        it is emptied — or dropped, if no call has replayed yet: the
-        executor's states do not recur, and from then on every call is
-        simulated with no bookkeeping.
-        """
-        self.calls += 1
-        pending = self._pending
-        if self._schedules is None or any(pending):
-            simulate(*args, [])
-            return
-        key = (call, *self._position())
-        kept = self._schedules.get(key)
-        if kept is not None:
-            tape, after, (sink, passes, jumps, literal) = kept
-            self._set_position(*after)
-            self._sink_fires += sink
-            self._passes += passes
-            self.jumps += jumps
-            self.passes_literal += literal
-            self.replayed += 1
-            for vector in tape:
-                pending[:] = vector
-                self._flush()
-            return
-        before = (self._sink_fires, self._passes, self.jumps,
-                  self.passes_literal)
-        tape: list = []
-        simulate(*args, tape)
-        if len(self._schedules) >= SCHEDULE_TABLE_SIZE:
-            if not self.replayed:
-                self._schedules = None
-                return
-            self._schedules.clear()
-        self._schedules[key] = (tape, self._position(), (
-            self._sink_fires - before[0], self._passes - before[1],
-            self.jumps - before[2], self.passes_literal - before[3]))
-
-    # -- reentrant drive loop -----------------------------------------------
+    # -- the drive -----------------------------------------------------------
     def _refresh_feed(self) -> None:
         """The feed's budget: what sessions fed its ring between calls."""
         if self.feed is not None:
-            self.sim_nodes[self.plan.feed].remaining = len(self.feed.buffer)
+            self._left[self.plan.feed] = len(self.feed.buffer)
 
     def _drive(self, target: int, max_passes: int) -> None:
-        """Bring the sink to ``target`` total outputs: :meth:`_simulate`
-        once per state, replayed when the state recurs."""
-        self._refresh_feed()
-        if self._produced() >= target:
-            return
-        self._scheduled(("drive", target - self._produced(), max_passes),
-                        self._simulate, target, max_passes)
-
-    def _simulate(self, target: int, max_passes: int, tape: list) -> None:
         """Simulate + flush until the sink holds ``target`` total outputs.
 
         Drain-first transcription of :meth:`FlatGraph._drive`: leftover
@@ -1362,25 +1309,32 @@ class PlanExecutor:
         fires, which is what keeps incremental firing counts identical
         to a single cold run of the same total.  Only the pass in which
         the sink reaches ``target`` stops early, so only that one runs
-        literally: the passes before it are one :meth:`_jump`, sized by
-        :meth:`_demand` and tried on saved state — a jump that would
-        reach the goal is undone and halved.  ``max_passes`` bounds the
-        passes of this call, jumped or literal.
+        literally: per :data:`DEFAULT_CHUNK_OUTPUTS` outputs, one
+        :meth:`_demand` walk names it, the passes before it are one
+        :meth:`_jump` (whose sweep drains the leftovers too), and a
+        jump that reaches the goal is a :class:`SchedulingError`.
+        ``max_passes`` bounds the passes of this call, jumped or literal.
         """
-        self._sweep(target)
-        passes = 0
+        self._refresh_feed()
+        pending, sink = self._pending, self._sink_index
+        passes, leftovers = 0, True
         while self._produced() < target:
             goal = min(target, self._produced() + DEFAULT_CHUNK_OUTPUTS)
             k = min(self._demand(goal) - 1, self._passes_left(),
                     max_passes - passes)
-            while k > 0:
-                saved = self.integers()
+            if k > 0:
                 self._jump(k)
-                if self._produced() < goal:
-                    passes += k
-                    break
-                self.set_integers(saved)
-                k //= 2
+                if self._produced() >= goal:
+                    raise SchedulingError(
+                        f"a jump of {k} passes reached {goal} outputs: "
+                        "the demand walk overshot")
+                passes += k
+            elif leftovers:
+                self._sweep(target)
+                if k < 0:  # the leftovers reach the goal
+                    leftovers = False
+                    continue
+            leftovers = False
             passes += 1
             if passes > max_passes:
                 raise InterpError("executor pass limit exceeded")
@@ -1388,23 +1342,22 @@ class PlanExecutor:
             self.passes_literal += 1
             progress = self._fire_sources(1)
             self._sweep(target)
-            if self._pending_outputs >= DEFAULT_CHUNK_OUTPUTS:
-                self._flush_taped(tape)
+            if sink is not None and pending[sink] >= DEFAULT_CHUNK_OUTPUTS:
+                self._flush()
             if not progress and self._produced() < target:
                 self._flush()
                 raise InterpError(
                     f"deadlock: no source progress, "
                     f"{self._produced()}/{target} outputs")
-        self._flush_taped(tape)
+        self._flush()
 
     def _take(self, n: int) -> np.ndarray:
         """Pop the next ``n`` already-produced outputs off the sink."""
         if self._sink is not None:
             out = self._sink.take(n)
         else:
-            out_ring = self.rings[self._out_chan]
-            out = out_ring.pop_block_array(n)
-            self._occ[self._out_chan] -= n
+            out = self.rings[0].pop_block_array(n)
+            self._occ[0] -= n
             self._out_popped += n
         self._returned += n
         return out
@@ -1430,12 +1383,9 @@ class PlanExecutor:
         k = self._passes_left()
         if k > max_passes:
             raise InterpError("executor pass limit exceeded")
-        self._scheduled(("drain", k, max_passes), self._drain, k)
-        return self._take(self._produced() - self._returned)
-
-    def _drain(self, k: int, tape: list) -> None:
         self._jump(k)
-        self._flush_taped(tape)
+        self._flush()
+        return self._take(self._produced() - self._returned)
 
 
 # ---------------------------------------------------------------------------
@@ -1462,7 +1412,8 @@ def build_plan(stream: Stream, optimize: str = "none",
     bailout = plan_bailout_reason(optimized, flat, island_rates=islands)
     if bailout:
         plan = dict(decisions={}, siblings=[], chains={}, sinusoids={},
-                    reasons={}, rings=[], outer=[], sink=None, feed=None)
+                    reasons={}, rings=[], outer=[], sink=None, feed=None,
+                    sweep=(), sources=())
     else:
         # (the parallel executor's shared-memory rings have one row)
         plan = _plan(flat, workers == 1 and PlanExecutor.fuse_siblings)
@@ -1602,13 +1553,10 @@ class PlanReport:
     nodes: int = 0  # flattened nodes behind ``steps``
     #: schedule simulation so far (all 0 for a plan that has not run):
     #: passes advanced in total, the jumps that advanced them, and the
-    #: passes simulated one by one (the last of each drive); the calls
-    #: that needed a schedule, and those that replayed a kept one
+    #: passes simulated one by one (the last of each drive)
     passes: int = 0
     jumps: int = 0
     passes_literal: int = 0
-    calls: int = 0
-    replayed: int = 0
     #: a live session's :attr:`~repro.session.StreamSession.buffers`
     buffers: tuple | None = None
 
@@ -1654,8 +1602,7 @@ class PlanReport:
         lines.append(summary)
         lines.append(f"schedule: {self.passes} passes, "
                      f"{self.jumps} jumps, "
-                     f"{self.passes_literal} literal passes, "
-                     f"{self.replayed} of {self.calls} calls replayed")
+                     f"{self.passes_literal} literal passes")
         lines += held
         for isl in self.islands:
             lines.append(str(isl))
@@ -1674,8 +1621,7 @@ def report_for_executor(executor: PlanExecutor, program: str,
     rep = PlanReport(program=program, optimize=optimize, bailout=None,
                      nodes=len(flat.nodes),
                      passes=executor._passes, jumps=executor.jumps,
-                     passes_literal=executor.passes_literal,
-                     calls=executor.calls, replayed=executor.replayed)
+                     passes_literal=executor.passes_literal)
     for pos, (entry, step, orbit) in enumerate(zip(
             executor.outer_entries, executor.steps, executor.orbits)):
         if isinstance(entry, FeedbackRegion):

@@ -106,9 +106,7 @@ class ParallelPlanExecutor(PlanExecutor):
 
     # -- scheduling -------------------------------------------------------
     def _flush(self) -> None:
-        pending = self._pending
-        if not any(pending):
-            self._pending_outputs = 0
+        if not any(self._pending):
             return
         pool = _pool.get_pool(self.workers)
         key = (id(pool), pool.generation)
@@ -125,8 +123,6 @@ class ParallelPlanExecutor(PlanExecutor):
             self._pool_key = None
             raise InterpError(
                 f"parallel worker pipe failed mid-flush: {exc!r}") from exc
-        finally:
-            self._pending_outputs = 0
 
     def _run_units(self, pool, workers) -> None:
         pending = self._pending
@@ -209,11 +205,10 @@ class ParallelPlanExecutor(PlanExecutor):
             n = pending[i]
             if not n:
                 continue
-            sn = self.sim_nodes[i]
-            for j, rid in enumerate(sn.out_ids):
-                push = sn.pushes[j]
-                if sn.has_init and j < len(sn.init_pushes):
-                    push = max(push, sn.init_pushes[j])
+            _, outs, first = self.plan.outer[i].rates
+            for j, (rid, push) in enumerate(outs):
+                if first is not None:
+                    push = max(push, first[1][j][1])
                 incoming[rid] = incoming.get(rid, 0) + n * push
         for rid in sorted(unit.ring_ids):
             r = self.rings[rid]

@@ -56,28 +56,29 @@ def build_units(executor) -> list[Unit]:
     """Group ``executor.steps`` into units and wire the DAG.
 
     ``executor`` is a :class:`~repro.exec.planner.PlanExecutor`: its
-    ``sim_nodes[i].in_ids/out_ids`` give ring wiring per step (a
+    plan's rate records give the ring wiring per step (a
     feedback island's interior rings are invisible here — only the
     facade's external in/out appear, keeping the island atomic).
     """
     steps = executor.steps
-    sim = executor.sim_nodes
+    wiring = [([r for r, *_ in p.rates[0]], [r for r, _ in p.rates[1]])
+              for p in executor.plan.outer]  # (in rings, out rings)
     producer_of: dict[int, int] = {}  # ring id -> producing step index
     consumers_of: dict[int, list[int]] = {}
-    for i, sn in enumerate(sim):
-        for r in sn.out_ids:
+    for i, (in_ids, out_ids) in enumerate(wiring):
+        for r in out_ids:
             producer_of[r] = i
-        for r in sn.in_ids:
+        for r in in_ids:
             consumers_of.setdefault(r, []).append(i)
 
     units: list[Unit] = []
     unit_of: list[int] = [0] * len(steps)
     for i, step in enumerate(steps):
-        sn = sim[i]
+        in_ids, out_ids = wiring[i]
         chain_to = None
-        if (isinstance(step, OFFLOADABLE) and len(sn.in_ids) == 1
-                and len(sn.out_ids) <= 1):
-            r = sn.in_ids[0]
+        if (isinstance(step, OFFLOADABLE) and len(in_ids) == 1
+                and len(out_ids) <= 1):
+            r = in_ids[0]
             p = producer_of.get(r)
             if (p is not None and p < i
                     and isinstance(steps[p], OFFLOADABLE)
@@ -92,8 +93,8 @@ def build_units(executor) -> list[Unit]:
             u = Unit(id=len(units), step_indices=[i])
             units.append(u)
             unit_of[i] = u.id
-        units[unit_of[i]].ring_ids.update(sn.in_ids)
-        units[unit_of[i]].ring_ids.update(sn.out_ids)
+        units[unit_of[i]].ring_ids.update(in_ids)
+        units[unit_of[i]].ring_ids.update(out_ids)
 
     for u in units:
         u.offload = any(isinstance(steps[i], HEAVY) for i in u.step_indices)

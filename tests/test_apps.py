@@ -38,7 +38,7 @@ def small(name):
 
 
 @pytest.mark.parametrize("name", sorted(BENCHMARKS))
-def test_builds_and_schedules(name):
+def test_builds_with_a_steady_state(name):
     program = small(name)
     ss = steady_state(program)
     # void->void top level: consumes and produces nothing externally

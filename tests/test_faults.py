@@ -156,6 +156,31 @@ def test_kernel_site_fires_through_plan_session():
         session.close()
 
 
+def test_a_fault_in_a_warm_flush_propagates():
+    """FIR(256) body as one matmul step, which every push fires: a
+    fault in the flush propagates out of a warm session's push as out
+    of a fresh one's first."""
+    from repro.apps import BENCHMARKS, split_app
+
+    def body():
+        return split_app(BENCHMARKS["FIR"]())[1]
+
+    warm = StreamSession(body(), backend="plan")
+    fresh = StreamSession(body(), backend="plan")
+    for _ in range(6):  # from the fifth push on, 255 items wait
+        warm.push(np.ones(64))
+    faults.install(faults.FaultPlan(rates={"kernel.step": 1.0}))
+    try:
+        for session, n in ((warm, 64), (fresh, 300)):
+            with pytest.raises(FaultInjected) as ei:
+                session.push(np.ones(n))
+            assert ei.value.site == "kernel.step"
+    finally:
+        faults.uninstall()
+        warm.close()
+        fresh.close()
+
+
 # ---------------------------------------------------------------------------
 # Snapshot / restore
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import repro
-from repro.apps import BENCHMARKS
-from repro.errors import InterpError
+from repro.apps import BENCHMARKS, split_app
+from repro.errors import InterpError, SchedulingError
 from repro.exec import clear_plan_cache, kernels as K
 from repro.exec import planner
 from repro.exec.planner import PlanExecutor
@@ -326,30 +326,50 @@ def test_jumps_flush_mid_run_like_the_literal_simulator(monkeypatch):
         assert fast._executor.passes_literal >= 57 // 8
 
 
-@pytest.mark.parametrize("hint", [1, 7, 10 ** 6, "double", "random"])
-def test_any_demand_hint_gives_the_same_schedule(hint):
-    """The sweep decides; ``_demand`` only sizes the jump.  Too small a
-    hint costs literal passes, too large a one is rolled back."""
-    rng = random.Random(5)
+def hinted(top, hint):
+    """A cold session whose ``_demand`` answers ``hint(real answer)``."""
+    s = session(top)
+    real = s._executor._demand
+    s._executor._demand = lambda goal: hint(real(goal))
+    return s
+
+
+SHORT = {"zero": lambda k: 0, "one": lambda k: min(k, 1),
+         "half": lambda k: k // 2,
+         "random": lambda k, rng=random.Random(5): rng.randint(0, k)}
+
+
+@pytest.mark.parametrize("hint", sorted(SHORT))
+def test_a_short_demand_hint_gives_the_same_schedule(hint):
+    """The sweep decides; a ``_demand`` hint short of the first pass
+    that reaches the goal only costs literal passes."""
     for top in ("TwoLanes", "PrimedPaced", "Coprime"):
-        exact, wrong = session(top), session(top)
-        ex = wrong._executor
-        real = ex._demand
-        ex._demand = {
-            "double": lambda goal: 2 * real(goal),
-            "random": lambda goal: rng.randint(0, 3 * real(goal)),
-        }.get(hint, lambda goal: hint)
-        fired_exact, fired_wrong = count_firings(exact), count_firings(wrong)
+        exact, short = session(top), hinted(top, SHORT[hint])
+        fired_exact, fired_short = count_firings(exact), count_firings(short)
         for k in (23, 1, 34):
-            np.testing.assert_array_equal(wrong.run(k), exact.run(k))
-        assert fired_wrong == fired_exact
-        assert ex._passes == exact._executor._passes
-        assert_same_counts(wrong.profile, exact.profile)
+            np.testing.assert_array_equal(short.run(k), exact.run(k))
+        assert fired_short == fired_exact
+        assert short._executor._passes == exact._executor._passes
+        assert_same_counts(short.profile, exact.profile)
 
 
-@pytest.mark.parametrize("top", ["Paced", "TwoLanes", "PacedLoop"])
+@pytest.mark.parametrize("hint", ["plus one", "double", "huge"])
+def test_a_demand_hint_past_the_first_hit_pass_raises(hint):
+    """``_demand`` is authoritative: a jump that would reach the goal
+    is a scheduling error, not a schedule rolled back and retried."""
+    over = {"plus one": lambda k: k + 1, "double": lambda k: 2 * k,
+            "huge": lambda k: 10 ** 6}[hint]
+    for top in ("TwoLanes", "PrimedPaced", "Coprime"):
+        s = hinted(top, over)
+        with pytest.raises(SchedulingError, match="demand walk overshot"):
+            for k in (23, 1, 34):
+                s.run(k)
+
+
+@pytest.mark.parametrize("top", ["Paced", "TwoLanes", "PacedLoop",
+                                 "Coprime", "PrimedPaced"])
 def test_demand_is_the_literal_first_hit_pass(top):
-    """Over 200 random (occupancy, target) states: the backward walk
+    """Over 120 random (occupancy, target) states: the backward walk
     names the very pass at which the pass-by-pass simulator reaches the
     target — one walk, one jump, one literal pass per run."""
     args = (11, 150, 101, 3, 2) if top == "Paced" else ()
@@ -367,17 +387,16 @@ def test_demand_is_the_literal_first_hit_pass(top):
     for _ in range(120):
         k = rng.choice([1, 2, 3, 5, rng.randint(1, 40), rng.randint(1, 400)])
         before = len(asked)
+        # a run the last one's leftovers do not cover walks once
+        short = ex._produced() < ex._returned + k
         fast.run(k)
         slow.run(k)
-        if len(asked) > before:  # leftovers did not cover the run
-            (passes_then, first_hit), = asked[before:]
+        assert len(asked) - before == short
+        if short:
+            passes_then, first_hit = asked[-1]
             assert passes_then + first_hit == slow._executor._passes
         assert ex._passes == slow._executor._passes
-    # every simulated drive is checked above; a drive whose state was
-    # simulated before replays it and asks nothing.  Simulated: 56 / 81 /
-    # 43 of the 120 runs (Paced / TwoLanes / PacedLoop)
-    assert len(asked) >= 40  # x 3 graphs
-    assert ex.replayed > 0 or top == "TwoLanes"
+    assert len(asked) > 60
 
 
 @pytest.mark.parametrize("top", ["TwoLanes", "PacedLoop"])
@@ -426,6 +445,67 @@ def test_push_sessions_drain_in_one_jump():
     assert (whole._executor.jumps, parts._executor.jumps) == (1, 5)
     assert whole._executor.passes_literal == 0
     assert whole._executor._passes == parts._executor._passes == 2000
+
+
+def push_body(app):
+    """``app``'s body, the push workloads' graph."""
+    return split_app(BENCHMARKS[app]())[1]
+
+
+def counting_sweeps(s) -> list:
+    """Count the sweeps of session ``s``'s simulator into ``[n]``."""
+    ex, count = s._executor, [0]
+    real = ex._sweep
+
+    def sweep(target):
+        count[0] += 1
+        return real(target)
+    ex._sweep = sweep
+    return count
+
+
+@pytest.mark.parametrize("app", ["FIR", "IIR"])
+def test_a_push_is_one_sweep_whatever_the_executor_ran_before(app):
+    """A call's simulator work is a function of the call, not of the
+    executor's history: a warm session, a fresh one compiled from the
+    cache and one restored from the warm one's snapshot each sweep once
+    for the same 64-sample push, to the same outputs."""
+    chunk = np.random.default_rng(7).standard_normal(64)
+    clear_plan_cache()
+    warm = repro.compile(push_body(app))
+    for _ in range(8):
+        warm.push(chunk)
+    fresh = repro.compile(push_body(app))
+    restored = repro.compile(push_body(app))
+    restored.restore(warm.snapshot())
+    assert fresh.cache_entry is warm.cache_entry is restored.cache_entry
+    counts = [counting_sweeps(s) for s in (warm, fresh, restored)]
+    outs = [s.push(chunk) for s in (warm, fresh, restored)]
+    assert [count[0] for count in counts] == [1, 1, 1]
+    np.testing.assert_array_equal(outs[0], outs[2])
+
+
+def test_a_parallel_push_flushes_through_its_region_scheduler():
+    """A ``workers=2`` session: each push's one flush goes through the
+    parallel executor's ``_flush``, at the scalar stream's values (the
+    fission rewrite delays its outputs by one)."""
+    chunks = np.random.default_rng(5).standard_normal((12, 256))
+    clear_plan_cache()
+    with repro.compile(push_body("FIR"), workers=2) as par, \
+            repro.compile(push_body("FIR"), backend="compiled") as ref:
+        ex, flushes = par._executor, []
+        real = ex._flush
+
+        def flush():
+            flushes.append(ex.metrics["tasks"])
+            real()
+        ex._flush = flush
+        got = np.concatenate([par.push(chunk) for chunk in chunks])
+        want = np.concatenate([ref.push(chunk) for chunk in chunks])
+        np.testing.assert_allclose(got, want[:len(got)], atol=1e-9)
+        assert len(got) >= len(want) - 1
+        assert len(flushes) == len(chunks)
+        assert ex.metrics["tasks"] > flushes[0]
 
 
 # ---------------------------------------------------------------------------

@@ -463,7 +463,8 @@ def test_output_channel_streams_jump():
     assert len(out) == n
     executor = session._executor
     assert executor._passes == n // 16  # each source item becomes 16
-    # one literal pass per 65 536-output chunk and one to finish
+    # one walk, one jump and one literal pass per 65 536-output chunk,
+    # the last chunk short
     assert executor.passes_literal == executor.jumps == 3
 
 

@@ -5,7 +5,9 @@ stage.  The reference is the same graph planned with the trivial
 quotient (``PlanExecutor.fuse_siblings = False`` while the plan is
 built, what the parallel executor runs): outputs, the firing count of every flat node and every
 field of the FLOP profile must agree.  Hermetic: no wall clock, storage
-counted in items.
+counted in items.  Also here: the roundrobin join that moves a run of
+``w`` items of a many-row ring as one void item, against the
+element-wise copy it replaces.
 """
 
 import re
@@ -181,7 +183,7 @@ def test_a_fused_stage_is_one_ring_one_sim_node_one_step():
     s = repro.compile(bank())
     ex = s._executor
     # source, split, Fir x5, Shape x5, join, collector
-    assert len(ex.steps) == len(ex.sim_nodes) == 6
+    assert len(ex.steps) == len(ex.plan.outer) == 6
     assert [r.rows for r in ex.rings if r.rows > 1] == [5, 5, 5]
     fir, shape = ex.steps[2:4]
     assert isinstance(fir, K.MatmulStep) and fir.A.shape == (5, 4, 1)
@@ -444,3 +446,112 @@ def test_storage_after_2000_calls_is_storage_after_20():
         if i == 20:
             early = storage()
     assert storage() == early
+
+
+# ---------------------------------------------------------------------------
+# the roundrobin join: a run of w items as one item
+# ---------------------------------------------------------------------------
+
+
+def join_case(dtype, layout, n, seed):
+    """Input rings of ``layout`` ``(rows, w)`` pairs, random contents
+    past a popped head, and the output ring."""
+    rng = np.random.default_rng(seed)
+    rings = []
+    for rows, w in layout:
+        ring = RingBuffer("in", dtype=dtype, rows=rows)
+        data = rng.standard_normal((rows, 7 + n * w + 5))
+        if np.dtype(dtype).kind == "c":
+            data = data + 1j * rng.standard_normal(data.shape)
+        ring.alloc_push(data.shape[1])[...] = data if rows > 1 else data[0]
+        ring.pop_block(7)
+        rings.append(ring)
+    return rings, RingBuffer("out", dtype=dtype)
+
+
+def joined(layout, dtype, n, grouped: bool):
+    """``n`` join firings over a fresh :func:`join_case`, checked
+    against a transposition of the inputs; ``grouped=False`` forces the
+    element-wise copy on every input."""
+    rings, out = join_case(dtype, layout, n, seed=len(layout) * 31 + n)
+    step = K.RoundRobinJoinStep(rings, out, [w for _, w in layout])
+    if not grouped:
+        step.runs = [None] * len(layout)
+    expected = np.concatenate([
+        r.peek_block(n * w).reshape(-1, n, w).transpose(1, 0, 2)
+        .reshape(n, -1) for r, (_, w) in zip(rings, layout) if w], axis=1)
+    step.execute(n)
+    got = out.pop_block_array(n * step.total)
+    np.testing.assert_array_equal(got, expected.reshape(-1))
+    assert all(len(r) == 5 for r in rings)
+    return got
+
+
+LAYOUTS = [[(rows, w)] for rows in (1, 3, 12) for w in (1, 2, 3, 5)] + [
+    [(12, 2), (1, 3), (3, 1)],  # mixed weights and row counts
+    [(3, 5), (1, 0), (12, 2), (3, 0)],  # zero weights in between
+    [(1, 0), (3, 3)],
+]
+
+
+@pytest.mark.parametrize("dtype", ["f4", "f8", "c8", "c16"])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=str)
+def test_void_runs_equal_the_elementwise_join(layout, dtype):
+    """Bitwise, against the element-wise copy and a transposition of
+    the inputs, for every dtype and at 1 and many firings."""
+    for n in (1, 4, 37):
+        grouped = joined(layout, dtype, n, grouped=True)
+        plain = joined(layout, dtype, n, grouped=False)
+        assert grouped.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(grouped, plain)
+
+
+def test_void_runs_only_where_rows_and_weight_exceed_one():
+    rings, out = join_case("f8", [(12, 2), (1, 3), (3, 1)], 1, seed=0)
+    step = K.RoundRobinJoinStep(rings, out, [2, 3, 1])
+    assert [None if r is None else r.itemsize for r in step.runs] == \
+        [16, None, None]
+
+
+#: siblings with a two-item output joined ``roundrobin(2)``: fused, the
+#: join reads a 3-row ring as void runs; planned apart, three one-row
+#: rings element-wise.  Lane stages, so both agree bitwise
+PAIRS = """
+float->float filter Both(float g) {
+    float gain = g;
+    work pop 1 push 2 {
+        float x = pop();
+        push(gain * abs(x));
+        push(x * x - gain);
+    }
+}
+float->float splitjoin Fan {
+    split duplicate;
+    add Both(0.5);
+    add Both(1.5);
+    add Both(-2.0);
+    join roundrobin(2, 2, 2);
+}
+float->float pipeline Wide {
+    add Fan();
+    add Both(0.25);
+}
+"""
+
+
+def test_fused_and_unfused_splitjoin_join_alike():
+    chunk = np.random.default_rng(6).standard_normal(300)
+    clear_plan_cache()
+    fused = repro.compile(load_source(PAIRS, "Wide"))
+    with apart():
+        plain = repro.compile(load_source(PAIRS, "Wide"))
+    joins = [[st for st in s._executor.steps
+              if isinstance(st, K.RoundRobinJoinStep)][0]
+             for s in (fused, plain)]
+    assert joins[0].runs[0] is not None
+    assert all(r is None for r in joins[1].runs)
+    compiled = repro.compile(load_source(PAIRS, "Wide"), backend="compiled")
+    for part in np.split(chunk, [1, 64, 65]):
+        out = fused.push(part)
+        np.testing.assert_array_equal(out, plain.push(part))
+        np.testing.assert_array_equal(out, compiled.push(part))
