@@ -706,3 +706,28 @@ def test_schedule_census(name):
     assert fast._executor._passes == slow._executor._passes
     assert fired_fast == fired_slow
     assert_same_counts(fast.profile, slow.profile)
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_a_call_does_not_depend_on_the_executors_history(name):
+    """``run(64)`` then six resumed census runs on every app; before each
+    call a second session takes up the first's snapshot on a fresh
+    executor.  The call is the same in both: outputs bitwise, the same
+    firings of every step and FLOPs, the same integer state (passes,
+    jumps and literal passes included) afterwards."""
+    clear_plan_cache()
+    warm = repro.compile(BENCHMARKS[name](), optimize="auto",
+                         profiler=Profiler())
+    other = repro.compile(BENCHMARKS[name](), optimize="auto",
+                          profiler=Profiler())
+    assert isinstance(warm._executor, PlanExecutor), warm.bailout
+    fired_warm = count_firings(warm)
+    for n in [64] + [CENSUS[name]] * 6:
+        other.restore(warm.snapshot())
+        fired_other = count_firings(other)  # the restored executor's
+        assert other._executor.integers() == warm._executor.integers()
+        fired_warm.clear()
+        np.testing.assert_array_equal(warm.run(n), other.run(n))
+        assert fired_warm == fired_other and fired_warm
+        assert_same_counts(warm.profile, other.profile)
+        assert other._executor.integers() == warm._executor.integers()
